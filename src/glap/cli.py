@@ -180,6 +180,8 @@ def cmd_derivations(args) -> int:
 
 
 def cmd_prolong(args) -> int:
+    if args.max_degree is not None and args.max_degree < 0:
+        raise BadParameters(f"--max-degree {args.max_degree}: must be at least 0")
     m = deserialize(_read(args.m))
     g = deserialize_form(_read(args.g))
     prol = full_prolongation(m, g, max_degree=args.max_degree)
@@ -402,7 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=None,
-        help="cap on positive degrees (default 64, or GLAP_STEP_LIMIT)",
+        help="stop after this degree, leaving the result uncertified "
+        "(default: no cap; GLAP_STEP_LIMIT, default 64, bounds the steps)",
     )
     p.set_defaults(func=cmd_prolong)
 

@@ -99,8 +99,8 @@ class _DegreeSpace:
     """Solution space of the defining equations within one matrix degree.
 
     Local coordinates run over (cell index, coefficient component); the
-    canonical kernel basis of the constraint rows is kept together with its
-    free columns so membership can be certified by exact reconstruction.
+    canonical kernel basis of the constraint rows is kept as a ``Subspace``
+    so membership is certified by exact reconstruction.
     """
 
     def __init__(self, alg, n, cells, rows):
@@ -108,45 +108,34 @@ class _DegreeSpace:
         self.n = n
         self.cells = list(cells)
         self.pos = {c: k for k, c in enumerate(self.cells)}
-        self.width = len(self.cells) * alg.dim
-        ech = Echelon(self.width)
+        ech = Echelon(len(self.cells) * alg.dim)
         for row in rows:
             ech.add(row)
-        self.basis = ech.kernel()
-        self.free = ech.free_columns()
+        self.space = ech.kernel_space("the solutions of the defining equations")
 
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.space)
 
     def matrix(self, k: int) -> KMat:
         d = self.alg.dim
-        vec = self.basis[k]
+        vec = self.space.vectors[k]
         cells = {}
-        for idx, cell in enumerate(self.cells):
-            coords = vec[idx * d : (idx + 1) * d]
-            if any(coords):
-                cells[cell] = self.alg.element(coords)
+        for idx in sorted({i // d for i in vec}):
+            coords = [vec.get(idx * d + t, ZERO) for t in range(d)]
+            cells[self.cells[idx]] = self.alg.element(coords)
         return KMat(self.alg, self.n, cells)
 
     def coords(self, M: KMat) -> list[Fraction]:
         d = self.alg.dim
-        local = [ZERO] * self.width
+        local = {}
         for (i, j), v in M.cells.items():
             idx = self.pos.get((i, j))
             if idx is None:
                 raise GlapError(f"matrix entry at {(i, j)} escapes the degree block")
             for t, c in enumerate(v.coords):
-                local[idx * d + t] = c
-        out = [local[f] for f in self.free]
-        recon = [ZERO] * self.width
-        for c, vec in zip(out, self.basis):
-            if c:
-                for a, x in enumerate(vec):
-                    if x:
-                        recon[a] += c * x
-        if recon != local:
-            raise GlapError("matrix does not satisfy the defining equations")
-        return out
+                if c:
+                    local[idx * d + t] = c
+        return self.space.coords(local, "matrix")
 
 
 def _realize(alg, n, sigma, weights, trace_zero):

@@ -129,13 +129,6 @@ class GradedAlgebra:
                 out[j] = cell
         return out
 
-    def ad_matrix(self, i: int) -> Mat:
-        M = Mat.zeros(self.n, self.n)
-        for j, cell in self.sparse_ad(i).items():
-            for k, c in cell.items():
-                M.a[k][j] = c
-        return M
-
     def restriction_matrix(self, i: int, src_degree: int) -> Mat:
         """Matrix of ad(e_i) restricted to one homogeneous piece, written in
         the bases of the source and target degrees."""

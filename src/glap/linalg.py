@@ -15,7 +15,9 @@ Kernel bases are canonical: they come from the reduced row echelon form,
 with one basis vector per free column (free columns in increasing order,
 unit entry at the free column).  Two calls on row-equivalent inputs return
 identical bases, which the rest of the package relies on for reproducible
-labeling.
+labeling.  A ``Subspace`` keeps such a basis sparse and is the one place
+where membership in a solution space is certified: coordinates are read
+off at the free columns and the vector is rebuilt from them exactly.
 """
 
 from __future__ import annotations
@@ -24,11 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import GlapError, NotSymmetric
+
 Rational = Fraction
+ZERO = Fraction(0)
 
 __all__ = [
     "Rational",
     "Mat",
+    "Subspace",
     "kernel_basis",
     "sparse_kernel",
     "sparse_rank",
@@ -94,15 +100,14 @@ class Mat:
     def __eq__(self, other):
         return isinstance(other, Mat) and self.a == other.a
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.a))
-
     def __add__(self, other):
-        assert (self.m, self.n) == (other.m, other.n)
+        if (self.m, self.n) != (other.m, other.n):
+            raise ValueError("shape mismatch in sum")
         return Mat([[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
 
     def __sub__(self, other):
-        assert (self.m, self.n) == (other.m, other.n)
+        if (self.m, self.n) != (other.m, other.n):
+            raise ValueError("shape mismatch in difference")
         return Mat([[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
 
     def __neg__(self):
@@ -316,18 +321,62 @@ class Echelon:
     def free_columns(self) -> list[int]:
         return [c for c in range(self.ncols) if c not in self.piv]
 
-    def kernel(self) -> list[list[Fraction]]:
+    def kernel_space(self, name: str = "the kernel") -> "Subspace":
+        """The canonical kernel basis, stored sparse, as a ``Subspace``."""
         rows = self._rref()
-        zero = Fraction(0)
-        basis = []
-        for f in self.free_columns():
-            v = [zero] * self.ncols
-            v[f] = Fraction(1)
+        free = self.free_columns()
+        vectors = []
+        for f in free:
+            v = {f: Fraction(1)}
             for c, row in rows.items():
                 if f in row:
                     v[c] = Fraction(-row[f], row[c])
-            basis.append(v)
+            vectors.append(v)
+        return Subspace(vectors, free, name)
+
+    def kernel(self) -> list[list[Fraction]]:
+        basis = []
+        for v in self.kernel_space().vectors:
+            dense = [ZERO] * self.ncols
+            for c, x in v.items():
+                dense[c] = x
+            basis.append(dense)
         return basis
+
+
+class Subspace:
+    """A canonical kernel basis with certified coordinates.
+
+    ``vectors[t]`` is stored sparse (dict column -> nonzero value); it is 1
+    at its free column ``free[t]`` and 0 at every other free column, so the
+    coordinates of any member of the span are its entries at the free
+    columns.  ``coords`` reads them off and certifies membership exactly by
+    rebuilding the vector from them.
+    """
+
+    def __init__(self, vectors: list[dict], free: list[int], name: str):
+        self.vectors = vectors
+        self.free = free
+        self.name = name
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def coords(self, vec: dict, what: str = "vector") -> list[Fraction]:
+        """Coordinates of the sparse vector ``vec`` (dict column -> value,
+        zero values allowed); raises GlapError unless the rebuilt vector
+        equals ``vec`` entry for entry."""
+        out = [vec.get(f, ZERO) for f in self.free]
+        recon: dict[int, Fraction] = {}
+        for c, v in zip(out, self.vectors):
+            if c:
+                for i, x in v.items():
+                    recon[i] = recon.get(i, ZERO) + c * x
+        for i, x in vec.items():
+            recon[i] = recon.get(i, ZERO) - x
+        if any(recon.values()):
+            raise GlapError(f"{what} does not lie in {self.name}")
+        return out
 
 
 def _dense_to_sparse_rows(M: Mat):
@@ -387,8 +436,6 @@ def signature_of_symmetric(M: Mat) -> tuple[int, int, int]:
     Raises NotSymmetric when the input is not symmetric.  Exact, so there is
     no epsilon anywhere: an entry is positive, negative or zero, period.
     """
-    from .errors import NotSymmetric
-
     if not M.is_symmetric():
         raise NotSymmetric("signature requires a symmetric matrix")
     a = [row[:] for row in M.a]

@@ -15,9 +15,14 @@ u : m -> (current algebra) satisfying
     u([x, y]) = [u(x), y] + [x, u(y)]      for all x, y in m,
 
 with [u, x] := u(x).  Brackets between nonnegative layers are forced by
-requiring ad to act by derivations, and every assembled algebra is
-certified afterwards by an exhaustive Jacobi sweep, so a bug in the
-incremental bookkeeping cannot survive to the output.
+requiring ad to act by derivations: inside degree 0 they are commutators
+of maps, formed on sparse columns; above it, ([w, v])(z) = [w, [v, z]] -
+[v, [w, z]].  Each such bracket is re-expressed in its layer's canonical
+kernel basis by one shared helper, ``linalg.Subspace.coords``, which
+rebuilds the bracket from its coordinates and raises GlapError unless the
+two agree exactly.  Every assembled algebra is certified afterwards by an
+exhaustive Jacobi sweep, so a bug in the incremental bookkeeping cannot
+survive to the output.
 
 The recursion stops at the first empty layer; for the inputs this package
 builds that always happens (the negative part is fundamental and the
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +52,7 @@ from .gla import (
     check_fundamental,
     check_gla,
 )
-from .linalg import Mat, sparse_kernel, Echelon
+from .linalg import Echelon, Mat, sparse_kernel
 
 
 class _Layout:
@@ -59,22 +65,43 @@ class _Layout:
     def __init__(self):
         self.blocks: dict[object, tuple[int, int, int]] = {}  # key -> (off, rows, cols)
         self.total = 0
+        self._starts: list[int] = []
+        self._keys: list = []
 
     def add(self, key, rows: int, cols: int):
         self.blocks[key] = (self.total, rows, cols)
+        self._starts.append(self.total)
+        self._keys.append(key)
         self.total += rows * cols
 
     def col(self, key, r: int, c: int) -> int:
         off, rows, cols = self.blocks[key]
-        assert 0 <= r < rows and 0 <= c < cols
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise GlapError(f"entry ({r}, {c}) outside the {rows}x{cols} block {key!r}")
         return off + c * rows + r
 
-    def unflatten(self, key, vec) -> Mat:
+    def columns(self, vec: dict[int, Fraction]) -> dict:
+        """Split a sparse flat vector into sparse block columns,
+        ``key -> column -> {row: value}`` in increasing order; entries past
+        the last block (the eta column) are left out."""
+        out: dict = {}
+        for i in sorted(vec):
+            if i >= self.total:
+                continue
+            key = self._keys[bisect_right(self._starts, i) - 1]
+            off, rows, _ = self.blocks[key]
+            c, r = divmod(i - off, rows)
+            out.setdefault(key, {}).setdefault(c, {})[r] = vec[i]
+        return out
+
+    def unflatten(self, key, vec: dict[int, Fraction]) -> Mat:
         off, rows, cols = self.blocks[key]
         M = Mat.zeros(rows, cols)
         for c in range(cols):
             for r in range(rows):
-                M.a[r][c] = vec[off + c * rows + r]
+                x = vec.get(off + c * rows + r)
+                if x:
+                    M.a[r][c] = x
         return M
 
 
@@ -85,10 +112,6 @@ class Derivation:
 
     blocks: dict[int, Mat]
     eta: Fraction
-
-    def apply_local(self, p: int, col: int):
-        """Image of the col-th basis vector of degree p, as a dense column."""
-        return self.blocks[p].col(col) if p in self.blocks else []
 
     def commutator(self, other: "Derivation") -> "Derivation":
         blocks = {}
@@ -101,47 +124,28 @@ class Derivation:
 class DerivationBasis:
     """Canonical basis of the conformal derivation algebra of (m, g)."""
 
-    def __init__(self, m, g, elements, layout, free_cols, eta_col):
+    def __init__(self, m, g, elements, layout, space, eta_col):
         self.m = m
         self.g = g
         self.elements: list[Derivation] = elements
         self._layout = layout
-        self._free_cols = free_cols
+        self._space = space
         self._eta_col = eta_col
 
     def __len__(self):
         return len(self.elements)
 
-    def _flatten(self, blocks: dict[int, Mat], eta) -> list[Fraction]:
-        vec = [Fraction(0)] * (self._layout.total + 1)
+    def coordinates_of(self, blocks: dict[int, Mat], eta) -> list[Fraction]:
+        """Coordinates in this basis; raises GlapError if the map is not in
+        the span (certified by exact reconstruction, eta included)."""
+        vec = {self._eta_col: Fraction(eta)}
         for p, M in blocks.items():
             off, rows, cols = self._layout.blocks[p]
             for c in range(cols):
                 for r in range(rows):
-                    vec[off + c * rows + r] = M.a[r][c]
-        vec[self._eta_col] = Fraction(eta)
-        return vec
-
-    def coordinates_of(self, blocks: dict[int, Mat], eta) -> list[Fraction]:
-        """Coordinates in this basis; raises if the map is not in the span.
-
-        The basis comes from a reduced echelon kernel, so coordinates can be
-        read off at the free columns; the reconstruction check makes the
-        membership claim exact rather than assumed.
-        """
-        vec = self._flatten(blocks, eta)
-        coords = [vec[f] for f in self._free_cols]
-        recon = [Fraction(0)] * len(vec)
-        for t, el in enumerate(self.elements):
-            c = coords[t]
-            if c == 0:
-                continue
-            ev = self._flatten(el.blocks, el.eta)
-            for idx, val in enumerate(ev):
-                recon[idx] += c * val
-        if recon != vec:
-            raise GlapError("map does not lie in the conformal derivation algebra")
-        return coords
+                    if M.a[r][c]:
+                        vec[off + c * rows + r] = M.a[r][c]
+        return self._space.coords(vec, "map")
 
 
 def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
@@ -247,13 +251,12 @@ def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> DerivationBasis:
     ech = Echelon(layout.total + 1)
     for row in rows:
         ech.add(row)
-    kbasis = ech.kernel()
-    free_cols = ech.free_columns()
+    space = ech.kernel_space("the conformal derivation algebra")
     elements = []
-    for vec in kbasis:
+    for vec in space.vectors:
         blocks = {p: layout.unflatten(p, vec) for p in by_deg}
-        elements.append(Derivation(blocks, vec[eta_col]))
-    basis = DerivationBasis(m, g, elements, layout, free_cols, eta_col)
+        elements.append(Derivation(blocks, vec.get(eta_col, Fraction(0))))
+    basis = DerivationBasis(m, g, elements, layout, space, eta_col)
     # the grading derivation (p * id on degree p, eta = -2) must be in the
     # span; failing that, something above is broken
     basis.coordinates_of(_grading_blocks(m), Fraction(-2))
@@ -312,11 +315,44 @@ def scaling_split(basis: DerivationBasis) -> tuple[Derivation, list[Derivation]]
 # ---------------------------------------------------------------------------
 
 
+def _sparse_columns(M: Mat) -> dict[int, dict[int, Fraction]]:
+    """Nonzero columns of M as ``column -> {row: value}``."""
+    out = {}
+    for c in range(M.n):
+        col = {r: M.a[r][c] for r in range(M.m) if M.a[r][c] != 0}
+        if col:
+            out[c] = col
+    return out
+
+
+def _sparse_commutator(A: dict, B: dict, layout: _Layout) -> dict[int, Fraction]:
+    """[D_a, D_b] flattened in ``layout``, from the sparse block columns of
+    D_a and D_b: column c of block p is D_a(D_b e_c) - D_b(D_a e_c)."""
+    out: dict[int, Fraction] = {}
+    for p, (off, rows, _) in layout.blocks.items():
+        Ap, Bp = A[p], B[p]
+        for c in Ap.keys() | Bp.keys():
+            acc: dict[int, Fraction] = {}
+            for r, x in Bp.get(c, {}).items():
+                for s, y in Ap.get(r, {}).items():
+                    acc[s] = acc.get(s, 0) + x * y
+            for r, x in Ap.get(c, {}).items():
+                for s, y in Bp.get(r, {}).items():
+                    acc[s] = acc.get(s, 0) - x * y
+            for s, v in acc.items():
+                if v:
+                    out[off + c * rows + s] = v
+    return out
+
+
 def assemble_degree0(m: GradedAlgebra, basis: DerivationBasis) -> GradedAlgebra:
     """m extended by its conformal derivation algebra in degree 0.
 
-    Brackets: [D, x] = D(x) for x in m, and [D, D'] the commutator of maps,
-    re-expressed in the canonical derivation basis.
+    Brackets: [D, x] = D(x) for x in m, and [D, D'] the commutator of maps.
+    Each commutator is formed in full on sparse columns of the basis
+    elements and re-expressed in the canonical derivation basis by the
+    basis's ``Subspace``, which certifies over Q that it lies in the span
+    (eta column included) and raises GlapError otherwise.
     """
     n = m.n
     t = len(basis)
@@ -324,23 +360,18 @@ def assemble_degree0(m: GradedAlgebra, basis: DerivationBasis) -> GradedAlgebra:
     degrees = list(m.degrees) + [0] * t
     brackets = {k: dict(v) for k, v in m.brackets.items()}
     by_deg = m.by_degree()
-    glob = {p: ix for p, ix in by_deg.items()}
-    for a, el in enumerate(basis.elements):
-        col = n + a
-        for p, ix in glob.items():
-            M = el.blocks[p]
-            for c_loc, j in enumerate(ix):
-                cell = {}
-                for r_loc, gk in enumerate(ix):
-                    v = M.a[r_loc][c_loc]
-                    if v != 0:
-                        cell[gk] = -v  # [x, D] = -D(x)
-                if cell:
-                    brackets[(j, col)] = cell
+    cols = [
+        {p: _sparse_columns(el.blocks[p]) for p in by_deg} for el in basis.elements
+    ]
+    for a, blocks in enumerate(cols):
+        for p, ix in by_deg.items():
+            for c_loc, col in blocks[p].items():
+                # [x, D] = -D(x)
+                brackets[(ix[c_loc], n + a)] = {ix[r]: -v for r, v in col.items()}
     for a in range(t):
         for b in range(a + 1, t):
-            comm = basis.elements[a].commutator(basis.elements[b])
-            coords = basis.coordinates_of(comm.blocks, comm.eta)
+            comm = _sparse_commutator(cols[a], cols[b], basis._layout)
+            coords = basis._space.coords(comm, f"[d0_{a}, d0_{b}]")
             cell = {n + i: c for i, c in enumerate(coords) if c != 0}
             if cell:
                 brackets[(n + a, n + b)] = cell
@@ -371,31 +402,21 @@ def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
     ech = Echelon(layout.total)
     for row in rows:
         ech.add(row)
-    kern = ech.kernel()
-    if not kern:
+    space = ech.kernel_space(f"the degree {shift} layer")
+    if not space.vectors:
         return A
-    free_cols = ech.free_columns()
 
     n = A.n
-    t = len(kern)
+    t = len(space)
     labels = list(A.labels) + [f"p{shift}_{i}" for i in range(t)]
     degrees = list(A.degrees) + [shift] * t
     brackets = {key: dict(v) for key, v in A.brackets.items()}
-    for i, vec in enumerate(kern):
-        col = n + i
-        for p in neg:
-            if p not in layout.blocks:
-                continue
-            M = layout.unflatten(p, vec)
-            tgt = by_deg[p + shift]
-            for c_loc, j in enumerate(by_deg[p]):
-                cell = {}
-                for r_loc, gk in enumerate(tgt):
-                    v = M.a[r_loc][c_loc]
-                    if v != 0:
-                        cell[gk] = -v  # [x, u] = -u(x)
-                if cell:
-                    brackets[(j, col)] = cell
+    for i, vec in enumerate(space.vectors):
+        for p, blk in layout.columns(vec).items():
+            src, tgt = by_deg[p], by_deg[p + shift]
+            for c_loc, col in blk.items():
+                # [x, u] = -u(x)
+                brackets[(src[c_loc], n + i)] = {tgt[r]: -v for r, v in col.items()}
     A2 = GradedAlgebra(A.name, labels, degrees, brackets)
 
     # brackets between nonnegative layers summing to k+1, forced by
@@ -408,7 +429,7 @@ def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
             for v in by_deg2.get(b, []):
                 if a == b and w >= v:
                     continue
-                flat = [Fraction(0)] * layout.total
+                flat: dict[int, Fraction] = {}
                 for p in neg:
                     if p not in layout.blocks:
                         # the forced map must vanish into this degree; the
@@ -433,18 +454,7 @@ def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
                                     del acc[tg]
                         for tg, val in acc.items():
                             flat[layout.col(p, tpos[tg], c_loc)] = val
-                coords = [flat[f] for f in free_cols]
-                recon = [Fraction(0)] * layout.total
-                for i, c in enumerate(coords):
-                    if c == 0:
-                        continue
-                    for idx, val in enumerate(kern[i]):
-                        recon[idx] += c * val
-                if recon != flat:
-                    raise GlapError(
-                        f"forced bracket of degrees ({a},{b}) escapes the "
-                        f"degree {shift} layer"
-                    )
+                coords = space.coords(flat, f"forced bracket of degrees ({a},{b})")
                 cell = {n + i: c for i, c in enumerate(coords) if c != 0}
                 if cell:
                     extra[(w, v)] = cell

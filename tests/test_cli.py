@@ -152,6 +152,25 @@ def test_prolong_with_explicit_cut_reports_incomplete(tmp_path, capsys):
     assert json.loads(out)["complete"] is False
 
 
+def test_prolong_rejects_negative_max_degree(tmp_path, capsys):
+    prefix = str(tmp_path / "f")
+    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    code, out = run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json",
+                    "--max-degree", "-3")
+    assert code == 2
+    assert "--max-degree" in json.loads(out)["error"]
+
+
+def test_prolong_max_degree_help_names_the_real_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prolong", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default 64, or" not in text
+    assert "default: no cap" in text
+    assert "GLAP_STEP_LIMIT" in text
+
+
 def test_mismatched_form_is_an_input_error(tmp_path, capsys):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glap.errors import NotSymmetric
+from glap.errors import GlapError, NotSymmetric
 from glap.linalg import (
     Echelon,
     Mat,
@@ -181,3 +181,33 @@ def test_solve_affine_unique_solution():
 def test_solve_affine_inconsistent():
     rows = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(1)}]
     assert solve_affine(rows, [F(0), F(1)], 2) is None
+
+
+def test_kernel_space_coords_certify_membership():
+    # kernel of x0 + 2 x1 - x2 = 0: free columns 1 and 2
+    ech = Echelon(3)
+    ech.add({0: 1, 1: 2, 2: -1})
+    space = ech.kernel_space("the plane")
+    assert space.free == [1, 2]
+    assert [dict(v) for v in space.vectors] == [{1: 1, 0: -2}, {2: 1, 0: 1}]
+    assert space.coords({0: F(1), 1: F(1), 2: F(3)}) == [F(1), F(3)]
+    assert space.coords({}) == [F(0), F(0)]
+    with pytest.raises(GlapError, match="the plane"):
+        space.coords({0: F(1), 1: F(1)})
+    with pytest.raises(GlapError):
+        space.coords({0: F(-2), 1: F(1), 3: F(1)})  # entry outside every vector
+
+
+def test_kernel_space_matches_dense_kernel():
+    ech = Echelon(4)
+    ech.add({0: 1, 1: 1})
+    ech.add({2: 3, 3: -6})
+    dense = [[v.get(c, F(0)) for c in range(4)] for v in ech.kernel_space().vectors]
+    assert dense == ech.kernel()
+
+
+def test_mat_sum_and_difference_reject_shape_mismatch():
+    with pytest.raises(ValueError):
+        Mat.identity(2) + Mat.zeros(2, 3)
+    with pytest.raises(ValueError):
+        Mat.identity(2) - Mat.zeros(3, 2)

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from glap.errors import GlapError, NotFundamental, StepLimitExceeded
+from glap.families import build
 from glap.gla import GradedAlgebra, SymBilinearForm, check_gla
 from glap.linalg import Mat
 from glap.prolongation import (
+    _Layout,
+    assemble_degree0,
     conformal_g0,
     deserialize_prolongation,
     full_prolongation,
@@ -88,6 +94,75 @@ def test_lemma_31_split_on_families(get_family):
                     c * el.eta for c, el in zip(coords, basis.elements)
                 )
                 assert eta_val == 0
+
+
+@pytest.mark.parametrize(
+    "tag,params", [("hh", {"p": 1, "q": 2}), ("ho", {}), ("hc-split", {"p": 2, "q": 1})]
+)
+def test_degree0_brackets_match_dense_commutators(get_family, tag, params):
+    fam = get_family(tag, **params)
+    basis = conformal_g0(fam.m, fam.g)
+    A = assemble_degree0(fam.m, basis)
+    n = fam.m.n
+    by_deg = fam.m.by_degree()
+    for a, x in enumerate(basis.elements):
+        # [D, e_j] = D(e_j), read off the dense block
+        for p, ix in by_deg.items():
+            for c, j in enumerate(ix):
+                image = {ix[r]: v for r, v in enumerate(x.blocks[p].col(c)) if v}
+                assert A.bracket_pair(n + a, j) == image
+        for b in range(a + 1, len(basis)):
+            comm = x.commutator(basis.elements[b])
+            ref = basis.coordinates_of(comm.blocks, 0)
+            assert A.bracket_pair(n + a, n + b) == {
+                n + i: c for i, c in enumerate(ref) if c
+            }
+
+
+def _assemble_with_corrupted_g0():
+    """assemble_degree0 on hh(1,1) after one entry of one g0 basis element
+    has been changed, so that some commutator leaves the span."""
+    fam = build("hh", p=1, q=1)
+    basis = conformal_g0(fam.m, fam.g)
+    basis.elements[1].blocks[-1].a[0][0] += 1
+    return assemble_degree0(fam.m, basis)
+
+
+def test_corrupted_g0_basis_is_rejected():
+    with pytest.raises(GlapError, match="does not lie in the conformal"):
+        _assemble_with_corrupted_g0()
+
+
+def test_corrupted_g0_basis_is_rejected_without_asserts():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are still on')\n"
+        "from glap.errors import GlapError\n"
+        "from test_prolongation import _assemble_with_corrupted_g0\n"
+        "try:\n"
+        "    _assemble_with_corrupted_g0()\n"
+        "except GlapError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('corrupted basis was accepted')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_layout_rejects_entries_outside_a_block():
+    layout = _Layout()
+    layout.add(-1, 2, 3)
+    assert layout.col(-1, 1, 2) == 5
+    for r, c in [(2, 0), (0, 3), (-1, 0)]:
+        with pytest.raises(GlapError):
+            layout.col(-1, r, c)
 
 
 def test_step_dims_hc11(get_prolongation):
