@@ -17,6 +17,7 @@ simple); dimension 3 or more means at least two ideals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .linalg import (
     solve_affine,
     sparse_kernel,
 )
+from .roots import table_expectation
 
 
 def killing_form(A: GradedAlgebra) -> Mat:
@@ -134,7 +136,27 @@ def centroid(A: GradedAlgebra) -> list[Mat]:
     restricted to degree-preserving maps constrained against a generating
     set (both reductions are theorems, and the result is re-verified
     against the definition, so they cannot silently go wrong).
+
+    Identity bound: the rows are reduced one at a time and the solve stops
+    as soon as their rank is one less than the number of unknowns.  The
+    identity map solves every centroid row (phi = id turns each into
+    [e, a_j] - [e, a_j]), and each row is checked against it, so the rows
+    span a subspace of the identity's annihilator, which has dimension
+    unknowns - 1.  At that rank the rows span all of it, no later row can
+    shrink the kernel, and the kernel is the identity alone.  When the
+    centroid has dimension 2 or more the bound is never reached and every
+    row is reduced.  The canonical kernel basis depends only on the kernel,
+    so stopping early changes no output.
     """
+    rows, cells = _centroid_system(A)
+    basis = _solve_to_identity_bound(rows, cells, A.n)
+    _verify_centroid(A, basis)
+    return basis
+
+
+def _centroid_system(A: GradedAlgebra):
+    """The centroid equations as (lazy rows, cells): unknown k of a row is
+    the entry phi[r][c] for (r, c) = cells[k]."""
     by_deg = A.by_degree()
     graded = (
         any(d < 0 for d in by_deg)
@@ -142,71 +164,57 @@ def centroid(A: GradedAlgebra) -> list[Mat]:
         and _find_characteristic(A) is not None
     )
     if graded:
-        basis = _centroid_graded(A)
-    else:
-        basis = _centroid_dense(A)
-    _verify_centroid(A, basis)
-    return basis
+        return _graded_system(A)
+    return _dense_system(A)
 
 
-def _centroid_graded(A: GradedAlgebra) -> list[Mat]:
+def _graded_system(A: GradedAlgebra):
     by_deg = A.by_degree()
     local = {d: {g: t for t, g in enumerate(ix)} for d, ix in by_deg.items()}
     offs = {}
-    total = 0
+    cells = []
     for d in sorted(by_deg):
-        offs[d] = total
-        total += len(by_deg[d]) ** 2
+        ix = by_deg[d]
+        offs[d] = len(cells)
+        cells.extend((ix[r], ix[c]) for c in range(len(ix)) for r in range(len(ix)))
 
     def col(d, r, c):
         return offs[d] + c * len(by_deg[d]) + r
 
-    gens = _generating_indices(A)
-    rows = []
-    for e in gens:
-        de = A.degrees[e]
-        ade = A.sparse_ad(e)
-        for j in range(A.n):
-            dj = A.degrees[j]
-            td = de + dj
-            tgt = by_deg.get(td, [])
-            if not tgt:
-                continue
-            comp: dict[int, dict[int, Fraction]] = {}
-            cell = ade.get(j, {})
-            for mg, c in cell.items():
-                for tg in tgt:
-                    cc = col(td, local[td][tg], local[td][mg])
-                    row = comp.setdefault(tg, {})
-                    row[cc] = row.get(cc, Fraction(0)) + c
-            for rg in by_deg[dj]:
-                move = ade.get(rg)
-                if not move:
+    def rows():
+        for e in _generating_indices(A):
+            de = A.degrees[e]
+            ade = A.sparse_ad(e)
+            for j in range(A.n):
+                dj = A.degrees[j]
+                td = de + dj
+                tgt = by_deg.get(td, [])
+                if not tgt:
                     continue
-                for tg, c in move.items():
-                    cc = col(dj, local[dj][rg], local[dj][j])
-                    row = comp.setdefault(tg, {})
-                    row[cc] = row.get(cc, Fraction(0)) - c
-            for row in comp.values():
-                row = {c: v for c, v in row.items() if v != 0}
-                if row:
-                    rows.append(row)
-    kern = sparse_kernel(rows, total)
-    out = []
-    for vec in kern:
-        M = Mat.zeros(A.n, A.n)
-        for d, ix in by_deg.items():
-            dim = len(ix)
-            for c in range(dim):
-                for r in range(dim):
-                    v = vec[offs[d] + c * dim + r]
-                    if v != 0:
-                        M.a[ix[r]][ix[c]] = v
-        out.append(M)
-    return out
+                comp: dict[int, dict[int, Fraction]] = {}
+                cell = ade.get(j, {})
+                for mg, c in cell.items():
+                    for tg in tgt:
+                        cc = col(td, local[td][tg], local[td][mg])
+                        row = comp.setdefault(tg, {})
+                        row[cc] = row.get(cc, Fraction(0)) + c
+                for rg in by_deg[dj]:
+                    move = ade.get(rg)
+                    if not move:
+                        continue
+                    for tg, c in move.items():
+                        cc = col(dj, local[dj][rg], local[dj][j])
+                        row = comp.setdefault(tg, {})
+                        row[cc] = row.get(cc, Fraction(0)) - c
+                for row in comp.values():
+                    row = {c: v for c, v in row.items() if v != 0}
+                    if row:
+                        yield row
+
+    return rows(), cells
 
 
-def _centroid_dense(A: GradedAlgebra) -> list[Mat]:
+def _dense_system(A: GradedAlgebra):
     n = A.n
     if n > 40:
         raise GlapError("dense centroid solve refused for dim > 40")
@@ -214,77 +222,100 @@ def _centroid_dense(A: GradedAlgebra) -> list[Mat]:
     def col(r, c):
         return c * n + r
 
-    rows = []
-    for e in range(n):
-        ade = A.sparse_ad(e)
-        for j in range(n):
-            # phi([e, a_j]) - [e, phi(a_j)] = 0, row per target component
-            cell = ade.get(j, {})
-            for tg in range(n):
-                row: dict[int, Fraction] = {}
-                for mg, c in cell.items():
-                    cc = col(tg, mg)
-                    row[cc] = row.get(cc, Fraction(0)) + c
-                for rg in range(n):
-                    move = ade.get(rg)
-                    if move and tg in move:
-                        cc = col(rg, j)
-                        row[cc] = row.get(cc, Fraction(0)) - move[tg]
-                row = {c: v for c, v in row.items() if v != 0}
-                if row:
-                    rows.append(row)
-    kern = sparse_kernel(rows, n * n)
+    def rows():
+        for e in range(n):
+            ade = A.sparse_ad(e)
+            for j in range(n):
+                # phi([e, a_j]) - [e, phi(a_j)] = 0, row per target component
+                cell = ade.get(j, {})
+                for tg in range(n):
+                    row: dict[int, Fraction] = {}
+                    for mg, c in cell.items():
+                        cc = col(tg, mg)
+                        row[cc] = row.get(cc, Fraction(0)) + c
+                    for rg in range(n):
+                        move = ade.get(rg)
+                        if move and tg in move:
+                            cc = col(rg, j)
+                            row[cc] = row.get(cc, Fraction(0)) - move[tg]
+                    row = {c: v for c, v in row.items() if v != 0}
+                    if row:
+                        yield row
+
+    return rows(), [(r, c) for c in range(n) for r in range(n)]
+
+
+def _solve_to_identity_bound(rows, cells, n: int) -> list[Mat]:
+    """Canonical kernel basis of the centroid rows, as n x n maps, reducing
+    rows only until the identity bound (see ``centroid``) is reached."""
+    unknowns = len(cells)
+    diagonal = {k for k, (r, c) in enumerate(cells) if r == c}
+    ech = Echelon(unknowns)
+    for row in rows:
+        if sum(v for k, v in row.items() if k in diagonal) != 0:
+            raise GlapError("a centroid row is not solved by the identity")
+        ech.add(row)
+        if ech.rank == unknowns - 1:
+            break
     out = []
-    for vec in kern:
+    for vec in ech.kernel_space("the centroid").vectors:
         M = Mat.zeros(n, n)
-        for c in range(n):
-            for r in range(n):
-                v = vec[c * n + r]
-                if v != 0:
-                    M.a[r][c] = v
+        for k, v in vec.items():
+            r, c = cells[k]
+            M.a[r][c] = v
         out.append(M)
     return out
 
 
 def _verify_centroid(A: GradedAlgebra, basis: list[Mat]):
+    """Raise GlapError unless phi([a_i, a_j]) == [phi(a_i), a_j] for every
+    basis map phi and every ordered pair (i, j), i == j included."""
+    n = A.n
+    ads = [A.sparse_ad(i) for i in range(n)]
     for phi in basis:
-        for i in range(A.n):
-            for j in range(i + 1, A.n):
-                cell = A.bracket_pair(i, j)
-                lhs = [Fraction(0)] * A.n
+        cols = [{r: phi.a[r][c] for r in range(n) if phi.a[r][c]} for c in range(n)]
+        for i in range(n):
+            # j -> phi([a_i, a_j]) - [phi(a_i), a_j], as a sparse vector
+            diff: dict[int, dict[int, Fraction]] = {}
+            for j, cell in ads[i].items():
+                acc = diff.setdefault(j, {})
                 for m, c in cell.items():
-                    for r in range(A.n):
-                        if phi.a[r][m] != 0:
-                            lhs[r] += c * phi.a[r][m]
-                rhs = A.bracket_eval(phi.col(i), _unit(A.n, j))
-                if lhs != rhs:
-                    raise GlapError("centroid candidate fails the definition")
-
-
-def _unit(n: int, j: int):
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return v
+                    for r, x in cols[m].items():
+                        acc[r] = acc.get(r, 0) + c * x
+            for r, x in cols[i].items():
+                for j, cell in ads[r].items():
+                    acc = diff.setdefault(j, {})
+                    for k, c in cell.items():
+                        acc[k] = acc.get(k, 0) - x * c
+            if any(v for acc in diff.values() for v in acc.values()):
+                raise GlapError("centroid candidate fails the definition")
 
 
 def is_simple(A: GradedAlgebra) -> bool:
     """Simplicity test through the centroid; requires semisimplicity."""
     if not is_semisimple(A):
         raise NotSemisimple(f"{A.name} has degenerate Killing form")
-    C = centroid(A)
+    return _simple_from_centroid(centroid(A), A.n)
+
+
+def _simple_from_centroid(C: list[Mat], n: int) -> bool:
+    """Simplicity of a semisimple algebra of dimension n from a basis C of
+    its centroid (see the module docstring)."""
+    if not C:
+        raise GlapError("empty centroid; the identity always lies in it")
     if len(C) == 1:
         return True
     if len(C) > 2:
         return False
     # pick a non-scalar element and remove its trace
-    n = A.n
     ident = Mat.identity(n)
     cand = None
     for M in C:
         if not _is_scalar(M):
             cand = M
             break
-    assert cand is not None, "2-dimensional centroid of scalars"
+    if cand is None:
+        raise GlapError("2-dimensional centroid of scalars")
     J = cand - (cand.trace() / n) * ident
     # J^2 = a*I + b*J for unique a, b since {I, J} spans the centroid
     J2 = J * J
@@ -526,21 +557,10 @@ def degree_zero_action(A: GradedAlgebra) -> list[Mat]:
     return [A.restriction_matrix(u, -1) for u in by_deg.get(0, [])]
 
 
-def match_table_row(prol, module_class: str | None = None) -> str | None:
-    """Search the expected classification table for an instance whose
-    oracle data matches the assembled prolongation exactly.
-
-    The comparison uses graded dimensions, form signature, kind, and
-    (when supplied) the module class of the degree-zero action.  A few
-    instances still tie on all of those, e.g. a quaternionic family at
-    q = 0 against its split sibling of the same matrix size; ties are
-    reported joined with " | " rather than picking a winner, since the
-    invariants computed here genuinely do not separate them.
-    """
-    from .roots import table_expectation
-
-    dims = prol.dims_by_degree()
-    sig = tuple(sorted(prol.form.signature(), reverse=True))
+@functools.cache
+def _table_rows() -> tuple:
+    """(label, TableRow) for every instance of the expected classification
+    table, built once per process; the rows are read, never modified."""
     rows = []
     for p in range(1, 4):
         for q in range(0, 7):
@@ -552,8 +572,24 @@ def match_table_row(prol, module_class: str | None = None) -> str | None:
     rows.append(("HO", table_expectation("HO")))
     rows.append(("HO'", table_expectation("HO'")))
     rows.append(("G", table_expectation("G")))
+    return tuple(rows)
+
+
+def match_table_row(prol, module_class: str | None = None) -> str | None:
+    """Search the expected classification table for an instance whose
+    oracle data matches the assembled prolongation exactly.
+
+    The comparison uses graded dimensions, form signature, kind, and
+    (when supplied) the module class of the degree-zero action.  A few
+    instances still tie on all of those, e.g. a quaternionic family at
+    q = 0 against its split sibling of the same matrix size; ties are
+    reported joined with " | " rather than picking a winner, since the
+    invariants computed here genuinely do not separate them.
+    """
+    dims = prol.dims_by_degree()
+    sig = tuple(sorted(prol.form.signature(), reverse=True))
     hits = []
-    for label, row in rows:
+    for label, row in _table_rows():
         if (
             row.dims == dims
             and tuple(sorted(row.signature, reverse=True)) == sig
@@ -575,7 +611,7 @@ def analyze(prol) -> AnalysisReport:
     if semisimple:
         C = centroid(A)
         centroid_dim = len(C)
-        simple = is_simple(A)
+        simple = _simple_from_centroid(C, A.n)
     mats = degree_zero_action(A)
     cls = classify_module(mats, prol.form.matrix)
     warnings.extend(cls.warnings)

@@ -34,11 +34,17 @@ def format_rational(x: Fraction) -> str:
     return str(x)  # Fraction.__str__ is exactly the "p/q" / "p" layout
 
 
-def parse_rational(s: str, where: str = "") -> Fraction:
+def parse_rational(s: str | int, where: str = "") -> Fraction:
+    """A rational from JSON: an integer or a "p/q" string.  Floats (and
+    booleans) are refused rather than converted, because a JSON float is
+    already rounded to binary."""
+    at = f" at {where}" if where else ""
+    if isinstance(s, (float, bool)):
+        raise ParseError(f"bad rational {s!r}{at}: use an integer or a \"p/q\" string")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad rational {s!r}{' at ' + where if where else ''}") from e
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad rational {s!r}{at}") from e
 
 
 class GradedAlgebra:
@@ -409,6 +415,8 @@ class SymBilinearForm:
         rows = d["matrix"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ParseError("'matrix' must be a list of rows")
+        if len({len(r) for r in rows}) > 1:
+            raise ParseError("'matrix' has rows of different lengths")
         mat = Mat(
             [
                 [parse_rational(x, f"matrix[{i}][{j}]") for j, x in enumerate(row)]

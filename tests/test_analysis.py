@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from glap.analysis import (
+    _centroid_system,
+    _simple_from_centroid,
+    _solve_to_identity_bound,
+    _verify_centroid,
     analyze,
     centroid,
     classify_module,
@@ -16,9 +23,17 @@ from glap.analysis import (
     match_table_row,
     rank_bound_check_split,
 )
-from glap.errors import DegeneratePairing, NoCartanTag, NotIsotropic, NotSemisimple
-from glap.gla import GradedAlgebra
-from glap.linalg import Mat, signature_of_symmetric
+from glap.errors import (
+    DegeneratePairing,
+    GlapError,
+    NoCartanTag,
+    NotIsotropic,
+    NotSemisimple,
+)
+from glap.families import build
+from glap.gla import GradedAlgebra, SymBilinearForm
+from glap.linalg import Mat, signature_of_symmetric, sparse_kernel
+from glap.prolongation import full_prolongation
 
 F = Fraction
 
@@ -251,3 +266,153 @@ def test_match_table_row_respects_module_class(get_prolongation):
     prol = get_prolongation("hc", p=1, q=1)
     assert "AIV" in match_table_row(prol, "SII")
     assert match_table_row(prol, "SI") is None
+
+
+def _rebased(tag, **params):
+    """(m, g) of a family after a graded unimodular change of basis: inside
+    each degree piece, f_a = e_a + s e_b for the first two consecutive
+    pairs (a, b), with s = 1 and then s = -1."""
+    fam = build(tag, **params)
+    m, g = fam.m, fam.g
+    n = m.n
+    P = Mat.identity(n)  # row i: the new basis vector f_i in the old basis
+    for ix in m.by_degree().values():
+        for t, s in zip(range(len(ix) - 1), (1, -1)):
+            a, b = ix[t], ix[t + 1]
+            P.a[a] = [x + s * y for x, y in zip(P.a[a], P.a[b])]
+    Q = P.inverse()
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            new = [F(0)] * n
+            for a in range(n):
+                for b in range(n):
+                    c = P.a[i][a] * P.a[j][b]
+                    if c:
+                        for k, x in m.bracket_pair(a, b).items():
+                            for l in range(n):
+                                new[l] += c * x * Q.a[k][l]
+            cell = {l: x for l, x in enumerate(new) if x}
+            if cell:
+                brackets[(i, j)] = cell
+    m2 = GradedAlgebra(m.name, m.labels, m.degrees, brackets)
+    minus1 = g.indices
+    G = g.matrix.a
+    gram = [
+        [
+            sum(
+                (P.a[i][a] * P.a[j][b] * G[u][v]
+                 for u, a in enumerate(minus1) for v, b in enumerate(minus1)),
+                F(0),
+            )
+            for j in minus1
+        ]
+        for i in minus1
+    ]
+    return m2, SymBilinearForm.for_algebra(m2, Mat(gram))
+
+
+@pytest.mark.parametrize("case", ["hh12", "hh12-rebased", "ho", "sl2+sl2", "sl2c"])
+def test_centroid_matches_the_full_solve(get_prolongation, case):
+    if case == "hh12":
+        A = get_prolongation("hh", p=1, q=2).algebra
+    elif case == "hh12-rebased":
+        A = full_prolongation(*_rebased("hh", p=1, q=2)).algebra
+    elif case == "ho":
+        A = get_prolongation("ho").algebra
+    elif case == "sl2+sl2":
+        A = _sl2_plus_sl2()
+    else:
+        A = _sl2_complex_as_real()
+    # every centroid row, with no early stop
+    rows, cells = _centroid_system(A)
+    kern = sparse_kernel(list(rows), len(cells))
+    got = [[M.a[r][c] for r, c in cells] for M in centroid(A)]
+    assert got == kern
+    assert len(got) == (2 if case.startswith("sl2") else 1)
+
+
+def _rejects(fn, *args):
+    try:
+        fn(*args)
+    except GlapError:
+        return True
+    return False
+
+
+def _perturbed_identity_is_rejected():
+    """_verify_centroid on the centroid of hh(1,1) after one entry of its
+    basis map has been changed."""
+    fam = build("hh", p=1, q=1)
+    A = full_prolongation(fam.m, fam.g).algebra
+    (phi,) = centroid(A)
+    phi.a[A.n - 1][0] += 1
+    return _rejects(_verify_centroid, A, [phi])
+
+
+def _degenerate_centroids_are_rejected():
+    """_simple_from_centroid on an empty centroid and on a 2-dimensional
+    one made of scalars."""
+    return all(
+        _rejects(_simple_from_centroid, C, 3)
+        for C in ([], [Mat.identity(3), 2 * Mat.identity(3)])
+    )
+
+
+def _row_the_identity_violates_is_rejected():
+    """A centroid row that the identity map does not solve: phi[0][0] = 0."""
+    cells = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    return _rejects(_solve_to_identity_bound, iter([{0: F(1)}]), cells, 2)
+
+
+_CORRUPTION_CHECKS = (
+    "_perturbed_identity_is_rejected",
+    "_degenerate_centroids_are_rejected",
+    "_row_the_identity_violates_is_rejected",
+)
+
+
+def test_corrupted_centroid_is_rejected():
+    for name in _CORRUPTION_CHECKS:
+        assert globals()[name](), name
+
+
+def test_corrupted_centroid_is_rejected_without_asserts():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are still on')\n"
+        "import test_analysis\n"
+        "for name in test_analysis._CORRUPTION_CHECKS:\n"
+        "    if not getattr(test_analysis, name)():\n"
+        "        sys.exit(name + ' failed')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rebased_report_is_unchanged():
+    # the report of the full solve, before the centroid stopped early
+    want = {
+        "name": "prol(hh(p=1,q=1).m)",
+        "dims": {"-2": 3, "-1": 4, "0": 7, "1": 4, "2": 3},
+        "total_dim": 21,
+        "kind": 2,
+        "max_degree": 2,
+        "signature": [4, 0],
+        "semisimple": True,
+        "simple": True,
+        "centroid_dim": 1,
+        "module_class": "SI",
+        "commutant_dim": 1,
+        "matched_table_row": "HH(p=1,q=1): (C3, nodes [2]), CIIa",
+        "warnings": [],
+    }
+    prol = full_prolongation(*_rebased("hh", p=1, q=1))
+    assert analyze(prol).to_json_dict() == want

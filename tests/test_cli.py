@@ -5,6 +5,9 @@ monkeypatching work; the console script is the same entry point.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -178,3 +181,51 @@ def test_mismatched_form_is_an_input_error(tmp_path, capsys):
     run(capsys, "build", "--family", "bi", "--l", "2", "--out", b)
     code, out = run(capsys, "derivations", a + ".m.json", b + ".g.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [["1", "0"], ["0"]],  # ragged rows
+        [[1.5, 0], [0, 1]],  # a JSON float is not a rational
+    ],
+)
+def test_malformed_gram_matrix_is_an_input_error(tmp_path, capsys, matrix):
+    prefix = str(tmp_path / "f")
+    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    doc = json.loads(open(prefix + ".g.json").read())
+    doc["matrix"] = matrix
+    bad = tmp_path / "bad.g.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "prolong", prefix + ".m.json", str(bad))
+    assert code == 2
+    assert "matrix" in json.loads(out)["error"]
+
+
+def test_float_bracket_coefficient_is_an_input_error(tmp_path, capsys):
+    prefix = str(tmp_path / "f")
+    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    doc = json.loads(open(prefix + ".m.json").read())
+    doc["brackets"][0][2] = [[0, 2.0]]
+    bad = tmp_path / "bad.m.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(bad))
+    assert code == 2
+    assert "2.0" in json.loads(out)["error"]
+
+
+def test_analyze_without_asserts_gives_the_same_report(tmp_path, capsys):
+    prefix = str(tmp_path / "f")
+    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    prol_path = str(tmp_path / "f.prol.json")
+    run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json", "--out", prol_path)
+    code, out = run(capsys, "analyze", prol_path)
+    assert code == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "glap.cli", "analyze", prol_path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(out)
