@@ -9,6 +9,14 @@ class GlapError(Exception):
     pass
 
 
+def require(cond, msg: str) -> None:
+    """Raise ``GlapError(msg)`` unless cond holds.  Certificates and internal
+    consistency checks go through this instead of ``assert``, so they still
+    run under ``python -O``."""
+    if not cond:
+        raise GlapError(msg)
+
+
 # exact linear algebra
 class NotSymmetric(GlapError):
     pass

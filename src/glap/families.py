@@ -23,7 +23,7 @@ from .composition import (
     norm_form,
     real_algebra,
 )
-from .errors import BadParameters, GlapError
+from .errors import BadParameters, GlapError, require
 from .gla import GradedAlgebra, SymBilinearForm, check_fundamental, check_gla
 from .linalg import Echelon, Mat, sparse_kernel
 
@@ -54,7 +54,7 @@ class KMat:
         return v if v is not None else _zero_elem(self.alg)
 
     def __add__(self, other: "KMat") -> "KMat":
-        assert self.alg is other.alg and self.n == other.n
+        _require_same_shape(self, other)
         out = dict(self.cells)
         for key, val in other.cells.items():
             cur = out.get(key)
@@ -69,7 +69,7 @@ class KMat:
         return KMat(self.alg, self.n, {k: v.scale(c) for k, v in self.cells.items()})
 
     def __mul__(self, other: "KMat") -> "KMat":
-        assert self.alg is other.alg and self.n == other.n
+        _require_same_shape(self, other)
         by_row: dict[int, list] = {}
         for (k, j), y in other.cells.items():
             by_row.setdefault(k, []).append((j, y))
@@ -93,6 +93,11 @@ class KMat:
 
     def is_zero(self) -> bool:
         return not self.cells
+
+
+def _require_same_shape(a: KMat, b: KMat):
+    require(a.alg is b.alg and a.n == b.n,
+            "KMat operands differ in coefficient algebra or size")
 
 
 class _DegreeSpace:
@@ -240,12 +245,37 @@ class CartanTag:
     vectors: list | None = None
 
 
+def _certify(A: GradedAlgebra):
+    """Raise GlapError unless A passes ``check_gla`` (grading and Jacobi)."""
+    res = check_gla(A)
+    require(res["grading_ok"] and res["jacobi_ok"],
+            f"{A.name} fails the grading/Jacobi certificate: "
+            f"{res['violation_count']} violations")
+
+
+def _require_fundamental(m: GradedAlgebra, want_kind: int):
+    fundamental, kind = check_fundamental(m)
+    require(fundamental and kind == want_kind,
+            f"{m.name}: fundamental={fundamental}, kind {kind}; "
+            f"expected fundamental of kind {want_kind}")
+
+
+def _require_dims(m: GradedAlgebra, want: dict[int, int]):
+    got = m.dims_by_degree()
+    require(got == want, f"{m.name} has dims {got}, expected {want}")
+
+
+def _require_signature(g: SymBilinearForm, want: tuple[int, int]):
+    got = g.signature()
+    require(got == want, f"form on {g.algebra_name} has signature {got}, expected {want}")
+
+
 def _check_covariance(A: GradedAlgebra, G: Mat, eta_by_index):
-    """Assert the degree-zero action scales g by the predicted factor."""
+    """Require the degree-zero action to scale g by the predicted factor."""
     for idx, eta in eta_by_index:
         M = A.restriction_matrix(idx, -1)
         lhs = M.transpose() * G + G * M
-        assert lhs == G * eta, f"conformal factor mismatch at {A.labels[idx]}"
+        require(lhs == G * eta, f"conformal factor mismatch at {A.labels[idx]}")
 
 
 def _cartan_vectors(A: GradedAlgebra, spaces, elems):
@@ -256,14 +286,15 @@ def _cartan_vectors(A: GradedAlgebra, spaces, elems):
     for M in elems:
         local = spaces[0].coords(M)
         grew = ech.add({k: c for k, c in enumerate(local) if c})
-        assert grew, "tagged diagonal elements are dependent"
+        require(grew, "tagged diagonal elements are dependent")
         vec = [ZERO] * A.n
         for k, c in enumerate(local):
             vec[idx0[k]] = c
         vectors.append(vec)
     for a in range(len(elems)):
         for b in range(a + 1, len(elems)):
-            assert elems[a].commutator(elems[b]).is_zero()
+            require(elems[a].commutator(elems[b]).is_zero(),
+                    f"tagged diagonal elements {a} and {b} do not commute")
     return vectors
 
 
@@ -295,14 +326,13 @@ def build_hk(k_tag: str, p: int, q: int):
     name = f"{tag}(p={p},q={q})"
     ambient = _assemble(name, spaces)
     expected_total = n * n - 1 if d == 2 else n * (2 * n + 1)
-    assert ambient.n == expected_total
-    res = check_gla(ambient)
-    assert res["grading_ok"] and res["jacobi_ok"], res["violations"]
+    require(ambient.n == expected_total,
+            f"{name} has dimension {ambient.n}, expected {expected_total}")
+    _certify(ambient)
 
     m = ambient.negative_part(f"{name}.m")
-    fundamental, kind = check_fundamental(m)
-    assert fundamental and kind == 2
-    assert m.dims_by_degree() == {-1: d * (n - 2), -2: d - 1}
+    _require_fundamental(m, 2)
+    _require_dims(m, {-1: d * (n - 2), -2: d - 1})
 
     # g pairs first-column blocks through the middle part of the form
     sp1 = spaces[-1]
@@ -351,7 +381,8 @@ def build_hk(k_tag: str, p: int, q: int):
         else:
             elems += modes
         expected_rank = n - 1 if d == 2 else n
-        assert len(elems) == expected_rank
+        require(len(elems) == expected_rank,
+                f"{len(elems)} tagged diagonal elements, expected {expected_rank}")
         vectors = _cartan_vectors(ambient, spaces, elems)
         cartan = CartanTag(
             dim=len(elems),
@@ -376,18 +407,17 @@ def build_bi(l: int):
 
     name = f"bi(l={l})"
     ambient = _assemble(name, spaces)
-    assert ambient.n == l * (2 * l + 1)
-    res = check_gla(ambient)
-    assert res["grading_ok"] and res["jacobi_ok"], res["violations"]
+    require(ambient.n == l * (2 * l + 1),
+            f"{name} has dimension {ambient.n}, expected {l * (2 * l + 1)}")
+    _certify(ambient)
 
     m = ambient.negative_part(f"{name}.m")
-    fundamental, kind = check_fundamental(m)
-    assert fundamental and kind == 3
-    assert m.dims_by_degree() == {
+    _require_fundamental(m, 3)
+    _require_dims(m, {
         -1: 2 * (l - 1),
         -2: 1 + (l - 1) * (l - 2) // 2,
         -3: l - 1,
-    }
+    })
 
     # g couples the first-column block with the middle-row block
     sp1 = spaces[-1]
@@ -440,17 +470,15 @@ def build_octonionic(split: bool):
         for j in range(i + 1, 8):
             ej = alg.basis_element(j)
             v = ei_bar * ej - alg.basis_element(j).conjugate() * alg.basis_element(i)
-            assert v.re() == 0
+            require(v.re() == 0, f"bracket of x{i}, x{j} has a real part")
             cell = {8 + k - 1: c for k, c in enumerate(v.coords) if k >= 1 and c}
             if cell:
                 brackets[(i, j)] = cell
     m = GradedAlgebra(f"{tag}.m", labels, degrees, brackets)
-    res = check_gla(m)
-    assert res["grading_ok"] and res["jacobi_ok"], res["violations"]
-    fundamental, kind = check_fundamental(m)
-    assert fundamental and kind == 2
+    _certify(m)
+    _require_fundamental(m, 2)
     g = SymBilinearForm.for_algebra(m, norm_form(alg))
-    assert g.signature() == ((4, 4) if split else (8, 0))
+    _require_signature(g, (4, 4) if split else (8, 0))
     return m, g
 
 
@@ -502,10 +530,10 @@ def _symplectic_pairing() -> dict[tuple[int, int], Fraction]:
             if row:
                 rows.append(row)
     kernel = sparse_kernel(rows, len(pairs))
-    assert len(kernel) == 1, "invariant pairing should be unique up to scale"
+    require(len(kernel) == 1, "invariant pairing should be unique up to scale")
     vec = kernel[0]
     scale = vec[pidx[(0, 3)]]
-    assert scale != 0
+    require(scale != 0, "invariant pairing vanishes on the outermost pair")
     vec = [c / scale for c in vec]
     return {pr: vec[k] for k, pr in enumerate(pairs)}
 
@@ -518,7 +546,8 @@ def build_g2_example():
     one-dimensional bottom layer through the invariant skew pairing.
     """
     omega = _symplectic_pairing()
-    assert omega[(1, 2)] == Fraction(-1, 3)
+    require(omega[(1, 2)] == Fraction(-1, 3),
+            f"omega(u1, u2) = {omega[(1, 2)]}, expected -1/3")
     labels = ["T", "u0", "u1", "u2", "u3", "Z"]
     degrees = [-1, -1, -2, -3, -4, -5]
     brackets = {
@@ -529,15 +558,13 @@ def build_g2_example():
         (2, 3): {5: omega[(1, 2)]},
     }
     m = GradedAlgebra("g2.m", labels, degrees, brackets)
-    res = check_gla(m)
-    assert res["grading_ok"] and res["jacobi_ok"], res["violations"]
-    fundamental, kind = check_fundamental(m)
-    assert fundamental and kind == 5
+    _certify(m)
+    _require_fundamental(m, 5)
 
     # cross pairing of T with u0 via the monomial inner product: (3 u1 | u1) = 3
     G = Mat([[ZERO, Fraction(3)], [Fraction(3), ZERO]])
     g = SymBilinearForm.for_algebra(m, G)
-    assert g.signature() == (1, 1)
+    _require_signature(g, (1, 1))
 
     # the weight operator and the grading operator span a split Cartan
     weight_diag = [Fraction(x) for x in (-2, 3, 1, -1, -3, 0)]
@@ -545,7 +572,7 @@ def build_g2_example():
     for diag in (weight_diag, grading_diag):
         for (i, j), cell in m.brackets.items():
             for k in cell:
-                assert diag[k] == diag[i] + diag[j], "diagonal map is not a derivation"
+                require(diag[k] == diag[i] + diag[j], "diagonal map is not a derivation")
     cartan = CartanTag(
         dim=2,
         note="weight and grading derivations of m (diagonal on the basis)",
@@ -583,10 +610,10 @@ def _sl3():
         ]
 
     def coords(M):
-        assert M[0][0] + M[1][1] + M[2][2] == 0
+        require(M[0][0] + M[1][1] + M[2][2] == 0, "sl(3) commutator is not traceless")
         out = [M[0][1], M[0][2], M[1][0], M[1][2], M[2][0], M[2][1]]
         a, b = M[0][0], -M[2][2]
-        assert M[1][1] == -a + b
+        require(M[1][1] == -a + b, "sl(3) commutator leaves the diagonal basis")
         return out + [a, b]
 
     mats = [matrix(nm) for nm in names]
@@ -623,18 +650,17 @@ def build_counterexample():
     degrees = [-1, -1] + [L.degrees[i] - 2 for i in s_order]
     brackets = {}
     for a, xi in enumerate(x_part):
-        assert not L.bracket_pair(xi, x_part[1])
+        require(not L.bracket_pair(xi, x_part[1]),
+                "the degree -1 part of sl(3) is not abelian")
         for orig in s_order:
             cell = L.bracket_pair(xi, orig)
             mapped = {s_pos[k]: c for k, c in cell.items()}
             if mapped:
                 brackets[(a, s_pos[orig])] = mapped
     m = GradedAlgebra("counterexample.m", labels, degrees, brackets)
-    res = check_gla(m)
-    assert res["grading_ok"] and res["jacobi_ok"], res["violations"]
-    fundamental, kind = check_fundamental(m)
-    assert fundamental and kind == 3
-    assert m.dims_by_degree() == {-1: 4, -2: 4, -3: 2}
+    _certify(m)
+    _require_fundamental(m, 3)
+    _require_dims(m, {-1: 4, -2: 4, -3: 2})
 
     B = killing_form(L)
     G = Mat.zeros(4, 4)
@@ -643,7 +669,7 @@ def build_counterexample():
             G[a, 2 + b] = B[xi, orig]
             G[2 + b, a] = B[xi, orig]
     g = SymBilinearForm.for_algebra(m, G)
-    assert g.signature() == (2, 2)
+    _require_signature(g, (2, 2))
     return m, g
 
 

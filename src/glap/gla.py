@@ -11,6 +11,13 @@ this module assumes the Jacobi identity; ``check_gla`` verifies it (and the
 additivity of degrees) exhaustively, and the builders elsewhere run that
 check on everything they produce.
 
+The Jacobi sweep runs in integers and still certifies every triple.  With
+every structure constant scaled by L, the lcm of their denominators, each
+Jacobi term (a product of two constants) and so each residual is exactly
+L**2 times the rational one.  And every term contains one of the three
+pair brackets of its triple, so a triple whose three pair brackets vanish
+is zero without being evaluated.
+
 The JSON layout round-trips losslessly because rationals are serialized as
 "p/q" strings (just "p" when q = 1).
 """
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegenerateForm,
@@ -26,6 +34,7 @@ from .errors import (
     NonNegativeDegreePresent,
     NotSymmetric,
     ParseError,
+    require,
 )
 from .linalg import Echelon, Mat
 
@@ -188,21 +197,23 @@ class GradedAlgebra:
         degrees = d["degrees"]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ParseError("'labels' must be a list of strings")
-        if not isinstance(degrees, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in degrees
-        ):
+        if not isinstance(degrees, list) or not all(_is_json_int(x) for x in degrees):
             raise ParseError("'degrees' must be a list of integers")
+        if not isinstance(d["brackets"], list):
+            raise ParseError("'brackets' must be a list of [i, j, terms] rows")
         brackets = {}
         for idx, row in enumerate(d["brackets"]):
             where = f"brackets[{idx}]"
             if not (isinstance(row, list) and len(row) == 3):
                 raise ParseError(f"{where}: expected [i, j, terms]")
             i, j, terms = row
-            if not (isinstance(i, int) and isinstance(j, int) and i < j):
+            if not (_is_json_int(i) and _is_json_int(j) and i < j):
                 raise ParseError(f"{where}: indices must be integers with i < j")
+            if not isinstance(terms, list):
+                raise ParseError(f"{where}: terms must be a list of [k, rational]")
             cell = {}
             for t, term in enumerate(terms):
-                if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], int)):
+                if not (isinstance(term, list) and len(term) == 2 and _is_json_int(term[0])):
                     raise ParseError(f"{where} term {t}: expected [k, rational]")
                 k, c = term
                 cell[k] = parse_rational(c, f"{where} term {t}")
@@ -214,6 +225,11 @@ class GradedAlgebra:
 
     def serialize(self) -> str:
         return json.dumps(self.to_json_dict(), indent=1)
+
+
+def _is_json_int(x) -> bool:
+    """A JSON integer; Python counts booleans as ints, JSON does not."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def deserialize(text: str) -> GradedAlgebra:
@@ -235,81 +251,113 @@ def _load_json(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_adjacency(A: GradedAlgebra) -> tuple[int, list[dict[int, dict[int, int]]]]:
+    """(L, ad) with ad[i][j] = {k: L*c} for [e_i, e_j] = sum c e_k, both
+    orientations, where L is the lcm of every bracket denominator, so all
+    entries are Python ints.  A pair with zero bracket has no key."""
+    L = 1
+    for cell in A.brackets.values():
+        for c in cell.values():
+            den = c.denominator
+            if L % den:
+                L = lcm(L, den)
+    ad: list[dict[int, dict[int, int]]] = [{} for _ in range(A.n)]
+    for (i, j), cell in A.brackets.items():
+        row = {k: c.numerator * (L // c.denominator) for k, c in cell.items()}
+        ad[i][j] = row
+        ad[j][i] = {k: -x for k, x in row.items()}
+    return L, ad
+
+
 def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
     """Exhaustively verify degree additivity and the Jacobi identity.
 
     Returns {"grading_ok", "jacobi_ok", "violations", "violation_count"};
-    the violations list is capped but the count is exact.
+    the violations list is capped but the count is exact.  Grading
+    violations come first, by pair; Jacobi violations follow by triple
+    i < j < k in lexicographic order.
+
+    The Jacobi residual
+
+        [[e_i, e_j], e_k] - [e_i, [e_j, e_k]] + [e_j, [e_i, e_k]]
+
+    is certified for every triple, in integers.  Two facts make that exact:
+
+    - every term is a product of two structure constants, so with all of
+      them scaled by L (the lcm of their denominators) each residual is
+      exactly L**2 times the rational one, and is zero exactly when it is;
+    - every term contains one of the pair brackets [e_i, e_j], [e_j, e_k]
+      or [e_i, e_k], so a triple whose three pair brackets vanish has three
+      zero terms.  For a pair i < j with [e_i, e_j] = 0 only the k > j
+      adjacent to i or to j are swept; every other triple is zero by the
+      structure alone.  The skip reads only which brackets are nonzero,
+      never the degrees, so it holds whether or not the grading does.
     """
     violations = []
     count = 0
-
-    def note(v):
-        nonlocal count
-        count += 1
-        if len(violations) < max_violations:
-            violations.append(v)
-
     for (i, j), cell in sorted(A.brackets.items()):
         want = A.degrees[i] + A.degrees[j]
         for k in cell:
             if A.degrees[k] != want:
-                note(
-                    {
-                        "type": "grading",
-                        "pair": [i, j],
-                        "index": k,
-                        "degree": A.degrees[k],
-                        "expected": want,
-                    }
-                )
+                count += 1
+                if len(violations) < max_violations:
+                    violations.append(
+                        {
+                            "type": "grading",
+                            "pair": [i, j],
+                            "index": k,
+                            "degree": A.degrees[k],
+                            "expected": want,
+                        }
+                    )
     grading_ok = count == 0
     jac_start = count
     n = A.n
-    ads = [A.sparse_ad(i) for i in range(n)]
-
-    def apply(ad, vec: dict) -> dict:
-        out: dict[int, Fraction] = {}
-        for j, b in vec.items():
-            cell = ad.get(j)
-            if not cell:
-                continue
-            for k, c in cell.items():
-                w = out.get(k, Fraction(0)) + b * c
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        return out
+    L, ad = _scaled_adjacency(A)
+    L2 = L * L
 
     for i in range(n):
+        adi = ad[i]
         for j in range(i + 1, n):
-            bij = A.bracket_pair(i, j)
-            for k in range(j + 1, n):
-                # [[ei,ej],ek] - [ei,[ej,ek]] + [ej,[ei,ek]] = 0
-                acc: dict[int, Fraction] = {}
-                for m, c in bij.items():
-                    for t, d in A.bracket_pair(m, k).items():
-                        w = acc.get(t, Fraction(0)) + c * d
-                        if w:
-                            acc[t] = w
-                        elif t in acc:
-                            del acc[t]
-                for t, d in apply(ads[i], A.bracket_pair(j, k)).items():
-                    w = acc.get(t, Fraction(0)) - d
-                    if w:
-                        acc[t] = w
-                    elif t in acc:
-                        del acc[t]
-                for t, d in apply(ads[j], A.bracket_pair(i, k)).items():
-                    w = acc.get(t, Fraction(0)) + d
-                    if w:
-                        acc[t] = w
-                    elif t in acc:
-                        del acc[t]
-                if acc:
-                    note({"type": "jacobi", "triple": [i, j, k],
-                          "residual": {t: format_rational(c) for t, c in sorted(acc.items())}})
+            adj = ad[j]
+            bij = adi.get(j)
+            if bij:
+                ks = range(j + 1, n)
+            else:
+                ks = sorted(k for k in adi.keys() | adj.keys() if k > j)
+            for k in ks:
+                acc: dict[int, int] = {}
+                get = acc.get
+                if bij:
+                    for m, c in bij.items():
+                        row = ad[m].get(k)
+                        if row:
+                            for t, d in row.items():
+                                acc[t] = get(t, 0) + c * d
+                cell = adj.get(k)
+                if cell:
+                    for m, c in cell.items():
+                        row = adi.get(m)
+                        if row:
+                            for t, d in row.items():
+                                acc[t] = get(t, 0) - c * d
+                cell = adi.get(k)
+                if cell:
+                    for m, c in cell.items():
+                        row = adj.get(m)
+                        if row:
+                            for t, d in row.items():
+                                acc[t] = get(t, 0) + c * d
+                if any(acc.values()):
+                    count += 1
+                    if len(violations) < max_violations:
+                        residual = {
+                            t: format_rational(Fraction(r, L2))
+                            for t, r in sorted(acc.items()) if r
+                        }
+                        violations.append(
+                            {"type": "jacobi", "triple": [i, j, k], "residual": residual}
+                        )
     return {
         "grading_ok": grading_ok,
         "jacobi_ok": count == jac_start,
@@ -397,7 +445,7 @@ class SymBilinearForm:
         from .linalg import signature_of_symmetric
 
         r, s, z = signature_of_symmetric(self.matrix)
-        assert z == 0  # nondegeneracy was checked at construction
+        require(z == 0, f"form on {self.algebra_name} has {z} zero eigenvalues")
         return r, s
 
     def to_json_dict(self) -> dict:

@@ -45,6 +45,56 @@ def get_prolongation(get_family):
     return get
 
 
+def _rebased(tag, **params):
+    """(m, g) of a family after a graded unimodular change of basis: inside
+    each degree piece, f_a = e_a + s e_b for the first two consecutive
+    pairs (a, b), with s = 1 and then s = -1."""
+    fam = build(tag, **params)
+    m, g = fam.m, fam.g
+    n = m.n
+    P = Mat.identity(n)  # row i: the new basis vector f_i in the old basis
+    for ix in m.by_degree().values():
+        for t, s in zip(range(len(ix) - 1), (1, -1)):
+            a, b = ix[t], ix[t + 1]
+            P.a[a] = [x + s * y for x, y in zip(P.a[a], P.a[b])]
+    Q = P.inverse()
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            new = [Fraction(0)] * n
+            for a in range(n):
+                for b in range(n):
+                    c = P.a[i][a] * P.a[j][b]
+                    if c:
+                        for k, x in m.bracket_pair(a, b).items():
+                            for l in range(n):
+                                new[l] += c * x * Q.a[k][l]
+            cell = {l: x for l, x in enumerate(new) if x}
+            if cell:
+                brackets[(i, j)] = cell
+    m2 = GradedAlgebra(m.name, m.labels, m.degrees, brackets)
+    minus1 = g.indices
+    G = g.matrix.a
+    gram = [
+        [
+            sum(
+                (P.a[i][a] * P.a[j][b] * G[u][v]
+                 for u, a in enumerate(minus1) for v, b in enumerate(minus1)),
+                Fraction(0),
+            )
+            for j in minus1
+        ]
+        for i in minus1
+    ]
+    return m2, SymBilinearForm.for_algebra(m2, Mat(gram))
+
+
+@pytest.fixture(scope="session")
+def get_rebased():
+    """(m, g) of a family after a graded unimodular change of basis."""
+    return _rebased
+
+
 @pytest.fixture
 def h3():
     """Heisenberg algebra: [X, Y] = Z with X, Y in degree -1."""

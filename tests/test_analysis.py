@@ -31,7 +31,7 @@ from glap.errors import (
     NotSemisimple,
 )
 from glap.families import build
-from glap.gla import GradedAlgebra, SymBilinearForm
+from glap.gla import GradedAlgebra
 from glap.linalg import Mat, signature_of_symmetric, sparse_kernel
 from glap.prolongation import full_prolongation
 
@@ -268,56 +268,12 @@ def test_match_table_row_respects_module_class(get_prolongation):
     assert match_table_row(prol, "SI") is None
 
 
-def _rebased(tag, **params):
-    """(m, g) of a family after a graded unimodular change of basis: inside
-    each degree piece, f_a = e_a + s e_b for the first two consecutive
-    pairs (a, b), with s = 1 and then s = -1."""
-    fam = build(tag, **params)
-    m, g = fam.m, fam.g
-    n = m.n
-    P = Mat.identity(n)  # row i: the new basis vector f_i in the old basis
-    for ix in m.by_degree().values():
-        for t, s in zip(range(len(ix) - 1), (1, -1)):
-            a, b = ix[t], ix[t + 1]
-            P.a[a] = [x + s * y for x, y in zip(P.a[a], P.a[b])]
-    Q = P.inverse()
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            new = [F(0)] * n
-            for a in range(n):
-                for b in range(n):
-                    c = P.a[i][a] * P.a[j][b]
-                    if c:
-                        for k, x in m.bracket_pair(a, b).items():
-                            for l in range(n):
-                                new[l] += c * x * Q.a[k][l]
-            cell = {l: x for l, x in enumerate(new) if x}
-            if cell:
-                brackets[(i, j)] = cell
-    m2 = GradedAlgebra(m.name, m.labels, m.degrees, brackets)
-    minus1 = g.indices
-    G = g.matrix.a
-    gram = [
-        [
-            sum(
-                (P.a[i][a] * P.a[j][b] * G[u][v]
-                 for u, a in enumerate(minus1) for v, b in enumerate(minus1)),
-                F(0),
-            )
-            for j in minus1
-        ]
-        for i in minus1
-    ]
-    return m2, SymBilinearForm.for_algebra(m2, Mat(gram))
-
-
 @pytest.mark.parametrize("case", ["hh12", "hh12-rebased", "ho", "sl2+sl2", "sl2c"])
-def test_centroid_matches_the_full_solve(get_prolongation, case):
+def test_centroid_matches_the_full_solve(get_prolongation, get_rebased, case):
     if case == "hh12":
         A = get_prolongation("hh", p=1, q=2).algebra
     elif case == "hh12-rebased":
-        A = full_prolongation(*_rebased("hh", p=1, q=2)).algebra
+        A = full_prolongation(*get_rebased("hh", p=1, q=2)).algebra
     elif case == "ho":
         A = get_prolongation("ho").algebra
     elif case == "sl2+sl2":
@@ -397,7 +353,7 @@ def test_corrupted_centroid_is_rejected_without_asserts():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_rebased_report_is_unchanged():
+def test_rebased_report_is_unchanged(get_rebased):
     # the report of the full solve, before the centroid stopped early
     want = {
         "name": "prol(hh(p=1,q=1).m)",
@@ -414,5 +370,5 @@ def test_rebased_report_is_unchanged():
         "matched_table_row": "HH(p=1,q=1): (C3, nodes [2]), CIIa",
         "warnings": [],
     }
-    prol = full_prolongation(*_rebased("hh", p=1, q=1))
+    prol = full_prolongation(*get_rebased("hh", p=1, q=1))
     assert analyze(prol).to_json_dict() == want

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -229,3 +230,46 @@ def test_analyze_without_asserts_gives_the_same_report(tmp_path, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == json.loads(out)
+
+
+@pytest.mark.parametrize("command", ["prolong", "check"])
+@pytest.mark.parametrize(
+    "brackets",
+    [5, [[1, 2, 7]], [[1, 2, [[True, "2"]]]], [[False, 2, [[0, "2"]]]]],
+    ids=["brackets-not-a-list", "terms-not-a-list", "boolean-basis-index", "boolean-i"],
+)
+def test_malformed_algebra_file_is_an_input_error(tmp_path, capsys, command, brackets):
+    # hc(1,1).m has the one bracket row [1, 2, [[0, "2"]]]
+    prefix = str(tmp_path / "f")
+    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    doc = json.loads(open(prefix + ".m.json").read())
+    assert doc["brackets"] == [[1, 2, [[0, "2"]]]]
+    doc["brackets"] = brackets
+    bad = tmp_path / "bad.m.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, str(bad)] + ([prefix + ".g.json"] if command == "prolong" else [])
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert "brackets" in json.loads(out)["error"]
+
+
+def test_check_without_asserts_gives_the_same_report(tmp_path, capsys):
+    prefix = str(tmp_path / "f")
+    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    doc = json.loads(open(prefix + ".ambient.json").read())
+    terms = doc["brackets"][0][2]
+    terms[0][1] = str(Fraction(terms[0][1]) + Fraction(1, 3))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(bad))
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["grading_ok"] and not rep["jacobi_ok"]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "glap.cli", "check", str(bad)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == rep

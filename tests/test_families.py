@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from glap.errors import BadParameters
+from glap import families
+from glap.errors import BadParameters, GlapError
 from glap.families import FAMILY_TAGS, build
 from glap.gla import check_fundamental, check_gla
 
@@ -162,3 +167,50 @@ def test_octonionic_bracket_values(get_family):
     for t in range(1, 8):
         cell = m.bracket_pair(0, t)
         assert cell == {7 + t: 2}
+
+
+def _corrupt(assemble):
+    """_assemble with 1 added to one structure constant of the ambient
+    algebra: the grading stays intact, the Jacobi identity breaks."""
+    def corrupt(name, spaces):
+        A = assemble(name, spaces)
+        cell = A.brackets[min(A.brackets)]
+        cell[min(cell)] += 1
+        return A
+    return corrupt
+
+
+def test_corrupted_ambient_fails_its_certificate(monkeypatch):
+    monkeypatch.setattr(families, "_assemble", _corrupt(families._assemble))
+    with pytest.raises(GlapError, match="Jacobi certificate: [1-9][0-9]* violations"):
+        build("hc", p=1, q=1)
+
+
+def test_corrupted_ambient_fails_its_certificate_without_asserts():
+    script = """
+from glap import families
+from glap.errors import GlapError
+
+assemble = families._assemble
+
+
+def corrupt(name, spaces):
+    A = assemble(name, spaces)
+    cell = A.brackets[min(A.brackets)]
+    cell[min(cell)] += 1
+    return A
+
+
+families._assemble = corrupt
+try:
+    families.build("hc", p=1, q=1)
+except GlapError as e:
+    print(e)
+    raise SystemExit(0 if "Jacobi certificate" in str(e) else 2)
+raise SystemExit(1)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from glap.cli import DEFAULT_ROWS
 from glap.errors import (
     DegenerateForm,
     DimensionMismatch,
+    GlapError,
     NonNegativeDegreePresent,
     NotSymmetric,
     ParseError,
@@ -22,8 +24,65 @@ from glap.gla import (
     parse_rational,
 )
 from glap.linalg import Mat
+from glap.prolongation import full_prolongation
 
 F = Fraction
+
+
+def _reference_check_gla(A, max_violations=100):
+    """The plain triple loop over every i < j < k in Fraction arithmetic,
+    kept as the reference the integer sweep of ``check_gla`` is compared
+    against."""
+    violations = []
+    count = 0
+
+    def note(v):
+        nonlocal count
+        count += 1
+        if len(violations) < max_violations:
+            violations.append(v)
+
+    for (i, j), cell in sorted(A.brackets.items()):
+        want = A.degrees[i] + A.degrees[j]
+        for k in cell:
+            if A.degrees[k] != want:
+                note({"type": "grading", "pair": [i, j], "index": k,
+                      "degree": A.degrees[k], "expected": want})
+    grading_ok = count == 0
+    jac_start = count
+    n = A.n
+    ads = [A.sparse_ad(i) for i in range(n)]
+
+    def apply(ad, vec):
+        out = {}
+        for j, b in vec.items():
+            for k, c in ad.get(j, {}).items():
+                out[k] = out.get(k, F(0)) + b * c
+        return out
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = A.bracket_pair(i, j)
+            for k in range(j + 1, n):
+                # [[ei,ej],ek] - [ei,[ej,ek]] + [ej,[ei,ek]] = 0
+                acc = {}
+                for m, c in bij.items():
+                    for t, d in A.bracket_pair(m, k).items():
+                        acc[t] = acc.get(t, F(0)) + c * d
+                for t, d in apply(ads[i], A.bracket_pair(j, k)).items():
+                    acc[t] = acc.get(t, F(0)) - d
+                for t, d in apply(ads[j], A.bracket_pair(i, k)).items():
+                    acc[t] = acc.get(t, F(0)) + d
+                acc = {t: c for t, c in acc.items() if c}
+                if acc:
+                    note({"type": "jacobi", "triple": [i, j, k],
+                          "residual": {t: format_rational(c) for t, c in sorted(acc.items())}})
+    return {
+        "grading_ok": grading_ok,
+        "jacobi_ok": count == jac_start,
+        "violations": violations,
+        "violation_count": count,
+    }
 
 
 def test_rational_string_convention():
@@ -190,3 +249,101 @@ def test_negative_part_keeps_labels(get_family):
     assert neg.n == 3
     assert all(d < 0 for d in neg.degrees)
     assert neg.labels == [amb.labels[i] for i in range(amb.n) if amb.degrees[i] < 0]
+
+
+def _copy(A):
+    return GradedAlgebra(A.name, A.labels, A.degrees,
+                         {key: dict(cell) for key, cell in A.brackets.items()})
+
+
+# ho-split has the dimension and sparsity of ho
+_TABLE = [(tag, params) for tag, params in DEFAULT_ROWS if tag != "ho-split"]
+
+
+@pytest.mark.parametrize(
+    "tag,params", _TABLE,
+    ids=[t + "".join(f"-{k}{v}" for k, v in p.items()) for t, p in _TABLE],
+)
+def test_sweep_matches_the_reference_on_table_algebras(get_family, get_prolongation, tag, params):
+    fam = get_family(tag, **params)
+    algebras = [fam.m, get_prolongation(tag, **params).algebra]
+    if fam.ambient is not None:
+        algebras.append(fam.ambient)
+    for A in algebras:
+        rep = check_gla(A)
+        assert rep == _reference_check_gla(A)
+        assert rep["jacobi_ok"] and rep["grading_ok"]
+
+
+def test_sweep_matches_the_reference_with_fractional_constants(get_rebased):
+    m, g = get_rebased("hh", p=1, q=1)
+    A = full_prolongation(m, g).algebra
+    # the lcm of the denominators is not 1, so the sweep scales by L > 1
+    assert any(c.denominator > 1 for cell in A.brackets.values() for c in cell.values())
+    assert check_gla(A) == _reference_check_gla(A)
+
+
+def test_sweep_matches_the_reference_on_a_denominator_3_perturbation(get_prolongation):
+    A = _copy(get_prolongation("hh", p=1, q=1).algebra)
+    key = sorted(A.brackets)[len(A.brackets) // 2]
+    k = min(A.brackets[key])
+    A.brackets[key][k] += F(1, 3)
+    rep = check_gla(A)
+    assert rep["grading_ok"] and not rep["jacobi_ok"]
+    assert any("/3" in r or "/9" in r for v in rep["violations"] for r in v["residual"].values())
+    assert rep == _reference_check_gla(A)
+
+
+def test_sweep_matches_the_reference_with_an_off_grade_term(get_prolongation):
+    A = _copy(get_prolongation("hc", p=2, q=1).algebra)
+    (i, j), cell = next((key, cell) for key, cell in sorted(A.brackets.items())
+                        if A.degrees[key[0]] + A.degrees[key[1]] == -1)
+    off = next(k for k in range(A.n) if A.degrees[k] == 0)
+    cell[off] = F(2, 3)
+    rep = check_gla(A)
+    assert not rep["grading_ok"] and not rep["jacobi_ok"]
+    kinds = [v["type"] for v in rep["violations"]]
+    assert kinds[0] == "grading" and "jacobi" in kinds
+    assert rep == _reference_check_gla(A)
+
+
+def test_sweep_caps_the_list_and_counts_exactly(get_prolongation):
+    A = _copy(get_prolongation("hh", p=1, q=2).algebra)
+    for key in sorted(A.brackets)[::7]:
+        cell = A.brackets[key]
+        k = min(cell)
+        cell[k] = 2 * cell[k]
+    rep = check_gla(A)
+    assert rep["violation_count"] > 100
+    assert len(rep["violations"]) == 100
+    assert rep == _reference_check_gla(A)
+    small = check_gla(A, max_violations=3)
+    assert small == _reference_check_gla(A, max_violations=3)
+    assert small["violations"] == rep["violations"][:3]
+
+
+@pytest.mark.parametrize(
+    "brackets,residual",
+    [
+        # [b, c] = d, [a, d] = e: residual -[a, [b, c]] = -e, c adjacent to b only
+        ({(1, 2): {3: F(1)}, (0, 3): {4: F(1)}}, {4: "-1"}),
+        # [a, c] = d, [b, d] = e: residual [b, [a, c]] = e, c adjacent to a only
+        ({(0, 2): {3: F(1)}, (1, 3): {4: F(1)}}, {4: "1"}),
+    ],
+    ids=["adjacent-to-j", "adjacent-to-i"],
+)
+def test_sweep_visits_triples_with_a_zero_first_bracket(brackets, residual):
+    # [a, b] = 0 in both, so (a, b, c) is swept only through c's adjacency
+    A = GradedAlgebra("skip", ["a", "b", "c", "d", "e"], [-1, -1, -1, -2, -3], brackets)
+    rep = check_gla(A)
+    assert rep == _reference_check_gla(A)
+    jac = [v for v in rep["violations"] if v["type"] == "jacobi"]
+    assert [v["triple"] for v in jac] == [[0, 1, 2]]
+    assert jac[0]["residual"] == residual
+
+
+def test_signature_of_a_degenerate_matrix_raises():
+    g = SymBilinearForm("a", [0, 1], Mat.identity(2))
+    g.matrix = Mat([[1, 0], [0, 0]])  # bypasses the check at construction
+    with pytest.raises(GlapError, match="zero eigenvalues"):
+        g.signature()
