@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegeneratePairing,
@@ -28,7 +29,7 @@ from .errors import (
     NotIsotropic,
     NotSemisimple,
 )
-from .gla import GradedAlgebra, SymBilinearForm
+from .gla import GradedAlgebra, SymBilinearForm, _scaled_adjacency
 from .linalg import (
     Echelon,
     Mat,
@@ -40,24 +41,29 @@ from .roots import table_expectation
 
 
 def killing_form(A: GradedAlgebra) -> Mat:
-    """B(x, y) = tr(ad x ad y), computed from the sparse adjoint maps."""
+    """B(x, y) = tr(ad x ad y), computed from the sparse adjoint maps.
+
+    The sums run in integers over the scaled adjacency (every structure
+    constant times L, the lcm of their denominators).  Each term is a
+    product of two constants, so each integer sum is exactly L**2 times the
+    rational entry, which is stored as ``Fraction(total, L*L)``."""
     n = A.n
-    ads = [A.sparse_ad(i) for i in range(n)]
+    L, ads = _scaled_adjacency(A)
+    L2 = L * L
     B = Mat.zeros(n, n)
     for i in range(n):
         adi = ads[i]
         for j in range(i, n):
-            adj = ads[j]
-            total = Fraction(0)
-            for a, cell in adj.items():
+            total = 0
+            for a, cell in ads[j].items():
                 for b, c in cell.items():
                     back = adi.get(b)
                     if back:
                         d = back.get(a)
                         if d:
                             total += c * d
-            B.a[i][j] = total
-            B.a[j][i] = total
+            if total:
+                B.a[i][j] = B.a[j][i] = Fraction(total, L2)
     return B
 
 
@@ -70,9 +76,11 @@ def is_semisimple(A: GradedAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _find_characteristic(A: GradedAlgebra):
+def _find_characteristic(A: GradedAlgebra, L: int, ad):
     """Coordinates (over the degree 0 basis) of an element acting as
-    multiplication by p on every degree p piece, or None."""
+    multiplication by p on every degree p piece, or None.  The rows read
+    the scaled adjacency ``(L, ad)``, so the right-hand side is scaled by L
+    with them."""
     by_deg = A.by_degree()
     zero_ix = by_deg.get(0, [])
     if not zero_ix:
@@ -80,47 +88,49 @@ def _find_characteristic(A: GradedAlgebra):
     rows = []
     rhs = []
     for j in range(A.n):
-        want = {j: Fraction(A.degrees[j])}
+        want = {j: L * A.degrees[j]}
         touched = set(want)
         cells = []
-        for t, u in enumerate(zero_ix):
-            cell = A.bracket_pair(u, j)
+        for u in zero_ix:
+            cell = ad[u].get(j, {})
             cells.append(cell)
             touched.update(cell)
         for k in sorted(touched):
-            rows.append({t: cells[t].get(k, Fraction(0)) for t in range(len(zero_ix))})
-            rhs.append(want.get(k, Fraction(0)))
+            rows.append({t: cell.get(k, 0) for t, cell in enumerate(cells)})
+            rhs.append(want.get(k, 0))
     return solve_affine(rows, rhs, len(zero_ix))
 
 
-def _generating_indices(A: GradedAlgebra) -> list[int]:
+def _generating_indices(A: GradedAlgebra, ad) -> list[int]:
     """Basis indices whose bracket closure spans A; prefers the degree
-    +-1 layers, falling back to the full basis."""
+    +-1 layers, falling back to the full basis.  Brackets are read from
+    the scaled adjacency, which rescales each closure vector and so leaves
+    every span unchanged."""
     by_deg = A.by_degree()
     cand = by_deg.get(-1, []) + by_deg.get(1, [])
     if not cand:
         return list(range(A.n))
     ech = Echelon(A.n)
-    vecs: list[dict[int, Fraction]] = []
+    vecs: list[dict[int, int]] = []
     for i in cand:
-        v = {i: Fraction(1)}
-        if ech.add(dict(v)):
+        v = {i: 1}
+        if ech.add(v):
             vecs.append(v)
     frontier = list(vecs)
     while frontier and ech.rank < A.n:
         new = []
         for v in frontier:
             for w in vecs:
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 for i, a in v.items():
+                    adi = ad[i]
                     for j, b in w.items():
-                        for k, c in A.bracket_pair(i, j).items():
-                            s = acc.get(k, Fraction(0)) + a * b * c
-                            if s:
-                                acc[k] = s
-                            elif k in acc:
-                                del acc[k]
-                if acc and ech.add(dict(acc)):
+                        cell = adi.get(j)
+                        if cell:
+                            for k, c in cell.items():
+                                acc[k] = acc.get(k, 0) + a * b * c
+                acc = {k: x for k, x in acc.items() if x}
+                if acc and ech.add(acc):
                     new.append(acc)
         vecs.extend(new)
         frontier = new
@@ -137,6 +147,13 @@ def centroid(A: GradedAlgebra) -> list[Mat]:
     set (both reductions are theorems, and the result is re-verified
     against the definition, so they cannot silently go wrong).
 
+    One scaled adjacency (every structure constant times L, the lcm of
+    their denominators) is built per call and read by the rows and by the
+    verification.  Each centroid row is homogeneous and linear in the
+    constants, so scaling them all by L scales the row and keeps its
+    solutions.  The verification residual is linear in the constants too,
+    so it is L times the rational one and vanishes exactly when it does.
+
     Identity bound: the rows are reduced one at a time and the solve stops
     as soon as their rank is one less than the number of unknowns.  The
     identity map solves every centroid row (phi = id turns each into
@@ -148,27 +165,29 @@ def centroid(A: GradedAlgebra) -> list[Mat]:
     row is reduced.  The canonical kernel basis depends only on the kernel,
     so stopping early changes no output.
     """
-    rows, cells = _centroid_system(A)
+    L, ad = _scaled_adjacency(A)
+    rows, cells = _centroid_system(A, L, ad)
     basis = _solve_to_identity_bound(rows, cells, A.n)
-    _verify_centroid(A, basis)
+    _verify_centroid(A, basis, ad)
     return basis
 
 
-def _centroid_system(A: GradedAlgebra):
+def _centroid_system(A: GradedAlgebra, L: int, ad):
     """The centroid equations as (lazy rows, cells): unknown k of a row is
-    the entry phi[r][c] for (r, c) = cells[k]."""
+    the entry phi[r][c] for (r, c) = cells[k].  ``(L, ad)`` is the scaled
+    adjacency of A; the rows have integer entries."""
     by_deg = A.by_degree()
     graded = (
         any(d < 0 for d in by_deg)
         and 0 in by_deg
-        and _find_characteristic(A) is not None
+        and _find_characteristic(A, L, ad) is not None
     )
     if graded:
-        return _graded_system(A)
-    return _dense_system(A)
+        return _graded_system(A, ad)
+    return _dense_system(A, ad)
 
 
-def _graded_system(A: GradedAlgebra):
+def _graded_system(A: GradedAlgebra, ad):
     by_deg = A.by_degree()
     local = {d: {g: t for t, g in enumerate(ix)} for d, ix in by_deg.items()}
     offs = {}
@@ -182,22 +201,22 @@ def _graded_system(A: GradedAlgebra):
         return offs[d] + c * len(by_deg[d]) + r
 
     def rows():
-        for e in _generating_indices(A):
+        for e in _generating_indices(A, ad):
             de = A.degrees[e]
-            ade = A.sparse_ad(e)
+            ade = ad[e]
             for j in range(A.n):
                 dj = A.degrees[j]
                 td = de + dj
                 tgt = by_deg.get(td, [])
                 if not tgt:
                     continue
-                comp: dict[int, dict[int, Fraction]] = {}
+                comp: dict[int, dict[int, int]] = {}
                 cell = ade.get(j, {})
                 for mg, c in cell.items():
                     for tg in tgt:
                         cc = col(td, local[td][tg], local[td][mg])
                         row = comp.setdefault(tg, {})
-                        row[cc] = row.get(cc, Fraction(0)) + c
+                        row[cc] = row.get(cc, 0) + c
                 for rg in by_deg[dj]:
                     move = ade.get(rg)
                     if not move:
@@ -205,7 +224,7 @@ def _graded_system(A: GradedAlgebra):
                     for tg, c in move.items():
                         cc = col(dj, local[dj][rg], local[dj][j])
                         row = comp.setdefault(tg, {})
-                        row[cc] = row.get(cc, Fraction(0)) - c
+                        row[cc] = row.get(cc, 0) - c
                 for row in comp.values():
                     row = {c: v for c, v in row.items() if v != 0}
                     if row:
@@ -214,7 +233,7 @@ def _graded_system(A: GradedAlgebra):
     return rows(), cells
 
 
-def _dense_system(A: GradedAlgebra):
+def _dense_system(A: GradedAlgebra, ad):
     n = A.n
     if n > 40:
         raise GlapError("dense centroid solve refused for dim > 40")
@@ -224,20 +243,20 @@ def _dense_system(A: GradedAlgebra):
 
     def rows():
         for e in range(n):
-            ade = A.sparse_ad(e)
+            ade = ad[e]
             for j in range(n):
                 # phi([e, a_j]) - [e, phi(a_j)] = 0, row per target component
                 cell = ade.get(j, {})
                 for tg in range(n):
-                    row: dict[int, Fraction] = {}
+                    row: dict[int, int] = {}
                     for mg, c in cell.items():
                         cc = col(tg, mg)
-                        row[cc] = row.get(cc, Fraction(0)) + c
+                        row[cc] = row.get(cc, 0) + c
                     for rg in range(n):
                         move = ade.get(rg)
                         if move and tg in move:
                             cc = col(rg, j)
-                            row[cc] = row.get(cc, Fraction(0)) - move[tg]
+                            row[cc] = row.get(cc, 0) - move[tg]
                     row = {c: v for c, v in row.items() if v != 0}
                     if row:
                         yield row
@@ -267,23 +286,36 @@ def _solve_to_identity_bound(rows, cells, n: int) -> list[Mat]:
     return out
 
 
-def _verify_centroid(A: GradedAlgebra, basis: list[Mat]):
+def _verify_centroid(A: GradedAlgebra, basis: list[Mat], ad):
     """Raise GlapError unless phi([a_i, a_j]) == [phi(a_i), a_j] for every
-    basis map phi and every ordered pair (i, j), i == j included."""
+    basis map phi and every ordered pair (i, j), i == j included.
+
+    ``ad`` is the scaled adjacency of A (constants times L) and each phi is
+    scaled by the lcm D of its denominators, so the check runs in integers;
+    the residual is bilinear in the constants and phi, so it is L * D times
+    the rational one and vanishes exactly when it does."""
     n = A.n
-    ads = [A.sparse_ad(i) for i in range(n)]
     for phi in basis:
-        cols = [{r: phi.a[r][c] for r in range(n) if phi.a[r][c]} for c in range(n)]
+        D = 1
+        for row in phi.a:
+            for x in row:
+                if D % x.denominator:
+                    D = lcm(D, x.denominator)
+        cols: list[dict[int, int]] = [{} for _ in range(n)]
+        for r, row in enumerate(phi.a):
+            for c, x in enumerate(row):
+                if x:
+                    cols[c][r] = x.numerator * (D // x.denominator)
         for i in range(n):
             # j -> phi([a_i, a_j]) - [phi(a_i), a_j], as a sparse vector
-            diff: dict[int, dict[int, Fraction]] = {}
-            for j, cell in ads[i].items():
+            diff: dict[int, dict[int, int]] = {}
+            for j, cell in ad[i].items():
                 acc = diff.setdefault(j, {})
                 for m, c in cell.items():
                     for r, x in cols[m].items():
                         acc[r] = acc.get(r, 0) + c * x
             for r, x in cols[i].items():
-                for j, cell in ads[r].items():
+                for j, cell in ad[r].items():
                     acc = diff.setdefault(j, {})
                     for k, c in cell.items():
                         acc[k] = acc.get(k, 0) - x * c

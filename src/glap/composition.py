@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AlgebraMismatch, DimTooLarge
+from .errors import AlgebraMismatch, DimTooLarge, require
 from .linalg import Mat
 
 
@@ -132,9 +132,10 @@ class CAElement:
         return CAElement(self.alg, coords)
 
     def norm(self) -> Fraction:
-        """N(x) with conj(x) * x = N(x) * 1; the sanity assert is cheap."""
+        """N(x) with conj(x) * x = N(x) * 1; the check that the product is
+        real is cheap and raises GlapError when it fails."""
         prod = self.conjugate() * self
-        assert all(c == 0 for c in prod.coords[1:]), "norm left the real line"
+        require(all(c == 0 for c in prod.coords[1:]), "norm left the real line")
         return prod.coords[0]
 
     def is_zero(self) -> bool:

@@ -385,6 +385,8 @@ def check_fundamental(A: GradedAlgebra) -> tuple[bool, int]:
     if -1 not in by_deg:
         return False, kind
     gen1 = by_deg[-1]
+    # scaling every bracket by L leaves the rank of each degree unchanged
+    ad = _scaled_adjacency(A)[1]
     for p in range(-2, -kind - 1, -1):
         target = by_deg.get(p, [])
         prev = by_deg.get(p + 1, [])
@@ -397,8 +399,9 @@ def check_fundamental(A: GradedAlgebra) -> tuple[bool, int]:
         pos = {g: r for r, g in enumerate(target)}
         ech = Echelon(dim)
         for i in gen1:
+            adi = ad[i]
             for j in prev:
-                cell = A.bracket_pair(i, j)
+                cell = adi.get(j)
                 if cell:
                     ech.add({pos[k]: c for k, c in cell.items()})
         if ech.rank < dim:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import GlapError, NotSymmetric
+from .errors import GlapError, NotSymmetric, require
 
 Rational = Fraction
 ZERO = Fraction(0)
@@ -134,7 +134,8 @@ class Mat:
         return Mat([list(col) for col in zip(*self.a)] if self.a else [])
 
     def trace(self) -> Fraction:
-        assert self.m == self.n
+        if self.m != self.n:
+            raise ValueError("trace of a non-square matrix")
         return sum((self.a[i][i] for i in range(self.n)), Fraction(0))
 
     def is_symmetric(self) -> bool:
@@ -151,7 +152,8 @@ class Mat:
         return [self.a[i][j] for i in range(self.m)]
 
     def mat_vec(self, v):
-        assert len(v) == self.n
+        if len(v) != self.n:
+            raise ValueError("shape mismatch in matrix-vector product")
         return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in self.a]
 
     def rank(self) -> int:
@@ -159,7 +161,8 @@ class Mat:
 
     def det(self) -> Fraction:
         """Determinant via fraction-free Bareiss elimination."""
-        assert self.m == self.n
+        if self.m != self.n:
+            raise ValueError("determinant of a non-square matrix")
         n = self.n
         if n == 0:
             return Fraction(1)
@@ -191,7 +194,8 @@ class Mat:
         return Fraction(sign * a[n - 1][n - 1], 1) / scale
 
     def inverse(self) -> "Mat":
-        assert self.m == self.n
+        if self.m != self.n:
+            raise ValueError("inverse of a non-square matrix")
         n = self.n
         aug = [self.a[i][:] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         for c in range(n):
@@ -230,26 +234,16 @@ def _primitive(row: dict) -> dict:
 
 
 def _int_row(row: dict) -> dict | None:
-    """Convert a Fraction/int sparse row to a primitive integer row."""
+    """Convert a Fraction/int sparse row to a primitive integer row.  Ints
+    have ``numerator``/``denominator`` too, so both kinds of entry share
+    one path and an integer row needs no Fraction arithmetic."""
     den = 1
-    clean = {}
-    for c, v in row.items():
-        if isinstance(v, Fraction):
-            if v == 0:
-                continue
-            den = den * v.denominator // gcd(den, v.denominator)
-            clean[c] = v
-        elif v != 0:
-            clean[c] = v
-    if not clean:
-        return None
-    out = {}
-    for c, v in clean.items():
-        if isinstance(v, Fraction):
-            out[c] = int(v * den)
-        else:
-            out[c] = v * den
-    return _primitive(out)
+    for v in row.values():
+        d = v.denominator
+        if den % d:
+            den = den * d // gcd(den, d)
+    out = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+    return _primitive(out) if out else None
 
 
 class Echelon:
@@ -488,7 +482,8 @@ def char_poly(M: Mat) -> list[Fraction]:
     transformations; the polynomial then follows from the standard leading
     principal minor recurrence in O(n^3) ring operations.
     """
-    assert M.m == M.n
+    if M.m != M.n:
+        raise ValueError("characteristic polynomial of a non-square matrix")
     n = M.n
     if n == 0:
         return [Fraction(1)]
@@ -530,7 +525,8 @@ def char_poly(M: Mat) -> list[Fraction]:
 
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division plus Pollard rho."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         while n % p == 0:
@@ -615,7 +611,7 @@ def _deflate(poly, root: Fraction):
     for k in range(deg - 1, -1, -1):
         out[k] = carry
         carry = poly[k] + root * carry
-    assert carry == 0, "deflation by a non-root"
+    require(carry == 0, "deflation by a non-root")
     return out
 
 
@@ -690,7 +686,8 @@ def _poly_of_matrix(poly, M: Mat) -> Mat:
 
 
 def rational_eigensplit(M: Mat) -> EigenSplit:
-    assert M.m == M.n
+    if M.m != M.n:
+        raise ValueError("eigensplit of a non-square matrix")
     p = char_poly(M)
     roots = rational_roots(p)
     eigen = []

@@ -24,6 +24,15 @@ two agree exactly.  Every assembled algebra is certified afterwards by an
 exhaustive Jacobi sweep, so a bug in the incremental bookkeeping cannot
 survive to the output.
 
+The hot loops run in Python ints on one scaled adjacency per call
+(``gla._scaled_adjacency``: every structure constant times L, the lcm of
+their denominators), never on copied bracket dicts.  This is exact for two
+reasons.  A derivation row is a sum of signed constants, so it is L times
+the rational row and, being homogeneous, has the same kernel.  A forced
+bracket is a sum of products of two constants, so its integer map is L**2
+times the rational one; ``Subspace.coords`` certifies the integer vector
+and each coordinate is then divided by L**2 as a Fraction.
+
 The recursion stops at the first empty layer; for the inputs this package
 builds that always happens (the negative part is fundamental and the
 derivation algebra of a conformal class is finite), but a runaway input is
@@ -49,6 +58,7 @@ from .gla import (
     GradedAlgebra,
     SymBilinearForm,
     _load_json,
+    _scaled_adjacency,
     check_fundamental,
     check_gla,
 )
@@ -148,16 +158,20 @@ class DerivationBasis:
         return self._space.coords(vec, "map")
 
 
-def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
-    """Constraint rows of D([x,y]) = [D(x),y] + [x,D(y)] over all pairs of
-    negative-degree basis elements, for a degree-``shift`` map D whose
-    blocks are indexed by source degree in ``layout``."""
+def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int, ad):
+    """Yield the constraint rows of D([x,y]) = [D(x),y] + [x,D(y)] over all
+    pairs of negative-degree basis elements, for a degree-``shift`` map D
+    whose blocks are indexed by source degree in ``layout``.
+
+    ``ad`` is the scaled adjacency of A (``gla._scaled_adjacency``): every
+    structure constant times one common L.  Each row is a sum of signed
+    constants, so its entries are L times the rational ones, all ints, and
+    it has the same solutions."""
     by_deg = A.by_degree()
     neg = sorted(d for d in by_deg if d < 0)
     local = {
         d: {g: t for t, g in enumerate(by_deg[d])} for d in by_deg
     }
-    rows = []
     for p in neg:
         for q in neg:
             if q < p:
@@ -168,44 +182,45 @@ def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
                 continue
             tpos = local[td]
             for ii, gi in enumerate(by_deg[p]):
+                adi = ad[gi]
                 js = by_deg[q]
                 start = ii + 1 if p == q else 0
                 for jj in range(start, len(js)):
                     gj = js[jj]
-                    comp: dict[int, dict[int, Fraction]] = {}
-
-                    def put(t_global, colidx, coeff):
-                        if coeff == 0:
-                            return
-                        row = comp.setdefault(t_global, {})
-                        row[colidx] = row.get(colidx, Fraction(0)) + coeff
-
+                    comp: dict[int, dict[int, int]] = {}
                     # D([x, y]) over the (p+q)-block, when it exists
-                    if (p + q) in layout.blocks:
-                        cell = A.bracket_pair(gi, gj)
+                    cell = adi.get(gj)
+                    if cell and (p + q) in layout.blocks:
                         mloc = local[p + q]
                         for mg, c in cell.items():
                             for t_global in tgt:
-                                put(
-                                    t_global,
-                                    layout.col(p + q, tpos[t_global], mloc[mg]),
-                                    c,
-                                )
+                                col = layout.col(p + q, tpos[t_global], mloc[mg])
+                                row = comp.setdefault(t_global, {})
+                                row[col] = row.get(col, 0) + c
                     # -[D(x), y]: D(x) runs over the degree p+shift basis
                     if p in layout.blocks:
+                        adj = ad[gj]
                         for r, fr in enumerate(by_deg.get(p + shift, [])):
-                            for t_global, c in A.bracket_pair(fr, gj).items():
-                                put(t_global, layout.col(p, r, ii), -c)
+                            cell = adj.get(fr)
+                            if cell:
+                                col = layout.col(p, r, ii)
+                                for t_global, c in cell.items():
+                                    # [fr, gj] = -[gj, fr]
+                                    row = comp.setdefault(t_global, {})
+                                    row[col] = row.get(col, 0) + c
                     # -[x, D(y)]
                     if q in layout.blocks:
                         for r, fr in enumerate(by_deg.get(q + shift, [])):
-                            for t_global, c in A.bracket_pair(gi, fr).items():
-                                put(t_global, layout.col(q, r, jj), -c)
-                    for t_global, row in comp.items():
-                        row = {c: v for c, v in row.items() if v != 0}
+                            cell = adi.get(fr)
+                            if cell:
+                                col = layout.col(q, r, jj)
+                                for t_global, c in cell.items():
+                                    row = comp.setdefault(t_global, {})
+                                    row[col] = row.get(col, 0) - c
+                    for row in comp.values():
+                        row = {c: v for c, v in row.items() if v}
                         if row:
-                            rows.append(row)
-    return rows
+                            yield row
 
 
 def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> DerivationBasis:
@@ -228,7 +243,7 @@ def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> DerivationBasis:
         layout.add(p, d, d)
     eta_col = layout.total
 
-    rows = _derivation_rows(m, layout, 0)
+    rows = list(_derivation_rows(m, layout, 0, _scaled_adjacency(m)[1]))
     # conformal condition: sum_r D[r,a] G[r,b] + sum_r G[a,r] D[r,b] = eta G[a,b]
     G = g.matrix
     nm1 = len(minus1)
@@ -358,7 +373,7 @@ def assemble_degree0(m: GradedAlgebra, basis: DerivationBasis) -> GradedAlgebra:
     t = len(basis)
     labels = list(m.labels) + [f"d0_{i}" for i in range(t)]
     degrees = list(m.degrees) + [0] * t
-    brackets = {k: dict(v) for k, v in m.brackets.items()}
+    brackets = dict(m.brackets)
     by_deg = m.by_degree()
     cols = [
         {p: _sparse_columns(el.blocks[p]) for p in by_deg} for el in basis.elements
@@ -398,9 +413,8 @@ def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
         tgt = by_deg.get(p + shift, [])
         if tgt:
             layout.add(p, len(tgt), len(by_deg[p]))
-    rows = _derivation_rows(A, layout, shift)
     ech = Echelon(layout.total)
-    for row in rows:
+    for row in _derivation_rows(A, layout, shift, _scaled_adjacency(A)[1]):
         ech.add(row)
     space = ech.kernel_space(f"the degree {shift} layer")
     if not space.vectors:
@@ -410,7 +424,7 @@ def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
     t = len(space)
     labels = list(A.labels) + [f"p{shift}_{i}" for i in range(t)]
     degrees = list(A.degrees) + [shift] * t
-    brackets = {key: dict(v) for key, v in A.brackets.items()}
+    brackets = dict(A.brackets)
     for i, vec in enumerate(space.vectors):
         for p, blk in layout.columns(vec).items():
             src, tgt = by_deg[p], by_deg[p + shift]
@@ -420,68 +434,92 @@ def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
     A2 = GradedAlgebra(A.name, labels, degrees, brackets)
 
     # brackets between nonnegative layers summing to k+1, forced by
-    # ([w, v])(z) = [w, [v, z]] - [v, [w, z]] for z in m
+    # ([w, v])(z) = [w, [v, z]] - [v, [w, z]] for z in m.  Each term is a
+    # product of two constants of A2's scaled adjacency, so the integer
+    # map is exactly L**2 times the rational one; its coordinates are
+    # certified as integers and divided by L**2 afterwards.
+    L, ad = _scaled_adjacency(A2)
+    L2 = L * L
     by_deg2 = A2.by_degree()
+    # per source degree p: target positions, and (flat offset of column z, z)
+    blocks = []
+    for p in neg:
+        if p not in layout.blocks:
+            # the forced map must vanish into this degree; the final
+            # Jacobi sweep certifies that it does
+            continue
+        off, rows_p, _ = layout.blocks[p]
+        tpos = {g: r for r, g in enumerate(by_deg[p + shift])}
+        zs = [(off + c_loc * rows_p, z) for c_loc, z in enumerate(by_deg[p])]
+        blocks.append((tpos, zs))
     extra: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(0, shift // 2 + 1):
         b = shift - a
         for w in by_deg2.get(a, []):
+            adw = ad[w]
             for v in by_deg2.get(b, []):
                 if a == b and w >= v:
                     continue
-                flat: dict[int, Fraction] = {}
-                for p in neg:
-                    if p not in layout.blocks:
-                        # the forced map must vanish into this degree; the
-                        # final Jacobi sweep certifies that it does
-                        continue
-                    tpos = {g: r for r, g in enumerate(by_deg[p + shift])}
-                    for c_loc, z in enumerate(by_deg[p]):
-                        acc: dict[int, Fraction] = {}
-                        for mgl, c in A2.bracket_pair(v, z).items():
-                            for tg, d in A2.bracket_pair(w, mgl).items():
-                                s = acc.get(tg, Fraction(0)) + c * d
-                                if s:
-                                    acc[tg] = s
-                                elif tg in acc:
-                                    del acc[tg]
-                        for mgl, c in A2.bracket_pair(w, z).items():
-                            for tg, d in A2.bracket_pair(v, mgl).items():
-                                s = acc.get(tg, Fraction(0)) - c * d
-                                if s:
-                                    acc[tg] = s
-                                elif tg in acc:
-                                    del acc[tg]
+                adv = ad[v]
+                flat: dict[int, int] = {}
+                for tpos, zs in blocks:
+                    for base, z in zs:
+                        acc: dict[int, int] = {}
+                        cell = adv.get(z)
+                        if cell:
+                            for mgl, c in cell.items():
+                                row = adw.get(mgl)
+                                if row:
+                                    for tg, d in row.items():
+                                        acc[tg] = acc.get(tg, 0) + c * d
+                        cell = adw.get(z)
+                        if cell:
+                            for mgl, c in cell.items():
+                                row = adv.get(mgl)
+                                if row:
+                                    for tg, d in row.items():
+                                        acc[tg] = acc.get(tg, 0) - c * d
                         for tg, val in acc.items():
-                            flat[layout.col(p, tpos[tg], c_loc)] = val
+                            if val:
+                                flat[base + tpos[tg]] = val
                 coords = space.coords(flat, f"forced bracket of degrees ({a},{b})")
-                cell = {n + i: c for i, c in enumerate(coords) if c != 0}
+                cell = {n + i: Fraction(c, L2) for i, c in enumerate(coords) if c}
                 if cell:
                     extra[(w, v)] = cell
     if extra:
-        merged = {key: dict(val) for key, val in A2.brackets.items()}
-        merged.update(extra)
-        A2 = GradedAlgebra(A2.name, labels, degrees, merged)
+        A2 = GradedAlgebra(A2.name, labels, degrees, {**A2.brackets, **extra})
     return A2
 
 
 def transitivity_check(A: GradedAlgebra) -> bool:
-    """No nonzero element of a nonnegative layer may kill all of degree -1."""
+    """No nonzero element of a nonnegative layer may kill all of degree -1.
+
+    The brackets [u, e] with u of degree >= 0 and e of degree -1 are read
+    once from the stored cells, without a copy per pair.  They are about a
+    third of the cells, so this is cheaper than a scaled adjacency of the
+    whole algebra; ``Echelon`` turns each row into integers itself."""
     by_deg = A.by_degree()
     minus1 = by_deg.get(-1, [])
+    deg = A.degrees
+    act: dict[int, dict[int, dict[int, Fraction]]] = {}  # act[u][e] = [u, e]
+    for (i, j), cell in A.brackets.items():
+        if deg[j] == -1 and deg[i] >= 0:
+            act.setdefault(i, {})[j] = cell
+        elif deg[i] == -1 and deg[j] >= 0:
+            act.setdefault(j, {})[i] = {k: -c for k, c in cell.items()}
     for d, ix in by_deg.items():
         if d < 0:
             continue
         dim = len(ix)
-        loc = {g: c for c, g in enumerate(ix)}
+        tpos = {g: r for r, g in enumerate(by_deg.get(d - 1, []))}
         ech = Echelon(dim)
         for e in minus1:
-            tgt = by_deg.get(d - 1, [])
-            tpos = {g: r for r, g in enumerate(tgt)}
             rows: dict[int, dict[int, Fraction]] = {}
             for c_loc, u in enumerate(ix):
-                for tg, c in A.bracket_pair(u, e).items():
-                    rows.setdefault(tpos[tg], {})[c_loc] = c
+                cell = act.get(u, {}).get(e)
+                if cell:
+                    for tg, c in cell.items():
+                        rows.setdefault(tpos[tg], {})[c_loc] = c
             for row in rows.values():
                 ech.add(row)
         if ech.rank < dim:

@@ -31,7 +31,7 @@ from glap.errors import (
     NotSemisimple,
 )
 from glap.families import build
-from glap.gla import GradedAlgebra
+from glap.gla import GradedAlgebra, _scaled_adjacency
 from glap.linalg import Mat, signature_of_symmetric, sparse_kernel
 from glap.prolongation import full_prolongation
 
@@ -281,7 +281,7 @@ def test_centroid_matches_the_full_solve(get_prolongation, get_rebased, case):
     else:
         A = _sl2_complex_as_real()
     # every centroid row, with no early stop
-    rows, cells = _centroid_system(A)
+    rows, cells = _centroid_system(A, *_scaled_adjacency(A))
     kern = sparse_kernel(list(rows), len(cells))
     got = [[M.a[r][c] for r, c in cells] for M in centroid(A)]
     assert got == kern
@@ -303,7 +303,7 @@ def _perturbed_identity_is_rejected():
     A = full_prolongation(fam.m, fam.g).algebra
     (phi,) = centroid(A)
     phi.a[A.n - 1][0] += 1
-    return _rejects(_verify_centroid, A, [phi])
+    return _rejects(_verify_centroid, A, [phi], _scaled_adjacency(A)[1])
 
 
 def _degenerate_centroids_are_rejected():
@@ -372,3 +372,32 @@ def test_rebased_report_is_unchanged(get_rebased):
     }
     prol = full_prolongation(*get_rebased("hh", p=1, q=1))
     assert analyze(prol).to_json_dict() == want
+
+
+def _reference_killing_form(A):
+    """B(x, y) = tr(ad x ad y) in Fractions from sparse_ad copies, as
+    killing_form computed it before it read the scaled adjacency; kept as
+    the reference for the integer sums."""
+    n = A.n
+    ads = [A.sparse_ad(i) for i in range(n)]
+    B = Mat.zeros(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            total = F(0)
+            for a, cell in ads[j].items():
+                for b, c in cell.items():
+                    d = ads[i].get(b, {}).get(a)
+                    if d:
+                        total += c * d
+            B.a[i][j] = B.a[j][i] = total
+    return B
+
+
+@pytest.mark.parametrize("case", ["hh11-rebased", "ho"])
+def test_killing_form_matches_the_fraction_reference(get_prolongation, get_rebased, case):
+    if case == "ho":
+        A = get_prolongation("ho").algebra
+    else:
+        A = full_prolongation(*get_rebased("hh", p=1, q=1)).algebra
+    assert _scaled_adjacency(A)[0] > 1  # the scaling is exercised
+    assert killing_form(A) == _reference_killing_form(A)

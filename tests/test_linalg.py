@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,8 @@ from glap.errors import GlapError, NotSymmetric
 from glap.linalg import (
     Echelon,
     Mat,
+    _factorize,
+    char_poly,
     kernel_basis,
     rational_eigensplit,
     signature_of_symmetric,
@@ -211,3 +216,70 @@ def test_mat_sum_and_difference_reject_shape_mismatch():
         Mat.identity(2) + Mat.zeros(2, 3)
     with pytest.raises(ValueError):
         Mat.identity(2) - Mat.zeros(3, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Mat([[1, 2]]).trace(),
+        lambda: Mat.identity(2).mat_vec([1]),
+        lambda: Mat([[1, 2]]).det(),
+        lambda: Mat([[1, 2]]).inverse(),
+        lambda: char_poly(Mat([[1, 2]])),
+        lambda: _factorize(0),
+        lambda: rational_eigensplit(Mat([[1, 2]])),
+    ],
+    ids=["trace", "mat_vec", "det", "inverse", "char_poly", "factorize", "eigensplit"],
+)
+def test_shape_and_argument_checks_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+_CERTIFICATE_CHECKS = """
+from fractions import Fraction as F
+from glap.composition import ALGEBRAS, CompositionAlgebra
+from glap.errors import GlapError
+from glap.linalg import _deflate
+
+C = ALGEBRAS["C"]
+# conjugation broken to the identity, so conj(x) * x leaves the real line
+broken = CompositionAlgebra("C", C.gammas, C._table, [F(1), F(1)])
+calls = (
+    lambda: _deflate([F(1), F(0), F(1)], F(1)),
+    lambda: broken.element([1, 1]).norm(),
+)
+held = []
+for call in calls:
+    try:
+        call()
+    except GlapError:
+        held.append(True)
+    else:
+        held.append(False)
+"""
+
+
+def test_certificates_raise_glap_error():
+    """Deflation by a non-root and a norm off the real line raise GlapError."""
+    scope = {}
+    exec(_CERTIFICATE_CHECKS, scope)
+    assert scope["held"] == [True, True]
+
+
+def test_certificates_raise_glap_error_without_asserts():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are still on')\n"
+        + _CERTIFICATE_CHECKS
+        + "sys.exit(0 if held == [True, True] else f'held: {held}')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -5,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from glap import prolongation
 from glap.errors import GlapError, NotFundamental, StepLimitExceeded
 from glap.families import build
-from glap.gla import GradedAlgebra, SymBilinearForm, check_gla
-from glap.linalg import Mat
+from glap.gla import GradedAlgebra, SymBilinearForm, _scaled_adjacency, check_gla
+from glap.linalg import Echelon, Mat, sparse_kernel
 from glap.prolongation import (
+    _derivation_rows,
     _Layout,
     assemble_degree0,
     conformal_g0,
@@ -253,3 +256,153 @@ def test_prolongation_round_trip(get_prolongation):
     assert again.complete == prol.complete
     assert again.form.matrix == prol.form.matrix
     assert again.mu == prol.mu and again.nu == prol.nu
+
+
+def _reference_derivation_rows(A, layout, shift):
+    """The derivation rows built from Fraction constants and bracket_pair
+    copies, as the step engine did before it read the scaled adjacency;
+    kept as the reference for the integer rows."""
+    by_deg = A.by_degree()
+    neg = sorted(d for d in by_deg if d < 0)
+    local = {d: {g: t for t, g in enumerate(by_deg[d])} for d in by_deg}
+    rows = []
+    for p in neg:
+        for q in neg:
+            if q < p:
+                continue
+            td = p + q + shift
+            tgt = by_deg.get(td, [])
+            if not tgt:
+                continue
+            tpos = local[td]
+            for ii, gi in enumerate(by_deg[p]):
+                js = by_deg[q]
+                start = ii + 1 if p == q else 0
+                for jj in range(start, len(js)):
+                    gj = js[jj]
+                    comp = {}
+
+                    def put(t_global, colidx, coeff):
+                        if coeff == 0:
+                            return
+                        row = comp.setdefault(t_global, {})
+                        row[colidx] = row.get(colidx, Fraction(0)) + coeff
+
+                    if (p + q) in layout.blocks:
+                        mloc = local[p + q]
+                        for mg, c in A.bracket_pair(gi, gj).items():
+                            for t_global in tgt:
+                                put(t_global, layout.col(p + q, tpos[t_global], mloc[mg]), c)
+                    if p in layout.blocks:
+                        for r, fr in enumerate(by_deg.get(p + shift, [])):
+                            for t_global, c in A.bracket_pair(fr, gj).items():
+                                put(t_global, layout.col(p, r, ii), -c)
+                    if q in layout.blocks:
+                        for r, fr in enumerate(by_deg.get(q + shift, [])):
+                            for t_global, c in A.bracket_pair(gi, fr).items():
+                                put(t_global, layout.col(q, r, jj), -c)
+                    for row in comp.values():
+                        row = {c: v for c, v in row.items() if v != 0}
+                        if row:
+                            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("case", ["hh11-rebased", "hc21"])
+@pytest.mark.parametrize("shift", [0, 1])
+def test_integer_derivation_rows_match_the_fraction_reference(
+    get_prolongation, get_rebased, case, shift
+):
+    if case == "hh11-rebased":
+        A = full_prolongation(*get_rebased("hh", p=1, q=1)).algebra
+    else:
+        A = get_prolongation("hc", p=2, q=1).algebra
+    L, ad = _scaled_adjacency(A)
+    assert L > 1  # the scaling is exercised
+    by_deg = A.by_degree()
+    layout = _Layout()
+    for p in sorted(d for d in by_deg if d < 0):
+        if by_deg.get(p + shift):
+            layout.add(p, len(by_deg[p + shift]), len(by_deg[p]))
+    ref = _reference_derivation_rows(A, layout, shift)
+    rows = list(_derivation_rows(A, layout, shift, ad))
+    assert rows == [{c: L * v for c, v in row.items()} for row in ref]
+    assert sparse_kernel(rows, layout.total) == sparse_kernel(ref, layout.total)
+
+
+def _prolong_with_a_perturbed_layer():
+    """full_prolongation of hh(1,1) after one vector of its degree 1
+    layer's Subspace has been changed at a pivot column."""
+
+    class Perturbed(Echelon):
+        def kernel_space(self, name="the kernel"):
+            space = super().kernel_space(name)
+            if name == "the degree 1 layer":
+                col = min(self.piv)
+                vec = space.vectors[0]
+                vec[col] = vec.get(col, 0) + 1
+            return space
+
+    fam = build("hh", p=1, q=1)
+    saved = prolongation.Echelon
+    prolongation.Echelon = Perturbed
+    try:
+        return full_prolongation(fam.m, fam.g)
+    finally:
+        prolongation.Echelon = saved
+
+
+def test_perturbed_positive_layer_is_rejected():
+    with pytest.raises(GlapError):
+        _prolong_with_a_perturbed_layer()
+
+
+def test_perturbed_positive_layer_is_rejected_without_asserts():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are still on')\n"
+        "from glap.errors import GlapError\n"
+        "from test_prolongation import _prolong_with_a_perturbed_layer\n"
+        "try:\n"
+        "    _prolong_with_a_perturbed_layer()\n"
+        "except GlapError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('perturbed layer was accepted')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rebased_prolongation_is_unchanged(get_rebased):
+    # sha256 of the output recorded before the step engine read integer
+    # constants; the constants of this prolongation have denominators 2 and 3
+    prol = full_prolongation(*get_rebased("hh", p=1, q=1))
+    digest = hashlib.sha256(prol.serialize().encode()).hexdigest()
+    assert digest == "02ab26b778f42f12b8c597a88510f1053b3cc07d5052e29da8496324552cca5e"
+
+
+@pytest.mark.parametrize("y_weight,transitive", [(1, False), (2, True)])
+def test_transitivity_check_reads_both_orientations(y_weight, transitive):
+    # D2 has an index between X and Y, so its action is stored once as
+    # [X, D2] and once as [D2, Y].  D1 acts as the identity on degree -1;
+    # D2 acts as diag(1, y_weight), so D1 - D2 kills degree -1 exactly
+    # when y_weight == 1.
+    A = GradedAlgebra(
+        "two degree-0 actions",
+        ["X", "D2", "Y", "D1"],
+        [-1, 0, -1, 0],
+        {
+            (0, 1): {0: F(-1)},
+            (1, 2): {2: F(y_weight)},
+            (0, 3): {0: F(-1)},
+            (2, 3): {2: F(-1)},
+        },
+    )
+    assert transitivity_check(A) is transitive
