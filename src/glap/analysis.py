@@ -594,11 +594,11 @@ def _table_rows() -> tuple:
     """(label, TableRow) for every instance of the expected classification
     table, built once per process; the rows are read, never modified."""
     rows = []
-    for p in range(1, 4):
-        for q in range(0, 7):
-            if 3 <= 2 * p + q <= 8:
-                for fam in ("HC", "HC'", "HH", "HH'"):
-                    rows.append((f"{fam}(p={p},q={q})", table_expectation(fam, p=p, q=q)))
+    # every p >= 1, q >= 0 with 3 <= 2p+q <= 8, the range the builders take
+    for p in range(1, 8 // 2 + 1):
+        for q in range(max(0, 3 - 2 * p), 8 - 2 * p + 1):
+            for fam in ("HC", "HC'", "HH", "HH'"):
+                rows.append((f"{fam}(p={p},q={q})", table_expectation(fam, p=p, q=q)))
     for l in range(2, 7):
         rows.append((f"BI(l={l})", table_expectation("BI", l=l)))
     rows.append(("HO", table_expectation("HO")))

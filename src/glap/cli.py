@@ -4,7 +4,8 @@ Subcommands cover the whole pipeline: build a family, check a graded
 algebra file, list conformal derivations, prolong, analyze, query the
 root-system oracle, and verify the classification table end to end.
 Output is JSON on stdout; --summary switches to a one-line digest.
-Exit codes: 0 success, 1 a check or verification failed, 2 bad input.
+Exit codes: 0 success, 1 a check or verification failed, 2 bad input,
+3 an internal error.
 """
 
 import argparse
@@ -447,6 +448,10 @@ def main(argv=None) -> int:
     except GlapError as e:
         _emit({"error": str(e)})
         return 2
+    except Exception as e:
+        # a defect in glap itself, never the input: keep the JSON contract
+        _emit({"error": f"internal error: {type(e).__name__}: {e}"})
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,10 +10,14 @@ with a non-semisimple prolongation rounds out the list.
 Every builder hands back the fundamental algebra m together with a
 representative g of the conformal class; where the matrix picture exists the
 ambient graded algebra and a verified diagonal Cartan tag come along too.
+
+Conformal covariance of g under the degree-zero action is certified in
+Python ints on the sparse columns of the ambient's scaled adjacency.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .analysis import killing_form
 from .composition import (
@@ -24,7 +28,13 @@ from .composition import (
     real_algebra,
 )
 from .errors import BadParameters, GlapError, require
-from .gla import GradedAlgebra, SymBilinearForm, check_fundamental, check_gla
+from .gla import (
+    GradedAlgebra,
+    SymBilinearForm,
+    _scaled_adjacency,
+    check_fundamental,
+    check_gla,
+)
 from .linalg import Echelon, Mat, sparse_kernel
 
 ZERO = Fraction(0)
@@ -233,16 +243,10 @@ def _split_unit(alg: CompositionAlgebra):
 
 @dataclass
 class CartanTag:
-    """A verified abelian, diagonalizable subspace marking the split rank.
-
-    ``vectors`` holds coordinates in the ambient algebra's basis when an
-    ambient algebra exists; the rank-two exceptional model keeps only the
-    dimension since its ambient object is produced by prolongation.
-    """
+    """A verified abelian, diagonalizable subspace marking the split rank."""
 
     dim: int
     note: str
-    vectors: list | None = None
 
 
 def _certify(A: GradedAlgebra):
@@ -271,31 +275,66 @@ def _require_signature(g: SymBilinearForm, want: tuple[int, int]):
 
 
 def _check_covariance(A: GradedAlgebra, G: Mat, eta_by_index):
-    """Require the degree-zero action to scale g by the predicted factor."""
+    """Require the degree-zero action to scale g by the predicted factor.
+
+    For each (idx, eta) with M = ad(e_idx) restricted to degree -1, the
+    identity  M^T G + G M = eta G  is certified entry by entry, in integers.
+    The columns of M come from the scaled adjacency of A (every structure
+    constant times L, the lcm of their denominators) and G is scaled by D,
+    the lcm of its denominators.  Each entry
+
+        (M^T G + G M)[r][c] = sum_k M[k][r] G[k][c] + G[r][k] M[k][c]
+
+    is a sum of products of one constant and one entry of G, so the integer
+    lhs is exactly L*D times the rational one.  With eta = a/b, the integer
+    residual  b*lhs - a*L*(D*G)  is exactly L*D*b times the rational
+    residual  lhs - eta*G,  and so is zero exactly when it is.  The
+    comparison runs over every entry: the zero entries are the ones missing
+    from both sparse sides.
+    """
+    src = A.by_degree().get(-1, [])
+    pos = {g: r for r, g in enumerate(src)}
+    D = lcm(*(x.denominator for row in G.a for x in row))
+    rows = [
+        {c: x.numerator * (D // x.denominator) for c, x in enumerate(row) if x}
+        for row in G.a
+    ]
+    cols: list[dict[int, int]] = [{} for _ in rows]
+    entries = {}
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            cols[c][r] = x
+            entries[r, c] = x
+    L, ad = _scaled_adjacency(A)
     for idx, eta in eta_by_index:
-        M = A.restriction_matrix(idx, -1)
-        lhs = M.transpose() * G + G * M
-        require(lhs == G * eta, f"conformal factor mismatch at {A.labels[idx]}")
+        adx = ad[idx]
+        lhs: dict[tuple[int, int], int] = {}
+        get = lhs.get
+        for c, j in enumerate(src):
+            # column c of M, scaled: m = L * M[pos[k]][c]
+            for k, m in adx.get(j, {}).items():
+                for t, x in rows[pos[k]].items():  # (M^T G)[c][t]
+                    lhs[c, t] = get((c, t), 0) + m * x
+                for t, x in cols[pos[k]].items():  # (G M)[t][c]
+                    lhs[t, c] = get((t, c), 0) + x * m
+        a, b = eta.numerator, eta.denominator
+        got = {rc: b * v for rc, v in lhs.items() if v}
+        want = {rc: a * L * x for rc, x in entries.items()} if a else {}
+        require(got == want, f"conformal factor mismatch at {A.labels[idx]}")
 
 
-def _cartan_vectors(A: GradedAlgebra, spaces, elems):
-    """Ambient coordinates for degree-zero matrices, membership certified."""
-    idx0 = A.by_degree()[0]
-    vectors = []
-    ech = Echelon(len(idx0))
+def _certify_cartan(spaces, elems):
+    """Certify that the tagged matrices lie in degree zero, are linearly
+    independent and commute pairwise."""
+    ech = Echelon(spaces[0].dim())
     for M in elems:
         local = spaces[0].coords(M)
         grew = ech.add({k: c for k, c in enumerate(local) if c})
         require(grew, "tagged diagonal elements are dependent")
-        vec = [ZERO] * A.n
-        for k, c in enumerate(local):
-            vec[idx0[k]] = c
-        vectors.append(vec)
     for a in range(len(elems)):
         for b in range(a + 1, len(elems)):
             require(elems[a].commutator(elems[b]).is_zero(),
                     f"tagged diagonal elements {a} and {b} do not commute")
-    return vectors
 
 
 def build_hk(k_tag: str, p: int, q: int):
@@ -383,11 +422,10 @@ def build_hk(k_tag: str, p: int, q: int):
         expected_rank = n - 1 if d == 2 else n
         require(len(elems) == expected_rank,
                 f"{len(elems)} tagged diagonal elements, expected {expected_rank}")
-        vectors = _cartan_vectors(ambient, spaces, elems)
+        _certify_cartan(spaces, elems)
         cartan = CartanTag(
             dim=len(elems),
             note="diagonal matrices over the split coefficient algebra",
-            vectors=vectors,
         )
     return m, g, ambient, cartan
 
@@ -447,8 +485,8 @@ def build_bi(l: int):
         KMat(alg, n, {(i, i): alg.one, (sigma[i], sigma[i]): -alg.one})
         for i in range(l)
     ]
-    vectors = _cartan_vectors(ambient, spaces, elems)
-    cartan = CartanTag(dim=l, note="real diagonal matrices", vectors=vectors)
+    _certify_cartan(spaces, elems)
+    cartan = CartanTag(dim=l, note="real diagonal matrices")
     return m, g, ambient, cartan
 
 

@@ -34,6 +34,7 @@ from glap.families import build
 from glap.gla import GradedAlgebra, _scaled_adjacency
 from glap.linalg import Mat, signature_of_symmetric, sparse_kernel
 from glap.prolongation import full_prolongation
+from glap.roots import table_expectation
 
 F = Fraction
 
@@ -266,6 +267,44 @@ def test_match_table_row_respects_module_class(get_prolongation):
     prol = get_prolongation("hc", p=1, q=1)
     assert "AIV" in match_table_row(prol, "SII")
     assert match_table_row(prol, "SI") is None
+
+
+def _supported_instances():
+    """(label, oracle family, params) over the builders' whole range."""
+    out = []
+    for fam in ("HC", "HC'", "HH", "HH'"):
+        for p in range(1, 5):
+            for q in range(0, 7):
+                if 3 <= 2 * p + q <= 8:
+                    out.append((f"{fam}(p={p},q={q})", fam, {"p": p, "q": q}))
+    out += [(f"BI(l={l})", "BI", {"l": l}) for l in range(2, 7)]
+    out += [(fam, fam, {}) for fam in ("HO", "HO'", "G")]
+    return out
+
+
+class _OracleStub:
+    """What match_table_row reads of a prolongation, from an oracle row."""
+
+    def __init__(self, row):
+        self.row = row
+        self.mu = row.kind
+        self.form = self
+
+    def dims_by_degree(self):
+        return dict(self.row.dims)
+
+    def signature(self):
+        return self.row.signature
+
+
+def test_every_supported_instance_matches_its_own_table_row():
+    instances = _supported_instances()
+    assert len(instances) == 68
+    for label, fam, params in instances:
+        row = table_expectation(fam, **params)
+        hits = match_table_row(_OracleStub(row), row.module_class)
+        assert hits is not None, label
+        assert label in [hit.split(":")[0] for hit in hits.split(" | ")], (label, hits)
 
 
 @pytest.mark.parametrize("case", ["hh12", "hh12-rebased", "ho", "sl2+sl2", "sl2c"])

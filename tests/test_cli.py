@@ -273,3 +273,27 @@ def test_check_without_asserts_gives_the_same_report(tmp_path, capsys):
     )
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout) == rep
+
+
+def test_internal_error_exits_3_with_a_json_body(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_oracle", broken)
+    code, out = run(capsys, "oracle", "--family", "G")
+    assert code == 3
+    assert json.loads(out) == {"error": "internal error: RuntimeError: boom"}
+    assert "Traceback" not in out
+
+
+def test_verify_table_without_asserts_gives_the_same_report(capsys):
+    code, out = run(capsys, "verify-table")
+    assert code == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "glap.cli", "verify-table"],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(out)

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from glap import families
-from glap.errors import BadParameters, GlapError
+from glap.cli import DEFAULT_ROWS
+from glap.errors import BadParameters, GlapError, require
 from glap.families import FAMILY_TAGS, build
 from glap.gla import check_fundamental, check_gla
 
@@ -208,6 +210,114 @@ except GlapError as e:
     print(e)
     raise SystemExit(0 if "Jacobi certificate" in str(e) else 2)
 raise SystemExit(1)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+
+
+def _reference_check_covariance(A, G, eta_by_index):
+    """The dense Fraction form of the covariance certificate: M^T G + G M
+    == eta G for each degree-zero element, M its action on degree -1."""
+    for idx, eta in eta_by_index:
+        M = A.restriction_matrix(idx, -1)
+        lhs = M.transpose() * G + G * M
+        require(lhs == G * eta, f"conformal factor mismatch at {A.labels[idx]}")
+
+
+MATRIX_ROWS = [(tag, params) for tag, params in DEFAULT_ROWS
+               if tag in families.HK_TAGS or tag == "bi"]
+
+
+@pytest.fixture(scope="module")
+def covariance_inputs():
+    """(label, ambient, G, eta_by_index) handed to the covariance check by
+    every matrix-family row of verify-table."""
+    seen = []
+    check = families._check_covariance
+
+    def capture(A, G, eta_by_index):
+        seen.append((A, G, list(eta_by_index)))
+        return check(A, G, eta_by_index)
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "_check_covariance", capture)
+        for tag, params in MATRIX_ROWS:
+            build(tag, **params)
+            assert len(seen) == 1
+            out.append((f"{tag}{params}", *seen.pop()))
+    return out
+
+
+def _perturb_eta(G, eta_by_index):
+    (idx, eta), *rest = eta_by_index
+    return G, [(idx, eta + Fraction(1, 3))] + rest
+
+
+def _perturb_gram_pair(G, eta_by_index):
+    """Add 1 to the first zero entry G[r, c], r <= c, and to its mirror: a
+    coupling the form does not have.  (Changing a nonzero entry can rescale
+    a pairing the action still respects, as on bi(2).)"""
+    r, c = next((r, c) for r in range(G.n) for c in range(r, G.n) if not G[r, c])
+    G = G.copy()
+    G[r, c] += 1
+    G[c, r] = G[r, c]
+    return G, eta_by_index
+
+
+def test_covariance_matches_the_dense_reference(covariance_inputs):
+    assert len(covariance_inputs) == 10
+    for label, A, G, etas in covariance_inputs:
+        assert len(etas) == len(A.by_degree()[0]), label
+        families._check_covariance(A, G, etas)
+        _reference_check_covariance(A, G, etas)
+
+
+@pytest.mark.parametrize("perturb", [_perturb_eta, _perturb_gram_pair])
+def test_perturbed_covariance_input_is_rejected(covariance_inputs, perturb):
+    for label, A, G, etas in covariance_inputs:
+        G2, etas2 = perturb(G, etas)
+        for check in (families._check_covariance, _reference_check_covariance):
+            with pytest.raises(GlapError, match="conformal factor mismatch"):
+                check(A, G2, etas2)
+
+
+@pytest.mark.parametrize("perturbation", ["eta", "gram"])
+def test_perturbed_covariance_input_is_rejected_without_asserts(perturbation):
+    script = f"""
+from fractions import Fraction
+
+from glap import families
+from glap.errors import GlapError
+
+check = families._check_covariance
+
+
+def perturbed(A, G, eta_by_index):
+    if {perturbation!r} == "eta":
+        (idx, eta), *rest = eta_by_index
+        eta_by_index = [(idx, eta + Fraction(1, 3))] + rest
+    else:
+        r, c = next((r, c) for r in range(G.n) for c in range(r, G.n) if not G[r, c])
+        G = G.copy()
+        G[r, c] += 1
+        G[c, r] = G[r, c]
+    return check(A, G, eta_by_index)
+
+
+families._check_covariance = perturbed
+for tag, params in [("hh", {{"p": 1, "q": 1}}), ("bi", {{"l": 3}})]:
+    try:
+        families.build(tag, **params)
+    except GlapError as e:
+        print(e)
+        if "conformal factor mismatch" not in str(e):
+            raise SystemExit(2)
+    else:
+        raise SystemExit(1)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
