@@ -13,6 +13,24 @@ So centroid dimension 1 means simple; dimension 2 means either one complex
 ideal (a field, J^2 a negative scalar: simple as a real algebra) or two
 ideals (split, J^2 a positive scalar after removing the trace: not
 simple); dimension 3 or more means at least two ideals.
+
+The centroid from the commutant (Tanaka, J. Math. Kyoto Univ. 10, 1970;
+Jacobson, *Lie Algebras*, Ch. X).  Let A be a graded Lie algebra that
+
+1. contains its characteristic element E ([E, x] = p x on degree p),
+2. has its negative part generated by g_{-1}, and
+3. is transitive: no nonzero element of degree >= 0 kills g_{-1}.
+
+A centroid map phi commutes with ad E, so it preserves degree.  It
+commutes with ad u for u in g_0, so its restriction to g_{-1} lies in the
+commutant of the g_0-module g_{-1}.  And it is determined by that
+restriction: below degree -1 by phi([e, y]) = [phi(e), y] and generation,
+in degree >= 0 by [phi(u), e] = [u, phi(e)] and transitivity.  So the
+centroid is the subspace of that commutant whose elements extend, found
+by solving for one coefficient per commutant basis element.  Where E is
+missing or a rank shows condition 2 or 3 failing, the centroid comes from
+the dense system over all n*n entries instead, refused above dimension
+40.  Either way the result is certified against the definition.
 """
 
 from __future__ import annotations
@@ -28,13 +46,16 @@ from .errors import (
     NoCartanTag,
     NotIsotropic,
     NotSemisimple,
+    require,
 )
-from .gla import GradedAlgebra, SymBilinearForm, _scaled_adjacency
+from .gla import GradedAlgebra, SymBilinearForm, _minus1_rows, _scaled_adjacency
 from .linalg import (
     Echelon,
     Mat,
     rational_eigensplit,
     solve_affine,
+    solve_square,
+    span_basis,
     sparse_kernel,
 )
 from .roots import table_expectation
@@ -78,249 +99,210 @@ def is_semisimple(A: GradedAlgebra) -> bool:
 
 def _find_characteristic(A: GradedAlgebra, L: int, ad):
     """Coordinates (over the degree 0 basis) of an element acting as
-    multiplication by p on every degree p piece, or None.  The rows read
-    the scaled adjacency ``(L, ad)``, so the right-hand side is scaled by L
-    with them."""
-    by_deg = A.by_degree()
-    zero_ix = by_deg.get(0, [])
-    if not zero_ix:
-        return None
-    rows = []
-    rhs = []
-    for j in range(A.n):
-        want = {j: L * A.degrees[j]}
-        touched = set(want)
-        cells = []
-        for u in zero_ix:
-            cell = ad[u].get(j, {})
-            cells.append(cell)
-            touched.update(cell)
-        for k in sorted(touched):
-            rows.append({t: cell.get(k, 0) for t, cell in enumerate(cells)})
-            rhs.append(want.get(k, 0))
-    return solve_affine(rows, rhs, len(zero_ix))
-
-
-def _generating_indices(A: GradedAlgebra, ad) -> list[int]:
-    """Basis indices whose bracket closure spans A; prefers the degree
-    +-1 layers, falling back to the full basis.  Brackets are read from
-    the scaled adjacency, which rescales each closure vector and so leaves
-    every span unchanged."""
-    by_deg = A.by_degree()
-    cand = by_deg.get(-1, []) + by_deg.get(1, [])
-    if not cand:
-        return list(range(A.n))
-    ech = Echelon(A.n)
-    vecs: list[dict[int, int]] = []
-    for i in cand:
-        v = {i: 1}
-        if ech.add(v):
-            vecs.append(v)
-    frontier = list(vecs)
-    while frontier and ech.rank < A.n:
-        new = []
-        for v in frontier:
-            for w in vecs:
-                acc: dict[int, int] = {}
-                for i, a in v.items():
-                    adi = ad[i]
-                    for j, b in w.items():
-                        cell = adi.get(j)
-                        if cell:
-                            for k, c in cell.items():
-                                acc[k] = acc.get(k, 0) + a * b * c
-                acc = {k: x for k, x in acc.items() if x}
-                if acc and ech.add(acc):
-                    new.append(acc)
-        vecs.extend(new)
-        frontier = new
-    if ech.rank == A.n:
-        return cand
-    return list(range(A.n))
+    multiplication by p on every degree p piece, or None.  Row (j, k) is
+    the k-th coordinate of [E, e_j]; the rows read the scaled adjacency
+    ``(L, ad)``, so the right-hand side is scaled by L with them."""
+    zero_ix = A.by_degree().get(0, [])
+    rows: dict[tuple[int, int], dict[int, int]] = {(j, j): {} for j in range(A.n)}
+    for t, u in enumerate(zero_ix):
+        for j, cell in ad[u].items():
+            for k, c in cell.items():
+                rows.setdefault((j, k), {})[t] = c
+    keys = sorted(rows)
+    rhs = [L * A.degrees[j] if j == k else 0 for j, k in keys]
+    return solve_affine([rows[key] for key in keys], rhs, len(zero_ix))
 
 
 def centroid(A: GradedAlgebra) -> list[Mat]:
-    """Canonical basis of {phi : phi o ad x = ad x o phi for all x}.
+    """Canonical basis of {phi : phi o ad x = ad x o phi for all x}: the
+    kernel basis of ``_dense_system``, unknown phi[r][c] at column c*n + r.
 
-    For graded algebras containing a characteristic element the solve is
-    restricted to degree-preserving maps constrained against a generating
-    set (both reductions are theorems, and the result is re-verified
-    against the definition, so they cannot silently go wrong).
-
-    One scaled adjacency (every structure constant times L, the lcm of
-    their denominators) is built per call and read by the rows and by the
-    verification.  Each centroid row is homogeneous and linear in the
-    constants, so scaling them all by L scales the row and keeps its
-    solutions.  The verification residual is linear in the constants too,
-    so it is L times the rational one and vanishes exactly when it does.
-
-    Identity bound: the rows are reduced one at a time and the solve stops
-    as soon as their rank is one less than the number of unknowns.  The
-    identity map solves every centroid row (phi = id turns each into
-    [e, a_j] - [e, a_j]), and each row is checked against it, so the rows
-    span a subspace of the identity's annihilator, which has dimension
-    unknowns - 1.  At that rank the rows span all of it, no later row can
-    shrink the kernel, and the kernel is the identity alone.  When the
-    centroid has dimension 2 or more the bound is never reached and every
-    row is reduced.  The canonical kernel basis depends only on the kernel,
-    so stopping early changes no output.
+    If A contains its characteristic element E, has its negative part
+    generated by g_{-1}, and is transitive, a centroid map is determined by
+    its restriction to g_{-1}, which lies in the commutant of the
+    g_0-action (module docstring).  The centroid is then the span of the
+    extensions of that commutant (``_extensions``) on which the residuals
+    of the centroid equations cancel.  Otherwise the dense system is
+    solved, refused above dimension 40.  Either way each basis map is
+    certified against the definition over every ordered pair
+    (``_verify_centroid``).
     """
     L, ad = _scaled_adjacency(A)
-    rows, cells = _centroid_system(A, L, ad)
-    basis = _solve_to_identity_bound(rows, cells, A.n)
+    K = commutant(degree_zero_action(A), len(A.by_degree().get(-1, [])))
+    return _centroid(A, L, ad, K)
+
+
+def _centroid(A: GradedAlgebra, L: int, ad, K: list[Mat]) -> list[Mat]:
+    """``centroid`` given the scaled adjacency ``(L, ad)`` of A (every
+    structure constant times L, the lcm of their denominators; each
+    centroid equation is linear in them, so scaling keeps its solutions)
+    and the commutant basis K of the g_0-module g_{-1}."""
+    n = A.n
+    maps = _extensions(A, L, ad, K)
+    if maps is None:
+        ech = Echelon(n * n)
+        for row in _dense_system(A, ad):
+            ech.add(row)
+        basis = _maps(ech.kernel_space("the centroid").vectors, n)
+    else:
+        rows: dict[tuple, dict[int, int]] = {}
+        for t, cols in enumerate(maps):
+            for key, x in _residual(cols, ad).items():
+                rows.setdefault(key, {})[t] = x
+        span = []
+        for c in sparse_kernel(rows.values(), len(maps)):
+            w: dict[int, Fraction] = {}
+            for ct, cols in zip(c, maps):
+                for col, entries in enumerate(cols):
+                    for r, x in entries.items():
+                        w[col * n + r] = w.get(col * n + r, 0) + ct * x
+            span.append(w)
+        basis = _maps(span_basis(span, n * n), n)
     _verify_centroid(A, basis, ad)
     return basis
 
 
-def _centroid_system(A: GradedAlgebra, L: int, ad):
-    """The centroid equations as (lazy rows, cells): unknown k of a row is
-    the entry phi[r][c] for (r, c) = cells[k].  ``(L, ad)`` is the scaled
-    adjacency of A; the rows have integer entries."""
+def _extensions(A: GradedAlgebra, L: int, ad, K: list[Mat]):
+    """For each commutant element K_t, the map Phi_t of A that restricts to
+    it on g_{-1}, as integer columns (``Phi[c] = {r: x}``, scaled); None
+    when A has no g_{-1} or no characteristic element, or a rank falls
+    short: its negative part is not generated by g_{-1}, or it is not
+    transitive.
+
+    For d <= -2, Phi([e, y]) = [K e, y] on a basis of g_d picked from
+    [g_{-1}, g_{d+1}].  For d >= 0, [Phi(u), e] = [u, K e] on one
+    invertible block of the rows of u -> ad u restricted to g_{-1}.  A
+    centroid map extending K satisfies both, so it is Phi_t when it exists;
+    whether it does is left to the residual."""
     by_deg = A.by_degree()
-    graded = (
-        any(d < 0 for d in by_deg)
-        and 0 in by_deg
-        and _find_characteristic(A, L, ad) is not None
-    )
-    if graded:
-        return _graded_system(A, ad)
-    return _dense_system(A, ad)
-
-
-def _graded_system(A: GradedAlgebra, ad):
-    by_deg = A.by_degree()
-    local = {d: {g: t for t, g in enumerate(ix)} for d, ix in by_deg.items()}
-    offs = {}
-    cells = []
-    for d in sorted(by_deg):
-        ix = by_deg[d]
-        offs[d] = len(cells)
-        cells.extend((ix[r], ix[c]) for c in range(len(ix)) for r in range(len(ix)))
-
-    def col(d, r, c):
-        return offs[d] + c * len(by_deg[d]) + r
-
-    def rows():
-        for e in _generating_indices(A, ad):
-            de = A.degrees[e]
-            ade = ad[e]
-            for j in range(A.n):
-                dj = A.degrees[j]
-                td = de + dj
-                tgt = by_deg.get(td, [])
-                if not tgt:
-                    continue
-                comp: dict[int, dict[int, int]] = {}
-                cell = ade.get(j, {})
-                for mg, c in cell.items():
-                    for tg in tgt:
-                        cc = col(td, local[td][tg], local[td][mg])
-                        row = comp.setdefault(tg, {})
-                        row[cc] = row.get(cc, 0) + c
-                for rg in by_deg[dj]:
-                    move = ade.get(rg)
-                    if not move:
-                        continue
-                    for tg, c in move.items():
-                        cc = col(dj, local[dj][rg], local[dj][j])
-                        row = comp.setdefault(tg, {})
-                        row[cc] = row.get(cc, 0) - c
-                for row in comp.values():
-                    row = {c: v for c, v in row.items() if v != 0}
-                    if row:
-                        yield row
-
-    return rows(), cells
+    minus1 = by_deg.get(-1)
+    if not minus1 or _find_characteristic(A, L, ad) is None:
+        return None
+    maps: list[list[dict]] = [[{} for _ in range(A.n)] for _ in K]
+    for t, M in enumerate(K):
+        for p, e in enumerate(minus1):
+            maps[t][e] = {minus1[r]: x for r, x in enumerate(M.col(p)) if x}
+    for d, ix in by_deg.items():
+        if d == -1:
+            continue
+        m = len(ix)
+        # row (p, z) is linear in e_p, so its right-hand side for K_t is
+        # sum_r K_t[r][p] row (r, z)
+        rows = _minus1_rows(A, ad, d)
+        pivots = []
+        ech = Echelon(m)
+        for key, row in rows.items():
+            if ech.add(row):
+                pivots.append(key)
+                if ech.rank == m:
+                    break
+        else:
+            return None
+        aug = []  # the right-hand side for K_t at columns m + t*m + c
+        for p, z in pivots:
+            row = dict(rows[p, z])
+            for t, M in enumerate(K):
+                for r, x in enumerate(M.col(p)):
+                    if x:
+                        for c, v in rows.get((r, z), {}).items():
+                            row[m + t * m + c] = row.get(m + t * m + c, 0) + x * v
+            aug.append(row)
+        for u, sol in solve_square(aug, m).items():
+            for tc, x in sol.items():
+                t, c = divmod(tc, m)
+                if d < -1:  # row u of the solution is Phi(b_u)
+                    maps[t][ix[u]][ix[c]] = x
+                else:  # row u of the solution is row u of Phi on g_d
+                    maps[t][ix[c]][ix[u]] = x
+    return [_int_vectors(cols) for cols in maps]
 
 
 def _dense_system(A: GradedAlgebra, ad):
+    """The centroid rows phi([e, a_j]) - [e, phi(a_j)] = 0, one per
+    coordinate, over every entry of phi, unknown phi[r][c] at column
+    c*n + r, with integer entries read from the scaled adjacency ``ad``.
+    Refused above dimension 40."""
     n = A.n
     if n > 40:
         raise GlapError("dense centroid solve refused for dim > 40")
-
-    def col(r, c):
-        return c * n + r
-
-    def rows():
-        for e in range(n):
-            ade = ad[e]
-            for j in range(n):
-                # phi([e, a_j]) - [e, phi(a_j)] = 0, row per target component
-                cell = ade.get(j, {})
-                for tg in range(n):
-                    row: dict[int, int] = {}
-                    for mg, c in cell.items():
-                        cc = col(tg, mg)
-                        row[cc] = row.get(cc, 0) + c
-                    for rg in range(n):
-                        move = ade.get(rg)
-                        if move and tg in move:
-                            cc = col(rg, j)
-                            row[cc] = row.get(cc, 0) - move[tg]
-                    row = {c: v for c, v in row.items() if v != 0}
-                    if row:
-                        yield row
-
-    return rows(), [(r, c) for c in range(n) for r in range(n)]
+    for e in range(n):
+        ade = ad[e]
+        for j in range(n):
+            comp: dict[int, dict[int, int]] = {}
+            for m, c in ade.get(j, {}).items():
+                for k in range(n):
+                    comp.setdefault(k, {})[m * n + k] = c
+            for r, cell in ade.items():
+                for k, c in cell.items():
+                    row = comp.setdefault(k, {})
+                    row[j * n + r] = row.get(j * n + r, 0) - c
+            for row in comp.values():
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    yield row
 
 
-def _solve_to_identity_bound(rows, cells, n: int) -> list[Mat]:
-    """Canonical kernel basis of the centroid rows, as n x n maps, reducing
-    rows only until the identity bound (see ``centroid``) is reached."""
-    unknowns = len(cells)
-    diagonal = {k for k, (r, c) in enumerate(cells) if r == c}
-    ech = Echelon(unknowns)
-    for row in rows:
-        if sum(v for k, v in row.items() if k in diagonal) != 0:
-            raise GlapError("a centroid row is not solved by the identity")
-        ech.add(row)
-        if ech.rank == unknowns - 1:
-            break
+def _maps(vectors, n: int) -> list[Mat]:
+    """n x n maps from sparse vectors holding phi[r][c] at column c*n + r."""
     out = []
-    for vec in ech.kernel_space("the centroid").vectors:
+    for vec in vectors:
         M = Mat.zeros(n, n)
         for k, v in vec.items():
-            r, c = cells[k]
-            M.a[r][c] = v
+            c, r = divmod(k, n)
+            M.a[r][c] = Fraction(v)
         out.append(M)
+    return out
+
+
+def _int_vectors(vecs: list[dict]) -> list[dict[int, int]]:
+    """Sparse vectors, all scaled by the lcm of their denominators to
+    integers; zero entries are dropped."""
+    D = 1
+    for vec in vecs:
+        for x in vec.values():
+            if D % x.denominator:
+                D = lcm(D, x.denominator)
+    return [
+        {r: x.numerator * (D // x.denominator) for r, x in vec.items() if x}
+        for vec in vecs
+    ]
+
+
+def _residual(cols: list[dict[int, int]], ad) -> dict[tuple[int, int, int], int]:
+    """The nonzero entries (i, j, k) of phi([a_i, a_j]) - [phi(a_i), a_j]
+    over every ordered pair, i == j included, for the map phi with integer
+    columns ``cols`` (``phi(a_c) = sum cols[c][r] a_r``).
+
+    ``ad`` is the scaled adjacency (constants times L), so the residual is
+    bilinear in the constants and phi and is exactly L times the rational
+    one of phi: it vanishes exactly when the rational one does."""
+    out = {}
+    for i in range(len(cols)):
+        diff: dict[int, dict[int, int]] = {}
+        for j, cell in ad[i].items():
+            acc = diff.setdefault(j, {})
+            for m, c in cell.items():
+                for r, x in cols[m].items():
+                    acc[r] = acc.get(r, 0) + c * x
+        for r, x in cols[i].items():
+            for j, cell in ad[r].items():
+                acc = diff.setdefault(j, {})
+                for k, c in cell.items():
+                    acc[k] = acc.get(k, 0) - x * c
+        for j, acc in diff.items():
+            for k, v in acc.items():
+                if v:
+                    out[i, j, k] = v
     return out
 
 
 def _verify_centroid(A: GradedAlgebra, basis: list[Mat], ad):
     """Raise GlapError unless phi([a_i, a_j]) == [phi(a_i), a_j] for every
-    basis map phi and every ordered pair (i, j), i == j included.
-
-    ``ad`` is the scaled adjacency of A (constants times L) and each phi is
-    scaled by the lcm D of its denominators, so the check runs in integers;
-    the residual is bilinear in the constants and phi, so it is L * D times
-    the rational one and vanishes exactly when it does."""
-    n = A.n
+    basis map phi and every ordered pair (i, j), i == j included; each phi
+    is scaled to integers for ``_residual``."""
     for phi in basis:
-        D = 1
-        for row in phi.a:
-            for x in row:
-                if D % x.denominator:
-                    D = lcm(D, x.denominator)
-        cols: list[dict[int, int]] = [{} for _ in range(n)]
-        for r, row in enumerate(phi.a):
-            for c, x in enumerate(row):
-                if x:
-                    cols[c][r] = x.numerator * (D // x.denominator)
-        for i in range(n):
-            # j -> phi([a_i, a_j]) - [phi(a_i), a_j], as a sparse vector
-            diff: dict[int, dict[int, int]] = {}
-            for j, cell in ad[i].items():
-                acc = diff.setdefault(j, {})
-                for m, c in cell.items():
-                    for r, x in cols[m].items():
-                        acc[r] = acc.get(r, 0) + c * x
-            for r, x in cols[i].items():
-                for j, cell in ad[r].items():
-                    acc = diff.setdefault(j, {})
-                    for k, c in cell.items():
-                        acc[k] = acc.get(k, 0) - x * c
-            if any(v for acc in diff.values() for v in acc.values()):
-                raise GlapError("centroid candidate fails the definition")
+        cols = _int_vectors([dict(enumerate(col)) for col in zip(*phi.a)])
+        require(not _residual(cols, ad), "centroid candidate fails the definition")
 
 
 def is_simple(A: GradedAlgebra) -> bool:
@@ -340,18 +322,17 @@ def _simple_from_centroid(C: list[Mat], n: int) -> bool:
     if len(C) > 2:
         return False
     # pick a non-scalar element and remove its trace
+    cand = next((M for M in C if not _is_scalar(M)), None)
+    require(cand is not None, "2-dimensional centroid of scalars")
     ident = Mat.identity(n)
-    cand = None
-    for M in C:
-        if not _is_scalar(M):
-            cand = M
-            break
-    if cand is None:
-        raise GlapError("2-dimensional centroid of scalars")
     J = cand - (cand.trace() / n) * ident
-    # J^2 = a*I + b*J for unique a, b since {I, J} spans the centroid
+    # J^2 = a*I + b*J for unique a, b since {I, J} spans the centroid; J is
+    # traceless, so a = tr(J^2)/n, and b follows from any nonzero entry of J
     J2 = J * J
-    a, b = _in_span_id_J(J2, J, n)
+    a = J2.trace() / n
+    r, c = next((r, c) for r in range(n) for c in range(n) if J.a[r][c])
+    b = (J2.a[r][c] - a * (r == c)) / J.a[r][c]
+    require(J2 == a * ident + b * J, "J^2 escaped the centroid span")
     # complete the square: (J - b/2)^2 = a + b^2/4
     disc = a + b * b / 4
     if disc < 0:
@@ -366,57 +347,34 @@ def _is_scalar(M: Mat) -> bool:
     return M == d * Mat.identity(M.n)
 
 
-def _in_span_id_J(T: Mat, J: Mat, n: int) -> tuple[Fraction, Fraction]:
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            rows.append({0: Fraction(int(i == j)), 1: J.a[i][j]})
-            rhs.append(T.a[i][j])
-    sol = solve_affine(rows, rhs, 2)
-    if sol is None:
-        raise GlapError("J^2 escaped the centroid span")
-    return sol[0], sol[1]
-
-
 # ---------------------------------------------------------------------------
 # module structure of the degree -1 part
 # ---------------------------------------------------------------------------
 
 
 def commutant(mats: list[Mat], n: int) -> list[Mat]:
-    """Canonical basis of {phi : phi M = M phi for every M in mats}."""
+    """Canonical basis of {phi : phi M = M phi for every M in mats}, unknown
+    phi[r][c] at column c*n + r.
 
-    def col(r, c):
-        return c * n + r
-
-    rows = []
+    The rows are built in integers from the nonzero entries of each M,
+    scaled by the lcm of its denominators; that scales the rows of M and
+    keeps their solutions."""
+    ech = Echelon(n * n)
     for M in mats:
+        # left[i] = {r: M[i][r]}, right[j] = {r: M[r][j]}: the same entries,
+        # so the same scale
+        left = _int_vectors([dict(enumerate(row)) for row in M.a])
+        right = _int_vectors([dict(enumerate(col)) for col in zip(*M.a)])
         for i in range(n):
             for j in range(n):
-                row: dict[int, Fraction] = {}
                 # (phi M - M phi)[i][j]
-                for r in range(n):
-                    if M.a[r][j] != 0:
-                        cc = col(i, r)
-                        row[cc] = row.get(cc, Fraction(0)) + M.a[r][j]
-                    if M.a[i][r] != 0:
-                        cc = col(r, j)
-                        row[cc] = row.get(cc, Fraction(0)) - M.a[i][r]
-                row = {c: v for c, v in row.items() if v != 0}
+                row = {r * n + i: x for r, x in right[j].items()}
+                for r, x in left[i].items():
+                    row[j * n + r] = row.get(j * n + r, 0) - x
+                row = {c: v for c, v in row.items() if v}
                 if row:
-                    rows.append(row)
-    kern = sparse_kernel(rows, n * n)
-    out = []
-    for vec in kern:
-        M = Mat.zeros(n, n)
-        for c in range(n):
-            for r in range(n):
-                v = vec[col(r, c)]
-                if v != 0:
-                    M.a[r][c] = v
-        out.append(M)
-    return out
+                    ech.add(row)
+    return _maps(ech.kernel_space("the commutant").vectors, n)
 
 
 @dataclass
@@ -439,8 +397,11 @@ def classify_module(mats: list[Mat], G: Mat) -> ModuleClassification:
     dimension 1 means absolutely irreducible (SI); dimension 4 is accepted
     as SI with a warning (quaternionic commutant).
     """
-    n = G.n
-    C = commutant(mats, n)
+    return _classify_commutant(commutant(mats, G.n), G.n)
+
+
+def _classify_commutant(C: list[Mat], n: int) -> ModuleClassification:
+    """``classify_module`` given the commutant basis C of the module."""
     dimC = len(C)
     candidates = list(C)
     for i in range(dimC):
@@ -638,14 +599,15 @@ def analyze(prol) -> AnalysisReport:
     A = prol.algebra
     warnings: list[str] = []
     semisimple = is_semisimple(A)
+    n1 = prol.form.matrix.n
+    K = commutant(degree_zero_action(A), n1)
     centroid_dim = None
     simple = False
     if semisimple:
-        C = centroid(A)
+        C = _centroid(A, *_scaled_adjacency(A), K)
         centroid_dim = len(C)
         simple = _simple_from_centroid(C, A.n)
-    mats = degree_zero_action(A)
-    cls = classify_module(mats, prol.form.matrix)
+    cls = _classify_commutant(K, n1)
     warnings.extend(cls.warnings)
     if cls.module_class == "SIII":
         r, s = prol.form.signature()

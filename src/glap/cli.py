@@ -13,7 +13,7 @@ import json
 import sys
 
 from .analysis import analyze
-from .errors import BadParameters, GlapError, ParseError, StepLimitExceeded
+from .errors import BadParameters, GlapError, StepLimitExceeded
 from .families import FAMILY_TAGS, build
 from .gla import (
     check_fundamental,
@@ -439,13 +439,8 @@ def main(argv=None) -> int:
     except StepLimitExceeded as e:
         _emit({"error": str(e)})
         return 1
-    except (ParseError, BadParameters) as e:
-        _emit({"error": str(e)})
-        return 2
-    except OSError as e:
-        _emit({"error": str(e)})
-        return 2
-    except GlapError as e:
+    except (GlapError, OSError) as e:
+        # ParseError and BadParameters among them: bad input
         _emit({"error": str(e)})
         return 2
     except Exception as e:

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     require,
 )
-from .linalg import Echelon, Mat
+from .linalg import Mat, sparse_rank
 
 
 def format_rational(x: Fraction) -> str:
@@ -193,6 +193,8 @@ class GradedAlgebra:
         for key in ("name", "labels", "degrees", "brackets"):
             if key not in d:
                 raise ParseError(f"missing key {key!r} in algebra object")
+        if not isinstance(d["name"], str):
+            raise ParseError("'name' must be a string")
         labels = d["labels"]
         degrees = d["degrees"]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
@@ -295,21 +297,18 @@ def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
     """
     violations = []
     count = 0
-    for (i, j), cell in sorted(A.brackets.items()):
-        want = A.degrees[i] + A.degrees[j]
-        for k in cell:
-            if A.degrees[k] != want:
-                count += 1
-                if len(violations) < max_violations:
-                    violations.append(
-                        {
-                            "type": "grading",
-                            "pair": [i, j],
-                            "index": k,
-                            "degree": A.degrees[k],
-                            "expected": want,
-                        }
-                    )
+    for i, j, k in _misgraded(A):
+        count += 1
+        if len(violations) < max_violations:
+            violations.append(
+                {
+                    "type": "grading",
+                    "pair": [i, j],
+                    "index": k,
+                    "degree": A.degrees[k],
+                    "expected": A.degrees[i] + A.degrees[j],
+                }
+            )
     grading_ok = count == 0
     jac_start = count
     n = A.n
@@ -366,12 +365,32 @@ def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
     }
 
 
+def _misgraded(A: GradedAlgebra):
+    """(i, j, k) for every term e_k of a bracket [e_i, e_j], i < j, whose
+    degree is not deg e_i + deg e_j, by pair."""
+    for (i, j), cell in sorted(A.brackets.items()):
+        for k in cell:
+            if A.degrees[k] != A.degrees[i] + A.degrees[j]:
+                yield i, j, k
+
+
+def require_graded(A: GradedAlgebra) -> None:
+    """Raise ParseError unless every bracket term lies in the degree its
+    pair adds up to."""
+    for i, j, k in _misgraded(A):
+        raise ParseError(
+            f"bracket [{i}, {j}] has a term in degree {A.degrees[k]}, "
+            f"expected {A.degrees[i] + A.degrees[j]}"
+        )
+
+
 def check_fundamental(A: GradedAlgebra) -> tuple[bool, int]:
     """Whether a negatively graded algebra is generated by its degree -1
     part; returns (is_fundamental, kind).
 
     Raises NonNegativeDegreePresent when any degree >= 0 shows up, since the
-    question only makes sense for the negative part.
+    question only makes sense for the negative part, and ParseError when a
+    bracket breaks the grading.
     """
     if A.n == 0:
         raise NonNegativeDegreePresent("empty algebra has no negative part")
@@ -380,33 +399,42 @@ def check_fundamental(A: GradedAlgebra) -> tuple[bool, int]:
         raise NonNegativeDegreePresent(
             f"degrees {sorted(set(bad))} present; expected all negative"
         )
+    require_graded(A)
     by_deg = A.by_degree()
     kind = -min(by_deg)
     if -1 not in by_deg:
         return False, kind
-    gen1 = by_deg[-1]
     # scaling every bracket by L leaves the rank of each degree unchanged
     ad = _scaled_adjacency(A)[1]
-    for p in range(-2, -kind - 1, -1):
-        target = by_deg.get(p, [])
-        prev = by_deg.get(p + 1, [])
-        dim = len(target)
-        if dim == 0:
-            # a gap below which something nonzero lives cannot be generated
-            if any(d < p for d in by_deg):
-                return False, kind
-            continue
-        pos = {g: r for r, g in enumerate(target)}
-        ech = Echelon(dim)
-        for i in gen1:
-            adi = ad[i]
-            for j in prev:
-                cell = adi.get(j)
-                if cell:
-                    ech.add({pos[k]: c for k, c in cell.items()})
-        if ech.rank < dim:
+    for d, ix in by_deg.items():
+        if d < -1 and sparse_rank(_minus1_rows(A, ad, d).values(), len(ix)) < len(ix):
             return False, kind
     return True, kind
+
+
+def _minus1_rows(A: GradedAlgebra, ad, d: int) -> dict[tuple[int, int], dict[int, int]]:
+    """How g_{-1} reaches g_d: rows over the local basis of g_d, keyed
+    (p, z) with e_p the p-th basis vector of g_{-1}, read from a scaled
+    adjacency ``ad``.
+
+    For d < -1, row (p, z) holds the coordinates of [e_p, z], z in g_{d+1};
+    their rank is dim g_d exactly when [g_{-1}, g_{d+1}] = g_d.  For d >= 0
+    it holds the z-th coordinate of [u, e_p] as u runs over g_d; their rank
+    is dim g_d exactly when no nonzero u kills g_{-1} (transitivity)."""
+    by_deg = A.by_degree()
+    pos = {g: r for r, g in enumerate(by_deg.get(d, []))}
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for p, e in enumerate(by_deg.get(-1, [])):
+        if d < -1:
+            for z in by_deg.get(d + 1, []):
+                cell = ad[e].get(z)
+                if cell:
+                    rows[p, z] = {pos[k]: c for k, c in cell.items()}
+        else:
+            for u in pos:
+                for z, c in ad[u].get(e, {}).items():
+                    rows.setdefault((p, z), {})[pos[u]] = c
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +466,12 @@ class SymBilinearForm:
     def for_algebra(cls, A: GradedAlgebra, matrix: Mat) -> "SymBilinearForm":
         return cls(A.name, A.by_degree().get(-1, []), matrix)
 
+    def require_on(self, A: GradedAlgebra) -> None:
+        """Raise ParseError unless ``indices`` is the degree -1 basis of A."""
+        minus1 = A.by_degree().get(-1, [])
+        if self.indices != minus1:
+            raise ParseError(f"form indexes {self.indices} but degree -1 basis is {minus1}")
+
     def scaled(self, c) -> "SymBilinearForm":
         c = Fraction(c)
         if c == 0:
@@ -460,9 +494,14 @@ class SymBilinearForm:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SymBilinearForm":
+        if not isinstance(d, dict):
+            raise ParseError("the form must be a JSON object")
         for key in ("algebra", "degree_minus1_indices", "matrix"):
             if key not in d:
                 raise ParseError(f"missing key {key!r} in form object")
+        indices = d["degree_minus1_indices"]
+        if not isinstance(indices, list) or not all(_is_json_int(x) for x in indices):
+            raise ParseError("'degree_minus1_indices' must be a list of integers")
         rows = d["matrix"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ParseError("'matrix' must be a list of rows")
@@ -475,7 +514,7 @@ class SymBilinearForm:
             ]
         )
         try:
-            return cls(d["algebra"], d["degree_minus1_indices"], mat)
+            return cls(d["algebra"], indices, mat)
         except (DimensionMismatch, NotSymmetric, DegenerateForm) as e:
             raise ParseError(str(e)) from e
 

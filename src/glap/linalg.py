@@ -386,6 +386,43 @@ def sparse_kernel(rows, ncols: int) -> list[list[Fraction]]:
     return e.kernel()
 
 
+def span_basis(vectors, ncols: int) -> list[dict[int, Fraction]]:
+    """The canonical kernel basis of any system whose kernel is the span of
+    ``vectors`` (sparse dicts col -> coeff).
+
+    A column is free exactly when some member of the kernel has its last
+    nonzero entry there, so that basis is the reduced echelon basis of the
+    span with each pivot at a last nonzero entry, scaled to 1 there.
+    Reversing the columns makes those the leading entries ``Echelon``
+    pivots on."""
+    top = ncols - 1
+    ech = Echelon(ncols)
+    for v in vectors:
+        ech.add({top - c: x for c, x in v.items() if x})
+    return [
+        {top - c: Fraction(x, row[p]) for c, x in row.items()}
+        for p, row in sorted(ech._rref().items(), reverse=True)
+    ]
+
+
+def solve_square(rows, n: int) -> dict[int, dict[int, Fraction]]:
+    """X with P X = B for an invertible n x n matrix P.
+
+    ``rows`` are the n rows of the augmented system [P | B]: sparse dicts
+    with the entries of P at columns 0..n-1 and the entry of column c of B
+    at n + c.  The reduced echelon form of an invertible system is
+    [D | D X] for a diagonal D, so X is read off row by row as
+    ``X[u] = {c: x}``.  Raises GlapError when P is singular."""
+    ech = Echelon(n)
+    for row in rows:
+        ech.add(row)
+    require(sorted(ech.piv) == list(range(n)), "singular square system")
+    return {
+        u: {c - n: Fraction(x, row[u]) for c, x in row.items() if c >= n}
+        for u, row in ech._rref().items()
+    }
+
+
 def sparse_rank(rows, ncols: int) -> int:
     e = Echelon(ncols)
     for row in rows:

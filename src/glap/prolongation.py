@@ -58,11 +58,13 @@ from .gla import (
     GradedAlgebra,
     SymBilinearForm,
     _load_json,
+    _minus1_rows,
     _scaled_adjacency,
     check_fundamental,
     check_gla,
+    require_graded,
 )
-from .linalg import Echelon, Mat, sparse_kernel
+from .linalg import Echelon, Mat, sparse_kernel, sparse_rank
 
 
 class _Layout:
@@ -231,11 +233,7 @@ def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> DerivationBasis:
         raise NotFundamental(
             f"{m.name}: the degree -1 part does not generate the algebra"
         )
-    minus1 = m.by_degree()[-1]
-    if g.indices != minus1:
-        raise GlapError(
-            f"form indexes {g.indices} but degree -1 basis is {minus1}"
-        )
+    g.require_on(m)
     layout = _Layout()
     by_deg = m.by_degree()
     for p in sorted(by_deg):
@@ -246,7 +244,7 @@ def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> DerivationBasis:
     rows = list(_derivation_rows(m, layout, 0, _scaled_adjacency(m)[1]))
     # conformal condition: sum_r D[r,a] G[r,b] + sum_r G[a,r] D[r,b] = eta G[a,b]
     G = g.matrix
-    nm1 = len(minus1)
+    nm1 = len(g.indices)
     for a in range(nm1):
         for b in range(a, nm1):
             row: dict[int, Fraction] = {}
@@ -492,39 +490,13 @@ def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
 
 
 def transitivity_check(A: GradedAlgebra) -> bool:
-    """No nonzero element of a nonnegative layer may kill all of degree -1.
-
-    The brackets [u, e] with u of degree >= 0 and e of degree -1 are read
-    once from the stored cells, without a copy per pair.  They are about a
-    third of the cells, so this is cheaper than a scaled adjacency of the
-    whole algebra; ``Echelon`` turns each row into integers itself."""
-    by_deg = A.by_degree()
-    minus1 = by_deg.get(-1, [])
-    deg = A.degrees
-    act: dict[int, dict[int, dict[int, Fraction]]] = {}  # act[u][e] = [u, e]
-    for (i, j), cell in A.brackets.items():
-        if deg[j] == -1 and deg[i] >= 0:
-            act.setdefault(i, {})[j] = cell
-        elif deg[i] == -1 and deg[j] >= 0:
-            act.setdefault(j, {})[i] = {k: -c for k, c in cell.items()}
-    for d, ix in by_deg.items():
-        if d < 0:
-            continue
-        dim = len(ix)
-        tpos = {g: r for r, g in enumerate(by_deg.get(d - 1, []))}
-        ech = Echelon(dim)
-        for e in minus1:
-            rows: dict[int, dict[int, Fraction]] = {}
-            for c_loc, u in enumerate(ix):
-                cell = act.get(u, {}).get(e)
-                if cell:
-                    for tg, c in cell.items():
-                        rows.setdefault(tpos[tg], {})[c_loc] = c
-            for row in rows.values():
-                ech.add(row)
-        if ech.rank < dim:
-            return False
-    return True
+    """No nonzero element of a nonnegative layer may kill all of degree -1."""
+    ad = _scaled_adjacency(A)[1]
+    return all(
+        sparse_rank(_minus1_rows(A, ad, d).values(), len(ix)) == len(ix)
+        for d, ix in A.by_degree().items()
+        if d >= 0
+    )
 
 
 @dataclass
@@ -560,10 +532,14 @@ class ProlongationResult:
                 raise ParseError(f"missing key {key!r} in prolongation object")
         try:
             step_dims = {int(k): int(v) for k, v in d["step_dims"].items()}
-        except (ValueError, AttributeError) as e:
+        except (ValueError, TypeError, AttributeError) as e:
             raise ParseError(f"bad step_dims: {e}") from e
         form = SymBilinearForm.from_json_dict(d["form"])
+        form.require_on(algebra)
+        require_graded(algebra)
         degs = algebra.degrees
+        if not degs:
+            raise ParseError("the prolongation has an empty basis")
         mu = -min(degs)
         nu = max(degs)
         return cls(algebra, form, step_dims, mu, nu, bool(d["complete"]))

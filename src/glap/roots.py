@@ -138,9 +138,6 @@ class GradedDims:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    def negative_dims(self) -> dict[int, int]:
-        return {d: v for d, v in self.dims.items() if d < 0}
-
 
 def graded_dims(series: str, rank: int, crossed) -> GradedDims:
     """Grading of the complex simple algebra by the crossed-node height.

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from glap.analysis import (
-    _centroid_system,
+    _dense_system,
+    _extensions,
+    _is_scalar,
     _simple_from_centroid,
-    _solve_to_identity_bound,
     _verify_centroid,
     analyze,
     centroid,
@@ -53,25 +54,36 @@ def _sl2():
     )
 
 
-def _sl2_plus_sl2():
+def _direct_sum(A, B):
+    """A + B, the basis of B after that of A, degrees kept."""
+    n = A.n
+    br = dict(A.brackets)
+    for (i, j), cell in B.brackets.items():
+        br[(i + n, j + n)] = {k + n: c for k, c in cell.items()}
+    return GradedAlgebra(f"{A.name}+{B.name}", A.labels + B.labels, A.degrees + B.degrees, br)
+
+
+def _complexify(A):
+    """A tensor C as a real algebra, basis x_0.., then i x_0..; degrees
+    kept, so a graded A gives a graded algebra."""
+    n = A.n
     br = {}
-    for off in (0, 3):
-        br[(off, off + 1)] = {off: F(-2)}
-        br[(off, off + 2)] = {off + 1: F(1)}
-        br[(off + 1, off + 2)] = {off + 2: F(-2)}
-    return GradedAlgebra("sl2+sl2", list("abcdef"), [0] * 6, br)
+    for (i, j), cell in A.brackets.items():
+        br[(i, j)] = dict(cell)  # [x, y]
+        br[(i, j + n)] = {k + n: c for k, c in cell.items()}  # [x, iy]
+        br[(j, i + n)] = {k + n: -c for k, c in cell.items()}  # [y, ix] = -[ix, y]
+        br[(i + n, j + n)] = {k: -c for k, c in cell.items()}  # [ix, iy] = -[x, y]
+    labels = A.labels + ["i" + x for x in A.labels]
+    return GradedAlgebra(f"{A.name}(C)", labels, A.degrees * 2, br)
+
+
+def _sl2_plus_sl2():
+    return _direct_sum(_sl2(), _sl2())
 
 
 def _sl2_complex_as_real():
     """sl(2,C) with basis e,h,f,ie,ih,if; real structure constants."""
-    pairs = {(0, 1): (0, F(-2)), (0, 2): (1, F(1)), (1, 2): (2, F(-2))}
-    br = {}
-    for (i, j), (k, c) in pairs.items():
-        br[(i, j)] = {k: c}  # [x, y]
-        br[(i, j + 3)] = {k + 3: c}  # [x, iy]
-        br[(j, i + 3)] = {k + 3: -c}  # [y, ix] = -[ix, y]
-        br[(i + 3, j + 3)] = {k: -c}  # [ix, iy] = -[x, y]
-    return GradedAlgebra("sl2c", ["e", "h", "f", "ie", "ih", "if"], [0] * 6, br)
+    return _complexify(_sl2())
 
 
 def test_killing_form_of_sl2():
@@ -307,24 +319,67 @@ def test_every_supported_instance_matches_its_own_table_row():
         assert label in [hit.split(":")[0] for hit in hits.split(" | ")], (label, hits)
 
 
-@pytest.mark.parametrize("case", ["hh12", "hh12-rebased", "ho", "sl2+sl2", "sl2c"])
-def test_centroid_matches_the_full_solve(get_prolongation, get_rebased, case):
+def _centroid_case(get_prolongation, get_rebased, case):
+    """(algebra, centroid dim, whether the commutant extends) of a case."""
     if case == "hh12":
-        A = get_prolongation("hh", p=1, q=2).algebra
-    elif case == "hh12-rebased":
-        A = full_prolongation(*get_rebased("hh", p=1, q=2)).algebra
-    elif case == "ho":
-        A = get_prolongation("ho").algebra
-    elif case == "sl2+sl2":
-        A = _sl2_plus_sl2()
-    else:
-        A = _sl2_complex_as_real()
-    # every centroid row, with no early stop
-    rows, cells = _centroid_system(A, *_scaled_adjacency(A))
-    kern = sparse_kernel(list(rows), len(cells))
-    got = [[M.a[r][c] for r, c in cells] for M in centroid(A)]
+        return get_prolongation("hh", p=1, q=2).algebra, 1, True
+    if case == "hh12-rebased":
+        return full_prolongation(*get_rebased("hh", p=1, q=2)).algebra, 1, True
+    if case == "hc21":
+        return get_prolongation("hc", p=2, q=1).algebra, 1, True
+    if case == "bi3":
+        return get_prolongation("bi", l=3).algebra, 1, True
+    if case == "hc11(C)":
+        # graded and transitive: a complex simple algebra, commutant dim 4
+        return _complexify(get_prolongation("hc", p=1, q=1).algebra), 2, True
+    if case == "hc11+sl2":
+        # sl2 in degree 0 kills g_{-1}: not transitive, so the dense solve
+        return _direct_sum(get_prolongation("hc", p=1, q=1).algebra, _sl2()), 2, False
+    if case == "h3+rotation":
+        # transitive and generated by g_{-1}, but with no characteristic
+        # element; R -> z is a centroid map that does not preserve degree
+        br = {(0, 1): {2: F(1)}, (0, 3): {1: F(-1)}, (1, 3): {0: F(1)}}
+        return GradedAlgebra("h3+rot", ["x", "y", "z", "R"], [-1, -1, -2, 0], br), 2, False
+    if case == "sl2+sl2":
+        return _sl2_plus_sl2(), 2, False
+    return _sl2_complex_as_real(), 2, False
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "hh12", "hh12-rebased", "hc21", "bi3", "hc11(C)", "hc11+sl2", "h3+rotation",
+        "sl2+sl2", "sl2c",
+    ],
+)
+def test_centroid_matches_the_full_solve(get_prolongation, get_rebased, case):
+    A, dim, extends = _centroid_case(get_prolongation, get_rebased, case)
+    n = A.n
+    L, ad = _scaled_adjacency(A)
+    K = commutant(degree_zero_action(A), len(A.by_degree().get(-1, [])))
+    assert (_extensions(A, L, ad, K) is not None) == extends
+    kern = sparse_kernel(list(_dense_system(A, ad)), n * n)
+    got = [[M.a[r][c] for c in range(n) for r in range(n)] for M in centroid(A)]
     assert got == kern
-    assert len(got) == (2 if case.startswith("sl2") else 1)
+    assert len(got) == dim
+
+
+def test_complexification_and_direct_sum_verdicts(get_prolongation):
+    hc11 = get_prolongation("hc", p=1, q=1).algebra
+    AC = _complexify(hc11)
+    assert len(commutant(degree_zero_action(AC), 4)) == 4
+    assert is_simple(AC)
+    B = _direct_sum(hc11, _sl2())
+    assert B.n == 11 and is_semisimple(B)
+    assert not is_simple(B)
+
+
+def test_dense_solve_refuses_large_algebras(get_prolongation):
+    # ho (dim 52) is graded, so only its sum with sl2, not transitive, is refused
+    A = get_prolongation("ho").algebra
+    assert len(centroid(A)) == 1
+    with pytest.raises(GlapError, match="dim > 40"):
+        centroid(_direct_sum(A, _sl2()))
 
 
 def _rejects(fn, *args):
@@ -354,16 +409,28 @@ def _degenerate_centroids_are_rejected():
     )
 
 
-def _row_the_identity_violates_is_rejected():
-    """A centroid row that the identity map does not solve: phi[0][0] = 0."""
-    cells = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    return _rejects(_solve_to_identity_bound, iter([{0: F(1)}]), cells, 2)
+def _non_extending_commutant_element_is_rejected():
+    """_verify_centroid on the extension of each commutant element of
+    hc(1,1): the commutant {1, J} has dimension 2 and the centroid 1, so the
+    identity passes and J, which does not extend, is rejected."""
+    fam = build("hc", p=1, q=1)
+    A = full_prolongation(fam.m, fam.g).algebra
+    L, ad = _scaled_adjacency(A)
+    K = commutant(degree_zero_action(A), 2)
+    verdicts = []
+    for M, cols in zip(K, _extensions(A, L, ad, K)):
+        phi = Mat.zeros(A.n, A.n)
+        for c, col in enumerate(cols):
+            for r, x in col.items():
+                phi.a[r][c] = F(x)
+        verdicts.append((_is_scalar(M), _rejects(_verify_centroid, A, [phi], ad)))
+    return sorted(verdicts) == [(False, True), (True, False)]
 
 
 _CORRUPTION_CHECKS = (
     "_perturbed_identity_is_rejected",
     "_degenerate_centroids_are_rejected",
-    "_row_the_identity_violates_is_rejected",
+    "_non_extending_commutant_element_is_rejected",
 )
 
 
@@ -393,7 +460,7 @@ def test_corrupted_centroid_is_rejected_without_asserts():
 
 
 def test_rebased_report_is_unchanged(get_rebased):
-    # the report of the full solve, before the centroid stopped early
+    # the report of the full centroid solve, before it came from the commutant
     want = {
         "name": "prol(hh(p=1,q=1).m)",
         "dims": {"-2": 3, "-1": 4, "0": 7, "1": 4, "2": 3},

@@ -4,6 +4,9 @@ Each command runs in-process through cli.main so coverage tooling and
 monkeypatching work; the console script is the same entry point.
 """
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -11,6 +14,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glap import cli
 from glap.gla import deserialize
@@ -100,6 +104,19 @@ def test_check_corrupted_bracket_file(tmp_path, capsys):
     rep = json.loads(out)
     assert not rep["grading_ok"]
     assert rep["violations"]
+
+
+@pytest.mark.parametrize("command", ["prolong", "derivations"])
+def test_misgraded_algebra_is_an_input_error(tmp_path, capsys, command):
+    prefix = str(tmp_path / "f")
+    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    doc = json.loads(open(prefix + ".m.json").read())
+    doc["brackets"][0][2] = [[1, "2"]]  # retarget into degree -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, command, str(bad), prefix + ".g.json")
+    assert code == 2
+    assert "degree -1, expected -2" in json.loads(out)["error"]
 
 
 def test_check_garbage_json(tmp_path, capsys):
@@ -297,3 +314,118 @@ def test_verify_table_without_asserts_gives_the_same_report(capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == json.loads(out)
+
+
+def _hc11_prolongation(tmp_path, capsys) -> dict:
+    prefix = str(tmp_path / "f")
+    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    prol_path = str(tmp_path / "f.prol.json")
+    run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json", "--out", prol_path)
+    return json.loads(open(prol_path).read())
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # indices [0, 1] are degree -2 and -1: the form sits on the wrong basis
+        lambda doc: doc["form"].update(degree_minus1_indices=[0, 1]),
+        # no degree -1 piece at all
+        lambda doc: doc.update(degrees=[d if d != -1 else -3 for d in doc["degrees"]]),
+        lambda doc: doc.update(form=5),
+        lambda doc: doc["form"].update(degree_minus1_indices=5),
+        lambda doc: doc.update(name=5),
+        # e_5 moves to degree 0, so [e_1, e_5] = 2/3 e_4 no longer lands in degree -1
+        lambda doc: doc["degrees"].__setitem__(5, 0),
+        lambda doc: doc.update(step_dims={"1": [2]}),
+        lambda doc: doc.update(
+            labels=[], degrees=[], brackets=[],
+            form={"algebra": "empty", "degree_minus1_indices": [], "matrix": []},
+        ),
+    ],
+    ids=[
+        "wrong-basis", "no-degree-minus-1", "form-not-an-object", "indices-not-a-list",
+        "name-not-a-string", "misgraded-bracket", "step-dim-not-an-integer", "empty-basis",
+    ],
+)
+def test_analyze_rejects_a_malformed_prolongation(tmp_path, capsys, mutate):
+    doc = _hc11_prolongation(tmp_path, capsys)
+    assert doc["degrees"] == [-2, -1, -1, 0, 0, 1, 1, 2]
+    assert doc["form"]["degree_minus1_indices"] == [1, 2]
+    mutate(doc)
+    bad = tmp_path / "bad.prol.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert "internal error" not in json.loads(out)["error"]
+
+
+_ODD_VALUES = (5, -1, "x", "1/0", None, [], {}, True, 1.5, [[0, 1]], {"a": 1})
+
+
+def _json_paths(doc, prefix=()):
+    """Every path into a JSON value, the root included."""
+    yield prefix
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _json_paths(v, prefix + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _json_paths(v, prefix + (i,))
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+@st.composite
+def _mutations(draw, doc):
+    """A deep copy of doc with one to three mutations: a key or list entry
+    dropped, a value swapped for one of another type, a list truncated, or
+    the degrees renumbered."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "swap", "truncate", "degrees"]))
+        paths = [p for p in _json_paths(doc) if p]
+        if kind == "degrees":
+            degs = doc.get("degrees") if isinstance(doc, dict) else None
+            if isinstance(degs, list) and degs:
+                i = draw(st.integers(0, len(degs) - 1))
+                if draw(st.booleans()):
+                    degs[i] = draw(st.integers(-4, 4))
+                else:
+                    shift = draw(st.integers(-2, 2))
+                    doc["degrees"] = [d + shift if isinstance(d, int) else d for d in degs]
+            continue
+        if kind == "truncate":
+            paths = [p for p in paths if isinstance(_at(doc, p), list) and _at(doc, p)]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "swap":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        else:
+            parent[key] = parent[key][: draw(st.integers(0, len(parent[key]) - 1))]
+    return doc
+
+
+def test_analyze_on_mutated_prolongations_keeps_the_exit_contract(tmp_path, capsys):
+    doc = _hc11_prolongation(tmp_path, capsys)
+    path = str(tmp_path / "mutant.prol.json")
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mutations(doc))
+    def check(mutant):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(mutant, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["analyze", path])
+        assert code in (0, 1, 2), out.getvalue()
+        json.loads(out.getvalue())
+
+    check()

@@ -16,6 +16,8 @@ from glap.linalg import (
     rational_eigensplit,
     signature_of_symmetric,
     solve_affine,
+    solve_square,
+    span_basis,
     sparse_kernel,
 )
 
@@ -75,6 +77,44 @@ def test_kernel_exactness_and_rank_nullity(M):
         image = [sum(M.a[i][j] * v[j] for j in range(M.n)) for i in range(M.m)]
         assert all(x == 0 for x in image)
     assert M.rank() + len(vecs) == M.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.lists(st.lists(small_entries, min_size=5, max_size=5), max_size=4))
+def test_span_basis_is_the_canonical_kernel_basis(M, mix):
+    """span_basis of any spanning set of a kernel, here random integer
+    combinations of its canonical basis, is that canonical basis."""
+    kern = [{c: x for c, x in enumerate(v) if x} for v in kernel_basis(M)]
+    spanning = [
+        {c: sum(w * v.get(c, 0) for w, v in zip(ws, kern)) for c in range(M.n)}
+        for ws in mix
+    ] + kern
+    assert span_basis(spanning, M.n) == kern
+
+
+def test_span_basis_scales_the_last_entry_to_one():
+    # the kernel of 2x - y = 0 is spanned by (1, 2); y is the free column
+    assert span_basis([{0: 1, 1: 2}], 2) == [{0: F(1, 2), 1: F(1)}]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_solve_square_solves_invertible_systems(n, data):
+    def block(cols):
+        return Mat(data.draw(st.lists(
+            st.lists(small_entries, min_size=cols, max_size=cols), min_size=n, max_size=n,
+        )))
+
+    P, B = block(n), block(2)
+    rows = [
+        {c: x for c, x in enumerate(prow + brow) if x} for prow, brow in zip(P.a, B.a)
+    ]
+    if P.det() == 0:
+        with pytest.raises(GlapError):
+            solve_square(rows, n)
+        return
+    X = solve_square(rows, n)
+    assert P * Mat([[X[u].get(c, 0) for c in range(2)] for u in range(n)]) == B
 
 
 @st.composite
