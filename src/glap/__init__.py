@@ -14,7 +14,6 @@ from .errors import (
     DegeneratePairing,
     DimTooLarge,
     DimensionMismatch,
-    EtaVanishesOnE,
     GlapError,
     NoCartanTag,
     NonNegativeDegreePresent,

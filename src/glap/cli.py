@@ -158,23 +158,24 @@ def cmd_check(args) -> int:
 def cmd_derivations(args) -> int:
     m = deserialize(_read(args.m))
     g = deserialize_form(_read(args.g))
-    basis = conformal_g0(m, g)
-    E, hats = scaling_split(basis)
+    layer = conformal_g0(m, g)
+    _, hats = scaling_split(layer)
+    layout = layer.layout
     ders = []
-    for el in basis.elements:
+    for vec in layer.space.vectors:
         blocks = {
-            str(p): [[format_rational(x) for x in row] for row in M.a]
-            for p, M in sorted(el.blocks.items())
+            str(p): [[format_rational(x) for x in row] for row in layout.unflatten(p, vec).a]
+            for p in sorted(layout.blocks)
         }
-        ders.append({"eta": format_rational(el.eta), "blocks": blocks})
+        ders.append({"eta": format_rational(layer.eta(vec)), "blocks": blocks})
     out = {
         "algebra": m.name,
-        "dim": len(basis),
+        "dim": len(layer),
         "ker_eta_dim": len(hats),
         "derivations": ders,
     }
     if args.summary:
-        print(f"{m.name}: g0 dim={len(basis)}, ker(eta) dim={len(hats)}, eta(E)=-2")
+        print(f"{m.name}: g0 dim={len(layer)}, ker(eta) dim={len(hats)}, eta(E)=-2")
     else:
         _emit(out)
     return 0

@@ -53,10 +53,6 @@ class NotFundamental(GlapError):
     pass
 
 
-class EtaVanishesOnE(GlapError):
-    """Internal consistency failure: the grading derivation must rescale g."""
-
-
 class StepLimitExceeded(GlapError):
     pass
 

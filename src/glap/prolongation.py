@@ -1,37 +1,47 @@
 """Conformal derivation algebras and full prolongations.
 
 Given a fundamental graded Lie algebra m (negative degrees only) and a
-nondegenerate symmetric bilinear form g on its degree -1 part, the degree 0
-layer is the algebra of grading-preserving derivations D of m whose
-restriction to degree -1 rescales g infinitesimally:
-
-    g(D x, y) + g(x, D y) = eta(D) * g(x, y).
-
-The factor eta(D) is one extra unknown in a joint homogeneous linear
-system, solved exactly over the rationals.  Higher layers follow the usual
-prolongation recursion: degree k+1 consists of the degree-(k+1) maps
-u : m -> (current algebra) satisfying
+nondegenerate symmetric bilinear form g on its degree -1 part, the
+prolongation is built one layer at a time by one step engine.  The layer
+of degree k >= 0 consists of the degree-k maps u : m -> (current algebra)
+satisfying
 
     u([x, y]) = [u(x), y] + [x, u(y)]      for all x, y in m,
 
-with [u, x] := u(x).  Brackets between nonnegative layers are forced by
-requiring ad to act by derivations: inside degree 0 they are commutators
-of maps, formed on sparse columns; above it, ([w, v])(z) = [w, [v, z]] -
-[v, [w, z]].  Each such bracket is re-expressed in its layer's canonical
-kernel basis by one shared helper, ``linalg.Subspace.coords``, which
-rebuilds the bracket from its coordinates and raises GlapError unless the
-two agree exactly.  Every assembled algebra is certified afterwards by an
-exhaustive Jacobi sweep, so a bug in the incremental bookkeeping cannot
-survive to the output.
+with [u, x] := u(x).  Degree 0 adds one condition: on degree -1 the map
+rescales g infinitesimally,
+
+    g(u x, y) + g(x, u y) = eta(u) * g(x, y),
+
+and the factor eta(u) is one extra unknown of the same homogeneous system
+(Tanaka, J. Math. Kyoto Univ. 10, 1970).  Every step has two halves.
+``_solve`` builds the rows, solves them exactly over the rationals and
+returns a ``Layer``: the column layout of the unknowns and their canonical
+kernel basis.  At degree 0 it also certifies that the grading element E
+(p * id on degree p, eta = -2) lies in the span.  ``_extend`` adds the new
+basis elements with their action brackets, and every bracket between
+nonnegative layers summing to the new degree, forced by requiring ad to act
+by derivations:
+
+    ([w, v])(z) = [w, [v, z]] - [v, [w, z]]      for z in m.
+
+Between two degree 0 elements this is their commutator as maps of m.  Each
+forced bracket is re-expressed in its layer's canonical basis by one shared
+helper, ``linalg.Subspace.coords``, which rebuilds the bracket from its
+coordinates and raises GlapError unless the two agree exactly; at degree 0
+the rebuilt eta entry must be 0 as well.  Every assembled algebra is
+certified afterwards by an exhaustive Jacobi sweep, so a bug in the
+incremental bookkeeping cannot survive to the output.
 
 The hot loops run in Python ints on one scaled adjacency per call
 (``gla._scaled_adjacency``: every structure constant times L, the lcm of
-their denominators), never on copied bracket dicts.  This is exact for two
-reasons.  A derivation row is a sum of signed constants, so it is L times
-the rational row and, being homogeneous, has the same kernel.  A forced
-bracket is a sum of products of two constants, so its integer map is L**2
-times the rational one; ``Subspace.coords`` certifies the integer vector
-and each coordinate is then divided by L**2 as a Fraction.
+their denominators), never on copied bracket dicts.  This is exact at every
+degree, 0 included, for two reasons.  A derivation row is a sum of signed
+constants, so it is L times the rational row and, being homogeneous, has
+the same kernel.  A forced bracket is a sum of products of two constants,
+so its integer map is L**2 times the rational one; ``Subspace.coords``
+certifies the integer vector and each coordinate is then divided by L**2
+as a Fraction.
 
 The recursion stops at the first empty layer; for the inputs this package
 builds that always happens (the negative part is fundamental and the
@@ -46,14 +56,9 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .errors import (
-    EtaVanishesOnE,
-    GlapError,
-    NotFundamental,
-    ParseError,
-    StepLimitExceeded,
-)
+from .errors import GlapError, NotFundamental, ParseError, StepLimitExceeded
 from .gla import (
     GradedAlgebra,
     SymBilinearForm,
@@ -64,7 +69,7 @@ from .gla import (
     check_gla,
     require_graded,
 )
-from .linalg import Echelon, Mat, sparse_kernel, sparse_rank
+from .linalg import ZERO, Echelon, Mat, Subspace, sparse_kernel, sparse_rank
 
 
 class _Layout:
@@ -107,6 +112,7 @@ class _Layout:
         return out
 
     def unflatten(self, key, vec: dict[int, Fraction]) -> Mat:
+        """Block ``key`` of a sparse flat vector as a dense matrix."""
         off, rows, cols = self.blocks[key]
         M = Mat.zeros(rows, cols)
         for c in range(cols):
@@ -118,46 +124,27 @@ class _Layout:
 
 
 @dataclass
-class Derivation:
-    """A grading-preserving derivation of m together with its conformal
-    factor eta; ``blocks[p]`` maps the degree p piece to itself."""
+class Layer:
+    """One solved layer of the prolongation, of degree ``shift``.
 
-    blocks: dict[int, Mat]
-    eta: Fraction
+    ``space`` is the canonical basis of the solutions of the derivation
+    condition over the unknowns laid out by ``layout``: one block per
+    source degree p, of shape dim(p + shift) x dim(p).  At degree 0 the
+    column past the last block holds eta, and ``E`` is the grading element
+    as a vector of the same layout, certified to lie in the span.
+    """
 
-    def commutator(self, other: "Derivation") -> "Derivation":
-        blocks = {}
-        for p, A in self.blocks.items():
-            B = other.blocks[p]
-            blocks[p] = A * B - B * A
-        return Derivation(blocks, Fraction(0))
-
-
-class DerivationBasis:
-    """Canonical basis of the conformal derivation algebra of (m, g)."""
-
-    def __init__(self, m, g, elements, layout, space, eta_col):
-        self.m = m
-        self.g = g
-        self.elements: list[Derivation] = elements
-        self._layout = layout
-        self._space = space
-        self._eta_col = eta_col
+    shift: int
+    layout: _Layout
+    space: Subspace
+    E: dict[int, Fraction] | None = None
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.space)
 
-    def coordinates_of(self, blocks: dict[int, Mat], eta) -> list[Fraction]:
-        """Coordinates in this basis; raises GlapError if the map is not in
-        the span (certified by exact reconstruction, eta included)."""
-        vec = {self._eta_col: Fraction(eta)}
-        for p, M in blocks.items():
-            off, rows, cols = self._layout.blocks[p]
-            for c in range(cols):
-                for r in range(rows):
-                    if M.a[r][c]:
-                        vec[off + c * rows + r] = M.a[r][c]
-        return self._space.coords(vec, "map")
+    def eta(self, vec: dict[int, Fraction]) -> Fraction:
+        """The eta entry of a degree 0 vector."""
+        return vec.get(self.layout.total, ZERO)
 
 
 def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int, ad):
@@ -225,202 +212,76 @@ def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int, ad):
                             yield row
 
 
-def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> DerivationBasis:
-    """Canonical basis of all grading-preserving derivations of m that are
-    conformal with respect to g on the degree -1 part."""
-    ok, _ = check_fundamental(m)
-    if not ok:
-        raise NotFundamental(
-            f"{m.name}: the degree -1 part does not generate the algebra"
-        )
-    g.require_on(m)
-    layout = _Layout()
-    by_deg = m.by_degree()
-    for p in sorted(by_deg):
-        d = len(by_deg[p])
-        layout.add(p, d, d)
-    eta_col = layout.total
-
-    rows = list(_derivation_rows(m, layout, 0, _scaled_adjacency(m)[1]))
-    # conformal condition: sum_r D[r,a] G[r,b] + sum_r G[a,r] D[r,b] = eta G[a,b]
-    G = g.matrix
+def _conformal_rows(g: SymBilinearForm, layout: _Layout):
+    """Yield the rows of g(D x, y) + g(x, D y) = eta g(x, y) over pairs of
+    degree -1 basis elements, eta in the column past the last block."""
+    G = g.matrix.a
     nm1 = len(g.indices)
+    eta_col = layout.total
     for a in range(nm1):
         for b in range(a, nm1):
             row: dict[int, Fraction] = {}
             for r in range(nm1):
-                if G.a[r][b] != 0:
+                if G[r][b] != 0:
                     c = layout.col(-1, r, a)
-                    row[c] = row.get(c, Fraction(0)) + G.a[r][b]
-                if G.a[a][r] != 0:
+                    row[c] = row.get(c, ZERO) + G[r][b]
+                if G[a][r] != 0:
                     c = layout.col(-1, r, b)
-                    row[c] = row.get(c, Fraction(0)) + G.a[a][r]
-            if G.a[a][b] != 0:
-                row[eta_col] = row.get(eta_col, Fraction(0)) - G.a[a][b]
+                    row[c] = row.get(c, ZERO) + G[a][r]
+            if G[a][b] != 0:
+                row[eta_col] = -G[a][b]
             row = {c: v for c, v in row.items() if v != 0}
             if row:
-                rows.append(row)
-
-    ech = Echelon(layout.total + 1)
-    for row in rows:
-        ech.add(row)
-    space = ech.kernel_space("the conformal derivation algebra")
-    elements = []
-    for vec in space.vectors:
-        blocks = {p: layout.unflatten(p, vec) for p in by_deg}
-        elements.append(Derivation(blocks, vec.get(eta_col, Fraction(0))))
-    basis = DerivationBasis(m, g, elements, layout, space, eta_col)
-    # the grading derivation (p * id on degree p, eta = -2) must be in the
-    # span; failing that, something above is broken
-    basis.coordinates_of(_grading_blocks(m), Fraction(-2))
-    return basis
+                yield row
 
 
-def _grading_blocks(m: GradedAlgebra) -> dict[int, Mat]:
-    by_deg = m.by_degree()
-    return {p: Fraction(p) * Mat.identity(len(ix)) for p, ix in by_deg.items()}
-
-
-def grading_derivation(m: GradedAlgebra) -> Derivation:
-    """The characteristic derivation: multiplication by p on degree p."""
-    return Derivation(_grading_blocks(m), Fraction(-2))
-
-
-def scaling_split(basis: DerivationBasis) -> tuple[Derivation, list[Derivation]]:
-    """Split the conformal derivation algebra as R E + ker(eta).
-
-    E is the characteristic derivation; eta(E) = -2 pins the normalization.
-    Returns (E, basis of the eta-kernel).  Raises EtaVanishesOnE when eta
-    vanishes identically on the span, which would contradict E lying in it.
-    """
-    E = grading_derivation(basis.m)
-    etas = [el.eta for el in basis.elements]
-    if all(e == 0 for e in etas):
-        raise EtaVanishesOnE(
-            "eta vanishes on the whole derivation algebra; E cannot be inside"
-        )
-    coords_E = basis.coordinates_of(E.blocks, E.eta)
-    eta_E = sum(c * e for c, e in zip(coords_E, etas))
-    if eta_E != -2:
-        raise EtaVanishesOnE(f"eta(E) = {eta_E}, expected -2")
-    combos = sparse_kernel(
-        [{t: e for t, e in enumerate(etas) if e != 0}], len(etas)
-    )
-    hats = []
-    for combo in combos:
-        blocks: dict[int, Mat] | None = None
-        for c, el in zip(combo, basis.elements):
-            if c == 0:
-                continue
-            scaled = {p: c * M for p, M in el.blocks.items()}
-            if blocks is None:
-                blocks = scaled
-            else:
-                blocks = {p: blocks[p] + scaled[p] for p in blocks}
-        if blocks is None:
-            blocks = {p: Mat.zeros(M.m, M.n) for p, M in E.blocks.items()}
-        hats.append(Derivation(blocks, Fraction(0)))
-    return E, hats
-
-
-# ---------------------------------------------------------------------------
-# assembling the nonnegative part
-# ---------------------------------------------------------------------------
-
-
-def _sparse_columns(M: Mat) -> dict[int, dict[int, Fraction]]:
-    """Nonzero columns of M as ``column -> {row: value}``."""
-    out = {}
-    for c in range(M.n):
-        col = {r: M.a[r][c] for r in range(M.m) if M.a[r][c] != 0}
-        if col:
-            out[c] = col
-    return out
-
-
-def _sparse_commutator(A: dict, B: dict, layout: _Layout) -> dict[int, Fraction]:
-    """[D_a, D_b] flattened in ``layout``, from the sparse block columns of
-    D_a and D_b: column c of block p is D_a(D_b e_c) - D_b(D_a e_c)."""
-    out: dict[int, Fraction] = {}
-    for p, (off, rows, _) in layout.blocks.items():
-        Ap, Bp = A[p], B[p]
-        for c in Ap.keys() | Bp.keys():
-            acc: dict[int, Fraction] = {}
-            for r, x in Bp.get(c, {}).items():
-                for s, y in Ap.get(r, {}).items():
-                    acc[s] = acc.get(s, 0) + x * y
-            for r, x in Ap.get(c, {}).items():
-                for s, y in Bp.get(r, {}).items():
-                    acc[s] = acc.get(s, 0) - x * y
-            for s, v in acc.items():
-                if v:
-                    out[off + c * rows + s] = v
-    return out
-
-
-def assemble_degree0(m: GradedAlgebra, basis: DerivationBasis) -> GradedAlgebra:
-    """m extended by its conformal derivation algebra in degree 0.
-
-    Brackets: [D, x] = D(x) for x in m, and [D, D'] the commutator of maps.
-    Each commutator is formed in full on sparse columns of the basis
-    elements and re-expressed in the canonical derivation basis by the
-    basis's ``Subspace``, which certifies over Q that it lies in the span
-    (eta column included) and raises GlapError otherwise.
-    """
-    n = m.n
-    t = len(basis)
-    labels = list(m.labels) + [f"d0_{i}" for i in range(t)]
-    degrees = list(m.degrees) + [0] * t
-    brackets = dict(m.brackets)
-    by_deg = m.by_degree()
-    cols = [
-        {p: _sparse_columns(el.blocks[p]) for p in by_deg} for el in basis.elements
-    ]
-    for a, blocks in enumerate(cols):
-        for p, ix in by_deg.items():
-            for c_loc, col in blocks[p].items():
-                # [x, D] = -D(x)
-                brackets[(ix[c_loc], n + a)] = {ix[r]: -v for r, v in col.items()}
-    for a in range(t):
-        for b in range(a + 1, t):
-            comm = _sparse_commutator(cols[a], cols[b], basis._layout)
-            coords = basis._space.coords(comm, f"[d0_{a}, d0_{b}]")
-            cell = {n + i: c for i, c in enumerate(coords) if c != 0}
-            if cell:
-                brackets[(n + a, n + b)] = cell
-    return GradedAlgebra(f"prol({m.name})", labels, degrees, brackets)
-
-
-def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
-    """Extend a partial prolongation (degrees -mu..k) by its degree k+1
-    layer; returns A unchanged when the layer is empty.
-
-    Besides the new basis elements and their action brackets [u, x] = u(x),
-    all brackets between nonnegative degrees summing to k+1 are computed
-    (forced by the derivation property of ad on m) and certified by exact
-    re-expression in the new layer's canonical basis.
-    """
+def _solve(A: GradedAlgebra, shift: int, g: SymBilinearForm | None = None) -> Layer:
+    """The degree-``shift`` layer over A.  With a form g (degree 0 only)
+    the conformal rows and the eta column join the derivation rows, and
+    the grading element E is certified to lie in the span."""
     by_deg = A.by_degree()
-    if max(by_deg) != k:
-        raise GlapError(f"expected top degree {k}, found {max(by_deg)}")
-    neg = sorted(d for d in by_deg if d < 0)
-    mu = -neg[0]
-    shift = k + 1
     layout = _Layout()
-    for p in neg:
-        tgt = by_deg.get(p + shift, [])
+    for p in sorted(d for d in by_deg if d < 0):
+        tgt = by_deg.get(p + shift)
         if tgt:
             layout.add(p, len(tgt), len(by_deg[p]))
-    ech = Echelon(layout.total)
-    for row in _derivation_rows(A, layout, shift, _scaled_adjacency(A)[1]):
+    rows = _derivation_rows(A, layout, shift, _scaled_adjacency(A)[1])
+    if g is None:
+        ech = Echelon(layout.total)
+        name = f"the degree {shift} layer"
+    else:
+        rows = chain(rows, _conformal_rows(g, layout))
+        ech = Echelon(layout.total + 1)
+        name = "the conformal derivation algebra"
+    for row in rows:
         ech.add(row)
-    space = ech.kernel_space(f"the degree {shift} layer")
-    if not space.vectors:
-        return A
+    layer = Layer(shift, layout, ech.kernel_space(name))
+    if g is not None:
+        # E is p * id on degree p with eta = -2; failing to rebuild it
+        # from its coordinates means something above is broken
+        E = {
+            layout.col(p, c, c): Fraction(p)
+            for p in layout.blocks
+            for c in range(len(by_deg[p]))
+        }
+        E[layout.total] = Fraction(-2)
+        layer.space.coords(E, "the grading element E")
+        layer.E = E
+    return layer
 
+
+def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
+    """A extended by the basis of ``layer``: the action brackets
+    [u, x] = u(x), and every bracket between nonnegative layers summing to
+    the layer's degree, forced by ([w, v])(z) = [w, [v, z]] - [v, [w, z]]
+    for z in m and certified by exact re-expression in the layer's basis.
+    """
+    shift, layout, space = layer.shift, layer.layout, layer.space
+    by_deg = A.by_degree()
     n = A.n
     t = len(space)
-    labels = list(A.labels) + [f"p{shift}_{i}" for i in range(t)]
+    prefix = "d" if shift == 0 else "p"
+    labels = list(A.labels) + [f"{prefix}{shift}_{i}" for i in range(t)]
     degrees = list(A.degrees) + [shift] * t
     brackets = dict(A.brackets)
     for i, vec in enumerate(space.vectors):
@@ -429,24 +290,20 @@ def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
             for c_loc, col in blk.items():
                 # [x, u] = -u(x)
                 brackets[(src[c_loc], n + i)] = {tgt[r]: -v for r, v in col.items()}
-    A2 = GradedAlgebra(A.name, labels, degrees, brackets)
+    A2 = GradedAlgebra(name, labels, degrees, brackets)
 
-    # brackets between nonnegative layers summing to k+1, forced by
-    # ([w, v])(z) = [w, [v, z]] - [v, [w, z]] for z in m.  Each term is a
-    # product of two constants of A2's scaled adjacency, so the integer
-    # map is exactly L**2 times the rational one; its coordinates are
-    # certified as integers and divided by L**2 afterwards.
+    # Each term of a forced bracket is a product of two constants of A2's
+    # scaled adjacency, so the integer map is exactly L**2 times the
+    # rational one; its coordinates are certified as integers (at degree 0
+    # with eta = 0) and divided by L**2 afterwards.
     L, ad = _scaled_adjacency(A2)
     L2 = L * L
     by_deg2 = A2.by_degree()
-    # per source degree p: target positions, and (flat offset of column z, z)
+    # per source degree p with a block: target positions, and (flat offset
+    # of column z, z).  A forced map must vanish on a degree without a
+    # block; the final Jacobi sweep certifies that it does.
     blocks = []
-    for p in neg:
-        if p not in layout.blocks:
-            # the forced map must vanish into this degree; the final
-            # Jacobi sweep certifies that it does
-            continue
-        off, rows_p, _ = layout.blocks[p]
+    for p, (off, rows_p, _) in layout.blocks.items():
         tpos = {g: r for r, g in enumerate(by_deg[p + shift])}
         zs = [(off + c_loc * rows_p, z) for c_loc, z in enumerate(by_deg[p])]
         blocks.append((tpos, zs))
@@ -485,8 +342,62 @@ def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
                 if cell:
                     extra[(w, v)] = cell
     if extra:
-        A2 = GradedAlgebra(A2.name, labels, degrees, {**A2.brackets, **extra})
+        A2 = GradedAlgebra(name, labels, degrees, {**A2.brackets, **extra})
     return A2
+
+
+def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> Layer:
+    """The conformal derivation algebra of (m, g) as the degree 0 layer:
+    all grading-preserving derivations of m that are conformal with
+    respect to g on the degree -1 part, in canonical basis, with their
+    eta column and the certified grading element E."""
+    ok, _ = check_fundamental(m)
+    if not ok:
+        raise NotFundamental(
+            f"{m.name}: the degree -1 part does not generate the algebra"
+        )
+    g.require_on(m)
+    return _solve(m, 0, g)
+
+
+def scaling_split(layer: Layer) -> tuple[dict[int, Fraction], list[dict[int, Fraction]]]:
+    """Split the conformal derivation algebra as R E + ker(eta).
+
+    Returns (E, basis of the eta-kernel) as sparse vectors in the degree 0
+    layer's layout, eta column included.  E is the grading element that
+    ``conformal_g0`` certified in the span with eta(E) = -2, so eta does
+    not vanish there and the kernel has codimension 1.
+    """
+    vectors = layer.space.vectors
+    etas = [layer.eta(vec) for vec in vectors]
+    hats = []
+    for combo in sparse_kernel([{t: e for t, e in enumerate(etas) if e}], len(etas)):
+        hat: dict[int, Fraction] = {}
+        for c, vec in zip(combo, vectors):
+            if c:
+                for i, x in vec.items():
+                    hat[i] = hat.get(i, ZERO) + c * x
+        hats.append({i: x for i, x in hat.items() if x})
+    return layer.E, hats
+
+
+def assemble_degree0(m: GradedAlgebra, layer: Layer) -> GradedAlgebra:
+    """m extended by its conformal derivation algebra in degree 0: the
+    step engine's extension at shift 0, where the forced bracket of two
+    degree 0 elements is their commutator as maps of m."""
+    return _extend(m, layer, f"prol({m.name})")
+
+
+def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
+    """Extend a partial prolongation (degrees -mu..k) by its degree k+1
+    layer; returns A unchanged when the layer is empty."""
+    by_deg = A.by_degree()
+    if max(by_deg) != k:
+        raise GlapError(f"expected top degree {k}, found {max(by_deg)}")
+    layer = _solve(A, k + 1)
+    if not len(layer):
+        return A
+    return _extend(A, layer, A.name)
 
 
 def transitivity_check(A: GradedAlgebra) -> bool:
@@ -569,8 +480,7 @@ def full_prolongation(
     check, transitivity, untouched negative part); stopping at max_degree
     instead yields a partial, uncertified algebra with complete=False.
     """
-    basis0 = conformal_g0(m, g)
-    A = assemble_degree0(m, basis0)
+    A = assemble_degree0(m, conformal_g0(m, g))
     mu = -min(m.degrees)
     limit = step_limit()
     step_dims: dict[int, int] = {}

@@ -24,6 +24,7 @@ from glap.gla import check_fundamental, check_gla
 from glap.linalg import Mat, signature_of_symmetric
 from glap.prolongation import conformal_g0, full_prolongation, scaling_split
 from glap.roots import positive_roots, graded_dims, table_expectation
+from test_prolongation import dense_blocks, dense_commutator, flatten
 
 F = Fraction
 
@@ -101,15 +102,17 @@ def test_criterion_3_simplicity(get_prolongation, capsys):
 def test_criterion_4_degree_zero_split(get_family, capsys):
     for tag in FAMILY_TAGS:
         fam = get_family(tag, **MINIMAL[tag])
-        basis = conformal_g0(fam.m, fam.g)
-        E, hats = scaling_split(basis)
-        assert E.eta == -2, tag
-        assert len(hats) == len(basis) - 1, tag
-        etas = [el.eta for el in basis.elements]
-        for i, x in enumerate(basis.elements):
-            for y in basis.elements[i + 1:]:
-                comm = x.commutator(y)
-                coords = basis.coordinates_of(comm.blocks, comm.eta)
+        layer = conformal_g0(fam.m, fam.g)
+        E, hats = scaling_split(layer)
+        assert layer.eta(E) == -2, tag
+        assert len(hats) == len(layer) - 1, tag
+        assert all(layer.eta(h) == 0 for h in hats), tag
+        etas = [layer.eta(v) for v in layer.space.vectors]
+        elements = [dense_blocks(layer, v) for v in layer.space.vectors]
+        for i, x in enumerate(elements):
+            for y in elements[i + 1:]:
+                comm = flatten(layer, dense_commutator(x, y), 0)
+                coords = layer.space.coords(comm, "commutator")
                 assert sum(c * e for c, e in zip(coords, etas)) == 0, tag
     with capsys.disabled():
         print("criterion 4 PASS: g0 = R E + ker(eta) with eta(E) = -2 "
@@ -124,8 +127,8 @@ def test_criterion_5_conformal_invariance(get_family, get_prolongation, capsys):
         for lam in lams:
             scaled = conformal_g0(fam.m, fam.g.scaled(lam))
             assert len(scaled) == len(base)
-            for a, b in zip(base.elements, scaled.elements):
-                assert a.blocks == b.blocks and a.eta == b.eta
+            # the vectors carry the blocks and the eta column
+            assert scaled.space.vectors == base.space.vectors
     for tag, params in [("hc-split", {"p": 1, "q": 1}), ("bi", {"l": 2})]:
         fam = get_family(tag, **params)
         flipped = full_prolongation(fam.m, fam.g.scaled(F(-1)))

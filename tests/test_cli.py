@@ -6,6 +6,7 @@ monkeypatching work; the console script is the same entry point.
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -69,6 +70,29 @@ def test_build_check_prolong_analyze_pipeline(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["module_class"] == "SII"
     assert doc["simple"] is True
+
+
+@pytest.mark.parametrize(
+    "case,digest",
+    [
+        ("hc11", "d05881d37d422ddc7fa1207208617804271a94f7fc77d6a176a2e9429bd9d54b"),
+        ("hh11-rebased", "60f5fad4e6666b731485265344265e29cb0e25e944b70c1dbc9409127110a713"),
+    ],
+    ids=["hc11", "hh11-rebased"],
+)
+def test_derivations_output_is_unchanged(tmp_path, capsys, get_rebased, case, digest):
+    # sha256 of the JSON recorded while degree 0 was still solved into
+    # dense blocks, before it became the step engine's shift-0 layer
+    prefix = str(tmp_path / "f")
+    if case == "hc11":
+        run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    else:
+        m, g = get_rebased("hh", p=1, q=1)
+        (tmp_path / "f.m.json").write_text(m.serialize())
+        (tmp_path / "f.g.json").write_text(g.serialize())
+    code, out = run(capsys, "derivations", prefix + ".m.json", prefix + ".g.json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_build_without_out_prints_the_algebra(capsys):
@@ -379,14 +403,25 @@ def _at(doc, path):
     return doc
 
 
+def _is_number(x) -> bool:
+    """An integer or a rational written as a string, as the files hold."""
+    if isinstance(x, str):
+        try:
+            Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            return False
+        return True
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @st.composite
 def _mutations(draw, doc):
     """A deep copy of doc with one to three mutations: a key or list entry
-    dropped, a value swapped for one of another type, a list truncated, or
-    the degrees renumbered."""
+    dropped, a value swapped for one of another type, a list truncated, the
+    degrees renumbered, or a number changed."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["drop", "swap", "truncate", "degrees"]))
+        kind = draw(st.sampled_from(["drop", "swap", "truncate", "degrees", "number"]))
         paths = [p for p in _json_paths(doc) if p]
         if kind == "degrees":
             degs = doc.get("degrees") if isinstance(doc, dict) else None
@@ -400,6 +435,8 @@ def _mutations(draw, doc):
             continue
         if kind == "truncate":
             paths = [p for p in paths if isinstance(_at(doc, p), list) and _at(doc, p)]
+        elif kind == "number":
+            paths = [p for p in paths if _is_number(_at(doc, p))]
         if not paths:
             continue
         path = draw(st.sampled_from(paths))
@@ -408,6 +445,9 @@ def _mutations(draw, doc):
             del parent[key]
         elif kind == "swap":
             parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+        elif kind == "number":
+            new = draw(st.integers(-3, 3))
+            parent[key] = str(new) if isinstance(parent[key], str) else new
         else:
             parent[key] = parent[key][: draw(st.integers(0, len(parent[key]) - 1))]
     return doc
@@ -425,6 +465,37 @@ def test_analyze_on_mutated_prolongations_keeps_the_exit_contract(tmp_path, caps
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(["analyze", path])
+        assert code in (0, 1, 2), out.getvalue()
+        json.loads(out.getvalue())
+
+    check()
+
+
+@pytest.mark.parametrize("command", ["prolong", "derivations", "check"])
+def test_mutated_hc11_inputs_keep_the_exit_contract(tmp_path, capsys, command):
+    prefix = str(tmp_path / "f")
+    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    m_doc = json.loads(open(prefix + ".m.json").read())
+    g_doc = json.loads(open(prefix + ".g.json").read())
+    m_path, g_path = str(tmp_path / "mutant.m.json"), str(tmp_path / "mutant.g.json")
+    argv = [command, m_path] if command == "check" else [command, m_path, g_path]
+    pairs = st.one_of(
+        _mutations(m_doc).map(lambda m: (m, g_doc)),
+        _mutations(g_doc).map(lambda g: (m_doc, g)),
+        st.tuples(_mutations(m_doc), _mutations(g_doc)),
+    )
+    if command == "check":
+        pairs = _mutations(m_doc).map(lambda m: (m, g_doc))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs)
+    def check(pair):
+        for path, doc in zip((m_path, g_path), pair):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
         assert code in (0, 1, 2), out.getvalue()
         json.loads(out.getvalue())
 
