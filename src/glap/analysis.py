@@ -48,6 +48,7 @@ from .errors import (
     NotSemisimple,
     require,
 )
+from .families import oracle_instances
 from .gla import GradedAlgebra, SymBilinearForm, _minus1_rows, _scaled_adjacency
 from .linalg import (
     Echelon,
@@ -552,20 +553,12 @@ def degree_zero_action(A: GradedAlgebra) -> list[Mat]:
 
 @functools.cache
 def _table_rows() -> tuple:
-    """(label, TableRow) for every instance of the expected classification
-    table, built once per process; the rows are read, never modified."""
-    rows = []
-    # every p >= 1, q >= 0 with 3 <= 2p+q <= 8, the range the builders take
-    for p in range(1, 8 // 2 + 1):
-        for q in range(max(0, 3 - 2 * p), 8 - 2 * p + 1):
-            for fam in ("HC", "HC'", "HH", "HH'"):
-                rows.append((f"{fam}(p={p},q={q})", table_expectation(fam, p=p, q=q)))
-    for l in range(2, 7):
-        rows.append((f"BI(l={l})", table_expectation("BI", l=l)))
-    rows.append(("HO", table_expectation("HO")))
-    rows.append(("HO'", table_expectation("HO'")))
-    rows.append(("G", table_expectation("G")))
-    return tuple(rows)
+    """(label, TableRow) for every supported instance the oracle covers, in
+    the order of ``families.oracle_instances``, built once per process; the
+    rows are read, never modified."""
+    return tuple(
+        (lab, table_expectation(key, **params)) for lab, key, params in oracle_instances()
+    )
 
 
 def match_table_row(prol, module_class: str | None = None) -> str | None:

@@ -11,10 +11,11 @@ Exit codes: 0 success, 1 a check or verification failed, 2 bad input,
 import argparse
 import json
 import sys
+import time
 
 from .analysis import analyze
 from .errors import BadParameters, GlapError, StepLimitExceeded
-from .families import FAMILY_TAGS, build
+from .families import FAMILIES, build, label
 from .gla import (
     check_fundamental,
     check_gla,
@@ -30,26 +31,12 @@ from .prolongation import (
 )
 from .roots import graded_dims, table_expectation
 
-ORACLE_FAMILIES = ("HC", "HC'", "HH", "HH'", "HO", "HO'", "BI", "G")
-
-# Every family at its smallest valid parameters, plus one non-minimal
-# instance per parameterized family, plus the non-semisimple example.
-DEFAULT_ROWS = (
-    ("hc", {"p": 1, "q": 1}),
-    ("hc", {"p": 2, "q": 1}),
-    ("hc-split", {"p": 1, "q": 1}),
-    ("hc-split", {"p": 2, "q": 1}),
-    ("hh", {"p": 1, "q": 1}),
-    ("hh", {"p": 1, "q": 2}),
-    ("hh-split", {"p": 1, "q": 1}),
-    ("hh-split", {"p": 1, "q": 2}),
-    ("bi", {"l": 2}),
-    ("bi", {"l": 3}),
-    ("ho", {}),
-    ("ho-split", {}),
-    ("g2", {}),
-    ("counterexample", {}),
+# the verify-table rows, family by family in registry order
+DEFAULT_ROWS = tuple(
+    (spec.tag, dict(params)) for spec in FAMILIES.values() for params in spec.default_rows
 )
+# every family parameter, each an integer option of build and oracle
+PARAMS = tuple(dict.fromkeys(name for spec in FAMILIES.values() for name in spec.params))
 
 
 def _emit(obj):
@@ -61,24 +48,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _label(tag: str, params: dict) -> str:
-    if not params:
-        return tag
-    inner = ",".join(f"{k}={params[k]}" for k in sorted(params))
-    return f"{tag}({inner})"
-
-
 def _str_keys(dims: dict) -> dict:
     return {str(k): v for k, v in sorted(dims.items())}
 
 
 def _collect_params(args) -> dict:
-    params = {}
-    for name in ("p", "q", "l"):
-        v = getattr(args, name, None)
-        if v is not None:
-            params[name] = v
-    return params
+    return {name: v for name in PARAMS if (v := getattr(args, name)) is not None}
 
 
 def cmd_build(args) -> int:
@@ -115,10 +90,11 @@ def cmd_build(args) -> int:
         if fam.ambient is not None:
             out["ambient"] = fam.ambient.to_json_dict()
     if args.summary:
-        label = _label(fam.tag, fam.params)
-        dims = out["m_dims"]
         tail = f"wrote {len(out['written'])} files" if args.out else "stdout"
-        print(f"{label}: m dims {dims} signature {tuple(fam.g.signature())}, {tail}")
+        print(
+            f"{label(fam.tag, fam.params)}: m dims {out['m_dims']} "
+            f"signature {tuple(fam.g.signature())}, {tail}"
+        )
     else:
         _emit(out)
     return 0
@@ -274,8 +250,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _verify_family_row(fam, prol, rep) -> tuple[dict, dict]:
-    key, kp = fam.oracle_key()
+def _verify_family_row(key, kp, prol, rep) -> tuple[dict, dict]:
     row = table_expectation(key, **kp)
     checks = {
         "kind": prol.mu == row.kind,
@@ -320,20 +295,23 @@ def cmd_verify_table(args) -> int:
     rows_out = []
     failing = []
     for tag, params in DEFAULT_ROWS:
+        start = time.perf_counter()
         fam = build(tag, **params)
         prol = full_prolongation(fam.m, fam.g)
         rep = analyze(prol)
-        if tag == "counterexample":
+        seconds = time.perf_counter() - start
+        key, kp = fam.oracle_key()
+        if key is None:
             checks, expected = _verify_counterexample_row(prol, rep)
         else:
-            checks, expected = _verify_family_row(fam, prol, rep)
+            checks, expected = _verify_family_row(key, kp, prol, rep)
         row_pass = all(checks.values())
-        label = _label(tag, fam.params)
+        row_label = label(tag, fam.params)
         if not row_pass:
-            failing.append(label)
+            failing.append(row_label)
         rows_out.append(
             {
-                "family": label,
+                "family": row_label,
                 "params": fam.params,
                 "pass": row_pass,
                 "checks": checks,
@@ -356,8 +334,9 @@ def cmd_verify_table(args) -> int:
                 k for k, v in checks.items() if not v
             )
             print(
-                f"{verdict} {label}: total={rep.total_dim} "
-                f"sig={tuple(rep.signature)} class={rep.module_class}{bad}",
+                f"{verdict} {row_label}: total={rep.total_dim} "
+                f"sig={tuple(rep.signature)} class={rep.module_class}{bad} "
+                f"({seconds:.2f} s)",
                 flush=True,
             )
     all_pass = not failing
@@ -380,10 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", parents=[common], help="construct a family instance")
-    b.add_argument("--family", required=True, choices=FAMILY_TAGS)
-    b.add_argument("--p", type=int)
-    b.add_argument("--q", type=int)
-    b.add_argument("--l", type=int)
+    b.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    for name in PARAMS:
+        b.add_argument(f"--{name}", type=int)
     b.add_argument("--out", help="path prefix for .m.json/.g.json/.ambient.json")
     b.set_defaults(func=cmd_build)
 
@@ -416,10 +394,9 @@ def _build_parser() -> argparse.ArgumentParser:
     a.set_defaults(func=cmd_analyze)
 
     o = sub.add_parser("oracle", parents=[common], help="root-system oracle")
-    o.add_argument("--family", choices=ORACLE_FAMILIES)
-    o.add_argument("--p", type=int)
-    o.add_argument("--q", type=int)
-    o.add_argument("--l", type=int)
+    o.add_argument("--family", choices=[s.oracle for s in FAMILIES.values() if s.oracle])
+    for name in PARAMS:
+        o.add_argument(f"--{name}", type=int)
     o.add_argument("--series", choices=("A", "B", "C", "D", "F", "G"))
     o.add_argument("--rank", type=int)
     o.add_argument("--crossed", help="comma-separated node numbers, e.g. 1,3")

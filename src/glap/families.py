@@ -7,19 +7,27 @@ constants.  The two octonionic models and the exceptional rank-two model are
 assembled directly from representation data, and a semidirect-product example
 with a non-semisimple prolongation rounds out the list.
 
-Every builder hands back the fundamental algebra m together with a
-representative g of the conformal class; where the matrix picture exists the
-ambient graded algebra and a verified diagonal Cartan tag come along too.
+Every builder takes the instance name and the family's parameters and
+hands back (m, g, ambient, cartan): the fundamental algebra m, a
+representative g of the conformal class and, where the matrix picture
+exists, the ambient graded algebra and a verified diagonal Cartan tag
+(None where absent).
+
+``FAMILIES`` at the end of the module is the one registry of families: tag,
+root-oracle key, parameters, supported range, ``verify-table`` rows and
+builder.  The command line, the expected classification table and the tests
+read it, so a new family is one registry record and its builder.
 
 Conformal covariance of g under the degree-zero action is certified in
 Python ints on the sparse columns of the ambient's scaled adjacency.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
-from .analysis import killing_form
 from .composition import (
     CAElement,
     CompositionAlgebra,
@@ -246,7 +254,6 @@ class CartanTag:
     """A verified abelian, diagonalizable subspace marking the split rank."""
 
     dim: int
-    note: str
 
 
 def _certify(A: GradedAlgebra):
@@ -337,20 +344,18 @@ def _certify_cartan(spaces, elems):
                     f"tagged diagonal elements {a} and {b} do not commute")
 
 
-def build_hk(k_tag: str, p: int, q: int):
+def build_hk(k_tag: str, name: str, p: int, q: int):
     """Hermitian-form algebra over C, C', H or H' with the two-step grading.
 
-    Returns (m, g, ambient, cartan_tag); cartan_tag is None unless the
-    coefficient algebra is split.
+    The Cartan tag is None unless the coefficient algebra is split.
     """
     if k_tag not in ("C", "C'", "H", "H'"):
         raise BadParameters(f"coefficient algebra must be C, C', H or H', got {k_tag!r}")
-    p, q = int(p), int(q)
     n = 2 * p + q
     if p < 1 or q < 0 or n < 3:
         raise BadParameters(f"need p >= 1, q >= 0 and 2p+q >= 3, got p={p}, q={q}")
-    if n > 8:
-        raise BadParameters(f"2p+q <= 8 supported, got {n}")
+    if n > MAX_N:
+        raise BadParameters(f"2p+q <= {MAX_N} supported, got {n}")
     alg = algebra_by_tag(k_tag)
     d = alg.dim
     # involution: the first p indices pair with the last p, the middle q stay put
@@ -361,8 +366,6 @@ def build_hk(k_tag: str, p: int, q: int):
     weights = [1] + [0] * (n - 2) + [-1]
     spaces = _realize(alg, n, sigma, weights, trace_zero=(d == 2))
 
-    tag = {"C": "hc", "C'": "hc-split", "H": "hh", "H'": "hh-split"}[k_tag]
-    name = f"{tag}(p={p},q={q})"
     ambient = _assemble(name, spaces)
     expected_total = n * n - 1 if d == 2 else n * (2 * n + 1)
     require(ambient.n == expected_total,
@@ -423,27 +426,22 @@ def build_hk(k_tag: str, p: int, q: int):
         require(len(elems) == expected_rank,
                 f"{len(elems)} tagged diagonal elements, expected {expected_rank}")
         _certify_cartan(spaces, elems)
-        cartan = CartanTag(
-            dim=len(elems),
-            note="diagonal matrices over the split coefficient algebra",
-        )
+        cartan = CartanTag(dim=len(elems))
     return m, g, ambient, cartan
 
 
-def build_bi(l: int):
+def build_bi(name: str, l: int):
     """Odd orthogonal realization with the five-block, kind-three grading."""
-    l = int(l)
     if l < 2:
         raise BadParameters(f"l >= 2 required, got {l}")
-    if l > 6:
-        raise BadParameters(f"l <= 6 supported, got {l}")
+    if l > MAX_L:
+        raise BadParameters(f"l <= {MAX_L} supported, got {l}")
     alg = real_algebra()
     n = 2 * l + 1
     sigma = [n - 1 - i for i in range(n)]
     weights = [2] + [1] * (l - 1) + [0] + [-1] * (l - 1) + [-2]
     spaces = _realize(alg, n, sigma, weights, trace_zero=False)
 
-    name = f"bi(l={l})"
     ambient = _assemble(name, spaces)
     require(ambient.n == l * (2 * l + 1),
             f"{name} has dimension {ambient.n}, expected {l * (2 * l + 1)}")
@@ -486,11 +484,10 @@ def build_bi(l: int):
         for i in range(l)
     ]
     _certify_cartan(spaces, elems)
-    cartan = CartanTag(dim=l, note="real diagonal matrices")
-    return m, g, ambient, cartan
+    return m, g, ambient, CartanTag(dim=l)
 
 
-def build_octonionic(split: bool):
+def build_octonionic(o_tag: str, name: str):
     """Octonionic model: degree -1 is the algebra, degree -2 its imaginary part.
 
     Only m and g are constructed; the ambient algebra is recovered by
@@ -498,8 +495,7 @@ def build_octonionic(split: bool):
     conj(x)y - conj(y)x, which is imaginary and, up to the scale fixed here,
     the only equivariant choice.
     """
-    alg = algebra_by_tag("O'" if split else "O")
-    tag = "ho-split" if split else "ho"
+    alg = algebra_by_tag(o_tag)
     labels = [f"x{t}" for t in range(8)] + [f"z{t}" for t in range(1, 8)]
     degrees = [-1] * 8 + [-2] * 7
     brackets = {}
@@ -512,12 +508,12 @@ def build_octonionic(split: bool):
             cell = {8 + k - 1: c for k, c in enumerate(v.coords) if k >= 1 and c}
             if cell:
                 brackets[(i, j)] = cell
-    m = GradedAlgebra(f"{tag}.m", labels, degrees, brackets)
+    m = GradedAlgebra(f"{name}.m", labels, degrees, brackets)
     _certify(m)
     _require_fundamental(m, 2)
     g = SymBilinearForm.for_algebra(m, norm_form(alg))
-    _require_signature(g, (4, 4) if split else (8, 0))
-    return m, g
+    _require_signature(g, (8, 0) if _split_unit(alg) is None else (4, 4))
+    return m, g, None, None
 
 
 def _symplectic_pairing() -> dict[tuple[int, int], Fraction]:
@@ -576,7 +572,7 @@ def _symplectic_pairing() -> dict[tuple[int, int], Fraction]:
     return {pr: vec[k] for k, pr in enumerate(pairs)}
 
 
-def build_g2_example():
+def build_g2_example(name: str):
     """Rank-two exceptional model of kind five.
 
     Degree -1 pairs a lowering operator T with the top cubic monomial u0;
@@ -595,7 +591,7 @@ def build_g2_example():
         (1, 4): {5: omega[(0, 3)]},
         (2, 3): {5: omega[(1, 2)]},
     }
-    m = GradedAlgebra("g2.m", labels, degrees, brackets)
+    m = GradedAlgebra(f"{name}.m", labels, degrees, brackets)
     _certify(m)
     _require_fundamental(m, 5)
 
@@ -611,11 +607,7 @@ def build_g2_example():
         for (i, j), cell in m.brackets.items():
             for k in cell:
                 require(diag[k] == diag[i] + diag[j], "diagonal map is not a derivation")
-    cartan = CartanTag(
-        dim=2,
-        note="weight and grading derivations of m (diagonal on the basis)",
-    )
-    return m, g, cartan
+    return m, g, None, CartanTag(dim=2)
 
 
 def _sl3():
@@ -669,7 +661,7 @@ def _sl3():
     return GradedAlgebra("sl3.a1", names, degrees, brackets)
 
 
-def build_counterexample():
+def build_counterexample(name: str):
     """Semidirect product of graded sl(3, R) with a shifted copy of itself.
 
     The adjoint copy s(.) is abelian and placed two degrees below its home,
@@ -695,10 +687,12 @@ def build_counterexample():
             mapped = {s_pos[k]: c for k, c in cell.items()}
             if mapped:
                 brackets[(a, s_pos[orig])] = mapped
-    m = GradedAlgebra("counterexample.m", labels, degrees, brackets)
+    m = GradedAlgebra(f"{name}.m", labels, degrees, brackets)
     _certify(m)
     _require_fundamental(m, 3)
     _require_dims(m, {-1: 4, -2: 4, -3: 2})
+
+    from .analysis import killing_form  # here, since analysis imports this module
 
     B = killing_form(L)
     G = Mat.zeros(4, 4)
@@ -708,7 +702,7 @@ def build_counterexample():
             G[2 + b, a] = B[xi, orig]
     g = SymBilinearForm.for_algebra(m, G)
     _require_signature(g, (2, 2))
-    return m, g
+    return m, g, None, None
 
 
 @dataclass
@@ -724,53 +718,98 @@ class Family:
 
     def oracle_key(self):
         """Root-oracle family name and parameters, or (None, {}) if none."""
-        mapping = {
-            "hc": "HC",
-            "hc-split": "HC'",
-            "hh": "HH",
-            "hh-split": "HH'",
-            "ho": "HO",
-            "ho-split": "HO'",
-            "bi": "BI",
-            "g2": "G",
-        }
-        key = mapping.get(self.tag)
+        key = FAMILIES[self.tag].oracle
         return key, dict(self.params) if key else {}
 
 
-HK_TAGS = {"hc": "C", "hc-split": "C'", "hh": "H", "hh-split": "H'"}
-FAMILY_TAGS = tuple(HK_TAGS) + ("ho", "ho-split", "bi", "g2", "counterexample")
+# ---------------------------------------------------------------------------
+# the family registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """One family: its tag, its name in the root oracle (None where the
+    classification does not cover it), its parameters with their defaults
+    (None: required), every supported parameter set, the ``verify-table``
+    rows, and ``builder(name, **params) -> (m, g, ambient, cartan)``."""
+
+    tag: str
+    oracle: str | None
+    params: dict
+    instances: tuple
+    default_rows: tuple
+    builder: Callable
+
+
+MAX_N = 8  # the largest matrix size 2p+q of the hc and hh families
+MAX_L = 6  # the largest rank l of bi
+
+_PQ = {"p": None, "q": 0}
+_PQ_RANGE = tuple(
+    {"p": p, "q": q}
+    for p in range(1, MAX_N // 2 + 1)
+    for q in range(max(0, 3 - 2 * p), MAX_N - 2 * p + 1)
+)
+_L_RANGE = tuple({"l": l} for l in range(2, MAX_L + 1))
+_NO_PARAMS = ({},)
+
+
+def _pq(*pairs) -> tuple:
+    return tuple({"p": p, "q": q} for p, q in pairs)
+
+
+# default_rows: every family at its smallest valid parameters, plus one
+# non-minimal instance per parameterized family
+FAMILIES = {spec.tag: spec for spec in (
+    FamilySpec("hc", "HC", _PQ, _PQ_RANGE, _pq((1, 1), (2, 1)), partial(build_hk, "C")),
+    FamilySpec("hc-split", "HC'", _PQ, _PQ_RANGE, _pq((1, 1), (2, 1)), partial(build_hk, "C'")),
+    FamilySpec("hh", "HH", _PQ, _PQ_RANGE, _pq((1, 1), (1, 2)), partial(build_hk, "H")),
+    FamilySpec("hh-split", "HH'", _PQ, _PQ_RANGE, _pq((1, 1), (1, 2)), partial(build_hk, "H'")),
+    FamilySpec("bi", "BI", {"l": None}, _L_RANGE, _L_RANGE[:2], build_bi),
+    FamilySpec("ho", "HO", {}, _NO_PARAMS, _NO_PARAMS, partial(build_octonionic, "O")),
+    FamilySpec("ho-split", "HO'", {}, _NO_PARAMS, _NO_PARAMS, partial(build_octonionic, "O'")),
+    FamilySpec("g2", "G", {}, _NO_PARAMS, _NO_PARAMS, build_g2_example),
+    FamilySpec("counterexample", None, {}, _NO_PARAMS, _NO_PARAMS, build_counterexample),
+)}
+
+
+def label(name: str, params: dict) -> str:
+    """``name(k=v,...)`` with the keys sorted, or the bare name."""
+    if not params:
+        return name
+    return f"{name}({','.join(f'{k}={params[k]}' for k in sorted(params))})"
+
+
+def oracle_instances() -> list[tuple[str, str, dict]]:
+    """(label, oracle key, params) of every supported instance the oracle
+    covers, in table order: parameter sets in registry order, and at each
+    set every family that takes it, so the hc/hh families interleave at each
+    (p, q).  ``analysis.match_table_row`` joins ties in this order."""
+    specs = [spec for spec in FAMILIES.values() if spec.oracle]
+    order: list[dict] = []
+    for spec in specs:
+        order += [params for params in spec.instances if params not in order]
+    return [
+        (label(spec.oracle, params), spec.oracle, params)
+        for params in order
+        for spec in specs
+        if params in spec.instances
+    ]
 
 
 def build(tag: str, **params) -> Family:
     """Uniform entry point keyed by the command-line family tags."""
-    extra = dict(params)
-    if tag in HK_TAGS:
-        p = extra.pop("p", None)
-        q = extra.pop("q", 0)
-        if p is None:
-            raise BadParameters(f"{tag} requires --p (and optional --q)")
-        if extra:
-            raise BadParameters(f"unknown parameters for {tag}: {sorted(extra)}")
-        m, g, ambient, cartan = build_hk(HK_TAGS[tag], p, q)
-        return Family(tag, {"p": int(p), "q": int(q)}, m, g, ambient, cartan)
-    if tag == "bi":
-        l = extra.pop("l", None)
-        if l is None:
-            raise BadParameters("bi requires --l")
-        if extra:
-            raise BadParameters(f"unknown parameters for bi: {sorted(extra)}")
-        m, g, ambient, cartan = build_bi(l)
-        return Family(tag, {"l": int(l)}, m, g, ambient, cartan)
-    if tag not in FAMILY_TAGS:
-        raise BadParameters(f"unknown family tag {tag!r} (expected one of {FAMILY_TAGS})")
+    spec = FAMILIES.get(tag)
+    if spec is None:
+        raise BadParameters(f"unknown family tag {tag!r} (expected one of {tuple(FAMILIES)})")
+    extra = sorted(set(params) - set(spec.params))
     if extra:
-        raise BadParameters(f"{tag} takes no parameters, got {sorted(extra)}")
-    if tag in ("ho", "ho-split"):
-        m, g = build_octonionic(split=(tag == "ho-split"))
-        return Family(tag, {}, m, g)
-    if tag == "g2":
-        m, g, cartan = build_g2_example()
-        return Family(tag, {}, m, g, cartan=cartan)
-    m, g = build_counterexample()
-    return Family(tag, {}, m, g)
+        raise BadParameters(f"{tag} takes {', '.join(spec.params) or 'no parameters'}, got {extra}")
+    values = {k: params.get(k, default) for k, default in spec.params.items()}
+    if None in values.values():
+        usage = " ".join(f"--{k}" if d is None else f"[--{k}]" for k, d in spec.params.items())
+        raise BadParameters(f"{tag} requires {usage}")
+    values = {k: int(v) for k, v in values.items()}
+    m, g, ambient, cartan = spec.builder(label(tag, values), **values)
+    return Family(tag, values, m, g, ambient, cartan)

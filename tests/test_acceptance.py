@@ -19,7 +19,7 @@ from glap.analysis import (
     degree_zero_action,
     isotropic_split_check,
 )
-from glap.families import FAMILY_TAGS
+from glap.families import FAMILIES
 from glap.gla import check_fundamental, check_gla
 from glap.linalg import Mat, signature_of_symmetric
 from glap.prolongation import conformal_g0, full_prolongation, scaling_split
@@ -28,11 +28,8 @@ from test_prolongation import dense_blocks, dense_commutator, flatten
 
 F = Fraction
 
-MINIMAL = {
-    "hc": {"p": 1, "q": 1}, "hc-split": {"p": 1, "q": 1},
-    "hh": {"p": 1, "q": 1}, "hh-split": {"p": 1, "q": 1},
-    "bi": {"l": 2}, "ho": {}, "ho-split": {}, "g2": {}, "counterexample": {},
-}
+# every family at the smallest parameters of its supported range
+MINIMAL = {tag: spec.instances[0] for tag, spec in FAMILIES.items()}
 
 TABLE_ELEVEN = [
     ("hc", {"p": 1, "q": 1}), ("hc", {"p": 2, "q": 1}),
@@ -100,7 +97,7 @@ def test_criterion_3_simplicity(get_prolongation, capsys):
 
 
 def test_criterion_4_degree_zero_split(get_family, capsys):
-    for tag in FAMILY_TAGS:
+    for tag in FAMILIES:
         fam = get_family(tag, **MINIMAL[tag])
         layer = conformal_g0(fam.m, fam.g)
         E, hats = scaling_split(layer)
@@ -174,8 +171,8 @@ def test_criterion_7_oracle_self_consistency(get_family, capsys):
     ]:
         dims = graded_dims(series, rank, crossed).dims
         assert all(dims[p] == dims[-p] for p in dims)
-    for tag in FAMILY_TAGS:
-        if tag == "counterexample":
+    for tag, spec in FAMILIES.items():
+        if spec.oracle is None:
             continue
         fam = get_family(tag, **MINIMAL[tag])
         key, params = fam.oracle_key()
@@ -188,7 +185,7 @@ def test_criterion_7_oracle_self_consistency(get_family, capsys):
 
 
 def test_criterion_8_core_invariants(get_family, get_prolongation, capsys):
-    for tag in FAMILY_TAGS:
+    for tag in FAMILIES:
         fam = get_family(tag, **MINIMAL[tag])
         rep = check_gla(fam.m)
         assert rep["grading_ok"] and rep["jacobi_ok"], tag
@@ -205,7 +202,7 @@ def test_criterion_8_core_invariants(get_family, get_prolongation, capsys):
         jacobi_swept += 1
     rng = random.Random(816)
     forms_checked = 0
-    for tag in FAMILY_TAGS:
+    for tag in FAMILIES:
         G = get_family(tag, **MINIMAL[tag]).g.matrix
         base = signature_of_symmetric(G)
         n = G.n

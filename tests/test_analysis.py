@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from glap.analysis import (
     _extensions,
     _is_scalar,
     _simple_from_centroid,
+    _table_rows,
     _verify_centroid,
     analyze,
     centroid,
@@ -25,13 +27,14 @@ from glap.analysis import (
     rank_bound_check_split,
 )
 from glap.errors import (
+    BadParameters,
     DegeneratePairing,
     GlapError,
     NoCartanTag,
     NotIsotropic,
     NotSemisimple,
 )
-from glap.families import build
+from glap.families import FAMILIES, build, label, oracle_instances
 from glap.gla import GradedAlgebra, _scaled_adjacency
 from glap.linalg import Mat, signature_of_symmetric, sparse_kernel
 from glap.prolongation import full_prolongation
@@ -281,19 +284,6 @@ def test_match_table_row_respects_module_class(get_prolongation):
     assert match_table_row(prol, "SI") is None
 
 
-def _supported_instances():
-    """(label, oracle family, params) over the builders' whole range."""
-    out = []
-    for fam in ("HC", "HC'", "HH", "HH'"):
-        for p in range(1, 5):
-            for q in range(0, 7):
-                if 3 <= 2 * p + q <= 8:
-                    out.append((f"{fam}(p={p},q={q})", fam, {"p": p, "q": q}))
-    out += [(f"BI(l={l})", "BI", {"l": l}) for l in range(2, 7)]
-    out += [(fam, fam, {}) for fam in ("HO", "HO'", "G")]
-    return out
-
-
 class _OracleStub:
     """What match_table_row reads of a prolongation, from an oracle row."""
 
@@ -310,13 +300,49 @@ class _OracleStub:
 
 
 def test_every_supported_instance_matches_its_own_table_row():
-    instances = _supported_instances()
+    instances = oracle_instances()
     assert len(instances) == 68
-    for label, fam, params in instances:
+    for lab, fam, params in instances:
         row = table_expectation(fam, **params)
         hits = match_table_row(_OracleStub(row), row.module_class)
-        assert hits is not None, label
-        assert label in [hit.split(":")[0] for hit in hits.split(" | ")], (label, hits)
+        assert hits is not None, lab
+        assert lab in [hit.split(":")[0] for hit in hits.split(" | ")], (lab, hits)
+
+
+def test_table_order_is_pinned():
+    """match_table_row joins ties in table order, so the order is output."""
+    labels = "\n".join(lab for lab, _ in _table_rows())
+    assert hashlib.sha256(labels.encode()).hexdigest() == (
+        "aabe75aa73fe590a48f80dcf424b86688b0515688ee29b7175d0861fa0e8e218"
+    )
+    row = table_expectation("HH'", p=1, q=2)
+    assert match_table_row(_OracleStub(row), row.module_class) == (
+        "HH'(p=1,q=2): (C4, nodes [2]), CI"
+        " | HH(p=2,q=0): (C4, nodes [2]), CIIb"
+        " | HH'(p=2,q=0): (C4, nodes [2]), CI"
+    )
+
+
+def test_the_table_is_the_registry_range():
+    assert [lab for lab, _ in _table_rows()] == [lab for lab, _, _ in oracle_instances()]
+    assert len(_table_rows()) == 68
+
+
+@pytest.mark.parametrize(
+    "tag,params",
+    [
+        ("hc", {"p": 1, "q": 7}),
+        ("hc", {"p": 4, "q": 1}),
+        ("hc", {"p": 1, "q": 0}),
+        ("bi", {"l": 1}),
+        ("bi", {"l": 7}),
+    ],
+)
+def test_builders_refuse_what_the_table_lacks(tag, params):
+    with pytest.raises(BadParameters):
+        build(tag, **params)
+    labels = [lab for lab, _ in _table_rows()]
+    assert label(FAMILIES[tag].oracle, params) not in labels
 
 
 def _centroid_case(get_prolongation, get_rebased, case):

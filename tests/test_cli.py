@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -155,6 +156,18 @@ def test_summary_flag_gives_one_line(capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 1
     assert "G2" in out
+
+
+def test_verify_table_summary_reports_seconds_per_row(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_ROWS", (("hc", {"p": 1, "q": 1}), ("counterexample", {})))
+    code, out = run(capsys, "verify-table", "--summary")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("PASS hc(p=1,q=1): total=8 ")
+    assert lines[1].startswith("PASS counterexample: ")
+    for line in lines[:2]:
+        assert re.fullmatch(r"PASS .* \(\d+\.\d\d s\)", line), line
+    assert lines[2] == "verify-table: 2/2 rows pass"
 
 
 def test_oracle_by_series(capsys):

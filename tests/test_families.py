@@ -8,7 +8,7 @@ import pytest
 from glap import families
 from glap.cli import DEFAULT_ROWS
 from glap.errors import BadParameters, GlapError, require
-from glap.families import FAMILY_TAGS, build
+from glap.families import FAMILIES, build
 from glap.gla import check_fundamental, check_gla
 
 
@@ -17,14 +17,10 @@ EXPECTED_KIND = {
     "ho": 2, "ho-split": 2, "bi": 3, "g2": 5, "counterexample": 3,
 }
 
-MINIMAL_PARAMS = {
-    "hc": {"p": 1, "q": 1}, "hc-split": {"p": 1, "q": 1},
-    "hh": {"p": 1, "q": 1}, "hh-split": {"p": 1, "q": 1},
-    "bi": {"l": 2}, "ho": {}, "ho-split": {}, "g2": {}, "counterexample": {},
-}
+MINIMAL_PARAMS = {tag: spec.instances[0] for tag, spec in FAMILIES.items()}
 
 
-@pytest.mark.parametrize("tag", FAMILY_TAGS)
+@pytest.mark.parametrize("tag", FAMILIES)
 def test_every_builder_is_a_clean_fgla(get_family, tag):
     fam = get_family(tag, **MINIMAL_PARAMS[tag])
     rep = check_gla(fam.m)
@@ -137,6 +133,7 @@ def test_non_split_families_carry_no_cartan_tag(get_family):
         ("bi", {"l": 1}, "l >= 2"),
         ("bi", {"l": 7}, "l <= 6"),
         ("bi", {}, "requires --l"),
+        ("bi", {"p": 1}, "bi takes l, got ['p']"),
         ("g2", {"p": 1}, "takes no parameters"),
         ("ho", {"q": 2}, "takes no parameters"),
         ("zz", {}, "unknown family"),
@@ -227,8 +224,9 @@ def _reference_check_covariance(A, G, eta_by_index):
         require(lhs == G * eta, f"conformal factor mismatch at {A.labels[idx]}")
 
 
-MATRIX_ROWS = [(tag, params) for tag, params in DEFAULT_ROWS
-               if tag in families.HK_TAGS or tag == "bi"]
+# the matrix families (hc, hh and their split forms, bi) are the ones
+# with parameters
+MATRIX_ROWS = [(tag, params) for tag, params in DEFAULT_ROWS if params]
 
 
 @pytest.fixture(scope="module")
