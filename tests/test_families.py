@@ -133,10 +133,10 @@ def test_non_split_families_carry_no_cartan_tag(get_family):
         ("bi", {"l": 1}, "l >= 2"),
         ("bi", {"l": 7}, "l <= 6"),
         ("bi", {}, "requires --l"),
-        ("bi", {"p": 1}, "bi takes l, got ['p']"),
         ("g2", {"p": 1}, "takes no parameters"),
         ("ho", {"q": 2}, "takes no parameters"),
         ("zz", {}, "unknown family"),
+        ("bi", {"p": 1}, "bi takes l, got ['p']"),
     ],
 )
 def test_parameter_validation(tag, params, fragment):
