@@ -4,8 +4,8 @@ Killing form and (semi)simplicity, the centroid, the module structure of
 the degree -1 part under the degree 0 part, and comparison against the
 expected classification table.  All decisions are exact: semisimplicity is
 a determinant being nonzero, simplicity is a statement about the centroid,
-and module classes come from rational eigenspace splittings of the
-commutant.
+and module classes come from a quadratic relation of elements of the
+commutant (``classify_module``).
 
 Simplicity from the centroid: for a semisimple real algebra the centroid
 is a product of fields, one factor per simple ideal, each factor R or C.
@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import (
     DegeneratePairing,
@@ -53,7 +53,7 @@ from .gla import GradedAlgebra, SymBilinearForm, _minus1_rows, _scaled_adjacency
 from .linalg import (
     Echelon,
     Mat,
-    rational_eigensplit,
+    kernel_basis,
     solve_affine,
     solve_square,
     span_basis,
@@ -310,37 +310,51 @@ def is_simple(A: GradedAlgebra) -> bool:
     """Simplicity test through the centroid; requires semisimplicity."""
     if not is_semisimple(A):
         raise NotSemisimple(f"{A.name} has degenerate Killing form")
-    return _simple_from_centroid(centroid(A), A.n)
+    return _simple_from_centroid(centroid(A))
 
 
-def _simple_from_centroid(C: list[Mat], n: int) -> bool:
-    """Simplicity of a semisimple algebra of dimension n from a basis C of
-    its centroid (see the module docstring)."""
+def _simple_from_centroid(C: list[Mat]) -> bool:
+    """Simplicity of a semisimple algebra from a basis C of its centroid
+    (see the module docstring)."""
     if not C:
         raise GlapError("empty centroid; the identity always lies in it")
     if len(C) == 1:
         return True
     if len(C) > 2:
         return False
-    # pick a non-scalar element and remove its trace
     cand = next((M for M in C if not _is_scalar(M)), None)
     require(cand is not None, "2-dimensional centroid of scalars")
-    ident = Mat.identity(n)
-    J = cand - (cand.trace() / n) * ident
-    # J^2 = a*I + b*J for unique a, b since {I, J} spans the centroid; J is
-    # traceless, so a = tr(J^2)/n, and b follows from any nonzero entry of J
-    J2 = J * J
-    a = J2.trace() / n
-    r, c = next((r, c) for r in range(n) for c in range(n) if J.a[r][c])
-    b = (J2.a[r][c] - a * (r == c)) / J.a[r][c]
-    require(J2 == a * ident + b * J, "J^2 escaped the centroid span")
-    # complete the square: (J - b/2)^2 = a + b^2/4
-    disc = a + b * b / 4
+    # {I, J} spans the centroid, so J^2 lies in it
+    rel = _quadratic_relation(cand)
+    require(rel is not None, "J^2 escaped the centroid span")
+    _, a, b = rel
+    disc = b * b + 4 * a
     if disc < 0:
         return True
     if disc > 0:
         return False
     raise GlapError("centroid contains a nilpotent; algebra cannot be semisimple")
+
+
+def _quadratic_relation(M: Mat) -> tuple[Mat, Fraction, Fraction] | None:
+    """For a non-scalar square M, its traceless part J = M - tr(M)/n I and
+    the pair (a, b) with J^2 = a I + b J; None when J^2 leaves span{I, J}.
+
+    J is traceless, so a = tr(J^2)/n, and b follows from any nonzero entry
+    of J.  The eigenvalues of J are then the roots of x^2 = a + b x, and
+    the discriminant b^2 + 4a tells a complex structure (negative; b = 0,
+    since the two conjugate roots share the trace evenly) from a split
+    into two eigenspaces (positive) or a nilpotent (zero)."""
+    n = M.n
+    ident = Mat.identity(n)
+    J = M - (M.trace() / n) * ident
+    J2 = J * J
+    a = J2.trace() / n
+    r, c = next((r, c) for r in range(n) for c in range(n) if J.a[r][c])
+    b = (J2.a[r][c] - a * (r == c)) / J.a[r][c]
+    if J2 != a * ident + b * J:
+        return None
+    return J, a, b
 
 
 def _is_scalar(M: Mat) -> bool:
@@ -389,14 +403,27 @@ class ModuleClassification:
 
 def classify_module(mats: list[Mat], G: Mat) -> ModuleClassification:
     """Classify the module on which ``mats`` act, in the presence of the
-    symmetric form G.
+    symmetric form G, from the commutant C of the action.
 
-    Order of business: a rational eigensplit of a commutant element into
-    exactly two invariant pieces means the module is reducible (SIII);
-    otherwise a complex structure in a 2-dimensional commutant means
-    irreducible with reducible complexification (SII); a commutant of
-    dimension 1 means absolutely irreducible (SI); dimension 4 is accepted
-    as SI with a warning (quaternionic commutant).
+    The candidates are the basis of C, then the sums of pairs of its
+    elements, in that order.  Each non-scalar candidate's traceless part J
+    is tested for a relation J^2 = a I + b J (``_quadratic_relation``):
+
+    * SIII: the first candidate whose discriminant b^2 + 4a is a positive
+      rational square has two rational eigenvalues, and the module splits
+      into their two eigenspaces, the smaller eigenvalue's first;
+    * SII: C has dimension 2 and its first non-scalar candidate has a
+      negative discriminant; that J is the complex structure;
+    * SI: C has dimension 1; dimension 4 (quaternionic commutant) is
+      accepted as SI with a warning when every non-scalar candidate has a
+      relation with a negative discriminant.
+
+    Anything else is ``unclassified``.  A split is found only through a
+    candidate with such a relation.  In a commutant of dimension 3 or more
+    a candidate with three or more eigenvalues has none, so it is passed
+    over: the split may come from a later candidate, and when no splitting
+    candidate satisfies a quadratic relation the module is
+    ``unclassified``, not SIII.
     """
     return _classify_commutant(commutant(mats, G.n), G.n)
 
@@ -408,34 +435,46 @@ def _classify_commutant(C: list[Mat], n: int) -> ModuleClassification:
     for i in range(dimC):
         for j in range(i + 1, dimC):
             candidates.append(C[i] + C[j])
-    # SIII: some commutant element splits the module into two invariant parts
+    ident = Mat.identity(n)
+    found = []  # (J, b^2 + 4a) of each non-scalar candidate, None without a relation
     for phi in candidates:
-        es = rational_eigensplit(phi)
-        parts = [b for _, b in es.eigen if b] + ([es.residual] if es.residual else [])
-        if es.complete and len(parts) >= 2:
-            v1 = parts[0]
-            v2 = [v for part in parts[1:] for v in part]
-            return ModuleClassification("SIII", dimC, split=(v1, v2))
-    # SII: 2-dimensional commutant containing a complex structure
-    if dimC == 2:
-        ident = Mat.identity(n)
-        for phi in candidates:
-            J = phi - (phi.trace() / n) * ident
-            if J.is_zero():
-                continue
-            J2 = J * J
-            d = J2.a[0][0]
-            if d < 0 and J2 == d * ident:
-                return ModuleClassification("SII", dimC, complex_structure=J)
+        if _is_scalar(phi):
+            continue
+        rel = _quadratic_relation(phi)
+        if rel is None:
+            found.append(None)
+            continue
+        J, a, b = rel
+        disc = b * b + 4 * a
+        found.append((J, disc))
+        root = _positive_sqrt(disc)
+        if root is not None:
+            # the eigenvalues (b -+ root)/2 of J, the smaller first
+            split = tuple(kernel_basis(J - ((b + s) / 2) * ident) for s in (-root, root))
+            return ModuleClassification("SIII", dimC, split=split)
+    complex_ = [f is not None and f[1] < 0 for f in found]
+    if dimC == 2 and complex_[0]:
+        return ModuleClassification("SII", dimC, complex_structure=found[0][0])
     if dimC == 1:
         return ModuleClassification("SI", dimC)
-    if dimC == 4:
+    if dimC == 4 and all(complex_):
         return ModuleClassification(
             "SI",
             dimC,
             warnings=["commutant of dimension 4: accepted as irreducible"],
         )
     return ModuleClassification("unclassified", dimC)
+
+
+def _positive_sqrt(x: Fraction) -> Fraction | None:
+    """The positive rational square root of x, or None when x is not the
+    square of a nonzero rational."""
+    if x <= 0:
+        return None
+    p, q = isqrt(x.numerator), isqrt(x.denominator)
+    if p * p != x.numerator or q * q != x.denominator:
+        return None
+    return Fraction(p, q)
 
 
 def isotropic_split_check(G: Mat, V1, V2) -> dict:
@@ -464,10 +503,10 @@ def isotropic_split_check(G: Mat, V1, V2) -> dict:
             f"summands of dimension {len(V1)} and {len(V2)} cannot pair "
             "nondegenerately"
         )
-    P = Mat([[_pair(G, v, w) for w in V2] for v in V1])
-    if P.det() == 0:
+    det = Mat([[_pair(G, v, w) for w in V2] for v in V1]).det()
+    if det == 0:
         raise DegeneratePairing("cross pairing between the summands is singular")
-    return {"dims": (len(V1), len(V2)), "cross_pairing_det": P.det()}
+    return {"dims": (len(V1), len(V2)), "cross_pairing_det": det}
 
 
 def _pair(G: Mat, v, w) -> Fraction:
@@ -599,7 +638,7 @@ def analyze(prol) -> AnalysisReport:
     if semisimple:
         C = _centroid(A, *_scaled_adjacency(A), K)
         centroid_dim = len(C)
-        simple = _simple_from_centroid(C, A.n)
+        simple = _simple_from_centroid(C)
     cls = _classify_commutant(K, n1)
     warnings.extend(cls.warnings)
     if cls.module_class == "SIII":

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     require,
 )
-from .linalg import Mat, sparse_rank
+from .linalg import Mat, signature_of_symmetric, sparse_rank
 
 
 def format_rational(x: Fraction) -> str:
@@ -479,8 +479,6 @@ class SymBilinearForm:
         return SymBilinearForm(self.algebra_name, self.indices, c * self.matrix)
 
     def signature(self) -> tuple[int, int]:
-        from .linalg import signature_of_symmetric
-
         r, s, z = signature_of_symmetric(self.matrix)
         require(z == 0, f"form on {self.algebra_name} has {z} zero eigenvalues")
         return r, s

@@ -1,11 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` ("Rational" below), so
-results are exact: no tolerances, no floating point anywhere.  Two engines
-share the work:
+Everything here works with ``fractions.Fraction``, so results are exact:
+no tolerances, no floating point anywhere.  Two engines share the work:
 
 * a dense ``Mat`` class for small matrices (products, determinants,
-  characteristic polynomials, congruence diagonalization);
+  inverses, congruence diagonalization);
 * a sparse integer row-echelon engine for the big homogeneous systems that
   the derivation/prolongation solvers produce.  Rows are dicts mapping
   column index to a (primitive) integer coefficient; elimination is
@@ -22,29 +21,12 @@ off at the free columns and the vector is rebuilt from them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import GlapError, NotSymmetric, require
 
-Rational = Fraction
 ZERO = Fraction(0)
-
-__all__ = [
-    "Rational",
-    "Mat",
-    "Subspace",
-    "kernel_basis",
-    "sparse_kernel",
-    "sparse_rank",
-    "solve_affine",
-    "signature_of_symmetric",
-    "char_poly",
-    "rational_roots",
-    "rational_eigensplit",
-    "EigenSplit",
-]
 
 
 def _q(x) -> Fraction:
@@ -505,241 +487,3 @@ def signature_of_symmetric(M: Mat) -> tuple[int, int, int]:
     pos = sum(1 for i in range(n) if a[i][i] > 0)
     neg = sum(1 for i in range(n) if a[i][i] < 0)
     return pos, neg, n - pos - neg
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomial and eigensplitting
-# ---------------------------------------------------------------------------
-
-
-def char_poly(M: Mat) -> list[Fraction]:
-    """Coefficients of det(x*I - M), index k holding the x^k coefficient.
-
-    The matrix is first brought to upper Hessenberg form by exact similarity
-    transformations; the polynomial then follows from the standard leading
-    principal minor recurrence in O(n^3) ring operations.
-    """
-    if M.m != M.n:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = M.n
-    if n == 0:
-        return [Fraction(1)]
-    h = [row[:] for row in M.a]
-    for j in range(n - 2):
-        piv = next((r for r in range(j + 1, n) if h[r][j] != 0), None)
-        if piv is None:
-            continue
-        if piv != j + 1:
-            h[j + 1], h[piv] = h[piv], h[j + 1]
-            for row in h:
-                row[j + 1], row[piv] = row[piv], row[j + 1]
-        for i in range(j + 2, n):
-            if h[i][j] == 0:
-                continue
-            f = h[i][j] / h[j + 1][j]
-            for k in range(n):
-                h[i][k] -= f * h[j + 1][k]
-            for k in range(n):
-                h[k][j + 1] += f * h[k][i]
-    # p[k] = char poly of the leading k x k block, low-to-high coefficients
-    polys = [[Fraction(1)]]
-    for k in range(1, n + 1):
-        d = h[k - 1][k - 1]
-        prev = polys[k - 1]
-        cur = [Fraction(0)] + prev  # x * p_{k-1}
-        for idx, c in enumerate(prev):
-            cur[idx] -= d * c
-        run = Fraction(1)
-        for i in range(k - 1, 0, -1):
-            run *= h[i][i - 1]
-            coef = h[i - 1][k - 1] * run
-            if coef != 0:
-                for idx, c in enumerate(polys[i - 1]):
-                    cur[idx] -= coef * c
-        polys.append(cur)
-    return polys[n]
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division plus Pollard rho."""
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-
-    def is_prime(m: int) -> bool:
-        if m < 2:
-            return False
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            if m % p == 0:
-                return m == p
-        d, s = m - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        # deterministic witness set for 64-bit and well beyond typical sizes
-        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            x = pow(a, d, m)
-            if x in (1, m - 1):
-                continue
-            for _ in range(s - 1):
-                x = x * x % m
-                if x == m - 1:
-                    break
-            else:
-                return False
-        return True
-
-    def rho(m: int) -> int:
-        if m % 2 == 0:
-            return 2
-        c = 1
-        while True:
-            x = y = 2
-            d = 1
-            while d == 1:
-                x = (x * x + c) % m
-                y = (y * y + c) % m
-                y = (y * y + c) % m
-                d = gcd(abs(x - y), m)
-            if d != m:
-                return d
-            c += 1
-
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    fac = _factorize(n)
-    divs = [1]
-    for p, e in fac.items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def poly_eval(poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(poly, root: Fraction):
-    """Divide poly by (x - root) via synthetic division; root must be exact."""
-    deg = len(poly) - 1
-    out = [Fraction(0)] * deg
-    carry = poly[deg]
-    for k in range(deg - 1, -1, -1):
-        out[k] = carry
-        carry = poly[k] + root * carry
-    require(carry == 0, "deflation by a non-root")
-    return out
-
-
-def rational_roots(poly) -> dict[Fraction, int]:
-    """All rational roots of a rational polynomial, with multiplicities.
-
-    Candidates p/q with p | constant term and q | leading term of the
-    primitive integer model, each verified by exact evaluation and removed
-    by deflation until it stops dividing.
-    """
-    poly = [_q(c) for c in poly]
-    while poly and poly[-1] == 0:
-        poly.pop()
-    if not poly:
-        raise ValueError("zero polynomial has every rational as a root")
-    roots: dict[Fraction, int] = {}
-    zero = Fraction(0)
-    while len(poly) > 1 and poly[0] == 0:
-        roots[zero] = roots.get(zero, 0) + 1
-        poly = poly[1:]
-    if len(poly) <= 1:
-        return roots
-    den = 1
-    for c in poly:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ipoly = [int(c * den) for c in poly]
-    g = 0
-    for c in ipoly:
-        g = gcd(g, c)
-    ipoly = [c // g for c in ipoly]
-    cands = set()
-    for p in _divisors(abs(ipoly[0])):
-        for q in _divisors(abs(ipoly[-1])):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    for cand in sorted(cands):
-        while len(poly) > 1 and poly_eval(poly, cand) == 0:
-            roots[cand] = roots.get(cand, 0) + 1
-            poly = _deflate(poly, cand)
-    return roots
-
-
-@dataclass
-class EigenSplit:
-    """Rational eigenspace decomposition of a square matrix.
-
-    ``eigen`` maps each rational eigenvalue to the canonical basis of its
-    eigenspace; ``residual`` spans the kernel of q(M) where q is the
-    characteristic polynomial with all rational linear factors removed.
-    ``complete`` records whether the pieces sum to the full dimension
-    (true whenever M is diagonalizable over the rationals, possibly after
-    discarding the residual's irrational part).
-    """
-
-    eigen: list[tuple[Fraction, list[list[Fraction]]]]
-    residual: list[list[Fraction]]
-    complete: bool
-
-    def total_dim(self) -> int:
-        return sum(len(b) for _, b in self.eigen) + len(self.residual)
-
-
-def _poly_of_matrix(poly, M: Mat) -> Mat:
-    n = M.n
-    acc = Mat.zeros(n, n)
-    for c in reversed(poly):
-        acc = acc * M
-        if c != 0:
-            for i in range(n):
-                acc.a[i][i] += c
-    return acc
-
-
-def rational_eigensplit(M: Mat) -> EigenSplit:
-    if M.m != M.n:
-        raise ValueError("eigensplit of a non-square matrix")
-    p = char_poly(M)
-    roots = rational_roots(p)
-    eigen = []
-    for lam in sorted(roots):
-        shifted = M.copy()
-        for i in range(M.n):
-            shifted.a[i][i] -= lam
-        eigen.append((lam, kernel_basis(shifted)))
-    q = p
-    for lam, mult in roots.items():
-        for _ in range(mult):
-            q = _deflate(q, lam)
-    if len(q) == 1:
-        residual: list[list[Fraction]] = []
-    else:
-        residual = kernel_basis(_poly_of_matrix(q, M))
-    total = sum(len(b) for _, b in eigen) + len(residual)
-    return EigenSplit(eigen=eigen, residual=residual, complete=total == M.n)

@@ -163,6 +163,87 @@ def test_module_classes_per_family(get_prolongation, tag, params, expected):
     assert cls.module_class == expected
 
 
+# left multiplication by i, j and k on H, basis (1, i, j, k): the commutant
+# is the right multiplications, a quaternion algebra
+_LEFT_IJK = (
+    Mat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
+    Mat([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]),
+    Mat([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
+)
+
+
+# the prolongations of test_module_classes_per_family
+_CLASSIFIER_FAMILIES = {
+    "hc11": ("hc", {"p": 1, "q": 1}),
+    "hc-split11": ("hc-split", {"p": 1, "q": 1}),
+    "hh11": ("hh", {"p": 1, "q": 1}),
+    "hh-split11": ("hh-split", {"p": 1, "q": 1}),
+    "bi3": ("bi", {"l": 3}),
+    "g2": ("g2", {}),
+}
+
+
+def _classifier_case(get_prolongation, get_rebased, case):
+    """(matrices, dimension) of the module of a classifier case."""
+    if case in _CLASSIFIER_FAMILIES:
+        tag, params = _CLASSIFIER_FAMILIES[case]
+        prol = get_prolongation(tag, **params)
+        return degree_zero_action(prol.algebra), prol.form.matrix.n
+    if case in ("hh11-rebased", "hc21-rebased"):
+        tag, p, q = {"hh11-rebased": ("hh", 1, 1), "hc21-rebased": ("hc", 2, 1)}[case]
+        prol = full_prolongation(*get_rebased(tag, p=p, q=q))
+        return degree_zero_action(prol.algebra), prol.form.matrix.n
+    if case == "hc11(C)":
+        return degree_zero_action(_complexify(get_prolongation("hc", p=1, q=1).algebra)), 4
+    small = {
+        "rotation": [Mat([[0, -1], [1, 0]])],
+        "swap": [Mat([[0, 1], [1, 0]])],
+        "diag123": [Mat.diag([1, 2, 3])],
+        "zero3": [Mat.zeros(3, 3)],
+        "irrational": [Mat([[1, 1], [1, -1]])],
+        "nilpotent": [Mat([[0, 1], [0, 0]])],
+        "left-ijk": list(_LEFT_IJK),
+    }
+    return small[case], small[case][0].n
+
+
+# sha256 of repr((module_class, commutant_dim, split, complex_structure,
+# warnings)), recorded when the classes came from rational eigensplits
+_CLASSIFIER_PINS = [
+    ("hc11", "SII", "b42a9a4502373048a9ff16d0a97919a4aaf00b9e948f5f274d20b629d5b696a8"),
+    ("hc-split11", "SIII", "a563075b1c8a531858914a028edd95dbbde8464bbfafef2588f1c07c6564a88f"),
+    ("hh11", "SI", "330ad1157352a84683125dbbf2fbbee49c13b410b852f57146a7c2197cc6672b"),
+    ("hh-split11", "SI", "330ad1157352a84683125dbbf2fbbee49c13b410b852f57146a7c2197cc6672b"),
+    ("bi3", "SIII", "cb8b0da7acaea53fecbfabaa3e8e20ad8c30e19a735ef10f34e2f55b27029361"),
+    ("g2", "SIII", "d1283b058f213c1fdb5c0b1c0baadd2562092727fff920a27ea3ed0ed77af8d6"),
+    ("hh11-rebased", "SI", "330ad1157352a84683125dbbf2fbbee49c13b410b852f57146a7c2197cc6672b"),
+    ("hc21-rebased", "SII", "a8668b66e6c184e1bb5cbeb6f799a4cb4c7d0fa8dfb3024a2682b655678ab570"),
+    ("hc11(C)", "SIII", "afb8da9d921f8a7982afdf6b2d88e8f670360a570ee8df1c24ce689b67766c42"),
+    ("rotation", "SII", "b42a9a4502373048a9ff16d0a97919a4aaf00b9e948f5f274d20b629d5b696a8"),
+    ("swap", "SIII", "a563075b1c8a531858914a028edd95dbbde8464bbfafef2588f1c07c6564a88f"),
+    ("diag123", "SIII", "6442a7cdb992fb9617b964ae6743a796a9e223aaa45bd880920c10164753e162"),
+    ("zero3", "SIII", "0337dc2b33cd30b1945032b818bb22054dbc111d9d8058e8bcb01ca098fa7742"),
+    ("irrational", "unclassified", "5a5f76aa816fbac6fc72e4497b1bf83bf7c8fe078662379d3ba662574037f29b"),
+    ("nilpotent", "unclassified", "5a5f76aa816fbac6fc72e4497b1bf83bf7c8fe078662379d3ba662574037f29b"),
+    ("left-ijk", "SI", "ee73df2ad01893ca53c90cae652fd48489df90709db43d650fbaec25f91ef0a6"),
+]
+
+
+@pytest.mark.parametrize(
+    "case,module_class,digest",
+    _CLASSIFIER_PINS,
+    ids=[case for case, _, _ in _CLASSIFIER_PINS],
+)
+def test_classify_module_is_pinned(get_prolongation, get_rebased, case, module_class, digest):
+    mats, n = _classifier_case(get_prolongation, get_rebased, case)
+    cls = classify_module(mats, Mat.identity(n))
+    assert cls.module_class == module_class
+    if case == "left-ijk":
+        assert cls.commutant_dim == 4 and cls.warnings
+    got = repr((cls.module_class, cls.commutant_dim, cls.split, cls.complex_structure, cls.warnings))
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+
 def test_bi3_split_is_isotropic(get_prolongation):
     prol = get_prolongation("bi", l=3)
     cls = classify_module(degree_zero_action(prol.algebra), prol.form.matrix)
@@ -430,7 +511,7 @@ def _degenerate_centroids_are_rejected():
     """_simple_from_centroid on an empty centroid and on a 2-dimensional
     one made of scalars."""
     return all(
-        _rejects(_simple_from_centroid, C, 3)
+        _rejects(_simple_from_centroid, C)
         for C in ([], [Mat.identity(3), 2 * Mat.identity(3)])
     )
 

@@ -1,8 +1,10 @@
 """Rules on the package source that no other test can see.
 
 Every certificate must hold under ``python -O``, so ``src/glap`` may not
-rest on ``assert``; and the runtime is stdlib-only, so every import is
-relative or names a standard-library module.
+rest on ``assert``; the runtime is stdlib-only, so every import is
+relative or names a standard-library module; and no dead code is kept, so
+every module-level function and class of ``src/glap`` is referenced in
+``src/glap`` or ``tests`` outside its own definition.
 """
 
 import ast
@@ -10,6 +12,7 @@ import pathlib
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glap"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def _violations(path: pathlib.Path) -> list[str]:
@@ -30,6 +33,39 @@ def _violations(path: pathlib.Path) -> list[str]:
             if name.split(".")[0] not in sys.stdlib_module_names:
                 out.append(f"{where}: import of non-stdlib module {name!r}")
     return out
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Names a node refers to: as a name, an attribute or an import."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
+    return out
+
+
+def _unreferenced(package: list[pathlib.Path], users: list[pathlib.Path]) -> list[str]:
+    """Module-level functions and classes of ``package`` that no top-level
+    statement of ``package`` or ``users`` refers to, their own excepted."""
+    defs = []
+    uses: list[tuple[ast.stmt, set[str]]] = []
+    for path in sorted(set(package) | set(users)):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            uses.append((stmt, _names_used(stmt)))
+            if path in package and isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                defs.append((path, stmt))
+    return [
+        f"{path.name}:{stmt.lineno}: {stmt.name} is never used"
+        for path, stmt in defs
+        if not any(stmt.name in names for other, names in uses if other is not stmt)
+    ]
 
 
 def test_package_has_no_asserts_and_only_stdlib_imports():
@@ -54,4 +90,40 @@ def test_the_rules_catch_what_they_claim(tmp_path):
         "bad.py:2: import of non-stdlib module 'numpy'",
         "bad.py:3: import of non-stdlib module 'sympy'",
         "bad.py:7: assert statement",
+    ]
+
+
+def test_every_function_and_class_is_used():
+    package = sorted(SRC.glob("*.py"))
+    assert _unreferenced(package, sorted(TESTS.glob("*.py"))) == []
+
+
+def test_the_usage_rule_catches_what_it_claims(tmp_path):
+    pkg = tmp_path / "pkg.py"
+    pkg.write_text(
+        "def dead(x):\n"
+        "    return dead(x - 1) if x else 0\n"
+        "def called():\n"
+        "    return Used.attr\n"
+        "class Used:\n"
+        "    attr = 1\n"
+        "def imported():\n"
+        "    pass\n"
+        "def by_attribute():\n"
+        "    pass\n"
+        "class Orphan:\n"
+        "    def method(self):\n"
+        "        return Orphan\n"
+    )
+    user = tmp_path / "test_user.py"
+    user.write_text(
+        "import pkg\n"
+        "from pkg import imported as alias\n"
+        "def test_it():\n"
+        "    pkg.by_attribute()\n"
+        "    pkg.called()\n"
+    )
+    assert _unreferenced([pkg], [user]) == [
+        "pkg.py:1: dead is never used",
+        "pkg.py:11: Orphan is never used",
     ]
