@@ -49,10 +49,11 @@ from .errors import (
     require,
 )
 from .families import oracle_instances
-from .gla import GradedAlgebra, SymBilinearForm, _minus1_rows, _scaled_adjacency
+from .gla import GradedAlgebra, SymBilinearForm, _minus1_rows, _scaled_adjacency, require_graded
 from .linalg import (
     Echelon,
     Mat,
+    int_row,
     kernel_basis,
     solve_affine,
     solve_square,
@@ -65,17 +66,23 @@ from .roots import table_expectation
 def killing_form(A: GradedAlgebra) -> Mat:
     """B(x, y) = tr(ad x ad y), computed from the sparse adjoint maps.
 
-    The sums run in integers over the scaled adjacency (every structure
-    constant times L, the lcm of their denominators).  Each term is a
-    product of two constants, so each integer sum is exactly L**2 times the
-    rational entry, which is stored as ``Fraction(total, L*L)``."""
+    ad x ad y shifts degrees by deg x + deg y, so only pairs of opposite
+    degrees are summed, once ``gla.require_graded`` has certified the
+    grading.  The sums run in integers over the scaled adjacency (every
+    structure constant times L, the lcm of their denominators).  Each term
+    is a product of two constants, so each integer sum is exactly L**2
+    times the rational entry, which is stored as ``Fraction(total, L*L)``."""
+    require_graded(A)
     n = A.n
     L, ads = _scaled_adjacency(A)
     L2 = L * L
+    by_deg = A.by_degree()
     B = Mat.zeros(n, n)
     for i in range(n):
         adi = ads[i]
-        for j in range(i, n):
+        for j in by_deg.get(-A.degrees[i], ()):
+            if j < i:
+                continue
             total = 0
             for a, cell in ads[j].items():
                 for b, c in cell.items():
@@ -258,11 +265,7 @@ def _maps(vectors, n: int) -> list[Mat]:
 def _int_vectors(vecs: list[dict]) -> list[dict[int, int]]:
     """Sparse vectors, all scaled by the lcm of their denominators to
     integers; zero entries are dropped."""
-    D = 1
-    for vec in vecs:
-        for x in vec.values():
-            if D % x.denominator:
-                D = lcm(D, x.denominator)
+    D = lcm(*(x.denominator for vec in vecs for x in vec.values()))
     return [
         {r: x.numerator * (D // x.denominator) for r, x in vec.items() if x}
         for vec in vecs
@@ -371,10 +374,21 @@ def commutant(mats: list[Mat], n: int) -> list[Mat]:
     """Canonical basis of {phi : phi M = M phi for every M in mats}, unknown
     phi[r][c] at column c*n + r.
 
-    The rows are built in integers from the nonzero entries of each M,
-    scaled by the lcm of its denominators; that scales the rows of M and
-    keeps their solutions."""
+    The identity always commutes, so the rank is at most n*n - 1, and the
+    rows left once it gets there cannot change the solutions.  The identity
+    is certified to lie in the result, which at that rank it spans."""
     ech = Echelon(n * n)
+    for row in _commutant_rows(mats, n):
+        if ech.add(row) and ech.rank == n * n - 1:
+            break
+    space = ech.kernel_space("the commutant")
+    space.coords({c * n + c: 1 for c in range(n)}, "the identity")
+    return _maps(space.vectors, n)
+
+
+def _commutant_rows(mats: list[Mat], n: int):
+    """Yield the rows (phi M - M phi)[i][j] = 0 for each M in mats, in
+    integers: M scaled by the lcm of its denominators has the same ones."""
     for M in mats:
         # left[i] = {r: M[i][r]}, right[j] = {r: M[r][j]}: the same entries,
         # so the same scale
@@ -382,14 +396,12 @@ def commutant(mats: list[Mat], n: int) -> list[Mat]:
         right = _int_vectors([dict(enumerate(col)) for col in zip(*M.a)])
         for i in range(n):
             for j in range(n):
-                # (phi M - M phi)[i][j]
                 row = {r * n + i: x for r, x in right[j].items()}
                 for r, x in left[i].items():
                     row[j * n + r] = row.get(j * n + r, 0) - x
                 row = {c: v for c, v in row.items() if v}
                 if row:
-                    ech.add(row)
-    return _maps(ech.kernel_space("the commutant").vectors, n)
+                    yield row
 
 
 @dataclass
@@ -487,7 +499,7 @@ def isotropic_split_check(G: Mat, V1, V2) -> dict:
         )
     ech = Echelon(n)
     for v in list(V1) + list(V2):
-        ech.add({i: c for i, c in enumerate(v) if c != 0})
+        ech.add(int_row(dict(enumerate(v))))
     if ech.rank != n:
         raise ValueError("split subspaces are not complementary")
     for name, V in (("first", V1), ("second", V2)):
@@ -514,25 +526,6 @@ def _pair(G: Mat, v, w) -> Fraction:
         (v[i] * G.a[i][j] * w[j] for i in range(G.n) for j in range(G.n)),
         Fraction(0),
     )
-
-
-def form_transport(G1: Mat, G2: Mat):
-    """The endomorphism phi with G2(x, y) = G1(phi x, y), plus a verdict on
-    whether the two forms are proportional."""
-    if G1.n != G2.n:
-        raise ValueError("forms on spaces of different dimension")
-    phi = G1.inverse() * G2
-    lam = None
-    for i in range(G1.n):
-        for j in range(G1.n):
-            if G1.a[i][j] != 0:
-                lam = G2.a[i][j] / G1.a[i][j]
-                break
-        if lam is not None:
-            break
-    if lam is not None and G2 == lam * G1:
-        return phi, "proportional", lam
-    return phi, "general", None
 
 
 def rank_bound_check_split(cartan_dim: int | None, signature: tuple[int, int]) -> dict:

@@ -43,7 +43,7 @@ from .gla import (
     check_fundamental,
     check_gla,
 )
-from .linalg import Echelon, Mat, sparse_kernel
+from .linalg import Echelon, Mat, int_row, sparse_kernel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -141,7 +141,7 @@ class _DegreeSpace:
 
     def matrix(self, k: int) -> KMat:
         d = self.alg.dim
-        vec = self.space.vectors[k]
+        vec = self.space.vector(k)
         cells = {}
         for idx in sorted({i // d for i in vec}):
             coords = [vec.get(idx * d + t, ZERO) for t in range(d)]
@@ -172,7 +172,7 @@ def _realize(alg, n, sigma, weights, trace_zero):
     by the reflection equation).
     """
     d = alg.dim
-    signs = [alg.basis_element(t).conjugate().coords[t] for t in range(d)]
+    signs = [int(alg.basis_element(t).conjugate().coords[t]) for t in range(d)]
     degree_cells: dict[int, list[tuple[int, int]]] = {}
     for i in range(n):
         for j in range(n):
@@ -189,10 +189,10 @@ def _realize(alg, n, sigma, weights, trace_zero):
             c1 = pos[(sigma[b], a)]
             c2 = pos[(sigma[a], b)]
             for t in range(d):
-                row: dict[int, Fraction] = {}
+                row: dict[int, int] = {}
                 k1, k2 = c1 * d + t, c2 * d + t
-                row[k1] = row.get(k1, ZERO) + signs[t]
-                row[k2] = row.get(k2, ZERO) + ONE
+                row[k1] = row.get(k1, 0) + signs[t]
+                row[k2] = row.get(k2, 0) + 1
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     rows_by_degree[delta].append(row)
@@ -200,7 +200,7 @@ def _realize(alg, n, sigma, weights, trace_zero):
         pos0 = pos_by_degree[0]
         for t in range(d):
             rows_by_degree[0].append(
-                {pos0[(i, i)] * d + t: ONE for i in range(n)}
+                {pos0[(i, i)] * d + t: 1 for i in range(n)}
             )
     return {
         delta: _DegreeSpace(alg, n, degree_cells[delta], rows_by_degree[delta])
@@ -336,7 +336,7 @@ def _certify_cartan(spaces, elems):
     ech = Echelon(spaces[0].dim())
     for M in elems:
         local = spaces[0].coords(M)
-        grew = ech.add({k: c for k, c in enumerate(local) if c})
+        grew = ech.add(int_row(dict(enumerate(local))))
         require(grew, "tagged diagonal elements are dependent")
     for a in range(len(elems)):
         for b in range(a + 1, len(elems)):

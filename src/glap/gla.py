@@ -257,12 +257,7 @@ def _scaled_adjacency(A: GradedAlgebra) -> tuple[int, list[dict[int, dict[int, i
     """(L, ad) with ad[i][j] = {k: L*c} for [e_i, e_j] = sum c e_k, both
     orientations, where L is the lcm of every bracket denominator, so all
     entries are Python ints.  A pair with zero bracket has no key."""
-    L = 1
-    for cell in A.brackets.values():
-        for c in cell.values():
-            den = c.denominator
-            if L % den:
-                L = lcm(L, den)
+    L = lcm(*(c.denominator for cell in A.brackets.values() for c in cell.values()))
     ad: list[dict[int, dict[int, int]]] = [{} for _ in range(A.n)]
     for (i, j), cell in A.brackets.items():
         row = {k: c.numerator * (L // c.denominator) for k, c in cell.items()}

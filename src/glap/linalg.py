@@ -1,28 +1,31 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction``, so results are exact:
-no tolerances, no floating point anywhere.  Two engines share the work:
+No tolerances, no floating point anywhere: the solvers run in Python ints,
+and ``fractions.Fraction`` appears only at the boundary.  Two engines share
+the work:
 
-* a dense ``Mat`` class for small matrices (products, determinants,
-  inverses, congruence diagonalization);
+* a dense ``Mat`` class of Fractions for small matrices (products,
+  determinants, inverses, congruence diagonalization);
 * a sparse integer row-echelon engine for the big homogeneous systems that
   the derivation/prolongation solvers produce.  Rows are dicts mapping
-  column index to a (primitive) integer coefficient; elimination is
-  fraction-free.
+  column index to a nonzero int; a rational row is scaled once, by
+  ``int_row``, where it is built.  Elimination is fraction-free, and a
+  pivot row is made primitive when it is installed.
 
 Kernel bases are canonical: they come from the reduced row echelon form,
 with one basis vector per free column (free columns in increasing order,
 unit entry at the free column).  Two calls on row-equivalent inputs return
 identical bases, which the rest of the package relies on for reproducible
-labeling.  A ``Subspace`` keeps such a basis sparse and is the one place
-where membership in a solution space is certified: coordinates are read
-off at the free columns and the vector is rebuilt from them exactly.
+labeling.  A ``Subspace`` keeps such a basis sparse, as integer vectors
+over one common denominator, and is the one place where membership in a
+solution space is certified: coordinates are read off at the free columns
+and the vector is rebuilt from them exactly, in ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import GlapError, NotSymmetric, require
 
@@ -139,7 +142,7 @@ class Mat:
         return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in self.a]
 
     def rank(self) -> int:
-        return sparse_rank(_dense_to_sparse_rows(self), self.n)
+        return sparse_rank((dict(enumerate(r)) for r in self.a), self.n)
 
     def det(self) -> Fraction:
         """Determinant via fraction-free Bareiss elimination."""
@@ -152,9 +155,7 @@ class Mat:
         scale = Fraction(1)
         a = []
         for row in self.a:
-            den = 1
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
+            den = lcm(*(x.denominator for x in row))
             scale *= den
             a.append([int(x * den) for x in row])
         sign = 1
@@ -215,59 +216,55 @@ def _primitive(row: dict) -> dict:
     return row
 
 
-def _int_row(row: dict) -> dict | None:
-    """Convert a Fraction/int sparse row to a primitive integer row.  Ints
-    have ``numerator``/``denominator`` too, so both kinds of entry share
-    one path and an integer row needs no Fraction arithmetic."""
-    den = 1
-    for v in row.values():
-        d = v.denominator
-        if den % d:
-            den = den * d // gcd(den, d)
-    out = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
-    return _primitive(out) if out else None
+def int_row(row: dict) -> dict:
+    """A Fraction/int sparse row scaled by the lcm of its denominators to
+    integers, zero entries dropped; it has the same solutions."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
 class Echelon:
     """Incremental row echelon form over primitive integer rows.
 
-    ``add`` reduces an incoming row against the current pivots and, if
-    anything survives, installs it as a new pivot row.  ``kernel`` finishes
-    with back-substitution (rational) and returns the canonical RREF-derived
-    kernel basis.
+    ``add`` reduces an incoming integer row against the current pivots and,
+    if anything survives, installs it as a new pivot row.  ``kernel_space``
+    finishes with back-substitution in integers and returns the canonical
+    RREF-derived kernel basis.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.piv: dict[int, dict] = {}  # lead column -> integer row
+        self.piv: dict[int, dict] = {}  # lead column -> primitive integer row
 
     @property
     def rank(self) -> int:
         return len(self.piv)
 
     def add(self, row: dict) -> bool:
-        """Reduce ``row`` (dict col -> int/Fraction) and install the
-        remainder as a pivot row.  Returns True if the rank grew."""
-        r = _int_row(row)
+        """Reduce ``row`` (dict col -> nonzero int) and install the
+        remainder, made primitive, as a pivot row; it may be ``row``
+        itself, which must not change afterwards.  Returns True if the rank
+        grew.  Each step maps a multiple of the row to a multiple of the
+        same remainder, so normalizing only at the end installs the row
+        that normalizing after every step would."""
+        r = row
         while r:
             c = min(r)
             p = self.piv.get(c)
             if p is None:
-                self.piv[c] = r
+                self.piv[c] = _primitive(r)
                 return True
             a, b = r[c], p[c]
             g = gcd(a, b)
             ma, mb = b // g, a // g
-            nxt = {}
-            for col, v in r.items():
-                nxt[col] = ma * v
+            nxt = dict(r) if ma == 1 else {col: ma * v for col, v in r.items()}
             for col, v in p.items():
                 w = nxt.get(col, 0) - mb * v
                 if w:
                     nxt[col] = w
-                elif col in nxt:
+                else:
                     del nxt[col]
-            r = _primitive(nxt) if nxt else None
+            r = nxt
         return False
 
     def _rref(self) -> dict[int, dict]:
@@ -298,73 +295,86 @@ class Echelon:
         return [c for c in range(self.ncols) if c not in self.piv]
 
     def kernel_space(self, name: str = "the kernel") -> "Subspace":
-        """The canonical kernel basis, stored sparse, as a ``Subspace``."""
+        """The canonical kernel basis as a ``Subspace``.  Past its lead c a
+        reduced row has entries only at free columns, so the vector of
+        free column f is 1 at f and -row[f]/row[c] at each such c; D, the
+        lcm of those leads, clears every denominator."""
         rows = self._rref()
         free = self.free_columns()
-        vectors = []
-        for f in free:
-            v = {f: Fraction(1)}
-            for c, row in rows.items():
-                if f in row:
-                    v[c] = Fraction(-row[f], row[c])
-            vectors.append(v)
-        return Subspace(vectors, free, name)
+        D = lcm(*(row[c] for c, row in rows.items() if len(row) > 1))
+        basis = {f: {f: D} for f in free}
+        for c, row in rows.items():
+            s = D // row[c]
+            for f, x in row.items():
+                if f != c:
+                    basis[f][c] = -x * s
+        return Subspace([basis[f] for f in free], D, free, name)
 
     def kernel(self) -> list[list[Fraction]]:
-        basis = []
-        for v in self.kernel_space().vectors:
-            dense = [ZERO] * self.ncols
-            for c, x in v.items():
-                dense[c] = x
-            basis.append(dense)
-        return basis
+        vectors = self.kernel_space().vectors
+        return [[v.get(c, ZERO) for c in range(self.ncols)] for v in vectors]
 
 
 class Subspace:
     """A canonical kernel basis with certified coordinates.
 
-    ``vectors[t]`` is stored sparse (dict column -> nonzero value); it is 1
-    at its free column ``free[t]`` and 0 at every other free column, so the
-    coordinates of any member of the span are its entries at the free
-    columns.  ``coords`` reads them off and certifies membership exactly by
-    rebuilding the vector from them.
+    The vector v_t is 1 at its free column ``free[t]`` and 0 at every other
+    free column, so the coordinates of a member of the span are its entries
+    there.  It is stored sparse as ``basis[t]`` = D v_t, in ints over one
+    common ``denominator`` D.  ``coords`` certifies membership by the
+    integer identity sum_t c_t basis[t] == D vec, entry for entry, with a
+    rational vec first scaled to ints; scaling changes no entry's
+    vanishing, so this is the exact rational check.
     """
 
-    def __init__(self, vectors: list[dict], free: list[int], name: str):
-        self.vectors = vectors
+    def __init__(self, basis: list[dict], denominator: int, free: list[int], name: str):
+        self.basis = basis
+        self.denominator = denominator
         self.free = free
         self.name = name
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.basis)
 
-    def coords(self, vec: dict, what: str = "vector") -> list[Fraction]:
-        """Coordinates of the sparse vector ``vec`` (dict column -> value,
-        zero values allowed); raises GlapError unless the rebuilt vector
-        equals ``vec`` entry for entry."""
+    def vector(self, t: int) -> dict[int, Fraction]:
+        """v_t as a sparse vector of Fractions."""
+        D = self.denominator
+        return {i: Fraction(x, D) for i, x in self.basis[t].items()}
+
+    @property
+    def vectors(self) -> list[dict[int, Fraction]]:
+        """Every v_t as a sparse vector of Fractions, built on each call."""
+        return [self.vector(t) for t in range(len(self.basis))]
+
+    def coords(self, vec: dict, what: str = "vector") -> list:
+        """Coordinates of the sparse vector ``vec`` (dict column -> int or
+        Fraction, zero values allowed), its own entries at the free
+        columns; raises GlapError unless the rebuilt vector equals ``vec``
+        entry for entry."""
         out = [vec.get(f, ZERO) for f in self.free]
-        recon: dict[int, Fraction] = {}
-        for c, v in zip(out, self.vectors):
+        den = lcm(*(x.denominator for x in vec.values()))
+        if den > 1:
+            vec = {i: x.numerator * (den // x.denominator) for i, x in vec.items()}
+        recon: dict[int, int] = {}
+        for f, u in zip(self.free, self.basis):
+            c = vec.get(f)
             if c:
-                for i, x in v.items():
-                    recon[i] = recon.get(i, ZERO) + c * x
+                for i, y in u.items():
+                    recon[i] = recon.get(i, 0) + c * y
+        D = self.denominator
         for i, x in vec.items():
-            recon[i] = recon.get(i, ZERO) - x
+            recon[i] = recon.get(i, 0) - D * x
         if any(recon.values()):
             raise GlapError(f"{what} does not lie in {self.name}")
         return out
 
 
-def _dense_to_sparse_rows(M: Mat):
-    for row in M.a:
-        yield {j: x for j, x in enumerate(row) if x != 0}
-
-
 def sparse_kernel(rows, ncols: int) -> list[list[Fraction]]:
-    """Canonical kernel basis of a sparse row system (dicts col -> coeff)."""
+    """Canonical kernel basis of a sparse row system (dicts col -> int or
+    Fraction)."""
     e = Echelon(ncols)
     for row in rows:
-        e.add(row)
+        e.add(int_row(row))
     return e.kernel()
 
 
@@ -380,7 +390,7 @@ def span_basis(vectors, ncols: int) -> list[dict[int, Fraction]]:
     top = ncols - 1
     ech = Echelon(ncols)
     for v in vectors:
-        ech.add({top - c: x for c, x in v.items() if x})
+        ech.add(int_row({top - c: x for c, x in v.items()}))
     return [
         {top - c: Fraction(x, row[p]) for c, x in row.items()}
         for p, row in sorted(ech._rref().items(), reverse=True)
@@ -397,7 +407,7 @@ def solve_square(rows, n: int) -> dict[int, dict[int, Fraction]]:
     ``X[u] = {c: x}``.  Raises GlapError when P is singular."""
     ech = Echelon(n)
     for row in rows:
-        ech.add(row)
+        ech.add(int_row(row))
     require(sorted(ech.piv) == list(range(n)), "singular square system")
     return {
         u: {c - n: Fraction(x, row[u]) for c, x in row.items() if c >= n}
@@ -408,32 +418,26 @@ def solve_square(rows, n: int) -> dict[int, dict[int, Fraction]]:
 def sparse_rank(rows, ncols: int) -> int:
     e = Echelon(ncols)
     for row in rows:
-        e.add(row)
+        e.add(int_row(row))
     return e.rank
 
 
 def kernel_basis(M: Mat) -> list[list[Fraction]]:
     """Canonical basis of the null space of a dense matrix."""
-    return sparse_kernel(_dense_to_sparse_rows(M), M.n)
+    return sparse_kernel((dict(enumerate(r)) for r in M.a), M.n)
 
 
 def solve_affine(rows, rhs, ncols: int):
     """One solution of a sparse affine system ``A x = b``, or None.
 
-    ``rows`` iterates dicts (col -> coeff) aligned with ``rhs``.  Solved by
-    computing the kernel of the homogenized system [A | -b] and scaling a
-    kernel vector with nonzero last coordinate.
+    ``rows`` iterates dicts (col -> coeff) aligned with ``rhs``.  A solution
+    is a kernel vector of the homogenized system [A | -b] that is 1 at the
+    last column: the canonical one of that column when it is free.
     """
-    aug = []
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b != 0:
-            r[ncols] = -b
-        aug.append(r)
-    for v in sparse_kernel(aug, ncols + 1):
-        if v[ncols] != 0:
-            t = Fraction(1) / v[ncols]
-            return [x * t for x in v[:ncols]]
+    aug = [{**row, ncols: -b} if b else row for row, b in zip(rows, rhs)]
+    kern = sparse_kernel(aug, ncols + 1)
+    if kern and kern[-1][ncols]:
+        return kern[-1][:ncols]
     return None
 
 

@@ -35,13 +35,15 @@ incremental bookkeeping cannot survive to the output.
 
 The hot loops run in Python ints on one scaled adjacency per call
 (``gla._scaled_adjacency``: every structure constant times L, the lcm of
-their denominators), never on copied bracket dicts.  This is exact at every
-degree, 0 included, for two reasons.  A derivation row is a sum of signed
-constants, so it is L times the rational row and, being homogeneous, has
-the same kernel.  A forced bracket is a sum of products of two constants,
-so its integer map is L**2 times the rational one; ``Subspace.coords``
-certifies the integer vector and each coordinate is then divided by L**2
-as a Fraction.
+their denominators), and Fractions appear only where a result leaves the
+solver.  This is exact at every degree, 0 included.  A derivation row is
+a sum of signed constants, so it is L times the rational row and, being
+homogeneous, has the same kernel; a conformal row is scaled to integers
+where it is built.  The layer's basis is kept as integer vectors over one
+denominator D (``linalg.Subspace``).  A forced bracket is a sum of
+products of two constants, so its integer map is L**2 times the rational
+one; ``Subspace.coords`` certifies it against D times the map in ints,
+and each coordinate is then divided by L**2 as a Fraction.
 
 The recursion stops at the first empty layer; for the inputs this package
 builds that always happens (the negative part is fundamental and the
@@ -69,7 +71,7 @@ from .gla import (
     check_gla,
     require_graded,
 )
-from .linalg import ZERO, Echelon, Mat, Subspace, sparse_kernel, sparse_rank
+from .linalg import ZERO, Echelon, Mat, Subspace, int_row, sparse_kernel, sparse_rank
 
 
 class _Layout:
@@ -214,7 +216,8 @@ def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int, ad):
 
 def _conformal_rows(g: SymBilinearForm, layout: _Layout):
     """Yield the rows of g(D x, y) + g(x, D y) = eta g(x, y) over pairs of
-    degree -1 basis elements, eta in the column past the last block."""
+    degree -1 basis elements, eta in the column past the last block, each
+    scaled to integers by ``int_row``."""
     G = g.matrix.a
     nm1 = len(g.indices)
     eta_col = layout.total
@@ -230,7 +233,7 @@ def _conformal_rows(g: SymBilinearForm, layout: _Layout):
                     row[c] = row.get(c, ZERO) + G[a][r]
             if G[a][b] != 0:
                 row[eta_col] = -G[a][b]
-            row = {c: v for c, v in row.items() if v != 0}
+            row = int_row(row)
             if row:
                 yield row
 

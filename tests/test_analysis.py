@@ -18,7 +18,6 @@ from glap.analysis import (
     classify_module,
     commutant,
     degree_zero_action,
-    form_transport,
     is_semisimple,
     is_simple,
     isotropic_split_check,
@@ -244,6 +243,32 @@ def test_classify_module_is_pinned(get_prolongation, get_rebased, case, module_c
     assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
+def _full_commutant(mats, n):
+    """The commutant from every row of phi M - M phi = 0, in Fractions:
+    the reference for commutant, which stops at the rank bound n*n - 1."""
+    rows = []
+    for M in mats:
+        for i in range(n):
+            for j in range(n):
+                row = {}
+                for r in range(n):
+                    row[r * n + i] = row.get(r * n + i, 0) + M.a[r][j]
+                    row[j * n + r] = row.get(j * n + r, 0) - M.a[i][r]
+                rows.append(row)
+    return [
+        Mat([[v[c * n + r] for c in range(n)] for r in range(n)])
+        for v in sparse_kernel(rows, n * n)
+    ]
+
+
+@pytest.mark.parametrize("case", [case for case, _, _ in _CLASSIFIER_PINS])
+def test_commutant_stopped_at_the_rank_bound_matches_the_full_solve(
+    get_prolongation, get_rebased, case
+):
+    mats, n = _classifier_case(get_prolongation, get_rebased, case)
+    assert commutant(mats, n) == _full_commutant(mats, n)
+
+
 def test_bi3_split_is_isotropic(get_prolongation):
     prol = get_prolongation("bi", l=3)
     cls = classify_module(degree_zero_action(prol.algebra), prol.form.matrix)
@@ -283,17 +308,6 @@ def test_isotropic_check_rejects_degenerate_pairing():
 def test_isotropic_check_rejects_wrong_dimensions():
     with pytest.raises(ValueError):
         isotropic_split_check(Mat.identity(3), [[F(1), F(0), F(0)]], [])
-
-
-def test_form_transport_verdicts():
-    G = Mat.diag([1, 2])
-    phi, verdict, lam = form_transport(G, Mat.diag([3, 6]))
-    assert (verdict, lam) == ("proportional", 3)
-    assert phi == Mat.diag([3, 3])
-    _, verdict, lam = form_transport(G, Mat.diag([-1, -2]))
-    assert (verdict, lam) == ("proportional", -1)
-    _, verdict, lam = form_transport(Mat.identity(2), Mat.diag([1, 2]))
-    assert verdict == "general" and lam is None
 
 
 @pytest.mark.parametrize(
@@ -614,3 +628,18 @@ def test_killing_form_matches_the_fraction_reference(get_prolongation, get_rebas
         A = full_prolongation(*get_rebased("hh", p=1, q=1)).algebra
     assert _scaled_adjacency(A)[0] > 1  # the scaling is exercised
     assert killing_form(A) == _reference_killing_form(A)
+
+
+def test_killing_form_refuses_a_misgraded_algebra():
+    """Summing only pairs of opposite degrees is right only on a graded
+    algebra: here [x, z] has a term in degree -1 instead of -3, which
+    makes B(x, x) = 2 although deg x + deg x = -2."""
+    A = GradedAlgebra(
+        "misgraded",
+        ["x", "y", "z"],
+        [-1, -1, -2],
+        {(0, 1): {2: F(1)}, (0, 2): {1: F(1)}},
+    )
+    assert _reference_killing_form(A).a[0][0] == 2
+    with pytest.raises(GlapError, match="degree"):
+        killing_form(A)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from glap.errors import GlapError, NotSymmetric
 from glap.linalg import (
     Echelon,
     Mat,
+    _primitive,
+    int_row,
     kernel_basis,
     signature_of_symmetric,
     solve_affine,
@@ -39,7 +42,7 @@ def test_kernel_vectors_have_unit_pivot_at_free_columns():
     M = Mat([[1, 2, 3], [2, 4, 6]])
     ech = Echelon(3)
     for row in M.a:
-        ech.add({j: x for j, x in enumerate(row) if x != 0})
+        ech.add(int_row(dict(enumerate(row))))
     free = ech.free_columns()
     for vec, f in zip(kernel_basis(M), free):
         assert vec[f] == 1
@@ -221,6 +224,114 @@ def test_kernel_space_matches_dense_kernel():
     ech.add({2: 3, 3: -6})
     dense = [[v.get(c, F(0)) for c in range(4)] for v in ech.kernel_space().vectors]
     assert dense == ech.kernel()
+
+
+def _reference_add(ech, row):
+    """Echelon.add as it was before pivot-time normalization: the row and
+    every remainder are made primitive after each elimination step."""
+    r = _primitive(row) if row else None
+    while r:
+        c = min(r)
+        p = ech.piv.get(c)
+        if p is None:
+            ech.piv[c] = r
+            return True
+        a, b = r[c], p[c]
+        g = gcd(a, b)
+        nxt = {col: (b // g) * v for col, v in r.items()}
+        for col, v in p.items():
+            w = nxt.get(col, 0) - (a // g) * v
+            if w:
+                nxt[col] = w
+            elif col in nxt:
+                del nxt[col]
+        r = _primitive(nxt) if nxt else None
+    return False
+
+
+def _reference_vectors(ech):
+    """The canonical kernel basis as Fraction vectors, read off the reduced
+    rows the way kernel_space did before it stored integer vectors."""
+    rows = ech._rref()
+    out = []
+    for f in ech.free_columns():
+        v = {f: F(1)}
+        for c, row in rows.items():
+            if f in row:
+                v[c] = F(-row[f], row[c])
+        out.append(v)
+    return out
+
+
+def _reference_coords(vectors, free, vec):
+    """Subspace.coords as it was in Fractions, on the basis ``vectors``."""
+    out = [vec.get(f, F(0)) for f in free]
+    recon = {}
+    for c, v in zip(out, vectors):
+        if c:
+            for i, x in v.items():
+                recon[i] = recon.get(i, F(0)) + c * x
+    for i, x in vec.items():
+        recon[i] = recon.get(i, F(0)) - x
+    if any(recon.values()):
+        raise GlapError("not in the span")
+    return out
+
+
+@st.composite
+def integer_systems(draw):
+    """(ncols, rows): a few sparse integer rows, zero entries dropped."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, n - 1), small_entries, max_size=n),
+        max_size=7,
+    ))
+    return n, [{c: x for c, x in row.items() if x} for row in rows]
+
+
+def _both(n, rows):
+    ech, ref = Echelon(n), Echelon(n)
+    for row in rows:
+        assert ech.add(row) == _reference_add(ref, row)
+    return ech, ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems())
+def test_lazy_echelon_matches_per_step_normalization(system):
+    n, rows = system
+    ech, ref = _both(n, rows)
+    assert ech.piv == ref.piv
+    space = ech.kernel_space()
+    assert space.free == ref.free_columns()
+    assert space.vectors == _reference_vectors(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_systems(), st.lists(st.fractions(max_denominator=6), max_size=7))
+def test_integer_coords_match_the_fraction_reference(system, weights):
+    n, rows = system
+    ech, ref = _both(n, rows)
+    space = ech.kernel_space("the span")
+    vectors = _reference_vectors(ref)
+    member = {}
+    for w, v in zip(weights, vectors):
+        for i, x in v.items():
+            member[i] = member.get(i, F(0)) + w * x
+    den = 1
+    for x in member.values():
+        den = den * x.denominator // gcd(den, x.denominator)
+    as_ints = {i: int(x * den) for i, x in member.items()}
+    for vec in (member, as_ints):
+        assert space.coords(vec) == _reference_coords(vectors, space.free, vec)
+    for col in set(range(n)) - set(space.free):
+        for vec in (member, as_ints):
+            bad = dict(vec)
+            bad[col] = bad.get(col, 0) + 1
+            with pytest.raises(GlapError, match="the span"):
+                space.coords(bad)
+            with pytest.raises(GlapError):
+                _reference_coords(vectors, space.free, bad)
 
 
 def test_mat_sum_and_difference_reject_shape_mismatch():

@@ -342,8 +342,8 @@ def _prolong_with_a_perturbed_layer(layer):
             space = super().kernel_space(name)
             if name == layer:
                 col = min(self.piv)
-                vec = space.vectors[0]
-                vec[col] = vec.get(col, 0) + 1
+                vec = space.basis[0]
+                vec[col] = vec.get(col, 0) + space.denominator
             return space
 
     fam = build("hh", p=1, q=1)
