@@ -60,7 +60,19 @@ class CompositionAlgebra:
         return [self.basis_element(i) for i in range(self.dim)]
 
     def is_associative(self) -> bool:
-        return self.dim <= 4
+        """Whether (e_s e_t) e_u == e_s (e_t e_u) on all d^3 basis triples;
+        by trilinearity that is associativity of the whole algebra."""
+        T = self._table
+        for s in range(self.dim):
+            for t in range(self.dim):
+                k, a = T[s][t]
+                for u in range(self.dim):
+                    l, b = T[t][u]
+                    left, c = T[k][u]
+                    right, e = T[s][l]
+                    if left != right or a * c != b * e:
+                        return False
+        return True
 
 
 class CAElement:

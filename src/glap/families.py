@@ -3,7 +3,13 @@
 The classical families live inside matrices over a composition algebra: the
 defining reflection equation is solved degree by degree in exact arithmetic,
 and the resulting basis matrices are multiplied out to honest structure
-constants.  The two octonionic models and the exceptional rank-two model are
+constants.  The products run in Python ints: each degree's canonical basis
+is kept as integer vectors D v_t over one denominator D, and the unit table
+of K has integer coefficients, so the commutator of D_a X_a and D_b X_b is
+an integer matrix, exactly D_a D_b [X_a, X_b].  Its coordinates are
+certified in ints by exact reconstruction and divided by D_a D_b once.
+K is required to be associative, which makes these commutators a Lie
+bracket; the ambient still gets the full grading and Jacobi sweep.  The two octonionic models and the exceptional rank-two model are
 assembled directly from representation data, and a semidirect-product example
 with a non-semisimple prolongation rounds out the list.
 
@@ -49,73 +55,18 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _zero_elem(alg: CompositionAlgebra) -> CAElement:
-    return alg.element([ZERO] * alg.dim)
-
-
 class KMat:
-    """Sparse square matrix over a composition algebra."""
+    """Sparse square matrix over a composition algebra, read entry by entry."""
 
-    __slots__ = ("alg", "n", "cells")
+    __slots__ = ("alg", "cells")
 
-    def __init__(self, alg, n, cells=None):
+    def __init__(self, alg: CompositionAlgebra, cells: dict):
         self.alg = alg
-        self.n = n
-        self.cells = {}
-        if cells:
-            for key, val in cells.items():
-                if not val.is_zero():
-                    self.cells[key] = val
+        self.cells = cells
 
     def entry(self, i: int, j: int) -> CAElement:
         v = self.cells.get((i, j))
-        return v if v is not None else _zero_elem(self.alg)
-
-    def __add__(self, other: "KMat") -> "KMat":
-        _require_same_shape(self, other)
-        out = dict(self.cells)
-        for key, val in other.cells.items():
-            cur = out.get(key)
-            out[key] = val if cur is None else cur + val
-        return KMat(self.alg, self.n, out)
-
-    def __sub__(self, other: "KMat") -> "KMat":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "KMat":
-        c = Fraction(c)
-        return KMat(self.alg, self.n, {k: v.scale(c) for k, v in self.cells.items()})
-
-    def __mul__(self, other: "KMat") -> "KMat":
-        _require_same_shape(self, other)
-        by_row: dict[int, list] = {}
-        for (k, j), y in other.cells.items():
-            by_row.setdefault(k, []).append((j, y))
-        acc: dict[tuple[int, int], CAElement] = {}
-        for (i, k), x in self.cells.items():
-            for j, y in by_row.get(k, ()):
-                prod = x * y
-                cur = acc.get((i, j))
-                acc[(i, j)] = prod if cur is None else cur + prod
-        return KMat(self.alg, self.n, acc)
-
-    def commutator(self, other: "KMat") -> "KMat":
-        return self * other - other * self
-
-    def trace(self) -> CAElement:
-        acc = _zero_elem(self.alg)
-        for (i, j), v in self.cells.items():
-            if i == j:
-                acc = acc + v
-        return acc
-
-    def is_zero(self) -> bool:
-        return not self.cells
-
-
-def _require_same_shape(a: KMat, b: KMat):
-    require(a.alg is b.alg and a.n == b.n,
-            "KMat operands differ in coefficient algebra or size")
+        return v if v is not None else self.alg.element([ZERO] * self.alg.dim)
 
 
 class _DegreeSpace:
@@ -123,12 +74,12 @@ class _DegreeSpace:
 
     Local coordinates run over (cell index, coefficient component); the
     canonical kernel basis of the constraint rows is kept as a ``Subspace``
-    so membership is certified by exact reconstruction.
+    so membership is certified by exact reconstruction.  A matrix handed to
+    ``coords`` is sparse by entry and component, ``{(i, j, s): x}``.
     """
 
-    def __init__(self, alg, n, cells, rows):
+    def __init__(self, alg, cells, rows):
         self.alg = alg
-        self.n = n
         self.cells = list(cells)
         self.pos = {c: k for k, c in enumerate(self.cells)}
         ech = Echelon(len(self.cells) * alg.dim)
@@ -146,19 +97,65 @@ class _DegreeSpace:
         for idx in sorted({i // d for i in vec}):
             coords = [vec.get(idx * d + t, ZERO) for t in range(d)]
             cells[self.cells[idx]] = self.alg.element(coords)
-        return KMat(self.alg, self.n, cells)
+        return KMat(self.alg, cells)
 
-    def coords(self, M: KMat) -> list[Fraction]:
+    def int_matrix(self, k: int) -> dict[tuple[int, int, int], int]:
+        """D times the k-th basis matrix, D = ``space.denominator``, in ints."""
+        d = self.alg.dim
+        out = {}
+        for c, x in self.space.basis[k].items():
+            idx, s = divmod(c, d)
+            out[(*self.cells[idx], s)] = x
+        return out
+
+    def coords(self, entries: dict) -> list:
         d = self.alg.dim
         local = {}
-        for (i, j), v in M.cells.items():
-            idx = self.pos.get((i, j))
-            if idx is None:
-                raise GlapError(f"matrix entry at {(i, j)} escapes the degree block")
-            for t, c in enumerate(v.coords):
-                if c:
-                    local[idx * d + t] = c
+        for (i, j, s), x in entries.items():
+            if x:
+                idx = self.pos.get((i, j))
+                if idx is None:
+                    raise GlapError(f"matrix entry at {(i, j)} escapes the degree block")
+                local[idx * d + s] = x
         return self.space.coords(local, "matrix")
+
+
+def _unit_table(alg: CompositionAlgebra) -> list[list[tuple[int, int]]]:
+    """``table[s][t] = (u, c)`` with e_s e_t = c e_u and c a Python int."""
+    out = []
+    for row in alg._table:
+        out.append([])
+        for u, c in row:
+            c = Fraction(c)
+            require(c.denominator == 1,
+                    f"{alg.tag}: unit product coefficient {c} is not an integer")
+            out[-1].append((u, int(c)))
+    return out
+
+
+def _by_row(X: dict) -> dict[int, list]:
+    """The entries of a matrix ``{(i, k, s): x}`` grouped by row:
+    ``rows[i] = [(k, s, x), ...]``."""
+    rows: dict[int, list] = {}
+    for (i, k, s), x in X.items():
+        rows.setdefault(i, []).append((k, s, x))
+    return rows
+
+
+def _commutator(X: dict, Y: dict, table) -> dict:
+    """XY - YX of two matrices over K given ``_by_row``, as
+    ``{(i, j, u): x}`` with zero entries kept."""
+    acc: dict[tuple[int, int, int], int] = {}
+    get = acc.get
+    for left, right, sign in ((X, Y, 1), (Y, X, -1)):
+        for i, row in left.items():
+            for k, s, x in row:
+                products = table[s]
+                for j, t, y in right.get(k, ()):
+                    u, c = products[t]
+                    key = (i, j, u)
+                    acc[key] = get(key, 0) + sign * c * x * y
+    return acc
 
 
 def _realize(alg, n, sigma, weights, trace_zero):
@@ -203,38 +200,55 @@ def _realize(alg, n, sigma, weights, trace_zero):
                 {pos0[(i, i)] * d + t: 1 for i in range(n)}
             )
     return {
-        delta: _DegreeSpace(alg, n, degree_cells[delta], rows_by_degree[delta])
+        delta: _DegreeSpace(alg, degree_cells[delta], rows_by_degree[delta])
         for delta in degree_cells
     }
 
 
 def _assemble(name, spaces) -> GradedAlgebra:
-    """Structure constants of the realized algebra via matrix commutators."""
+    """Structure constants of the realized algebra via matrix commutators.
+
+    K must be associative: then gl(n, K) is an associative algebra and its
+    commutator a Lie bracket, which the structure constants inherit.  Each
+    basis element X_a of degree a enters as the integer matrix D_a X_a, D_a
+    the denominator of its degree's canonical basis, and every product of
+    entries runs through the integer unit table of K.  So the integer
+    commutator is exactly D_a D_b [X_a, X_b]; ``coords`` certifies it in
+    ints entry for entry and returns D_a D_b times the rational
+    coordinates, and each is divided by D_a D_b once.
+    """
+    alg = next(iter(spaces.values())).alg
+    table = _unit_table(alg)
+    require(alg.is_associative(), f"{alg.tag} is not associative")
     degrees_sorted = sorted(d for d in spaces if spaces[d].dim() > 0)
-    basis: list[tuple[int, KMat]] = []
+    basis: list[tuple[int, int, dict]] = []
     labels, degs = [], []
     offset = {}
     for delta in degrees_sorted:
+        sp = spaces[delta]
         offset[delta] = len(basis)
-        for k in range(spaces[delta].dim()):
-            basis.append((delta, spaces[delta].matrix(k)))
+        for k in range(sp.dim()):
+            basis.append((delta, sp.space.denominator, _by_row(sp.int_matrix(k))))
             labels.append(f"g{delta}_{k}")
             degs.append(delta)
     brackets = {}
     for i in range(len(basis)):
-        di, Xi = basis[i]
+        di, Di, Xi = basis[i]
         for j in range(i + 1, len(basis)):
-            dj, Xj = basis[j]
-            Z = Xi.commutator(Xj)
-            if Z.is_zero():
+            dj, Dj, Xj = basis[j]
+            Z = _commutator(Xi, Xj, table)
+            if not any(Z.values()):
                 continue
             sp = spaces.get(di + dj)
             if sp is None:
                 raise GlapError(
                     f"commutator escapes the graded support at degree {di + dj}"
                 )
-            coords = sp.coords(Z)
-            cell = {offset[di + dj] + k: c for k, c in enumerate(coords) if c}
+            scale = Di * Dj
+            cell = {
+                offset[di + dj] + k: Fraction(c, scale)
+                for k, c in enumerate(sp.coords(Z)) if c
+            }
             if cell:
                 brackets[(i, j)] = cell
     return GradedAlgebra(name, labels, degs, brackets)
@@ -331,16 +345,18 @@ def _check_covariance(A: GradedAlgebra, G: Mat, eta_by_index):
 
 
 def _certify_cartan(spaces, elems):
-    """Certify that the tagged matrices lie in degree zero, are linearly
-    independent and commute pairwise."""
+    """Certify that the tagged matrices ``{(i, j, s): x}`` lie in degree
+    zero, are linearly independent and commute pairwise."""
     ech = Echelon(spaces[0].dim())
     for M in elems:
         local = spaces[0].coords(M)
         grew = ech.add(int_row(dict(enumerate(local))))
         require(grew, "tagged diagonal elements are dependent")
+    table = _unit_table(spaces[0].alg)
+    rows = [_by_row(M) for M in elems]
     for a in range(len(elems)):
         for b in range(a + 1, len(elems)):
-            require(elems[a].commutator(elems[b]).is_zero(),
+            require(not any(_commutator(rows[a], rows[b], table).values()),
                     f"tagged diagonal elements {a} and {b} do not commute")
 
 
@@ -398,28 +414,24 @@ def build_hk(k_tag: str, name: str, p: int, q: int):
         eta_by_index.append((idx0[k], Fraction(-2) * corner.coords[0]))
     _check_covariance(ambient, G, eta_by_index)
     # the weight matrix itself must be a degree-zero solution
-    E = KMat(alg, n, {(i, i): alg.one.scale(w) for i, w in enumerate(weights) if w})
-    spaces[0].coords(E)
+    spaces[0].coords({(i, i, 0): w for i, w in enumerate(weights)})
 
     cartan = None
     u = _split_unit(alg)
     if u is not None:
-        e_u = alg.basis_element(u)
-        elems = [
-            KMat(alg, n, {(i, i): alg.one, (sigma[i], sigma[i]): -alg.one})
-            for i in range(p)
-        ]
-        modes = [
-            KMat(alg, n, {(i, i): e_u, (sigma[i], sigma[i]): e_u})
-            for i in range(p)
-        ]
-        modes += [KMat(alg, n, {(i, i): e_u}) for i in range(p, p + q)]
+        elems = [{(i, i, 0): 1, (sigma[i], sigma[i], 0): -1} for i in range(p)]
+        modes = [{(i, i, u): 1, (sigma[i], sigma[i], u): 1} for i in range(p)]
+        modes += [{(i, i, u): 1} for i in range(p, p + q)]
         if d == 2:
-            # the traceless combinations survive inside the realized algebra
+            # the traceless combinations survive inside the realized algebra;
+            # every mode is diagonal in component u, so its trace there is
+            # the sum of its entries
             last = modes[-1]
-            tl = last.trace().coords[u]
+            tl = sum(last.values())
             for M in modes[:-1]:
-                elems.append(M.scale(tl) - last.scale(M.trace().coords[u]))
+                tr = sum(M.values())
+                elems.append({key: tl * M.get(key, 0) - tr * last.get(key, 0)
+                              for key in M.keys() | last.keys()})
         else:
             elems += modes
         expected_rank = n - 1 if d == 2 else n
@@ -476,13 +488,9 @@ def build_bi(name: str, l: int):
         corner = spaces[0].matrix(k).entry(0, 0)
         eta_by_index.append((idx0[k], -corner.coords[0]))
     _check_covariance(ambient, G, eta_by_index)
-    E = KMat(alg, n, {(i, i): alg.one.scale(w) for i, w in enumerate(weights) if w})
-    spaces[0].coords(E)
+    spaces[0].coords({(i, i, 0): w for i, w in enumerate(weights)})
 
-    elems = [
-        KMat(alg, n, {(i, i): alg.one, (sigma[i], sigma[i]): -alg.one})
-        for i in range(l)
-    ]
+    elems = [{(i, i, 0): 1, (sigma[i], sigma[i], 0): -1} for i in range(l)]
     _certify_cartan(spaces, elems)
     return m, g, ambient, CartanTag(dim=l)
 

@@ -20,11 +20,18 @@ from dataclasses import dataclass
 
 from .errors import BadParameters, UnsupportedType
 
+# the largest rank the classification table reaches (C8, at 2p+q = 8); the
+# positive-root closure grows steeply with the rank, so larger ones are
+# refused before any root is generated
+MAX_RANK = 8
+
 
 def cartan_matrix(series: str, rank: int) -> list[list[int]]:
     """Cartan matrix A with A[i][j] = <a_i, a_j^vee>, Bourbaki numbering."""
     if rank < 1:
         raise BadParameters(f"rank must be positive, got {rank}")
+    if rank > MAX_RANK:
+        raise BadParameters(f"rank <= {MAX_RANK} supported, got {rank}")
     series = series.upper()
     if series == "A":
         pass

@@ -192,6 +192,32 @@ def test_oracle_family_param_validation(capsys):
     assert code == 2
 
 
+def test_oracle_refuses_a_rank_above_the_table(capsys):
+    code, out = run(capsys, "oracle", "--series", "A", "--rank", "9", "--crossed", "1")
+    assert code == 2
+    assert "rank <= 8" in json.loads(out)["error"]
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_oracle_refuses_a_huge_rank_before_generating_roots():
+    # in a child capped at 1 GiB and 60 s, so an unbounded root closure
+    # fails this test instead of exhausting the machine
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "glap.cli", "oracle", "--series", "A",
+         "--rank", "99999", "--crossed", "1"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "rank <= 8" in json.loads(proc.stdout)["error"]
+
+
 def test_prolong_honors_step_limit_env(tmp_path, capsys, monkeypatch):
     prefix = str(tmp_path / "f")
     run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)

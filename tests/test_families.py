@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,9 +8,10 @@ import pytest
 
 from glap import families
 from glap.cli import DEFAULT_ROWS
+from glap.composition import algebra_by_tag
 from glap.errors import BadParameters, GlapError, require
 from glap.families import FAMILIES, build
-from glap.gla import check_fundamental, check_gla
+from glap.gla import GradedAlgebra, check_fundamental, check_gla
 
 
 EXPECTED_KIND = {
@@ -322,3 +324,203 @@ for tag, params in [("hh", {{"p": 1, "q": 1}}), ("bi", {{"l": 3}})]:
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, (proc.stdout, proc.stderr)
+
+
+# ---------------------------------------------------------------------------
+# the integer assembly of the ambient
+# ---------------------------------------------------------------------------
+
+
+def _reference_assemble(name, spaces):
+    """The Fraction form of the assembly: each basis matrix over K as
+    {(i, j): CAElement}, each bracket a commutator multiplied out in
+    CAElement arithmetic, its coordinates read off the target degree."""
+    basis, labels, degs, offset = [], [], [], {}
+    for delta in sorted(d for d in spaces if spaces[d].dim()):
+        offset[delta] = len(basis)
+        for k in range(spaces[delta].dim()):
+            basis.append((delta, spaces[delta].matrix(k).cells))
+            labels.append(f"g{delta}_{k}")
+            degs.append(delta)
+
+    def product(X, Y):
+        out = {}
+        for (i, k), x in X.items():
+            for (k2, j), y in Y.items():
+                if k == k2:
+                    out[i, j] = out[i, j] + x * y if (i, j) in out else x * y
+        return out
+
+    brackets = {}
+    for a, (da, X) in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            db, Y = basis[b]
+            XY, YX = product(X, Y), product(Y, X)
+            Z = {}
+            for (i, j), v in XY.items():
+                for s, c in enumerate(v.coords):
+                    Z[i, j, s] = c
+            for (i, j), v in YX.items():
+                for s, c in enumerate(v.coords):
+                    Z[i, j, s] = Z.get((i, j, s), 0) - c
+            if not any(Z.values()):
+                continue
+            coords = spaces[da + db].coords(Z)
+            cell = {offset[da + db] + k: c for k, c in enumerate(coords) if c}
+            if cell:
+                brackets[(a, b)] = cell
+    return GradedAlgebra(name, labels, degs, brackets)
+
+
+ASSEMBLY_ROWS = MATRIX_ROWS + [
+    ("hh", {"p": 1, "q": 3}),
+    ("hc", {"p": 3, "q": 1}),
+    ("bi", {"l": 6}),
+    ("hc", {"p": 1, "q": 6}),
+]
+
+
+def test_integer_assembly_matches_the_fraction_reference(monkeypatch):
+    seen = []
+    assemble = families._assemble
+
+    def capture(name, spaces):
+        A = assemble(name, spaces)
+        seen.append((spaces, A))
+        return A
+
+    monkeypatch.setattr(families, "_assemble", capture)
+    for tag, params in ASSEMBLY_ROWS:
+        build(tag, **params)
+        assert len(seen) == 1, (tag, params)
+        spaces, A = seen.pop()
+        assert A.serialize() == _reference_assemble(A.name, spaces).serialize(), (tag, params)
+
+
+def _planted(table, s, t, factor):
+    """A copy of a unit table with the coefficient of e_s e_t times factor."""
+    out = [list(row) for row in table]
+    u, c = out[s][t]
+    out[s][t] = (u, c * factor)
+    return out
+
+
+@pytest.mark.parametrize(
+    "factor,fragment",
+    [(-1, "H is not associative"), (Fraction(1, 2), "is not an integer")],
+    ids=["sign-flip", "non-integer"],
+)
+def test_planted_unit_table_fails_the_build(monkeypatch, factor, fragment):
+    H = algebra_by_tag("H")
+    monkeypatch.setattr(H, "_table", _planted(H._table, 1, 2, factor))
+    with pytest.raises(GlapError, match=fragment):
+        build("hh", p=1, q=1)
+
+
+def test_planted_sign_flip_fails_the_build_without_asserts():
+    script = """
+from glap.composition import algebra_by_tag
+from glap.errors import GlapError
+from glap.families import build
+
+H = algebra_by_tag("H")
+H._table = [list(row) for row in H._table]
+u, c = H._table[1][2]
+H._table[1][2] = (u, -c)
+try:
+    build("hh", p=1, q=1)
+except GlapError as e:
+    print(e)
+    raise SystemExit(0 if "not associative" in str(e) else 2)
+raise SystemExit(1)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+
+
+# (tag, params, sha256 of m, g and the ambient as serialized while the
+# ambient was still assembled from Fraction commutators): the 14 default
+# rows and the two bench ladder rungs
+BUILD_DIGESTS = [
+    ("hc", {"p": 1, "q": 1},
+     ("000d71b59b940386b30ad7036db21ac57c7229b2356af9664263bef7511c2ce1",
+      "0df7c069483ea981a94b37c3556c4e1ddff9d7340c843fb18615a511ca1ccbe5",
+      "55f828675ace36dbb228ef56deb0ecafcc430b8fe925b0a871a7fa49088a867a")),
+    ("hc", {"p": 2, "q": 1},
+     ("9c6dfa0ad1c2bcc4314272f32802c837ad8fc8f3b8740576315d6f281e2ff23c",
+      "0992c37ba8a7674f57a3eeb3acab6bc7631cb0a1e757bd9207e393c2f19d13ed",
+      "6ebc383f6a9513c123971691756e51e9052652d379bf0bcac83a79c88c4e145c")),
+    ("hc-split", {"p": 1, "q": 1},
+     ("de19992d122db37ee341da4a8c348f0b55aa741b148a1f11b24dc71322a1b7df",
+      "036cbfcc8186f2b183e4f360ea688c5c60144fa400a84296305a4b48f9fb1a57",
+      "c3ddcc39c1e65dd775ebf7cce04f1e369d559a80b00f8e3e024712b1f41e204a")),
+    ("hc-split", {"p": 2, "q": 1},
+     ("bcb852f9b9ce7a354e5aed9b4585df8f887766b910b74b0d4cc500e62151e083",
+      "2885a9c00b812f6c3cb16d4747be794d4cdef6fb5de83123fb603c2586fc5f3d",
+      "cc76fe637586d306835f97e165d38b68e16f21461aefd562470277b97d11071b")),
+    ("hh", {"p": 1, "q": 1},
+     ("9c1a903884c33e889c5432acbd9e9bd7d0626d873f68af9f1b9ab7c49c8b8f07",
+      "745bdd0112d2951081fc33c18f8ddc0d57a3a370d9ec61fa69208d8297a98fd7",
+      "ebeba2b03e0e3426468d0b15b196774f8cf5aac8636f76fa6af3b015b08fa5fd")),
+    ("hh", {"p": 1, "q": 2},
+     ("9a9d32eaf24f1acc72d1b259c216d8629bb196d350b24306ac3480844c779f2d",
+      "0cd53e70a0736a422adbc105485a492118a8aa46fa0bd10d85e3366920235b58",
+      "8afbb66ad6f840f2dca42d6e90945a174ed70ffb1db5e10a17b53c3ddf895333")),
+    ("hh-split", {"p": 1, "q": 1},
+     ("31fd3631cfa92faa5bdf9e71630ac1ea33059f86883b21008537ca4cad386634",
+      "de64e2e48a83656057b3bab28c5fd0f19562b0fd8ecfe8bdf09a4decc03a9db8",
+      "748c14f8038c23948d7c1a111083d45efa5b5dc5ed4fe6dc321697f186eb5e9f")),
+    ("hh-split", {"p": 1, "q": 2},
+     ("8721ae515c4ff44c3eafbe099e732a364037875137da31b52cd3e01b69e9ed4d",
+      "1240c65b2897a9f6d66e4599d40ead407d8b7bd3896ab257461d22015d9e65f8",
+      "06352c5a0145af4219eee6827490fd846bd436c0ab6ba590ed708883c6a4ea67")),
+    ("bi", {"l": 2},
+     ("8d383f5407c61c26bb9ef2a5d998281fb453048416413c8bdc079956d12c8064",
+      "dfe53c966292da0f73cd7a44168041da5cd67c16ace5e15a9f3e004359cc476c",
+      "714a1da4791becaf3c150f4eca6db1405314c788e898ecaeb8beab771b36cf9c")),
+    ("bi", {"l": 3},
+     ("fb93c2b16085e32720621b0f786c7fca554ac60b7788f3d29fc34373d17fe62a",
+      "ba2b19333c45e5bca9aced82f06a60e07a24593e6851c19c76283eb67c7e7127",
+      "32dfc487b430f08fcb5e093360ef2dc75a35d93341aca49d6f4e92569c1b3659")),
+    ("ho", {},
+     ("27abab56c5f297287f79818610245ae1311df5193b4f764b796240001188f2dd",
+      "976271fa65998559953abc7129c6e72941e8da37fb32e12b52a93a63499080a0",
+      None)),
+    ("ho-split", {},
+     ("75da877783db78cfcbe5d9b84471f42b984d35b729d4f3c1c76caeba2f3c9607",
+      "90eaad9d38a9b3cbda31ab1b4febfc98b9837607c59256fc53deaf8c2676417e",
+      None)),
+    ("g2", {},
+     ("60724a712df73cd3221bad38dc71f24269c3ee9b7141c811410893e4cbfc2281",
+      "f769c6687d1f0b83fc5deb827570223ac60d0a55756b31fc781370eb6be9406c",
+      None)),
+    ("counterexample", {},
+     ("24780161359f8bb208f9d54f07f7d6e1f38782bbc35c32593f8e1f0db3d1d929",
+      "351bcf43ab786a95fa5fd80050a0fbd9ec954f168a57156c54a73dbbf29eeff3",
+      None)),
+    ("hh", {"p": 1, "q": 3},
+     ("a905da3e19b94335f1093a1d09489e1483720d4e7fdf5b6f2e389eea4cb6eb17",
+      "baec107c80998fef8c36e7f9263df88986beeffdcd75f6da149483b7c802573a",
+      "f2deb1d7b76bfe64e04067871707c1e7a837c9e5dee6b44ae5b21ec8b0fdfacb")),
+    ("hc", {"p": 3, "q": 1},
+     ("0fc4c5e2566aa1cae886dd9f5c94974517376f6de8ef1da6c927327d66fcb5f0",
+      "9b8c36d6d9759205b9928390803cb295fec69914b9093bd9ac17e4e35bc9bcdc",
+      "55806f028c744ca124eda14918082cb1b777c17f32baf32d991b3bc75b30c4ff")),
+]
+
+
+@pytest.mark.parametrize(
+    "tag,params,digests", BUILD_DIGESTS,
+    ids=[families.label(tag, params) for tag, params, _ in BUILD_DIGESTS],
+)
+def test_build_output_is_unchanged(get_family, tag, params, digests):
+    fam = get_family(tag, **params)
+    ambient = fam.ambient.serialize() if fam.ambient else None
+    got = tuple(
+        hashlib.sha256(text.encode()).hexdigest() if text else None
+        for text in (fam.m.serialize(), fam.g.serialize(), ambient)
+    )
+    assert got == digests
