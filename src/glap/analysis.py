@@ -3,7 +3,8 @@
 Killing form and (semi)simplicity, the centroid, the module structure of
 the degree -1 part under the degree 0 part, and comparison against the
 expected classification table.  All decisions are exact: semisimplicity is
-a determinant being nonzero, simplicity is a statement about the centroid,
+the determinants of the degree blocks of the Killing form being nonzero
+(``is_semisimple``), simplicity is a statement about the centroid,
 and module classes come from a quadratic relation of elements of the
 commutant (``classify_module``).
 
@@ -97,7 +98,21 @@ def killing_form(A: GradedAlgebra) -> Mat:
 
 
 def is_semisimple(A: GradedAlgebra) -> bool:
-    return killing_form(A).det() != 0
+    """Whether the Killing form B is nondegenerate, read by degree blocks.
+
+    ``killing_form`` certifies the grading, so B(g_p, g_q) = 0 unless
+    p + q = 0.  Up to the order of the basis B is B_0 on g_0 beside the
+    blocks [[0, C_d], [C_d^T, 0]], C_d = B on g_d x g_{-d} for d > 0, each
+    singular unless dim g_d = dim g_{-d}; det B = +-det B_0 * prod det(C_d)**2."""
+    B = killing_form(A).a
+    by_deg = A.by_degree()
+    if any(len(ix) != len(by_deg.get(-d, ())) for d, ix in by_deg.items()):
+        return False
+    return all(
+        Mat([[B[i][j] for j in by_deg[-d]] for i in ix]).det() != 0
+        for d, ix in by_deg.items()
+        if d >= 0
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ of K has integer coefficients, so the commutator of D_a X_a and D_b X_b is
 an integer matrix, exactly D_a D_b [X_a, X_b].  Its coordinates are
 certified in ints by exact reconstruction and divided by D_a D_b once.
 K is required to be associative, which makes these commutators a Lie
-bracket; the ambient still gets the full grading and Jacobi sweep.  The two octonionic models and the exceptional rank-two model are
-assembled directly from representation data, and a semidirect-product example
-with a non-semisimple prolongation rounds out the list.
+bracket; the ambient still gets the grading and Jacobi certificate of
+``gla.check_gla``, reduced by transitivity to the triples it needs.  The
+two octonionic models and the exceptional rank-two model are assembled
+directly from representation data, and a semidirect-product example with a
+non-semisimple prolongation rounds out the list.
 
 Every builder takes the instance name and the family's parameters and
 hands back (m, g, ambient, cartan): the fundamental algebra m, a

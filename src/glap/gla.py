@@ -8,15 +8,18 @@ stored sparsely as ``{(i, j): {k: c}}`` for i < j, meaning
 
 Brackets with i > j follow by antisymmetry and [e_i, e_i] = 0.  Nothing in
 this module assumes the Jacobi identity; ``check_gla`` verifies it (and the
-additivity of degrees) exhaustively, and the builders elsewhere run that
-check on everything they produce.
+additivity of degrees) for every triple, and the builders elsewhere run
+that check on everything they produce.
 
 The Jacobi sweep runs in integers and still certifies every triple.  With
 every structure constant scaled by L, the lcm of their denominators, each
 Jacobi term (a product of two constants) and so each residual is exactly
 L**2 times the rational one.  And every term contains one of the three
 pair brackets of its triple, so a triple whose three pair brackets vanish
-is zero without being evaluated.
+is zero without being evaluated.  On a graded, transitive algebra the
+triples that hold a degree -1 element or have negative total degree
+already decide every other (``check_gla``), so only those are swept
+unless one of them fails.
 
 The JSON layout round-trips losslessly because rationals are serialized as
 "p/q" strings (just "p" when q = 1).
@@ -25,7 +28,9 @@ The JSON layout round-trips losslessly because rationals are serialized as
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .errors import (
@@ -211,6 +216,8 @@ class GradedAlgebra:
             i, j, terms = row
             if not (_is_json_int(i) and _is_json_int(j) and i < j):
                 raise ParseError(f"{where}: indices must be integers with i < j")
+            if (i, j) in brackets:
+                raise ParseError(f"{where}: a second row for the pair ({i}, {j})")
             if not isinstance(terms, list):
                 raise ParseError(f"{where}: terms must be a list of [k, rational]")
             cell = {}
@@ -218,6 +225,8 @@ class GradedAlgebra:
                 if not (isinstance(term, list) and len(term) == 2 and _is_json_int(term[0])):
                     raise ParseError(f"{where} term {t}: expected [k, rational]")
                 k, c = term
+                if k in cell:
+                    raise ParseError(f"{where} term {t}: a second term for index {k}")
                 cell[k] = parse_rational(c, f"{where} term {t}")
             brackets[(i, j)] = cell
         try:
@@ -257,9 +266,15 @@ def _scaled_adjacency(A: GradedAlgebra) -> tuple[int, list[dict[int, dict[int, i
     """(L, ad) with ad[i][j] = {k: L*c} for [e_i, e_j] = sum c e_k, both
     orientations, where L is the lcm of every bracket denominator, so all
     entries are Python ints.  A pair with zero bracket has no key."""
-    L = lcm(*(c.denominator for cell in A.brackets.values() for c in cell.values()))
-    ad: list[dict[int, dict[int, int]]] = [{} for _ in range(A.n)]
-    for (i, j), cell in A.brackets.items():
+    return _adjacency(A.n, A.brackets)
+
+
+def _adjacency(n: int, brackets) -> tuple[int, list[dict[int, dict[int, int]]]]:
+    """``_scaled_adjacency`` of the brackets ``{(i, j): {k: Fraction}}``
+    (i < j, no zero coefficient) of an algebra of dimension n."""
+    L = lcm(*(c.denominator for cell in brackets.values() for c in cell.values()))
+    ad: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    for (i, j), cell in brackets.items():
         row = {k: c.numerator * (L // c.denominator) for k, c in cell.items()}
         ad[i][j] = row
         ad[j][i] = {k: -x for k, x in row.items()}
@@ -267,28 +282,37 @@ def _scaled_adjacency(A: GradedAlgebra) -> tuple[int, list[dict[int, dict[int, i
 
 
 def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
-    """Exhaustively verify degree additivity and the Jacobi identity.
+    """Verify degree additivity and the Jacobi identity on every triple.
 
-    Returns {"grading_ok", "jacobi_ok", "violations", "violation_count"};
-    the violations list is capped but the count is exact.  Grading
-    violations come first, by pair; Jacobi violations follow by triple
-    i < j < k in lexicographic order.
+    Returns {"grading_ok", "jacobi_ok", "violations", "violation_count"}:
+    grading violations by pair, then Jacobi violations by triple i < j < k
+    in lexicographic order, the list capped at ``max_violations`` and the
+    count exact.  The residual
 
-    The Jacobi residual
+        J(e_i, e_j, e_k) = [[e_i, e_j], e_k] - [e_i, [e_j, e_k]] + [e_j, [e_i, e_k]]
 
-        [[e_i, e_j], e_k] - [e_i, [e_j, e_k]] + [e_j, [e_i, e_k]]
+    is trilinear and alternating.  It is certified in integers, with the
+    skip of zero pair brackets of the module docstring, which reads no
+    degree and so holds whether or not the grading does.
 
-    is certified for every triple, in integers.  Two facts make that exact:
+    Theorem.  Let A be graded and transitive: for each d >= 0 no nonzero
+    u in g_d kills g_{-1}.  If J vanishes on every basis triple that holds
+    a degree -1 element or has negative total degree, then J = 0.
 
-    - every term is a product of two structure constants, so with all of
-      them scaled by L (the lcm of their denominators) each residual is
-      exactly L**2 times the rational one, and is zero exactly when it is;
-    - every term contains one of the pair brackets [e_i, e_j], [e_j, e_k]
-      or [e_i, e_k], so a triple whose three pair brackets vanish has three
-      zero terms.  For a pair i < j with [e_i, e_j] = 0 only the k > j
-      adjacent to i or to j are swept; every other triple is zero by the
-      structure alone.  The skip reads only which brackets are nonzero,
-      never the degrees, so it holds whether or not the grading does.
+    Proof.  The first condition makes ad e a derivation for e in g_{-1},
+    and a derivation D has D J(x, y, z) = J(Dx, y, z) + J(x, Dy, z) +
+    J(x, y, Dz).  Induct on the total degree s >= 0: with D = ad e every
+    term on the right has total degree s - 1 and vanishes, so J(x, y, z),
+    which lies in g_s, kills g_{-1} and is 0 by transitivity.  A triple
+    whose total degree is not a degree of A is 0 by the grading.
+
+    So when the grading holds and A is transitive with a degree >= 0
+    (``transitivity_check``), only that reduced set is swept, up to its
+    first nonzero residual; if there is none, A is clean.  Otherwise (the
+    grading fails, A is not transitive, say it has no g_{-1}, or the
+    reduced set has a residual) every triple is swept, so the count and
+    the capped, ordered list stay exact; a negatively graded algebra is
+    always swept in full.
     """
     violations = []
     count = 0
@@ -305,17 +329,53 @@ def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
                 }
             )
     grading_ok = count == 0
-    jac_start = count
-    n = A.n
     L, ad = _scaled_adjacency(A)
+    if grading_ok and max(A.degrees, default=-1) >= 0 and transitivity_check(A, ad):
+        if next(_jacobi_residuals(A, ad, reduced=True), None) is None:
+            return {"grading_ok": True, "jacobi_ok": True, "violations": [], "violation_count": 0}
+    jac_start = count
     L2 = L * L
+    for i, j, k, acc in _jacobi_residuals(A, ad):
+        count += 1
+        if len(violations) < max_violations:
+            residual = {
+                t: format_rational(Fraction(r, L2)) for t, r in sorted(acc.items()) if r
+            }
+            violations.append({"type": "jacobi", "triple": [i, j, k], "residual": residual})
+    return {
+        "grading_ok": grading_ok,
+        "jacobi_ok": count == jac_start,
+        "violations": violations,
+        "violation_count": count,
+    }
 
+
+def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False):
+    """Yield (i, j, k, acc) for each triple i < j < k with a nonzero
+    residual, in lexicographic order; acc maps t to L**2 times the t-th
+    coefficient (zeros kept).  ``reduced`` (for a graded A) visits only the
+    triples of ``check_gla``'s theorem whose total degree is a degree of A."""
+    n = A.n
+    degs = A.degrees
+    present = A.by_degree()
+    thirds: dict = {}  # (deg i, deg j) -> (degrees allowed for k, ascending such k)
     for i in range(n):
         adi = ad[i]
         for j in range(i + 1, n):
             adj = ad[j]
             bij = adi.get(j)
-            if bij:
+            if reduced:
+                key = degs[i], degs[j]
+                if key not in thirds:
+                    s = key[0] + key[1]
+                    ok = {d for d in present if s + d in present and (s + d < 0 or -1 in (d, *key))}
+                    thirds[key] = ok, [k for k in range(n) if degs[k] in ok]
+                ok, allowed = thirds[key]
+                if bij:
+                    ks = islice(allowed, bisect_right(allowed, j), None)
+                else:  # the skip of ``check_gla``, on allowed degrees
+                    ks = sorted(k for k in adi.keys() | adj.keys() if k > j and degs[k] in ok)
+            elif bij:
                 ks = range(j + 1, n)
             else:
                 ks = sorted(k for k in adi.keys() | adj.keys() if k > j)
@@ -343,21 +403,7 @@ def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
                             for t, d in row.items():
                                 acc[t] = get(t, 0) + c * d
                 if any(acc.values()):
-                    count += 1
-                    if len(violations) < max_violations:
-                        residual = {
-                            t: format_rational(Fraction(r, L2))
-                            for t, r in sorted(acc.items()) if r
-                        }
-                        violations.append(
-                            {"type": "jacobi", "triple": [i, j, k], "residual": residual}
-                        )
-    return {
-        "grading_ok": grading_ok,
-        "jacobi_ok": count == jac_start,
-        "violations": violations,
-        "violation_count": count,
-    }
+                    yield i, j, k, acc
 
 
 def _misgraded(A: GradedAlgebra):
@@ -405,6 +451,20 @@ def check_fundamental(A: GradedAlgebra) -> tuple[bool, int]:
         if d < -1 and sparse_rank(_minus1_rows(A, ad, d).values(), len(ix)) < len(ix):
             return False, kind
     return True, kind
+
+
+def transitivity_check(A: GradedAlgebra, ad=None) -> bool:
+    """Whether A is transitive: no nonzero element of a degree >= 0 kills
+    all of g_{-1} (so a nonnegative degree without g_{-1} fails).  ``ad``
+    is A's scaled adjacency when the caller has it; scaling every bracket
+    by L leaves each rank unchanged."""
+    if ad is None:
+        ad = _scaled_adjacency(A)[1]
+    return all(
+        sparse_rank(_minus1_rows(A, ad, d).values(), len(ix)) == len(ix)
+        for d, ix in A.by_degree().items()
+        if d >= 0
+    )
 
 
 def _minus1_rows(A: GradedAlgebra, ad, d: int) -> dict[tuple[int, int], dict[int, int]]:

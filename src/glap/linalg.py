@@ -418,6 +418,8 @@ def solve_square(rows, n: int) -> dict[int, dict[int, Fraction]]:
 def sparse_rank(rows, ncols: int) -> int:
     e = Echelon(ncols)
     for row in rows:
+        if e.rank == ncols:
+            break  # full rank: the rows left are never read
         e.add(int_row(row))
     return e.rank
 

@@ -30,8 +30,9 @@ forced bracket is re-expressed in its layer's canonical basis by one shared
 helper, ``linalg.Subspace.coords``, which rebuilds the bracket from its
 coordinates and raises GlapError unless the two agree exactly; at degree 0
 the rebuilt eta entry must be 0 as well.  Every assembled algebra is
-certified afterwards by an exhaustive Jacobi sweep, so a bug in the
-incremental bookkeeping cannot survive to the output.
+certified afterwards by the Jacobi certificate over every triple
+(``gla.check_gla``), so a bug in the incremental bookkeeping cannot
+survive to the output.
 
 The hot loops run in Python ints on one scaled adjacency per call
 (``gla._scaled_adjacency``: every structure constant times L, the lcm of
@@ -64,14 +65,15 @@ from .errors import GlapError, NotFundamental, ParseError, StepLimitExceeded
 from .gla import (
     GradedAlgebra,
     SymBilinearForm,
+    _adjacency,
     _load_json,
-    _minus1_rows,
     _scaled_adjacency,
     check_fundamental,
     check_gla,
     require_graded,
+    transitivity_check,
 )
-from .linalg import ZERO, Echelon, Mat, Subspace, int_row, sparse_kernel, sparse_rank
+from .linalg import ZERO, Echelon, Mat, Subspace, int_row, sparse_kernel
 
 
 class _Layout:
@@ -257,6 +259,8 @@ def _solve(A: GradedAlgebra, shift: int, g: SymBilinearForm | None = None) -> La
         ech = Echelon(layout.total + 1)
         name = "the conformal derivation algebra"
     for row in rows:
+        if ech.rank == ech.ncols:
+            break  # the kernel is {0} whatever rows are left
         ech.add(row)
     layer = Layer(shift, layout, ech.kernel_space(name))
     if g is not None:
@@ -293,24 +297,22 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
             for c_loc, col in blk.items():
                 # [x, u] = -u(x)
                 brackets[(src[c_loc], n + i)] = {tgt[r]: -v for r, v in col.items()}
-    A2 = GradedAlgebra(name, labels, degrees, brackets)
 
-    # Each term of a forced bracket is a product of two constants of A2's
-    # scaled adjacency, so the integer map is exactly L**2 times the
-    # rational one; its coordinates are certified as integers (at degree 0
-    # with eta = 0) and divided by L**2 afterwards.
-    L, ad = _scaled_adjacency(A2)
+    # Each term of a forced bracket is a product of two constants of the
+    # scaled adjacency of A with its action brackets, so the integer map is
+    # exactly L**2 times the rational one; its coordinates are certified as
+    # integers (at degree 0 with eta = 0) and divided by L**2 afterwards.
+    L, ad = _adjacency(n + t, brackets)
     L2 = L * L
-    by_deg2 = A2.by_degree()
+    by_deg2 = {**by_deg, shift: list(range(n, n + t))}
     # per source degree p with a block: target positions, and (flat offset
     # of column z, z).  A forced map must vanish on a degree without a
-    # block; the final Jacobi sweep certifies that it does.
+    # block; the final Jacobi certificate (gla.check_gla) shows that it does.
     blocks = []
     for p, (off, rows_p, _) in layout.blocks.items():
         tpos = {g: r for r, g in enumerate(by_deg[p + shift])}
         zs = [(off + c_loc * rows_p, z) for c_loc, z in enumerate(by_deg[p])]
         blocks.append((tpos, zs))
-    extra: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(0, shift // 2 + 1):
         b = shift - a
         for w in by_deg2.get(a, []):
@@ -343,10 +345,8 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
                 coords = space.coords(flat, f"forced bracket of degrees ({a},{b})")
                 cell = {n + i: Fraction(c, L2) for i, c in enumerate(coords) if c}
                 if cell:
-                    extra[(w, v)] = cell
-    if extra:
-        A2 = GradedAlgebra(name, labels, degrees, {**A2.brackets, **extra})
-    return A2
+                    brackets[(w, v)] = cell
+    return GradedAlgebra(name, labels, degrees, brackets)
 
 
 def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> Layer:
@@ -401,16 +401,6 @@ def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
     if not len(layer):
         return A
     return _extend(A, layer, A.name)
-
-
-def transitivity_check(A: GradedAlgebra) -> bool:
-    """No nonzero element of a nonnegative layer may kill all of degree -1."""
-    ad = _scaled_adjacency(A)[1]
-    return all(
-        sparse_rank(_minus1_rows(A, ad, d).values(), len(ix)) == len(ix)
-        for d, ix in A.by_degree().items()
-        if d >= 0
-    )
 
 
 @dataclass
@@ -479,8 +469,8 @@ def full_prolongation(
 ) -> ProlongationResult:
     """Iterate prolongation steps until a layer is empty.
 
-    A natural stop certifies the result (exhaustive Jacobi and grading
-    check, transitivity, untouched negative part); stopping at max_degree
+    A natural stop certifies the result (Jacobi and grading check on every
+    triple, transitivity, untouched negative part); stopping at max_degree
     instead yields a partial, uncertified algebra with complete=False.
     """
     A = assemble_degree0(m, conformal_g0(m, g))

@@ -25,6 +25,7 @@ from glap.analysis import (
     match_table_row,
     rank_bound_check_split,
 )
+from glap.cli import DEFAULT_ROWS
 from glap.errors import (
     BadParameters,
     DegeneratePairing,
@@ -643,3 +644,52 @@ def test_killing_form_refuses_a_misgraded_algebra():
     assert _reference_killing_form(A).a[0][0] == 2
     with pytest.raises(GlapError, match="degree"):
         killing_form(A)
+
+
+def _reference_is_semisimple(A):
+    """The Bareiss determinant of the whole Killing form, as is_semisimple
+    took it before it read the degree blocks; kept as the reference."""
+    return killing_form(A).det() != 0
+
+
+_VERDICT_CASES = list(DEFAULT_ROWS) + [("hh", {"p": 1, "q": 3}), ("hc", {"p": 3, "q": 1})]
+
+
+@pytest.mark.parametrize(
+    "tag,params", _VERDICT_CASES,
+    ids=[t + "".join(f"-{k}{v}" for k, v in p.items()) for t, p in _VERDICT_CASES],
+)
+def test_block_determinant_matches_the_full_determinant(get_prolongation, tag, params):
+    A = get_prolongation(tag, **params).algebra
+    # the counterexample is one of the 14 rows, and the only non-semisimple one
+    assert is_semisimple(A) == _reference_is_semisimple(A) == (tag != "counterexample")
+
+
+def _graded_sl2():
+    """sl2 graded by ad h: f, h, e in degrees -1, 0, 1."""
+    return GradedAlgebra(
+        "sl2", ["f", "h", "e"], [-1, 0, 1],
+        {(0, 1): {0: F(2)}, (0, 2): {1: F(-1)}, (1, 2): {2: F(2)}},
+    )
+
+
+def _abelian(degrees):
+    return GradedAlgebra("ab", [f"a{i}" for i in range(len(degrees))], degrees, {})
+
+
+@pytest.mark.parametrize(
+    "A,verdict",
+    [
+        (_graded_sl2(), True),
+        (_direct_sum(_graded_sl2(), _graded_sl2()), True),
+        # dim g_1 = 2 against dim g_{-1} = 1: the cross block is not square
+        (_direct_sum(_graded_sl2(), _abelian([1])), False),
+        # a central degree 0 element: B_0 = diag(8, 0) is singular, C_1 = (4) is not
+        (_direct_sum(_graded_sl2(), _abelian([0])), False),
+        # central elements of degrees 1 and -1: C_1 = diag(4, 0) is singular, B_0 = (8) is not
+        (_direct_sum(_graded_sl2(), _abelian([1, -1])), False),
+    ],
+    ids=["sl2", "sl2+sl2", "unequal-opposite-dims", "singular-B0", "singular-C1"],
+)
+def test_block_determinant_on_synthetic_gradings(A, verdict):
+    assert is_semisimple(A) == _reference_is_semisimple(A) == verdict

@@ -151,6 +151,24 @@ def test_check_garbage_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "rows,fragment",
+    [
+        ([[0, 1, [[2, 1]]], [0, 1, [[2, 5]]]], "brackets[1]: a second row for the pair (0, 1)"),
+        ([[0, 1, [[2, 1], [2, "-1"]]]], "brackets[0] term 1: a second term for index 2"),
+    ],
+    ids=["repeated-pair", "repeated-index"],
+)
+def test_check_refuses_an_ambiguous_bracket(tmp_path, capsys, rows, fragment):
+    # keeping either of the two entries would silently change the algebra
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps({"name": "a", "labels": ["x", "y", "z"],
+                             "degrees": [0, 0, 0], "brackets": rows}))
+    code, out = run(capsys, "check", str(p))
+    assert code == 2
+    assert fragment in json.loads(out)["error"]
+
+
 def test_summary_flag_gives_one_line(capsys):
     code, out = run(capsys, "oracle", "--family", "G", "--summary")
     assert code == 0

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,12 +19,15 @@ from glap.errors import (
 from glap.gla import (
     GradedAlgebra,
     SymBilinearForm,
+    _jacobi_residuals,
+    _scaled_adjacency,
     check_fundamental,
     check_gla,
     deserialize,
     deserialize_form,
     format_rational,
     parse_rational,
+    transitivity_check,
 )
 from glap.linalg import Mat
 from glap.prolongation import full_prolongation
@@ -256,8 +262,8 @@ def _copy(A):
                          {key: dict(cell) for key, cell in A.brackets.items()})
 
 
-# ho-split has the dimension and sparsity of ho
-_TABLE = [(tag, params) for tag, params in DEFAULT_ROWS if tag != "ho-split"]
+_RUNGS = [("hh", {"p": 1, "q": 3}), ("hc", {"p": 3, "q": 1})]
+_TABLE = list(DEFAULT_ROWS) + _RUNGS
 
 
 @pytest.mark.parametrize(
@@ -340,6 +346,130 @@ def test_sweep_visits_triples_with_a_zero_first_bracket(brackets, residual):
     jac = [v for v in rep["violations"] if v["type"] == "jacobi"]
     assert [v["triple"] for v in jac] == [[0, 1, 2]]
     assert jac[0]["residual"] == residual
+
+
+def _reduced_clean(A):
+    """(transitive, the reduced triple set has no residual)."""
+    ad = _scaled_adjacency(A)[1]
+    return transitivity_check(A, ad), next(_jacobi_residuals(A, ad, reduced=True), None) is None
+
+
+def test_default_rows_and_the_ladder_take_the_reduced_sweep(get_family, get_prolongation):
+    for tag, params in _TABLE:
+        fam = get_family(tag, **params)
+        for A in (fam.ambient, get_prolongation(tag, **params).algebra):
+            if A is not None:
+                assert _reduced_clean(A) == (True, True), (tag, params, A.name)
+
+
+# one bracket per class, chosen by the degrees of its pair
+_PLANT = {
+    "minus1-argument": lambda a, b: sorted((a, b)) == [-1, 0],
+    "inside-m": lambda a, b: a < 0 and b < 0,
+    "degree-0-pair": lambda a, b: a == b == 0,
+    "positive-pair": lambda a, b: a > 0 and b > 0,
+}
+
+
+def _planted(A, cls):
+    """A copy of A whose bracket [e_i, e_j], for the first pair i < j in
+    class ``cls`` that adds up to a degree of A, gains 1/7 on e_k, the first
+    basis element of that degree; the grading still holds."""
+    A = _copy(A)
+    degs = A.degrees
+    i, j = next((i, j) for i in range(A.n) for j in range(i + 1, A.n)
+                if _PLANT[cls](degs[i], degs[j]) and degs[i] + degs[j] in degs)
+    k = degs.index(degs[i] + degs[j])
+    cell = A.brackets.setdefault((i, j), {})
+    cell[k] = cell.get(k, 0) + F(1, 7)
+    assert cell[k]
+    return A
+
+
+def _outside_reduced_set(A, triple):
+    d = [A.degrees[t] for t in triple]
+    return -1 not in d and sum(d) >= 0
+
+
+@pytest.mark.parametrize("cls", list(_PLANT))
+@pytest.mark.parametrize("tag,params", [("hc", {"p": 1, "q": 1}), ("bi", {"l": 3})],
+                         ids=["hc-p1-q1", "bi-l3"])
+def test_planted_violation_is_caught_by_the_reduced_sweep(get_prolongation, tag, params, cls):
+    A = _planted(get_prolongation(tag, **params).algebra, cls)
+    transitive, clean = _reduced_clean(A)
+    assert transitive and not clean
+    rep = check_gla(A)
+    assert rep["grading_ok"] and not rep["jacobi_ok"]
+    assert rep == _reference_check_gla(A)
+    if cls in ("degree-0-pair", "positive-pair"):
+        # triples of nonnegative degrees fail too, and the reduced set never
+        # visits them: the derivation condition of ad e, e in g_{-1}, is what
+        # sees them (in hc(1,1), [g_1, g_1] meets no triple of negative
+        # total degree at all)
+        every = _reference_check_gla(A, max_violations=rep["violation_count"])["violations"]
+        assert any(_outside_reduced_set(A, v["triple"]) for v in every)
+
+
+def test_degree_zero_algebra_takes_the_full_sweep():
+    # no g_{-1}, so not transitive: [x, y] = w, [x, w] = -x breaks Jacobi
+    A = GradedAlgebra("g0", ["x", "y", "w"], [0, 0, 0],
+                      {(0, 1): {2: F(1)}, (0, 2): {0: F(-1)}})
+    assert not transitivity_check(A)
+    rep = check_gla(A)
+    assert rep == _reference_check_gla(A)
+    assert rep["violations"] == [{"type": "jacobi", "triple": [0, 1, 2], "residual": {2: "1"}}]
+
+
+def test_negative_part_not_generated_by_degree_minus1_is_swept():
+    # e in degree -1, a, b, c in degree -2 with [a, b] = u, [u, c] = -v
+    # (degrees -4, -6), and the grading element E: transitive, but g_{-2}
+    # is not [g_{-1}, g_{-1}], so ad a need not be a derivation and only
+    # the triple (a, b, c) of negative total degree shows J != 0
+    degs = [-1, -2, -2, -2, -4, -6, 0]
+    brackets = {(1, 2): {4: F(1)}, (3, 4): {5: F(-1)}}
+    brackets.update({(x, 6): {x: F(-d)} for x, d in enumerate(degs[:6])})
+    A = GradedAlgebra("nonfund", ["e", "a", "b", "c", "u", "v", "E"], degs, brackets)
+    assert _reduced_clean(A) == (True, False)
+    rep = check_gla(A)
+    assert rep == _reference_check_gla(A)
+    assert [v["triple"] for v in rep["violations"]] == [[1, 2, 3]]
+
+
+def _sl2_with_a_planted_bracket():
+    """sl2 graded by ad h (f, h, e in degrees -1, 0, 1), with z in degree 0
+    and e' in degree 1, both central, and then the planted bracket
+    [e, z] = e'.  z and e' kill f, so the algebra is not transitive."""
+    return GradedAlgebra(
+        "sl2+z", ["f", "h", "z", "e", "e'"], [-1, 0, 0, 1, 1],
+        {(0, 1): {0: F(2)}, (0, 3): {1: F(-1)}, (1, 3): {3: F(2)}, (2, 3): {4: F(-1)}},
+    )
+
+
+def test_central_degree_zero_element_takes_the_full_sweep():
+    A = _sl2_with_a_planted_bracket()
+    # every triple holding f is clean and none has negative total degree,
+    # so only the full sweep finds J(h, z, e) = -2 e'
+    assert _reduced_clean(A) == (False, True)
+    rep = check_gla(A)
+    assert rep == _reference_check_gla(A)
+    assert rep["violations"] == [{"type": "jacobi", "triple": [1, 2, 3], "residual": {4: "-2"}}]
+
+
+def test_planted_violation_is_caught_without_asserts(get_prolongation):
+    A = _planted(get_prolongation("hc", p=1, q=1).algebra, "degree-0-pair")
+    script = """
+import json, sys
+from glap.gla import check_gla, deserialize
+print(json.dumps(check_gla(deserialize(sys.stdin.read()))))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], input=A.serialize(),
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert not rep["jacobi_ok"]
+    assert rep == json.loads(json.dumps(_reference_check_gla(A)))
 
 
 def test_signature_of_a_degenerate_matrix_raises():
