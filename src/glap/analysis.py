@@ -54,12 +54,12 @@ from .gla import GradedAlgebra, SymBilinearForm, _minus1_rows, _scaled_adjacency
 from .linalg import (
     Echelon,
     Mat,
-    int_row,
     kernel_basis,
     solve_affine,
     solve_square,
     span_basis,
     sparse_kernel,
+    sparse_rank,
 )
 from .roots import table_expectation
 
@@ -163,9 +163,7 @@ def _centroid(A: GradedAlgebra, L: int, ad, K: list[Mat]) -> list[Mat]:
     n = A.n
     maps = _extensions(A, L, ad, K)
     if maps is None:
-        ech = Echelon(n * n)
-        for row in _dense_system(A, ad):
-            ech.add(row)
+        ech = Echelon(n * n).extend(_dense_system(A, ad))
         basis = _maps(ech.kernel_space("the centroid").vectors, n)
     else:
         rows: dict[tuple, dict[int, int]] = {}
@@ -512,10 +510,7 @@ def isotropic_split_check(G: Mat, V1, V2) -> dict:
         raise ValueError(
             f"split dims {len(V1)} + {len(V2)} do not add up to {n}"
         )
-    ech = Echelon(n)
-    for v in list(V1) + list(V2):
-        ech.add(int_row(dict(enumerate(v))))
-    if ech.rank != n:
+    if sparse_rank((dict(enumerate(v)) for v in [*V1, *V2]), n) != n:
         raise ValueError("split subspaces are not complementary")
     for name, V in (("first", V1), ("second", V2)):
         for i, v in enumerate(V):

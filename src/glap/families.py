@@ -84,9 +84,7 @@ class _DegreeSpace:
         self.alg = alg
         self.cells = list(cells)
         self.pos = {c: k for k, c in enumerate(self.cells)}
-        ech = Echelon(len(self.cells) * alg.dim)
-        for row in rows:
-            ech.add(row)
+        ech = Echelon(len(self.cells) * alg.dim).extend(rows)
         self.space = ech.kernel_space("the solutions of the defining equations")
 
     def dim(self) -> int:

@@ -79,7 +79,8 @@ class GradedAlgebra:
                 raise DimensionMismatch(f"bad bracket key ({i}, {j}) for dim {n}")
             clean = {}
             for k, c in cell.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c == 0:
                     continue
                 if not 0 <= int(k) < n:

@@ -14,17 +14,19 @@ the work:
 
 Kernel bases are canonical: they come from the reduced row echelon form,
 with one basis vector per free column (free columns in increasing order,
-unit entry at the free column).  Two calls on row-equivalent inputs return
-identical bases, which the rest of the package relies on for reproducible
-labeling.  A ``Subspace`` keeps such a basis sparse, as integer vectors
-over one common denominator, and is the one place where membership in a
-solution space is certified: coordinates are read off at the free columns
-and the vector is rebuilt from them exactly, in ints.
+unit entry at the free column).  The RREF of a row space is unique, so
+row-equivalent inputs give identical bases in any row order, which the
+package relies on for reproducible labeling.  A ``Subspace`` keeps such
+a basis sparse, as integer vectors over one common denominator, and is
+the one place where membership in a solution space is certified:
+coordinates are read off at the free columns and the vector is rebuilt
+from them exactly, in ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .errors import GlapError, NotSymmetric, require
@@ -223,13 +225,34 @@ def int_row(row: dict) -> dict:
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
 
 
+def _eliminate(r: dict, p: dict, c: int) -> None:
+    """Clear column c of the integer row r in place, using the row p:
+    r becomes (p[c]/g) r - (r[c]/g) p with g = gcd(r[c], p[c])."""
+    a, b = r[c], p[c]
+    g = gcd(a, b)
+    ma, mb = b // g, a // g
+    if ma != 1:
+        for col in r:
+            r[col] *= ma
+    for col, v in p.items():
+        w = r.get(col, 0) - mb * v
+        if w:
+            r[col] = w
+        else:
+            del r[col]
+
+
+# rows per window of ``Echelon.extend``, as a multiple of the column count
+_WINDOW = 4
+
+
 class Echelon:
     """Incremental row echelon form over primitive integer rows.
 
     ``add`` reduces an incoming integer row against the current pivots and,
-    if anything survives, installs it as a new pivot row.  ``kernel_space``
-    finishes with back-substitution in integers and returns the canonical
-    RREF-derived kernel basis.
+    if anything survives, installs it as a new pivot row; ``extend`` adds
+    many.  ``kernel_space`` back-substitutes in integers and returns the
+    canonical RREF-derived kernel basis, independent of row order.
     """
 
     def __init__(self, ncols: int):
@@ -254,41 +277,44 @@ class Echelon:
             if p is None:
                 self.piv[c] = _primitive(r)
                 return True
-            a, b = r[c], p[c]
-            g = gcd(a, b)
-            ma, mb = b // g, a // g
-            nxt = dict(r) if ma == 1 else {col: ma * v for col, v in r.items()}
-            for col, v in p.items():
-                w = nxt.get(col, 0) - mb * v
-                if w:
-                    nxt[col] = w
-                else:
-                    del nxt[col]
-            r = nxt
+            if r is row:
+                r = dict(row)  # the first step copies; the rest run in place
+            _eliminate(r, p, c)
         return False
 
+    def extend(self, rows) -> "Echelon":
+        """``add`` every row of ``rows`` (an iterable) and return self.
+        The result is independent of row order, the cost is not: a sparse
+        row meets few pivots and installs a sparse one, where a dense early
+        pivot fills in every row after it.  So each window of ``_WINDOW *
+        ncols`` rows goes in sorted by length, which keeps fewer rows alive
+        than one full sort.  At full rank no further row is pulled."""
+        it = iter(rows)
+        while self.rank < self.ncols:
+            window = sorted(islice(it, _WINDOW * self.ncols), key=len)
+            if not window:
+                break
+            for row in window:
+                if self.add(row) and self.rank == self.ncols:
+                    break
+        return self
+
     def _rref(self) -> dict[int, dict]:
-        """Eliminate pivot columns from the other rows (full reduction)."""
-        rows = {c: dict(r) for c, r in self.piv.items()}
-        for c in sorted(rows, reverse=True):
-            prow = rows[c]
-            for c2 in rows:
-                if c2 >= c:
-                    continue
-                r2 = rows[c2]
-                if c not in r2:
-                    continue
-                a, b = r2[c], prow[c]
-                g = gcd(a, b)
-                ma, mb = b // g, a // g
-                nxt = {col: ma * v for col, v in r2.items()}
-                for col, v in prow.items():
-                    w = nxt.get(col, 0) - mb * v
-                    if w:
-                        nxt[col] = w
-                    elif col in nxt:
-                        del nxt[col]
-                rows[c2] = _primitive(nxt)
+        """The RREF, lead column -> primitive row, independent of row order.
+        Leads go from last to first; a pivot row holds columns past its lead
+        only, and their rows are already reduced to no pivot column but their
+        own, so one elimination per pivot column the row holds suffices.
+        An untouched pivot row is returned itself: the result is read-only."""
+        rows: dict[int, dict] = {}
+        for c in sorted(self.piv, reverse=True):
+            r = self.piv[c]
+            held = [c2 for c2 in r if c2 != c and c2 in rows]
+            if held:
+                r = dict(r)
+                for c2 in held:
+                    _eliminate(r, rows[c2], c2)
+                r = _primitive(r)
+            rows[c] = r
         return rows
 
     def free_columns(self) -> list[int]:
@@ -372,10 +398,7 @@ class Subspace:
 def sparse_kernel(rows, ncols: int) -> list[list[Fraction]]:
     """Canonical kernel basis of a sparse row system (dicts col -> int or
     Fraction)."""
-    e = Echelon(ncols)
-    for row in rows:
-        e.add(int_row(row))
-    return e.kernel()
+    return Echelon(ncols).extend(map(int_row, rows)).kernel()
 
 
 def span_basis(vectors, ncols: int) -> list[dict[int, Fraction]]:
@@ -388,9 +411,9 @@ def span_basis(vectors, ncols: int) -> list[dict[int, Fraction]]:
     Reversing the columns makes those the leading entries ``Echelon``
     pivots on."""
     top = ncols - 1
-    ech = Echelon(ncols)
-    for v in vectors:
-        ech.add(int_row({top - c: x for c, x in v.items()}))
+    ech = Echelon(ncols).extend(
+        int_row({top - c: x for c, x in v.items()}) for v in vectors
+    )
     return [
         {top - c: Fraction(x, row[p]) for c, x in row.items()}
         for p, row in sorted(ech._rref().items(), reverse=True)
@@ -405,9 +428,7 @@ def solve_square(rows, n: int) -> dict[int, dict[int, Fraction]]:
     at n + c.  The reduced echelon form of an invertible system is
     [D | D X] for a diagonal D, so X is read off row by row as
     ``X[u] = {c: x}``.  Raises GlapError when P is singular."""
-    ech = Echelon(n)
-    for row in rows:
-        ech.add(int_row(row))
+    ech = Echelon(n).extend(map(int_row, rows))
     require(sorted(ech.piv) == list(range(n)), "singular square system")
     return {
         u: {c - n: Fraction(x, row[u]) for c, x in row.items() if c >= n}
@@ -416,12 +437,7 @@ def solve_square(rows, n: int) -> dict[int, dict[int, Fraction]]:
 
 
 def sparse_rank(rows, ncols: int) -> int:
-    e = Echelon(ncols)
-    for row in rows:
-        if e.rank == ncols:
-            break  # full rank: the rows left are never read
-        e.add(int_row(row))
-    return e.rank
+    return Echelon(ncols).extend(map(int_row, rows)).rank
 
 
 def kernel_basis(M: Mat) -> list[list[Fraction]]:

@@ -30,9 +30,9 @@ forced bracket is re-expressed in its layer's canonical basis by one shared
 helper, ``linalg.Subspace.coords``, which rebuilds the bracket from its
 coordinates and raises GlapError unless the two agree exactly; at degree 0
 the rebuilt eta entry must be 0 as well.  Every assembled algebra is
-certified afterwards by the Jacobi certificate over every triple
-(``gla.check_gla``), so a bug in the incremental bookkeeping cannot
-survive to the output.
+certified afterwards by the Jacobi sweep of ``gla.check_gla``, cut down
+by its transitivity theorem where that holds, so a bug in the incremental
+bookkeeping cannot survive to the output.
 
 The hot loops run in Python ints on one scaled adjacency per call
 (``gla._scaled_adjacency``: every structure constant times L, the lcm of
@@ -258,11 +258,7 @@ def _solve(A: GradedAlgebra, shift: int, g: SymBilinearForm | None = None) -> La
         rows = chain(rows, _conformal_rows(g, layout))
         ech = Echelon(layout.total + 1)
         name = "the conformal derivation algebra"
-    for row in rows:
-        if ech.rank == ech.ncols:
-            break  # the kernel is {0} whatever rows are left
-        ech.add(row)
-    layer = Layer(shift, layout, ech.kernel_space(name))
+    layer = Layer(shift, layout, ech.extend(rows).kernel_space(name))
     if g is not None:
         # E is p * id on degree p with eta = -2; failing to rebuild it
         # from its coordinates means something above is broken

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -663,6 +664,28 @@ def test_block_determinant_matches_the_full_determinant(get_prolongation, tag, p
     A = get_prolongation(tag, **params).algebra
     # the counterexample is one of the 14 rows, and the only non-semisimple one
     assert is_semisimple(A) == _reference_is_semisimple(A) == (tag != "counterexample")
+
+
+_DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "digests.json")
+
+
+@pytest.mark.parametrize(
+    "tag,params", _VERDICT_CASES,
+    ids=[t + "".join(f"-{k}{v}" for k, v in p.items()) for t, p in _VERDICT_CASES],
+)
+def test_outputs_match_the_bench_digests(get_prolongation, tag, params):
+    # the bench's hashes of the serialized prolongation and of the
+    # sorted-keys analysis JSON, for the table rows and the ladder rungs
+    with open(_DIGESTS, encoding="utf-8") as fh:
+        stored = json.load(fh)
+    want = stored["table" if (tag, params) in DEFAULT_ROWS else "ladder"][label(tag, params)]
+    prol = get_prolongation(tag, **params)
+    report = json.dumps(analyze(prol).to_json_dict(), sort_keys=True)
+    assert {
+        "prolongation": hashlib.sha256(prol.serialize().encode()).hexdigest(),
+        "analysis": hashlib.sha256(report.encode()).hexdigest(),
+    } == want
 
 
 def _graded_sl2():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from glap.errors import GlapError, NotSymmetric
 from glap.linalg import (
+    _WINDOW,
     Echelon,
     Mat,
     _primitive,
@@ -19,6 +20,7 @@ from glap.linalg import (
     solve_square,
     span_basis,
     sparse_kernel,
+    sparse_rank,
 )
 
 F = Fraction
@@ -249,10 +251,37 @@ def _reference_add(ech, row):
     return False
 
 
+def _reference_rref(ech):
+    """Echelon._rref as it was before back-substitution went row by row:
+    each pivot row, last lead first, is eliminated from every earlier row
+    that holds its lead, and the result is made primitive at every step."""
+    rows = {c: dict(r) for c, r in ech.piv.items()}
+    for c in sorted(rows, reverse=True):
+        prow = rows[c]
+        for c2 in rows:
+            if c2 >= c:
+                continue
+            r2 = rows[c2]
+            if c not in r2:
+                continue
+            a, b = r2[c], prow[c]
+            g = gcd(a, b)
+            ma, mb = b // g, a // g
+            nxt = {col: ma * v for col, v in r2.items()}
+            for col, v in prow.items():
+                w = nxt.get(col, 0) - mb * v
+                if w:
+                    nxt[col] = w
+                elif col in nxt:
+                    del nxt[col]
+            rows[c2] = _primitive(nxt)
+    return rows
+
+
 def _reference_vectors(ech):
     """The canonical kernel basis as Fraction vectors, read off the reduced
     rows the way kernel_space did before it stored integer vectors."""
-    rows = ech._rref()
+    rows = _reference_rref(ech)
     out = []
     for f in ech.free_columns():
         v = {f: F(1)}
@@ -332,6 +361,64 @@ def test_integer_coords_match_the_fraction_reference(system, weights):
                 space.coords(bad)
             with pytest.raises(GlapError):
                 _reference_coords(vectors, space.free, bad)
+
+
+@st.composite
+def tall_systems(draw):
+    """(ncols, rows): more than _WINDOW * ncols sparse integer rows, each a
+    small integer combination of a few drawn generators, so that the rank
+    is often short of ncols and several windows of ``extend`` run."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    gens = draw(st.lists(
+        st.dictionaries(st.integers(0, n - 1), small_entries, max_size=n),
+        min_size=1, max_size=n,
+    ))
+    count = draw(st.integers(_WINDOW * n + 1, 3 * _WINDOW * n))
+    weights = st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens))
+    rows = []
+    for _ in range(count):
+        row = {}
+        for w, gen in zip(draw(weights), gens):
+            for c, x in gen.items():
+                row[c] = row.get(c, 0) + w * x
+        rows.append({c: x for c, x in row.items() if x})
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_systems(), st.data())
+def test_extend_matches_sequential_add_in_any_row_order(system, data):
+    n, rows = system
+    before = [dict(row) for row in rows]
+    seq = Echelon(n)
+    for row in rows:
+        seq.add(row)
+    ext = Echelon(n).extend(data.draw(st.permutations(rows)))
+    assert rows == before  # no input row changes
+    want, got = seq.kernel_space(), ext.kernel_space()
+    assert (got.basis, got.denominator, got.free) == (want.basis, want.denominator, want.free)
+    assert ext._rref() == _reference_rref(ext) == _reference_rref(seq) == seq._rref()
+
+
+def _rows_then_raise(rows):
+    yield from rows
+    raise AssertionError("a row was pulled past full rank")
+
+
+def test_extend_stops_pulling_at_full_rank():
+    n = 3
+    window = [{0: 1, 1: 2}, {1: 1}, {2: 5}] + [{0: 1}] * (_WINDOW * n - 3)
+    ech = Echelon(n).extend(_rows_then_raise(window))
+    assert ech.rank == n and ech.kernel_space().free == []
+    halves = [{c: F(1, 2)} for c in range(n)] + [{0: F(1)}] * (_WINDOW * n - n)
+    assert sparse_rank(_rows_then_raise(halves), n) == n
+
+
+def test_extend_with_no_columns():
+    ech = Echelon(0).extend(_rows_then_raise([]))
+    space = ech.kernel_space()
+    assert (ech.rank, space.basis, space.free, space.denominator) == (0, [], [], 1)
+    assert sparse_kernel(_rows_then_raise([]), 0) == []
 
 
 def test_mat_sum_and_difference_reject_shape_mismatch():
