@@ -222,7 +222,7 @@ def cmd_oracle(args) -> int:
             f"class={row.module_class} total={row.total_dim} [{row.satake_label}]"
         )
     else:
-        if not (args.series and args.rank and args.crossed):
+        if None in (args.series, args.rank, args.crossed):
             raise BadParameters(
                 "oracle needs either --family or all of --series/--rank/--crossed"
             )

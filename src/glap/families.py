@@ -8,6 +8,9 @@ is kept as integer vectors D v_t over one denominator D, and the unit table
 of K has integer coefficients, so the commutator of D_a X_a and D_b X_b is
 an integer matrix, exactly D_a D_b [X_a, X_b].  Its coordinates are
 certified in ints by exact reconstruction and divided by D_a D_b once.
+The form g and the conformal factors eta are read from the same integer
+basis and unit table, each entry divided by its denominator once, so
+there is one arithmetic over K.
 K is required to be associative, which makes these commutators a Lie
 bracket; the ambient still gets the grading and Jacobi certificate of
 ``gla.check_gla``, reduced by transitivity to the triples it needs.  The
@@ -36,13 +39,7 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .composition import (
-    CAElement,
-    CompositionAlgebra,
-    algebra_by_tag,
-    norm_form,
-    real_algebra,
-)
+from .composition import CompositionAlgebra, algebra_by_tag, norm_form, real_algebra
 from .errors import BadParameters, GlapError, require
 from .gla import (
     GradedAlgebra,
@@ -55,20 +52,6 @@ from .linalg import Echelon, Mat, int_row, sparse_kernel
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class KMat:
-    """Sparse square matrix over a composition algebra, read entry by entry."""
-
-    __slots__ = ("alg", "cells")
-
-    def __init__(self, alg: CompositionAlgebra, cells: dict):
-        self.alg = alg
-        self.cells = cells
-
-    def entry(self, i: int, j: int) -> CAElement:
-        v = self.cells.get((i, j))
-        return v if v is not None else self.alg.element([ZERO] * self.alg.dim)
 
 
 class _DegreeSpace:
@@ -89,15 +72,6 @@ class _DegreeSpace:
 
     def dim(self) -> int:
         return len(self.space)
-
-    def matrix(self, k: int) -> KMat:
-        d = self.alg.dim
-        vec = self.space.vector(k)
-        cells = {}
-        for idx in sorted({i // d for i in vec}):
-            coords = [vec.get(idx * d + t, ZERO) for t in range(d)]
-            cells[self.cells[idx]] = self.alg.element(coords)
-        return KMat(self.alg, cells)
 
     def int_matrix(self, k: int) -> dict[tuple[int, int, int], int]:
         """D times the k-th basis matrix, D = ``space.denominator``, in ints."""
@@ -169,7 +143,7 @@ def _realize(alg, n, sigma, weights, trace_zero):
     by the reflection equation).
     """
     d = alg.dim
-    signs = [int(alg.basis_element(t).conjugate().coords[t]) for t in range(d)]
+    signs = [int(s) for s in alg._conj]
     degree_cells: dict[int, list[tuple[int, int]]] = {}
     for i in range(n):
         for j in range(n):
@@ -256,11 +230,8 @@ def _assemble(name, spaces) -> GradedAlgebra:
 
 def _split_unit(alg: CompositionAlgebra):
     """Index of an imaginary basis unit squaring to +1, if any."""
-    for t in range(1, alg.dim):
-        e = alg.basis_element(t)
-        if e * e == alg.one:
-            return t
-    return None
+    table = _unit_table(alg)
+    return next((t for t in range(1, alg.dim) if table[t][t] == (0, 1)), None)
 
 
 @dataclass
@@ -360,6 +331,32 @@ def _certify_cartan(spaces, elems):
                     f"tagged diagonal elements {a} and {b} do not commute")
 
 
+def _gram(sp: _DegreeSpace, pairs, den: int) -> Mat:
+    """G[a][b] = Re sum conj(X_a[x]) X_b[y] / den over the cell pairs (x, y),
+    X_a the basis matrices of ``sp``.  Each entry is one integer sum over
+    the integer basis D X_a and the unit table, divided by den D^2 once."""
+    table = _unit_table(sp.alg)
+    # Re(conj(e_s) e_t) = c for each (s, t, c)
+    re = [(s, t, int(sp.alg._conj[s]) * c)
+          for s, row in enumerate(table) for t, (u, c) in enumerate(row) if u == 0]
+    mats = [sp.int_matrix(k) for k in range(sp.dim())]
+    scale = den * sp.space.denominator ** 2
+    return Mat([
+        [Fraction(sum(c * A.get((*x, s), 0) * B.get((*y, t), 0)
+                      for x, y in pairs for s, t, c in re), scale) for B in mats]
+        for A in mats
+    ])
+
+
+def _conformal_factors(A: GradedAlgebra, sp0: _DegreeSpace, scale: int):
+    """(index in A, eta) per degree-zero basis matrix X: eta = scale Re X[0][0],
+    read off the integer basis over its denominator."""
+    col = sp0.pos[(0, 0)] * sp0.alg.dim
+    idx0 = A.by_degree()[0]
+    D = sp0.space.denominator
+    return [(idx0[k], Fraction(scale * u.get(col, 0), D)) for k, u in enumerate(sp0.space.basis)]
+
+
 def build_hk(k_tag: str, name: str, p: int, q: int):
     """Hermitian-form algebra over C, C', H or H' with the two-step grading.
 
@@ -393,26 +390,9 @@ def build_hk(k_tag: str, name: str, p: int, q: int):
     _require_dims(m, {-1: d * (n - 2), -2: d - 1})
 
     # g pairs first-column blocks through the middle part of the form
-    sp1 = spaces[-1]
-    mid = range(1, n - 1)
-    k1 = sp1.dim()
-    mats1 = [sp1.matrix(k) for k in range(k1)]
-    G = Mat.zeros(k1, k1)
-    for a in range(k1):
-        for b in range(k1):
-            acc = ZERO
-            for i in mid:
-                prod = mats1[a].entry(i, 0).conjugate() * mats1[b].entry(sigma[i], 0)
-                acc += prod.coords[0]
-            G[a, b] = acc
+    G = _gram(spaces[-1], [((i, 0), (sigma[i], 0)) for i in range(1, n - 1)], 1)
     g = SymBilinearForm.for_algebra(m, G)
-
-    idx0 = ambient.by_degree()[0]
-    eta_by_index = []
-    for k in range(spaces[0].dim()):
-        corner = spaces[0].matrix(k).entry(0, 0)
-        eta_by_index.append((idx0[k], Fraction(-2) * corner.coords[0]))
-    _check_covariance(ambient, G, eta_by_index)
+    _check_covariance(ambient, G, _conformal_factors(ambient, spaces[0], -2))
     # the weight matrix itself must be a degree-zero solution
     spaces[0].coords({(i, i, 0): w for i, w in enumerate(weights)})
 
@@ -467,27 +447,11 @@ def build_bi(name: str, l: int):
         -3: l - 1,
     })
 
-    # g couples the first-column block with the middle-row block
-    sp1 = spaces[-1]
-    k1 = sp1.dim()
-    mats1 = [sp1.matrix(k) for k in range(k1)]
-    half = Fraction(-1, 2)
-    G = Mat.zeros(k1, k1)
-    for a in range(k1):
-        for b in range(k1):
-            acc = ZERO
-            for j in range(1, l):
-                acc += mats1[a].entry(l, j).coords[0] * mats1[b].entry(j, 0).coords[0]
-                acc += mats1[b].entry(l, j).coords[0] * mats1[a].entry(j, 0).coords[0]
-            G[a, b] = half * acc
+    # g couples the first-column block with the middle-row block, symmetrized
+    pairs = [((l, j), (j, 0)) for j in range(1, l)]
+    G = _gram(spaces[-1], pairs + [(y, x) for x, y in pairs], -2)
     g = SymBilinearForm.for_algebra(m, G)
-
-    idx0 = ambient.by_degree()[0]
-    eta_by_index = []
-    for k in range(spaces[0].dim()):
-        corner = spaces[0].matrix(k).entry(0, 0)
-        eta_by_index.append((idx0[k], -corner.coords[0]))
-    _check_covariance(ambient, G, eta_by_index)
+    _check_covariance(ambient, G, _conformal_factors(ambient, spaces[0], -1))
     spaces[0].coords({(i, i, 0): w for i, w in enumerate(weights)})
 
     elems = [{(i, i, 0): 1, (sigma[i], sigma[i], 0): -1} for i in range(l)]
@@ -504,16 +468,18 @@ def build_octonionic(o_tag: str, name: str):
     the only equivariant choice.
     """
     alg = algebra_by_tag(o_tag)
+    table = _unit_table(alg)
     labels = [f"x{t}" for t in range(8)] + [f"z{t}" for t in range(1, 8)]
     degrees = [-1] * 8 + [-2] * 7
     brackets = {}
     for i in range(8):
-        ei_bar = alg.basis_element(i).conjugate()
         for j in range(i + 1, 8):
-            ej = alg.basis_element(j)
-            v = ei_bar * ej - alg.basis_element(j).conjugate() * alg.basis_element(i)
-            require(v.re() == 0, f"bracket of x{i}, x{j} has a real part")
-            cell = {8 + k - 1: c for k, c in enumerate(v.coords) if k >= 1 and c}
+            v: dict[int, int] = {}
+            for a, b, sign in ((i, j, 1), (j, i, -1)):  # conj(e_a) e_b = s_a e_a e_b
+                u, c = table[a][b]
+                v[u] = v.get(u, 0) + sign * int(alg._conj[a]) * c
+            require(not v.get(0), f"bracket of x{i}, x{j} has a real part")
+            cell = {8 + k - 1: c for k, c in sorted(v.items()) if k and c}
             if cell:
                 brackets[(i, j)] = cell
     m = GradedAlgebra(f"{name}.m", labels, degrees, brackets)

@@ -28,6 +28,7 @@ The JSON layout round-trips losslessly because rationals are serialized as
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
@@ -48,16 +49,24 @@ def format_rational(x: Fraction) -> str:
     return str(x)  # Fraction.__str__ is exactly the "p/q" / "p" layout
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(s: str | int, where: str = "") -> Fraction:
-    """A rational from JSON: an integer or a "p/q" string.  Floats (and
-    booleans) are refused rather than converted, because a JSON float is
-    already rounded to binary."""
+    """A rational from JSON: an integer, or a string as ``format_rational``
+    writes it, "p" or "p/q" in ASCII digits.  Floats (and booleans) are
+    refused rather than converted, because a JSON float is already rounded
+    to binary; so are decimal and exponent strings, which ``Fraction``
+    would take but may expand to millions of digits."""
     at = f" at {where}" if where else ""
-    if isinstance(s, (float, bool)):
+    if _is_json_int(s):
+        return Fraction(s)
+    match = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if match is None:
         raise ParseError(f"bad rational {s!r}{at}: use an integer or a \"p/q\" string")
     try:
-        return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError) as e:
+        return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError) as e:  # too many digits, or q = 0
         raise ParseError(f"bad rational {s!r}{at}") from e
 
 
@@ -253,6 +262,8 @@ def _load_json(text: str) -> dict:
         d = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # too many digits, or nested too deeply
+        raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(d, dict):
         raise ParseError("top-level JSON value must be an object")
     return d

@@ -154,11 +154,11 @@ def graded_dims(series: str, rank: int, crossed) -> GradedDims:
     roots plus the full Cartan subalgebra.
     """
     crossed = tuple(sorted(set(int(c) for c in crossed)))
+    pos = positive_roots(series, rank)  # validates the rank first
     if not crossed:
         raise BadParameters("need at least one crossed node")
     if any(c < 1 or c > rank for c in crossed):
         raise BadParameters(f"crossed nodes {crossed} out of range 1..{rank}")
-    pos = positive_roots(series, rank)
     dims: dict[int, int] = {0: rank}
     for beta in pos:
         deg = sum(beta[c - 1] for c in crossed)

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,18 @@ def test_check_refuses_an_ambiguous_bracket(tmp_path, capsys, rows, fragment):
     assert fragment in json.loads(out)["error"]
 
 
+def test_an_exponent_string_is_refused_at_once(tmp_path, capsys):
+    # Fraction("1e10000000") alone would take seconds to expand
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps({"name": "a", "labels": ["x", "y", "z"], "degrees": [-1, -1, -2],
+                             "brackets": [[0, 1, [[2, "1e10000000"]]]]}))
+    start = time.perf_counter()
+    code, out = run(capsys, "check", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "1e10000000" in json.loads(out)["error"]
+
+
 def test_summary_flag_gives_one_line(capsys):
     code, out = run(capsys, "oracle", "--family", "G", "--summary")
     assert code == 0
@@ -203,6 +216,12 @@ def test_oracle_requires_arguments(capsys):
     code, out = run(capsys, "oracle", "--series", "A", "--rank", "2",
                     "--crossed", "x")
     assert code == 2
+
+
+def test_oracle_rank_zero_reports_the_rank(capsys):
+    code, out = run(capsys, "oracle", "--series", "A", "--rank", "0", "--crossed", "1")
+    assert code == 2
+    assert "rank must be positive" in json.loads(out)["error"]
 
 
 def test_oracle_family_param_validation(capsys):
@@ -403,6 +422,33 @@ def _hc11_prolongation(tmp_path, capsys) -> dict:
     prol_path = str(tmp_path / "f.prol.json")
     run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json", "--out", prol_path)
     return json.loads(open(prol_path).read())
+
+
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_a_long_integer_literal_is_an_input_error(tmp_path, capsys, command):
+    # json.loads refuses an integer literal of more than 4300 digits with a
+    # plain ValueError rather than a JSONDecodeError
+    if command == "check":
+        prefix = str(tmp_path / "f")
+        run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+        doc = json.loads(open(prefix + ".m.json").read())
+    else:
+        doc = _hc11_prolongation(tmp_path, capsys)
+    doc["brackets"][0][2][0][1] = "COEFFICIENT"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"COEFFICIENT"', "7" * 5001))
+    code, out = run(capsys, command, str(bad))
+    assert code == 2
+    assert "internal error" not in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200000 + "]" * 200000)
+    code, out = run(capsys, command, str(p))
+    assert code == 2
+    assert "recursion depth" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize(

@@ -335,11 +335,20 @@ def _reference_assemble(name, spaces):
     """The Fraction form of the assembly: each basis matrix over K as
     {(i, j): CAElement}, each bracket a commutator multiplied out in
     CAElement arithmetic, its coordinates read off the target degree."""
+
+    def cells(space, k):
+        d = space.alg.dim
+        vec = space.space.vector(k)
+        return {
+            space.cells[idx]: space.alg.element([vec.get(idx * d + t, 0) for t in range(d)])
+            for idx in sorted({c // d for c in vec})
+        }
+
     basis, labels, degs, offset = [], [], [], {}
     for delta in sorted(d for d in spaces if spaces[d].dim()):
         offset[delta] = len(basis)
         for k in range(spaces[delta].dim()):
-            basis.append((delta, spaces[delta].matrix(k).cells))
+            basis.append((delta, cells(spaces[delta], k)))
             labels.append(f"g{delta}_{k}")
             degs.append(delta)
 

@@ -99,7 +99,7 @@ def test_rational_string_convention():
     assert parse_rational("-7") == F(-7)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "x", "1/2/3"])
+@pytest.mark.parametrize("bad", ["", "1/0", "x", "1/2/3", "1e10000000", "1.5", " 1"])
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
