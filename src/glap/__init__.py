@@ -15,7 +15,6 @@ from .errors import (
     DimTooLarge,
     DimensionMismatch,
     GlapError,
-    NoCartanTag,
     NonNegativeDegreePresent,
     NotFundamental,
     NotIsotropic,

@@ -6,7 +6,8 @@ expected classification table.  All decisions are exact: semisimplicity is
 the determinants of the degree blocks of the Killing form being nonzero
 (``is_semisimple``), simplicity is a statement about the centroid,
 and module classes come from a quadratic relation of elements of the
-commutant (``classify_module``).
+commutant (``classify_module``), with each SIII split certified totally
+isotropic and nondegenerately paired (``isotropic_split_check``).
 
 Simplicity from the centroid: for a semisimple real algebra the centroid
 is a product of fields, one factor per simple ideal, each factor R or C.
@@ -44,7 +45,6 @@ from math import isqrt, lcm
 from .errors import (
     DegeneratePairing,
     GlapError,
-    NoCartanTag,
     NotIsotropic,
     NotSemisimple,
     require,
@@ -59,7 +59,6 @@ from .linalg import (
     solve_square,
     span_basis,
     sparse_kernel,
-    sparse_rank,
 )
 from .roots import table_expectation
 
@@ -427,8 +426,9 @@ class ModuleClassification:
 
 
 def classify_module(mats: list[Mat], G: Mat) -> ModuleClassification:
-    """Classify the module on which ``mats`` act, in the presence of the
-    symmetric form G, from the commutant C of the action.
+    """Classify the module on which ``mats`` act from the commutant C of
+    the action.  G only fixes the size of the module; ``analyze`` certifies
+    an SIII split against the form (``isotropic_split_check``).
 
     The candidates are the basis of C, then the sums of pairs of its
     elements, in that order.  Each non-scalar candidate's traceless part J
@@ -504,48 +504,37 @@ def _positive_sqrt(x: Fraction) -> Fraction | None:
 
 def isotropic_split_check(G: Mat, V1, V2) -> dict:
     """Verify that V1, V2 are complementary, totally isotropic, and pair
-    nondegenerately with each other under G."""
+    nondegenerately with each other under G.
+
+    Every pairing is read off one Gram product P = V G V^T of the stacked
+    rows V = [V1; V2]: its two diagonal blocks must vanish and its
+    off-diagonal block V1 G V2^T must be nonsingular."""
     n = G.n
-    if len(V1) + len(V2) != n:
+    k = len(V1)
+    if k + len(V2) != n:
         raise ValueError(
-            f"split dims {len(V1)} + {len(V2)} do not add up to {n}"
+            f"split dims {k} + {len(V2)} do not add up to {n}"
         )
-    if sparse_rank((dict(enumerate(v)) for v in [*V1, *V2]), n) != n:
+    V = Mat([*V1, *V2])
+    if V.rank() != n:
         raise ValueError("split subspaces are not complementary")
-    for name, V in (("first", V1), ("second", V2)):
-        for i, v in enumerate(V):
-            for w in V[i:]:
-                val = _pair(G, v, w)
-                if val != 0:
+    P = [[sum(x * y for x, y in zip(w, v)) for v in V.a] for w in (V * G).a]
+    for name, block in (("first", range(k)), ("second", range(k, n))):
+        for i in block:
+            for j in range(i, block.stop):
+                if P[i][j] != 0:
                     raise NotIsotropic(
-                        f"{name} summand is not totally isotropic: g = {val}"
+                        f"{name} summand is not totally isotropic: g = {P[i][j]}"
                     )
-    if len(V1) != len(V2):
+    if k != len(V2):
         raise DegeneratePairing(
-            f"summands of dimension {len(V1)} and {len(V2)} cannot pair "
+            f"summands of dimension {k} and {len(V2)} cannot pair "
             "nondegenerately"
         )
-    det = Mat([[_pair(G, v, w) for w in V2] for v in V1]).det()
+    det = Mat([row[k:] for row in P[:k]]).det()
     if det == 0:
         raise DegeneratePairing("cross pairing between the summands is singular")
-    return {"dims": (len(V1), len(V2)), "cross_pairing_det": det}
-
-
-def _pair(G: Mat, v, w) -> Fraction:
-    return sum(
-        (v[i] * G.a[i][j] * w[j] for i in range(G.n) for j in range(G.n)),
-        Fraction(0),
-    )
-
-
-def rank_bound_check_split(cartan_dim: int | None, signature: tuple[int, int]) -> dict:
-    """The split-rank bound: a maximal R-diagonalizable subalgebra through
-    E has dimension at most min(r, s) + 1."""
-    if cartan_dim is None:
-        raise NoCartanTag("no split Cartan data attached to this algebra")
-    r, s = signature
-    bound = min(r, s) + 1
-    return {"cartan_dim": cartan_dim, "bound": bound, "ok": cartan_dim <= bound}
+    return {"dims": (k, len(V2)), "cross_pairing_det": det}
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +634,12 @@ def analyze(prol) -> AnalysisReport:
     cls = _classify_commutant(K, n1)
     warnings.extend(cls.warnings)
     if cls.module_class == "SIII":
-        r, s = prol.form.signature()
-        if r != s:
-            warnings.append(
-                f"SIII module with signature ({r},{s}); expected a neutral form"
-            )
+        # the paper's SIII: g_{-1} splits into two totally isotropic,
+        # nondegenerately paired summands, which forces a neutral form
+        try:
+            isotropic_split_check(prol.form.matrix, *cls.split)
+        except (NotIsotropic, DegeneratePairing) as e:
+            warnings.append(f"SIII split not certified: {e}")
     return AnalysisReport(
         name=A.name,
         dims=prol.dims_by_degree(),

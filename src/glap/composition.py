@@ -39,25 +39,19 @@ class CompositionAlgebra:
     def __repr__(self):
         return f"CompositionAlgebra({self.tag}, dim={self.dim})"
 
-    def element(self, coords) -> "CAElement":
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != self.dim:
-            raise AlgebraMismatch(
-                f"{self.tag} needs {self.dim} coordinates, got {len(coords)}"
-            )
-        return CAElement(self, coords)
-
-    def basis_element(self, i: int) -> "CAElement":
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
-        return CAElement(self, tuple(coords))
-
-    @property
-    def one(self) -> "CAElement":
-        return self.basis_element(0)
-
-    def basis(self):
-        return [self.basis_element(i) for i in range(self.dim)]
+    def unit_table(self) -> list[list[tuple[int, int]]]:
+        """``table[s][t] = (u, c)`` with e_s e_t = c e_u and c a Python int,
+        read from ``_table`` on every call; raises GlapError on a
+        coefficient that is not an integer."""
+        out = []
+        for row in self._table:
+            out.append([])
+            for u, c in row:
+                c = Fraction(c)
+                require(c.denominator == 1,
+                        f"{self.tag}: unit product coefficient {c} is not an integer")
+                out[-1].append((u, int(c)))
+        return out
 
     def is_associative(self) -> bool:
         """Whether (e_s e_t) e_u == e_s (e_t e_u) on all d^3 basis triples;
@@ -73,91 +67,6 @@ class CompositionAlgebra:
                     if left != right or a * c != b * e:
                         return False
         return True
-
-
-class CAElement:
-    __slots__ = ("alg", "coords")
-
-    def __init__(self, alg: CompositionAlgebra, coords):
-        self.alg = alg
-        self.coords = tuple(coords)
-
-    def _check(self, other):
-        if self.alg is not other.alg:
-            raise AlgebraMismatch(
-                f"mixed algebras: {self.alg.tag} and {other.alg.tag}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return CAElement(self.alg, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return CAElement(self.alg, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return CAElement(self.alg, tuple(-a for a in self.coords))
-
-    def scale(self, c) -> "CAElement":
-        c = Fraction(c)
-        return CAElement(self.alg, tuple(c * a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        table = self.alg._table
-        out = [Fraction(0)] * self.alg.dim
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            row = table[i]
-            for j, b in enumerate(other.coords):
-                if b == 0:
-                    continue
-                k, c = row[j]
-                out[k] += a * b * c
-        return CAElement(self.alg, tuple(out))
-
-    __rmul__ = scale
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CAElement)
-            and self.alg is other.alg
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((id(self.alg), self.coords))
-
-    def conjugate(self) -> "CAElement":
-        signs = self.alg._conj
-        return CAElement(self.alg, tuple(s * a for s, a in zip(signs, self.coords)))
-
-    def re(self) -> Fraction:
-        return self.coords[0]
-
-    def im(self) -> "CAElement":
-        coords = (Fraction(0),) + self.coords[1:]
-        return CAElement(self.alg, coords)
-
-    def norm(self) -> Fraction:
-        """N(x) with conj(x) * x = N(x) * 1; the check that the product is
-        real is cheap and raises GlapError when it fails."""
-        prod = self.conjugate() * self
-        require(all(c == 0 for c in prod.coords[1:]), "norm left the real line")
-        return prod.coords[0]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __repr__(self):
-        terms = [
-            f"{c}*e{i}" for i, c in enumerate(self.coords) if c != 0
-        ]
-        return " + ".join(terms) if terms else "0"
 
 
 def real_algebra() -> CompositionAlgebra:
@@ -234,8 +143,23 @@ def algebra_by_tag(tag: str) -> CompositionAlgebra:
 
 
 def norm_form(alg: CompositionAlgebra) -> Mat:
-    """Gram matrix of g(x, y) = Re(conj(x) y) on the standard basis."""
-    basis = alg.basis()
-    return Mat(
-        [[(x.conjugate() * y).re() for y in basis] for x in basis]
-    )
+    """Gram matrix of g(x, y) = Re(conj(x) y) on the standard basis, read
+    from the unit table and the conjugation signs.
+
+    g is the polar form of the norm N(x) = conj(x) x, which must be real.
+    By bilinearity conj(x) x is the sum of x_s^2 conj(e_s) e_s and of
+    x_s x_t (conj(e_s) e_t + conj(e_t) e_s) over s < t, so it is real for
+    every x exactly when each of those basis terms lies in R 1; raises
+    GlapError unless they do."""
+    signs = alg._conj
+    # prod[s][t] = (u, c): conj(e_s) e_t = c e_u
+    prod = [[(u, signs[s] * c) for u, c in row] for s, row in enumerate(alg.unit_table())]
+    for s in range(alg.dim):
+        for t in range(s, alg.dim):
+            imag: dict[int, Fraction] = {}
+            for u, c in [prod[s][t]] if s == t else [prod[s][t], prod[t][s]]:
+                if u:
+                    imag[u] = imag.get(u, 0) + c
+            require(not any(imag.values()),
+                    f"{alg.tag}: conj(x) x leaves the real line at e{s}, e{t}")
+    return Mat([[c if u == 0 else 0 for u, c in row] for row in prod])

@@ -70,10 +70,6 @@ class DegeneratePairing(GlapError):
     pass
 
 
-class NoCartanTag(GlapError):
-    pass
-
-
 # families / oracle
 class BadParameters(GlapError):
     pass

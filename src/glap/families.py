@@ -22,7 +22,7 @@ Every builder takes the instance name and the family's parameters and
 hands back (m, g, ambient, cartan): the fundamental algebra m, a
 representative g of the conformal class and, where the matrix picture
 exists, the ambient graded algebra and a verified diagonal Cartan tag
-(None where absent).
+(None where absent), which ``build`` holds to the split-rank bound.
 
 ``FAMILIES`` at the end of the module is the one registry of families: tag,
 root-oracle key, parameters, supported range, ``verify-table`` rows and
@@ -92,19 +92,6 @@ class _DegreeSpace:
                     raise GlapError(f"matrix entry at {(i, j)} escapes the degree block")
                 local[idx * d + s] = x
         return self.space.coords(local, "matrix")
-
-
-def _unit_table(alg: CompositionAlgebra) -> list[list[tuple[int, int]]]:
-    """``table[s][t] = (u, c)`` with e_s e_t = c e_u and c a Python int."""
-    out = []
-    for row in alg._table:
-        out.append([])
-        for u, c in row:
-            c = Fraction(c)
-            require(c.denominator == 1,
-                    f"{alg.tag}: unit product coefficient {c} is not an integer")
-            out[-1].append((u, int(c)))
-    return out
 
 
 def _by_row(X: dict) -> dict[int, list]:
@@ -192,7 +179,7 @@ def _assemble(name, spaces) -> GradedAlgebra:
     coordinates, and each is divided by D_a D_b once.
     """
     alg = next(iter(spaces.values())).alg
-    table = _unit_table(alg)
+    table = alg.unit_table()
     require(alg.is_associative(), f"{alg.tag} is not associative")
     degrees_sorted = sorted(d for d in spaces if spaces[d].dim() > 0)
     basis: list[tuple[int, int, dict]] = []
@@ -230,7 +217,7 @@ def _assemble(name, spaces) -> GradedAlgebra:
 
 def _split_unit(alg: CompositionAlgebra):
     """Index of an imaginary basis unit squaring to +1, if any."""
-    table = _unit_table(alg)
+    table = alg.unit_table()
     return next((t for t in range(1, alg.dim) if table[t][t] == (0, 1)), None)
 
 
@@ -323,7 +310,7 @@ def _certify_cartan(spaces, elems):
         local = spaces[0].coords(M)
         grew = ech.add(int_row(dict(enumerate(local))))
         require(grew, "tagged diagonal elements are dependent")
-    table = _unit_table(spaces[0].alg)
+    table = spaces[0].alg.unit_table()
     rows = [_by_row(M) for M in elems]
     for a in range(len(elems)):
         for b in range(a + 1, len(elems)):
@@ -334,11 +321,10 @@ def _certify_cartan(spaces, elems):
 def _gram(sp: _DegreeSpace, pairs, den: int) -> Mat:
     """G[a][b] = Re sum conj(X_a[x]) X_b[y] / den over the cell pairs (x, y),
     X_a the basis matrices of ``sp``.  Each entry is one integer sum over
-    the integer basis D X_a and the unit table, divided by den D^2 once."""
-    table = _unit_table(sp.alg)
-    # Re(conj(e_s) e_t) = c for each (s, t, c)
-    re = [(s, t, int(sp.alg._conj[s]) * c)
-          for s, row in enumerate(table) for t, (u, c) in enumerate(row) if u == 0]
+    the integer basis D X_a and the terms Re(conj(e_s) e_t) of
+    ``norm_form``, divided by den D^2 once."""
+    re = [(s, t, int(c)) for s, row in enumerate(norm_form(sp.alg).a)
+          for t, c in enumerate(row) if c]
     mats = [sp.int_matrix(k) for k in range(sp.dim())]
     scale = den * sp.space.denominator ** 2
     return Mat([
@@ -468,7 +454,7 @@ def build_octonionic(o_tag: str, name: str):
     the only equivariant choice.
     """
     alg = algebra_by_tag(o_tag)
-    table = _unit_table(alg)
+    table = alg.unit_table()
     labels = [f"x{t}" for t in range(8)] + [f"z{t}" for t in range(1, 8)]
     degrees = [-1] * 8 + [-2] * 7
     brackets = {}
@@ -773,7 +759,9 @@ def oracle_instances() -> list[tuple[str, str, dict]]:
 
 
 def build(tag: str, **params) -> Family:
-    """Uniform entry point keyed by the command-line family tags."""
+    """Uniform entry point keyed by the command-line family tags.  A Cartan
+    tag must respect the split-rank bound min(r, s) + 1 of the form's
+    signature (r, s); GlapError otherwise."""
     spec = FAMILIES.get(tag)
     if spec is None:
         raise BadParameters(f"unknown family tag {tag!r} (expected one of {tuple(FAMILIES)})")
@@ -785,5 +773,13 @@ def build(tag: str, **params) -> Family:
         usage = " ".join(f"--{k}" if d is None else f"[--{k}]" for k, d in spec.params.items())
         raise BadParameters(f"{tag} requires {usage}")
     values = {k: int(v) for k, v in values.items()}
-    m, g, ambient, cartan = spec.builder(label(tag, values), **values)
+    name = label(tag, values)
+    m, g, ambient, cartan = spec.builder(name, **values)
+    if cartan is not None:
+        # a maximal R-diagonalizable subalgebra through E has dimension at
+        # most min(r, s) + 1
+        bound = min(g.signature()) + 1
+        require(cartan.dim <= bound,
+                f"{name}: split Cartan tag of dimension {cartan.dim} exceeds "
+                f"the rank bound min(r, s) + 1 = {bound}")
     return Family(tag, values, m, g, ambient, cartan)

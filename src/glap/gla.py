@@ -123,42 +123,6 @@ class GradedAlgebra:
         cell = self.brackets.get((j, i), {})
         return {k: -c for k, c in cell.items()}
 
-    def bracket_eval(self, x, y):
-        """[x, y] for dense coefficient vectors x, y."""
-        if len(x) != self.n or len(y) != self.n:
-            raise DimensionMismatch(
-                f"vectors of length {len(x)}, {len(y)} in algebra of dim {self.n}"
-            )
-        out = [Fraction(0)] * self.n
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                if b == 0 or i == j:
-                    continue
-                cell = self.brackets.get((i, j)) if i < j else None
-                if i < j:
-                    if not cell:
-                        continue
-                    for k, c in cell.items():
-                        out[k] += a * b * c
-                else:
-                    cell = self.brackets.get((j, i))
-                    if not cell:
-                        continue
-                    for k, c in cell.items():
-                        out[k] -= a * b * c
-        return out
-
-    def sparse_ad(self, i: int) -> dict[int, dict[int, Fraction]]:
-        """ad(e_i) column by column: maps j -> {k: c} with [e_i, e_j] = sum c e_k."""
-        out = {}
-        for j in range(self.n):
-            cell = self.bracket_pair(i, j)
-            if cell:
-                out[j] = cell
-        return out
-
     def restriction_matrix(self, i: int, src_degree: int) -> Mat:
         """Matrix of ad(e_i) restricted to one homogeneous piece, written in
         the bases of the source and target degrees."""
@@ -538,12 +502,6 @@ class SymBilinearForm:
         minus1 = A.by_degree().get(-1, [])
         if self.indices != minus1:
             raise ParseError(f"form indexes {self.indices} but degree -1 basis is {minus1}")
-
-    def scaled(self, c) -> "SymBilinearForm":
-        c = Fraction(c)
-        if c == 0:
-            raise DegenerateForm("zero is not a conformal rescaling")
-        return SymBilinearForm(self.algebra_name, self.indices, c * self.matrix)
 
     def signature(self) -> tuple[int, int]:
         r, s, z = signature_of_symmetric(self.matrix)

@@ -5,7 +5,7 @@ and ``fractions.Fraction`` appears only at the boundary.  Two engines share
 the work:
 
 * a dense ``Mat`` class of Fractions for small matrices (products,
-  determinants, inverses, congruence diagonalization);
+  determinants, congruence diagonalization);
 * a sparse integer row-echelon engine for the big homogeneous systems that
   the derivation/prolongation solvers produce.  Rows are dicts mapping
   column index to a nonzero int; a rational row is scaled once, by
@@ -73,9 +73,6 @@ class Mat:
             M.a[i][i] = _q(x)
         return M
 
-    def copy(self) -> "Mat":
-        return Mat([row[:] for row in self.a])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.a[i][j]
@@ -117,9 +114,6 @@ class Mat:
         rows = "; ".join(" ".join(str(x) for x in r) for r in self.a)
         return f"Mat[{rows}]"
 
-    def transpose(self) -> "Mat":
-        return Mat([list(col) for col in zip(*self.a)] if self.a else [])
-
     def trace(self) -> Fraction:
         if self.m != self.n:
             raise ValueError("trace of a non-square matrix")
@@ -132,16 +126,8 @@ class Mat:
             self.a[i][j] == self.a[j][i] for i in range(self.m) for j in range(i)
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.a for x in r)
-
     def col(self, j):
         return [self.a[i][j] for i in range(self.m)]
-
-    def mat_vec(self, v):
-        if len(v) != self.n:
-            raise ValueError("shape mismatch in matrix-vector product")
-        return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in self.a]
 
     def rank(self) -> int:
         return sparse_rank((dict(enumerate(r)) for r in self.a), self.n)
@@ -177,25 +163,6 @@ class Mat:
                 a[i][k] = 0
             prev = a[k][k]
         return Fraction(sign * a[n - 1][n - 1], 1) / scale
-
-    def inverse(self) -> "Mat":
-        if self.m != self.n:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.n
-        aug = [self.a[i][:] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = Fraction(1) / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c] != 0:
-                    f = aug[r][c]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-        return Mat([row[n:] for row in aug])
-
 
 # ---------------------------------------------------------------------------
 # sparse integer echelon engine

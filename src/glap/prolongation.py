@@ -465,9 +465,11 @@ def full_prolongation(
 ) -> ProlongationResult:
     """Iterate prolongation steps until a layer is empty.
 
-    A natural stop certifies the result (Jacobi and grading check on every
-    triple, transitivity, untouched negative part); stopping at max_degree
-    instead yields a partial, uncertified algebra with complete=False.
+    A natural stop certifies the result (the grading and Jacobi check of
+    ``gla.check_gla``, whose sweep transitivity cuts down to the triples
+    that decide the rest; transitivity; untouched negative part); stopping
+    at max_degree instead yields a partial, uncertified algebra with
+    complete=False.
     """
     A = assemble_degree0(m, conformal_g0(m, g))
     mu = -min(m.degrees)

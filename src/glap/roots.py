@@ -121,14 +121,6 @@ def positive_roots(series: str, rank: int) -> list[tuple[int, ...]]:
     return sorted(roots, key=lambda t: (sum(t), t))
 
 
-def root_count(series: str, rank: int) -> int:
-    return 2 * len(positive_roots(series, rank))
-
-
-def highest_root(series: str, rank: int) -> tuple[int, ...]:
-    return positive_roots(series, rank)[-1]
-
-
 @dataclass
 class GradedDims:
     """Dimension data of the grading induced by crossing simple roots."""
@@ -167,23 +159,6 @@ def graded_dims(series: str, rank: int, crossed) -> GradedDims:
     return GradedDims(series, rank, crossed, dict(sorted(dims.items())))
 
 
-def minus_one_components(series: str, rank: int, crossed) -> dict[int, int]:
-    """Dimensions of the degree -1 pieces attached to each crossed node.
-
-    The degree -1 space splits by which crossed node a root uses (a degree
-    -1 root has total crossed coefficient 1, hence meets exactly one
-    crossed node, with coefficient 1)."""
-    crossed = tuple(sorted(set(int(c) for c in crossed)))
-    pos = positive_roots(series, rank)
-    out = {c: 0 for c in crossed}
-    for beta in pos:
-        deg = sum(beta[c - 1] for c in crossed)
-        if deg == 1:
-            node = next(c for c in crossed if beta[c - 1] == 1)
-            out[node] += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # expected classification table
 # ---------------------------------------------------------------------------
@@ -202,9 +177,6 @@ class TableRow:
     total_dim: int
     dims: dict[int, int]
     satake_label: str
-
-    def m_dims(self) -> dict[int, int]:
-        return {d: v for d, v in self.dims.items() if d < 0}
 
 
 def _hk_satake(kind: str, p: int, q: int) -> str:

@@ -53,11 +53,13 @@ def _rebased(tag, **params):
     m, g = fam.m, fam.g
     n = m.n
     P = Mat.identity(n)  # row i: the new basis vector f_i in the old basis
+    Q = Mat.identity(n)  # P^-1, through the inverse of each operation
     for ix in m.by_degree().values():
         for t, s in zip(range(len(ix) - 1), (1, -1)):
             a, b = ix[t], ix[t + 1]
             P.a[a] = [x + s * y for x, y in zip(P.a[a], P.a[b])]
-    Q = P.inverse()
+            for row in Q.a:
+                row[b] -= s * row[a]
     brackets = {}
     for i in range(n):
         for j in range(i + 1, n):

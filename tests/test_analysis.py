@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from glap import cli
 from glap.analysis import (
     _dense_system,
     _extensions,
@@ -24,19 +26,17 @@ from glap.analysis import (
     isotropic_split_check,
     killing_form,
     match_table_row,
-    rank_bound_check_split,
 )
 from glap.cli import DEFAULT_ROWS
 from glap.errors import (
     BadParameters,
     DegeneratePairing,
     GlapError,
-    NoCartanTag,
     NotIsotropic,
     NotSemisimple,
 )
-from glap.families import FAMILIES, build, label, oracle_instances
-from glap.gla import GradedAlgebra, _scaled_adjacency
+from glap.families import FAMILIES, CartanTag, build, label, oracle_instances
+from glap.gla import GradedAlgebra, SymBilinearForm, _scaled_adjacency
 from glap.linalg import Mat, signature_of_symmetric, sparse_kernel
 from glap.prolongation import full_prolongation
 from glap.roots import table_expectation
@@ -322,18 +322,60 @@ def test_isotropic_check_rejects_wrong_dimensions():
 )
 def test_rank_bound_for_split_families(get_family, tag, params, bound_ok):
     fam = get_family(tag, **params)
-    rep = rank_bound_check_split(fam.cartan.dim, fam.g.signature())
-    assert rep["ok"] is bound_ok
+    r, s = fam.g.signature()
+    assert (fam.cartan.dim <= min(r, s) + 1) is bound_ok
 
 
-def test_rank_bound_requires_cartan_tag():
-    with pytest.raises(NoCartanTag):
-        rank_bound_check_split(None, (1, 1))
+def test_rank_bound_can_fail(monkeypatch):
+    spec = FAMILIES["hc-split"]
+
+    def oversized(name, **params):
+        m, g, ambient, _ = spec.builder(name, **params)
+        return m, g, ambient, CartanTag(dim=5)
+
+    monkeypatch.setitem(FAMILIES, "hc-split", dataclasses.replace(spec, builder=oversized))
+    with pytest.raises(GlapError, match="exceeds the rank bound min"):
+        build("hc-split", p=1, q=1)
 
 
-def test_rank_bound_can_fail():
-    rep = rank_bound_check_split(5, (1, 1))
-    assert not rep["ok"]
+def _h3_pair():
+    """m = h3 + h3: [x1, y1] = z1 and [x2, y2] = z2."""
+    return GradedAlgebra(
+        "h3+h3",
+        ["x1", "y1", "x2", "y2", "z1", "z2"],
+        [-1, -1, -1, -1, -2, -2],
+        {(0, 1): {4: F(1)}, (2, 3): {5: F(1)}},
+    )
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [(1, 1, -1, -1), (1, -1, 1, -1), (1, 1, 1, 1)],
+    ids=["definite-blocks", "indefinite-blocks", "euclidean"],
+)
+def test_analyze_certifies_the_siii_split(tmp_path, capsys, diag):
+    """The commutant of g_0 splits g_{-1} into the degree -1 parts of the
+    two h3 summands.  Under these forms neither is totally isotropic
+    (g(x1, x1) = 1), so the SIII verdict is not the paper's isotropic
+    split.  The two neutral forms passed without a warning before the
+    split was certified; the euclidean one carried a signature warning."""
+    m = _h3_pair()
+    g = SymBilinearForm.for_algebra(m, Mat.diag(diag))
+    rep = analyze(full_prolongation(m, g))
+    assert rep.module_class == "SIII"
+    assert len(rep.warnings) == 1
+    assert rep.warnings[0].startswith("SIII split not certified: first summand is not totally isotropic")
+    paths = {}
+    for key, text in (("m", m.serialize()), ("g", g.serialize())):
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(text, encoding="utf-8")
+    prol_path = str(tmp_path / "prol.json")
+    assert cli.main(["prolong", str(paths["m"]), str(paths["g"]), "--out", prol_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", prol_path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["module_class"] == "SIII"
+    assert doc["warnings"] == rep.warnings
 
 
 def test_killing_form_pairs_only_opposite_degrees(get_prolongation):
@@ -604,11 +646,11 @@ def test_rebased_report_is_unchanged(get_rebased):
 
 
 def _reference_killing_form(A):
-    """B(x, y) = tr(ad x ad y) in Fractions from sparse_ad copies, as
-    killing_form computed it before it read the scaled adjacency; kept as
-    the reference for the integer sums."""
+    """B(x, y) = tr(ad x ad y) in Fractions from the columns [e_i, e_j] of
+    ``bracket_pair``, as killing_form computed it before it read the scaled
+    adjacency; kept as the reference for the integer sums."""
     n = A.n
-    ads = [A.sparse_ad(i) for i in range(n)]
+    ads = [{j: cell for j in range(n) if (cell := A.bracket_pair(i, j))} for i in range(n)]
     B = Mat.zeros(n, n)
     for i in range(n):
         for j in range(i, n):

@@ -12,6 +12,8 @@ from glap.composition import algebra_by_tag
 from glap.errors import BadParameters, GlapError, require
 from glap.families import FAMILIES, build
 from glap.gla import GradedAlgebra, check_fundamental, check_gla
+from glap.linalg import Mat
+from test_composition import add, mul
 
 
 EXPECTED_KIND = {
@@ -222,7 +224,7 @@ def _reference_check_covariance(A, G, eta_by_index):
     == eta G for each degree-zero element, M its action on degree -1."""
     for idx, eta in eta_by_index:
         M = A.restriction_matrix(idx, -1)
-        lhs = M.transpose() * G + G * M
+        lhs = Mat([list(col) for col in zip(*M.a)]) * G + G * M
         require(lhs == G * eta, f"conformal factor mismatch at {A.labels[idx]}")
 
 
@@ -262,7 +264,7 @@ def _perturb_gram_pair(G, eta_by_index):
     coupling the form does not have.  (Changing a nonzero entry can rescale
     a pairing the action still respects, as on bi(2).)"""
     r, c = next((r, c) for r in range(G.n) for c in range(r, G.n) if not G[r, c])
-    G = G.copy()
+    G = Mat([row[:] for row in G.a])
     G[r, c] += 1
     G[c, r] = G[r, c]
     return G, eta_by_index
@@ -292,6 +294,7 @@ from fractions import Fraction
 
 from glap import families
 from glap.errors import GlapError
+from glap.linalg import Mat
 
 check = families._check_covariance
 
@@ -302,7 +305,7 @@ def perturbed(A, G, eta_by_index):
         eta_by_index = [(idx, eta + Fraction(1, 3))] + rest
     else:
         r, c = next((r, c) for r in range(G.n) for c in range(r, G.n) if not G[r, c])
-        G = G.copy()
+        G = Mat([row[:] for row in G.a])
         G[r, c] += 1
         G[c, r] = G[r, c]
     return check(A, G, eta_by_index)
@@ -333,14 +336,15 @@ for tag, params in [("hh", {{"p": 1, "q": 1}}), ("bi", {{"l": 3}})]:
 
 def _reference_assemble(name, spaces):
     """The Fraction form of the assembly: each basis matrix over K as
-    {(i, j): CAElement}, each bracket a commutator multiplied out in
-    CAElement arithmetic, its coordinates read off the target degree."""
+    {(i, j): coordinates of the entry}, each bracket a commutator
+    multiplied out over the raw unit table (``test_composition.mul``),
+    its coordinates read off the target degree."""
 
     def cells(space, k):
         d = space.alg.dim
         vec = space.space.vector(k)
         return {
-            space.cells[idx]: space.alg.element([vec.get(idx * d + t, 0) for t in range(d)])
+            space.cells[idx]: tuple(Fraction(vec.get(idx * d + t, 0)) for t in range(d))
             for idx in sorted({c // d for c in vec})
         }
 
@@ -351,13 +355,15 @@ def _reference_assemble(name, spaces):
             basis.append((delta, cells(spaces[delta], k)))
             labels.append(f"g{delta}_{k}")
             degs.append(delta)
+    alg = next(iter(spaces.values())).alg
 
     def product(X, Y):
         out = {}
         for (i, k), x in X.items():
             for (k2, j), y in Y.items():
                 if k == k2:
-                    out[i, j] = out[i, j] + x * y if (i, j) in out else x * y
+                    xy = mul(alg, x, y)
+                    out[i, j] = add(out[i, j], xy) if (i, j) in out else xy
         return out
 
     brackets = {}
@@ -367,10 +373,10 @@ def _reference_assemble(name, spaces):
             XY, YX = product(X, Y), product(Y, X)
             Z = {}
             for (i, j), v in XY.items():
-                for s, c in enumerate(v.coords):
+                for s, c in enumerate(v):
                     Z[i, j, s] = c
             for (i, j), v in YX.items():
-                for s, c in enumerate(v.coords):
+                for s, c in enumerate(v):
                     Z[i, j, s] = Z.get((i, j, s), 0) - c
             if not any(Z.values()):
                 continue

@@ -1,6 +1,5 @@
 import json
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -57,7 +56,7 @@ def _reference_check_gla(A, max_violations=100):
     grading_ok = count == 0
     jac_start = count
     n = A.n
-    ads = [A.sparse_ad(i) for i in range(n)]
+    ads = [{j: cell for j in range(n) if (cell := A.bracket_pair(i, j))} for i in range(n)]
 
     def apply(ad, vec):
         out = {}
@@ -105,29 +104,16 @@ def test_parse_rational_rejects_garbage(bad):
         parse_rational(bad)
 
 
-def test_bracket_eval_defining_relation(h3):
-    X = [F(1), F(0), F(0)]
-    Y = [F(0), F(1), F(0)]
-    assert h3.bracket_eval(X, Y) == [F(0), F(0), F(1)]
+def test_bracket_pair_defining_relation(h3):
+    assert h3.bracket_pair(0, 1) == {2: F(1)}
+    assert h3.bracket_pair(0, 2) == {}
 
 
-def test_bracket_eval_is_alternating(h3):
-    rng = random.Random(5)
-    for _ in range(10):
-        x = [F(rng.randint(-5, 5)) for _ in range(3)]
-        assert h3.bracket_eval(x, x) == [F(0)] * 3
-
-
-def test_bracket_eval_bilinear_expansion(h3):
-    xpy = [F(1), F(1), F(0)]
-    xmy = [F(1), F(-1), F(0)]
-    # [X+Y, X-Y] = -2[X,Y] = -2Z
-    assert h3.bracket_eval(xpy, xmy) == [F(0), F(0), F(-2)]
-
-
-def test_bracket_eval_dimension_mismatch(h3):
-    with pytest.raises(DimensionMismatch):
-        h3.bracket_eval([F(1)], [F(0), F(0), F(0)])
+def test_bracket_pair_is_antisymmetric(h3):
+    for i in range(3):
+        assert h3.bracket_pair(i, i) == {}
+        for j in range(3):
+            assert h3.bracket_pair(j, i) == {k: -c for k, c in h3.bracket_pair(i, j).items()}
 
 
 def test_check_gla_clean_on_heisenberg(h3):
@@ -244,7 +230,7 @@ def test_form_round_trip(get_family):
 
 def test_form_scaling():
     g = SymBilinearForm("a", [0, 1], Mat.identity(2))
-    h = g.scaled(F(-3))
+    h = SymBilinearForm(g.algebra_name, g.indices, F(-3) * g.matrix)
     assert h.matrix == Mat.diag([-3, -3])
     assert h.signature() == (0, 2)
 

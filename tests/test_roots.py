@@ -7,10 +7,7 @@ from glap.errors import BadParameters, UnsupportedType
 from glap.roots import (
     cartan_matrix,
     graded_dims,
-    highest_root,
-    minus_one_components,
     positive_roots,
-    root_count,
     table_expectation,
 )
 
@@ -36,15 +33,13 @@ def test_unknown_series_rejected():
 )
 def test_positive_root_counts(series, rank, count):
     assert len(positive_roots(series, rank)) == count
-    assert root_count(series, rank) == 2 * count
 
 
 def test_highest_root_dominates_componentwise():
     for series, rank in [("A", 3), ("B", 3), ("C", 4), ("F", 4), ("G", 2)]:
-        pos = positive_roots(series, rank )
-        top = highest_root(series, rank)
+        pos = positive_roots(series, rank)
+        top = pos[-1]
         assert all(all(top[i] >= b[i] for i in range(rank)) for b in pos)
-        assert top in pos
 
 
 def test_total_dims_match_classical_values():
@@ -87,14 +82,6 @@ def test_graded_dims_validation():
         graded_dims("A", 2, (3,))
 
 
-def test_minus_one_components():
-    assert minus_one_components("A", 2, (1, 2)) == {1: 1, 2: 1}
-    # BI(3): the two degree -1 blocks have dimension l-1 = 2 each
-    assert minus_one_components("B", 3, (1, 3)) == {1: 2, 3: 2}
-    # HC at p=2,q=1: each end node contributes n-2 = 3
-    assert minus_one_components("A", 4, (1, 4)) == {1: 3, 4: 3}
-
-
 ACCEPTANCE_ROWS = [
     ("HC", {"p": 1, "q": 1}, 8, (2, 0), "SII", "AIV", 2),
     ("HC", {"p": 2, "q": 1}, 24, (4, 2), "SII", "AIIIa", 2),
@@ -118,7 +105,7 @@ def test_table_expectation_rows(family, params, total, sig, cls, label, kind):
     assert row.module_class == cls
     assert row.satake_label == label
     assert row.kind == kind
-    assert sum(row.m_dims().values()) == sum(
+    assert sum(v for d, v in row.dims.items() if d < 0) == sum(
         v for d, v in row.dims.items() if d > 0
     )
 

@@ -3,11 +3,16 @@
 Every certificate must hold under ``python -O``, so ``src/glap`` may not
 rest on ``assert``; the runtime is stdlib-only, so every import is
 relative or names a standard-library module; and no dead code is kept, so
-every module-level function and class of ``src/glap`` is referenced in
-``src/glap`` outside its own definition, or is on the short ``PUBLIC_API``
-list of entry points that only callers outside the package use, and
-which a test must then use.  A reference from a test alone does not keep
-code alive.
+every module-level function and class of ``src/glap``, and every method
+of its classes but the dunder methods, is referenced in ``src/glap``
+outside its own definition, or is on the short ``PUBLIC_API`` list of
+entry points that only callers outside the package use, and which a test
+must then use.  A reference from a test alone does not keep code alive.
+
+The rule matches by name, as a bare name, an attribute or an import: it
+cannot tell whose attribute ``x.rank`` is.  So a method shares its fate
+with every other name it matches, and stays alive while any of them is
+referenced in ``src/glap``.
 """
 
 import ast
@@ -17,15 +22,7 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glap"
 TESTS = pathlib.Path(__file__).resolve().parent
 
-PUBLIC_API = {
-    "is_simple",
-    "classify_module",
-    "isotropic_split_check",
-    "rank_bound_check_split",
-    "root_count",
-    "highest_root",
-    "minus_one_components",
-}
+PUBLIC_API = {"is_simple", "classify_module"}
 
 
 def _violations(path: pathlib.Path) -> list[str]:
@@ -61,30 +58,50 @@ def _names_used(node: ast.AST) -> set[str]:
     return out
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _unreferenced(
     package: list[pathlib.Path], public: set[str], users: list[pathlib.Path]
 ) -> list[str]:
-    """Module-level functions and classes of ``package`` that no other
-    top-level statement of ``package`` refers to and that are not in
-    ``public``, then every name in ``public`` that ``package`` does not
-    define or ``users`` never refers to."""
-    defs = []
-    uses: list[tuple[ast.stmt, set[str]]] = []
+    """Module-level functions and classes of ``package``, and the methods
+    of its classes other than dunder methods, that nothing else in
+    ``package`` refers to and that are not in ``public``, then every name
+    in ``public`` that ``package`` does not define or ``users`` never
+    refers to.
+
+    The search runs over units: each top-level statement, and for a class
+    its header (decorators, bases) and each statement of its body apart.
+    A definition is used when a unit outside it refers to its name."""
+    defs = []  # (path, node, label)
+    units: list[tuple[set[str], set[ast.AST]]] = []  # (names, the defs holding it)
     for path in sorted(package):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for stmt in tree.body:
-            uses.append((stmt, _names_used(stmt)))
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.append((path, stmt))
-    defined = {stmt.name for _, stmt in defs}
+                defs.append((path, stmt, stmt.name))
+            if not isinstance(stmt, ast.ClassDef):
+                units.append((_names_used(stmt), {stmt}))
+                continue
+            header = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+            units.append((set().union(*map(_names_used, header)), {stmt}))
+            for member in stmt.body:
+                owners = {stmt}
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not _is_dunder(member.name):
+                        defs.append((path, member, f"{stmt.name}.{member.name}"))
+                    owners.add(member)
+                units.append((_names_used(member), owners))
+    defined = {node.name for _, node, _ in defs}
     used = set()
     for path in users:
         used |= _names_used(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     return [
-        f"{path.name}:{stmt.lineno}: {stmt.name} is never used"
-        for path, stmt in defs
-        if stmt.name not in public
-        and not any(stmt.name in names for other, names in uses if other is not stmt)
+        f"{path.name}:{node.lineno}: {label} is never used"
+        for path, node, label in defs
+        if node.name not in public
+        and not any(node.name in names for names, owners in units if node not in owners)
     ] + [
         f"{name} is public but {'not defined' if name not in defined else 'untested'}"
         for name in sorted(public)
@@ -140,6 +157,17 @@ def test_the_usage_rule_catches_what_it_claims(tmp_path):
         "        return Orphan\n"
         "def tested_only():\n"
         "    pass\n"
+        "class Kept:\n"
+        "    def __init__(self):\n"
+        "        self.x = 0\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def dead_method(self):\n"
+        "        return self.dead_method()\n"
+        "    def test_only_method(self):\n"
+        "        pass\n"
+        "    def wired(self):\n"
+        "        pass\n"
     )
     other = tmp_path / "other.py"
     other.write_text(
@@ -147,6 +175,7 @@ def test_the_usage_rule_catches_what_it_claims(tmp_path):
         "from .pkg import imported as alias\n"
         "def run():\n"
         "    pkg.by_attribute()\n"
+        "    pkg.Kept().wired()\n"
     )
     user = tmp_path / "test_user.py"
     user.write_text(
@@ -154,12 +183,17 @@ def test_the_usage_rule_catches_what_it_claims(tmp_path):
         "def test_it():\n"
         "    pkg.called()\n"
         "    pkg.tested_only()\n"
+        "    pkg.Kept().test_only_method()\n"
     )
-    # the test's call of tested_only does not keep it alive
+    # the test's calls of tested_only and test_only_method do not keep them
+    # alive; the dunder methods are exempt, and wired is called by attribute
     assert _unreferenced([pkg, other], {"called", "run", "gone"}, [user]) == [
         "pkg.py:1: dead is never used",
         "pkg.py:11: Orphan is never used",
+        "pkg.py:12: Orphan.method is never used",
         "pkg.py:14: tested_only is never used",
+        "pkg.py:21: Kept.dead_method is never used",
+        "pkg.py:23: Kept.test_only_method is never used",
         "gone is public but not defined",
         "run is public but untested",
     ]
