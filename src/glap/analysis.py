@@ -119,11 +119,12 @@ def is_semisimple(A: GradedAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _find_characteristic(A: GradedAlgebra, L: int, ad):
+def _find_characteristic(A: GradedAlgebra):
     """Coordinates (over the degree 0 basis) of an element acting as
     multiplication by p on every degree p piece, or None.  Row (j, k) is
     the k-th coordinate of [E, e_j]; the rows read the scaled adjacency
-    ``(L, ad)``, so the right-hand side is scaled by L with them."""
+    ``(L, ad)`` of A, so the right-hand side is scaled by L with them."""
+    L, ad = _scaled_adjacency(A)
     zero_ix = A.by_degree().get(0, [])
     rows: dict[tuple[int, int], dict[int, int]] = {(j, j): {} for j in range(A.n)}
     for t, u in enumerate(zero_ix):
@@ -149,25 +150,24 @@ def centroid(A: GradedAlgebra) -> list[Mat]:
     certified against the definition over every ordered pair
     (``_verify_centroid``).
     """
-    L, ad = _scaled_adjacency(A)
     K = commutant(degree_zero_action(A), len(A.by_degree().get(-1, [])))
-    return _centroid(A, L, ad, K)
+    return _centroid(A, K)
 
 
-def _centroid(A: GradedAlgebra, L: int, ad, K: list[Mat]) -> list[Mat]:
-    """``centroid`` given the scaled adjacency ``(L, ad)`` of A (every
-    structure constant times L, the lcm of their denominators; each
-    centroid equation is linear in them, so scaling keeps its solutions)
-    and the commutant basis K of the g_0-module g_{-1}."""
+def _centroid(A: GradedAlgebra, K: list[Mat]) -> list[Mat]:
+    """``centroid`` given the commutant basis K of the g_0-module g_{-1}.
+    The equations read the scaled adjacency of A (every structure constant
+    times L, the lcm of their denominators); each is linear in them, so
+    scaling keeps its solutions."""
     n = A.n
-    maps = _extensions(A, L, ad, K)
+    maps = _extensions(A, K)
     if maps is None:
-        ech = Echelon(n * n).extend(_dense_system(A, ad))
+        ech = Echelon(n * n).extend(_dense_system(A))
         basis = _maps(ech.kernel_space("the centroid").vectors, n)
     else:
         rows: dict[tuple, dict[int, int]] = {}
         for t, cols in enumerate(maps):
-            for key, x in _residual(cols, ad).items():
+            for key, x in _residual(cols, _scaled_adjacency(A)[1]).items():
                 rows.setdefault(key, {})[t] = x
         span = []
         for c in sparse_kernel(rows.values(), len(maps)):
@@ -178,11 +178,11 @@ def _centroid(A: GradedAlgebra, L: int, ad, K: list[Mat]) -> list[Mat]:
                         w[col * n + r] = w.get(col * n + r, 0) + ct * x
             span.append(w)
         basis = _maps(span_basis(span, n * n), n)
-    _verify_centroid(A, basis, ad)
+    _verify_centroid(A, basis)
     return basis
 
 
-def _extensions(A: GradedAlgebra, L: int, ad, K: list[Mat]):
+def _extensions(A: GradedAlgebra, K: list[Mat]):
     """For each commutant element K_t, the map Phi_t of A that restricts to
     it on g_{-1}, as integer columns (``Phi[c] = {r: x}``, scaled); None
     when A has no g_{-1} or no characteristic element, or a rank falls
@@ -196,7 +196,7 @@ def _extensions(A: GradedAlgebra, L: int, ad, K: list[Mat]):
     whether it does is left to the residual."""
     by_deg = A.by_degree()
     minus1 = by_deg.get(-1)
-    if not minus1 or _find_characteristic(A, L, ad) is None:
+    if not minus1 or _find_characteristic(A) is None:
         return None
     maps: list[list[dict]] = [[{} for _ in range(A.n)] for _ in K]
     for t, M in enumerate(K):
@@ -208,7 +208,7 @@ def _extensions(A: GradedAlgebra, L: int, ad, K: list[Mat]):
         m = len(ix)
         # row (p, z) is linear in e_p, so its right-hand side for K_t is
         # sum_r K_t[r][p] row (r, z)
-        rows = _minus1_rows(A, ad, d)
+        rows = _minus1_rows(A, d)
         pivots = []
         ech = Echelon(m)
         for key, row in rows.items():
@@ -237,14 +237,15 @@ def _extensions(A: GradedAlgebra, L: int, ad, K: list[Mat]):
     return [_int_vectors(cols) for cols in maps]
 
 
-def _dense_system(A: GradedAlgebra, ad):
+def _dense_system(A: GradedAlgebra):
     """The centroid rows phi([e, a_j]) - [e, phi(a_j)] = 0, one per
     coordinate, over every entry of phi, unknown phi[r][c] at column
-    c*n + r, with integer entries read from the scaled adjacency ``ad``.
+    c*n + r, with integer entries read from the scaled adjacency of A.
     Refused above dimension 40."""
     n = A.n
     if n > 40:
         raise GlapError("dense centroid solve refused for dim > 40")
+    ad = _scaled_adjacency(A)[1]
     for e in range(n):
         ade = ad[e]
         for j in range(n):
@@ -312,10 +313,11 @@ def _residual(cols: list[dict[int, int]], ad) -> dict[tuple[int, int, int], int]
     return out
 
 
-def _verify_centroid(A: GradedAlgebra, basis: list[Mat], ad):
+def _verify_centroid(A: GradedAlgebra, basis: list[Mat]):
     """Raise GlapError unless phi([a_i, a_j]) == [phi(a_i), a_j] for every
     basis map phi and every ordered pair (i, j), i == j included; each phi
-    is scaled to integers for ``_residual``."""
+    is scaled to integers for ``_residual`` on the scaled adjacency of A."""
+    ad = _scaled_adjacency(A)[1]
     for phi in basis:
         cols = _int_vectors([dict(enumerate(col)) for col in zip(*phi.a)])
         require(not _residual(cols, ad), "centroid candidate fails the definition")
@@ -628,11 +630,13 @@ def analyze(prol) -> AnalysisReport:
     centroid_dim = None
     simple = False
     if semisimple:
-        C = _centroid(A, *_scaled_adjacency(A), K)
+        C = _centroid(A, K)
         centroid_dim = len(C)
         simple = _simple_from_centroid(C)
     cls = _classify_commutant(K, n1)
     warnings.extend(cls.warnings)
+    if not prol.complete:
+        warnings.append(f"prolongation truncated at degree {prol.nu}: a partial algebra")
     if cls.module_class == "SIII":
         # the paper's SIII: g_{-1} splits into two totally isotropic,
         # nondegenerately paired summands, which forces a neutral form

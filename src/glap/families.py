@@ -12,11 +12,11 @@ The form g and the conformal factors eta are read from the same integer
 basis and unit table, each entry divided by its denominator once, so
 there is one arithmetic over K.
 K is required to be associative, which makes these commutators a Lie
-bracket; the ambient still gets the grading and Jacobi certificate of
-``gla.check_gla``, reduced by transitivity to the triples it needs.  The
-two octonionic models and the exceptional rank-two model are assembled
-directly from representation data, and a semidirect-product example with a
-non-semisimple prolongation rounds out the list.
+bracket; the ambient is certified by re-deriving every returned bracket
+from the same integer products (``_certify_matrices``), without a triple
+sweep.  The two octonionic models and the exceptional rank-two model are
+assembled directly from representation data, and a semidirect-product
+example with a non-semisimple prolongation rounds out the list.
 
 Every builder takes the instance name and the family's parameters and
 hands back (m, g, ambient, cartan): the fundamental algebra m, a
@@ -30,7 +30,7 @@ builder.  The command line, the expected classification table and the tests
 read it, so a new family is one registry record and its builder.
 
 Conformal covariance of g under the degree-zero action is certified in
-Python ints on the sparse columns of the ambient's scaled adjacency.
+Python ints on the ambient's degree-zero columns over degree -1.
 """
 
 from collections.abc import Callable
@@ -41,13 +41,7 @@ from math import lcm
 
 from .composition import CompositionAlgebra, algebra_by_tag, norm_form, real_algebra
 from .errors import BadParameters, GlapError, require
-from .gla import (
-    GradedAlgebra,
-    SymBilinearForm,
-    _scaled_adjacency,
-    check_fundamental,
-    check_gla,
-)
+from .gla import GradedAlgebra, SymBilinearForm, check_fundamental, check_gla
 from .linalg import Echelon, Mat, int_row, sparse_kernel
 
 ZERO = Fraction(0)
@@ -166,6 +160,19 @@ def _realize(alg, n, sigma, weights, trace_zero):
     }
 
 
+def _matrix_basis(spaces) -> tuple[list, list[tuple[int, int, dict]]]:
+    """K's integer unit table, required associative, and (degree, D, D X by
+    row) for each basis matrix X of ``_assemble``, D its degree's denominator."""
+    alg = next(iter(spaces.values())).alg
+    table = alg.unit_table()
+    require(alg.is_associative(), f"{alg.tag} is not associative")
+    return table, [
+        (delta, sp.space.denominator, _by_row(sp.int_matrix(k)))
+        for delta, sp in sorted(spaces.items())
+        for k in range(sp.dim())
+    ]
+
+
 def _assemble(name, spaces) -> GradedAlgebra:
     """Structure constants of the realized algebra via matrix commutators.
 
@@ -178,20 +185,10 @@ def _assemble(name, spaces) -> GradedAlgebra:
     ints entry for entry and returns D_a D_b times the rational
     coordinates, and each is divided by D_a D_b once.
     """
-    alg = next(iter(spaces.values())).alg
-    table = alg.unit_table()
-    require(alg.is_associative(), f"{alg.tag} is not associative")
-    degrees_sorted = sorted(d for d in spaces if spaces[d].dim() > 0)
-    basis: list[tuple[int, int, dict]] = []
-    labels, degs = [], []
-    offset = {}
-    for delta in degrees_sorted:
-        sp = spaces[delta]
-        offset[delta] = len(basis)
-        for k in range(sp.dim()):
-            basis.append((delta, sp.space.denominator, _by_row(sp.int_matrix(k))))
-            labels.append(f"g{delta}_{k}")
-            degs.append(delta)
+    table, basis = _matrix_basis(spaces)
+    degs = [delta for delta, _, _ in basis]
+    offset = {delta: degs.index(delta) for delta in set(degs)}
+    labels = [f"g{delta}_{i - offset[delta]}" for i, delta in enumerate(degs)]
     brackets = {}
     for i in range(len(basis)):
         di, Di, Xi = basis[i]
@@ -230,10 +227,45 @@ class CartanTag:
 
 def _certify(A: GradedAlgebra):
     """Raise GlapError unless A passes ``check_gla`` (grading and Jacobi)."""
-    res = check_gla(A)
-    require(res["grading_ok"] and res["jacobi_ok"],
-            f"{A.name} fails the grading/Jacobi certificate: "
-            f"{res['violation_count']} violations")
+    _require_certified(A, check_gla(A)["violation_count"])
+
+
+def _require_certified(A: GradedAlgebra, violations: int):
+    require(not violations,
+            f"{A.name} fails the grading/Jacobi certificate: {violations} violations")
+
+
+def _certify_matrices(A: GradedAlgebra, spaces):
+    """Raise GlapError unless e_k has the degree of X_k, the k-th basis
+    matrix of ``spaces``, and for every pair i < j, bracket or not, the
+    integer commutator of D_i X_i and D_j X_j is D_i D_j times [e_i, e_j]
+    of A written in the X_k; the violations are the misplaced degrees, or
+    else the pairs that fail.  This proves the grading and the Jacobi
+    identity of A in O(pairs).  phi: e_k -> X_k is injective, as canonical
+    basis vectors have units at distinct free columns and distinct degrees
+    hold distinct cells; the re-derivation makes phi bracket-preserving;
+    gl(n, K) is Lie as K is associative (``is_associative``).  So phi J_A
+    = 0, J_A = 0, and [e_i, e_j] has no term outside the degree of [X_i, X_j].
+    """
+    table, basis = _matrix_basis(spaces)
+    _require_certified(A, sum(d != e[0] for d, e in zip(A.degrees, basis)) + abs(A.n - len(basis)))
+    bad = 0
+    for i, (_, Di, Xi) in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            _, Dj, Xj = basis[j]
+            diff = _commutator(Xi, Xj, table)
+            # S D_i D_j c_k X_k = (S D_i D_j c_k / D_k)(D_k X_k), in ints
+            cell = A.brackets.get((i, j), {})
+            S = lcm(*(c.denominator * basis[k][1] for k, c in cell.items()))
+            if S > 1:
+                diff = {key: S * v for key, v in diff.items()}
+            for k, c in cell.items():
+                x = Di * Dj * c.numerator * (S // (c.denominator * basis[k][1]))
+                for row, entries in basis[k][2].items():
+                    for col, s, y in entries:
+                        diff[row, col, s] = diff.get((row, col, s), 0) - x * y
+            bad += any(diff.values())
+    _require_certified(A, bad)
 
 
 def _require_fundamental(m: GradedAlgebra, want_kind: int):
@@ -258,9 +290,9 @@ def _check_covariance(A: GradedAlgebra, G: Mat, eta_by_index):
 
     For each (idx, eta) with M = ad(e_idx) restricted to degree -1, the
     identity  M^T G + G M = eta G  is certified entry by entry, in integers.
-    The columns of M come from the scaled adjacency of A (every structure
-    constant times L, the lcm of their denominators) and G is scaled by D,
-    the lcm of its denominators.  Each entry
+    The columns of each M are read from the brackets of A and scaled by L,
+    the lcm of their denominators, and G is scaled by D, the lcm of its
+    denominators.  Each entry
 
         (M^T G + G M)[r][c] = sum_k M[k][r] G[k][c] + G[r][k] M[k][c]
 
@@ -284,14 +316,15 @@ def _check_covariance(A: GradedAlgebra, G: Mat, eta_by_index):
         for c, x in row.items():
             cols[c][r] = x
             entries[r, c] = x
-    L, ad = _scaled_adjacency(A)
     for idx, eta in eta_by_index:
-        adx = ad[idx]
+        M = [A.bracket_pair(idx, j) for j in src]
+        L = lcm(*(x.denominator for col in M for x in col.values()))
         lhs: dict[tuple[int, int], int] = {}
         get = lhs.get
-        for c, j in enumerate(src):
+        for c, col in enumerate(M):
             # column c of M, scaled: m = L * M[pos[k]][c]
-            for k, m in adx.get(j, {}).items():
+            for k, y in col.items():
+                m = y.numerator * (L // y.denominator)
                 for t, x in rows[pos[k]].items():  # (M^T G)[c][t]
                     lhs[c, t] = get((c, t), 0) + m * x
                 for t, x in cols[pos[k]].items():  # (G M)[t][c]
@@ -369,7 +402,7 @@ def build_hk(k_tag: str, name: str, p: int, q: int):
     expected_total = n * n - 1 if d == 2 else n * (2 * n + 1)
     require(ambient.n == expected_total,
             f"{name} has dimension {ambient.n}, expected {expected_total}")
-    _certify(ambient)
+    _certify_matrices(ambient, spaces)
 
     m = ambient.negative_part(f"{name}.m")
     _require_fundamental(m, 2)
@@ -423,7 +456,7 @@ def build_bi(name: str, l: int):
     ambient = _assemble(name, spaces)
     require(ambient.n == l * (2 * l + 1),
             f"{name} has dimension {ambient.n}, expected {l * (2 * l + 1)}")
-    _certify(ambient)
+    _certify_matrices(ambient, spaces)
 
     m = ambient.negative_part(f"{name}.m")
     _require_fundamental(m, 3)

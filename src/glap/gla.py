@@ -8,8 +8,10 @@ stored sparsely as ``{(i, j): {k: c}}`` for i < j, meaning
 
 Brackets with i > j follow by antisymmetry and [e_i, e_i] = 0.  Nothing in
 this module assumes the Jacobi identity; ``check_gla`` verifies it (and the
-additivity of degrees) for every triple, and the builders elsewhere run
-that check on everything they produce.
+additivity of degrees) for every triple.  The prolongation and the
+algebras built directly from representation data are certified by it; the
+matrix ambients of ``families`` by re-deriving every bracket from their
+matrices instead.
 
 The Jacobi sweep runs in integers and still certifies every triple.  With
 every structure constant scaled by L, the lcm of their denominators, each
@@ -71,6 +73,10 @@ def parse_rational(s: str | int, where: str = "") -> Fraction:
 
 
 class GradedAlgebra:
+    """A graded algebra.  Its scaled adjacency (``_scaled_adjacency``) is
+    built on first use and kept until ``prolongation._extend`` extends it;
+    the brackets are read-only once any certificate has read them."""
+
     def __init__(self, name, labels, degrees, brackets):
         """brackets: {(i, j): {k: Fraction}} with i < j; zero coefficients
         and empty cells may be omitted."""
@@ -98,6 +104,7 @@ class GradedAlgebra:
             if clean:
                 self.brackets[(i, j)] = clean
         self._by_degree: dict[int, list[int]] | None = None
+        self._adj: tuple[int, list[dict[int, dict[int, int]]]] | None = None
 
     @property
     def n(self) -> int:
@@ -241,19 +248,26 @@ def _load_json(text: str) -> dict:
 def _scaled_adjacency(A: GradedAlgebra) -> tuple[int, list[dict[int, dict[int, int]]]]:
     """(L, ad) with ad[i][j] = {k: L*c} for [e_i, e_j] = sum c e_k, both
     orientations, where L is the lcm of every bracket denominator, so all
-    entries are Python ints.  A pair with zero bracket has no key."""
-    return _adjacency(A.n, A.brackets)
+    entries are Python ints.  A pair with zero bracket has no key.  Built
+    on first use and kept on A; callers must not modify it."""
+    if A._adj is None:
+        A._adj = _adjacency(A.n, A.brackets)
+    return A._adj
 
 
 def _adjacency(n: int, brackets) -> tuple[int, list[dict[int, dict[int, int]]]]:
     """``_scaled_adjacency`` of the brackets ``{(i, j): {k: Fraction}}``
-    (i < j, no zero coefficient) of an algebra of dimension n."""
+    (i < j, no zero coefficient) of an algebra of dimension n.  Equal cells
+    share their two rows: rows are read-only, and most of them repeat."""
     L = lcm(*(c.denominator for cell in brackets.values() for c in cell.values()))
     ad: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    memo: dict[tuple, tuple[dict[int, int], dict[int, int]]] = {}
     for (i, j), cell in brackets.items():
-        row = {k: c.numerator * (L // c.denominator) for k, c in cell.items()}
-        ad[i][j] = row
-        ad[j][i] = {k: -x for k, x in row.items()}
+        key = tuple((k, c.numerator, c.denominator) for k, c in cell.items())
+        if key not in memo:
+            row = {k: c.numerator * (L // c.denominator) for k, c in cell.items()}
+            memo[key] = row, {k: -x for k, x in row.items()}
+        ad[i][j], ad[j][i] = memo[key]
     return L, ad
 
 
@@ -306,7 +320,7 @@ def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
             )
     grading_ok = count == 0
     L, ad = _scaled_adjacency(A)
-    if grading_ok and max(A.degrees, default=-1) >= 0 and transitivity_check(A, ad):
+    if grading_ok and max(A.degrees, default=-1) >= 0 and transitivity_check(A):
         if next(_jacobi_residuals(A, ad, reduced=True), None) is None:
             return {"grading_ok": True, "jacobi_ok": True, "violations": [], "violation_count": 0}
     jac_start = count
@@ -422,37 +436,34 @@ def check_fundamental(A: GradedAlgebra) -> tuple[bool, int]:
     if -1 not in by_deg:
         return False, kind
     # scaling every bracket by L leaves the rank of each degree unchanged
-    ad = _scaled_adjacency(A)[1]
     for d, ix in by_deg.items():
-        if d < -1 and sparse_rank(_minus1_rows(A, ad, d).values(), len(ix)) < len(ix):
+        if d < -1 and sparse_rank(_minus1_rows(A, d).values(), len(ix)) < len(ix):
             return False, kind
     return True, kind
 
 
-def transitivity_check(A: GradedAlgebra, ad=None) -> bool:
+def transitivity_check(A: GradedAlgebra) -> bool:
     """Whether A is transitive: no nonzero element of a degree >= 0 kills
-    all of g_{-1} (so a nonnegative degree without g_{-1} fails).  ``ad``
-    is A's scaled adjacency when the caller has it; scaling every bracket
-    by L leaves each rank unchanged."""
-    if ad is None:
-        ad = _scaled_adjacency(A)[1]
+    all of g_{-1} (so a nonnegative degree without g_{-1} fails); scaling
+    every bracket by L leaves each rank unchanged."""
     return all(
-        sparse_rank(_minus1_rows(A, ad, d).values(), len(ix)) == len(ix)
+        sparse_rank(_minus1_rows(A, d).values(), len(ix)) == len(ix)
         for d, ix in A.by_degree().items()
         if d >= 0
     )
 
 
-def _minus1_rows(A: GradedAlgebra, ad, d: int) -> dict[tuple[int, int], dict[int, int]]:
+def _minus1_rows(A: GradedAlgebra, d: int) -> dict[tuple[int, int], dict[int, int]]:
     """How g_{-1} reaches g_d: rows over the local basis of g_d, keyed
-    (p, z) with e_p the p-th basis vector of g_{-1}, read from a scaled
-    adjacency ``ad``.
+    (p, z) with e_p the p-th basis vector of g_{-1}, read from the scaled
+    adjacency of A.
 
     For d < -1, row (p, z) holds the coordinates of [e_p, z], z in g_{d+1};
     their rank is dim g_d exactly when [g_{-1}, g_{d+1}] = g_d.  For d >= 0
     it holds the z-th coordinate of [u, e_p] as u runs over g_d; their rank
     is dim g_d exactly when no nonzero u kills g_{-1} (transitivity)."""
     by_deg = A.by_degree()
+    ad = _scaled_adjacency(A)[1]
     pos = {g: r for r, g in enumerate(by_deg.get(d, []))}
     rows: dict[tuple[int, int], dict[int, int]] = {}
     for p, e in enumerate(by_deg.get(-1, [])):

@@ -34,17 +34,19 @@ certified afterwards by the Jacobi sweep of ``gla.check_gla``, cut down
 by its transitivity theorem where that holds, so a bug in the incremental
 bookkeeping cannot survive to the output.
 
-The hot loops run in Python ints on one scaled adjacency per call
-(``gla._scaled_adjacency``: every structure constant times L, the lcm of
-their denominators), and Fractions appear only where a result leaves the
-solver.  This is exact at every degree, 0 included.  A derivation row is
-a sum of signed constants, so it is L times the rational row and, being
-homogeneous, has the same kernel; a conformal row is scaled to integers
-where it is built.  The layer's basis is kept as integer vectors over one
-denominator D (``linalg.Subspace``).  A forced bracket is a sum of
-products of two constants, so its integer map is L**2 times the rational
-one; ``Subspace.coords`` certifies it against D times the map in ints,
-and each coordinate is then divided by L**2 as a Fraction.
+The hot loops run in Python ints on the scaled adjacency of each algebra,
+built once per algebra (``gla._scaled_adjacency``: every structure
+constant times L, the lcm of their denominators); ``_extend`` hands the
+one it built on to the algebra it returns.  Fractions appear only where a
+result leaves the solver.  This is exact at every degree, 0 included.  A
+derivation row is a sum of signed constants, so it is L times the
+rational row and, being homogeneous, has the same kernel; a conformal row
+is scaled to integers where it is built.  The layer's basis is kept as
+integer vectors over one denominator D (``linalg.Subspace``).  A forced
+bracket is a sum of products of two constants, so its integer map is
+L**2 times the rational one; ``Subspace.coords`` certifies it against D
+times the map in ints, and each coordinate is then divided by L**2 as a
+Fraction.
 
 The recursion stops at the first empty layer; for the inputs this package
 builds that always happens (the negative part is fundamental and the
@@ -66,6 +68,7 @@ from .gla import (
     GradedAlgebra,
     SymBilinearForm,
     _adjacency,
+    _is_json_int,
     _load_json,
     _scaled_adjacency,
     check_fundamental,
@@ -151,16 +154,17 @@ class Layer:
         return vec.get(self.layout.total, ZERO)
 
 
-def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int, ad):
+def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
     """Yield the constraint rows of D([x,y]) = [D(x),y] + [x,D(y)] over all
     pairs of negative-degree basis elements, for a degree-``shift`` map D
     whose blocks are indexed by source degree in ``layout``.
 
-    ``ad`` is the scaled adjacency of A (``gla._scaled_adjacency``): every
-    structure constant times one common L.  Each row is a sum of signed
-    constants, so its entries are L times the rational ones, all ints, and
-    it has the same solutions."""
+    The rows read the scaled adjacency of A (``gla._scaled_adjacency``):
+    every structure constant times one common L.  Each row is a sum of
+    signed constants, so its entries are L times the rational ones, all
+    ints, and it has the same solutions."""
     by_deg = A.by_degree()
+    ad = _scaled_adjacency(A)[1]
     neg = sorted(d for d in by_deg if d < 0)
     local = {
         d: {g: t for t, g in enumerate(by_deg[d])} for d in by_deg
@@ -250,7 +254,7 @@ def _solve(A: GradedAlgebra, shift: int, g: SymBilinearForm | None = None) -> La
         tgt = by_deg.get(p + shift)
         if tgt:
             layout.add(p, len(tgt), len(by_deg[p]))
-    rows = _derivation_rows(A, layout, shift, _scaled_adjacency(A)[1])
+    rows = _derivation_rows(A, layout, shift)
     if g is None:
         ech = Echelon(layout.total)
         name = f"the degree {shift} layer"
@@ -278,7 +282,10 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     [u, x] = u(x), and every bracket between nonnegative layers summing to
     the layer's degree, forced by ([w, v])(z) = [w, [v, z]] - [v, [w, z]]
     for z in m and certified by exact re-expression in the layer's basis.
+    A's adjacency is released, and the one built here goes with the result,
+    forced brackets included, unless those change L (then it builds its own).
     """
+    A._adj = None
     shift, layout, space = layer.shift, layer.layout, layer.space
     by_deg = A.by_degree()
     n = A.n
@@ -300,6 +307,7 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     # integers (at degree 0 with eta = 0) and divided by L**2 afterwards.
     L, ad = _adjacency(n + t, brackets)
     L2 = L * L
+    keep = True
     by_deg2 = {**by_deg, shift: list(range(n, n + t))}
     # per source degree p with a block: target positions, and (flat offset
     # of column z, z).  A forced map must vanish on a degree without a
@@ -339,10 +347,16 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
                             if val:
                                 flat[base + tpos[tg]] = val
                 coords = space.coords(flat, f"forced bracket of degrees ({a},{b})")
-                cell = {n + i: Fraction(c, L2) for i, c in enumerate(coords) if c}
-                if cell:
-                    brackets[(w, v)] = cell
-    return GradedAlgebra(name, labels, degrees, brackets)
+                nonzero = [(n + i, c) for i, c in enumerate(coords) if c]
+                if nonzero:
+                    brackets[(w, v)] = {k: Fraction(c, L2) for k, c in nonzero}
+                    keep = keep and all(c % L == 0 for _, c in nonzero)
+                    if keep:  # no later pair reads a bracket of degree ``shift``
+                        adw[v] = {k: c // L for k, c in nonzero}
+                        adv[w] = {k: -x for k, x in adw[v].items()}
+    B = GradedAlgebra(name, labels, degrees, brackets)
+    B._adj = (L, ad) if keep else None
+    return B
 
 
 def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> Layer:
@@ -430,10 +444,15 @@ class ProlongationResult:
         for key in ("step_dims", "form", "complete"):
             if key not in d:
                 raise ParseError(f"missing key {key!r} in prolongation object")
+        steps = d["step_dims"]
         try:
-            step_dims = {int(k): int(v) for k, v in d["step_dims"].items()}
-        except (ValueError, TypeError, AttributeError) as e:
+            if not all(_is_json_int(v) and k.lstrip("-").isdigit() for k, v in steps.items()):
+                raise ValueError("expected integer strings mapped to integers")
+            step_dims = {int(k): v for k, v in steps.items()}
+        except (ValueError, AttributeError) as e:
             raise ParseError(f"bad step_dims: {e}") from e
+        if not isinstance(d["complete"], bool):
+            raise ParseError("'complete' must be true or false")
         form = SymBilinearForm.from_json_dict(d["form"])
         form.require_on(algebra)
         require_graded(algebra)
@@ -442,7 +461,7 @@ class ProlongationResult:
             raise ParseError("the prolongation has an empty basis")
         mu = -min(degs)
         nu = max(degs)
-        return cls(algebra, form, step_dims, mu, nu, bool(d["complete"]))
+        return cls(algebra, form, step_dims, mu, nu, d["complete"])
 
 
 def deserialize_prolongation(text: str) -> ProlongationResult:

@@ -520,10 +520,9 @@ def _centroid_case(get_prolongation, get_rebased, case):
 def test_centroid_matches_the_full_solve(get_prolongation, get_rebased, case):
     A, dim, extends = _centroid_case(get_prolongation, get_rebased, case)
     n = A.n
-    L, ad = _scaled_adjacency(A)
     K = commutant(degree_zero_action(A), len(A.by_degree().get(-1, [])))
-    assert (_extensions(A, L, ad, K) is not None) == extends
-    kern = sparse_kernel(list(_dense_system(A, ad)), n * n)
+    assert (_extensions(A, K) is not None) == extends
+    kern = sparse_kernel(list(_dense_system(A)), n * n)
     got = [[M.a[r][c] for c in range(n) for r in range(n)] for M in centroid(A)]
     assert got == kern
     assert len(got) == dim
@@ -562,7 +561,7 @@ def _perturbed_identity_is_rejected():
     A = full_prolongation(fam.m, fam.g).algebra
     (phi,) = centroid(A)
     phi.a[A.n - 1][0] += 1
-    return _rejects(_verify_centroid, A, [phi], _scaled_adjacency(A)[1])
+    return _rejects(_verify_centroid, A, [phi])
 
 
 def _degenerate_centroids_are_rejected():
@@ -580,15 +579,14 @@ def _non_extending_commutant_element_is_rejected():
     identity passes and J, which does not extend, is rejected."""
     fam = build("hc", p=1, q=1)
     A = full_prolongation(fam.m, fam.g).algebra
-    L, ad = _scaled_adjacency(A)
     K = commutant(degree_zero_action(A), 2)
     verdicts = []
-    for M, cols in zip(K, _extensions(A, L, ad, K)):
+    for M, cols in zip(K, _extensions(A, K)):
         phi = Mat.zeros(A.n, A.n)
         for c, col in enumerate(cols):
             for r, x in col.items():
                 phi.a[r][c] = F(x)
-        verdicts.append((_is_scalar(M), _rejects(_verify_centroid, A, [phi], ad)))
+        verdicts.append((_is_scalar(M), _rejects(_verify_centroid, A, [phi])))
     return sorted(verdicts) == [(False, True), (True, False)]
 
 

@@ -468,10 +468,17 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
             labels=[], degrees=[], brackets=[],
             form={"algebra": "empty", "degree_minus1_indices": [], "matrix": []},
         ),
+        lambda doc: doc.update(complete="no"),
+        lambda doc: doc.update(complete=0),
+        lambda doc: doc.update(step_dims={"1": 2.7}),
+        lambda doc: doc.update(step_dims={"1": True}),
+        lambda doc: doc.update(step_dims={" 1": 2}),
     ],
     ids=[
         "wrong-basis", "no-degree-minus-1", "form-not-an-object", "indices-not-a-list",
         "name-not-a-string", "misgraded-bracket", "step-dim-not-an-integer", "empty-basis",
+        "complete-a-string", "complete-zero", "step-dim-a-float", "step-dim-a-boolean",
+        "step-degree-padded",
     ],
 )
 def test_analyze_rejects_a_malformed_prolongation(tmp_path, capsys, mutate):
@@ -484,6 +491,19 @@ def test_analyze_rejects_a_malformed_prolongation(tmp_path, capsys, mutate):
     code, out = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "internal error" not in json.loads(out)["error"]
+
+
+def test_analyze_warns_on_a_truncated_prolongation(tmp_path, capsys):
+    prefix = str(tmp_path / "f")
+    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
+    cut = str(tmp_path / "cut.prol.json")
+    run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json", "--max-degree", "0",
+        "--out", cut)
+    code, out = run(capsys, "analyze", cut)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["semisimple"] is False
+    assert len(doc["warnings"]) == 1 and "truncated at degree 0" in doc["warnings"][0]
 
 
 _ODD_VALUES = (5, -1, "x", "1/0", None, [], {}, True, 1.5, [[0, 1]], {"a": 1})

@@ -219,6 +219,84 @@ raise SystemExit(1)
     assert proc.returncode == 0, (proc.stdout, proc.stderr)
 
 
+def _change_a_coefficient(A):
+    cell = A.brackets[min(A.brackets)]
+    cell[min(cell)] += Fraction(1, 3)
+
+
+def _drop_a_bracket(A):
+    del A.brackets[max(A.brackets)]
+
+
+def _bracket_a_commuting_pair(A):
+    degs = A.degrees
+    i, j = next((i, j) for i in range(A.n) for j in range(i + 1, A.n)
+                if (i, j) not in A.brackets and degs[i] + degs[j] in degs)
+    A.brackets[(i, j)] = {degs.index(degs[i] + degs[j]): Fraction(1)}
+
+
+def _add_a_term_in_the_wrong_degree(A):
+    (i, j), cell = min(A.brackets.items())
+    cell[next(k for k in range(A.n) if A.degrees[k] != A.degrees[i] + A.degrees[j])] = Fraction(1)
+
+
+def _permute_the_degrees(A):
+    A.degrees[:] = A.degrees[1:] + A.degrees[:1]
+
+
+@pytest.mark.parametrize("corrupt,violations", [
+    (_change_a_coefficient, "1"),
+    (_drop_a_bracket, "1"),
+    (_bracket_a_commuting_pair, "1"),
+    (_add_a_term_in_the_wrong_degree, "1"),
+    (_permute_the_degrees, "[1-9][0-9]*"),
+], ids=["coefficient", "dropped", "extra", "wrong-degree", "degrees"])
+@pytest.mark.parametrize("tag,params", [("hc", {"p": 1, "q": 1}), ("bi", {"l": 2})],
+                         ids=["hc-p1-q1", "bi-l2"])
+def test_the_re_derivation_rejects_each_corruption(monkeypatch, tag, params, corrupt, violations):
+    """The ambient's certificate re-derives every bracket from the basis
+    matrices, so each kind of damage to the returned algebra fails it."""
+    assemble = families._assemble
+
+    def corrupted(name, spaces):
+        A = assemble(name, spaces)
+        corrupt(A)
+        return A
+
+    monkeypatch.setattr(families, "_assemble", corrupted)
+    with pytest.raises(GlapError, match=f"Jacobi certificate: {violations} violations$"):
+        build(tag, **params)
+
+
+def test_the_re_derivation_rejects_a_dropped_bracket_without_asserts():
+    script = """
+from glap import families
+from glap.errors import GlapError
+
+assemble = families._assemble
+
+
+def corrupt(name, spaces):
+    A = assemble(name, spaces)
+    del A.brackets[max(A.brackets)]
+    return A
+
+
+families._assemble = corrupt
+try:
+    families.build("hh", p=1, q=1)
+except GlapError as e:
+    print(e)
+    raise SystemExit(0 if str(e).endswith("Jacobi certificate: 1 violations") else 2)
+raise SystemExit(1)
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+
+
 def _reference_check_covariance(A, G, eta_by_index):
     """The dense Fraction form of the covariance certificate: M^T G + G M
     == eta G for each degree-zero element, M its action on degree -1."""

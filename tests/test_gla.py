@@ -337,7 +337,7 @@ def test_sweep_visits_triples_with_a_zero_first_bracket(brackets, residual):
 def _reduced_clean(A):
     """(transitive, the reduced triple set has no residual)."""
     ad = _scaled_adjacency(A)[1]
-    return transitivity_check(A, ad), next(_jacobi_residuals(A, ad, reduced=True), None) is None
+    return transitivity_check(A), next(_jacobi_residuals(A, ad, reduced=True), None) is None
 
 
 def test_default_rows_and_the_ladder_take_the_reduced_sweep(get_family, get_prolongation):
@@ -394,6 +394,16 @@ def test_planted_violation_is_caught_by_the_reduced_sweep(get_prolongation, tag,
         # total degree at all)
         every = _reference_check_gla(A, max_violations=rep["violation_count"])["violations"]
         assert any(_outside_reduced_set(A, v["triple"]) for v in every)
+
+
+def test_a_copy_made_after_caching_is_certified_on_its_own_brackets(get_prolongation):
+    A = get_prolongation("hc", p=1, q=1).algebra
+    cached = _scaled_adjacency(A)
+    assert A._adj is cached  # the certificates of full_prolongation built it
+    for cls in _PLANT:
+        rep = check_gla(_planted(A, cls))
+        assert rep["grading_ok"] and not rep["jacobi_ok"], cls
+    assert check_gla(A)["jacobi_ok"] and _scaled_adjacency(A) is cached
 
 
 def test_degree_zero_algebra_takes_the_full_sweep():

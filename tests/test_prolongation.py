@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -6,13 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from glap import prolongation
+from glap import gla, prolongation
+from glap.analysis import analyze
+from glap.cli import DEFAULT_ROWS
 from glap.errors import GlapError, NotFundamental, StepLimitExceeded
-from glap.families import build
-from glap.gla import GradedAlgebra, SymBilinearForm, _scaled_adjacency, check_gla
-from glap.linalg import Echelon, Mat, sparse_kernel, sparse_rank
+from glap.families import build, label
+from glap.gla import GradedAlgebra, SymBilinearForm, _adjacency, _scaled_adjacency, check_gla
+from glap.linalg import Echelon, Mat, Subspace, sparse_kernel, sparse_rank
 from glap.prolongation import (
+    Layer,
     _derivation_rows,
+    _extend,
     _Layout,
     assemble_degree0,
     conformal_g0,
@@ -317,7 +322,7 @@ def test_integer_derivation_rows_match_the_fraction_reference(
         A = full_prolongation(*get_rebased("hh", p=1, q=1)).algebra
     else:
         A = get_prolongation("hc", p=2, q=1).algebra
-    L, ad = _scaled_adjacency(A)
+    L = _scaled_adjacency(A)[0]
     assert L > 1  # the scaling is exercised
     by_deg = A.by_degree()
     layout = _Layout()
@@ -325,7 +330,7 @@ def test_integer_derivation_rows_match_the_fraction_reference(
         if by_deg.get(p + shift):
             layout.add(p, len(by_deg[p + shift]), len(by_deg[p]))
     ref = _reference_derivation_rows(A, layout, shift)
-    rows = list(_derivation_rows(A, layout, shift, ad))
+    rows = list(_derivation_rows(A, layout, shift))
     assert rows == [{c: L * v for c, v in row.items()} for row in ref]
     assert sparse_kernel(rows, layout.total) == sparse_kernel(ref, layout.total)
 
@@ -414,3 +419,99 @@ def test_transitivity_check_reads_both_orientations(y_weight, transitive):
         },
     )
     assert transitivity_check(A) is transitive
+
+
+def _bench_rebase():
+    """The seeded change of basis of the benchmark's ``rebased`` workload."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "rebase.py")
+    spec = importlib.util.spec_from_file_location("bench_rebase", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+# the families the benchmark rebases
+_REBASED = [(tag, params) for tag, params in DEFAULT_ROWS if tag[0] == "h" and params] + [
+    ("bi", {"l": 3}), ("bi", {"l": 4}), ("g2", {}), ("counterexample", {})]
+
+
+def test_extend_hands_on_the_adjacency_it_extended(monkeypatch):
+    """Every algebra ``_extend`` returns on the 14 rows, both ladder rungs
+    and the rebased inputs at seeds 0 and 7 carries the adjacency of its
+    brackets, equal to a fresh build."""
+    extend = prolongation._extend
+    seen = []
+
+    def checked(A, layer, name):
+        B = extend(A, layer, name)
+        seen.append(B._adj is not None)
+        if B._adj is not None:
+            assert B._adj == _adjacency(B.n, B.brackets), name
+        return B
+
+    monkeypatch.setattr(prolongation, "_extend", checked)
+    rebase = _bench_rebase()
+    inputs = [(fam.m, fam.g) for fam in (
+        build(tag, **params)
+        for tag, params in list(DEFAULT_ROWS) + [("hh", {"p": 1, "q": 3}), ("hc", {"p": 3, "q": 1})]
+    )]
+    for seed in (0, 7):
+        for tag, params in _REBASED:
+            fam = build(tag, **params)
+            rng = rebase.instance_rng(seed, label(tag, params))
+            inputs.append(rebase.rebase(fam.m, fam.g, rng))
+    for m, g in inputs:
+        full_prolongation(m, g)
+    assert len(seen) == 132 and all(seen)
+
+
+def test_extend_leaves_the_adjacency_to_be_built_when_L_grows():
+    """A degree 0 layer over the abelian R^3 whose canonical basis has
+    halves off its free columns, so L = 2, while the commutator of its
+    first and last vector has the coordinate -1/4 = -1/L**2: the forced
+    cell leaves L, and the result builds its own adjacency with L = 4."""
+    m = GradedAlgebra("R3", ["x0", "x1", "x2"], [-1, -1, -1], {})
+    layout = _Layout()
+    layout.add(-1, 3, 3)  # unknown M[r][c] at column 3c + r
+    vectors = [
+        [1, 0, F(1, 2), -2, 0, -1, 0, 1, -1],
+        [0, 1, -1, 0, -2, 2, 0, -2, 2],
+        [0, 0, 0, 0, 0, 0, 1, F(1, 2), 0],
+    ]
+    space = Subspace([{i: int(2 * x) for i, x in enumerate(v) if x} for v in vectors],
+                     2, [0, 1, 6], "a conjugate of the Heisenberg algebra")
+    B = _extend(m, Layer(0, layout, space), "R3 + h3")
+    assert B.brackets[(3, 5)] == {3: F(-1, 2), 4: F(-1, 4), 5: F(1)}
+    assert B._adj is None
+    L, ad = _scaled_adjacency(B)
+    assert L == 4 and (L, ad) == _adjacency(B.n, B.brackets)
+    rep = check_gla(B)
+    assert rep["grading_ok"] and rep["jacobi_ok"]
+
+
+@pytest.mark.parametrize("case", ["hh12", "hh11-rebased"])
+def test_one_adjacency_build_per_algebra(monkeypatch, get_rebased, case):
+    """Through build, full_prolongation and analyze the scaled adjacency is
+    built once for m and once by each extension, which hands it on: every
+    other certificate and invariant reads one of those copies."""
+    calls = []
+    adjacency = gla._adjacency
+
+    def counted(n, brackets):
+        calls.append(n)
+        return adjacency(n, brackets)
+
+    monkeypatch.setattr(gla, "_adjacency", counted)
+    monkeypatch.setattr(prolongation, "_adjacency", counted)
+    if case == "hh12":
+        fam = build("hh", p=1, q=2)
+        m, g = fam.m, fam.g
+    else:
+        m, g = get_rebased("hh", p=1, q=1)
+        calls.clear()  # the builder's own m, which is rebased away
+    prol = full_prolongation(m, g)
+    analyze(prol)
+    dims = prol.dims_by_degree()
+    assert calls == [m.n] + [sum(v for d, v in dims.items() if d <= k)
+                             for k in sorted(dims) if k >= 0]
