@@ -2,12 +2,17 @@
 
 Killing form and (semi)simplicity, the centroid, the module structure of
 the degree -1 part under the degree 0 part, and comparison against the
-expected classification table.  All decisions are exact: semisimplicity is
-the determinants of the degree blocks of the Killing form being nonzero
-(``is_semisimple``), simplicity is a statement about the centroid,
-and module classes come from a quadratic relation of elements of the
-commutant (``classify_module``), with each SIII split certified totally
-isotropic and nondegenerately paired (``isotropic_split_check``).
+expected classification table.  All decisions are exact and run in
+integers on the scaled adjacency (``gla._scaled_adjacency``) and the
+integer bases of ``linalg.Subspace``: semisimplicity is the full rank of
+the degree blocks of the Killing form (``is_semisimple``), simplicity is
+a statement about the centroid, and module classes come from a quadratic
+relation of elements of the commutant (``classify_module``), with each
+SIII split certified totally isotropic and nondegenerately paired
+(``isotropic_split_check``).  A map of an n-dimensional piece is a flat
+integer vector ``{c*n + r: x}`` holding a common multiple of phi[r][c];
+only the split and complex structure handed out are Fractions.  The
+Jacobi identity of the input is trusted; ``glap check`` certifies it.
 
 Simplicity from the centroid: for a semisimple real algebra the centroid
 is a product of fields, one factor per simple ideal, each factor R or C.
@@ -50,68 +55,122 @@ from .errors import (
     require,
 )
 from .families import oracle_instances
-from .gla import GradedAlgebra, SymBilinearForm, _minus1_rows, _scaled_adjacency, require_graded
-from .linalg import (
-    Echelon,
-    Mat,
-    kernel_basis,
-    solve_affine,
-    solve_square,
-    span_basis,
-    sparse_kernel,
-)
+from .gla import GradedAlgebra, _minus1_rows, _scaled_adjacency, require_graded
+from .linalg import Echelon, Mat, Subspace, solve_square, span_basis
 from .roots import table_expectation
 
 
-def killing_form(A: GradedAlgebra) -> Mat:
-    """B(x, y) = tr(ad x ad y), computed from the sparse adjoint maps.
+def killing_form(A: GradedAlgebra) -> tuple[int, dict[int, list[dict[int, int]]]]:
+    """The degree blocks of B(x, y) = tr(ad x ad y), as (L**2, blocks).
 
-    ad x ad y shifts degrees by deg x + deg y, so only pairs of opposite
-    degrees are summed, once ``gla.require_graded`` has certified the
-    grading.  The sums run in integers over the scaled adjacency (every
-    structure constant times L, the lcm of their denominators).  Each term
-    is a product of two constants, so each integer sum is exactly L**2
-    times the rational entry, which is stored as ``Fraction(total, L*L)``."""
+    ad x ad y shifts degrees by deg x + deg y, so once ``gla.require_graded``
+    has certified the grading B pairs only opposite degrees, and it is
+    determined by B_0 = B on g_0 x g_0 and C_d = B on g_d x g_{-d}, d > 0.
+    ``blocks[d]`` holds B_0 (d = 0) or C_d as sparse integer rows, row i
+    over the basis of g_d, column j over that of g_{-d}.  The sums run over
+    the scaled adjacency: each term is a product of two constants, so each
+    integer entry is exactly L**2 times the rational one."""
     require_graded(A)
-    n = A.n
     L, ads = _scaled_adjacency(A)
-    L2 = L * L
     by_deg = A.by_degree()
-    B = Mat.zeros(n, n)
-    for i in range(n):
-        adi = ads[i]
-        for j in by_deg.get(-A.degrees[i], ()):
-            if j < i:
-                continue
-            total = 0
-            for a, cell in ads[j].items():
-                for b, c in cell.items():
-                    back = adi.get(b)
-                    if back:
-                        d = back.get(a)
-                        if d:
-                            total += c * d
-            if total:
-                B.a[i][j] = B.a[j][i] = Fraction(total, L2)
-    return B
+    blocks = {}
+    for d, ix in by_deg.items():
+        if d < 0:
+            continue
+        cols = by_deg.get(-d, [])
+        rows = [{} for _ in ix]
+        for r, i in enumerate(ix):
+            adi = ads[i]
+            for c in range(r if d == 0 else 0, len(cols)):
+                total = 0
+                for a, cell in ads[cols[c]].items():
+                    for b, x in cell.items():
+                        back = adi.get(b)
+                        if back:
+                            y = back.get(a)
+                            if y:
+                                total += x * y
+                if total:
+                    rows[r][c] = total
+                    if d == 0:  # B_0 is symmetric
+                        rows[c][r] = total
+        blocks[d] = rows
+    return L * L, blocks
 
 
 def is_semisimple(A: GradedAlgebra) -> bool:
     """Whether the Killing form B is nondegenerate, read by degree blocks.
 
-    ``killing_form`` certifies the grading, so B(g_p, g_q) = 0 unless
-    p + q = 0.  Up to the order of the basis B is B_0 on g_0 beside the
-    blocks [[0, C_d], [C_d^T, 0]], C_d = B on g_d x g_{-d} for d > 0, each
-    singular unless dim g_d = dim g_{-d}; det B = +-det B_0 * prod det(C_d)**2."""
-    B = killing_form(A).a
+    Up to the order of the basis B is B_0 on g_0 beside the blocks
+    [[0, C_d], [C_d^T, 0]] of ``killing_form``, so det B = +-det B_0 *
+    prod det(C_d)**2, which is nonzero exactly when dim g_d = dim g_{-d}
+    for every d and each square block has full rank."""
+    _, blocks = killing_form(A)
     by_deg = A.by_degree()
     if any(len(ix) != len(by_deg.get(-d, ())) for d, ix in by_deg.items()):
         return False
-    return all(
-        Mat([[B[i][j] for j in by_deg[-d]] for i in ix]).det() != 0
-        for d, ix in by_deg.items()
-        if d >= 0
-    )
+    return all(Echelon(len(rows)).extend(rows).rank == len(rows) for rows in blocks.values())
+
+
+# ---------------------------------------------------------------------------
+# maps, as flat integer vectors
+# ---------------------------------------------------------------------------
+
+
+def _columns(phi: dict[int, int], n: int) -> list[dict[int, int]]:
+    """The columns ``{r: x}`` of the map phi, entry phi[r][c] at c*n + r."""
+    cols: list[dict[int, int]] = [{} for _ in range(n)]
+    for k, x in phi.items():
+        c, r = divmod(k, n)
+        cols[c][r] = x
+    return cols
+
+
+def _traceless(phi: dict[int, int], n: int) -> dict[int, int]:
+    """n phi - tr(phi) I, n times the traceless part of phi, zero entries
+    dropped; empty exactly when phi is scalar."""
+    diag = range(0, n * n, n + 1)
+    tr = sum(phi.get(k, 0) for k in diag)
+    J = {k: n * x for k, x in phi.items()}
+    for k in diag:
+        J[k] = J.get(k, 0) - tr
+    return {k: x for k, x in J.items() if x}
+
+
+def _is_scalar(phi: dict[int, int], n: int) -> bool:
+    return not _traceless(phi, n)
+
+
+def _quadratic_relation(phi: dict[int, int], n: int):
+    """For a non-scalar map phi, J = ``_traceless(phi)`` and the rationals
+    (a, b) with J^2 = a I + b J; None when J^2 leaves span{I, J}.
+
+    J is traceless, so a = tr(J^2)/n, and b follows from any nonzero entry
+    of J.  The eigenvalues of J are then the roots of x^2 = a + b x, and
+    the discriminant b^2 + 4a tells a complex structure (negative; b = 0,
+    since the two conjugate roots share the trace evenly) from a split
+    into two eigenspaces (positive) or a nilpotent (zero).  J is s > 0
+    times the rational traceless part of the rational map, which scales a
+    by s**2 and b by s: the discriminant keeps its sign and whether it is
+    a rational square, and the eigenspaces stay the same."""
+    diag = range(0, n * n, n + 1)
+    J = _traceless(phi, n)
+    cols = _columns(J, n)
+    J2: dict[int, int] = {}
+    for k, y in J.items():  # column c of J^2 is sum_m J[m][c] * column m of J
+        c, m = divmod(k, n)
+        for r, x in cols[m].items():
+            J2[c * n + r] = J2.get(c * n + r, 0) + x * y
+    a = Fraction(sum(J2.get(k, 0) for k in diag), n)
+    k = min(J)
+    b = (J2.get(k, 0) - a * (k in diag)) / J[k]
+    q = lcm(a.denominator, b.denominator)  # q (J^2 - a I - b J) in integers
+    rest = {k: q * x - int(b * q) * J.get(k, 0) for k, x in J2.items()}
+    for k, x in J.items():
+        rest.setdefault(k, -int(b * q) * x)
+    for k in diag:
+        rest[k] = rest.get(k, 0) - int(a * q)
+    return None if any(rest.values()) else (J, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -119,24 +178,26 @@ def is_semisimple(A: GradedAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _find_characteristic(A: GradedAlgebra):
-    """Coordinates (over the degree 0 basis) of an element acting as
-    multiplication by p on every degree p piece, or None.  Row (j, k) is
-    the k-th coordinate of [E, e_j]; the rows read the scaled adjacency
-    ``(L, ad)`` of A, so the right-hand side is scaled by L with them."""
-    L, ad = _scaled_adjacency(A)
+def _has_characteristic(A: GradedAlgebra) -> bool:
+    """Whether some element E of degree 0 acts as p on every degree p
+    piece: whether the rows (j, k), the k-th coordinate of [E, e_j] on the
+    scaled adjacency, reach the right-hand side deg e_j (j == k) in the
+    column past E's without raising their rank, so without a pivot there.
+    Scaling the coefficients by L scales the solutions by 1/L."""
+    ad = _scaled_adjacency(A)[1]
     zero_ix = A.by_degree().get(0, [])
-    rows: dict[tuple[int, int], dict[int, int]] = {(j, j): {} for j in range(A.n)}
+    z = len(zero_ix)
+    rows: dict[tuple[int, int], dict[int, int]] = {
+        (j, j): {z: d} for j, d in enumerate(A.degrees) if d
+    }
     for t, u in enumerate(zero_ix):
         for j, cell in ad[u].items():
             for k, c in cell.items():
                 rows.setdefault((j, k), {})[t] = c
-    keys = sorted(rows)
-    rhs = [L * A.degrees[j] if j == k else 0 for j, k in keys]
-    return solve_affine([rows[key] for key in keys], rhs, len(zero_ix))
+    return z not in Echelon(z + 1).extend(rows.values()).piv
 
 
-def centroid(A: GradedAlgebra) -> list[Mat]:
+def centroid(A: GradedAlgebra) -> Subspace:
     """Canonical basis of {phi : phi o ad x = ad x o phi for all x}: the
     kernel basis of ``_dense_system``, unknown phi[r][c] at column c*n + r.
 
@@ -154,54 +215,53 @@ def centroid(A: GradedAlgebra) -> list[Mat]:
     return _centroid(A, K)
 
 
-def _centroid(A: GradedAlgebra, K: list[Mat]) -> list[Mat]:
-    """``centroid`` given the commutant basis K of the g_0-module g_{-1}.
+def _centroid(A: GradedAlgebra, K: Subspace) -> Subspace:
+    """``centroid`` given the commutant K of the g_0-module g_{-1}.
     The equations read the scaled adjacency of A (every structure constant
     times L, the lcm of their denominators); each is linear in them, so
     scaling keeps its solutions."""
     n = A.n
     maps = _extensions(A, K)
     if maps is None:
-        ech = Echelon(n * n).extend(_dense_system(A))
-        basis = _maps(ech.kernel_space("the centroid").vectors, n)
+        C = Echelon(n * n).extend(_dense_system(A)).kernel_space("the centroid")
     else:
+        ad = _scaled_adjacency(A)[1]
         rows: dict[tuple, dict[int, int]] = {}
-        for t, cols in enumerate(maps):
-            for key, x in _residual(cols, _scaled_adjacency(A)[1]).items():
+        for t, phi in enumerate(maps):
+            for key, x in _residual(phi, n, ad).items():
                 rows.setdefault(key, {})[t] = x
         span = []
-        for c in sparse_kernel(rows.values(), len(maps)):
-            w: dict[int, Fraction] = {}
-            for ct, cols in zip(c, maps):
-                for col, entries in enumerate(cols):
-                    for r, x in entries.items():
-                        w[col * n + r] = w.get(col * n + r, 0) + ct * x
+        for coeffs in Echelon(len(maps)).extend(rows.values()).kernel_space().basis:
+            w: dict[int, int] = {}
+            for t, ct in coeffs.items():
+                for k, x in maps[t].items():
+                    w[k] = w.get(k, 0) + ct * x
             span.append(w)
-        basis = _maps(span_basis(span, n * n), n)
-    _verify_centroid(A, basis)
-    return basis
+        C = span_basis(span, n * n, "the centroid")
+    _verify_centroid(A, C.basis)
+    return C
 
 
-def _extensions(A: GradedAlgebra, K: list[Mat]):
+def _extensions(A: GradedAlgebra, K: Subspace):
     """For each commutant element K_t, the map Phi_t of A that restricts to
-    it on g_{-1}, as integer columns (``Phi[c] = {r: x}``, scaled); None
-    when A has no g_{-1} or no characteristic element, or a rank falls
-    short: its negative part is not generated by g_{-1}, or it is not
-    transitive.
+    it on g_{-1}, as flat integer maps over one common scale; None when A
+    has no g_{-1} or no characteristic element, or a rank falls short: its
+    negative part is not generated by g_{-1}, or it is not transitive.
 
     For d <= -2, Phi([e, y]) = [K e, y] on a basis of g_d picked from
     [g_{-1}, g_{d+1}].  For d >= 0, [Phi(u), e] = [u, K e] on one
     invertible block of the rows of u -> ad u restricted to g_{-1}.  A
     centroid map extending K satisfies both, so it is Phi_t when it exists;
-    whether it does is left to the residual."""
+    whether it does is left to the residual.  Each solve is linear in K,
+    so it returns D_d times the block of every Phi_t, and S, the lcm of
+    the D_d, brings them all to the one scale S * K."""
     by_deg = A.by_degree()
     minus1 = by_deg.get(-1)
-    if not minus1 or _find_characteristic(A) is None:
+    if not minus1 or not _has_characteristic(A):
         return None
-    maps: list[list[dict]] = [[{} for _ in range(A.n)] for _ in K]
-    for t, M in enumerate(K):
-        for p, e in enumerate(minus1):
-            maps[t][e] = {minus1[r]: x for r, x in enumerate(M.col(p)) if x}
+    n, n1 = A.n, len(minus1)
+    kcols = [_columns(M, n1) for M in K.basis]
+    solved = []  # (d, D_d, D_d X) of each degree d != -1
     for d, ix in by_deg.items():
         if d == -1:
             continue
@@ -221,20 +281,27 @@ def _extensions(A: GradedAlgebra, K: list[Mat]):
         aug = []  # the right-hand side for K_t at columns m + t*m + c
         for p, z in pivots:
             row = dict(rows[p, z])
-            for t, M in enumerate(K):
-                for r, x in enumerate(M.col(p)):
-                    if x:
-                        for c, v in rows.get((r, z), {}).items():
-                            row[m + t * m + c] = row.get(m + t * m + c, 0) + x * v
-            aug.append(row)
-        for u, sol in solve_square(aug, m).items():
+            for t, cols in enumerate(kcols):
+                for r, x in cols[p].items():
+                    for c, v in rows.get((r, z), {}).items():
+                        row[m + t * m + c] = row.get(m + t * m + c, 0) + x * v
+            aug.append({c: v for c, v in row.items() if v})
+        solved.append((d, *solve_square(aug, m)))
+    S = lcm(*(D for _, D, _ in solved))
+    maps = [
+        {minus1[c] * n + minus1[r]: S * x for c, col in enumerate(cols) for r, x in col.items()}
+        for cols in kcols
+    ]
+    for d, D, X in solved:
+        ix = by_deg[d]
+        for u, sol in X.items():
             for tc, x in sol.items():
-                t, c = divmod(tc, m)
+                t, c = divmod(tc, len(ix))
                 if d < -1:  # row u of the solution is Phi(b_u)
-                    maps[t][ix[u]][ix[c]] = x
+                    maps[t][ix[u] * n + ix[c]] = x * (S // D)
                 else:  # row u of the solution is row u of Phi on g_d
-                    maps[t][ix[c]][ix[u]] = x
-    return [_int_vectors(cols) for cols in maps]
+                    maps[t][ix[c] * n + ix[u]] = x * (S // D)
+    return maps
 
 
 def _dense_system(A: GradedAlgebra):
@@ -263,38 +330,17 @@ def _dense_system(A: GradedAlgebra):
                     yield row
 
 
-def _maps(vectors, n: int) -> list[Mat]:
-    """n x n maps from sparse vectors holding phi[r][c] at column c*n + r."""
-    out = []
-    for vec in vectors:
-        M = Mat.zeros(n, n)
-        for k, v in vec.items():
-            c, r = divmod(k, n)
-            M.a[r][c] = Fraction(v)
-        out.append(M)
-    return out
-
-
-def _int_vectors(vecs: list[dict]) -> list[dict[int, int]]:
-    """Sparse vectors, all scaled by the lcm of their denominators to
-    integers; zero entries are dropped."""
-    D = lcm(*(x.denominator for vec in vecs for x in vec.values()))
-    return [
-        {r: x.numerator * (D // x.denominator) for r, x in vec.items() if x}
-        for vec in vecs
-    ]
-
-
-def _residual(cols: list[dict[int, int]], ad) -> dict[tuple[int, int, int], int]:
+def _residual(phi: dict[int, int], n: int, ad) -> dict[tuple[int, int, int], int]:
     """The nonzero entries (i, j, k) of phi([a_i, a_j]) - [phi(a_i), a_j]
-    over every ordered pair, i == j included, for the map phi with integer
-    columns ``cols`` (``phi(a_c) = sum cols[c][r] a_r``).
+    over every ordered pair, i == j included, for the flat integer map phi
+    of A, of dimension n.
 
     ``ad`` is the scaled adjacency (constants times L), so the residual is
     bilinear in the constants and phi and is exactly L times the rational
     one of phi: it vanishes exactly when the rational one does."""
+    cols = _columns(phi, n)
     out = {}
-    for i in range(len(cols)):
+    for i in range(n):
         diff: dict[int, dict[int, int]] = {}
         for j, cell in ad[i].items():
             acc = diff.setdefault(j, {})
@@ -313,36 +359,35 @@ def _residual(cols: list[dict[int, int]], ad) -> dict[tuple[int, int, int], int]
     return out
 
 
-def _verify_centroid(A: GradedAlgebra, basis: list[Mat]):
+def _verify_centroid(A: GradedAlgebra, maps: list[dict[int, int]]):
     """Raise GlapError unless phi([a_i, a_j]) == [phi(a_i), a_j] for every
-    basis map phi and every ordered pair (i, j), i == j included; each phi
-    is scaled to integers for ``_residual`` on the scaled adjacency of A."""
+    flat integer map phi of ``maps`` and every ordered pair (i, j), i == j
+    included, read with ``_residual`` on the scaled adjacency of A."""
     ad = _scaled_adjacency(A)[1]
-    for phi in basis:
-        cols = _int_vectors([dict(enumerate(col)) for col in zip(*phi.a)])
-        require(not _residual(cols, ad), "centroid candidate fails the definition")
+    for phi in maps:
+        require(not _residual(phi, A.n, ad), "centroid candidate fails the definition")
 
 
 def is_simple(A: GradedAlgebra) -> bool:
     """Simplicity test through the centroid; requires semisimplicity."""
     if not is_semisimple(A):
         raise NotSemisimple(f"{A.name} has degenerate Killing form")
-    return _simple_from_centroid(centroid(A))
+    return _simple_from_centroid(centroid(A).basis, A.n)
 
 
-def _simple_from_centroid(C: list[Mat]) -> bool:
-    """Simplicity of a semisimple algebra from a basis C of its centroid
-    (see the module docstring)."""
+def _simple_from_centroid(C: list[dict[int, int]], n: int) -> bool:
+    """Simplicity of a semisimple algebra of dimension n from a basis C of
+    its centroid, as flat integer maps (see the module docstring)."""
     if not C:
         raise GlapError("empty centroid; the identity always lies in it")
     if len(C) == 1:
         return True
     if len(C) > 2:
         return False
-    cand = next((M for M in C if not _is_scalar(M)), None)
+    cand = next((M for M in C if not _is_scalar(M, n)), None)
     require(cand is not None, "2-dimensional centroid of scalars")
     # {I, J} spans the centroid, so J^2 lies in it
-    rel = _quadratic_relation(cand)
+    rel = _quadratic_relation(cand, n)
     require(rel is not None, "J^2 escaped the centroid span")
     _, a, b = rel
     disc = b * b + 4 * a
@@ -353,61 +398,37 @@ def _simple_from_centroid(C: list[Mat]) -> bool:
     raise GlapError("centroid contains a nilpotent; algebra cannot be semisimple")
 
 
-def _quadratic_relation(M: Mat) -> tuple[Mat, Fraction, Fraction] | None:
-    """For a non-scalar square M, its traceless part J = M - tr(M)/n I and
-    the pair (a, b) with J^2 = a I + b J; None when J^2 leaves span{I, J}.
-
-    J is traceless, so a = tr(J^2)/n, and b follows from any nonzero entry
-    of J.  The eigenvalues of J are then the roots of x^2 = a + b x, and
-    the discriminant b^2 + 4a tells a complex structure (negative; b = 0,
-    since the two conjugate roots share the trace evenly) from a split
-    into two eigenspaces (positive) or a nilpotent (zero)."""
-    n = M.n
-    ident = Mat.identity(n)
-    J = M - (M.trace() / n) * ident
-    J2 = J * J
-    a = J2.trace() / n
-    r, c = next((r, c) for r in range(n) for c in range(n) if J.a[r][c])
-    b = (J2.a[r][c] - a * (r == c)) / J.a[r][c]
-    if J2 != a * ident + b * J:
-        return None
-    return J, a, b
-
-
-def _is_scalar(M: Mat) -> bool:
-    d = M.a[0][0]
-    return M == d * Mat.identity(M.n)
-
-
 # ---------------------------------------------------------------------------
 # module structure of the degree -1 part
 # ---------------------------------------------------------------------------
 
 
-def commutant(mats: list[Mat], n: int) -> list[Mat]:
-    """Canonical basis of {phi : phi M = M phi for every M in mats}, unknown
-    phi[r][c] at column c*n + r.
+def commutant(maps: list[dict[int, int]], n: int) -> Subspace:
+    """Canonical basis of {phi : phi M = M phi for every M in maps}, the
+    flat integer maps of an n-dimensional module, unknown phi[r][c] at
+    column c*n + r.
 
     The identity always commutes, so the rank is at most n*n - 1, and the
     rows left once it gets there cannot change the solutions.  The identity
     is certified to lie in the result, which at that rank it spans."""
     ech = Echelon(n * n)
-    for row in _commutant_rows(mats, n):
+    for row in _commutant_rows(maps, n):
         if ech.add(row) and ech.rank == n * n - 1:
             break
     space = ech.kernel_space("the commutant")
     space.coords({c * n + c: 1 for c in range(n)}, "the identity")
-    return _maps(space.vectors, n)
+    return space
 
 
-def _commutant_rows(mats: list[Mat], n: int):
-    """Yield the rows (phi M - M phi)[i][j] = 0 for each M in mats, in
-    integers: M scaled by the lcm of its denominators has the same ones."""
-    for M in mats:
-        # left[i] = {r: M[i][r]}, right[j] = {r: M[r][j]}: the same entries,
-        # so the same scale
-        left = _int_vectors([dict(enumerate(row)) for row in M.a])
-        right = _int_vectors([dict(enumerate(col)) for col in zip(*M.a)])
+def _commutant_rows(maps: list[dict[int, int]], n: int):
+    """Yield the rows (phi M - M phi)[i][j] = 0 for each M in maps; a map
+    scaled by a nonzero integer has the same ones."""
+    for M in maps:
+        left: list[dict[int, int]] = [{} for _ in range(n)]  # left[i] = {r: M[i][r]}
+        right: list[dict[int, int]] = [{} for _ in range(n)]  # right[j] = {r: M[r][j]}
+        for k, x in M.items():
+            j, i = divmod(k, n)
+            left[i][j] = right[j][i] = x
         for i in range(n):
             for j in range(n):
                 row = {r * n + i: x for r, x in right[j].items()}
@@ -427,10 +448,11 @@ class ModuleClassification:
     warnings: list[str] = field(default_factory=list)
 
 
-def classify_module(mats: list[Mat], G: Mat) -> ModuleClassification:
-    """Classify the module on which ``mats`` act from the commutant C of
-    the action.  G only fixes the size of the module; ``analyze`` certifies
-    an SIII split against the form (``isotropic_split_check``).
+def classify_module(maps: list[dict[int, int]], G: Mat) -> ModuleClassification:
+    """Classify the module on which the flat integer maps ``maps`` act
+    (``degree_zero_action``) from the commutant C of the action.  G only
+    fixes the size of the module; ``analyze`` certifies an SIII split
+    against the form (``isotropic_split_check``).
 
     The candidates are the basis of C, then the sums of pairs of its
     elements, in that order.  Each non-scalar candidate's traceless part J
@@ -450,24 +472,24 @@ def classify_module(mats: list[Mat], G: Mat) -> ModuleClassification:
     a candidate with three or more eigenvalues has none, so it is passed
     over: the split may come from a later candidate, and when no splitting
     candidate satisfies a quadratic relation the module is
-    ``unclassified``, not SIII.
+    ``unclassified``, not SIII.  The candidates are D times the rational
+    ones, D the denominator of C, so the complex structure is J / (n D).
     """
-    return _classify_commutant(commutant(mats, G.n), G.n)
+    return _classify_commutant(commutant(maps, G.n), G.n)
 
 
-def _classify_commutant(C: list[Mat], n: int) -> ModuleClassification:
-    """``classify_module`` given the commutant basis C of the module."""
+def _classify_commutant(C: Subspace, n: int) -> ModuleClassification:
+    """``classify_module`` given the commutant C of the module."""
     dimC = len(C)
-    candidates = list(C)
-    for i in range(dimC):
-        for j in range(i + 1, dimC):
-            candidates.append(C[i] + C[j])
-    ident = Mat.identity(n)
+    candidates = C.basis + [
+        {k: u.get(k, 0) + v.get(k, 0) for k in u.keys() | v.keys()}
+        for i, u in enumerate(C.basis) for v in C.basis[i + 1:]
+    ]
     found = []  # (J, b^2 + 4a) of each non-scalar candidate, None without a relation
     for phi in candidates:
-        if _is_scalar(phi):
+        if _is_scalar(phi, n):
             continue
-        rel = _quadratic_relation(phi)
+        rel = _quadratic_relation(phi, n)
         if rel is None:
             found.append(None)
             continue
@@ -477,11 +499,13 @@ def _classify_commutant(C: list[Mat], n: int) -> ModuleClassification:
         root = _positive_sqrt(disc)
         if root is not None:
             # the eigenvalues (b -+ root)/2 of J, the smaller first
-            split = tuple(kernel_basis(J - ((b + s) / 2) * ident) for s in (-root, root))
+            split = tuple(_eigenspace(J, (b + s) / 2, n) for s in (-root, root))
             return ModuleClassification("SIII", dimC, split=split)
     complex_ = [f is not None and f[1] < 0 for f in found]
     if dimC == 2 and complex_[0]:
-        return ModuleClassification("SII", dimC, complex_structure=found[0][0])
+        J, scale = found[0][0], n * C.denominator
+        S = Mat([[Fraction(J.get(c * n + r, 0), scale) for c in range(n)] for r in range(n)])
+        return ModuleClassification("SII", dimC, complex_structure=S)
     if dimC == 1:
         return ModuleClassification("SI", dimC)
     if dimC == 4 and all(complex_):
@@ -491,6 +515,18 @@ def _classify_commutant(C: list[Mat], n: int) -> ModuleClassification:
             warnings=["commutant of dimension 4: accepted as irreducible"],
         )
     return ModuleClassification("unclassified", dimC)
+
+
+def _eigenspace(J: dict[int, int], lam: Fraction, n: int) -> list[list[Fraction]]:
+    """The canonical basis of the kernel of J - lam I, for the flat integer
+    map J, as dense rows of Fractions, from the integer rows of
+    q (J - lam I), q the denominator of lam."""
+    rows = [{r: -lam.numerator} for r in range(n)]
+    for k, x in J.items():
+        c, r = divmod(k, n)
+        rows[r][c] = rows[r].get(c, 0) + lam.denominator * x
+    space = Echelon(n).extend({c: x for c, x in row.items() if x} for row in rows).kernel_space()
+    return [[Fraction(v.get(c, 0), space.denominator) for c in range(n)] for v in space.basis]
 
 
 def _positive_sqrt(x: Fraction) -> Fraction | None:
@@ -578,10 +614,20 @@ class AnalysisReport:
         }
 
 
-def degree_zero_action(A: GradedAlgebra) -> list[Mat]:
-    """Matrices of the degree 0 basis acting on the degree -1 piece."""
+def degree_zero_action(A: GradedAlgebra) -> list[dict[int, int]]:
+    """ad u on the degree -1 piece for each u of the degree 0 basis, as flat
+    integer maps ``{c*n + r: x}`` (n = dim g_{-1}) read from the scaled
+    adjacency, so every entry is L times the structure constant; one scale
+    for all of them leaves their commutant unchanged."""
     by_deg = A.by_degree()
-    return [A.restriction_matrix(u, -1) for u in by_deg.get(0, [])]
+    ad = _scaled_adjacency(A)[1]
+    minus1 = by_deg.get(-1, [])
+    pos = {g: r for r, g in enumerate(minus1)}
+    n = len(minus1)
+    return [
+        {c * n + pos[k]: x for c, e in enumerate(minus1) for k, x in ad[u].get(e, {}).items()}
+        for u in by_deg.get(0, [])
+    ]
 
 
 @functools.cache
@@ -622,6 +668,9 @@ def match_table_row(prol, module_class: str | None = None) -> str | None:
 
 
 def analyze(prol) -> AnalysisReport:
+    """The structure report of a prolongation.  The Jacobi identity of its
+    brackets is trusted, not checked: ``gla.check_gla`` (``glap check``)
+    certifies it."""
     A = prol.algebra
     warnings: list[str] = []
     semisimple = is_semisimple(A)
@@ -632,7 +681,7 @@ def analyze(prol) -> AnalysisReport:
     if semisimple:
         C = _centroid(A, K)
         centroid_dim = len(C)
-        simple = _simple_from_centroid(C)
+        simple = _simple_from_centroid(C.basis, A.n)
     cls = _classify_commutant(K, n1)
     warnings.extend(cls.warnings)
     if not prol.complete:

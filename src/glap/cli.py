@@ -389,7 +389,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_prolong)
 
-    a = sub.add_parser("analyze", parents=[common], help="structure report")
+    a = sub.add_parser(
+        "analyze", parents=[common],
+        help="structure report (trusts the Jacobi identity: certify it with check)",
+    )
     a.add_argument("path", help="prolongation JSON file")
     a.set_defaults(func=cmd_analyze)
 

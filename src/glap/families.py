@@ -42,7 +42,7 @@ from math import lcm
 from .composition import CompositionAlgebra, algebra_by_tag, norm_form, real_algebra
 from .errors import BadParameters, GlapError, require
 from .gla import GradedAlgebra, SymBilinearForm, check_fundamental, check_gla
-from .linalg import Echelon, Mat, int_row, sparse_kernel
+from .linalg import Echelon, Mat, int_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -205,7 +205,7 @@ def _assemble(name, spaces) -> GradedAlgebra:
             scale = Di * Dj
             cell = {
                 offset[di + dj] + k: Fraction(c, scale)
-                for k, c in enumerate(sp.coords(Z)) if c
+                for k, c in sp.coords(Z).items()
             }
             if cell:
                 brackets[(i, j)] = cell
@@ -340,8 +340,7 @@ def _certify_cartan(spaces, elems):
     zero, are linearly independent and commute pairwise."""
     ech = Echelon(spaces[0].dim())
     for M in elems:
-        local = spaces[0].coords(M)
-        grew = ech.add(int_row(dict(enumerate(local))))
+        grew = ech.add(int_row(spaces[0].coords(M)))
         require(grew, "tagged diagonal elements are dependent")
     table = spaces[0].alg.unit_table()
     rows = [_by_row(M) for M in elems]
@@ -556,13 +555,12 @@ def _symplectic_pairing() -> dict[tuple[int, int], Fraction]:
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.append(row)
-    kernel = sparse_kernel(rows, len(pairs))
+    kernel = Echelon(len(pairs)).extend(map(int_row, rows)).kernel_space().basis
     require(len(kernel) == 1, "invariant pairing should be unique up to scale")
     vec = kernel[0]
-    scale = vec[pidx[(0, 3)]]
-    require(scale != 0, "invariant pairing vanishes on the outermost pair")
-    vec = [c / scale for c in vec]
-    return {pr: vec[k] for k, pr in enumerate(pairs)}
+    scale = vec.get(pidx[(0, 3)])
+    require(scale, "invariant pairing vanishes on the outermost pair")
+    return {pr: Fraction(vec.get(k, 0), scale) for k, pr in enumerate(pairs)}
 
 
 def build_g2_example(name: str):
@@ -687,12 +685,14 @@ def build_counterexample(name: str):
 
     from .analysis import killing_form  # here, since analysis imports this module
 
-    B = killing_form(L)
+    L2, blocks = killing_form(L)
+    by_deg = L.by_degree()
     G = Mat.zeros(4, 4)
     for a, xi in enumerate(x_part):
         for b, orig in enumerate(s_order[:2]):
-            G[a, 2 + b] = B[xi, orig]
-            G[2 + b, a] = B[xi, orig]
+            # B(x, s) for x of degree -1 and s of degree 1: entry (s, x) of C_1
+            row = blocks[1][by_deg[1].index(orig)]
+            G[a, 2 + b] = G[2 + b, a] = Fraction(row.get(by_deg[-1].index(xi), 0), L2)
     g = SymBilinearForm.for_algebra(m, G)
     _require_signature(g, (2, 2))
     return m, g, None, None

@@ -130,19 +130,6 @@ class GradedAlgebra:
         cell = self.brackets.get((j, i), {})
         return {k: -c for k, c in cell.items()}
 
-    def restriction_matrix(self, i: int, src_degree: int) -> Mat:
-        """Matrix of ad(e_i) restricted to one homogeneous piece, written in
-        the bases of the source and target degrees."""
-        src = self.by_degree().get(src_degree, [])
-        tgt_degree = src_degree + self.degrees[i]
-        tgt = self.by_degree().get(tgt_degree, [])
-        pos = {g: r for r, g in enumerate(tgt)}
-        M = Mat.zeros(len(tgt), len(src))
-        for col, j in enumerate(src):
-            for k, c in self.bracket_pair(i, j).items():
-                M.a[pos[k]][col] = c
-        return M
-
     def negative_part(self, name=None) -> "GradedAlgebra":
         """The subalgebra spanned by the negative degrees, reindexed."""
         keep = [i for i, d in enumerate(self.degrees) if d < 0]

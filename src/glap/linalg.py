@@ -1,16 +1,14 @@
 """Exact linear algebra over the rationals.
 
 No tolerances, no floating point anywhere: the solvers run in Python ints,
-and ``fractions.Fraction`` appears only at the boundary.  Two engines share
-the work:
-
-* a dense ``Mat`` class of Fractions for small matrices (products,
-  determinants, congruence diagonalization);
-* a sparse integer row-echelon engine for the big homogeneous systems that
-  the derivation/prolongation solvers produce.  Rows are dicts mapping
-  column index to a nonzero int; a rational row is scaled once, by
-  ``int_row``, where it is built.  Elimination is fraction-free, and a
-  pivot row is made primitive when it is installed.
+and ``fractions.Fraction`` appears only at the boundary.  The engine is a
+sparse integer row-echelon form (``Echelon``).  Rows are dicts mapping
+column index to a nonzero int; a rational row is scaled once, by
+``int_row``, where it is built.  Elimination is fraction-free, and a pivot
+row is made primitive when it is installed.  Kernels, spans, ranks and
+square solves all go through it.  A small dense ``Mat`` of Fractions holds
+what is read at the boundary: Gram matrices and other forms, their
+signatures and determinants.
 
 Kernel bases are canonical: they come from the reduced row echelon form,
 with one basis vector per free column (free columns in increasing order,
@@ -41,7 +39,8 @@ def _q(x) -> Fraction:
 
 
 class Mat:
-    """Dense matrix of Fractions."""
+    """Dense matrix of Fractions, for the forms read at the boundary: Gram
+    matrices, their signatures and determinants."""
 
     __slots__ = ("m", "n", "a")
 
@@ -57,13 +56,6 @@ class Mat:
     def zeros(cls, m, n):
         z = Fraction(0)
         return cls([[z] * n for _ in range(m)])
-
-    @classmethod
-    def identity(cls, n):
-        M = cls.zeros(n, n)
-        for i in range(n):
-            M.a[i][i] = Fraction(1)
-        return M
 
     @classmethod
     def diag(cls, entries):
@@ -84,40 +76,15 @@ class Mat:
     def __eq__(self, other):
         return isinstance(other, Mat) and self.a == other.a
 
-    def __add__(self, other):
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("shape mismatch in sum")
-        return Mat([[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
-
-    def __sub__(self, other):
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("shape mismatch in difference")
-        return Mat([[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)])
-
-    def __neg__(self):
-        return Mat([[-x for x in r] for r in self.a])
-
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.n != other.m:
-                raise ValueError("shape mismatch in product")
-            bt = list(zip(*other.a))
-            return Mat(
-                [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.a]
-            )
-        c = _q(other)
-        return Mat([[c * x for x in r] for r in self.a])
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "Mat") -> "Mat":
+        if self.n != other.m:
+            raise ValueError("shape mismatch in product")
+        bt = list(zip(*other.a))
+        return Mat([[sum(x * y for x, y in zip(row, col)) for col in bt] for row in self.a])
 
     def __repr__(self):
         rows = "; ".join(" ".join(str(x) for x in r) for r in self.a)
         return f"Mat[{rows}]"
-
-    def trace(self) -> Fraction:
-        if self.m != self.n:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.a[i][i] for i in range(self.n)), Fraction(0))
 
     def is_symmetric(self) -> bool:
         if self.m != self.n:
@@ -125,9 +92,6 @@ class Mat:
         return all(
             self.a[i][j] == self.a[j][i] for i in range(self.m) for j in range(i)
         )
-
-    def col(self, j):
-        return [self.a[i][j] for i in range(self.m)]
 
     def rank(self) -> int:
         return sparse_rank((dict(enumerate(r)) for r in self.a), self.n)
@@ -303,10 +267,6 @@ class Echelon:
                     basis[f][c] = -x * s
         return Subspace([basis[f] for f in free], D, free, name)
 
-    def kernel(self) -> list[list[Fraction]]:
-        vectors = self.kernel_space().vectors
-        return [[v.get(c, ZERO) for c in range(self.ncols)] for v in vectors]
-
 
 class Subspace:
     """A canonical kernel basis with certified coordinates.
@@ -339,21 +299,20 @@ class Subspace:
         """Every v_t as a sparse vector of Fractions, built on each call."""
         return [self.vector(t) for t in range(len(self.basis))]
 
-    def coords(self, vec: dict, what: str = "vector") -> list:
-        """Coordinates of the sparse vector ``vec`` (dict column -> int or
-        Fraction, zero values allowed), its own entries at the free
-        columns; raises GlapError unless the rebuilt vector equals ``vec``
-        entry for entry."""
-        out = [vec.get(f, ZERO) for f in self.free]
+    def coords(self, vec: dict, what: str = "vector") -> dict:
+        """The nonzero coordinates ``{t: c_t}`` of the sparse vector ``vec``
+        (dict column -> int or Fraction, zero values allowed), its own
+        entries at the free columns; raises GlapError unless the rebuilt
+        vector equals ``vec`` entry for entry."""
+        out = {t: c for t, f in enumerate(self.free) if (c := vec.get(f))}
         den = lcm(*(x.denominator for x in vec.values()))
         if den > 1:
             vec = {i: x.numerator * (den // x.denominator) for i, x in vec.items()}
         recon: dict[int, int] = {}
-        for f, u in zip(self.free, self.basis):
-            c = vec.get(f)
-            if c:
-                for i, y in u.items():
-                    recon[i] = recon.get(i, 0) + c * y
+        for t in out:
+            c = vec[self.free[t]]
+            for i, y in self.basis[t].items():
+                recon[i] = recon.get(i, 0) + c * y
         D = self.denominator
         for i, x in vec.items():
             recon[i] = recon.get(i, 0) - D * x
@@ -362,68 +321,46 @@ class Subspace:
         return out
 
 
-def sparse_kernel(rows, ncols: int) -> list[list[Fraction]]:
-    """Canonical kernel basis of a sparse row system (dicts col -> int or
-    Fraction)."""
-    return Echelon(ncols).extend(map(int_row, rows)).kernel()
-
-
-def span_basis(vectors, ncols: int) -> list[dict[int, Fraction]]:
-    """The canonical kernel basis of any system whose kernel is the span of
-    ``vectors`` (sparse dicts col -> coeff).
+def span_basis(vectors, ncols: int, name: str) -> Subspace:
+    """The canonical kernel basis, as a ``Subspace``, of any system whose
+    kernel is the span of ``vectors`` (sparse integer dicts col -> coeff).
 
     A column is free exactly when some member of the kernel has its last
     nonzero entry there, so that basis is the reduced echelon basis of the
     span with each pivot at a last nonzero entry, scaled to 1 there.
     Reversing the columns makes those the leading entries ``Echelon``
-    pivots on."""
+    pivots on; D, the lcm of the pivot entries, clears every denominator."""
     top = ncols - 1
-    ech = Echelon(ncols).extend(
-        int_row({top - c: x for c, x in v.items()}) for v in vectors
+    ech = Echelon(ncols).extend({top - c: x for c, x in v.items() if x} for v in vectors)
+    rows = sorted(ech._rref().items(), reverse=True)
+    D = lcm(*(row[p] for p, row in rows))
+    return Subspace(
+        [{top - c: x * (D // row[p]) for c, x in row.items()} for p, row in rows],
+        D, [top - p for p, _ in rows], name,
     )
-    return [
-        {top - c: Fraction(x, row[p]) for c, x in row.items()}
-        for p, row in sorted(ech._rref().items(), reverse=True)
-    ]
 
 
-def solve_square(rows, n: int) -> dict[int, dict[int, Fraction]]:
-    """X with P X = B for an invertible n x n matrix P.
+def solve_square(rows, n: int) -> tuple[int, dict[int, dict[int, int]]]:
+    """(D, D X) with P X = B for an invertible n x n matrix P.
 
-    ``rows`` are the n rows of the augmented system [P | B]: sparse dicts
-    with the entries of P at columns 0..n-1 and the entry of column c of B
-    at n + c.  The reduced echelon form of an invertible system is
-    [D | D X] for a diagonal D, so X is read off row by row as
-    ``X[u] = {c: x}``.  Raises GlapError when P is singular."""
-    ech = Echelon(n).extend(map(int_row, rows))
+    ``rows`` are the n rows of the augmented system [P | B] in integers:
+    sparse dicts with the entries of P at columns 0..n-1 and the entry of
+    column c of B at n + c.  The reduced echelon form of an invertible
+    system is [d | d X] for a diagonal d, so D X is read off row by row as
+    ``DX[u] = {c: x}``, over D, the lcm of d.  Raises GlapError when P is
+    singular."""
+    ech = Echelon(n).extend(rows)
     require(sorted(ech.piv) == list(range(n)), "singular square system")
-    return {
-        u: {c - n: Fraction(x, row[u]) for c, x in row.items() if c >= n}
-        for u, row in ech._rref().items()
+    rref = ech._rref()
+    D = lcm(*(row[u] for u, row in rref.items()))
+    return D, {
+        u: {c - n: x * (D // row[u]) for c, x in row.items() if c >= n}
+        for u, row in rref.items()
     }
 
 
 def sparse_rank(rows, ncols: int) -> int:
     return Echelon(ncols).extend(map(int_row, rows)).rank
-
-
-def kernel_basis(M: Mat) -> list[list[Fraction]]:
-    """Canonical basis of the null space of a dense matrix."""
-    return sparse_kernel((dict(enumerate(r)) for r in M.a), M.n)
-
-
-def solve_affine(rows, rhs, ncols: int):
-    """One solution of a sparse affine system ``A x = b``, or None.
-
-    ``rows`` iterates dicts (col -> coeff) aligned with ``rhs``.  A solution
-    is a kernel vector of the homogenized system [A | -b] that is 1 at the
-    last column: the canonical one of that column when it is free.
-    """
-    aug = [{**row, ncols: -b} if b else row for row, b in zip(rows, rhs)]
-    kern = sparse_kernel(aug, ncols + 1)
-    if kern and kern[-1][ncols]:
-        return kern[-1][:ncols]
-    return None
 
 
 # ---------------------------------------------------------------------------

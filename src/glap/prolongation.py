@@ -76,7 +76,7 @@ from .gla import (
     require_graded,
     transitivity_check,
 )
-from .linalg import ZERO, Echelon, Mat, Subspace, int_row, sparse_kernel
+from .linalg import ZERO, Echelon, Mat, Subspace, int_row
 
 
 class _Layout:
@@ -347,12 +347,11 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
                             if val:
                                 flat[base + tpos[tg]] = val
                 coords = space.coords(flat, f"forced bracket of degrees ({a},{b})")
-                nonzero = [(n + i, c) for i, c in enumerate(coords) if c]
-                if nonzero:
-                    brackets[(w, v)] = {k: Fraction(c, L2) for k, c in nonzero}
-                    keep = keep and all(c % L == 0 for _, c in nonzero)
+                if coords:
+                    brackets[(w, v)] = {n + i: Fraction(c, L2) for i, c in coords.items()}
+                    keep = keep and all(c % L == 0 for c in coords.values())
                     if keep:  # no later pair reads a bracket of degree ``shift``
-                        adw[v] = {k: c // L for k, c in nonzero}
+                        adw[v] = {n + i: c // L for i, c in coords.items()}
                         adv[w] = {k: -x for k, x in adw[v].items()}
     B = GradedAlgebra(name, labels, degrees, brackets)
     B._adj = (L, ad) if keep else None
@@ -381,16 +380,18 @@ def scaling_split(layer: Layer) -> tuple[dict[int, Fraction], list[dict[int, Fra
     ``conformal_g0`` certified in the span with eta(E) = -2, so eta does
     not vanish there and the kernel has codimension 1.
     """
-    vectors = layer.space.vectors
-    etas = [layer.eta(vec) for vec in vectors]
+    space = layer.space
+    eta_col = layer.layout.total
+    etas = {t: e for t, u in enumerate(space.basis) if (e := u.get(eta_col))}
+    kernel = Echelon(len(space)).extend([etas]).kernel_space()
+    scale = space.denominator * kernel.denominator
     hats = []
-    for combo in sparse_kernel([{t: e for t, e in enumerate(etas) if e}], len(etas)):
-        hat: dict[int, Fraction] = {}
-        for c, vec in zip(combo, vectors):
-            if c:
-                for i, x in vec.items():
-                    hat[i] = hat.get(i, ZERO) + c * x
-        hats.append({i: x for i, x in hat.items() if x})
+    for combo in kernel.basis:
+        hat: dict[int, int] = {}
+        for t, c in combo.items():
+            for i, x in space.basis[t].items():
+                hat[i] = hat.get(i, 0) + c * x
+        hats.append({i: Fraction(x, scale) for i, x in hat.items() if x})
     return layer.E, hats
 
 
@@ -459,6 +460,9 @@ class ProlongationResult:
         degs = algebra.degrees
         if not degs:
             raise ParseError("the prolongation has an empty basis")
+        neg = algebra.negative_part()
+        if not neg.n or not check_fundamental(neg)[0]:
+            raise ParseError("the negative part is not generated by its degree -1 part")
         mu = -min(degs)
         nu = max(degs)
         return cls(algebra, form, step_dims, mu, nu, d["complete"])

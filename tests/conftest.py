@@ -52,8 +52,8 @@ def _rebased(tag, **params):
     fam = build(tag, **params)
     m, g = fam.m, fam.g
     n = m.n
-    P = Mat.identity(n)  # row i: the new basis vector f_i in the old basis
-    Q = Mat.identity(n)  # P^-1, through the inverse of each operation
+    P = Mat.diag([1] * n)  # row i: the new basis vector f_i in the old basis
+    Q = Mat.diag([1] * n)  # P^-1, through the inverse of each operation
     for ix in m.by_degree().values():
         for t, s in zip(range(len(ix) - 1), (1, -1)):
             a, b = ix[t], ix[t + 1]
@@ -110,5 +110,5 @@ def h3():
 
 @pytest.fixture
 def h3_euclidean(h3):
-    g = SymBilinearForm("h3", [0, 1], Mat.identity(2))
+    g = SymBilinearForm("h3", [0, 1], Mat.diag([1, 1]))
     return h3, g

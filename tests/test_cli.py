@@ -473,12 +473,23 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
         lambda doc: doc.update(step_dims={"1": 2.7}),
         lambda doc: doc.update(step_dims={"1": True}),
         lambda doc: doc.update(step_dims={" 1": 2}),
+        # a degree -2 element and a degree 0 one: no g_{-1} to generate m
+        lambda doc: doc.update(
+            labels=["z", "u"], degrees=[-2, 0], brackets=[], step_dims={},
+            form={"algebra": "z+u", "degree_minus1_indices": [], "matrix": []},
+        ),
+        # [x, y] = 0, so the degree -2 element is not generated
+        lambda doc: doc.update(
+            labels=["x", "y", "z"], degrees=[-1, -1, -2], brackets=[], step_dims={},
+            form={"algebra": "x+y+z", "degree_minus1_indices": [0, 1],
+                  "matrix": [[1, 0], [0, 1]]},
+        ),
     ],
     ids=[
         "wrong-basis", "no-degree-minus-1", "form-not-an-object", "indices-not-a-list",
         "name-not-a-string", "misgraded-bracket", "step-dim-not-an-integer", "empty-basis",
         "complete-a-string", "complete-zero", "step-dim-a-float", "step-dim-a-boolean",
-        "step-degree-padded",
+        "step-degree-padded", "empty-degree-minus-1", "not-generated",
     ],
 )
 def test_analyze_rejects_a_malformed_prolongation(tmp_path, capsys, mutate):

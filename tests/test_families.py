@@ -299,11 +299,20 @@ raise SystemExit(1)
 
 def _reference_check_covariance(A, G, eta_by_index):
     """The dense Fraction form of the covariance certificate: M^T G + G M
-    == eta G for each degree-zero element, M its action on degree -1."""
+    == eta G for each degree-zero element, M its action on degree -1, read
+    from ``bracket_pair``."""
+    src = A.by_degree().get(-1, [])
+    pos = {g: r for r, g in enumerate(src)}
+    n = len(src)
     for idx, eta in eta_by_index:
-        M = A.restriction_matrix(idx, -1)
-        lhs = Mat([list(col) for col in zip(*M.a)]) * G + G * M
-        require(lhs == G * eta, f"conformal factor mismatch at {A.labels[idx]}")
+        M = Mat.zeros(n, n)
+        for c, j in enumerate(src):
+            for k, x in A.bracket_pair(idx, j).items():
+                M[pos[k], c] = x
+        MtG, GM = Mat([list(col) for col in zip(*M.a)]) * G, G * M
+        lhs = [[x + y for x, y in zip(r, s)] for r, s in zip(MtG.a, GM.a)]
+        require(lhs == [[eta * x for x in row] for row in G.a],
+                f"conformal factor mismatch at {A.labels[idx]}")
 
 
 # the matrix families (hc, hh and their split forms, bi) are the ones
@@ -459,7 +468,7 @@ def _reference_assemble(name, spaces):
             if not any(Z.values()):
                 continue
             coords = spaces[da + db].coords(Z)
-            cell = {offset[da + db] + k: c for k, c in enumerate(coords) if c}
+            cell = {offset[da + db] + k: c for k, c in coords.items()}
             if cell:
                 brackets[(a, b)] = cell
     return GradedAlgebra(name, labels, degs, brackets)
