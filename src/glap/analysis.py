@@ -667,6 +667,11 @@ def match_table_row(prol, module_class: str | None = None) -> str | None:
     return " | ".join(hits)
 
 
+# the start of the warning ``analyze`` gives an SIII verdict whose split
+# fails ``isotropic_split_check``
+SPLIT_NOT_CERTIFIED = "SIII split not certified"
+
+
 def analyze(prol) -> AnalysisReport:
     """The structure report of a prolongation.  The Jacobi identity of its
     brackets is trusted, not checked: ``gla.check_gla`` (``glap check``)
@@ -692,7 +697,7 @@ def analyze(prol) -> AnalysisReport:
         try:
             isotropic_split_check(prol.form.matrix, *cls.split)
         except (NotIsotropic, DegeneratePairing) as e:
-            warnings.append(f"SIII split not certified: {e}")
+            warnings.append(f"{SPLIT_NOT_CERTIFIED}: {e}")
     return AnalysisReport(
         name=A.name,
         dims=prol.dims_by_degree(),

@@ -24,7 +24,10 @@ already decide every other (``check_gla``), so only those are swept
 unless one of them fails.
 
 The JSON layout round-trips losslessly because rationals are serialized as
-"p/q" strings (just "p" when q = 1).
+"p/q" strings (just "p" when q = 1).  Every file glap writes goes through
+one writer, ``dumps``, which writes the bytes of ``json.dumps(obj,
+indent=1)`` faster.  A reader parses each distinct rational string of a
+document once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from math import lcm
 
 from .errors import (
@@ -52,6 +56,35 @@ def format_rational(x: Fraction) -> str:
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=1)``, byte for byte, for a JSON value
+    (object keys are strings).  An indent sends ``json.dumps`` to its
+    pure-Python encoder, which writes the text in many small pieces; this
+    writer joins each list and each object in one go, and leaves every
+    scalar but a plain int or string to ``json.dumps``."""
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, nl: str) -> str:
+    """The text of obj, nested at the indent that ``nl`` ends with."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + " "
+        return f"[{inner}{(',' + inner).join([_dumps(x, inner) for x in obj])}{nl}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + " "
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    return json.dumps(obj)
 
 
 def parse_rational(s: str | int, where: str = "") -> Fraction:
@@ -177,6 +210,7 @@ class GradedAlgebra:
         if not isinstance(d["brackets"], list):
             raise ParseError("'brackets' must be a list of [i, j, terms] rows")
         brackets = {}
+        parsed: dict[str, Fraction] = {}  # each rational string of this document, once
         for idx, row in enumerate(d["brackets"]):
             where = f"brackets[{idx}]"
             if not (isinstance(row, list) and len(row) == 3):
@@ -195,7 +229,7 @@ class GradedAlgebra:
                 k, c = term
                 if k in cell:
                     raise ParseError(f"{where} term {t}: a second term for index {k}")
-                cell[k] = parse_rational(c, f"{where} term {t}")
+                cell[k] = _parse_once(parsed, c, f"{where} term {t}")
             brackets[(i, j)] = cell
         try:
             return cls(d["name"], labels, degrees, brackets)
@@ -203,7 +237,18 @@ class GradedAlgebra:
             raise ParseError(str(e)) from e
 
     def serialize(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1)
+        return dumps(self.to_json_dict())
+
+
+def _parse_once(parsed: dict[str, Fraction], s, where: str) -> Fraction:
+    """``parse_rational(s, where)``, a string looked up in ``parsed``
+    first and added to it; only strings are kept, since ``True == 1``."""
+    if type(s) is not str:
+        return parse_rational(s, where)
+    x = parsed.get(s)
+    if x is None:
+        x = parsed[s] = parse_rational(s, where)
+    return x
 
 
 def _is_json_int(x) -> bool:
@@ -248,14 +293,21 @@ def _adjacency(n: int, brackets) -> tuple[int, list[dict[int, dict[int, int]]]]:
     share their two rows: rows are read-only, and most of them repeat."""
     L = lcm(*(c.denominator for cell in brackets.values() for c in cell.values()))
     ad: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    _add_rows(ad, L, brackets.items())
+    return L, ad
+
+
+def _add_rows(ad, L: int, cells) -> None:
+    """Enter the cells ``((i, j), {k: Fraction})`` into ad at the scale L,
+    a multiple of every denominator, in both orientations; equal cells
+    share their two rows."""
     memo: dict[tuple, tuple[dict[int, int], dict[int, int]]] = {}
-    for (i, j), cell in brackets.items():
+    for (i, j), cell in cells:
         key = tuple((k, c.numerator, c.denominator) for k, c in cell.items())
         if key not in memo:
             row = {k: c.numerator * (L // c.denominator) for k, c in cell.items()}
             memo[key] = row, {k: -x for k, x in row.items()}
         ad[i][j], ad[j][i] = memo[key]
-    return L, ad
 
 
 def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
@@ -528,9 +580,10 @@ class SymBilinearForm:
             raise ParseError("'matrix' must be a list of rows")
         if len({len(r) for r in rows}) > 1:
             raise ParseError("'matrix' has rows of different lengths")
+        parsed: dict[str, Fraction] = {}
         mat = Mat(
             [
-                [parse_rational(x, f"matrix[{i}][{j}]") for j, x in enumerate(row)]
+                [_parse_once(parsed, x, f"matrix[{i}][{j}]") for j, x in enumerate(row)]
                 for i, row in enumerate(rows)
             ]
         )
@@ -540,7 +593,7 @@ class SymBilinearForm:
             raise ParseError(str(e)) from e
 
     def serialize(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1)
+        return dumps(self.to_json_dict())
 
 
 def deserialize_form(text: str) -> SymBilinearForm:

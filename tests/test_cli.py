@@ -19,7 +19,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glap import cli
+from glap import analysis, cli
+from glap.errors import NotIsotropic
 from glap.gla import deserialize
 
 
@@ -401,6 +402,59 @@ def test_internal_error_exits_3_with_a_json_body(capsys, monkeypatch):
     assert code == 3
     assert json.loads(out) == {"error": "internal error: RuntimeError: boom"}
     assert "Traceback" not in out
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """``main`` keeps one parser: what one call parsed, or failed to parse,
+    does not leak into the next."""
+    builds = []
+    build_parser = cli._build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    hc11 = ("build", "--family", "hc", "--p", "1", "--q", "1")
+    code, out = run(capsys, *hc11, "--summary")
+    assert code == 0 and len(out.strip().splitlines()) == 1
+    code, out = run(capsys, *hc11)
+    assert code == 0 and json.loads(out)["family"] == "hc"
+    prefix = str(tmp_path / "hc11")
+    assert run(capsys, *hc11, "--out", prefix)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prolong", prefix + ".m.json"])  # the form is missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json")
+    assert code == 0 and json.loads(out)["complete"] is True
+    assert len(builds) == 1
+
+
+def test_verify_table_fails_an_uncertified_siii_split(capsys, monkeypatch):
+    """A row whose SIII split fails ``isotropic_split_check`` fails its
+    module_class check, and verify-table exits 1."""
+    monkeypatch.setattr(cli, "DEFAULT_ROWS", (
+        ("hc", {"p": 1, "q": 1}), ("hc-split", {"p": 1, "q": 1}), ("bi", {"l": 2})))
+    check = analysis.isotropic_split_check
+    calls = []
+
+    def fails_once(G, V1, V2):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NotIsotropic("a planted failure")
+        return check(G, V1, V2)
+
+    monkeypatch.setattr(analysis, "isotropic_split_check", fails_once)
+    code, out = run(capsys, "verify-table")
+    doc = json.loads(out)
+    assert code == 1 and doc["failing"] == ["hc-split(p=1,q=1)"]
+    rows = {row["family"]: row for row in doc["rows"]}
+    assert rows["hc-split(p=1,q=1)"]["checks"]["module_class"] is False
+    assert rows["hc-split(p=1,q=1)"]["computed"]["module_class"] == "SIII"
+    assert rows["bi(l=2)"]["checks"]["module_class"] is True
+    assert len(calls) == 2
 
 
 def test_verify_table_without_asserts_gives_the_same_report(capsys):

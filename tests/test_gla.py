@@ -5,7 +5,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from glap import gla
 from glap.cli import DEFAULT_ROWS
 from glap.errors import (
     DegenerateForm,
@@ -24,10 +26,12 @@ from glap.gla import (
     check_gla,
     deserialize,
     deserialize_form,
+    dumps,
     format_rational,
     parse_rational,
     transitivity_check,
 )
+from glap.families import FAMILIES
 from glap.linalg import Mat
 from glap.prolongation import full_prolongation
 
@@ -226,6 +230,79 @@ def test_form_round_trip(get_family):
     again = deserialize_form(g.serialize())
     assert again.to_json_dict() == g.to_json_dict()
     assert again.signature() == g.signature()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**80, 10**80) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_is_json_dumps_with_indent_1(obj):
+    assert dumps(obj) == json.dumps(obj, indent=1)
+
+
+def test_dumps_pins_the_edge_cases():
+    obj = {"": [], "a\u00e9\n\"\\": {}, "k": [[], [{}], [1, "\u2028", -12345678901234567890],
+                                         [True, None, 1.5, "x"], {"": None}]}
+    assert dumps(obj) == json.dumps(obj, indent=1)
+    assert dumps([]) == "[]" and dumps("\u00e9") == '"\\u00e9"' and dumps(-7) == "-7"
+
+
+def test_dumps_writes_the_registry_as_json_does(get_family, get_prolongation):
+    """Every registry instance's m, g and ambient, and the prolongations of
+    the table rows and ladder rungs."""
+    docs = []
+    for tag, spec in FAMILIES.items():
+        for params in spec.instances:
+            fam = get_family(tag, **params)
+            docs += [x.to_json_dict() for x in (fam.m, fam.g, fam.ambient) if x is not None]
+    for tag, params in list(DEFAULT_ROWS) + [("hh", {"p": 1, "q": 3}), ("hc", {"p": 3, "q": 1})]:
+        docs.append(get_prolongation(tag, **params).to_json_dict())
+    for doc in docs:
+        assert dumps(doc) == json.dumps(doc, indent=1), doc["name"]
+
+
+def _doc(*cells):
+    return {"name": "a", "labels": ["x", "y", "z", "w"], "degrees": [-1, -1, -2, -2],
+            "brackets": [list(cell) for cell in cells]}
+
+
+def test_each_document_parses_a_rational_string_once(monkeypatch):
+    calls = []
+    parse = gla.parse_rational
+
+    def counted(s, where=""):
+        calls.append(s)
+        return parse(s, where)
+
+    monkeypatch.setattr(gla, "parse_rational", counted)
+    text = json.dumps(_doc([0, 1, [[2, "2/4"], [3, "1/2"]]], [0, 2, [[3, "1/2"]]],
+                           [1, 2, [[3, 1]]], [1, 3, [[2, "2/4"]]]))
+    A = deserialize(text)
+    assert A.brackets[(0, 1)] == {2: F(1, 2), 3: F(1, 2)}
+    assert A.brackets[(0, 2)] == {3: F(1, 2)} and A.brackets[(1, 3)] == {2: F(1, 2)}
+    assert calls == ["2/4", "1/2", 1]
+    # a second document does not see the strings of the first
+    deserialize(text)
+    assert calls == ["2/4", "1/2", 1] * 2
+    calls.clear()
+    g = deserialize_form(json.dumps(
+        {"algebra": "a", "degree_minus1_indices": [0, 1], "matrix": [["1/2", "0"], ["0", "1/2"]]}))
+    assert g.matrix == Mat.diag([F(1, 2), F(1, 2)]) and calls == ["1/2", "0"]
+
+
+def test_a_repeated_bad_rational_is_reported_at_its_first_position():
+    text = json.dumps(_doc([0, 1, [[2, "1"]]], [0, 2, [[3, "1"], [2, "x/2"]]],
+                           [1, 2, [[3, "x/2"]]]))
+    with pytest.raises(ParseError, match=r"brackets\[1\] term 1"):
+        deserialize(text)
+    with pytest.raises(ParseError, match=r"matrix\[0\]\[1\]"):
+        deserialize_form(json.dumps(
+            {"algebra": "a", "degree_minus1_indices": [0, 1], "matrix": [["1", "1e9"], ["1e9", "1"]]}))
 
 
 def test_form_scaling():
