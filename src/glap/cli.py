@@ -350,9 +350,6 @@ def cmd_verify_table(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The command line parser.  Each subcommand looks its ``cmd_*``
-    function up when it runs, not when the parser is built, since ``main``
-    keeps one parser for the whole process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--summary", action="store_true", help="one-line text output instead of JSON"
@@ -368,18 +365,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in PARAMS:
         b.add_argument(f"--{name}", type=int)
     b.add_argument("--out", help="path prefix for .m.json/.g.json/.ambient.json")
-    b.set_defaults(func=lambda args: cmd_build(args))
+    b.set_defaults(func=cmd_build)
 
     c = sub.add_parser("check", parents=[common], help="verify a graded algebra file")
     c.add_argument("path")
-    c.set_defaults(func=lambda args: cmd_check(args))
+    c.set_defaults(func=cmd_check)
 
     d = sub.add_parser(
         "derivations", parents=[common], help="conformal derivation algebra of (m, g)"
     )
     d.add_argument("m")
     d.add_argument("g")
-    d.set_defaults(func=lambda args: cmd_derivations(args))
+    d.set_defaults(func=cmd_derivations)
 
     p = sub.add_parser("prolong", parents=[common], help="full Tanaka prolongation")
     p.add_argument("m")
@@ -392,14 +389,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stop after this degree, leaving the result uncertified "
         "(default: no cap; GLAP_STEP_LIMIT, default 64, bounds the steps)",
     )
-    p.set_defaults(func=lambda args: cmd_prolong(args))
+    p.set_defaults(func=cmd_prolong)
 
     a = sub.add_parser(
         "analyze", parents=[common],
         help="structure report (trusts the Jacobi identity: certify it with check)",
     )
     a.add_argument("path", help="prolongation JSON file")
-    a.set_defaults(func=lambda args: cmd_analyze(args))
+    a.set_defaults(func=cmd_analyze)
 
     o = sub.add_parser("oracle", parents=[common], help="root-system oracle")
     o.add_argument("--family", choices=[s.oracle for s in FAMILIES.values() if s.oracle])
@@ -408,23 +405,18 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--series", choices=("A", "B", "C", "D", "F", "G"))
     o.add_argument("--rank", type=int)
     o.add_argument("--crossed", help="comma-separated node numbers, e.g. 1,3")
-    o.set_defaults(func=lambda args: cmd_oracle(args))
+    o.set_defaults(func=cmd_oracle)
 
     v = sub.add_parser(
         "verify-table", parents=[common], help="verify the classification end to end"
     )
-    v.set_defaults(func=lambda args: cmd_verify_table(args))
+    v.set_defaults(func=cmd_verify_table)
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
-    args = _parser.parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except StepLimitExceeded as e:

@@ -293,21 +293,14 @@ def _adjacency(n: int, brackets) -> tuple[int, list[dict[int, dict[int, int]]]]:
     share their two rows: rows are read-only, and most of them repeat."""
     L = lcm(*(c.denominator for cell in brackets.values() for c in cell.values()))
     ad: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-    _add_rows(ad, L, brackets.items())
-    return L, ad
-
-
-def _add_rows(ad, L: int, cells) -> None:
-    """Enter the cells ``((i, j), {k: Fraction})`` into ad at the scale L,
-    a multiple of every denominator, in both orientations; equal cells
-    share their two rows."""
     memo: dict[tuple, tuple[dict[int, int], dict[int, int]]] = {}
-    for (i, j), cell in cells:
+    for (i, j), cell in brackets.items():
         key = tuple((k, c.numerator, c.denominator) for k, c in cell.items())
         if key not in memo:
             row = {k: c.numerator * (L // c.denominator) for k, c in cell.items()}
             memo[key] = row, {k: -x for k, x in row.items()}
         ad[i][j], ad[j][i] = memo[key]
+    return L, ad
 
 
 def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:

@@ -34,13 +34,11 @@ certified afterwards by the Jacobi sweep of ``gla.check_gla``, cut down
 by its transitivity theorem where that holds, so a bug in the incremental
 bookkeeping cannot survive to the output.
 
-The hot loops run in Python ints on the scaled adjacency
-(``gla._scaled_adjacency``: every structure constant times L, the lcm of
-their denominators), built once for m.  ``_extend`` extends it rather
-than rebuilding it: it adds rows for the new brackets only, rescales the
-old rows once in ints when the new brackets raise L, and hands it on to
-the algebra it returns.  Fractions appear only where a result leaves the
-solver.  This is exact at every degree, 0 included.  A
+The hot loops run in Python ints on the scaled adjacency of each algebra,
+built once per algebra (``gla._scaled_adjacency``: every structure
+constant times L, the lcm of their denominators); ``_extend`` hands the
+one it built on to the algebra it returns.  Fractions appear only where a
+result leaves the solver.  This is exact at every degree, 0 included.  A
 derivation row is a sum of signed constants, so it is L times the
 rational row and, being homogeneous, has the same kernel; a conformal row
 is scaled to integers where it is built.  The layer's basis is kept as
@@ -63,13 +61,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from .errors import GlapError, NotFundamental, ParseError, StepLimitExceeded
 from .gla import (
     GradedAlgebra,
     SymBilinearForm,
-    _add_rows,
+    _adjacency,
     _is_json_int,
     _load_json,
     _scaled_adjacency,
@@ -285,14 +282,9 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     [u, x] = u(x), and every bracket between nonnegative layers summing to
     the layer's degree, forced by ([w, v])(z) = [w, [v, z]] - [v, [w, z]]
     for z in m and certified by exact re-expression in the layer's basis.
-
-    A's adjacency is taken from A and extended in place: rows for the new
-    cells only (equal cells share them, as in ``gla._adjacency``), after
-    rescaling each old row once, in ints, when the action brackets raise
-    L.  It goes with the result, forced brackets included, unless those
-    raise L again (then the result builds its own).
+    A's adjacency is released, and the one built here goes with the result,
+    forced brackets included, unless those change L (then it builds its own).
     """
-    L0, ad = _scaled_adjacency(A)
     A._adj = None
     shift, layout, space = layer.shift, layer.layout, layer.space
     by_deg = A.by_degree()
@@ -302,31 +294,18 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     labels = list(A.labels) + [f"{prefix}{shift}_{i}" for i in range(t)]
     degrees = list(A.degrees) + [shift] * t
     brackets = dict(A.brackets)
-    actions = []
     for i, vec in enumerate(space.vectors):
         for p, blk in layout.columns(vec).items():
             src, tgt = by_deg[p], by_deg[p + shift]
             for c_loc, col in blk.items():
                 # [x, u] = -u(x)
-                cell = brackets[(src[c_loc], n + i)] = {tgt[r]: -v for r, v in col.items()}
-                actions.append(((src[c_loc], n + i), cell))
-    L = lcm(L0, *(c.denominator for _, cell in actions for c in cell.values()))
-    if L != L0:
-        scale = L // L0
-        scaled: dict[int, dict[int, int]] = {}  # id of an old row -> the row times scale
-        for adi in ad:
-            for j, row in adi.items():
-                new = scaled.get(id(row))
-                if new is None:
-                    new = scaled[id(row)] = {k: x * scale for k, x in row.items()}
-                adi[j] = new
-    ad.extend({} for _ in range(t))
-    _add_rows(ad, L, actions)
+                brackets[(src[c_loc], n + i)] = {tgt[r]: -v for r, v in col.items()}
 
     # Each term of a forced bracket is a product of two constants of the
     # scaled adjacency of A with its action brackets, so the integer map is
     # exactly L**2 times the rational one; its coordinates are certified as
     # integers (at degree 0 with eta = 0) and divided by L**2 afterwards.
+    L, ad = _adjacency(n + t, brackets)
     L2 = L * L
     keep = True
     by_deg2 = {**by_deg, shift: list(range(n, n + t))}

@@ -404,34 +404,6 @@ def test_internal_error_exits_3_with_a_json_body(capsys, monkeypatch):
     assert "Traceback" not in out
 
 
-def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
-    """``main`` keeps one parser: what one call parsed, or failed to parse,
-    does not leak into the next."""
-    builds = []
-    build_parser = cli._build_parser
-
-    def counted():
-        builds.append(1)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "_build_parser", counted)
-    monkeypatch.setattr(cli, "_parser", None)
-    hc11 = ("build", "--family", "hc", "--p", "1", "--q", "1")
-    code, out = run(capsys, *hc11, "--summary")
-    assert code == 0 and len(out.strip().splitlines()) == 1
-    code, out = run(capsys, *hc11)
-    assert code == 0 and json.loads(out)["family"] == "hc"
-    prefix = str(tmp_path / "hc11")
-    assert run(capsys, *hc11, "--out", prefix)[0] == 0
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["prolong", prefix + ".m.json"])  # the form is missing
-    assert exc.value.code == 2
-    capsys.readouterr()
-    code, out = run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json")
-    assert code == 0 and json.loads(out)["complete"] is True
-    assert len(builds) == 1
-
-
 def test_verify_table_fails_an_uncertified_siii_split(capsys, monkeypatch):
     """A row whose SIII split fails ``isotropic_split_check`` fails its
     module_class check, and verify-table exits 1."""
