@@ -386,8 +386,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=None,
-        help="stop after this degree, leaving the result uncertified "
-        "(default: no cap; GLAP_STEP_LIMIT, default 64, bounds the steps)",
+        help="stop after this degree; the result is certified only on the "
+        "Jacobi triples its brackets fix, those with a degree -1 element and "
+        "total degree below the cut (default: no cap; GLAP_STEP_LIMIT, "
+        "default 64, bounds the steps)",
     )
     p.set_defaults(func=cmd_prolong)
 

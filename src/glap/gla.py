@@ -21,7 +21,8 @@ pair brackets of its triple, so a triple whose three pair brackets vanish
 is zero without being evaluated.  On a graded, transitive algebra the
 triples that hold a degree -1 element or have negative total degree
 already decide every other (``check_gla``), so only those are swept
-unless one of them fails.
+unless one of them fails.  A prolongation cut at some degree is swept on
+the triples of that set whose brackets the cut kept (``check_truncated``).
 
 The JSON layout round-trips losslessly because rationals are serialized as
 "p/q" strings (just "p" when q = 1).  Every file glap writes goes through
@@ -107,8 +108,11 @@ def parse_rational(s: str | int, where: str = "") -> Fraction:
 
 class GradedAlgebra:
     """A graded algebra.  Its scaled adjacency (``_scaled_adjacency``) is
-    built on first use and kept until ``prolongation._extend`` extends it;
-    the brackets are read-only once any certificate has read them."""
+    built on first use and kept.  ``prolongation._extend`` releases A's
+    and hands the one it builds to the extension, and ``full_prolongation``
+    drops that before its certificates, which so read the brackets that
+    are returned.  The brackets are read-only once built: an extension
+    shares A's cells, checked once, when A was built."""
 
     def __init__(self, name, labels, degrees, brackets):
         """brackets: {(i, j): {k: Fraction}} with i < j; zero coefficients
@@ -372,11 +376,13 @@ def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
     }
 
 
-def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False):
+def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | None = None):
     """Yield (i, j, k, acc) for each triple i < j < k with a nonzero
     residual, in lexicographic order; acc maps t to L**2 times the t-th
     coefficient (zeros kept).  ``reduced`` (for a graded A) visits only the
-    triples of ``check_gla``'s theorem whose total degree is a degree of A."""
+    triples of ``check_gla``'s theorem whose total degree is a degree of A;
+    with ``top`` as well, only those that hold a degree -1 element and have
+    total degree at most ``top``."""
     n = A.n
     degs = A.degrees
     present = A.by_degree()
@@ -390,7 +396,9 @@ def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False):
                 key = degs[i], degs[j]
                 if key not in thirds:
                     s = key[0] + key[1]
-                    ok = {d for d in present if s + d in present and (s + d < 0 or -1 in (d, *key))}
+                    ok = {d for d in present if s + d in present and (
+                        s + d < 0 or -1 in (d, *key) if top is None
+                        else -1 in (d, *key) and s + d <= top)}
                     thirds[key] = ok, [k for k in range(n) if degs[k] in ok]
                 ok, allowed = thirds[key]
                 if bij:
@@ -426,6 +434,21 @@ def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False):
                                 acc[t] = get(t, 0) + c * d
                 if any(acc.values()):
                     yield i, j, k, acc
+
+
+def check_truncated(A: GradedAlgebra, top: int) -> int:
+    """The number of grading violations plus the number of basis triples
+    that hold a degree -1 element, have total degree at most ``top`` and a
+    nonzero Jacobi residual.
+
+    For a prolongation cut at degree K, with top = K - 1, these are
+    triples (z, x, y) with z in g_{-1} and deg x + deg y <= K, so each of
+    their pair brackets has degree at most K and is present.  A triple
+    with a pair of degree above K reads a bracket that the cut dropped,
+    so the full sweep of ``check_gla`` can find residuals there."""
+    count = sum(1 for _ in _misgraded(A))
+    ad = _scaled_adjacency(A)[1]
+    return count + sum(1 for _ in _jacobi_residuals(A, ad, reduced=True, top=top))
 
 
 def _misgraded(A: GradedAlgebra):

@@ -25,14 +25,30 @@ by derivations:
 
     ([w, v])(z) = [w, [v, z]] - [v, [w, z]]      for z in m.
 
-Between two degree 0 elements this is their commutator as maps of m.  Each
-forced bracket is re-expressed in its layer's canonical basis by one shared
-helper, ``linalg.Subspace.coords``, which rebuilds the bracket from its
-coordinates and raises GlapError unless the two agree exactly; at degree 0
-the rebuilt eta entry must be 0 as well.  Every assembled algebra is
-certified afterwards by the Jacobi sweep of ``gla.check_gla``, cut down
-by its transitivity theorem where that holds, so a bug in the incremental
-bookkeeping cannot survive to the output.
+Between two degree 0 elements this is their commutator as maps of m.  A
+forced bracket is read at the free columns of its layer only.  The
+canonical basis vector v_t is 1 at free column t and 0 at the others, so
+the entries of a member of the layer there are its coordinates c_t.  And
+every free column lies in the g_{-1} block, or is the eta column at
+degree 0: the blocks are laid out by source degree with g_{-1} last and
+eta after it, a free column is the last nonzero entry of some member, and
+a derivation of the fundamental m that kills g_{-1} is 0.  So [w, v] is
+evaluated only at the z in g_{-1} that own a free column; its eta
+coordinate is 0, and at degree 0 its eta, sum_t c_t eta(v_t), must be 0.
+A free column anywhere else raises GlapError.
+
+Nothing in a step checks that the forced map is the member of the layer
+so read.  The certificates of ``full_prolongation`` decide it, on an
+adjacency rebuilt from the brackets that are returned.  The Jacobi
+residual J(z, w, v) with z in g_{-1} is 0 exactly when [w, v] acts on z as
+the forced map.  A complete run passes ``gla.check_gla``, whose reduced
+sweep holds every such triple and, by its transitivity theorem, decides
+all the others; with the whole identity, ad is a homomorphism, so each
+written bracket acts on m as the forced map.  A run cut at degree K
+passes ``gla.check_truncated`` below K, every triple with an element of
+g_{-1} whose other two degrees add up to at most K: each forced bracket
+then acts on g_{-1} as it should, and through the triples (z, u, y) on
+every bracket of g_{-1} elements, so on all of m, which g_{-1} generates.
 
 The hot loops run in Python ints on the scaled adjacency of each algebra,
 built once per algebra (``gla._scaled_adjacency``: every structure
@@ -43,10 +59,9 @@ derivation row is a sum of signed constants, so it is L times the
 rational row and, being homogeneous, has the same kernel; a conformal row
 is scaled to integers where it is built.  The layer's basis is kept as
 integer vectors over one denominator D (``linalg.Subspace``).  A forced
-bracket is a sum of products of two constants, so its integer map is
-L**2 times the rational one; ``Subspace.coords`` certifies it against D
-times the map in ints, and each coordinate is then divided by L**2 as a
-Fraction.
+bracket is a sum of products of two constants, so its entries, and with
+them its coordinates, are L**2 times the rational ones; each coordinate is
+divided by L**2 as a Fraction.
 
 The recursion stops at the first empty layer; for the inputs this package
 builds that always happens (the negative part is fundamental and the
@@ -72,6 +87,7 @@ from .gla import (
     _scaled_adjacency,
     check_fundamental,
     check_gla,
+    check_truncated,
     dumps,
     require_graded,
     transitivity_check,
@@ -281,7 +297,10 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     """A extended by the basis of ``layer``: the action brackets
     [u, x] = u(x), and every bracket between nonnegative layers summing to
     the layer's degree, forced by ([w, v])(z) = [w, [v, z]] - [v, [w, z]]
-    for z in m and certified by exact re-expression in the layer's basis.
+    and read at the layer's free columns only (module docstring), with eta
+    0 at degree 0.  That the forced map is the member of the layer so read
+    is left to the certificates of ``full_prolongation``.  Only the new
+    cells are checked as cells of an algebra: A's were when A was built.
     A's adjacency is released, and the one built here goes with the result,
     forced brackets included, unless those change L (then it builds its own).
     """
@@ -293,30 +312,24 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     prefix = "d" if shift == 0 else "p"
     labels = list(A.labels) + [f"{prefix}{shift}_{i}" for i in range(t)]
     degrees = list(A.degrees) + [shift] * t
-    brackets = dict(A.brackets)
+    cells: dict[tuple[int, int], dict[int, Fraction]] = {}  # the new brackets
     for i, vec in enumerate(space.vectors):
         for p, blk in layout.columns(vec).items():
             src, tgt = by_deg[p], by_deg[p + shift]
             for c_loc, col in blk.items():
                 # [x, u] = -u(x)
-                brackets[(src[c_loc], n + i)] = {tgt[r]: -v for r, v in col.items()}
+                cells[(src[c_loc], n + i)] = {tgt[r]: -v for r, v in col.items()}
+    reads = _free_reads(layer, by_deg)
+    eta = layout.total
+    etas = {s: x for s, u in enumerate(space.basis) if (x := u.get(eta))}
 
     # Each term of a forced bracket is a product of two constants of the
-    # scaled adjacency of A with its action brackets, so the integer map is
-    # exactly L**2 times the rational one; its coordinates are certified as
-    # integers (at degree 0 with eta = 0) and divided by L**2 afterwards.
-    L, ad = _adjacency(n + t, brackets)
+    # scaled adjacency of A with its action brackets, so its entries are
+    # exactly L**2 times the rational ones, and so are its coordinates.
+    L, ad = _adjacency(n + t, {**A.brackets, **cells})
     L2 = L * L
     keep = True
     by_deg2 = {**by_deg, shift: list(range(n, n + t))}
-    # per source degree p with a block: target positions, and (flat offset
-    # of column z, z).  A forced map must vanish on a degree without a
-    # block; the final Jacobi certificate (gla.check_gla) shows that it does.
-    blocks = []
-    for p, (off, rows_p, _) in layout.blocks.items():
-        tpos = {g: r for r, g in enumerate(by_deg[p + shift])}
-        zs = [(off + c_loc * rows_p, z) for c_loc, z in enumerate(by_deg[p])]
-        blocks.append((tpos, zs))
     for a in range(0, shift // 2 + 1):
         b = shift - a
         for w in by_deg2.get(a, []):
@@ -325,37 +338,63 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
                 if a == b and w >= v:
                     continue
                 adv = ad[v]
-                flat: dict[int, int] = {}
-                for tpos, zs in blocks:
-                    for base, z in zs:
-                        acc: dict[int, int] = {}
-                        cell = adv.get(z)
-                        if cell:
-                            for mgl, c in cell.items():
-                                row = adw.get(mgl)
-                                if row:
-                                    for tg, d in row.items():
-                                        acc[tg] = acc.get(tg, 0) + c * d
-                        cell = adw.get(z)
-                        if cell:
-                            for mgl, c in cell.items():
-                                row = adv.get(mgl)
-                                if row:
-                                    for tg, d in row.items():
-                                        acc[tg] = acc.get(tg, 0) - c * d
-                        for tg, val in acc.items():
-                            if val:
-                                flat[base + tpos[tg]] = val
-                coords = space.coords(flat, f"forced bracket of degrees ({a},{b})")
-                if coords:
-                    brackets[(w, v)] = {n + i: Fraction(c, L2) for i, c in coords.items()}
-                    keep = keep and all(c % L == 0 for c in coords.values())
-                    if keep:  # no later pair reads a bracket of degree ``shift``
-                        adw[v] = {n + i: c // L for i, c in coords.items()}
-                        adv[w] = {k: -x for k, x in adw[v].items()}
-    B = GradedAlgebra(name, labels, degrees, brackets)
+                coords: dict[int, int] = {}
+                for z, targets in reads.items():
+                    acc: dict[int, int] = {}
+                    cell = adv.get(z)
+                    if cell:
+                        for mgl, c in cell.items():
+                            row = adw.get(mgl)
+                            if row:
+                                for tg, d in row.items():
+                                    acc[tg] = acc.get(tg, 0) + c * d
+                    cell = adw.get(z)
+                    if cell:
+                        for mgl, c in cell.items():
+                            row = adv.get(mgl)
+                            if row:
+                                for tg, d in row.items():
+                                    acc[tg] = acc.get(tg, 0) - c * d
+                    for tg, s in targets:
+                        if x := acc.get(tg):
+                            coords[s] = x
+                if not coords:
+                    continue
+                if etas and sum(c * etas.get(s, 0) for s, c in coords.items()):
+                    raise GlapError(
+                        f"forced bracket of degrees ({a},{b}) has a nonzero eta in {space.name}"
+                    )
+                cells[(w, v)] = {n + i: Fraction(c, L2) for i, c in coords.items()}
+                keep = keep and all(c % L == 0 for c in coords.values())
+                if keep:  # no later pair reads a bracket of degree ``shift``
+                    adw[v] = {n + i: c // L for i, c in coords.items()}
+                    adv[w] = {k: -x for k, x in adw[v].items()}
+    B = GradedAlgebra(name, labels, degrees, cells)  # checks the new cells
+    B.brackets = {**A.brackets, **B.brackets}
     B._adj = (L, ad) if keep else None
     return B
+
+
+def _free_reads(layer: Layer, by_deg: dict[int, list[int]]) -> dict[int, list[tuple[int, int]]]:
+    """Where the forced brackets of ``layer`` are read: z in g_{-1}, in
+    order, to (target basis index, t) for each free column t of the layer
+    at source z; the free eta column is left out.  Raises
+    GlapError when a free column lies elsewhere, which a fundamental
+    negative part rules out."""
+    layout, space = layer.layout, layer.space
+    off, rows, cols = layout.blocks.get(-1, (0, 0, 0))
+    reads: dict[int, list[tuple[int, int]]] = {}
+    for s, f in enumerate(space.free):
+        if f == layout.total:
+            continue
+        if not off <= f < off + rows * cols:
+            raise GlapError(
+                f"free column {f} of {space.name} lies outside the degree -1 block: "
+                f"the negative part is not fundamental"
+            )
+        c_loc, r = divmod(f - off, rows)
+        reads.setdefault(by_deg[-1][c_loc], []).append((by_deg[layer.shift - 1][r], s))
+    return reads
 
 
 def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> Layer:
@@ -488,11 +527,13 @@ def full_prolongation(
 ) -> ProlongationResult:
     """Iterate prolongation steps until a layer is empty.
 
-    A natural stop certifies the result (the grading and Jacobi check of
-    ``gla.check_gla``, whose sweep transitivity cuts down to the triples
-    that decide the rest; transitivity; untouched negative part); stopping
-    at max_degree instead yields a partial, uncertified algebra with
-    complete=False.
+    The certificates read an adjacency rebuilt from the brackets that are
+    returned.  A natural stop certifies the result (the grading and Jacobi
+    check of ``gla.check_gla``, whose sweep transitivity cuts down to the
+    triples that decide the rest; transitivity; untouched negative part).
+    Stopping at max_degree instead yields a partial algebra with
+    complete=False, certified on the triples of ``gla.check_truncated``
+    below the cut: every forced bracket, on g_{-1}.
     """
     A = assemble_degree0(m, conformal_g0(m, g))
     mu = -min(m.degrees)
@@ -515,18 +556,18 @@ def full_prolongation(
             complete = True
             break
         k += 1
-    if complete:
-        if not _same_negative(A, m):
-            raise GlapError("prolongation modified the negative part")
-        rep = check_gla(A)
-        if not (rep["grading_ok"] and rep["jacobi_ok"]):
-            raise GlapError(
-                f"assembled prolongation failed certification: "
-                f"{rep['violation_count']} violations"
-            )
-        if not transitivity_check(A):
-            raise GlapError("assembled prolongation is not transitive")
     nu = max(A.degrees)
+    A._adj = None  # certify the brackets as written, not the rows _extend entered
+    if not _same_negative(A, m):
+        raise GlapError("prolongation modified the negative part")
+    if complete:
+        count = check_gla(A)["violation_count"]
+    else:
+        count = check_truncated(A, nu - 1)
+    if count:
+        raise GlapError(f"assembled prolongation failed certification: {count} violations")
+    if complete and not transitivity_check(A):
+        raise GlapError("assembled prolongation is not transitive")
     return ProlongationResult(A, g, step_dims, mu, nu, complete)
 
 

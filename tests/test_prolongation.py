@@ -12,7 +12,14 @@ from glap.analysis import analyze
 from glap.cli import DEFAULT_ROWS
 from glap.errors import GlapError, NotFundamental, StepLimitExceeded
 from glap.families import build, label
-from glap.gla import GradedAlgebra, SymBilinearForm, _adjacency, _scaled_adjacency, check_gla
+from glap.gla import (
+    GradedAlgebra,
+    SymBilinearForm,
+    _adjacency,
+    _scaled_adjacency,
+    check_gla,
+    check_truncated,
+)
 from glap.linalg import Echelon, Mat, Subspace, int_row, sparse_rank
 from glap.prolongation import (
     Layer,
@@ -441,6 +448,22 @@ _REBASED = [(tag, params) for tag, params in DEFAULT_ROWS if tag[0] == "h" and p
     ("bi", {"l": 3}), ("bi", {"l": 4}), ("g2", {}), ("counterexample", {})]
 
 
+def _engine_inputs():
+    """(m, g) of the 14 rows, both ladder rungs and the rebased inputs at
+    seeds 0 and 7."""
+    rebase = _bench_rebase()
+    inputs = [(fam.m, fam.g) for fam in (
+        build(tag, **params)
+        for tag, params in list(DEFAULT_ROWS) + [("hh", {"p": 1, "q": 3}), ("hc", {"p": 3, "q": 1})]
+    )]
+    for seed in (0, 7):
+        for tag, params in _REBASED:
+            fam = build(tag, **params)
+            rng = rebase.instance_rng(seed, label(tag, params))
+            inputs.append(rebase.rebase(fam.m, fam.g, rng))
+    return inputs
+
+
 def test_extend_hands_on_the_adjacency_it_extended(monkeypatch):
     """Every algebra ``_extend`` returns on the 14 rows, both ladder rungs
     and the rebased inputs at seeds 0 and 7 carries the adjacency of its
@@ -456,19 +479,143 @@ def test_extend_hands_on_the_adjacency_it_extended(monkeypatch):
         return B
 
     monkeypatch.setattr(prolongation, "_extend", checked)
-    rebase = _bench_rebase()
-    inputs = [(fam.m, fam.g) for fam in (
-        build(tag, **params)
-        for tag, params in list(DEFAULT_ROWS) + [("hh", {"p": 1, "q": 3}), ("hc", {"p": 3, "q": 1})]
-    )]
-    for seed in (0, 7):
-        for tag, params in _REBASED:
-            fam = build(tag, **params)
-            rng = rebase.instance_rng(seed, label(tag, params))
-            inputs.append(rebase.rebase(fam.m, fam.g, rng))
-    for m, g in inputs:
+    for m, g in _engine_inputs():
         full_prolongation(m, g)
     assert len(seen) == 132 and all(seen)
+
+
+def test_every_free_column_lies_in_the_degree_minus_1_block(monkeypatch):
+    """The fact the forced brackets rest on: on the 14 rows, both ladder
+    rungs and the rebased inputs at seeds 0 and 7, every free column of
+    every layer lies in the g_{-1} block, or is the eta column at degree 0,
+    so a member of a layer is read off its action on g_{-1}."""
+    extend = prolongation._extend
+    seen = []
+
+    def checked(A, layer, name):
+        layout = layer.layout
+        off, rows, cols = layout.blocks[-1]
+        allowed = set(range(off, off + rows * cols))
+        if layer.shift == 0:
+            allowed.add(layout.total)
+        assert set(layer.space.free) <= allowed, (name, layer.shift)
+        seen.append(len(layer))
+        return extend(A, layer, name)
+
+    monkeypatch.setattr(prolongation, "_extend", checked)
+    for m, g in _engine_inputs():
+        full_prolongation(m, g)
+    assert len(seen) == 132 and all(seen)
+
+
+def test_extend_rejects_a_free_column_outside_the_degree_minus_1_block():
+    """y in degree -2 is no bracket of degree -1 elements, so the
+    derivation that scales y alone has its free column in the degree -2
+    block, where no forced bracket is read."""
+    A = GradedAlgebra("x + y", ["x", "y"], [-1, -2], {})
+    with pytest.raises(GlapError, match="free column 0 of the degree 0 layer"):
+        prolong_step(A, -1)
+
+
+def _forced_keys(A, degree):
+    """The bracket keys (w, v) of A with w and v of degrees >= 0 summing
+    to ``degree``."""
+    degs = A.degrees
+    return [(w, v) for w, v in A.brackets
+            if degs[w] >= 0 and degs[v] >= 0 and degs[w] + degs[v] == degree]
+
+
+def test_the_final_certificate_reads_the_written_brackets(monkeypatch):
+    """A bracket of the result doubled after the last (empty) step, with
+    the adjacency of the last extension left as it was, fails the final
+    certificate: it reads the brackets that are returned."""
+    step = prolongation.prolong_step
+
+    def doubled(A, k):
+        B = step(A, k)
+        if B is A:
+            key = max(_forced_keys(B, k))
+            B.brackets[key] = {t: 2 * c for t, c in B.brackets[key].items()}
+        return B
+
+    monkeypatch.setattr(prolongation, "prolong_step", doubled)
+    fam = build("hh", p=1, q=2)
+    with pytest.raises(GlapError, match="failed certification"):
+        full_prolongation(fam.m, fam.g)
+
+
+def _prolong_with_a_wrong_forced_coordinate(max_degree=None):
+    """full_prolongation of hh(1,2) after ``_extend`` has written the last
+    forced bracket of degree 1 with one coordinate off by one; every later
+    step reads that bracket, since its adjacency is rebuilt from it."""
+    extend = prolongation._extend
+
+    def wrong(A, layer, name):
+        B = extend(A, layer, name)
+        if layer.shift == 1:
+            key = max(_forced_keys(B, 1))
+            cell = dict(B.brackets[key])
+            cell[min(cell)] += 1
+            B.brackets[key] = cell
+            B._adj = None
+        return B
+
+    fam = build("hh", p=1, q=2)
+    prolongation._extend = wrong
+    try:
+        return full_prolongation(fam.m, fam.g, max_degree)
+    finally:
+        prolongation._extend = extend
+
+
+@pytest.mark.parametrize("max_degree", [None, 1, 2], ids=["complete", "cut-1", "cut-2"])
+def test_a_wrong_forced_coordinate_is_rejected(max_degree):
+    with pytest.raises(GlapError, match="failed certification"):
+        _prolong_with_a_wrong_forced_coordinate(max_degree)
+
+
+def test_a_wrong_forced_coordinate_is_rejected_without_asserts():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are still on')\n"
+        "from glap.errors import GlapError\n"
+        "from test_prolongation import _prolong_with_a_wrong_forced_coordinate\n"
+        "try:\n"
+        "    _prolong_with_a_wrong_forced_coordinate()\n"
+        "except GlapError as e:\n"
+        "    sys.exit(0 if 'failed certification' in str(e) else str(e))\n"
+        "sys.exit('wrong forced coordinate was accepted')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("hc", {"p": 1, "q": 1}), ("hh", {"p": 1, "q": 2}), ("bi", {"l": 3}), ("g2", {}), ("ho", {})])
+def test_truncated_runs_pass_their_sweep(get_family, get_prolongation, tag, params):
+    """A run cut at every degree K up to nu passes the sweep of
+    ``check_truncated`` below K, and is the complete run cut there; the
+    whole truncated algebra does have Jacobi residuals (above the cut)."""
+    fam = get_family(tag, **params)
+    full = get_prolongation(tag, **params)
+    for K in range(full.nu + 1):
+        cut = full_prolongation(fam.m, fam.g, max_degree=K)
+        assert not cut.complete and cut.nu == K
+        A = cut.algebra
+        assert check_truncated(A, K - 1) == 0
+        keep = {i for i, d in enumerate(full.algebra.degrees) if d <= K}
+        assert A.brackets == {key: cell for key, cell in full.algebra.brackets.items()
+                              if set(key) <= keep and set(cell) <= keep}
+    cut = full_prolongation(fam.m, fam.g, max_degree=1)
+    if (tag, params) == ("hh", {"p": 1, "q": 2}):
+        assert check_gla(cut.algebra)["violation_count"] == 132
 
 
 def test_extend_leaves_the_adjacency_to_be_built_when_L_grows():
@@ -498,8 +645,9 @@ def test_extend_leaves_the_adjacency_to_be_built_when_L_grows():
 @pytest.mark.parametrize("case", ["hh12", "hh11-rebased"])
 def test_one_adjacency_build_per_algebra(monkeypatch, get_rebased, case):
     """Through build, full_prolongation and analyze the scaled adjacency is
-    built once for m and once by each extension, which hands it on: every
-    other certificate and invariant reads one of those copies."""
+    built once for m, once by each extension, which hands it on, and once
+    from the brackets of the result for its certificates: every other
+    certificate and invariant reads one of those copies."""
     calls = []
     adjacency = gla._adjacency
 
@@ -519,4 +667,4 @@ def test_one_adjacency_build_per_algebra(monkeypatch, get_rebased, case):
     analyze(prol)
     dims = prol.dims_by_degree()
     assert calls == [m.n] + [sum(v for d, v in dims.items() if d <= k)
-                             for k in sorted(dims) if k >= 0]
+                             for k in sorted(dims) if k >= 0] + [prol.total_dim()]
