@@ -69,7 +69,13 @@ def killing_form(A: GradedAlgebra) -> tuple[int, dict[int, list[dict[int, int]]]
     ``blocks[d]`` holds B_0 (d = 0) or C_d as sparse integer rows, row i
     over the basis of g_d, column j over that of g_{-d}.  The sums run over
     the scaled adjacency: each term is a product of two constants, so each
-    integer entry is exactly L**2 times the rational one."""
+    integer entry is exactly L**2 times the rational one.
+
+    With [e_c, e_a] = sum_b x e_b, B(e_i, e_c) = sum x y over the entries
+    y of ad e_i at the transposed position, [e_i, e_b] = y e_a + ...  So
+    each block indexes the entries of ad e_c, c over the column basis, by
+    (b, a), and walks each ad e_i once: the work is the number of entry
+    pairs that meet, not pairs times entries."""
     require_graded(A)
     L, ads = _scaled_adjacency(A)
     by_deg = A.by_degree()
@@ -77,23 +83,22 @@ def killing_form(A: GradedAlgebra) -> tuple[int, dict[int, list[dict[int, int]]]
     for d, ix in by_deg.items():
         if d < 0:
             continue
-        cols = by_deg.get(-d, [])
-        rows = [{} for _ in ix]
-        for r, i in enumerate(ix):
-            adi = ads[i]
-            for c in range(r if d == 0 else 0, len(cols)):
-                total = 0
-                for a, cell in ads[cols[c]].items():
-                    for b, x in cell.items():
-                        back = adi.get(b)
-                        if back:
-                            y = back.get(a)
-                            if y:
-                                total += x * y
-                if total:
-                    rows[r][c] = total
-                    if d == 0:  # B_0 is symmetric
-                        rows[c][r] = total
+        back: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        for c, col in enumerate(by_deg.get(-d, [])):
+            for a, cell in ads[col].items():
+                for b, x in cell.items():
+                    back.setdefault(b, {}).setdefault(a, []).append((c, x))
+        rows = []
+        for i in ix:
+            row: dict[int, int] = {}
+            get = row.get
+            for b, cell in ads[i].items():
+                at = back.get(b)
+                if at:
+                    for a, y in cell.items():
+                        for c, x in at.get(a, ()):
+                            row[c] = get(c, 0) + x * y
+            rows.append({c: v for c, v in row.items() if v})
         blocks[d] = rows
     return L * L, blocks
 

@@ -17,6 +17,8 @@ from .analysis import SPLIT_NOT_CERTIFIED, analyze
 from .errors import BadParameters, GlapError, StepLimitExceeded
 from .families import FAMILIES, build, label
 from .gla import (
+    GradedAlgebra,
+    _load_json,
     check_fundamental,
     check_gla,
     deserialize,
@@ -24,6 +26,7 @@ from .gla import (
     format_rational,
 )
 from .prolongation import (
+    ProlongationResult,
     conformal_g0,
     deserialize_prolongation,
     full_prolongation,
@@ -101,8 +104,16 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    A = deserialize(_read(args.path))
-    res = check_gla(A)
+    doc = _load_json(_read(args.path))
+    if doc.get("complete") is False:
+        # a prolongation cut at degree nu: certified on the triples whose
+        # brackets the cut kept, as ``glap prolong --max-degree`` wrote it
+        prol = ProlongationResult.from_json_dict(doc)
+        A = prol.algebra
+        res = check_gla(A, top=prol.nu - 1)
+    else:
+        A = GradedAlgebra.from_json_dict(doc)
+        res = check_gla(A)
     neg_degrees = [d for d in A.degrees if d < 0]
     if not res["grading_ok"] or not neg_degrees:
         # fundamentality is only meaningful once the grading itself holds

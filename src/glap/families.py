@@ -12,17 +12,22 @@ The form g and the conformal factors eta are read from the same integer
 basis and unit table, each entry divided by its denominator once, so
 there is one arithmetic over K.
 K is required to be associative, which makes these commutators a Lie
-bracket; the ambient is certified by re-deriving every returned bracket
-from the same integer products (``_certify_matrices``), without a triple
-sweep.  The two octonionic models and the exceptional rank-two model are
-assembled directly from representation data, and a semidirect-product
-example with a non-semisimple prolongation rounds out the list.
+bracket; an assembled algebra is certified by re-deriving every returned
+bracket from the same integer products (``_certify_matrices``), without a
+triple sweep.  A builder assembles and certifies only m + g_0, the spaces
+of degree <= 0, which is all that m, g, the covariance check and the
+Cartan tag read; the whole ambient, with its positive degrees, is
+assembled and certified on its first read (``Family.ambient``).  The two
+octonionic models and the exceptional rank-two model are assembled
+directly from representation data, and a semidirect-product example with
+a non-semisimple prolongation rounds out the list.
 
 Every builder takes the instance name and the family's parameters and
 hands back (m, g, ambient, cartan): the fundamental algebra m, a
-representative g of the conformal class and, where the matrix picture
-exists, the ambient graded algebra and a verified diagonal Cartan tag
-(None where absent), which ``build`` holds to the split-rank bound.
+representative g of the conformal class, a zero-argument callable that
+assembles and certifies the ambient graded algebra where the matrix
+picture exists (None where it does not), and a verified diagonal Cartan
+tag (None where absent), which ``build`` holds to the split-rank bound.
 
 ``FAMILIES`` at the end of the module is the one registry of families: tag,
 root-oracle key, parameters, supported range, ``verify-table`` rows and
@@ -30,13 +35,13 @@ builder.  The command line, the expected classification table and the tests
 read it, so a new family is one registry record and its builder.
 
 Conformal covariance of g under the degree-zero action is certified in
-Python ints on the ambient's degree-zero columns over degree -1.
+Python ints on the degree-zero columns of m + g_0 over degree -1.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import lcm
 
 from .composition import CompositionAlgebra, algebra_by_tag, norm_form, real_algebra
@@ -210,6 +215,30 @@ def _assemble(name, spaces) -> GradedAlgebra:
             if cell:
                 brackets[(i, j)] = cell
     return GradedAlgebra(name, labels, degs, brackets)
+
+
+def _matrix_algebra(name, spaces, expected: int):
+    """(m + g_0, ambient): the subalgebra of the spaces of degree <= 0,
+    assembled and certified now, and a zero-argument callable that does
+    the same for every space.  The ambient's dimension, the sum of the
+    space dimensions, must be ``expected``.
+
+    m + g_0 is closed under the bracket, so ``_certify_matrices`` proves
+    it a graded Lie algebra word for word: e_k -> X_k is injective and
+    bracket-preserving into gl(n, K).  ``_assemble`` orders the basis by
+    degree, so its indices and labels are the ambient's first ones."""
+    dim = sum(sp.dim() for sp in spaces.values())
+    require(dim == expected, f"{name} has dimension {dim}, expected {expected}")
+    low = {delta: sp for delta, sp in spaces.items() if delta <= 0}
+    A = _assemble(name, low)
+    _certify_matrices(A, low)
+    return A, partial(_certified_assembly, name, spaces)
+
+
+def _certified_assembly(name, spaces) -> GradedAlgebra:
+    A = _assemble(name, spaces)
+    _certify_matrices(A, spaces)
+    return A
 
 
 def _split_unit(alg: CompositionAlgebra):
@@ -397,20 +426,15 @@ def build_hk(k_tag: str, name: str, p: int, q: int):
     weights = [1] + [0] * (n - 2) + [-1]
     spaces = _realize(alg, n, sigma, weights, trace_zero=(d == 2))
 
-    ambient = _assemble(name, spaces)
-    expected_total = n * n - 1 if d == 2 else n * (2 * n + 1)
-    require(ambient.n == expected_total,
-            f"{name} has dimension {ambient.n}, expected {expected_total}")
-    _certify_matrices(ambient, spaces)
-
-    m = ambient.negative_part(f"{name}.m")
+    low, ambient = _matrix_algebra(name, spaces, n * n - 1 if d == 2 else n * (2 * n + 1))
+    m = low.negative_part(f"{name}.m")
     _require_fundamental(m, 2)
     _require_dims(m, {-1: d * (n - 2), -2: d - 1})
 
     # g pairs first-column blocks through the middle part of the form
     G = _gram(spaces[-1], [((i, 0), (sigma[i], 0)) for i in range(1, n - 1)], 1)
     g = SymBilinearForm.for_algebra(m, G)
-    _check_covariance(ambient, G, _conformal_factors(ambient, spaces[0], -2))
+    _check_covariance(low, G, _conformal_factors(low, spaces[0], -2))
     # the weight matrix itself must be a degree-zero solution
     spaces[0].coords({(i, i, 0): w for i, w in enumerate(weights)})
 
@@ -452,12 +476,8 @@ def build_bi(name: str, l: int):
     weights = [2] + [1] * (l - 1) + [0] + [-1] * (l - 1) + [-2]
     spaces = _realize(alg, n, sigma, weights, trace_zero=False)
 
-    ambient = _assemble(name, spaces)
-    require(ambient.n == l * (2 * l + 1),
-            f"{name} has dimension {ambient.n}, expected {l * (2 * l + 1)}")
-    _certify_matrices(ambient, spaces)
-
-    m = ambient.negative_part(f"{name}.m")
+    low, ambient = _matrix_algebra(name, spaces, l * (2 * l + 1))
+    m = low.negative_part(f"{name}.m")
     _require_fundamental(m, 3)
     _require_dims(m, {
         -1: 2 * (l - 1),
@@ -469,7 +489,7 @@ def build_bi(name: str, l: int):
     pairs = [((l, j), (j, 0)) for j in range(1, l)]
     G = _gram(spaces[-1], pairs + [(y, x) for x, y in pairs], -2)
     g = SymBilinearForm.for_algebra(m, G)
-    _check_covariance(ambient, G, _conformal_factors(ambient, spaces[0], -1))
+    _check_covariance(low, G, _conformal_factors(low, spaces[0], -1))
     spaces[0].coords({(i, i, 0): w for i, w in enumerate(weights)})
 
     elems = [{(i, i, 0): 1, (sigma[i], sigma[i], 0): -1} for i in range(l)]
@@ -700,14 +720,23 @@ def build_counterexample(name: str):
 
 @dataclass
 class Family:
-    """One built family instance, ready for prolongation and reporting."""
+    """One built family instance, ready for prolongation and reporting.
+
+    m, g and the Cartan tag are built and certified by ``build``; the
+    ambient is assembled and certified on its first read and then kept,
+    since prolongation and analysis read only m and g."""
 
     tag: str
     params: dict
     m: GradedAlgebra
     g: SymBilinearForm
-    ambient: GradedAlgebra | None = None
+    make_ambient: Callable[[], GradedAlgebra] | None = None
     cartan: CartanTag | None = None
+
+    @cached_property
+    def ambient(self) -> GradedAlgebra | None:
+        """The certified ambient graded algebra, or None without one."""
+        return None if self.make_ambient is None else self.make_ambient()
 
     def oracle_key(self):
         """Root-oracle family name and parameters, or (None, {}) if none."""
@@ -725,7 +754,10 @@ class FamilySpec:
     """One family: its tag, its name in the root oracle (None where the
     classification does not cover it), its parameters with their defaults
     (None: required), every supported parameter set, the ``verify-table``
-    rows, and ``builder(name, **params) -> (m, g, ambient, cartan)``."""
+    rows, and ``builder(name, **params) -> (m, g, ambient, cartan)``.  The
+    builder certifies m, g and the Cartan tag before it returns; ambient is
+    None or a zero-argument callable that assembles and certifies the
+    ambient, which ``Family.ambient`` calls on first read."""
 
     tag: str
     oracle: str | None

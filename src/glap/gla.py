@@ -18,11 +18,12 @@ every structure constant scaled by L, the lcm of their denominators, each
 Jacobi term (a product of two constants) and so each residual is exactly
 L**2 times the rational one.  And every term contains one of the three
 pair brackets of its triple, so a triple whose three pair brackets vanish
-is zero without being evaluated.  On a graded, transitive algebra the
-triples that hold a degree -1 element or have negative total degree
-already decide every other (``check_gla``), so only those are swept
-unless one of them fails.  A prolongation cut at some degree is swept on
-the triples of that set whose brackets the cut kept (``check_truncated``).
+is zero without being evaluated.  On a graded algebra that is transitive
+and whose negative part g_{-1} generates, the triples that hold a degree
+-1 element already decide every other (``check_gla``), so only those are
+swept unless one of them fails.  A prolongation cut at some degree is
+swept on the triples of that set whose brackets the cut kept
+(``check_truncated``).
 
 The JSON layout round-trips losslessly because rationals are serialized as
 "p/q" strings (just "p" when q = 1).  Every file glap writes goes through
@@ -307,61 +308,81 @@ def _adjacency(n: int, brackets) -> tuple[int, list[dict[int, dict[int, int]]]]:
     return L, ad
 
 
-def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
-    """Verify degree additivity and the Jacobi identity on every triple.
+def check_gla(A: GradedAlgebra, max_violations: int = 100, top: int | None = None) -> dict:
+    """Verify degree additivity and the Jacobi identity on every triple, or
+    with ``top`` on those that hold a degree -1 element and have total
+    degree at most ``top`` (``check_truncated``).
 
     Returns {"grading_ok", "jacobi_ok", "violations", "violation_count"}:
     grading violations by pair, then Jacobi violations by triple i < j < k
     in lexicographic order, the list capped at ``max_violations`` and the
     count exact.  The residual
 
-        J(e_i, e_j, e_k) = [[e_i, e_j], e_k] - [e_i, [e_j, e_k]] + [e_j, [e_i, e_k]]
+        J(x, y, z) = [[x, y], z] + [[y, z], x] + [[z, x], y]
 
     is trilinear and alternating.  It is certified in integers, with the
     skip of zero pair brackets of the module docstring, which reads no
     degree and so holds whether or not the grading does.
 
-    Theorem.  Let A be graded and transitive: for each d >= 0 no nonzero
-    u in g_d kills g_{-1}.  If J vanishes on every basis triple that holds
-    a degree -1 element or has negative total degree, then J = 0.
+    Theorem.  Let A be graded and transitive (for each d >= 0 no nonzero u
+    in g_d kills g_{-1}), with g_{-k-1} = [g_{-1}, g_{-k}] for every k >= 1.
+    If J vanishes on every basis triple that holds a degree -1 element,
+    then J = 0.
 
-    Proof.  The first condition makes ad e a derivation for e in g_{-1},
-    and a derivation D has D J(x, y, z) = J(Dx, y, z) + J(x, Dy, z) +
-    J(x, y, Dz).  Induct on the total degree s >= 0: with D = ad e every
-    term on the right has total degree s - 1 and vanishes, so J(x, y, z),
-    which lies in g_s, kills g_{-1} and is 0 by transitivity.  A triple
-    whose total degree is not a degree of A is 0 by the grading.
+    Proof.  For any skew-symmetric bracket, J satisfies
 
-    So when the grading holds and A is transitive with a degree >= 0
-    (``transitivity_check``), only that reduced set is swept, up to its
-    first nonzero residual; if there is none, A is clean.  Otherwise (the
-    grading fails, A is not transitive, say it has no g_{-1}, or the
-    reduced set has a residual) every triple is swept, so the count and
-    the capped, ordered list stay exact; a negatively graded algebra is
-    always swept in full.
+        [w, J(x,y,z)] - [x, J(w,y,z)] + [y, J(w,x,z)] - [z, J(w,x,y)]
+          = J([w,x],y,z) - J([w,y],x,z) + J([w,z],x,y)
+            + J([x,y],w,z) - J([x,z],w,y) + J([y,z],w,x).
+
+    Suppose J vanishes on every triple that holds an element of degree -1
+    to -k, and put w in g_{-1}, x in g_{-k}.  Every term but J([w,x],y,z)
+    holds w or x, so J([w,x],y,z) = 0; these [w,x] span g_{-k-1}.  By
+    induction J vanishes on every triple that holds a negative element, so
+    on every triple of negative total degree.  Then ad e, e in g_{-1}, is a
+    derivation, and a derivation D has D J(x, y, z) = J(Dx, y, z) +
+    J(x, Dy, z) + J(x, y, Dz).  Induct on the total degree s >= 0: with
+    D = ad e every term on the right has total degree s - 1 and vanishes,
+    so J(x, y, z), which lies in g_s, kills g_{-1} and is 0 by
+    transitivity.  A triple whose total degree is not a degree of A is 0
+    by the grading.
+
+    So when the grading holds and every g_d, d != -1, has full rank in
+    ``_minus1_rows`` (``_reached_by_minus1``: transitive and generated),
+    only the triples that hold a degree -1 element and have a present
+    total degree are swept, up to the first nonzero residual; if there is
+    none, A is clean.  Otherwise (the grading fails, A has no g_{-1}, is
+    not transitive or not generated, or the reduced set has a residual)
+    every triple is swept, so the count and the capped, ordered list stay
+    exact.
     """
-    violations = []
-    count = 0
-    for i, j, k in _misgraded(A):
-        count += 1
-        if len(violations) < max_violations:
-            violations.append(
-                {
-                    "type": "grading",
-                    "pair": [i, j],
-                    "index": k,
-                    "degree": A.degrees[k],
-                    "expected": A.degrees[i] + A.degrees[j],
-                }
-            )
-    grading_ok = count == 0
+    grading = list(_misgraded(A))
     L, ad = _scaled_adjacency(A)
-    if grading_ok and max(A.degrees, default=-1) >= 0 and transitivity_check(A):
+    if top is not None:
+        residuals = _jacobi_residuals(A, ad, reduced=True, top=top)
+        return _report(A, L, grading, residuals, max_violations)
+    if not grading and _reached_by_minus1(A, lambda d: d != -1):
         if next(_jacobi_residuals(A, ad, reduced=True), None) is None:
-            return {"grading_ok": True, "jacobi_ok": True, "violations": [], "violation_count": 0}
-    jac_start = count
+            return _report(A, L, (), (), max_violations)
+    return _report(A, L, grading, _jacobi_residuals(A, ad), max_violations)
+
+
+def _report(A: GradedAlgebra, L: int, grading, residuals, max_violations: int) -> dict:
+    """``check_gla``'s report on the misgraded terms ``grading`` and the
+    Jacobi ``residuals``, both in order, each counted."""
+    violations = [
+        {
+            "type": "grading",
+            "pair": [i, j],
+            "index": k,
+            "degree": A.degrees[k],
+            "expected": A.degrees[i] + A.degrees[j],
+        }
+        for i, j, k in islice(grading, max_violations)
+    ]
+    count = jac_start = len(grading)
     L2 = L * L
-    for i, j, k, acc in _jacobi_residuals(A, ad):
+    for i, j, k, acc in residuals:
         count += 1
         if len(violations) < max_violations:
             residual = {
@@ -369,7 +390,7 @@ def check_gla(A: GradedAlgebra, max_violations: int = 100) -> dict:
             }
             violations.append({"type": "jacobi", "triple": [i, j, k], "residual": residual})
     return {
-        "grading_ok": grading_ok,
+        "grading_ok": not grading,
         "jacobi_ok": count == jac_start,
         "violations": violations,
         "violation_count": count,
@@ -380,9 +401,9 @@ def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | No
     """Yield (i, j, k, acc) for each triple i < j < k with a nonzero
     residual, in lexicographic order; acc maps t to L**2 times the t-th
     coefficient (zeros kept).  ``reduced`` (for a graded A) visits only the
-    triples of ``check_gla``'s theorem whose total degree is a degree of A;
-    with ``top`` as well, only those that hold a degree -1 element and have
-    total degree at most ``top``."""
+    triples of ``check_gla``'s theorem, those that hold a degree -1 element
+    and whose total degree is a degree of A; with ``top`` as well, only
+    those of total degree at most ``top``."""
     n = A.n
     degs = A.degrees
     present = A.by_degree()
@@ -396,9 +417,8 @@ def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | No
                 key = degs[i], degs[j]
                 if key not in thirds:
                     s = key[0] + key[1]
-                    ok = {d for d in present if s + d in present and (
-                        s + d < 0 or -1 in (d, *key) if top is None
-                        else -1 in (d, *key) and s + d <= top)}
+                    ok = {d for d in present if s + d in present and -1 in (d, *key)
+                          and (top is None or s + d <= top)}
                     thirds[key] = ok, [k for k in range(n) if degs[k] in ok]
                 ok, allowed = thirds[key]
                 if bij:
@@ -437,18 +457,14 @@ def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | No
 
 
 def check_truncated(A: GradedAlgebra, top: int) -> int:
-    """The number of grading violations plus the number of basis triples
-    that hold a degree -1 element, have total degree at most ``top`` and a
-    nonzero Jacobi residual.
+    """The number of violations ``check_gla(A, top=top)`` finds.
 
-    For a prolongation cut at degree K, with top = K - 1, these are
-    triples (z, x, y) with z in g_{-1} and deg x + deg y <= K, so each of
-    their pair brackets has degree at most K and is present.  A triple
-    with a pair of degree above K reads a bracket that the cut dropped,
-    so the full sweep of ``check_gla`` can find residuals there."""
-    count = sum(1 for _ in _misgraded(A))
-    ad = _scaled_adjacency(A)[1]
-    return count + sum(1 for _ in _jacobi_residuals(A, ad, reduced=True, top=top))
+    For a prolongation cut at degree K, with top = K - 1, its triples are
+    (z, x, y) with z in g_{-1} and deg x + deg y <= K, so each of their
+    pair brackets has degree at most K and is present.  A triple with a
+    pair of degree above K reads a bracket that the cut dropped, so the
+    full sweep of ``check_gla`` can find residuals there."""
+    return check_gla(A, top=top)["violation_count"]
 
 
 def _misgraded(A: GradedAlgebra):
@@ -486,25 +502,24 @@ def check_fundamental(A: GradedAlgebra) -> tuple[bool, int]:
             f"degrees {sorted(set(bad))} present; expected all negative"
         )
     require_graded(A)
-    by_deg = A.by_degree()
-    kind = -min(by_deg)
-    if -1 not in by_deg:
-        return False, kind
-    # scaling every bracket by L leaves the rank of each degree unchanged
-    for d, ix in by_deg.items():
-        if d < -1 and sparse_rank(_minus1_rows(A, d).values(), len(ix)) < len(ix):
-            return False, kind
-    return True, kind
+    return _reached_by_minus1(A, lambda d: d < -1), -min(A.by_degree())
 
 
 def transitivity_check(A: GradedAlgebra) -> bool:
     """Whether A is transitive: no nonzero element of a degree >= 0 kills
-    all of g_{-1} (so a nonnegative degree without g_{-1} fails); scaling
-    every bracket by L leaves each rank unchanged."""
+    all of g_{-1} (so a nonnegative degree without g_{-1} fails)."""
+    return _reached_by_minus1(A, lambda d: d >= 0)
+
+
+def _reached_by_minus1(A: GradedAlgebra, which) -> bool:
+    """Whether ``_minus1_rows`` has full rank dim g_d in every degree d of
+    A with ``which(d)``: for d < -1, g_d = [g_{-1}, g_{d+1}]; for d >= 0, no
+    nonzero u in g_d kills g_{-1}.  A missing g_{-1} fails every such d;
+    scaling every bracket by L leaves each rank unchanged."""
     return all(
         sparse_rank(_minus1_rows(A, d).values(), len(ix)) == len(ix)
         for d, ix in A.by_degree().items()
-        if d >= 0
+        if which(d)
     )
 
 

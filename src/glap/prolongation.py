@@ -42,8 +42,8 @@ so read.  The certificates of ``full_prolongation`` decide it, on an
 adjacency rebuilt from the brackets that are returned.  The Jacobi
 residual J(z, w, v) with z in g_{-1} is 0 exactly when [w, v] acts on z as
 the forced map.  A complete run passes ``gla.check_gla``, whose reduced
-sweep holds every such triple and, by its transitivity theorem, decides
-all the others; with the whole identity, ad is a homomorphism, so each
+sweep holds every such triple and, by its theorem, decides all the
+others; with the whole identity, ad is a homomorphism, so each
 written bracket acts on m as the forced map.  A run cut at degree K
 passes ``gla.check_truncated`` below K, every triple with an element of
 g_{-1} whose other two degrees add up to at most K: each forced bracket
@@ -529,8 +529,8 @@ def full_prolongation(
 
     The certificates read an adjacency rebuilt from the brackets that are
     returned.  A natural stop certifies the result (the grading and Jacobi
-    check of ``gla.check_gla``, whose sweep transitivity cuts down to the
-    triples that decide the rest; transitivity; untouched negative part).
+    check of ``gla.check_gla``, whose sweep is cut down to the triples
+    that decide the rest; transitivity; untouched negative part).
     Stopping at max_degree instead yields a partial algebra with
     complete=False, certified on the triples of ``gla.check_truncated``
     below the cut: every forced bracket, on g_{-1}.

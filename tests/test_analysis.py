@@ -963,6 +963,43 @@ def test_killing_form_refuses_a_misgraded_algebra():
         killing_form(A)
 
 
+def _pairwise_killing_form(A):
+    """``killing_form`` as it summed before the inverted walk: every pair
+    (i, c) of a block, each over all of ad e_c, with B_0 mirrored; kept as
+    the reference for the integer blocks."""
+    L, ads = _scaled_adjacency(A)
+    by_deg = A.by_degree()
+    blocks = {}
+    for d, ix in by_deg.items():
+        if d < 0:
+            continue
+        cols = by_deg.get(-d, [])
+        rows = [{} for _ in ix]
+        for r, i in enumerate(ix):
+            adi = ads[i]
+            for c in range(r if d == 0 else 0, len(cols)):
+                total = 0
+                for a, cell in ads[cols[c]].items():
+                    for b, x in cell.items():
+                        back = adi.get(b)
+                        if back:
+                            y = back.get(a)
+                            if y:
+                                total += x * y
+                if total:
+                    rows[r][c] = total
+                    if d == 0:
+                        rows[c][r] = total
+        blocks[d] = rows
+    return L * L, blocks
+
+
+@pytest.mark.parametrize("case", [c for c, (_, _, seed) in _ALGEBRA_CASES.items() if seed in (None, 0)])
+def test_inverted_killing_form_matches_the_pairwise_sums(get_prolongation, case):
+    A = _algebra_case(get_prolongation, case).algebra
+    assert killing_form(A) == _pairwise_killing_form(A)
+
+
 def _reference_is_semisimple(A):
     """The Bareiss determinant of the whole Fraction Killing form, as
     is_semisimple took it before it read the degree blocks; kept as the

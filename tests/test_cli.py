@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from glap import analysis, cli
 from glap.errors import NotIsotropic
-from glap.gla import deserialize
+from glap.gla import check_gla, deserialize
 
 
 def run(capsys, *argv):
@@ -272,6 +272,53 @@ def test_prolong_with_explicit_cut_reports_incomplete(tmp_path, capsys):
                     "--max-degree", "1")
     assert code == 0
     assert json.loads(out)["complete"] is False
+
+
+def _hh12_files(tmp_path, capsys, *cut) -> tuple[str, str]:
+    """(m file, prolongation file) of hh(1,2), the latter cut by ``cut``."""
+    prefix = str(tmp_path / "hh12")
+    run(capsys, "build", "--family", "hh", "--p", "1", "--q", "2", "--out", prefix)
+    prol = prefix + ".prol.json"
+    code, _ = run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json", "--out", prol, *cut)
+    assert code == 0
+    return prefix + ".m.json", prol
+
+
+def test_check_certifies_a_truncated_prolongation_below_its_cut(tmp_path, capsys):
+    _, path = _hh12_files(tmp_path, capsys, "--max-degree", "1")
+    code, out = run(capsys, "check", path)
+    report = json.loads(out)
+    assert code == 0 and report["pass"] and report["violation_count"] == 0
+    assert report["kind"] == 2 and report["fundamental"]
+    # one coefficient of [g_0, g_{-1}], below the cut, changed
+    doc = json.loads(open(path).read())
+    degs = doc["degrees"]
+    row = next(r for r in doc["brackets"] if sorted((degs[r[0]], degs[r[1]])) == [-1, 0])
+    row[2][0][1] = str(Fraction(row[2][0][1]) + 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(bad))
+    report = json.loads(out)
+    assert code == 1 and report["grading_ok"] and not report["jacobi_ok"]
+    assert report["violation_count"] > 0 and report["violations"][0]["type"] == "jacobi"
+
+
+def test_check_reads_complete_files_and_plain_algebras_as_before(tmp_path, capsys):
+    m_path, path = _hh12_files(tmp_path, capsys)
+    for p in (m_path, path):
+        code, out = run(capsys, "check", p)
+        rep = check_gla(deserialize(open(p).read()))
+        report = json.loads(out)
+        assert code == 0 and report["pass"]
+        assert {k: report[k] for k in rep} == json.loads(json.dumps(rep))
+    # a truncated file that claims to be complete gets the full sweep
+    _, cut = _hh12_files(tmp_path, capsys, "--max-degree", "1")
+    doc = json.loads(open(cut).read())
+    doc["complete"] = True
+    claimed = tmp_path / "claimed.json"
+    claimed.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(claimed))
+    assert code == 1 and json.loads(out)["violation_count"] == 132
 
 
 def test_prolong_rejects_negative_max_degree(tmp_path, capsys):

@@ -499,6 +499,74 @@ def test_integer_assembly_matches_the_fraction_reference(monkeypatch):
         assert A.serialize() == _reference_assemble(A.name, spaces).serialize(), (tag, params)
 
 
+def _record_matrix_calls(monkeypatch):
+    """Wrap ``_assemble`` and ``_certify_matrices``; the list they fill
+    holds (function name, the degrees of the spaces it was handed)."""
+    calls = []
+    for fn in ("_assemble", "_certify_matrices"):
+        def wrapped(first, spaces, _fn=fn, _orig=getattr(families, fn)):
+            calls.append((_fn, sorted(spaces)))
+            return _orig(first, spaces)
+        monkeypatch.setattr(families, fn, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("tag,params", MATRIX_ROWS,
+                         ids=[families.label(tag, params) for tag, params in MATRIX_ROWS])
+def test_build_assembles_no_positive_degree(monkeypatch, tag, params):
+    calls = _record_matrix_calls(monkeypatch)
+    build(tag, **params)
+    assert [fn for fn, _ in calls] == ["_assemble", "_certify_matrices"]
+    assert all(max(degrees) == 0 for _, degrees in calls)
+
+
+@pytest.mark.parametrize("tag,params", ASSEMBLY_ROWS,
+                         ids=[families.label(tag, params) for tag, params in ASSEMBLY_ROWS])
+def test_the_ambient_is_assembled_and_certified_on_first_read(monkeypatch, tag, params):
+    calls = _record_matrix_calls(monkeypatch)
+    seen = []
+    assemble = families._assemble
+
+    def capture(name, spaces):
+        A = assemble(name, spaces)
+        seen.append((spaces, A))
+        return A
+
+    monkeypatch.setattr(families, "_assemble", capture)
+    fam = build(tag, **params)
+    calls.clear()
+    seen.clear()
+    A = fam.ambient
+    assert [fn for fn, _ in calls] == ["_assemble", "_certify_matrices"]
+    assert all(min(degrees) == -max(degrees) < 0 for _, degrees in calls)
+    assert fam.ambient is A and len(calls) == 2
+    spaces, got = seen.pop()
+    assert got is A
+    assert A.serialize() == _reference_assemble(A.name, spaces).serialize()
+    # m + g_0 is the ambient's first indices
+    low = families._assemble(A.name, {d: sp for d, sp in spaces.items() if d <= 0})
+    assert low.labels == A.labels[:low.n] and low.degrees == A.degrees[:low.n]
+    assert low.brackets == {key: cell for key, cell in A.brackets.items() if key[1] < low.n}
+
+
+def test_a_corrupted_positive_bracket_fails_when_the_ambient_is_read(monkeypatch):
+    assemble = families._assemble
+
+    def corrupt(name, spaces):
+        A = assemble(name, spaces)
+        if max(spaces) > 0:
+            degs = A.degrees
+            cell = A.brackets[min(key for key in A.brackets if degs[key[1]] > 0)]
+            cell[min(cell)] += 1
+        return A
+
+    monkeypatch.setattr(families, "_assemble", corrupt)
+    fam = build("hc", p=1, q=1)
+    for _ in range(2):  # a failed read keeps nothing
+        with pytest.raises(GlapError, match="Jacobi certificate: 1 violations$"):
+            fam.ambient
+
+
 def _planted(table, s, t, factor):
     """A copy of a unit table with the coefficient of e_s e_t times factor."""
     out = [list(row) for row in table]

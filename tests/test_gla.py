@@ -434,14 +434,14 @@ _PLANT = {
 }
 
 
-def _planted(A, cls):
+def _planted(A, cls, plants=_PLANT):
     """A copy of A whose bracket [e_i, e_j], for the first pair i < j in
-    class ``cls`` that adds up to a degree of A, gains 1/7 on e_k, the first
-    basis element of that degree; the grading still holds."""
+    class ``cls`` of ``plants`` that adds up to a degree of A, gains 1/7 on
+    e_k, the first basis element of that degree; the grading still holds."""
     A = _copy(A)
     degs = A.degrees
     i, j = next((i, j) for i in range(A.n) for j in range(i + 1, A.n)
-                if _PLANT[cls](degs[i], degs[j]) and degs[i] + degs[j] in degs)
+                if plants[cls](degs[i], degs[j]) and degs[i] + degs[j] in degs)
     k = degs.index(degs[i] + degs[j])
     cell = A.brackets.setdefault((i, j), {})
     cell[k] = cell.get(k, 0) + F(1, 7)
@@ -473,6 +473,147 @@ def test_planted_violation_is_caught_by_the_reduced_sweep(get_prolongation, tag,
         assert any(_outside_reduced_set(A, v["triple"]) for v in every)
 
 
+# brackets whose pair holds no degree -1 element and has negative total
+# degree: the triples of negative total degree without a degree -1 element,
+# which the reduced set no longer visits, see each of these
+_PLANT_BELOW = {
+    "minus2-with-0": lambda a, b: sorted((a, b)) == [-2, 0],
+    "minus2-with-1": lambda a, b: sorted((a, b)) == [-2, 1],
+    "minus3-with-1": lambda a, b: sorted((a, b)) == [-3, 1],
+}
+
+
+@pytest.mark.parametrize("tag,params,cls", [
+    ("bi", {"l": 3}, "minus2-with-0"),
+    ("bi", {"l": 3}, "minus3-with-1"),
+    ("ho", {}, "minus2-with-0"),
+    ("ho", {}, "minus2-with-1"),
+], ids=["bi-l3-minus2-with-0", "bi-l3-minus3-with-1", "ho-minus2-with-0", "ho-minus2-with-1"])
+def test_plant_off_the_degree_minus1_triples_is_caught(get_prolongation, tag, params, cls):
+    """The plant keeps A graded, transitive and generated by g_{-1}, so
+    check_gla takes the reduced path, which visits triples that hold a
+    degree -1 element only; the identity of its theorem makes one of them
+    fail, and the report is still the full reference."""
+    A = _planted(get_prolongation(tag, **params).algebra, cls, _PLANT_BELOW)
+    assert gla._reached_by_minus1(A, lambda d: d != -1)
+    ad = _scaled_adjacency(A)[1]
+    seen = [(i, j, k) for i, j, k, _ in _jacobi_residuals(A, ad, reduced=True)]
+    assert seen and all(-1 in (A.degrees[i], A.degrees[j], A.degrees[k]) for i, j, k in seen)
+    rep = check_gla(A)
+    assert rep["grading_ok"] and not rep["jacobi_ok"]
+    assert rep == _reference_check_gla(A)
+    every = _reference_check_gla(A, max_violations=rep["violation_count"])["violations"]
+    assert any(-1 not in [A.degrees[t] for t in v["triple"]]
+               and sum(A.degrees[t] for t in v["triple"]) < 0 for v in every)
+
+
+def test_plant_off_the_degree_minus1_triples_is_caught_without_asserts(get_prolongation):
+    A = _planted(get_prolongation("bi", l=3).algebra, "minus2-with-0", _PLANT_BELOW)
+    script = """
+import json, sys
+from glap.gla import check_gla, deserialize
+print(json.dumps(check_gla(deserialize(sys.stdin.read()))))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], input=A.serialize(),
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert not rep["jacobi_ok"]
+    assert rep == json.loads(json.dumps(_reference_check_gla(A)))
+
+
+def test_fundamental_negative_algebra_takes_the_reduced_sweep(get_family):
+    """A fundamental m has no degree >= 0, and the identity alone decides
+    it from the triples that hold a degree -1 element."""
+    m = get_family("bi", l=3).m
+    assert gla._reached_by_minus1(m, lambda d: d != -1)
+    assert _reduced_clean(m)[1]
+    assert check_gla(m) == _reference_check_gla(m)
+
+
+@st.composite
+def _graded_skew_algebras(draw):
+    """A graded skew bracket, Lie or not, with degrees in -3..2 in any
+    order and small integer constants, most of them nonzero."""
+    degs = draw(st.lists(st.integers(-3, 2), min_size=3, max_size=8))
+    n = len(degs)
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            ks = [k for k in range(n) if degs[k] == degs[i] + degs[j]]
+            cell = {k: F(draw(st.integers(-2, 2))) for k in ks}
+            if any(cell.values()):
+                brackets[(i, j)] = cell
+    return GradedAlgebra("random", [f"e{i}" for i in range(n)], degs, brackets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graded_skew_algebras(), st.integers(-4, 3))
+def test_the_reduced_sweep_is_the_full_one_on_degree_minus1_triples(A, top):
+    """``_jacobi_residuals`` with ``reduced`` yields the residuals of the
+    full sweep on the triples that hold a degree -1 element, in order, and
+    with ``top`` those of them of total degree at most ``top``."""
+    ad = _scaled_adjacency(A)[1]
+    degs = A.degrees
+    full = [(i, j, k, acc) for i, j, k, acc in _jacobi_residuals(A, ad)
+            if -1 in (degs[i], degs[j], degs[k])]
+    assert list(_jacobi_residuals(A, ad, reduced=True)) == full
+    assert list(_jacobi_residuals(A, ad, reduced=True, top=top)) == [
+        r for r in full if degs[r[0]] + degs[r[1]] + degs[r[2]] <= top]
+
+
+def _skew_brackets(n):
+    """Random skew-symmetric brackets on Q^n with Fraction constants, Lie
+    or not, as {(i, j): the coordinates of [e_i, e_j]} for i < j."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return st.lists(st.lists(coeff, min_size=n, max_size=n),
+                    min_size=len(pairs), max_size=len(pairs)).map(
+        lambda cells: dict(zip(pairs, cells)))
+
+
+def _bracket(table, n, u, v):
+    out = [F(0)] * n
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b and i != j:
+                c, cell = (a * b, table[i, j]) if i < j else (-a * b, table[j, i])
+                for k, x in enumerate(cell):
+                    out[k] += c * x
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), _skew_brackets(n), st.lists(st.integers(0, n - 1), min_size=4, max_size=4))))
+def test_the_jacobiator_identity_holds_for_any_skew_bracket(data):
+    """The identity behind ``check_gla``'s theorem needs no Jacobi:
+    [w,J(x,y,z)] - [x,J(w,y,z)] + [y,J(w,x,z)] - [z,J(w,x,y)]
+    = J([w,x],y,z) - J([w,y],x,z) + J([w,z],x,y) + J([x,y],w,z)
+      - J([x,z],w,y) + J([y,z],w,x).
+    Both sides are multilinear, so basis elements w, x, y, z suffice."""
+    n, table, picks = data
+    w, x, y, z = ([F(int(t == p)) for t in range(n)] for p in picks)
+
+    def br(u, v):
+        return _bracket(table, n, u, v)
+
+    def J(a, b, c):
+        terms = (br(br(a, b), c), br(br(b, c), a), br(br(c, a), b))
+        return [sum(t) for t in zip(*terms)]
+
+    def combo(*signed):
+        return [sum(s * v[t] for s, v in signed) for t in range(n)]
+
+    lhs = combo((1, br(w, J(x, y, z))), (-1, br(x, J(w, y, z))),
+                (1, br(y, J(w, x, z))), (-1, br(z, J(w, x, y))))
+    rhs = combo((1, J(br(w, x), y, z)), (-1, J(br(w, y), x, z)), (1, J(br(w, z), x, y)),
+                (1, J(br(x, y), w, z)), (-1, J(br(x, z), w, y)), (1, J(br(y, z), w, x)))
+    assert lhs == rhs
+
+
 def test_a_copy_made_after_caching_is_certified_on_its_own_brackets(get_prolongation):
     A = get_prolongation("hc", p=1, q=1).algebra
     cached = _scaled_adjacency(A)
@@ -497,12 +638,14 @@ def test_negative_part_not_generated_by_degree_minus1_is_swept():
     # e in degree -1, a, b, c in degree -2 with [a, b] = u, [u, c] = -v
     # (degrees -4, -6), and the grading element E: transitive, but g_{-2}
     # is not [g_{-1}, g_{-1}], so ad a need not be a derivation and only
-    # the triple (a, b, c) of negative total degree shows J != 0
+    # the triple (a, b, c), which holds no degree -1 element, shows J != 0.
+    # The reduced set misses it, so check_gla must sweep every triple.
     degs = [-1, -2, -2, -2, -4, -6, 0]
     brackets = {(1, 2): {4: F(1)}, (3, 4): {5: F(-1)}}
     brackets.update({(x, 6): {x: F(-d)} for x, d in enumerate(degs[:6])})
     A = GradedAlgebra("nonfund", ["e", "a", "b", "c", "u", "v", "E"], degs, brackets)
-    assert _reduced_clean(A) == (True, False)
+    assert _reduced_clean(A) == (True, True)
+    assert not gla._reached_by_minus1(A, lambda d: d != -1)
     rep = check_gla(A)
     assert rep == _reference_check_gla(A)
     assert [v["triple"] for v in rep["violations"]] == [[1, 2, 3]]
