@@ -14,7 +14,7 @@ import sys
 import time
 
 from .analysis import SPLIT_NOT_CERTIFIED, analyze
-from .errors import BadParameters, GlapError, StepLimitExceeded
+from .errors import BadParameters, GlapError, ParseError, StepLimitExceeded
 from .families import FAMILIES, build, label
 from .gla import (
     GradedAlgebra,
@@ -24,6 +24,7 @@ from .gla import (
     deserialize,
     deserialize_form,
     format_rational,
+    transitivity_check,
 )
 from .prolongation import (
     ProlongationResult,
@@ -107,9 +108,15 @@ def cmd_check(args) -> int:
     doc = _load_json(_read(args.path))
     if doc.get("complete") is False:
         # a prolongation cut at degree nu: certified on the triples whose
-        # brackets the cut kept, as ``glap prolong --max-degree`` wrote it
+        # brackets the cut kept, as ``glap prolong --max-degree`` wrote it;
+        # they decide the brackets they read only on a transitive algebra
         prol = ProlongationResult.from_json_dict(doc)
         A = prol.algebra
+        if not transitivity_check(A):
+            raise ParseError(
+                "a prolongation marked incomplete must be transitive: "
+                "an element of degree >= 0 kills g_-1"
+            )
         res = check_gla(A, top=prol.nu - 1)
     else:
         A = GradedAlgebra.from_json_dict(doc)

@@ -16,8 +16,9 @@ bracket; an assembled algebra is certified by re-deriving every returned
 bracket from the same integer products (``_certify_matrices``), without a
 triple sweep.  A builder assembles and certifies only m + g_0, the spaces
 of degree <= 0, which is all that m, g, the covariance check and the
-Cartan tag read; the whole ambient, with its positive degrees, is
-assembled and certified on its first read (``Family.ambient``).  The two
+Cartan tag read; on its first read (``Family.ambient``) the ambient
+extends m + g_0 by the pairs that hold a positive degree, each assembled
+and certified once.  The two
 octonionic models and the exceptional rank-two model are assembled
 directly from representation data, and a semidirect-product example with
 a non-semisimple prolongation rounds out the list.
@@ -25,7 +26,7 @@ a non-semisimple prolongation rounds out the list.
 Every builder takes the instance name and the family's parameters and
 hands back (m, g, ambient, cartan): the fundamental algebra m, a
 representative g of the conformal class, a zero-argument callable that
-assembles and certifies the ambient graded algebra where the matrix
+extends m + g_0 to the certified ambient graded algebra where the matrix
 picture exists (None where it does not), and a verified diagonal Cartan
 tag (None where absent), which ``build`` holds to the split-rank bound.
 
@@ -178,8 +179,11 @@ def _matrix_basis(spaces) -> tuple[list, list[tuple[int, int, dict]]]:
     ]
 
 
-def _assemble(name, spaces) -> GradedAlgebra:
+def _assemble(name, spaces, low: GradedAlgebra | None = None) -> GradedAlgebra:
     """Structure constants of the realized algebra via matrix commutators.
+    ``low``, when given, is the algebra already assembled on the first
+    ``low.n`` basis elements: its brackets are kept, and only the pairs
+    that hold a later element are multiplied out.
 
     K must be associative: then gl(n, K) is an associative algebra and its
     commutator a Lie bracket, which the structure constants inherit.  Each
@@ -194,10 +198,15 @@ def _assemble(name, spaces) -> GradedAlgebra:
     degs = [delta for delta, _, _ in basis]
     offset = {delta: degs.index(delta) for delta in set(degs)}
     labels = [f"g{delta}_{i - offset[delta]}" for i, delta in enumerate(degs)]
+    start = low.n if low is not None else 0
     brackets = {}
     for i in range(len(basis)):
         di, Di, Xi = basis[i]
-        for j in range(i + 1, len(basis)):
+        for j in range(i + 1, start):
+            cell = low.brackets.get((i, j))
+            if cell:
+                brackets[(i, j)] = cell
+        for j in range(max(i + 1, start), len(basis)):
             dj, Dj, Xj = basis[j]
             Z = _commutator(Xi, Xj, table)
             if not any(Z.values()):
@@ -219,25 +228,27 @@ def _assemble(name, spaces) -> GradedAlgebra:
 
 def _matrix_algebra(name, spaces, expected: int):
     """(m + g_0, ambient): the subalgebra of the spaces of degree <= 0,
-    assembled and certified now, and a zero-argument callable that does
-    the same for every space.  The ambient's dimension, the sum of the
+    assembled and certified now, and a zero-argument callable that
+    extends it to every space.  The ambient's dimension, the sum of the
     space dimensions, must be ``expected``.
 
     m + g_0 is closed under the bracket, so ``_certify_matrices`` proves
     it a graded Lie algebra word for word: e_k -> X_k is injective and
     bracket-preserving into gl(n, K).  ``_assemble`` orders the basis by
-    degree, so its indices and labels are the ambient's first ones."""
+    degree, so its indices and labels are the ambient's first ones, and
+    the ambient keeps its certified brackets: only the pairs that hold an
+    element of positive degree are assembled and certified again."""
     dim = sum(sp.dim() for sp in spaces.values())
     require(dim == expected, f"{name} has dimension {dim}, expected {expected}")
     low = {delta: sp for delta, sp in spaces.items() if delta <= 0}
     A = _assemble(name, low)
     _certify_matrices(A, low)
-    return A, partial(_certified_assembly, name, spaces)
+    return A, partial(_certified_extension, name, spaces, A)
 
 
-def _certified_assembly(name, spaces) -> GradedAlgebra:
-    A = _assemble(name, spaces)
-    _certify_matrices(A, spaces)
+def _certified_extension(name, spaces, low: GradedAlgebra) -> GradedAlgebra:
+    A = _assemble(name, spaces, low)
+    _certify_matrices(A, spaces, low.n)
     return A
 
 
@@ -264,23 +275,26 @@ def _require_certified(A: GradedAlgebra, violations: int):
             f"{A.name} fails the grading/Jacobi certificate: {violations} violations")
 
 
-def _certify_matrices(A: GradedAlgebra, spaces):
+def _certify_matrices(A: GradedAlgebra, spaces, start: int = 0):
     """Raise GlapError unless e_k has the degree of X_k, the k-th basis
-    matrix of ``spaces``, and for every pair i < j, bracket or not, the
-    integer commutator of D_i X_i and D_j X_j is D_i D_j times [e_i, e_j]
-    of A written in the X_k; the violations are the misplaced degrees, or
-    else the pairs that fail.  This proves the grading and the Jacobi
-    identity of A in O(pairs).  phi: e_k -> X_k is injective, as canonical
-    basis vectors have units at distinct free columns and distinct degrees
-    hold distinct cells; the re-derivation makes phi bracket-preserving;
-    gl(n, K) is Lie as K is associative (``is_associative``).  So phi J_A
-    = 0, J_A = 0, and [e_i, e_j] has no term outside the degree of [X_i, X_j].
+    matrix of ``spaces``, and for every pair i < j with j >= ``start``,
+    bracket or not, the integer commutator of D_i X_i and D_j X_j is D_i
+    D_j times [e_i, e_j] of A written in the X_k; the violations are the
+    misplaced degrees, or else the pairs that fail.  The pairs below
+    ``start`` are those of a subalgebra certified before, on the same
+    basis matrices, whose brackets A keeps.  This proves the grading and
+    the Jacobi identity of A in O(pairs).  phi: e_k -> X_k is injective,
+    as canonical basis vectors have units at distinct free columns and
+    distinct degrees hold distinct cells; the re-derivation makes phi
+    bracket-preserving; gl(n, K) is Lie as K is associative
+    (``is_associative``).  So phi J_A = 0, J_A = 0, and [e_i, e_j] has no
+    term outside the degree of [X_i, X_j].
     """
     table, basis = _matrix_basis(spaces)
     _require_certified(A, sum(d != e[0] for d, e in zip(A.degrees, basis)) + abs(A.n - len(basis)))
     bad = 0
     for i, (_, Di, Xi) in enumerate(basis):
-        for j in range(i + 1, len(basis)):
+        for j in range(max(i + 1, start), len(basis)):
             _, Dj, Xj = basis[j]
             diff = _commutator(Xi, Xj, table)
             # S D_i D_j c_k X_k = (S D_i D_j c_k / D_k)(D_k X_k), in ints

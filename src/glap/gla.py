@@ -23,7 +23,7 @@ and whose negative part g_{-1} generates, the triples that hold a degree
 -1 element already decide every other (``check_gla``), so only those are
 swept unless one of them fails.  A prolongation cut at some degree is
 swept on the triples of that set whose brackets the cut kept
-(``check_truncated``).
+(``check_gla``'s ``top``).
 
 The JSON layout round-trips losslessly because rationals are serialized as
 "p/q" strings (just "p" when q = 1).  Every file glap writes goes through
@@ -311,7 +311,15 @@ def _adjacency(n: int, brackets) -> tuple[int, list[dict[int, dict[int, int]]]]:
 def check_gla(A: GradedAlgebra, max_violations: int = 100, top: int | None = None) -> dict:
     """Verify degree additivity and the Jacobi identity on every triple, or
     with ``top`` on those that hold a degree -1 element and have total
-    degree at most ``top`` (``check_truncated``).
+    degree at most ``top``.
+
+    ``top`` is for a transitive prolongation cut at degree K, with top =
+    K - 1.  Its triples are (z, x, y) with z in g_{-1} and deg x + deg y
+    <= K, so each of their pair brackets has degree at most K and is
+    present, and J(z, x, y) = 0 says that [x, y] acts on g_{-1} as the
+    commutator of x and y does, which fixes [x, y] by transitivity.  A
+    triple with a pair of degree above K reads a bracket that the cut
+    dropped, so the full sweep can find residuals there.
 
     Returns {"grading_ok", "jacobi_ok", "violations", "violation_count"}:
     grading violations by pair, then Jacobi violations by triple i < j < k
@@ -454,17 +462,6 @@ def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | No
                                 acc[t] = get(t, 0) + c * d
                 if any(acc.values()):
                     yield i, j, k, acc
-
-
-def check_truncated(A: GradedAlgebra, top: int) -> int:
-    """The number of violations ``check_gla(A, top=top)`` finds.
-
-    For a prolongation cut at degree K, with top = K - 1, its triples are
-    (z, x, y) with z in g_{-1} and deg x + deg y <= K, so each of their
-    pair brackets has degree at most K and is present.  A triple with a
-    pair of degree above K reads a bracket that the cut dropped, so the
-    full sweep of ``check_gla`` can find residuals there."""
-    return check_gla(A, top=top)["violation_count"]
 
 
 def _misgraded(A: GradedAlgebra):

@@ -45,8 +45,8 @@ the forced map.  A complete run passes ``gla.check_gla``, whose reduced
 sweep holds every such triple and, by its theorem, decides all the
 others; with the whole identity, ad is a homomorphism, so each
 written bracket acts on m as the forced map.  A run cut at degree K
-passes ``gla.check_truncated`` below K, every triple with an element of
-g_{-1} whose other two degrees add up to at most K: each forced bracket
+passes ``gla.check_gla`` with ``top`` K - 1, every triple with an element
+of g_{-1} whose other two degrees add up to at most K: each forced bracket
 then acts on g_{-1} as it should, and through the triples (z, u, y) on
 every bracket of g_{-1} elements, so on all of m, which g_{-1} generates.
 
@@ -87,7 +87,6 @@ from .gla import (
     _scaled_adjacency,
     check_fundamental,
     check_gla,
-    check_truncated,
     dumps,
     require_graded,
     transitivity_check,
@@ -532,8 +531,9 @@ def full_prolongation(
     check of ``gla.check_gla``, whose sweep is cut down to the triples
     that decide the rest; transitivity; untouched negative part).
     Stopping at max_degree instead yields a partial algebra with
-    complete=False, certified on the triples of ``gla.check_truncated``
-    below the cut: every forced bracket, on g_{-1}.
+    complete=False, certified on the triples of ``gla.check_gla`` below
+    the cut (its ``top``), which hold every forced bracket on g_{-1}, and
+    on transitivity, which makes that action decide the bracket.
     """
     A = assemble_degree0(m, conformal_g0(m, g))
     mu = -min(m.degrees)
@@ -560,13 +560,10 @@ def full_prolongation(
     A._adj = None  # certify the brackets as written, not the rows _extend entered
     if not _same_negative(A, m):
         raise GlapError("prolongation modified the negative part")
-    if complete:
-        count = check_gla(A)["violation_count"]
-    else:
-        count = check_truncated(A, nu - 1)
+    count = check_gla(A, top=None if complete else nu - 1)["violation_count"]
     if count:
         raise GlapError(f"assembled prolongation failed certification: {count} violations")
-    if complete and not transitivity_check(A):
+    if not transitivity_check(A):
         raise GlapError("assembled prolongation is not transitive")
     return ProlongationResult(A, g, step_dims, mu, nu, complete)
 

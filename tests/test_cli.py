@@ -303,6 +303,34 @@ def test_check_certifies_a_truncated_prolongation_below_its_cut(tmp_path, capsys
     assert report["violation_count"] > 0 and report["violations"][0]["type"] == "jacobi"
 
 
+def test_check_refuses_an_intransitive_truncated_file(tmp_path, capsys):
+    """g_0 = <h, x, y> with [h, x] = x, [x, y] = h kills g_{-1} = <z>, so no
+    triple that holds z has a residual, yet J(h, x, y) = h: without
+    transitivity the triples below the cut decide nothing."""
+    doc = {
+        "name": "intransitive",
+        "labels": ["z", "h", "x", "y"],
+        "degrees": [-1, 0, 0, 0],
+        "brackets": [[1, 2, [[2, "1"]]], [2, 3, [[1, "1"]]]],
+        "step_dims": {},
+        "form": {"algebra": "intransitive", "degree_minus1_indices": [0], "matrix": [["1"]]},
+        "complete": False,
+    }
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(path))
+    assert code == 2 and "transitive" in json.loads(out)["error"]
+    # read as a plain algebra, the full sweep finds the residual
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({k: doc[k] for k in ("name", "labels", "degrees", "brackets")}))
+    code, out = run(capsys, "check", str(plain))
+    report = json.loads(out)
+    assert code == 1 and not report["pass"]
+    assert report["violations"] == [
+        {"type": "jacobi", "triple": [1, 2, 3], "residual": {"1": "1"}}
+    ]
+
+
 def test_check_reads_complete_files_and_plain_algebras_as_before(tmp_path, capsys):
     m_path, path = _hh12_files(tmp_path, capsys)
     for p in (m_path, path):

@@ -504,9 +504,9 @@ def _record_matrix_calls(monkeypatch):
     holds (function name, the degrees of the spaces it was handed)."""
     calls = []
     for fn in ("_assemble", "_certify_matrices"):
-        def wrapped(first, spaces, _fn=fn, _orig=getattr(families, fn)):
+        def wrapped(first, spaces, *rest, _fn=fn, _orig=getattr(families, fn)):
             calls.append((_fn, sorted(spaces)))
-            return _orig(first, spaces)
+            return _orig(first, spaces, *rest)
         monkeypatch.setattr(families, fn, wrapped)
     return calls
 
@@ -523,23 +523,36 @@ def test_build_assembles_no_positive_degree(monkeypatch, tag, params):
 @pytest.mark.parametrize("tag,params", ASSEMBLY_ROWS,
                          ids=[families.label(tag, params) for tag, params in ASSEMBLY_ROWS])
 def test_the_ambient_is_assembled_and_certified_on_first_read(monkeypatch, tag, params):
+    """The first read extends the certified m + g_0: each pair that holds
+    a positive degree is multiplied out once to assemble it and once to
+    certify it, and no pair of m + g_0 is multiplied out again."""
     calls = _record_matrix_calls(monkeypatch)
     seen = []
     assemble = families._assemble
 
-    def capture(name, spaces):
-        A = assemble(name, spaces)
+    def capture(name, spaces, *rest):
+        A = assemble(name, spaces, *rest)
         seen.append((spaces, A))
         return A
 
+    commutators = []
+    commutator = families._commutator
+
+    def count(X, Y, table):
+        commutators.append(1)
+        return commutator(X, Y, table)
+
     monkeypatch.setattr(families, "_assemble", capture)
+    monkeypatch.setattr(families, "_commutator", count)
     fam = build(tag, **params)
     calls.clear()
     seen.clear()
+    commutators.clear()
     A = fam.ambient
+    multiplied = len(commutators)
     assert [fn for fn, _ in calls] == ["_assemble", "_certify_matrices"]
     assert all(min(degrees) == -max(degrees) < 0 for _, degrees in calls)
-    assert fam.ambient is A and len(calls) == 2
+    assert fam.ambient is A and len(calls) == 2 and len(commutators) == multiplied
     spaces, got = seen.pop()
     assert got is A
     assert A.serialize() == _reference_assemble(A.name, spaces).serialize()
@@ -547,13 +560,14 @@ def test_the_ambient_is_assembled_and_certified_on_first_read(monkeypatch, tag, 
     low = families._assemble(A.name, {d: sp for d, sp in spaces.items() if d <= 0})
     assert low.labels == A.labels[:low.n] and low.degrees == A.degrees[:low.n]
     assert low.brackets == {key: cell for key, cell in A.brackets.items() if key[1] < low.n}
+    assert multiplied == 2 * (A.n * (A.n - 1) - low.n * (low.n - 1)) // 2
 
 
 def test_a_corrupted_positive_bracket_fails_when_the_ambient_is_read(monkeypatch):
     assemble = families._assemble
 
-    def corrupt(name, spaces):
-        A = assemble(name, spaces)
+    def corrupt(name, spaces, *rest):
+        A = assemble(name, spaces, *rest)
         if max(spaces) > 0:
             degs = A.degrees
             cell = A.brackets[min(key for key in A.brackets if degs[key[1]] > 0)]

@@ -18,7 +18,6 @@ from glap.gla import (
     _adjacency,
     _scaled_adjacency,
     check_gla,
-    check_truncated,
 )
 from glap.linalg import Echelon, Mat, Subspace, int_row, sparse_rank
 from glap.prolongation import (
@@ -601,7 +600,7 @@ def test_a_wrong_forced_coordinate_is_rejected_without_asserts():
     ("hc", {"p": 1, "q": 1}), ("hh", {"p": 1, "q": 2}), ("bi", {"l": 3}), ("g2", {}), ("ho", {})])
 def test_truncated_runs_pass_their_sweep(get_family, get_prolongation, tag, params):
     """A run cut at every degree K up to nu passes the sweep of
-    ``check_truncated`` below K, and is the complete run cut there; the
+    ``check_gla`` with ``top`` K - 1, and is the complete run cut there; the
     whole truncated algebra does have Jacobi residuals (above the cut)."""
     fam = get_family(tag, **params)
     full = get_prolongation(tag, **params)
@@ -609,7 +608,7 @@ def test_truncated_runs_pass_their_sweep(get_family, get_prolongation, tag, para
         cut = full_prolongation(fam.m, fam.g, max_degree=K)
         assert not cut.complete and cut.nu == K
         A = cut.algebra
-        assert check_truncated(A, K - 1) == 0
+        assert check_gla(A, top=K - 1)["violation_count"] == 0
         keep = {i for i, d in enumerate(full.algebra.degrees) if d <= K}
         assert A.brackets == {key: cell for key, cell in full.algebra.brackets.items()
                               if set(key) <= keep and set(cell) <= keep}
