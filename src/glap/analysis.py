@@ -38,6 +38,15 @@ by solving for one coefficient per commutant basis element.  Where E is
 missing or a rank shows condition 2 or 3 failing, the centroid comes from
 the dense system over all n*n entries instead, refused above dimension
 40.  Either way the result is certified against the definition.
+
+The identity needs no solve.  ``commutant`` certifies that it lies in
+the commutant K, and it lies in every centroid.  So when the conditions
+hold and K has dimension 1, the centroid is the span of the identity:
+every centroid map restricts on g_{-1} to a multiple of it and is
+determined by that.  When K is larger, the identity of g_{-1} extends to
+a multiple of the identity of A, whose residual is 0, so the residuals
+are solved only on the rest of a basis of K through the identity.  The
+certificate skips scalar maps and checks every other basis map.
 """
 
 from __future__ import annotations
@@ -55,7 +64,14 @@ from .errors import (
     require,
 )
 from .families import oracle_instances
-from .gla import GradedAlgebra, _minus1_rows, _scaled_adjacency, require_graded
+from .gla import (
+    GradedAlgebra,
+    _minus1_pivots,
+    _minus1_rows,
+    _reached_by_minus1,
+    _scaled_adjacency,
+    require_graded,
+)
 from .linalg import Echelon, Mat, Subspace, solve_square, span_basis
 from .roots import table_expectation
 
@@ -207,12 +223,13 @@ def centroid(A: GradedAlgebra) -> Subspace:
     kernel basis of ``_dense_system``, unknown phi[r][c] at column c*n + r.
 
     If A contains its characteristic element E, has its negative part
-    generated by g_{-1}, and is transitive, a centroid map is determined by
-    its restriction to g_{-1}, which lies in the commutant of the
-    g_0-action (module docstring).  The centroid is then the span of the
-    extensions of that commutant (``_extensions``) on which the residuals
-    of the centroid equations cancel.  Otherwise the dense system is
-    solved, refused above dimension 40.  Either way each basis map is
+    generated by g_{-1}, and is transitive (``_determined_by_minus1``), a
+    centroid map is determined by its restriction to g_{-1}, which lies in
+    the commutant of the g_0-action (module docstring).  The centroid is
+    then the span of the identity and of the extensions of the rest of the
+    commutant (``_extensions``) on which the residuals of the centroid
+    equations cancel.  Otherwise the dense system is solved, refused above
+    dimension 40.  Either way each basis map that is not scalar is
     certified against the definition over every ordered pair
     (``_verify_centroid``).
     """
@@ -226,46 +243,62 @@ def _centroid(A: GradedAlgebra, K: Subspace) -> Subspace:
     times L, the lcm of their denominators); each is linear in them, so
     scaling keeps its solutions."""
     n = A.n
-    maps = _extensions(A, K)
-    if maps is None:
+    if not _determined_by_minus1(A):
         C = Echelon(n * n).extend(_dense_system(A)).kernel_space("the centroid")
     else:
-        ad = _scaled_adjacency(A)[1]
-        rows: dict[tuple, dict[int, int]] = {}
-        for t, phi in enumerate(maps):
-            for key, x in _residual(phi, n, ad).items():
-                rows.setdefault(key, {})[t] = x
-        span = []
-        for coeffs in Echelon(len(maps)).extend(rows.values()).kernel_space().basis:
-            w: dict[int, int] = {}
-            for t, ct in coeffs.items():
-                for k, x in maps[t].items():
-                    w[k] = w.get(k, 0) + ct * x
-            span.append(w)
+        span = [{c * n + c: 1 for c in range(n)}]
+        n1 = len(A.by_degree()[-1])
+        t0 = min(K.coords({c * n1 + c: 1 for c in range(n1)}, "the identity"))
+        rest = K.basis[:t0] + K.basis[t0 + 1:]
+        if rest:
+            maps = _extensions(A, rest)
+            ad = _scaled_adjacency(A)[1]
+            rows: dict[tuple, dict[int, int]] = {}
+            for t, phi in enumerate(maps):
+                for key, x in _residual(phi, n, ad).items():
+                    rows.setdefault(key, {})[t] = x
+            for coeffs in Echelon(len(maps)).extend(rows.values()).kernel_space().basis:
+                w: dict[int, int] = {}
+                for t, ct in coeffs.items():
+                    for k, x in maps[t].items():
+                        w[k] = w.get(k, 0) + ct * x
+                span.append(w)
         C = span_basis(span, n * n, "the centroid")
     _verify_centroid(A, C.basis)
     return C
 
 
-def _extensions(A: GradedAlgebra, K: Subspace):
-    """For each commutant element K_t, the map Phi_t of A that restricts to
-    it on g_{-1}, as flat integer maps over one common scale; None when A
-    has no g_{-1} or no characteristic element, or a rank falls short: its
-    negative part is not generated by g_{-1}, or it is not transitive.
+def _determined_by_minus1(A: GradedAlgebra) -> bool:
+    """Whether A meets the conditions of the module docstring, under which
+    a centroid map is determined by its restriction to g_{-1}: A has a
+    g_{-1}, every other g_d has full rank in ``gla._minus1_rows`` (g_{-1}
+    generates the negative part and A is transitive), and A contains its
+    characteristic element."""
+    return (
+        bool(A.by_degree().get(-1))
+        and _reached_by_minus1(A, lambda d: d != -1)
+        and _has_characteristic(A)
+    )
+
+
+def _extensions(A: GradedAlgebra, K: list[dict[int, int]]):
+    """For each K_t of ``K``, flat integer maps of g_{-1} that commute with
+    the g_0-action, the map Phi_t of A that restricts to it on g_{-1}, as
+    flat integer maps over one common scale, for an A that is
+    ``_determined_by_minus1``.
 
     For d <= -2, Phi([e, y]) = [K e, y] on a basis of g_d picked from
     [g_{-1}, g_{d+1}].  For d >= 0, [Phi(u), e] = [u, K e] on one
-    invertible block of the rows of u -> ad u restricted to g_{-1}.  A
+    invertible block of the rows of u -> ad u restricted to g_{-1}.  Both
+    blocks are the rows of full rank of ``gla._minus1_pivots``.  A
     centroid map extending K satisfies both, so it is Phi_t when it exists;
     whether it does is left to the residual.  Each solve is linear in K,
     so it returns D_d times the block of every Phi_t, and S, the lcm of
     the D_d, brings them all to the one scale S * K."""
     by_deg = A.by_degree()
-    minus1 = by_deg.get(-1)
-    if not minus1 or not _has_characteristic(A):
-        return None
+    minus1 = by_deg[-1]
     n, n1 = A.n, len(minus1)
-    kcols = [_columns(M, n1) for M in K.basis]
+    kcols = [_columns(M, n1) for M in K]
     solved = []  # (d, D_d, D_d X) of each degree d != -1
     for d, ix in by_deg.items():
         if d == -1:
@@ -274,15 +307,8 @@ def _extensions(A: GradedAlgebra, K: Subspace):
         # row (p, z) is linear in e_p, so its right-hand side for K_t is
         # sum_r K_t[r][p] row (r, z)
         rows = _minus1_rows(A, d)
-        pivots = []
-        ech = Echelon(m)
-        for key, row in rows.items():
-            if ech.add(row):
-                pivots.append(key)
-                if ech.rank == m:
-                    break
-        else:
-            return None
+        pivots = _minus1_pivots(A, d)
+        require(pivots is not None, f"degree {d} is not determined by g_-1")
         aug = []  # the right-hand side for K_t at columns m + t*m + c
         for p, z in pivots:
             row = dict(rows[p, z])
@@ -367,10 +393,12 @@ def _residual(phi: dict[int, int], n: int, ad) -> dict[tuple[int, int, int], int
 def _verify_centroid(A: GradedAlgebra, maps: list[dict[int, int]]):
     """Raise GlapError unless phi([a_i, a_j]) == [phi(a_i), a_j] for every
     flat integer map phi of ``maps`` and every ordered pair (i, j), i == j
-    included, read with ``_residual`` on the scaled adjacency of A."""
+    included, read with ``_residual`` on the scaled adjacency of A.  A
+    scalar map satisfies it and is skipped."""
     ad = _scaled_adjacency(A)[1]
     for phi in maps:
-        require(not _residual(phi, A.n, ad), "centroid candidate fails the definition")
+        if not _is_scalar(phi, A.n):
+            require(not _residual(phi, A.n, ad), "centroid candidate fails the definition")
 
 
 def is_simple(A: GradedAlgebra) -> bool:

@@ -28,6 +28,7 @@ from .gla import (
 )
 from .prolongation import (
     ProlongationResult,
+    _solve,
     conformal_g0,
     deserialize_prolongation,
     full_prolongation,
@@ -106,6 +107,7 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     doc = _load_json(_read(args.path))
+    next_layer = None
     if doc.get("complete") is False:
         # a prolongation cut at degree nu: certified on the triples whose
         # brackets the cut kept, as ``glap prolong --max-degree`` wrote it;
@@ -118,6 +120,14 @@ def cmd_check(args) -> int:
                 "an element of degree >= 0 kills g_-1"
             )
         res = check_gla(A, top=prol.nu - 1)
+    elif doc.get("complete") is True:
+        # a complete prolongation has no layer past its top degree nu; the
+        # step solve reads a subset of the conditions, so an empty layer
+        # proves it
+        prol = ProlongationResult.from_json_dict(doc)
+        A = prol.algebra
+        res = check_gla(A)
+        next_layer = len(_solve(A, prol.nu + 1))
     else:
         A = GradedAlgebra.from_json_dict(doc)
         res = check_gla(A)
@@ -128,7 +138,7 @@ def cmd_check(args) -> int:
     else:
         neg = A if len(neg_degrees) == A.n else A.negative_part(A.name + ".neg")
         fundamental, kind = check_fundamental(neg)
-    ok = res["grading_ok"] and res["jacobi_ok"] and fundamental
+    ok = res["grading_ok"] and res["jacobi_ok"] and fundamental and not next_layer
     out = {
         "name": A.name,
         "grading_ok": res["grading_ok"],
@@ -139,10 +149,15 @@ def cmd_check(args) -> int:
         "kind": kind,
         "pass": ok,
     }
+    tail = ""
+    if next_layer is not None:
+        # marked complete: the dimension of the layer past the top, 0 if so
+        out["next_layer_dim"] = next_layer
+        tail = f" next_layer_dim={next_layer}"
     if args.summary:
         print(
             f"{A.name}: grading={res['grading_ok']} jacobi={res['jacobi_ok']} "
-            f"fundamental={fundamental} kind={kind} -> {'ok' if ok else 'FAIL'}"
+            f"fundamental={fundamental} kind={kind}{tail} -> {'ok' if ok else 'FAIL'}"
         )
     else:
         _emit(out)
@@ -153,6 +168,11 @@ def cmd_derivations(args) -> int:
     m = deserialize(_read(args.m))
     g = deserialize_form(_read(args.g))
     layer = conformal_g0(m, g)
+    # the step solve reads the pairs that hold g_-1, which decide the rest
+    # on a Lie m only (``prolongation``)
+    count = check_gla(m)["violation_count"]
+    if count:
+        raise GlapError(f"{m.name} is not a Lie algebra: {count} Jacobi violations")
     _, hats = scaling_split(layer)
     layout = layer.layout
     ders = []

@@ -14,19 +14,18 @@ there is one arithmetic over K.
 K is required to be associative, which makes these commutators a Lie
 bracket; an assembled algebra is certified by re-deriving every returned
 bracket from the same integer products (``_certify_matrices``), without a
-triple sweep.  A builder assembles and certifies only m + g_0, the spaces
-of degree <= 0, which is all that m, g, the covariance check and the
-Cartan tag read; on its first read (``Family.ambient``) the ambient
-extends m + g_0 by the pairs that hold a positive degree, each assembled
-and certified once.  The two
-octonionic models and the exceptional rank-two model are assembled
+triple sweep.  A builder assembles and certifies only the brackets of m
+and [g_0, g_{-1}] (``_read_by_build``), which is all that m, g, the
+covariance check and the Cartan tag read; on its first read
+(``Family.ambient``) the ambient adds every other pair, each assembled
+and certified once.  The two octonionic models and the exceptional rank-two model are assembled
 directly from representation data, and a semidirect-product example with
 a non-semisimple prolongation rounds out the list.
 
 Every builder takes the instance name and the family's parameters and
 hands back (m, g, ambient, cartan): the fundamental algebra m, a
 representative g of the conformal class, a zero-argument callable that
-extends m + g_0 to the certified ambient graded algebra where the matrix
+builds the rest of the certified ambient graded algebra where the matrix
 picture exists (None where it does not), and a verified diagonal Cartan
 tag (None where absent), which ``build`` holds to the split-rank bound.
 
@@ -36,7 +35,7 @@ builder.  The command line, the expected classification table and the tests
 read it, so a new family is one registry record and its builder.
 
 Conformal covariance of g under the degree-zero action is certified in
-Python ints on the degree-zero columns of m + g_0 over degree -1.
+Python ints on the brackets [g_0, g_{-1}].
 """
 
 from collections.abc import Callable
@@ -179,11 +178,18 @@ def _matrix_basis(spaces) -> tuple[list, list[tuple[int, int, dict]]]:
     ]
 
 
+def _read_by_build(di: int, dj: int) -> bool:
+    """Whether ``build`` reads the brackets of degrees (di, dj): those of m,
+    and [g_0, g_{-1}] for the covariance check."""
+    return max(di, dj) < 0 or {di, dj} == {0, -1}
+
+
 def _assemble(name, spaces, low: GradedAlgebra | None = None) -> GradedAlgebra:
-    """Structure constants of the realized algebra via matrix commutators.
-    ``low``, when given, is the algebra already assembled on the first
-    ``low.n`` basis elements: its brackets are kept, and only the pairs
-    that hold a later element are multiplied out.
+    """Structure constants of the realized algebra via matrix commutators,
+    on the pairs that ``build`` reads (``_read_by_build``).  ``low``, when
+    given, is the algebra so assembled on the first ``low.n`` basis
+    elements: its brackets are kept, and every other pair is multiplied
+    out.
 
     K must be associative: then gl(n, K) is an associative algebra and its
     commutator a Lie bracket, which the structure constants inherit.  Each
@@ -198,16 +204,13 @@ def _assemble(name, spaces, low: GradedAlgebra | None = None) -> GradedAlgebra:
     degs = [delta for delta, _, _ in basis]
     offset = {delta: degs.index(delta) for delta in set(degs)}
     labels = [f"g{delta}_{i - offset[delta]}" for i, delta in enumerate(degs)]
-    start = low.n if low is not None else 0
-    brackets = {}
+    brackets = dict(low.brackets) if low is not None else {}
     for i in range(len(basis)):
         di, Di, Xi = basis[i]
-        for j in range(i + 1, start):
-            cell = low.brackets.get((i, j))
-            if cell:
-                brackets[(i, j)] = cell
-        for j in range(max(i + 1, start), len(basis)):
+        for j in range(i + 1, len(basis)):
             dj, Dj, Xj = basis[j]
+            if _read_by_build(di, dj) == (low is not None):
+                continue
             Z = _commutator(Xi, Xj, table)
             if not any(Z.values()):
                 continue
@@ -227,17 +230,19 @@ def _assemble(name, spaces, low: GradedAlgebra | None = None) -> GradedAlgebra:
 
 
 def _matrix_algebra(name, spaces, expected: int):
-    """(m + g_0, ambient): the subalgebra of the spaces of degree <= 0,
-    assembled and certified now, and a zero-argument callable that
-    extends it to every space.  The ambient's dimension, the sum of the
-    space dimensions, must be ``expected``.
+    """(low, ambient): the spaces of degree <= 0 with the brackets that
+    ``build`` reads (``_read_by_build``), assembled and certified now, and
+    a zero-argument callable that extends it to the ambient, every space
+    and every bracket.  The ambient's dimension, the sum of the space
+    dimensions, must be ``expected``.
 
-    m + g_0 is closed under the bracket, so ``_certify_matrices`` proves
-    it a graded Lie algebra word for word: e_k -> X_k is injective and
-    bracket-preserving into gl(n, K).  ``_assemble`` orders the basis by
-    degree, so its indices and labels are the ambient's first ones, and
-    the ambient keeps its certified brackets: only the pairs that hold an
-    element of positive degree are assembled and certified again."""
+    ``_certify_matrices`` proves each bracket of low equal to its matrix
+    commutator, so m, all of whose brackets low holds, is a graded Lie
+    algebra word for word: e_k -> X_k is injective and bracket-preserving
+    into gl(n, K).  ``_assemble`` orders the basis by degree, so low's
+    indices and labels are the ambient's first ones, and the ambient keeps
+    its certified brackets: only the other pairs are assembled and
+    certified, once, so every pair of the ambient is certified."""
     dim = sum(sp.dim() for sp in spaces.values())
     require(dim == expected, f"{name} has dimension {dim}, expected {expected}")
     low = {delta: sp for delta, sp in spaces.items() if delta <= 0}
@@ -248,7 +253,7 @@ def _matrix_algebra(name, spaces, expected: int):
 
 def _certified_extension(name, spaces, low: GradedAlgebra) -> GradedAlgebra:
     A = _assemble(name, spaces, low)
-    _certify_matrices(A, spaces, low.n)
+    _certify_matrices(A, spaces, low)
     return A
 
 
@@ -275,27 +280,32 @@ def _require_certified(A: GradedAlgebra, violations: int):
             f"{A.name} fails the grading/Jacobi certificate: {violations} violations")
 
 
-def _certify_matrices(A: GradedAlgebra, spaces, start: int = 0):
+def _certify_matrices(A: GradedAlgebra, spaces, low: GradedAlgebra | None = None):
     """Raise GlapError unless e_k has the degree of X_k, the k-th basis
-    matrix of ``spaces``, and for every pair i < j with j >= ``start``,
-    bracket or not, the integer commutator of D_i X_i and D_j X_j is D_i
-    D_j times [e_i, e_j] of A written in the X_k; the violations are the
-    misplaced degrees, or else the pairs that fail.  The pairs below
-    ``start`` are those of a subalgebra certified before, on the same
-    basis matrices, whose brackets A keeps.  This proves the grading and
-    the Jacobi identity of A in O(pairs).  phi: e_k -> X_k is injective,
-    as canonical basis vectors have units at distinct free columns and
-    distinct degrees hold distinct cells; the re-derivation makes phi
-    bracket-preserving; gl(n, K) is Lie as K is associative
-    (``is_associative``).  So phi J_A = 0, J_A = 0, and [e_i, e_j] has no
-    term outside the degree of [X_i, X_j].
+    matrix of ``spaces``, and for every pair i < j that ``_assemble``
+    multiplies out (with ``low`` as given), bracket or not, the integer
+    commutator of D_i X_i and D_j X_j is D_i D_j times [e_i, e_j] of A
+    written in the X_k; the violations are the misplaced degrees, or else
+    the pairs that fail, or a pair left out on which A does not have the
+    bracket of ``low`` (none without it).  With ``low`` the pairs left out
+    are low's, certified before on the same basis matrices.  Over all the
+    pairs of an algebra this proves its grading and Jacobi identity in
+    O(pairs).  phi: e_k -> X_k is injective, as canonical basis vectors
+    have units at distinct free columns and distinct degrees hold distinct
+    cells; the re-derivation makes phi bracket-preserving; gl(n, K) is Lie
+    as K is associative (``is_associative``).  So phi J_A = 0, J_A = 0,
+    and [e_i, e_j] has no term outside the degree of [X_i, X_j].
     """
     table, basis = _matrix_basis(spaces)
     _require_certified(A, sum(d != e[0] for d, e in zip(A.degrees, basis)) + abs(A.n - len(basis)))
+    kept = low.brackets if low is not None else {}
     bad = 0
-    for i, (_, Di, Xi) in enumerate(basis):
-        for j in range(max(i + 1, start), len(basis)):
-            _, Dj, Xj = basis[j]
+    for i, (di, Di, Xi) in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            dj, Dj, Xj = basis[j]
+            if _read_by_build(di, dj) == (low is not None):
+                bad += A.brackets.get((i, j)) != kept.get((i, j))
+                continue
             diff = _commutator(Xi, Xj, table)
             # S D_i D_j c_k X_k = (S D_i D_j c_k / D_k)(D_k X_k), in ints
             cell = A.brackets.get((i, j), {})

@@ -50,7 +50,7 @@ from .errors import (
     ParseError,
     require,
 )
-from .linalg import Mat, signature_of_symmetric, sparse_rank
+from .linalg import Echelon, Mat, signature_of_symmetric
 
 
 def format_rational(x: Fraction) -> str:
@@ -113,7 +113,9 @@ class GradedAlgebra:
     and hands the one it builds to the extension, and ``full_prolongation``
     drops that before its certificates, which so read the brackets that
     are returned.  The brackets are read-only once built: an extension
-    shares A's cells, checked once, when A was built."""
+    shares A's cells, checked once, when A was built.  The rank verdicts
+    of ``_minus1_pivots`` are kept with the adjacency they were read from:
+    setting ``_adj`` drops them."""
 
     def __init__(self, name, labels, degrees, brackets):
         """brackets: {(i, j): {k: Fraction}} with i < j; zero coefficients
@@ -142,7 +144,16 @@ class GradedAlgebra:
             if clean:
                 self.brackets[(i, j)] = clean
         self._by_degree: dict[int, list[int]] | None = None
-        self._adj: tuple[int, list[dict[int, dict[int, int]]]] | None = None
+        self._adj = None
+
+    @property
+    def _adj(self) -> tuple[int, list[dict[int, dict[int, int]]]] | None:
+        return self._adjacency
+
+    @_adj.setter
+    def _adj(self, adj) -> None:
+        self._adjacency = adj
+        self._pivots: dict[int, list[tuple[int, int]] | None] = {}
 
     @property
     def n(self) -> int:
@@ -513,11 +524,27 @@ def _reached_by_minus1(A: GradedAlgebra, which) -> bool:
     A with ``which(d)``: for d < -1, g_d = [g_{-1}, g_{d+1}]; for d >= 0, no
     nonzero u in g_d kills g_{-1}.  A missing g_{-1} fails every such d;
     scaling every bracket by L leaves each rank unchanged."""
-    return all(
-        sparse_rank(_minus1_rows(A, d).values(), len(ix)) == len(ix)
-        for d, ix in A.by_degree().items()
-        if which(d)
-    )
+    return all(_minus1_pivots(A, d) is not None for d in A.by_degree() if which(d))
+
+
+def _minus1_pivots(A: GradedAlgebra, d: int) -> list[tuple[int, int]] | None:
+    """The keys of dim g_d rows of ``_minus1_rows(A, d)`` of full rank, or
+    None when the rows fall short of it.  Each degree is ranked once per
+    adjacency of A: the verdict is kept with it, so a certificate that
+    drops the adjacency to read the brackets as written ranks them again."""
+    _scaled_adjacency(A)  # first, since building it clears the verdicts
+    memo = A._pivots
+    if d not in memo:
+        m = len(A.by_degree()[d])
+        ech = Echelon(m)
+        keys = []
+        for key, row in sorted(_minus1_rows(A, d).items(), key=lambda kv: len(kv[1])):
+            if ech.add(row):
+                keys.append(key)
+                if ech.rank == m:
+                    break
+        memo[d] = keys if len(keys) == m else None
+    return memo[d]
 
 
 def _minus1_rows(A: GradedAlgebra, d: int) -> dict[tuple[int, int], dict[int, int]]:

@@ -37,6 +37,27 @@ evaluated only at the z in g_{-1} that own a free column; its eta
 coordinate is 0, and at degree 0 its eta, sum_t c_t eta(v_t), must be 0.
 A free column anywhere else raises GlapError.
 
+The rows of ``_solve`` come only from the pairs (x, y) with y in g_{-1}
+(``_derivation_rows``).  Lemma: let
+D : m -> A have degree k and satisfy the derivation condition on every
+pair that holds an element of g_{-1}.  Then S = {x : it holds on (x, y)
+for all y} is closed under [g_{-1}, .], so S = m, which g_{-1} generates.
+For e in g_{-1} and x in S, expand D[[e, x], y] by J(e, x, y) = 0 in m;
+what is left is J(De, x, y), J(e, Dx, y) and J(e, x, Dy).  When the entry
+that D produced lies in m, this is a triple of m, and J vanishes on all of
+m once it vanishes on the triples of m that hold a g_{-1} element (the
+first half of the proof of ``gla.check_gla``'s theorem, which needs only
+generation).  Otherwise it holds an element u of an earlier layer, and it
+vanishes because u acts on m by derivations: by induction on the layers,
+each is the exact kernel of all the conditions.  So the one outside
+hypothesis is that J vanishes on the triples of m that hold a g_{-1}
+element, and the final certificate of every run sweeps those triples,
+both the full sweep and the ``top`` = K - 1 sweep of a run cut at K >= 0.
+A run that returns a result therefore has the layers of the engine that
+reads every pair, and a run on an m that is not Lie fails certification.
+The rows read are a subset of all of them, so an empty layer is empty
+without any hypothesis.
+
 Nothing in a step checks that the forced map is the member of the layer
 so read.  The certificates of ``full_prolongation`` decide it, on an
 adjacency rebuilt from the brackets that are returned.  The Jacobi
@@ -170,9 +191,10 @@ class Layer:
 
 
 def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
-    """Yield the constraint rows of D([x,y]) = [D(x),y] + [x,D(y)] over all
-    pairs of negative-degree basis elements, for a degree-``shift`` map D
-    whose blocks are indexed by source degree in ``layout``.
+    """Yield the constraint rows of D([x,y]) = [D(x),y] + [x,D(y)] over the
+    pairs of negative-degree basis elements with y in g_{-1}, for a
+    degree-``shift`` map D whose blocks are indexed by source degree in
+    ``layout``; by the module docstring's lemma these decide the rest.
 
     The rows read the scaled adjacency of A (``gla._scaled_adjacency``):
     every structure constant times one common L.  Each row is a sum of
@@ -180,59 +202,53 @@ def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
     ints, and it has the same solutions."""
     by_deg = A.by_degree()
     ad = _scaled_adjacency(A)[1]
-    neg = sorted(d for d in by_deg if d < 0)
-    local = {
-        d: {g: t for t, g in enumerate(by_deg[d])} for d in by_deg
-    }
-    for p in neg:
-        for q in neg:
-            if q < p:
-                continue
-            td = p + q + shift
-            tgt = by_deg.get(td, [])
-            if not tgt:
-                continue
-            tpos = local[td]
-            for ii, gi in enumerate(by_deg[p]):
-                adi = ad[gi]
-                js = by_deg[q]
-                start = ii + 1 if p == q else 0
-                for jj in range(start, len(js)):
-                    gj = js[jj]
-                    comp: dict[int, dict[int, int]] = {}
-                    # D([x, y]) over the (p+q)-block, when it exists
-                    cell = adi.get(gj)
-                    if cell and (p + q) in layout.blocks:
-                        mloc = local[p + q]
-                        for mg, c in cell.items():
-                            for t_global in tgt:
-                                col = layout.col(p + q, tpos[t_global], mloc[mg])
-                                row = comp.setdefault(t_global, {})
-                                row[col] = row.get(col, 0) + c
-                    # -[D(x), y]: D(x) runs over the degree p+shift basis
-                    if p in layout.blocks:
-                        adj = ad[gj]
-                        for r, fr in enumerate(by_deg.get(p + shift, [])):
-                            cell = adj.get(fr)
-                            if cell:
-                                col = layout.col(p, r, ii)
-                                for t_global, c in cell.items():
-                                    # [fr, gj] = -[gj, fr]
-                                    row = comp.setdefault(t_global, {})
-                                    row[col] = row.get(col, 0) + c
-                    # -[x, D(y)]
-                    if q in layout.blocks:
-                        for r, fr in enumerate(by_deg.get(q + shift, [])):
-                            cell = adi.get(fr)
-                            if cell:
-                                col = layout.col(q, r, jj)
-                                for t_global, c in cell.items():
-                                    row = comp.setdefault(t_global, {})
-                                    row[col] = row.get(col, 0) - c
-                    for row in comp.values():
-                        row = {c: v for c, v in row.items() if v}
-                        if row:
-                            yield row
+    blocks = layout.blocks
+    minus1 = by_deg.get(-1, [])
+    local = {g: t for ix in by_deg.values() for t, g in enumerate(ix)}
+    # -[x, D(y)]: D(y) runs over the degree shift-1 basis, column jj of block -1
+    off_y, rows_y, _ = blocks.get(-1, (0, 0, 0))
+    dy = list(enumerate(by_deg.get(shift - 1, []))) if -1 in blocks else []
+    for p in sorted(d for d in by_deg if d < 0):
+        tgt = by_deg.get(p - 1 + shift)
+        if not tgt:
+            continue
+        # D([x, y]) over the (p-1)-block, when it exists
+        off_xy = blocks[p - 1][0] if p - 1 in blocks else None
+        # -[D(x), y]: D(x) runs over the degree p+shift basis, column ii of block p
+        off_x, rows_x, _ = blocks.get(p, (0, 0, 0))
+        dx = list(enumerate(by_deg.get(p + shift, []))) if p in blocks else []
+        for ii, gi in enumerate(by_deg[p]):
+            adi = ad[gi]
+            col_x = off_x + ii * rows_x
+            for jj in range(ii + 1 if p == -1 else 0, len(minus1)):
+                gj = minus1[jj]
+                comp: dict[int, dict[int, int]] = {}
+                cell = adi.get(gj)
+                if cell and off_xy is not None:
+                    for mg, c in cell.items():
+                        col = off_xy + local[mg] * len(tgt)
+                        for r, t_global in enumerate(tgt):
+                            row = comp.setdefault(t_global, {})
+                            row[col + r] = row.get(col + r, 0) + c
+                adj = ad[gj]
+                for r, fr in dx:
+                    cell = adj.get(fr)
+                    if cell:
+                        for t_global, c in cell.items():
+                            # [fr, gj] = -[gj, fr]
+                            row = comp.setdefault(t_global, {})
+                            row[col_x + r] = row.get(col_x + r, 0) + c
+                col_y = off_y + jj * rows_y
+                for r, fr in dy:
+                    cell = adi.get(fr)
+                    if cell:
+                        for t_global, c in cell.items():
+                            row = comp.setdefault(t_global, {})
+                            row[col_y + r] = row.get(col_y + r, 0) - c
+                for row in comp.values():
+                    row = {c: v for c, v in row.items() if v}
+                    if row:
+                        yield row
 
 
 def _conformal_rows(g: SymBilinearForm, layout: _Layout):

@@ -13,13 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from glap import cli
 from glap.analysis import (
+    _centroid,
     _dense_system,
     ModuleClassification,
+    _determined_by_minus1,
     _extensions,
     _has_characteristic,
     _is_scalar,
     _positive_sqrt,
     _quadratic_relation,
+    _residual,
     _simple_from_centroid,
     _table_rows,
     _verify_centroid,
@@ -44,7 +47,7 @@ from glap.errors import (
 )
 from glap.families import FAMILIES, CartanTag, build, label, oracle_instances
 from glap.gla import GradedAlgebra, SymBilinearForm, _scaled_adjacency
-from glap.linalg import Echelon, Mat, int_row, signature_of_symmetric
+from glap.linalg import Echelon, Mat, int_row, signature_of_symmetric, span_basis
 from glap.prolongation import full_prolongation
 from glap.roots import table_expectation
 from test_prolongation import _REBASED, _bench_rebase
@@ -743,12 +746,51 @@ _SMALL_CASES = [
 def test_centroid_matches_the_full_solve(get_prolongation, get_rebased, case):
     A, dim, extends = _centroid_case(get_prolongation, get_rebased, case)
     n = A.n
-    K = commutant(degree_zero_action(A), len(A.by_degree().get(-1, [])))
-    assert (_extensions(A, K) is not None) == extends
+    assert _determined_by_minus1(A) == extends
     want = Echelon(n * n).extend(_dense_system(A)).kernel_space()
     got = centroid(A)
     assert (got.basis, got.denominator, got.free) == (want.basis, want.denominator, want.free)
     assert dim is None or len(got) == dim
+
+
+def _reference_centroid(A, K):
+    """The centroid as ``_centroid`` found it before it read the identity
+    off: the residuals of the extension of every basis element of K
+    solved together, and every basis map certified, scalar or not."""
+    n = A.n
+    ad = _scaled_adjacency(A)[1]
+    if not _determined_by_minus1(A):
+        C = Echelon(n * n).extend(_dense_system(A)).kernel_space("the centroid")
+    else:
+        maps = _extensions(A, K.basis)
+        rows = {}
+        for t, phi in enumerate(maps):
+            for key, x in _residual(phi, n, ad).items():
+                rows.setdefault(key, {})[t] = x
+        span = []
+        for coeffs in Echelon(len(maps)).extend(rows.values()).kernel_space().basis:
+            w = {}
+            for t, ct in coeffs.items():
+                for k, x in maps[t].items():
+                    w[k] = w.get(k, 0) + ct * x
+            span.append(w)
+        C = span_basis(span, n * n, "the centroid")
+    assert not any(_residual(phi, n, ad) for phi in C.basis)
+    return C
+
+
+@pytest.mark.parametrize("case", list(_ALGEBRA_CASES) + ["hc11(C)", "hc11+sl2", "sl2+sl2"])
+def test_centroid_matches_the_reference(get_prolongation, get_rebased, case):
+    """The identity read off (dim K = 1), solved for the rest of K (hc
+    and hc-split, dim K = 2; hc11(C), dim K = 4), and the dense path
+    (hc11+sl2, sl2+sl2) against the solve of every element of K."""
+    A, _, extends = _centroid_case(get_prolongation, get_rebased, case)
+    K = commutant(degree_zero_action(A), len(A.by_degree().get(-1, [])))
+    if case.startswith("hc-p2-q1"):
+        assert len(K) == 2
+    got, want = _centroid(A, K), _reference_centroid(A, K)
+    assert (got.basis, got.denominator, got.free) == (want.basis, want.denominator, want.free)
+    assert _determined_by_minus1(A) == extends
 
 
 @pytest.mark.parametrize(
@@ -861,7 +903,7 @@ def _non_extending_commutant_element_is_rejected():
     A = full_prolongation(fam.m, fam.g).algebra
     K = commutant(degree_zero_action(A), 2)
     verdicts = []
-    for M, phi in zip(K.basis, _extensions(A, K)):
+    for M, phi in zip(K.basis, _extensions(A, K.basis)):
         verdicts.append((_is_scalar(M, 2), _rejects(_verify_centroid, A, [phi])))
     return sorted(verdicts) == [(False, True), (True, False)]
 

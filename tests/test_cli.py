@@ -349,6 +349,57 @@ def test_check_reads_complete_files_and_plain_algebras_as_before(tmp_path, capsy
     assert code == 1 and json.loads(out)["violation_count"] == 132
 
 
+def test_check_refuses_a_complete_file_with_a_layer_past_its_top(tmp_path, capsys):
+    _, path = _hh12_files(tmp_path, capsys)
+    code, out = run(capsys, "check", path)
+    assert code == 0 and json.loads(out)["next_layer_dim"] == 0
+    # cut to degrees <= 0, yet marked complete: m + g_0 passes the full
+    # sweep, but the degree 1 layer is not empty
+    _, cut = _hh12_files(tmp_path, capsys, "--max-degree", "0")
+    doc = json.loads(open(cut).read())
+    assert max(doc["degrees"]) == 0
+    doc["complete"] = True
+    claimed = tmp_path / "claimed.json"
+    claimed.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(claimed))
+    report = json.loads(out)
+    assert code == 1 and not report["pass"]
+    assert report["jacobi_ok"] and report["next_layer_dim"] > 0
+    code, out = run(capsys, "check", str(claimed), "--summary")
+    assert code == 1 and "next_layer_dim=" in out and out.rstrip().endswith("FAIL")
+
+
+def _bi3_plants(tmp_path, capsys):
+    """(m file, g file) of bi(3) with each of the 7 bracket terms of m
+    tripled in turn, written to the same m file."""
+    prefix = str(tmp_path / "bi3")
+    run(capsys, "build", "--family", "bi", "--l", "3", "--out", prefix)
+    doc = json.loads(open(prefix + ".m.json").read())
+    terms = [(r, t) for r, row in enumerate(doc["brackets"]) for t in range(len(row[2]))]
+    assert len(terms) == 7
+    bad = str(tmp_path / "bad.m.json")
+    for r, t in terms:
+        planted = json.loads(json.dumps(doc))
+        term = planted["brackets"][r][2][t]
+        term[1] = str(3 * Fraction(term[1]))
+        with open(bad, "w", encoding="utf-8") as fh:
+            json.dump(planted, fh)
+        yield bad, prefix + ".g.json"
+
+
+def test_prolong_of_an_m_that_is_not_lie_fails_certification(tmp_path, capsys):
+    """The step solve reads only the pairs that hold g_-1, which decide the
+    rest when m is Lie; the final certificate sweeps the triples of m that
+    hold g_-1, so a planted violation in m is still caught."""
+    for m_path, g_path in _bi3_plants(tmp_path, capsys):
+        assert run(capsys, "check", m_path)[0] == 1
+        code, out = run(capsys, "prolong", m_path, g_path)
+        assert code == 2
+        assert "assembled prolongation failed certification" in json.loads(out)["error"]
+        code, out = run(capsys, "derivations", m_path, g_path)
+        assert code == 2 and "not a Lie algebra" in json.loads(out)["error"]
+
+
 def test_prolong_rejects_negative_max_degree(tmp_path, capsys):
     prefix = str(tmp_path / "f")
     run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)

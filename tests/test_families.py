@@ -421,11 +421,12 @@ for tag, params in [("hh", {{"p": 1, "q": 1}}), ("bi", {{"l": 3}})]:
 # ---------------------------------------------------------------------------
 
 
-def _reference_assemble(name, spaces):
+def _reference_assemble(name, spaces, pairs=lambda da, db: True):
     """The Fraction form of the assembly: each basis matrix over K as
-    {(i, j): coordinates of the entry}, each bracket a commutator
-    multiplied out over the raw unit table (``test_composition.mul``),
-    its coordinates read off the target degree."""
+    {(i, j): coordinates of the entry}, each bracket of degrees (da, db)
+    with ``pairs(da, db)`` a commutator multiplied out over the raw unit
+    table (``test_composition.mul``), its coordinates read off the target
+    degree."""
 
     def cells(space, k):
         d = space.alg.dim
@@ -457,6 +458,8 @@ def _reference_assemble(name, spaces):
     for a, (da, X) in enumerate(basis):
         for b in range(a + 1, len(basis)):
             db, Y = basis[b]
+            if not pairs(da, db):
+                continue
             XY, YX = product(X, Y), product(Y, X)
             Z = {}
             for (i, j), v in XY.items():
@@ -496,7 +499,8 @@ def test_integer_assembly_matches_the_fraction_reference(monkeypatch):
         build(tag, **params)
         assert len(seen) == 1, (tag, params)
         spaces, A = seen.pop()
-        assert A.serialize() == _reference_assemble(A.name, spaces).serialize(), (tag, params)
+        want = _reference_assemble(A.name, spaces, families._read_by_build)
+        assert A.serialize() == want.serialize(), (tag, params)
 
 
 def _record_matrix_calls(monkeypatch):
@@ -523,9 +527,9 @@ def test_build_assembles_no_positive_degree(monkeypatch, tag, params):
 @pytest.mark.parametrize("tag,params", ASSEMBLY_ROWS,
                          ids=[families.label(tag, params) for tag, params in ASSEMBLY_ROWS])
 def test_the_ambient_is_assembled_and_certified_on_first_read(monkeypatch, tag, params):
-    """The first read extends the certified m + g_0: each pair that holds
-    a positive degree is multiplied out once to assemble it and once to
-    certify it, and no pair of m + g_0 is multiplied out again."""
+    """The first read extends what ``build`` certified: each pair that
+    build did not read is multiplied out once to assemble it and once to
+    certify it, and no pair that build read is multiplied out again."""
     calls = _record_matrix_calls(monkeypatch)
     seen = []
     assemble = families._assemble
@@ -556,11 +560,14 @@ def test_the_ambient_is_assembled_and_certified_on_first_read(monkeypatch, tag, 
     spaces, got = seen.pop()
     assert got is A
     assert A.serialize() == _reference_assemble(A.name, spaces).serialize()
-    # m + g_0 is the ambient's first indices
+    # m + g_0 is the ambient's first indices, with the brackets build reads
     low = families._assemble(A.name, {d: sp for d, sp in spaces.items() if d <= 0})
     assert low.labels == A.labels[:low.n] and low.degrees == A.degrees[:low.n]
-    assert low.brackets == {key: cell for key, cell in A.brackets.items() if key[1] < low.n}
-    assert multiplied == 2 * (A.n * (A.n - 1) - low.n * (low.n - 1)) // 2
+    degs = A.degrees
+    read = {(i, j) for i in range(A.n) for j in range(i + 1, A.n)
+            if families._read_by_build(degs[i], degs[j])}
+    assert low.brackets == {key: cell for key, cell in A.brackets.items() if key in read}
+    assert multiplied == 2 * (A.n * (A.n - 1) // 2 - len(read))
 
 
 def test_a_corrupted_positive_bracket_fails_when_the_ambient_is_read(monkeypatch):
@@ -579,6 +586,24 @@ def test_a_corrupted_positive_bracket_fails_when_the_ambient_is_read(monkeypatch
     for _ in range(2):  # a failed read keeps nothing
         with pytest.raises(GlapError, match="Jacobi certificate: 1 violations$"):
             fam.ambient
+
+
+def test_a_corrupted_degree_zero_bracket_fails_when_the_ambient_is_read(monkeypatch):
+    """[g_0, g_0] is assembled and certified on the first read, not by build."""
+    assemble = families._assemble
+
+    def corrupt(name, spaces, *rest):
+        A = assemble(name, spaces, *rest)
+        if rest:
+            degs = A.degrees
+            cell = A.brackets[min(key for key in A.brackets if degs[key[0]] == degs[key[1]] == 0)]
+            cell[min(cell)] += 1
+        return A
+
+    monkeypatch.setattr(families, "_assemble", corrupt)
+    fam = build("hh", p=1, q=2)
+    with pytest.raises(GlapError, match="Jacobi certificate: 1 violations$"):
+        fam.ambient
 
 
 def _planted(table, s, t, factor):

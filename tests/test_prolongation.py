@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -272,17 +273,18 @@ def test_prolongation_round_trip(get_prolongation):
     assert again.mu == prol.mu and again.nu == prol.nu
 
 
-def _reference_derivation_rows(A, layout, shift):
+def _reference_derivation_rows(A, layout, shift, minus1_only=False):
     """The derivation rows built from Fraction constants and bracket_pair
     copies, as the step engine did before it read the scaled adjacency;
-    kept as the reference for the integer rows."""
+    kept as the reference for the integer rows.  With ``minus1_only``,
+    only the rows of the pairs (x, y) with y in g_{-1}."""
     by_deg = A.by_degree()
     neg = sorted(d for d in by_deg if d < 0)
     local = {d: {g: t for t, g in enumerate(by_deg[d])} for d in by_deg}
     rows = []
     for p in neg:
         for q in neg:
-            if q < p:
+            if q < p or minus1_only and q != -1:
                 continue
             td = p + q + shift
             tgt = by_deg.get(td, [])
@@ -322,13 +324,15 @@ def _reference_derivation_rows(A, layout, shift):
     return rows
 
 
-@pytest.mark.parametrize("case", ["hh11-rebased", "hc21"])
+@pytest.mark.parametrize("case", ["hh11-rebased", "hc21", "g2"])
 @pytest.mark.parametrize("shift", [0, 1])
 def test_integer_derivation_rows_match_the_fraction_reference(
     get_prolongation, get_rebased, case, shift
 ):
     if case == "hh11-rebased":
         A = full_prolongation(*get_rebased("hh", p=1, q=1)).algebra
+    elif case == "g2":  # kind 5: pairs of degrees below -1 are left out
+        A = get_prolongation("g2").algebra
     else:
         A = get_prolongation("hc", p=2, q=1).algebra
     L = _scaled_adjacency(A)[0]
@@ -340,7 +344,9 @@ def test_integer_derivation_rows_match_the_fraction_reference(
             layout.add(p, len(by_deg[p + shift]), len(by_deg[p]))
     ref = _reference_derivation_rows(A, layout, shift)
     rows = list(_derivation_rows(A, layout, shift))
-    assert rows == [{c: L * v for c, v in row.items()} for row in ref]
+    want_rows = _reference_derivation_rows(A, layout, shift, minus1_only=True)
+    assert rows == [{c: L * v for c, v in row.items()} for row in want_rows]
+    assert len(rows) < len(ref) or case != "g2"
     want = Echelon(layout.total).extend(map(int_row, ref)).kernel_space()
     got = Echelon(layout.total).extend(rows).kernel_space()
     assert (got.basis, got.denominator, got.free) == (want.basis, want.denominator, want.free)
@@ -461,6 +467,85 @@ def _engine_inputs():
             rng = rebase.instance_rng(seed, label(tag, params))
             inputs.append(rebase.rebase(fam.m, fam.g, rng))
     return inputs
+
+
+def _all_pairs_rows(A, layout, shift):
+    """The derivation rows over every pair of negative-degree basis
+    elements, p <= q, as the step engine built them before it read only
+    the pairs that hold g_{-1}: the reference its kernels must match."""
+    by_deg = A.by_degree()
+    ad = _scaled_adjacency(A)[1]
+    neg = sorted(d for d in by_deg if d < 0)
+    local = {d: {g: t for t, g in enumerate(by_deg[d])} for d in by_deg}
+    for p in neg:
+        for q in neg:
+            if q < p:
+                continue
+            td = p + q + shift
+            tgt = by_deg.get(td, [])
+            if not tgt:
+                continue
+            tpos = local[td]
+            for ii, gi in enumerate(by_deg[p]):
+                adi = ad[gi]
+                js = by_deg[q]
+                for jj in range(ii + 1 if p == q else 0, len(js)):
+                    gj = js[jj]
+                    comp = {}
+                    cell = adi.get(gj)
+                    if cell and (p + q) in layout.blocks:
+                        for mg, c in cell.items():
+                            for t_global in tgt:
+                                col = layout.col(p + q, tpos[t_global], local[p + q][mg])
+                                row = comp.setdefault(t_global, {})
+                                row[col] = row.get(col, 0) + c
+                    if p in layout.blocks:
+                        for r, fr in enumerate(by_deg.get(p + shift, [])):
+                            for t_global, c in ad[gj].get(fr, {}).items():
+                                row = comp.setdefault(t_global, {})
+                                col = layout.col(p, r, ii)
+                                row[col] = row.get(col, 0) + c
+                    if q in layout.blocks:
+                        for r, fr in enumerate(by_deg.get(q + shift, [])):
+                            for t_global, c in adi.get(fr, {}).items():
+                                row = comp.setdefault(t_global, {})
+                                col = layout.col(q, r, jj)
+                                row[col] = row.get(col, 0) - c
+                    for row in comp.values():
+                        row = {c: v for c, v in row.items() if v}
+                        if row:
+                            yield row
+
+
+def test_every_layer_is_the_all_pairs_kernel(monkeypatch):
+    """On the 14 rows, both ladder rungs, the rebased inputs at seeds 0
+    and 7 and a run cut at degree 1, every ``_solve`` returns the kernel
+    of the rows of every pair: basis, denominator and free columns."""
+    solve = prolongation._solve
+    seen = []
+
+    def recorded(A, shift, g=None):
+        layer = solve(A, shift, g)
+        seen.append((A, g, layer))
+        return layer
+
+    monkeypatch.setattr(prolongation, "_solve", recorded)
+    fam = build("hh", p=1, q=2)
+    assert not full_prolongation(fam.m, fam.g, max_degree=1).complete
+    for m, g in _engine_inputs():
+        full_prolongation(m, g)
+    assert len(seen) == 174
+    for A, g, layer in seen:
+        A._adj = None  # the brackets as written
+        layout, space = layer.layout, layer.space
+        rows = _all_pairs_rows(A, layout, layer.shift)
+        if g is None:
+            ech = Echelon(layout.total)
+        else:
+            rows = chain(rows, prolongation._conformal_rows(g, layout))
+            ech = Echelon(layout.total + 1)
+        want = ech.extend(rows).kernel_space()
+        assert (space.basis, space.denominator, space.free) == (want.basis, want.denominator, want.free)
 
 
 def test_extend_hands_on_the_adjacency_it_extended(monkeypatch):
