@@ -19,7 +19,7 @@ from .families import FAMILIES, build, label
 from .gla import (
     GradedAlgebra,
     _load_json,
-    check_fundamental,
+    _reached_by_minus1,
     check_gla,
     deserialize,
     deserialize_form,
@@ -131,13 +131,13 @@ def cmd_check(args) -> int:
     else:
         A = GradedAlgebra.from_json_dict(doc)
         res = check_gla(A)
-    neg_degrees = [d for d in A.degrees if d < 0]
-    if not res["grading_ok"] or not neg_degrees:
-        # fundamentality is only meaningful once the grading itself holds
+    if not res["grading_ok"] or min(A.degrees, default=0) >= 0:
+        # fundamentality is only meaningful once the grading itself holds,
+        # and on a negative part
         fundamental, kind = False, None
     else:
-        neg = A if len(neg_degrees) == A.n else A.negative_part(A.name + ".neg")
-        fundamental, kind = check_fundamental(neg)
+        fundamental = -1 in A.by_degree() and _reached_by_minus1(A, lambda d: d < -1)
+        kind = -min(A.degrees)
     ok = res["grading_ok"] and res["jacobi_ok"] and fundamental and not next_layer
     out = {
         "name": A.name,
@@ -433,7 +433,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser(
         "analyze", parents=[common],
-        help="structure report (trusts the Jacobi identity: certify it with check)",
+        help="structure report (trusts the Jacobi identity and the complete flag, so a "
+        "file cut to degrees <= 0 and marked complete gets exit 0 and no warning: "
+        "certify both with check, which refuses that file by next_layer_dim)",
     )
     a.add_argument("path", help="prolongation JSON file")
     a.set_defaults(func=cmd_analyze)

@@ -646,51 +646,25 @@ def build_g2_example(name: str):
 
 
 def _sl3():
-    """sl(3, R) with the grading by the first diagonal weight."""
+    """sl(3, R) with the grading by the first diagonal weight, bracketed by
+    the integer commutators of its basis matrices."""
     names = ["E12", "E13", "E21", "E23", "E31", "E32", "H1", "H2"]
-    units = {
-        "E12": (0, 1),
-        "E13": (0, 2),
-        "E21": (1, 0),
-        "E23": (1, 2),
-        "E31": (2, 0),
-        "E32": (2, 1),
-    }
-
-    def matrix(name):
-        M = [[ZERO] * 3 for _ in range(3)]
-        if name in units:
-            i, j = units[name]
-            M[i][j] = ONE
-        elif name == "H1":
-            M[0][0], M[1][1] = ONE, -ONE
-        else:
-            M[1][1], M[2][2] = ONE, -ONE
-        return M
-
-    def mult(A, B):
-        return [
-            [sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-
-    def coords(M):
-        require(M[0][0] + M[1][1] + M[2][2] == 0, "sl(3) commutator is not traceless")
-        out = [M[0][1], M[0][2], M[1][0], M[1][2], M[2][0], M[2][1]]
-        a, b = M[0][0], -M[2][2]
-        require(M[1][1] == -a + b, "sl(3) commutator leaves the diagonal basis")
-        return out + [a, b]
-
-    mats = [matrix(nm) for nm in names]
+    units = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    mats = [{(i, j, 0): 1} for i, j in units]
+    mats += [{(0, 0, 0): 1, (1, 1, 0): -1}, {(1, 1, 0): 1, (2, 2, 0): -1}]
+    rows = [_by_row(X) for X in mats]
+    table = real_algebra().unit_table()
     w = (1, 0, 0)
-    degrees = [w[i] - w[j] for i, j in (units[nm] for nm in names[:6])] + [0, 0]
+    degrees = [w[i] - w[j] for i, j in units] + [0, 0]
     brackets = {}
     for i in range(8):
         for j in range(i + 1, 8):
-            C = mult(mats[i], mats[j])
-            D = mult(mats[j], mats[i])
-            comm = [[C[r][c] - D[r][c] for c in range(3)] for r in range(3)]
-            cell = {k: c for k, c in enumerate(coords(comm)) if c}
+            comm = _commutator(rows[i], rows[j], table)
+            M = [[comm.get((r, c, 0), 0) for c in range(3)] for r in range(3)]
+            require(M[0][0] + M[1][1] + M[2][2] == 0, "sl(3) commutator is not traceless")
+            a, b = M[0][0], -M[2][2]
+            require(M[1][1] == -a + b, "sl(3) commutator leaves the diagonal basis")
+            cell = {k: c for k, c in enumerate([M[r][c] for r, c in units] + [a, b]) if c}
             if cell:
                 brackets[(i, j)] = cell
     return GradedAlgebra("sl3.a1", names, degrees, brackets)

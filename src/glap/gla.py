@@ -108,14 +108,12 @@ def parse_rational(s: str | int, where: str = "") -> Fraction:
 
 
 class GradedAlgebra:
-    """A graded algebra.  Its scaled adjacency (``_scaled_adjacency``) is
-    built on first use and kept.  ``prolongation._extend`` releases A's
-    and hands the one it builds to the extension, and ``full_prolongation``
-    drops that before its certificates, which so read the brackets that
-    are returned.  The brackets are read-only once built: an extension
-    shares A's cells, checked once, when A was built.  The rank verdicts
-    of ``_minus1_pivots`` are kept with the adjacency they were read from:
-    setting ``_adj`` drops them."""
+    """A graded algebra.  Its scaled adjacency ``_adj`` is built from
+    ``brackets`` on first read by ``_scaled_adjacency``, the only code that
+    sets it, and kept; ``_pivots`` keeps the rank verdicts that
+    ``_minus1_pivots`` reads from it.  So the brackets are read-only once
+    built, and an extension shares A's cells, checked once, when A was
+    built."""
 
     def __init__(self, name, labels, degrees, brackets):
         """brackets: {(i, j): {k: Fraction}} with i < j; zero coefficients
@@ -144,15 +142,7 @@ class GradedAlgebra:
             if clean:
                 self.brackets[(i, j)] = clean
         self._by_degree: dict[int, list[int]] | None = None
-        self._adj = None
-
-    @property
-    def _adj(self) -> tuple[int, list[dict[int, dict[int, int]]]] | None:
-        return self._adjacency
-
-    @_adj.setter
-    def _adj(self, adj) -> None:
-        self._adjacency = adj
+        self._adj: tuple[int, list[dict[int, dict[int, int]]]] | None = None
         self._pivots: dict[int, list[tuple[int, int]] | None] = {}
 
     @property
@@ -297,7 +287,8 @@ def _scaled_adjacency(A: GradedAlgebra) -> tuple[int, list[dict[int, dict[int, i
     """(L, ad) with ad[i][j] = {k: L*c} for [e_i, e_j] = sum c e_k, both
     orientations, where L is the lcm of every bracket denominator, so all
     entries are Python ints.  A pair with zero bracket has no key.  Built
-    on first use and kept on A; callers must not modify it."""
+    from ``A.brackets`` on first read and kept on A; callers must not
+    modify it."""
     if A._adj is None:
         A._adj = _adjacency(A.n, A.brackets)
     return A._adj
@@ -529,10 +520,8 @@ def _reached_by_minus1(A: GradedAlgebra, which) -> bool:
 
 def _minus1_pivots(A: GradedAlgebra, d: int) -> list[tuple[int, int]] | None:
     """The keys of dim g_d rows of ``_minus1_rows(A, d)`` of full rank, or
-    None when the rows fall short of it.  Each degree is ranked once per
-    adjacency of A: the verdict is kept with it, so a certificate that
-    drops the adjacency to read the brackets as written ranks them again."""
-    _scaled_adjacency(A)  # first, since building it clears the verdicts
+    None when the rows fall short of it.  Each degree of A is ranked once:
+    the verdict is kept in ``A._pivots``."""
     memo = A._pivots
     if d not in memo:
         m = len(A.by_degree()[d])

@@ -59,30 +59,32 @@ The rows read are a subset of all of them, so an empty layer is empty
 without any hypothesis.
 
 Nothing in a step checks that the forced map is the member of the layer
-so read.  The certificates of ``full_prolongation`` decide it, on an
-adjacency rebuilt from the brackets that are returned.  The Jacobi
-residual J(z, w, v) with z in g_{-1} is 0 exactly when [w, v] acts on z as
-the forced map.  A complete run passes ``gla.check_gla``, whose reduced
-sweep holds every such triple and, by its theorem, decides all the
-others; with the whole identity, ad is a homomorphism, so each
-written bracket acts on m as the forced map.  A run cut at degree K
+so read.  The certificates of ``full_prolongation`` decide it, on the
+adjacency of the returned algebra, which like every adjacency is built
+from the brackets as written.  The Jacobi residual J(z, w, v) with z in
+g_{-1} is 0 exactly when [w, v] acts on z as the forced map.  A complete
+run passes ``gla.check_gla``, whose reduced sweep holds every such triple
+and, by its theorem, decides all the others; with the whole identity, ad
+is a homomorphism, so each written bracket acts on m as the forced map.  A run cut at degree K
 passes ``gla.check_gla`` with ``top`` K - 1, every triple with an element
 of g_{-1} whose other two degrees add up to at most K: each forced bracket
 then acts on g_{-1} as it should, and through the triples (z, u, y) on
 every bracket of g_{-1} elements, so on all of m, which g_{-1} generates.
 
-The hot loops run in Python ints on the scaled adjacency of each algebra,
-built once per algebra (``gla._scaled_adjacency``: every structure
-constant times L, the lcm of their denominators); ``_extend`` hands the
-one it built on to the algebra it returns.  Fractions appear only where a
-result leaves the solver.  This is exact at every degree, 0 included.  A
-derivation row is a sum of signed constants, so it is L times the
-rational row and, being homogeneous, has the same kernel; a conformal row
-is scaled to integers where it is built.  The layer's basis is kept as
-integer vectors over one denominator D (``linalg.Subspace``).  A forced
-bracket is a sum of products of two constants, so its entries, and with
-them its coordinates, are L**2 times the rational ones; each coordinate is
-divided by L**2 as a Fraction.
+The hot loops run in Python ints on the scaled adjacency of each algebra
+(``gla._scaled_adjacency``: every structure constant times L, the lcm of
+their denominators), built from its brackets on first read and kept: the
+step solve over A builds A's, and ``_extend`` reads it.  Fractions appear
+only where a result leaves the solver.  This is exact at every degree, 0
+included.  A derivation row is a sum of signed constants, so it is L
+times the rational row and, being homogeneous, has the same kernel; a
+conformal row is scaled to integers where it is built.  The layer's basis
+is kept as integer vectors over one denominator D (``linalg.Subspace``),
+and ``_extend`` reads the new elements' action on m from it.  A forced
+bracket is a sum of products of two constants, one from the row of each
+element of the pair, so its entries, and with them its coordinates, are
+L**2, L D or D**2 times the rational ones; each coordinate is divided by
+that scale as a Fraction.
 
 The recursion stops at the first empty layer; for the inputs this package
 builds that always happens (the negative part is fundamental and the
@@ -102,9 +104,9 @@ from .errors import GlapError, NotFundamental, ParseError, StepLimitExceeded
 from .gla import (
     GradedAlgebra,
     SymBilinearForm,
-    _adjacency,
     _is_json_int,
     _load_json,
+    _reached_by_minus1,
     _scaled_adjacency,
     check_fundamental,
     check_gla,
@@ -140,7 +142,7 @@ class _Layout:
             raise GlapError(f"entry ({r}, {c}) outside the {rows}x{cols} block {key!r}")
         return off + c * rows + r
 
-    def columns(self, vec: dict[int, Fraction]) -> dict:
+    def columns(self, vec: dict[int, int]) -> dict:
         """Split a sparse flat vector into sparse block columns,
         ``key -> column -> {row: value}`` in increasing order; entries past
         the last block (the eta column) are left out."""
@@ -316,34 +318,41 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     0 at degree 0.  That the forced map is the member of the layer so read
     is left to the certificates of ``full_prolongation``.  Only the new
     cells are checked as cells of an algebra: A's were when A was built.
-    A's adjacency is released, and the one built here goes with the result,
-    forced brackets included, unless those change L (then it builds its own).
-    """
-    A._adj = None
+
+    The forced brackets are read from two scaled adjacencies: A's own
+    (scale L, built by the ``_solve`` of the layer), and the rows of the
+    new elements acting on m, from the layer's integer basis (scale D, its
+    denominator).  A pair holds a new element only at degrees (0, shift),
+    and then only that element's action on m is read.  Each term of a
+    forced bracket is a product of a constant of w's row and one of v's,
+    so its coordinates are exactly scale[w] * scale[v] times the rational
+    ones."""
     shift, layout, space = layer.shift, layer.layout, layer.space
     by_deg = A.by_degree()
     n = A.n
     t = len(space)
+    D = space.denominator
     prefix = "d" if shift == 0 else "p"
     labels = list(A.labels) + [f"{prefix}{shift}_{i}" for i in range(t)]
     degrees = list(A.degrees) + [shift] * t
     cells: dict[tuple[int, int], dict[int, Fraction]] = {}  # the new brackets
-    for i, vec in enumerate(space.vectors):
+    actions: list[dict[int, dict[int, int]]] = []  # D u_i(x) for x in m
+    for i, vec in enumerate(space.basis):
+        action = {}
         for p, blk in layout.columns(vec).items():
             src, tgt = by_deg[p], by_deg[p + shift]
             for c_loc, col in blk.items():
+                action[src[c_loc]] = {tgt[r]: v for r, v in col.items()}
                 # [x, u] = -u(x)
-                cells[(src[c_loc], n + i)] = {tgt[r]: -v for r, v in col.items()}
+                cells[(src[c_loc], n + i)] = {tgt[r]: Fraction(-v, D) for r, v in col.items()}
+        actions.append(action)
     reads = _free_reads(layer, by_deg)
     eta = layout.total
     etas = {s: x for s, u in enumerate(space.basis) if (x := u.get(eta))}
 
-    # Each term of a forced bracket is a product of two constants of the
-    # scaled adjacency of A with its action brackets, so its entries are
-    # exactly L**2 times the rational ones, and so are its coordinates.
-    L, ad = _adjacency(n + t, {**A.brackets, **cells})
-    L2 = L * L
-    keep = True
+    L, ad = _scaled_adjacency(A)
+    ad = [*ad, *actions]
+    scale = [L] * n + [D] * t
     by_deg2 = {**by_deg, shift: list(range(n, n + t))}
     for a in range(0, shift // 2 + 1):
         b = shift - a
@@ -379,14 +388,10 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
                     raise GlapError(
                         f"forced bracket of degrees ({a},{b}) has a nonzero eta in {space.name}"
                     )
-                cells[(w, v)] = {n + i: Fraction(c, L2) for i, c in coords.items()}
-                keep = keep and all(c % L == 0 for c in coords.values())
-                if keep:  # no later pair reads a bracket of degree ``shift``
-                    adw[v] = {n + i: c // L for i, c in coords.items()}
-                    adv[w] = {k: -x for k, x in adw[v].items()}
+                den = scale[w] * scale[v]
+                cells[(w, v)] = {n + i: Fraction(c, den) for i, c in coords.items()}
     B = GradedAlgebra(name, labels, degrees, cells)  # checks the new cells
     B.brackets = {**A.brackets, **B.brackets}
-    B._adj = (L, ad) if keep else None
     return B
 
 
@@ -514,8 +519,7 @@ class ProlongationResult:
         degs = algebra.degrees
         if not degs:
             raise ParseError("the prolongation has an empty basis")
-        neg = algebra.negative_part()
-        if not neg.n or not check_fundamental(neg)[0]:
+        if -1 not in algebra.by_degree() or not _reached_by_minus1(algebra, lambda d: d < -1):
             raise ParseError("the negative part is not generated by its degree -1 part")
         mu = -min(degs)
         nu = max(degs)
@@ -542,14 +546,16 @@ def full_prolongation(
 ) -> ProlongationResult:
     """Iterate prolongation steps until a layer is empty.
 
-    The certificates read an adjacency rebuilt from the brackets that are
-    returned.  A natural stop certifies the result (the grading and Jacobi
-    check of ``gla.check_gla``, whose sweep is cut down to the triples
-    that decide the rest; transitivity; untouched negative part).
-    Stopping at max_degree instead yields a partial algebra with
-    complete=False, certified on the triples of ``gla.check_gla`` below
-    the cut (its ``top``), which hold every forced bracket on g_{-1}, and
-    on transitivity, which makes that action decide the bracket.
+    The certificates read the adjacency of the returned algebra, built from
+    its brackets as written by the last step solve, or by the certificates
+    themselves in a run cut at max_degree.  A natural stop certifies the
+    result (the grading and Jacobi check of ``gla.check_gla``, whose sweep
+    is cut down to the triples that decide the rest; transitivity;
+    untouched negative part).  Stopping at max_degree instead yields a
+    partial algebra with complete=False, certified on the triples of
+    ``gla.check_gla`` below the cut (its ``top``), which hold every forced
+    bracket on g_{-1}, and on transitivity, which makes that action decide
+    the bracket.
     """
     A = assemble_degree0(m, conformal_g0(m, g))
     mu = -min(m.degrees)
@@ -573,7 +579,6 @@ def full_prolongation(
             break
         k += 1
     nu = max(A.degrees)
-    A._adj = None  # certify the brackets as written, not the rows _extend entered
     if not _same_negative(A, m):
         raise GlapError("prolongation modified the negative part")
     count = check_gla(A, top=None if complete else nu - 1)["violation_count"]

@@ -617,7 +617,7 @@ def test_the_jacobiator_identity_holds_for_any_skew_bracket(data):
 def test_a_copy_made_after_caching_is_certified_on_its_own_brackets(get_prolongation):
     A = get_prolongation("hc", p=1, q=1).algebra
     cached = _scaled_adjacency(A)
-    assert A._adj is cached  # the certificates of full_prolongation built it
+    assert A._adj is cached  # the last step solve of full_prolongation built it
     for cls in _PLANT:
         rep = check_gla(_planted(A, cls))
         assert rep["grading_ok"] and not rep["jacobi_ok"], cls

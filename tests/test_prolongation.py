@@ -536,7 +536,6 @@ def test_every_layer_is_the_all_pairs_kernel(monkeypatch):
         full_prolongation(m, g)
     assert len(seen) == 174
     for A, g, layer in seen:
-        A._adj = None  # the brackets as written
         layout, space = layer.layout, layer.space
         rows = _all_pairs_rows(A, layout, layer.shift)
         if g is None:
@@ -548,24 +547,27 @@ def test_every_layer_is_the_all_pairs_kernel(monkeypatch):
         assert (space.basis, space.denominator, space.free) == (want.basis, want.denominator, want.free)
 
 
-def test_extend_hands_on_the_adjacency_it_extended(monkeypatch):
-    """Every algebra ``_extend`` returns on the 14 rows, both ladder rungs
-    and the rebased inputs at seeds 0 and 7 carries the adjacency of its
-    brackets, equal to a fresh build."""
-    extend = prolongation._extend
+def test_every_solve_reads_the_adjacency_of_the_brackets_as_written(monkeypatch):
+    """On the 14 rows, both ladder rungs and the rebased inputs at seeds 0
+    and 7, every algebra ``_solve`` reads carries the adjacency of its own
+    brackets, and the result keeps that of its brackets through the
+    certificates and ``analyze``."""
+    solve = prolongation._solve
     seen = []
 
-    def checked(A, layer, name):
-        B = extend(A, layer, name)
-        seen.append(B._adj is not None)
-        if B._adj is not None:
-            assert B._adj == _adjacency(B.n, B.brackets), name
-        return B
+    def checked(A, shift, g=None):
+        layer = solve(A, shift, g)
+        assert A._adj == _adjacency(A.n, A.brackets), (A.name, shift)
+        seen.append(shift)
+        return layer
 
-    monkeypatch.setattr(prolongation, "_extend", checked)
+    monkeypatch.setattr(prolongation, "_solve", checked)
     for m, g in _engine_inputs():
-        full_prolongation(m, g)
-    assert len(seen) == 132 and all(seen)
+        prol = full_prolongation(m, g)
+        analyze(prol)
+        A = prol.algebra
+        assert A._adj is not None and A._adj == _adjacency(A.n, A.brackets), A.name
+    assert len(seen) == 172
 
 
 def test_every_free_column_lies_in_the_degree_minus_1_block(monkeypatch):
@@ -609,20 +611,22 @@ def _forced_keys(A, degree):
             if degs[w] >= 0 and degs[v] >= 0 and degs[w] + degs[v] == degree]
 
 
-def test_the_final_certificate_reads_the_written_brackets(monkeypatch):
-    """A bracket of the result doubled after the last (empty) step, with
-    the adjacency of the last extension left as it was, fails the final
-    certificate: it reads the brackets that are returned."""
-    step = prolongation.prolong_step
+def test_the_final_certificate_reads_the_written_brackets(get_prolongation, monkeypatch):
+    """A forced bracket of the top degree doubled as ``_extend`` returns
+    it, before anything reads it, fails the final certificate: the last
+    step solve reads no bracket between nonnegative layers, so only the
+    certificates see it, and they read the brackets that are returned."""
+    nu = get_prolongation("hh", p=1, q=2).nu
+    extend = prolongation._extend
 
-    def doubled(A, k):
-        B = step(A, k)
-        if B is A:
-            key = max(_forced_keys(B, k))
+    def doubled(A, layer, name):
+        B = extend(A, layer, name)
+        if layer.shift == nu:
+            key = max(_forced_keys(B, nu))
             B.brackets[key] = {t: 2 * c for t, c in B.brackets[key].items()}
         return B
 
-    monkeypatch.setattr(prolongation, "prolong_step", doubled)
+    monkeypatch.setattr(prolongation, "_extend", doubled)
     fam = build("hh", p=1, q=2)
     with pytest.raises(GlapError, match="failed certification"):
         full_prolongation(fam.m, fam.g)
@@ -631,7 +635,7 @@ def test_the_final_certificate_reads_the_written_brackets(monkeypatch):
 def _prolong_with_a_wrong_forced_coordinate(max_degree=None):
     """full_prolongation of hh(1,2) after ``_extend`` has written the last
     forced bracket of degree 1 with one coordinate off by one; every later
-    step reads that bracket, since its adjacency is rebuilt from it."""
+    step reads that bracket, since its adjacency is built from it."""
     extend = prolongation._extend
 
     def wrong(A, layer, name):
@@ -641,7 +645,6 @@ def _prolong_with_a_wrong_forced_coordinate(max_degree=None):
             cell = dict(B.brackets[key])
             cell[min(cell)] += 1
             B.brackets[key] = cell
-            B._adj = None
         return B
 
     fam = build("hh", p=1, q=2)
@@ -706,7 +709,8 @@ def test_extend_leaves_the_adjacency_to_be_built_when_L_grows():
     """A degree 0 layer over the abelian R^3 whose canonical basis has
     halves off its free columns, so L = 2, while the commutator of its
     first and last vector has the coordinate -1/4 = -1/L**2: the forced
-    cell leaves L, and the result builds its own adjacency with L = 4."""
+    cell leaves L, and the adjacency of the result, built from its
+    brackets, has L = 4."""
     m = GradedAlgebra("R3", ["x0", "x1", "x2"], [-1, -1, -1], {})
     layout = _Layout()
     layout.add(-1, 3, 3)  # unknown M[r][c] at column 3c + r
@@ -719,7 +723,6 @@ def test_extend_leaves_the_adjacency_to_be_built_when_L_grows():
                      2, [0, 1, 6], "a conjugate of the Heisenberg algebra")
     B = _extend(m, Layer(0, layout, space), "R3 + h3")
     assert B.brackets[(3, 5)] == {3: F(-1, 2), 4: F(-1, 4), 5: F(1)}
-    assert B._adj is None
     L, ad = _scaled_adjacency(B)
     assert L == 4 and (L, ad) == _adjacency(B.n, B.brackets)
     rep = check_gla(B)
@@ -729,9 +732,9 @@ def test_extend_leaves_the_adjacency_to_be_built_when_L_grows():
 @pytest.mark.parametrize("case", ["hh12", "hh11-rebased"])
 def test_one_adjacency_build_per_algebra(monkeypatch, get_rebased, case):
     """Through build, full_prolongation and analyze the scaled adjacency is
-    built once for m, once by each extension, which hands it on, and once
-    from the brackets of the result for its certificates: every other
-    certificate and invariant reads one of those copies."""
+    built once for m and once for each extension, by the step solve over
+    it: the certificates and invariants of the result read the copy its
+    last step solve built."""
     calls = []
     adjacency = gla._adjacency
 
@@ -740,7 +743,6 @@ def test_one_adjacency_build_per_algebra(monkeypatch, get_rebased, case):
         return adjacency(n, brackets)
 
     monkeypatch.setattr(gla, "_adjacency", counted)
-    monkeypatch.setattr(prolongation, "_adjacency", counted)
     if case == "hh12":
         fam = build("hh", p=1, q=2)
         m, g = fam.m, fam.g
@@ -751,4 +753,4 @@ def test_one_adjacency_build_per_algebra(monkeypatch, get_rebased, case):
     analyze(prol)
     dims = prol.dims_by_degree()
     assert calls == [m.n] + [sum(v for d, v in dims.items() if d <= k)
-                             for k in sorted(dims) if k >= 0] + [prol.total_dim()]
+                             for k in sorted(dims) if k >= 0]

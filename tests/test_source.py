@@ -13,6 +13,12 @@ The rule matches by name, as a bare name, an attribute or an import: it
 cannot tell whose attribute ``x.rank`` is.  So a method shares its fate
 with every other name it matches, and stays alive while any of them is
 referenced in ``src/glap``.
+
+An algebra's scaled adjacency ``_adj`` and the rank verdicts ``_pivots``
+read from it have one owner: they are set in ``GradedAlgebra.__init__``,
+and ``_adj`` is built by ``gla._scaled_adjacency`` from the brackets as
+written.  No other code of ``src/glap`` sets or deletes an attribute of
+either name, so every adjacency is that of its algebra's brackets.
 """
 
 import ast
@@ -106,6 +112,52 @@ def _unreferenced(
         f"{name} is public but {'not defined' if name not in defined else 'untested'}"
         for name in sorted(public)
         if name not in defined or name not in used
+    ]
+
+
+OWNED = {"_adj", "_pivots"}
+OWNERS = {("gla.py", "__init__", "_adj"), ("gla.py", "__init__", "_pivots"),
+          ("gla.py", "_scaled_adjacency", "_adj")}
+
+
+def _owned_writes(path: pathlib.Path) -> list[tuple[str, int, str, str]]:
+    """(file, line, function, attribute) for every store to or delete of
+    an attribute named in ``OWNED``, by line, with the innermost function
+    around it (``<module>`` outside any)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {}
+    for node in ast.walk(tree):  # outer functions first, so the innermost wins
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                owner[sub] = node.name
+    return sorted(
+        (path.name, node.lineno, owner.get(node, "<module>"), node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in OWNED
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+    )
+
+
+def test_only_gla_sets_the_adjacency_of_an_algebra():
+    writes = [w for path in sorted(SRC.glob("*.py")) for w in _owned_writes(path)]
+    assert {(name, func, attr) for name, _, func, attr in writes} == OWNERS, writes
+
+
+def test_the_adjacency_rule_catches_what_it_claims(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "A._adj = None\n"
+        "def extend(A, B):\n"
+        "    B._adj, n = A._adj, 0\n"
+        "    def drop():\n"
+        "        del B._pivots\n"
+        "    A._pivots[0] = None\n"
+        "    return B._adj\n"
+    )
+    assert _owned_writes(bad) == [
+        ("bad.py", 1, "<module>", "_adj"),
+        ("bad.py", 3, "extend", "_adj"),
+        ("bad.py", 5, "drop", "_pivots"),
     ]
 
 
