@@ -16,13 +16,22 @@ matrices instead.
 The Jacobi sweep runs in integers and still certifies every triple.  With
 every structure constant scaled by L, the lcm of their denominators, each
 Jacobi term (a product of two constants) and so each residual is exactly
-L**2 times the rational one.  And every term contains one of the three
-pair brackets of its triple, so a triple whose three pair brackets vanish
-is zero without being evaluated.  On a graded algebra that is transitive
-and whose negative part g_{-1} generates, the triples that hold a degree
--1 element already decide every other (``check_gla``), so only those are
-swept unless one of them fails.  A prolongation cut at some degree is
-swept on the triples of that set whose brackets the cut kept
+L**2 times the rational one.  A residual is one integer: each cell
+{t: x} of the scaled adjacency is packed once per sweep as sum x * 2**(W
+t), slot t for basis index t, and a triple's residual is the sum of
+constant times packed cell over its three terms.  The slot width W has
+3 w b**2 < 2**(W - 1), for w the longest cell and b the largest |entry|,
+so every coefficient fits its slot with its sign; an expansion in base
+2**W with digits that small is unique, and the residual is 0 exactly when
+every coefficient is.  Only a residual that makes the report is decoded
+back into coefficients.  Every term contains one of the three pair
+brackets of its triple, so a triple whose three pair brackets vanish is
+zero without being evaluated.  On a graded algebra that is transitive and
+whose negative part g_{-1} generates, the triples that hold a degree -1
+element already decide every other (``check_gla``), so only those are
+swept unless one of them fails; a pair whose degrees leave no third index
+above it is skipped before any cell is read.  A prolongation cut at some
+degree is swept on the triples of that set whose brackets the cut kept
 (``check_gla``'s ``top``).
 
 The JSON layout round-trips losslessly because rationals are serialized as
@@ -38,7 +47,7 @@ import json
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from math import lcm
 
@@ -366,20 +375,21 @@ def check_gla(A: GradedAlgebra, max_violations: int = 100, top: int | None = Non
     every triple is swept, so the count and the capped, ordered list stay
     exact.
     """
-    grading = list(_misgraded(A))
-    L, ad = _scaled_adjacency(A)
+    grading = _misgraded(A)
+    ad = _scaled_adjacency(A)[1]
     if top is not None:
-        residuals = _jacobi_residuals(A, ad, reduced=True, top=top)
-        return _report(A, L, grading, residuals, max_violations)
+        return _report(A, grading, _jacobi_residuals(A, ad, reduced=True, top=top), max_violations)
     if not grading and _reached_by_minus1(A, lambda d: d != -1):
         if next(_jacobi_residuals(A, ad, reduced=True), None) is None:
-            return _report(A, L, (), (), max_violations)
-    return _report(A, L, grading, _jacobi_residuals(A, ad), max_violations)
+            return _report(A, grading, (), max_violations)
+    return _report(A, grading, _jacobi_residuals(A, ad), max_violations)
 
 
-def _report(A: GradedAlgebra, L: int, grading, residuals, max_violations: int) -> dict:
+def _report(A: GradedAlgebra, grading: list, residuals, max_violations: int) -> dict:
     """``check_gla``'s report on the misgraded terms ``grading`` and the
-    Jacobi ``residuals``, both in order, each counted."""
+    Jacobi ``residuals`` that ``_jacobi_residuals`` packed over A's
+    adjacency, both in order, each counted; only the residuals that make
+    the capped list are decoded."""
     violations = [
         {
             "type": "grading",
@@ -391,12 +401,15 @@ def _report(A: GradedAlgebra, L: int, grading, residuals, max_violations: int) -
         for i, j, k in islice(grading, max_violations)
     ]
     count = jac_start = len(grading)
-    L2 = L * L
-    for i, j, k, acc in residuals:
+    W = None
+    for i, j, k, r in residuals:
         count += 1
         if len(violations) < max_violations:
+            if W is None:
+                L, ad = _scaled_adjacency(A)
+                L2, W = L * L, _slot_width(ad)
             residual = {
-                t: format_rational(Fraction(r, L2)) for t, r in sorted(acc.items()) if r
+                t: format_rational(Fraction(x, L2)) for t, x in _decode(r, W).items()
             }
             violations.append({"type": "jacobi", "triple": [i, j, k], "residual": residual})
     return {
@@ -408,21 +421,32 @@ def _report(A: GradedAlgebra, L: int, grading, residuals, max_violations: int) -
 
 
 def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | None = None):
-    """Yield (i, j, k, acc) for each triple i < j < k with a nonzero
-    residual, in lexicographic order; acc maps t to L**2 times the t-th
-    coefficient (zeros kept).  ``reduced`` (for a graded A) visits only the
-    triples of ``check_gla``'s theorem, those that hold a degree -1 element
-    and whose total degree is a degree of A; with ``top`` as well, only
-    those of total degree at most ``top``."""
+    """Yield (i, j, k, r) for each triple i < j < k with a nonzero
+    residual, in lexicographic order; r packs L**2 times its coefficients
+    into one integer, slot t holding the t-th (``_decode`` reads it back).
+    ``reduced`` (for a graded A) visits only the triples of ``check_gla``'s
+    theorem, those that hold a degree -1 element and whose total degree is
+    a degree of A; with ``top`` as well, only those of total degree at most
+    ``top``.
+
+    Each cell ad[m][k] = {t: x} is packed once per sweep as P[m][k] = sum
+    x * 2**(W t), with W = ``_slot_width(ad)``.  A residual is the sum of
+    c * P[...] over the same three terms as the coefficient-wise sum, so no
+    dict is built per triple.  Its t-th coefficient is a sum of at most 3 w
+    products of two entries, w the longest cell and b the largest |entry|,
+    so |r_t| <= 3 w b**2 < 2**(W - 1).  An integer has at most one
+    expansion in base 2**W with digits in that range, so r is 0 exactly
+    when every coefficient is, and ``_report`` decodes only the residuals
+    it lists.  A pair whose degrees allow no third index above j is
+    skipped before any cell is read."""
     n = A.n
     degs = A.degrees
     present = A.by_degree()
+    P = _packed(ad, _slot_width(ad))
     thirds: dict = {}  # (deg i, deg j) -> (degrees allowed for k, ascending such k)
     for i in range(n):
-        adi = ad[i]
+        adi, Pi = ad[i], P[i]
         for j in range(i + 1, n):
-            adj = ad[j]
-            bij = adi.get(j)
             if reduced:
                 key = degs[i], degs[j]
                 if key not in thirds:
@@ -431,6 +455,11 @@ def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | No
                           and (top is None or s + d <= top)}
                     thirds[key] = ok, [k for k in range(n) if degs[k] in ok]
                 ok, allowed = thirds[key]
+                if not allowed or allowed[-1] <= j:
+                    continue
+            adj, Pj = ad[j], P[j]
+            bij = adi.get(j)
+            if reduced:
                 if bij:
                     ks = islice(allowed, bisect_right(allowed, j), None)
                 else:  # the skip of ``check_gla``, on allowed degrees
@@ -439,40 +468,84 @@ def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | No
                 ks = range(j + 1, n)
             else:
                 ks = sorted(k for k in adi.keys() | adj.keys() if k > j)
+            first = [(c, P[m]) for m, c in bij.items()] if bij else ()
             for k in ks:
-                acc: dict[int, int] = {}
-                get = acc.get
-                if bij:
-                    for m, c in bij.items():
-                        row = ad[m].get(k)
-                        if row:
-                            for t, d in row.items():
-                                acc[t] = get(t, 0) + c * d
+                r = 0
+                for c, Pm in first:
+                    x = Pm.get(k)
+                    if x:
+                        r += c * x
                 cell = adj.get(k)
                 if cell:
                     for m, c in cell.items():
-                        row = adi.get(m)
-                        if row:
-                            for t, d in row.items():
-                                acc[t] = get(t, 0) - c * d
+                        x = Pi.get(m)
+                        if x:
+                            r -= c * x
                 cell = adi.get(k)
                 if cell:
                     for m, c in cell.items():
-                        row = adj.get(m)
-                        if row:
-                            for t, d in row.items():
-                                acc[t] = get(t, 0) + c * d
-                if any(acc.values()):
-                    yield i, j, k, acc
+                        x = Pj.get(m)
+                        if x:
+                            r += c * x
+                if r:
+                    yield i, j, k, r
 
 
-def _misgraded(A: GradedAlgebra):
+def _slot_width(ad) -> int:
+    """The slot width W of ``_jacobi_residuals``' packing of ad: 3 w b**2
+    < 2**(W - 1), w the longest cell and b the largest |entry|."""
+    cells = [cell for row in ad for cell in row.values()]
+    w = max(map(len, cells), default=0)
+    b = max(map(abs, chain.from_iterable(cell.values() for cell in cells)), default=0)
+    return (3 * w * b * b).bit_length() + 1
+
+
+def _packed(ad, W: int) -> list[dict[int, int]]:
+    """P[m][k] = sum x * 2**(W t) over the cell ad[m][k] = {t: x}; a cell
+    shared by several rows is packed once."""
+    memo: dict[int, int] = {}
+    P = []
+    for row in ad:
+        prow = {}
+        for k, cell in row.items():
+            x = memo.get(id(cell))
+            if x is None:
+                x = memo[id(cell)] = sum(c << (W * t) for t, c in cell.items())
+            prow[k] = x
+        P.append(prow)
+    return P
+
+
+def _decode(r: int, W: int) -> dict[int, int]:
+    """The nonzero coefficients {t: r_t} of a residual packed at width W,
+    read back as signed base-2**W digits."""
+    out = {}
+    half, mask = 1 << (W - 1), (1 << W) - 1
+    t = 0
+    while r:
+        d = r & mask
+        if d >= half:
+            d -= 1 << W
+        if d:
+            out[t] = d
+        r = (r - d) >> W
+        t += 1
+    return out
+
+
+def _misgraded(A: GradedAlgebra) -> list[tuple[int, int, int]]:
     """(i, j, k) for every term e_k of a bracket [e_i, e_j], i < j, whose
-    degree is not deg e_i + deg e_j, by pair."""
-    for (i, j), cell in sorted(A.brackets.items()):
+    degree is not deg e_i + deg e_j, by pair and then in the cell's order:
+    one pass collects them, and only they are sorted."""
+    degs = A.degrees
+    bad = []
+    for (i, j), cell in A.brackets.items():
+        s = degs[i] + degs[j]
         for k in cell:
-            if A.degrees[k] != A.degrees[i] + A.degrees[j]:
-                yield i, j, k
+            if degs[k] != s:
+                bad.append((i, j, k))
+    bad.sort(key=lambda t: (t[0], t[1]))  # stable: the k order of a cell is kept
+    return bad
 
 
 def require_graded(A: GradedAlgebra) -> None:

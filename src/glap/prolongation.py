@@ -76,15 +76,17 @@ The hot loops run in Python ints on the scaled adjacency of each algebra
 their denominators), built from its brackets on first read and kept: the
 step solve over A builds A's, and ``_extend`` reads it.  Fractions appear
 only where a result leaves the solver.  This is exact at every degree, 0
-included.  A derivation row is a sum of signed constants, so it is L
-times the rational row and, being homogeneous, has the same kernel; a
-conformal row is scaled to integers where it is built.  The layer's basis
-is kept as integer vectors over one denominator D (``linalg.Subspace``),
-and ``_extend`` reads the new elements' action on m from it.  A forced
-bracket is a sum of products of two constants, one from the row of each
-element of the pair, so its entries, and with them its coordinates, are
-L**2, L D or D**2 times the rational ones; each coordinate is divided by
-that scale as a Fraction.
+included.  Each entry of a derivation row is one signed constant, so the
+row is L times the rational row and, being homogeneous, has the same
+kernel; the -[D(x), y] and -[x, D(y)] terms of a row are read from term
+lists built once per y and once per x (``_derivation_rows``), not once
+per pair.  A conformal row is scaled to integers where it is built.  The
+layer's basis is kept as integer vectors over one denominator D
+(``linalg.Subspace``), and ``_extend`` reads the new elements' action on
+m from it.  A forced bracket is a sum of products of two constants, one
+from the row of each element of the pair, so its entries, and with them
+its coordinates, are L**2, L D or D**2 times the rational ones; each
+coordinate is divided by that scale as a Fraction.
 
 The recursion stops at the first empty layer; for the inputs this package
 builds that always happens (the negative part is fundamental and the
@@ -199,9 +201,16 @@ def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
     ``layout``; by the module docstring's lemma these decide the rest.
 
     The rows read the scaled adjacency of A (``gla._scaled_adjacency``):
-    every structure constant times one common L.  Each row is a sum of
-    signed constants, so its entries are L times the rational ones, all
-    ints, and it has the same solutions."""
+    every structure constant times one common L.  Each entry of a row is
+    one signed constant, so it is L times the rational one, an int, and
+    the row has the same solutions: the three terms write the blocks
+    p - 1, p and -1 of a pair (x, y), x in degree p (x and y own different
+    columns of block -1 when p = -1), each at one column per source
+    element, so no two terms meet and no entry is 0.
+
+    The -[D(x), y] terms of a pair depend on y alone but for x's column,
+    and the -[x, D(y)] terms on x alone but for y's: each list is built
+    once per y in a source block, and once per x."""
     by_deg = A.by_degree()
     ad = _scaled_adjacency(A)[1]
     blocks = layout.blocks
@@ -216,41 +225,35 @@ def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
             continue
         # D([x, y]) over the (p-1)-block, when it exists
         off_xy = blocks[p - 1][0] if p - 1 in blocks else None
-        # -[D(x), y]: D(x) runs over the degree p+shift basis, column ii of block p
+        # -[D(x), y]: D(x) runs over the degree p+shift basis, column ii of
+        # block p; its terms (target, row r, constant) per y
         off_x, rows_x, _ = blocks.get(p, (0, 0, 0))
         dx = list(enumerate(by_deg.get(p + shift, []))) if p in blocks else []
+        dx_terms = [
+            [(t_global, r, c) for r, fr in dx if (cell := ad[gj].get(fr))
+             for t_global, c in cell.items()]  # [fr, gj] = -[gj, fr]
+            for gj in minus1
+        ]
         for ii, gi in enumerate(by_deg[p]):
             adi = ad[gi]
             col_x = off_x + ii * rows_x
+            # -[x, D(y)]: its terms per x
+            dy_terms = [(t_global, r, -c) for r, fr in dy if (cell := adi.get(fr))
+                        for t_global, c in cell.items()]
             for jj in range(ii + 1 if p == -1 else 0, len(minus1)):
-                gj = minus1[jj]
                 comp: dict[int, dict[int, int]] = {}
-                cell = adi.get(gj)
+                cell = adi.get(minus1[jj])
                 if cell and off_xy is not None:
-                    for mg, c in cell.items():
-                        col = off_xy + local[mg] * len(tgt)
-                        for r, t_global in enumerate(tgt):
-                            row = comp.setdefault(t_global, {})
-                            row[col + r] = row.get(col + r, 0) + c
-                adj = ad[gj]
-                for r, fr in dx:
-                    cell = adj.get(fr)
-                    if cell:
-                        for t_global, c in cell.items():
-                            # [fr, gj] = -[gj, fr]
-                            row = comp.setdefault(t_global, {})
-                            row[col_x + r] = row.get(col_x + r, 0) + c
-                col_y = off_y + jj * rows_y
-                for r, fr in dy:
-                    cell = adi.get(fr)
-                    if cell:
-                        for t_global, c in cell.items():
-                            row = comp.setdefault(t_global, {})
-                            row[col_y + r] = row.get(col_y + r, 0) - c
-                for row in comp.values():
-                    row = {c: v for c, v in row.items() if v}
-                    if row:
-                        yield row
+                    cols = [(off_xy + local[mg] * len(tgt), c) for mg, c in cell.items()]
+                    comp = {t_global: {col + r: c for col, c in cols}
+                            for r, t_global in enumerate(tgt)}
+                for col, terms in ((col_x, dx_terms[jj]), (off_y + jj * rows_y, dy_terms)):
+                    for t_global, r, c in terms:
+                        row = comp.get(t_global)
+                        if row is None:
+                            row = comp[t_global] = {}
+                        row[col + r] = c
+                yield from comp.values()
 
 
 def _conformal_rows(g: SymBilinearForm, layout: _Layout):

@@ -256,6 +256,22 @@ def test_oracle_refuses_a_huge_rank_before_generating_roots():
     assert "rank <= 8" in json.loads(proc.stdout)["error"]
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["oracle", "--family", "HC", "--p", "1", "--q", "1", "--summary"], 0),
+    (["oracle", "--series", "A", "--rank", "99", "--crossed", "1"], 2),
+], ids=["ok", "bad-input"])
+def test_python_dash_m_glap_runs_the_command_line(argv, code):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "glap", *argv], env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.startswith("HC{'p': 1, 'q': 1}: A2")
+    else:
+        assert "rank <= 8" in json.loads(proc.stdout)["error"]
+
+
 def test_prolong_honors_step_limit_env(tmp_path, capsys, monkeypatch):
     prefix = str(tmp_path / "f")
     run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)

@@ -1,8 +1,11 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,9 +34,11 @@ from glap.gla import (
     parse_rational,
     transitivity_check,
 )
-from glap.families import FAMILIES
+from glap.families import FAMILIES, build, label
 from glap.linalg import Mat
 from glap.prolongation import full_prolongation
+
+from test_prolongation import _bench_rebase
 
 F = Fraction
 
@@ -562,6 +567,219 @@ def test_the_reduced_sweep_is_the_full_one_on_degree_minus1_triples(A, top):
     assert list(_jacobi_residuals(A, ad, reduced=True)) == full
     assert list(_jacobi_residuals(A, ad, reduced=True, top=top)) == [
         r for r in full if degs[r[0]] + degs[r[1]] + degs[r[2]] <= top]
+
+
+# -- the residual kernel against the dict sweep it replaced ----------------
+
+
+def _reference_misgraded(A):
+    """The misgraded terms, by sorting every cell's pair."""
+    for (i, j), cell in sorted(A.brackets.items()):
+        for k in cell:
+            if A.degrees[k] != A.degrees[i] + A.degrees[j]:
+                yield i, j, k
+
+
+def _reference_jacobi_residuals(A, ad, reduced=False, top=None):
+    """The sweep that builds one dict per triple: (i, j, k, acc) with acc
+    mapping t to L**2 times the t-th coefficient, zeros kept."""
+    n = A.n
+    degs = A.degrees
+    present = A.by_degree()
+    thirds = {}
+    for i in range(n):
+        adi = ad[i]
+        for j in range(i + 1, n):
+            adj = ad[j]
+            bij = adi.get(j)
+            if reduced:
+                key = degs[i], degs[j]
+                if key not in thirds:
+                    s = key[0] + key[1]
+                    ok = {d for d in present if s + d in present and -1 in (d, *key)
+                          and (top is None or s + d <= top)}
+                    thirds[key] = ok, [k for k in range(n) if degs[k] in ok]
+                ok, allowed = thirds[key]
+                if bij:
+                    ks = islice(allowed, bisect_right(allowed, j), None)
+                else:
+                    ks = sorted(k for k in adi.keys() | adj.keys() if k > j and degs[k] in ok)
+            elif bij:
+                ks = range(j + 1, n)
+            else:
+                ks = sorted(k for k in adi.keys() | adj.keys() if k > j)
+            for k in ks:
+                acc = {}
+                if bij:
+                    for m, c in bij.items():
+                        for t, d in ad[m].get(k, {}).items():
+                            acc[t] = acc.get(t, 0) + c * d
+                for m, c in adj.get(k, {}).items():
+                    for t, d in adi.get(m, {}).items():
+                        acc[t] = acc.get(t, 0) - c * d
+                for m, c in adi.get(k, {}).items():
+                    for t, d in adj.get(m, {}).items():
+                        acc[t] = acc.get(t, 0) + c * d
+                if any(acc.values()):
+                    yield i, j, k, acc
+
+
+def _reference_report(A, L, grading, residuals, max_violations):
+    violations = [
+        {"type": "grading", "pair": [i, j], "index": k, "degree": A.degrees[k],
+         "expected": A.degrees[i] + A.degrees[j]}
+        for i, j, k in islice(grading, max_violations)
+    ]
+    count = jac_start = len(grading)
+    for i, j, k, acc in residuals:
+        count += 1
+        if len(violations) < max_violations:
+            residual = {t: format_rational(F(r, L * L)) for t, r in sorted(acc.items()) if r}
+            violations.append({"type": "jacobi", "triple": [i, j, k], "residual": residual})
+    return {"grading_ok": not grading, "jacobi_ok": count == jac_start,
+            "violations": violations, "violation_count": count}
+
+
+def _reference_check(A, max_violations=100, top=None):
+    """``check_gla`` over the dict sweep, with the same choice of sweep."""
+    grading = list(_reference_misgraded(A))
+    L, ad = _scaled_adjacency(A)
+    if top is not None:
+        residuals = _reference_jacobi_residuals(A, ad, reduced=True, top=top)
+        return _reference_report(A, L, grading, residuals, max_violations)
+    if not grading and gla._reached_by_minus1(A, lambda d: d != -1):
+        if next(_reference_jacobi_residuals(A, ad, reduced=True), None) is None:
+            return _reference_report(A, L, (), (), max_violations)
+    return _reference_report(A, L, grading, _reference_jacobi_residuals(A, ad), max_violations)
+
+
+_DIFF_CASES = {
+    "hc-p1-q1": ("hc", {"p": 1, "q": 1}, None),
+    "bi-l2": ("bi", {"l": 2}, None),
+    "hh-p1-q1": ("hh", {"p": 1, "q": 1}, None),
+    "g2": ("g2", {}, None),
+    "hh-p1-q1-rebased0": ("hh", {"p": 1, "q": 1}, 0),
+}
+
+
+@functools.cache
+def _diff_algebra(case):
+    tag, params, seed = _DIFF_CASES[case]
+    fam = build(tag, **params)
+    m, g = fam.m, fam.g
+    if seed is not None:
+        rebase = _bench_rebase()
+        m, g = rebase.rebase(m, g, rebase.instance_rng(seed, label(tag, params)))
+    return full_prolongation(m, g).algebra
+
+
+_NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+
+
+def _corrupt(A, data):
+    """A copy of A with one hypothesis-drawn corruption: a coefficient
+    changed, a term added (in any degree), a term dropped, or a coefficient
+    set near 10**40."""
+    brackets = {key: dict(cell) for key, cell in A.brackets.items()}
+    kind = data.draw(st.sampled_from(["change", "add", "drop", "huge"]))
+    if kind == "add":
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(A.n) for j in range(i + 1, A.n)]))
+        cell = brackets.setdefault((i, j), {})
+        k = data.draw(st.sampled_from([k for k in range(A.n) if k not in cell]))
+        cell[k] = data.draw(_NONZERO)
+    else:
+        key = data.draw(st.sampled_from(sorted(brackets)))
+        cell = brackets[key]
+        k = data.draw(st.sampled_from(sorted(cell)))
+        if kind == "change":
+            cell[k] += data.draw(_NONZERO)
+        elif kind == "drop":
+            del cell[k]
+        else:
+            cell[k] = F(10**40 + data.draw(st.integers(-10**6, 10**6)), data.draw(st.integers(1, 3)))
+    return GradedAlgebra(A.name, A.labels, A.degrees, brackets)
+
+
+def _same_report(got, want):
+    """Equal field for field, and in the same order once written."""
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("case", list(_DIFF_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_packed_sweep_reports_what_the_dict_sweep_did(case, data):
+    """Under one corruption of a prolongation, ``check_gla`` returns the
+    report of the dict sweep it replaced, whichever sweep it takes and with
+    ``top``; so do the full, reduced and ``top`` sweeps one by one, so a
+    triple that the pair skip dropped would show as a missing violation.
+    The grading list and ``require_graded``'s message are unchanged."""
+    A = _corrupt(_diff_algebra(case), data)
+    top = data.draw(st.integers(-2, max(A.degrees)))
+    for cap in (100, 3):
+        _same_report(check_gla(A, max_violations=cap), _reference_check(A, cap))
+        _same_report(check_gla(A, max_violations=cap, top=top), _reference_check(A, cap, top))
+    L, ad = _scaled_adjacency(A)
+    grading = list(_reference_misgraded(A))
+    assert gla._misgraded(A) == grading
+    for kwargs in ({}, {"reduced": True}, {"reduced": True, "top": top}):
+        got = gla._report(A, gla._misgraded(A), _jacobi_residuals(A, ad, **kwargs), 100)
+        want = _reference_report(A, L, grading, _reference_jacobi_residuals(A, ad, **kwargs), 100)
+        _same_report(got, want)
+    if grading:
+        i, j, k = grading[0]
+        with pytest.raises(ParseError) as e:
+            gla.require_graded(A)
+        assert str(e.value) == (f"bracket [{i}, {j}] has a term in degree {A.degrees[k]}, "
+                                f"expected {A.degrees[i] + A.degrees[j]}")
+
+
+def test_misgraded_terms_under_top_are_reported_as_the_dict_sweep_did():
+    # two misgraded terms in one cell, the higher index first: the report
+    # keeps the cell's order
+    A = _diff_algebra("hc-p1-q1")
+    brackets = {key: dict(cell) for key, cell in A.brackets.items()}
+    (i, j), cell = next((key, cell) for key, cell in sorted(brackets.items())
+                        if A.degrees[key[0]] + A.degrees[key[1]] == -1)
+    low, high = [k for k in range(A.n) if A.degrees[k] == 1][:2]
+    cell[high] = F(5, 3)
+    cell[low] = F(-1, 2)
+    B = GradedAlgebra(A.name, A.labels, A.degrees, brackets)
+    for top in (-1, 0, 1):
+        rep = check_gla(B, top=top)
+        assert [v["index"] for v in rep["violations"][:2]] == [high, low]
+        _same_report(rep, _reference_check(B, top=top))
+    assert not check_gla(B, top=1)["jacobi_ok"]
+
+
+@pytest.mark.parametrize("b", [1, 7, 10**20])
+def test_a_residual_at_the_slot_bound_is_reported_exactly(b):
+    """Each of the three terms of J(x, y, z) adds b**2 to e_t, with one
+    term per cell: the coefficient 3 w b**2 that the slot width is set by."""
+    x, y, z, u, v, w, t = range(7)
+    brackets = {(x, y): {u: F(b)}, (z, u): {t: F(-b)}, (y, z): {v: F(b)},
+                (x, v): {t: F(-b)}, (x, z): {w: F(b)}, (y, w): {t: F(b)}}
+    A = GradedAlgebra("bound", list("xyzuvwt"), [0] * 7, brackets)
+    rep = check_gla(A)
+    assert rep["violations"][0] == {"type": "jacobi", "triple": [x, y, z],
+                                    "residual": {t: str(3 * b * b)}}
+    _same_report(rep, _reference_check(A))
+    assert rep == _reference_check_gla(A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 12), st.integers(-10**30, 10**30), max_size=8),
+       st.integers(1, 4))
+def test_a_residual_decodes_to_its_coefficients(coeffs, w):
+    """Coefficients below 2**(W - 1) in size pack into one integer that is
+    0 only when they all are, and decode back, zeros dropped."""
+    b = max(map(abs, coeffs.values()), default=0)
+    W = (3 * w * b * b).bit_length() + 1
+    r = sum(c << (W * t) for t, c in coeffs.items())
+    assert (r == 0) == (not any(coeffs.values()))
+    assert gla._decode(r, W) == {t: c for t, c in sorted(coeffs.items()) if c}
+    assert list(gla._decode(r, W)) == sorted(t for t, c in coeffs.items() if c)
 
 
 def _skew_brackets(n):

@@ -547,6 +547,85 @@ def test_every_layer_is_the_all_pairs_kernel(monkeypatch):
         assert (space.basis, space.denominator, space.free) == (want.basis, want.denominator, want.free)
 
 
+def _per_pair_derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
+    """The derivation rows as the step engine built them when it read the
+    cells of every pair (x, y) afresh: the list, order and entry order that
+    ``_derivation_rows`` must keep."""
+    by_deg = A.by_degree()
+    ad = _scaled_adjacency(A)[1]
+    blocks = layout.blocks
+    minus1 = by_deg.get(-1, [])
+    local = {g: t for ix in by_deg.values() for t, g in enumerate(ix)}
+    # -[x, D(y)]: D(y) runs over the degree shift-1 basis, column jj of block -1
+    off_y, rows_y, _ = blocks.get(-1, (0, 0, 0))
+    dy = list(enumerate(by_deg.get(shift - 1, []))) if -1 in blocks else []
+    for p in sorted(d for d in by_deg if d < 0):
+        tgt = by_deg.get(p - 1 + shift)
+        if not tgt:
+            continue
+        # D([x, y]) over the (p-1)-block, when it exists
+        off_xy = blocks[p - 1][0] if p - 1 in blocks else None
+        # -[D(x), y]: D(x) runs over the degree p+shift basis, column ii of block p
+        off_x, rows_x, _ = blocks.get(p, (0, 0, 0))
+        dx = list(enumerate(by_deg.get(p + shift, []))) if p in blocks else []
+        for ii, gi in enumerate(by_deg[p]):
+            adi = ad[gi]
+            col_x = off_x + ii * rows_x
+            for jj in range(ii + 1 if p == -1 else 0, len(minus1)):
+                gj = minus1[jj]
+                comp: dict[int, dict[int, int]] = {}
+                cell = adi.get(gj)
+                if cell and off_xy is not None:
+                    for mg, c in cell.items():
+                        col = off_xy + local[mg] * len(tgt)
+                        for r, t_global in enumerate(tgt):
+                            row = comp.setdefault(t_global, {})
+                            row[col + r] = row.get(col + r, 0) + c
+                adj = ad[gj]
+                for r, fr in dx:
+                    cell = adj.get(fr)
+                    if cell:
+                        for t_global, c in cell.items():
+                            # [fr, gj] = -[gj, fr]
+                            row = comp.setdefault(t_global, {})
+                            row[col_x + r] = row.get(col_x + r, 0) + c
+                col_y = off_y + jj * rows_y
+                for r, fr in dy:
+                    cell = adi.get(fr)
+                    if cell:
+                        for t_global, c in cell.items():
+                            row = comp.setdefault(t_global, {})
+                            row[col_y + r] = row.get(col_y + r, 0) - c
+                for row in comp.values():
+                    row = {c: v for c, v in row.items() if v}
+                    if row:
+                        yield row
+
+
+
+def test_the_step_rows_are_those_of_the_per_pair_reads(monkeypatch):
+    """On every step system of the 14 rows, both ladder rungs and the
+    rebased inputs at seeds 0 and 7, ``_derivation_rows`` yields the rows
+    of the generator that read each pair's cells afresh: the same list,
+    in the same order, each row's entries in the same order."""
+    solve = prolongation._solve
+    seen = []
+
+    def recorded(A, shift, g=None):
+        layer = solve(A, shift, g)
+        seen.append((A, layer.layout, shift))
+        return layer
+
+    monkeypatch.setattr(prolongation, "_solve", recorded)
+    for m, g in _engine_inputs():
+        full_prolongation(m, g)
+    assert len(seen) == 172
+    for A, layout, shift in seen:
+        got = [list(row.items()) for row in prolongation._derivation_rows(A, layout, shift)]
+        want = [list(row.items()) for row in _per_pair_derivation_rows(A, layout, shift)]
+        assert got == want, (A.name, shift)
+
+
 def test_every_solve_reads_the_adjacency_of_the_brackets_as_written(monkeypatch):
     """On the 14 rows, both ladder rungs and the rebased inputs at seeds 0
     and 7, every algebra ``_solve`` reads carries the adjacency of its own
