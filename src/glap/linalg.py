@@ -2,23 +2,30 @@
 
 No tolerances, no floating point anywhere: the solvers run in Python ints,
 and ``fractions.Fraction`` appears only at the boundary.  The engine is a
-sparse integer row-echelon form (``Echelon``).  Rows are dicts mapping
-column index to a nonzero int; a rational row is scaled once, by
-``int_row``, where it is built.  Elimination is fraction-free, and a pivot
-row is made primitive when it is installed.  Kernels, spans, ranks and
-square solves all go through it.  A small dense ``Mat`` of Fractions holds
-what is read at the boundary: Gram matrices and other forms, their
-signatures and determinants.
+sparse integer Gauss-Jordan elimination (``Echelon``).  Rows are dicts
+mapping column index to a nonzero int; a rational row is scaled once, by
+``int_row``, where it is built.  Elimination is fraction-free.  Kernels,
+spans, ranks and square solves all go through it.  A small dense ``Mat``
+of Fractions holds what is read at the boundary: Gram matrices and other
+forms, their signatures and determinants.
 
-Kernel bases are canonical: they come from the reduced row echelon form,
-with one basis vector per free column (free columns in increasing order,
-unit entry at the free column).  The RREF of a row space is unique, so
-row-equivalent inputs give identical bases in any row order, which the
-package relies on for reproducible labeling.  A ``Subspace`` keeps such
-a basis sparse, as integer vectors over one common denominator, and is
-the one place where membership in a solution space is certified:
-coordinates are read off at the free columns and the vector is rebuilt
-from them exactly, in ints.
+The pivot rows are kept in reduced row echelon form at every step: the
+row at lead column c is primitive, positive at c, has c as its smallest
+column and holds no other lead column.  An incoming row is eliminated
+once per lead it holds, and the new pivot is then eliminated from the
+rows that hold its lead.  Leads never move, since a row holding the new
+lead has its own lead below it, where the new row is zero.  A row space
+has one RREF with primitive rows positive at their leads, so the pivot
+rows are the same for row-equivalent inputs in any row order.
+
+Kernel bases are canonical: they are read off those rows, with one basis
+vector per free column (free columns in increasing order, unit entry at
+the free column), so row-equivalent inputs give identical bases in any
+row order, which the package relies on for reproducible labeling.  A
+``Subspace`` keeps such a basis sparse, as integer vectors over one
+common denominator, and is the one place where membership in a solution
+space is certified: coordinates are read off at the free columns and the
+vector is rebuilt from them exactly, in ints.
 """
 
 from __future__ import annotations
@@ -129,7 +136,7 @@ class Mat:
         return Fraction(sign * a[n - 1][n - 1], 1) / scale
 
 # ---------------------------------------------------------------------------
-# sparse integer echelon engine
+# sparse integer Gauss-Jordan engine
 # ---------------------------------------------------------------------------
 
 
@@ -178,17 +185,22 @@ _WINDOW = 4
 
 
 class Echelon:
-    """Incremental row echelon form over primitive integer rows.
+    """Incremental reduced row echelon form over primitive integer rows.
 
-    ``add`` reduces an incoming integer row against the current pivots and,
-    if anything survives, installs it as a new pivot row; ``extend`` adds
-    many.  ``kernel_space`` back-substitutes in integers and returns the
-    canonical RREF-derived kernel basis, independent of row order.
+    ``piv`` maps each lead column c to its pivot row, which is primitive,
+    positive at c, has c as its smallest column and holds no other lead
+    column; ``holders`` maps a column to the leads whose rows hold it.
+    ``add`` keeps both true after every row, and only ``add`` writes them.
+    So ``piv`` is always the RREF of the rows added so far with primitive
+    rows positive at their leads, which is unique: it does not depend on
+    row order, and ``kernel_space``, ``span_basis`` and ``solve_square``
+    read it as it is.  ``extend`` adds many rows.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.piv: dict[int, dict] = {}  # lead column -> primitive integer row
+        self.piv: dict[int, dict] = {}  # lead column -> primitive reduced row
+        self.holders: dict[int, set[int]] = {}  # column -> leads whose rows hold it
 
     @property
     def rank(self) -> int:
@@ -198,20 +210,47 @@ class Echelon:
         """Reduce ``row`` (dict col -> nonzero int) and install the
         remainder, made primitive, as a pivot row; it may be ``row``
         itself, which must not change afterwards.  Returns True if the rank
-        grew.  Each step maps a multiple of the row to a multiple of the
-        same remainder, so normalizing only at the end installs the row
-        that normalizing after every step would."""
+        grew.
+
+        A pivot row holds no lead but its own, so clearing one lead of the
+        row adds no other: the row is eliminated once per lead it holds,
+        in any order, and the remainder holds no lead.  Its lead c is then
+        cleared from every pivot row that holds it, found in ``holders``;
+        each is replaced by a new primitive dict, never changed in place.
+        Leads never move: a row that holds c has its lead below c, where
+        the remainder is zero, so its lead entry is only scaled by a
+        positive factor.  So the rank and the set of leads are those of
+        plain echelon form, and ``piv`` is the unique primitive RREF."""
+        piv = self.piv
+        leads = piv.keys() & row.keys()
         r = row
-        while r:
-            c = min(r)
-            p = self.piv.get(c)
-            if p is None:
-                self.piv[c] = _primitive(r)
-                return True
-            if r is row:
-                r = dict(row)  # the first step copies; the rest run in place
-            _eliminate(r, p, c)
-        return False
+        if leads:
+            r = dict(row)
+            for c in leads:
+                _eliminate(r, piv[c], c)
+        if not r:
+            return False
+        r = _primitive(r)
+        c = min(r)
+        holders = self.holders
+        for h in holders.pop(c, ()):
+            old = piv[h]
+            new = dict(old)
+            _eliminate(new, r, c)
+            new = piv[h] = _primitive(new)
+            for col in r:
+                if col == c:
+                    continue
+                if col in new:
+                    if col not in old:
+                        holders.setdefault(col, set()).add(h)
+                elif col in old:
+                    holders[col].discard(h)
+        piv[c] = r
+        for col in r:
+            if col != c:
+                holders.setdefault(col, set()).add(c)
+        return True
 
     def extend(self, rows) -> "Echelon":
         """``add`` every row of ``rows`` (an iterable) and return self.
@@ -230,37 +269,20 @@ class Echelon:
                     break
         return self
 
-    def _rref(self) -> dict[int, dict]:
-        """The RREF, lead column -> primitive row, independent of row order.
-        Leads go from last to first; a pivot row holds columns past its lead
-        only, and their rows are already reduced to no pivot column but their
-        own, so one elimination per pivot column the row holds suffices.
-        An untouched pivot row is returned itself: the result is read-only."""
-        rows: dict[int, dict] = {}
-        for c in sorted(self.piv, reverse=True):
-            r = self.piv[c]
-            held = [c2 for c2 in r if c2 != c and c2 in rows]
-            if held:
-                r = dict(r)
-                for c2 in held:
-                    _eliminate(r, rows[c2], c2)
-                r = _primitive(r)
-            rows[c] = r
-        return rows
-
     def free_columns(self) -> list[int]:
         return [c for c in range(self.ncols) if c not in self.piv]
 
     def kernel_space(self, name: str = "the kernel") -> "Subspace":
-        """The canonical kernel basis as a ``Subspace``.  Past its lead c a
-        reduced row has entries only at free columns, so the vector of
+        """The canonical kernel basis as a ``Subspace``, read off ``piv``,
+        the unique RREF.  Past its lead c a pivot row holds no other lead,
+        so its entries there are at free columns only, and the vector of
         free column f is 1 at f and -row[f]/row[c] at each such c; D, the
         lcm of those leads, clears every denominator."""
-        rows = self._rref()
+        piv = self.piv
         free = self.free_columns()
-        D = lcm(*(row[c] for c, row in rows.items() if len(row) > 1))
+        D = lcm(*(row[c] for c, row in piv.items() if len(row) > 1))
         basis = {f: {f: D} for f in free}
-        for c, row in rows.items():
+        for c, row in piv.items():
             s = D // row[c]
             for f, x in row.items():
                 if f != c:
@@ -329,10 +351,12 @@ def span_basis(vectors, ncols: int, name: str) -> Subspace:
     nonzero entry there, so that basis is the reduced echelon basis of the
     span with each pivot at a last nonzero entry, scaled to 1 there.
     Reversing the columns makes those the leading entries ``Echelon``
-    pivots on; D, the lcm of the pivot entries, clears every denominator."""
+    pivots on, and its ``piv``, the unique RREF, is that basis up to the
+    scale of each row; D, the lcm of the pivot entries, clears every
+    denominator."""
     top = ncols - 1
     ech = Echelon(ncols).extend({top - c: x for c, x in v.items() if x} for v in vectors)
-    rows = sorted(ech._rref().items(), reverse=True)
+    rows = sorted(ech.piv.items(), reverse=True)
     D = lcm(*(row[p] for p, row in rows))
     return Subspace(
         [{top - c: x * (D // row[p]) for c, x in row.items()} for p, row in rows],
@@ -345,17 +369,16 @@ def solve_square(rows, n: int) -> tuple[int, dict[int, dict[int, int]]]:
 
     ``rows`` are the n rows of the augmented system [P | B] in integers:
     sparse dicts with the entries of P at columns 0..n-1 and the entry of
-    column c of B at n + c.  The reduced echelon form of an invertible
-    system is [d | d X] for a diagonal d, so D X is read off row by row as
-    ``DX[u] = {c: x}``, over D, the lcm of d.  Raises GlapError when P is
-    singular."""
+    column c of B at n + c.  ``Echelon`` keeps the reduced echelon form,
+    which for an invertible system is [d | d X] for a diagonal d, so D X is
+    read off its ``piv`` row by row as ``DX[u] = {c: x}``, over D, the lcm
+    of d.  Raises GlapError when P is singular."""
     ech = Echelon(n).extend(rows)
     require(sorted(ech.piv) == list(range(n)), "singular square system")
-    rref = ech._rref()
-    D = lcm(*(row[u] for u, row in rref.items()))
+    D = lcm(*(row[u] for u, row in ech.piv.items()))
     return D, {
         u: {c - n: x * (D // row[u]) for c, x in row.items() if c >= n}
-        for u, row in rref.items()
+        for u, row in ech.piv.items()
     }
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from glap.errors import GlapError, NotSymmetric
 from glap.linalg import (
@@ -259,9 +259,10 @@ def _reference_add(ech, row):
 
 
 def _reference_rref(ech):
-    """Echelon._rref as it was before back-substitution went row by row:
-    each pivot row, last lead first, is eliminated from every earlier row
-    that holds its lead, and the result is made primitive at every step."""
+    """The RREF of the pivot rows of ``ech`` by back-substitution, as the
+    engine read it before its pivots were kept reduced: each pivot row,
+    last lead first, is eliminated from every earlier row that holds its
+    lead, and the result is made primitive at every step."""
     rows = {c: dict(r) for c, r in ech.piv.items()}
     for c in sorted(rows, reverse=True):
         prow = rows[c]
@@ -337,7 +338,7 @@ def _both(n, rows):
 def test_lazy_echelon_matches_per_step_normalization(system):
     n, rows = system
     ech, ref = _both(n, rows)
-    assert ech.piv == ref.piv
+    assert ech.piv == _reference_rref(ref)
     space = ech.kernel_space()
     assert space.free == ref.free_columns()
     assert space.vectors == _reference_vectors(ref)
@@ -405,7 +406,39 @@ def test_extend_matches_sequential_add_in_any_row_order(system, data):
     assert rows == before  # no input row changes
     want, got = seq.kernel_space(), ext.kernel_space()
     assert (got.basis, got.denominator, got.free) == (want.basis, want.denominator, want.free)
-    assert ext._rref() == _reference_rref(ext) == _reference_rref(seq) == seq._rref()
+    assert ext.piv == _reference_rref(ext) == _reference_rref(seq) == seq.piv
+
+
+def _check_reduced(ech):
+    """Every pivot row is primitive, positive at its lead, which is its
+    smallest column, and holds no other lead; ``holders`` names, for each
+    column, exactly the leads whose rows hold it."""
+    holders = {}
+    for c, row in ech.piv.items():
+        assert min(row) == c and row[c] > 0
+        assert _primitive(row) == row
+        assert [c2 for c2 in row if c2 in ech.piv] == [c]
+        for col in row:
+            if col != c:
+                holders.setdefault(col, set()).add(c)
+    assert {col: h for col, h in ech.holders.items() if h} == holders
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_systems(), tall_systems()))
+@example((2, [{0: 1, 1: 1}, {1: 1}]))  # installed as it is, then column 1 cleared
+@example((3, [{0: 2, 2: 4}, {1: 3, 2: -3}, {2: 5}, {0: 1, 1: 1, 2: 1}]))  # two holders
+def test_reduced_pivots_match_the_reference_after_every_add(system):
+    """Row by row, ``add`` agrees with the plain echelon reference, its
+    pivots are the reference's RREF, and no row handed in changes."""
+    n, rows = system
+    before = [dict(row) for row in rows]
+    ech, ref = Echelon(n), Echelon(n)
+    for row in rows:
+        assert ech.add(row) == _reference_add(ref, row)
+        assert ech.piv == _reference_rref(ref)
+        _check_reduced(ech)
+        assert rows == before
 
 
 def _rows_then_raise(rows):

@@ -19,6 +19,14 @@ read from it have one owner: they are set in ``GradedAlgebra.__init__``,
 and ``_adj`` is built by ``gla._scaled_adjacency`` from the brackets as
 written.  No other code of ``src/glap`` sets or deletes an attribute of
 either name, so every adjacency is that of its algebra's brackets.
+
+The pivot rows ``piv`` of a ``linalg.Echelon`` and its index ``holders``
+(column -> the leads whose rows hold it) have one owner too: only
+``Echelon.__init__`` and ``Echelon.add`` store to or delete an entry of
+either, or the attribute itself, so every ``piv`` is the reduced row
+echelon form that ``add`` keeps.  A write is seen through subscripts,
+through a mutating method, and through a local name bound to the
+attribute.
 """
 
 import ast
@@ -158,6 +166,100 @@ def test_the_adjacency_rule_catches_what_it_claims(tmp_path):
         ("bad.py", 1, "<module>", "_adj"),
         ("bad.py", 3, "extend", "_adj"),
         ("bad.py", 5, "drop", "_pivots"),
+    ]
+
+
+ENGINE = {"piv", "holders"}
+ENGINE_OWNERS = {("linalg.py", func, attr) for func in ("__init__", "add") for attr in ENGINE}
+MUTATORS = {"add", "clear", "discard", "pop", "popitem", "remove", "setdefault", "update"}
+
+
+def _engine_writes(path: pathlib.Path) -> list[tuple[str, int, str, str]]:
+    """(file, line, function, attribute) for every store to or delete of
+    an attribute named in ``ENGINE``, of an entry of one (through
+    subscripts, or a method in ``MUTATORS``), or of an entry of a name
+    bound to one in that function or one around it; by line, with the
+    innermost function around it (``<module>`` outside any)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner, outer = {}, {}  # node -> innermost function; function -> the one around it
+    for node in ast.walk(tree):  # outer functions first, so the innermost wins
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(node):
+                if sub is not node and isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    outer[sub] = node
+                owner[sub] = node
+    aliases = {
+        (owner.get(node), target.id): node.value.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Attribute) and node.value.attr in ENGINE
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+    def written(expr, func):
+        while isinstance(expr, ast.Subscript):
+            expr = expr.value
+        if isinstance(expr, ast.Attribute) and expr.attr in ENGINE:
+            return expr.attr
+        if isinstance(expr, ast.Name):
+            while (func, expr.id) not in aliases:
+                if func is None:
+                    return None
+                func = outer.get(func)
+            return aliases[func, expr.id]
+        return None
+
+    out = []
+    for node in ast.walk(tree):
+        func = owner.get(node)
+        attr = None
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+            node.ctx, (ast.Store, ast.Del)
+        ):
+            attr = written(node, func)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS):
+            attr = written(node.func.value, func)
+        if attr:
+            out.append((path.name, node.lineno, func.name if func else "<module>", attr))
+    return sorted(out)
+
+
+def test_only_echelon_add_writes_the_pivot_rows():
+    writes = [w for path in sorted(SRC.glob("*.py")) for w in _engine_writes(path)]
+    assert {(name, func, attr) for name, _, func, attr in writes} == ENGINE_OWNERS, writes
+
+
+def test_the_pivot_rule_catches_what_it_claims(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "e.piv[0] = {}\n"
+        "def f(e, r):\n"
+        "    del e.holders[3]\n"
+        "    p = e.piv\n"
+        "    p[1] = r\n"
+        "    q = e.piv.get(0)\n"
+        "    e.holders.setdefault(2, set()).add(1)\n"
+        "    def g():\n"
+        "        e.piv.pop(0)\n"
+        "        e.holders[4].discard(1)\n"
+        "        e.piv = {}\n"
+        "        def h():\n"
+        "            p[3] = r\n"
+        "        p[2] = r\n"
+        "    return 0 in e.piv and p[0] and q and len(e.holders[2])\n"
+    )
+    # reads are not writes; g and h store through f's name p
+    assert _engine_writes(bad) == [
+        ("bad.py", 1, "<module>", "piv"),
+        ("bad.py", 3, "f", "holders"),
+        ("bad.py", 5, "f", "piv"),
+        ("bad.py", 7, "f", "holders"),
+        ("bad.py", 9, "g", "piv"),
+        ("bad.py", 10, "g", "holders"),
+        ("bad.py", 11, "g", "piv"),
+        ("bad.py", 13, "h", "piv"),
+        ("bad.py", 14, "g", "piv"),
     ]
 
 
