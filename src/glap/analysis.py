@@ -667,7 +667,9 @@ def degree_zero_action(A: GradedAlgebra) -> list[dict[int, int]]:
 def _table_rows() -> tuple:
     """(label, TableRow) for every supported instance the oracle covers, in
     the order of ``families.oracle_instances``, built once per process; the
-    rows are read, never modified."""
+    rows are read, never modified.  The 68 rows span 19 distinct (series,
+    rank) pairs, whose positive roots ``roots.positive_roots`` computes once
+    each."""
     return tuple(
         (lab, table_expectation(key, **params)) for lab, key, params in oracle_instances()
     )

@@ -6,9 +6,16 @@ root-system oracle, and verify the classification table end to end.
 Output is JSON on stdout; --summary switches to a one-line digest.
 Exit codes: 0 success, 1 a check or verification failed, 2 bad input,
 3 an internal error.
+
+``main`` may be called any number of times in one process.  The parser is
+built once per process and reused: argparse keeps no state between
+``parse_args`` calls, so each call gets a fresh namespace, and each
+subcommand looks its ``cmd_*`` handler up when it runs, so a handler
+replaced after the first call is the one that runs.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -108,29 +115,30 @@ def cmd_build(args) -> int:
 def cmd_check(args) -> int:
     doc = _load_json(_read(args.path))
     next_layer = None
-    if doc.get("complete") is False:
-        # a prolongation cut at degree nu: certified on the triples whose
-        # brackets the cut kept, as ``glap prolong --max-degree`` wrote it;
-        # they decide the brackets they read only on a transitive algebra
-        prol = ProlongationResult.from_json_dict(doc)
-        A = prol.algebra
-        if not transitivity_check(A):
-            raise ParseError(
-                "a prolongation marked incomplete must be transitive: "
-                "an element of degree >= 0 kills g_-1"
-            )
-        res = check_gla(A, top=prol.nu - 1)
-    elif doc.get("complete") is True:
-        # a complete prolongation has no layer past its top degree nu; the
-        # step solve reads a subset of the conditions, so an empty layer
-        # proves it
-        prol = ProlongationResult.from_json_dict(doc)
-        A = prol.algebra
-        res = check_gla(A)
-        next_layer = len(_solve(A, prol.nu + 1))
-    else:
+    if "complete" not in doc:
         A = GradedAlgebra.from_json_dict(doc)
         res = check_gla(A)
+    else:
+        # a prolongation file, read as ``glap analyze`` reads it: a
+        # 'complete' that is not a JSON boolean is bad input
+        prol = ProlongationResult.from_json_dict(doc)
+        A = prol.algebra
+        if prol.complete:
+            # a complete prolongation has no layer past its top degree nu;
+            # the step solve reads a subset of the conditions, so an empty
+            # layer proves it
+            res = check_gla(A)
+            next_layer = len(_solve(A, prol.nu + 1))
+        else:
+            # cut at degree nu: certified on the triples whose brackets the
+            # cut kept, as ``glap prolong --max-degree`` wrote it; they
+            # decide the brackets they read only on a transitive algebra
+            if not transitivity_check(A):
+                raise ParseError(
+                    "a prolongation marked incomplete must be transitive: "
+                    "an element of degree >= 0 kills g_-1"
+                )
+            res = check_gla(A, top=prol.nu - 1)
     if not res["grading_ok"] or min(A.degrees, default=0) >= 0:
         # fundamentality is only meaningful once the grading itself holds,
         # and on a negative part
@@ -387,7 +395,10 @@ def cmd_verify_table(args) -> int:
     return 0 if all_pass else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process (see the
+    module docstring)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--summary", action="store_true", help="one-line text output instead of JSON"
@@ -403,18 +414,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in PARAMS:
         b.add_argument(f"--{name}", type=int)
     b.add_argument("--out", help="path prefix for .m.json/.g.json/.ambient.json")
-    b.set_defaults(func=cmd_build)
+    b.set_defaults(func=lambda args: cmd_build(args))
 
     c = sub.add_parser("check", parents=[common], help="verify a graded algebra file")
     c.add_argument("path")
-    c.set_defaults(func=cmd_check)
+    c.set_defaults(func=lambda args: cmd_check(args))
 
     d = sub.add_parser(
         "derivations", parents=[common], help="conformal derivation algebra of (m, g)"
     )
     d.add_argument("m")
     d.add_argument("g")
-    d.set_defaults(func=cmd_derivations)
+    d.set_defaults(func=lambda args: cmd_derivations(args))
 
     p = sub.add_parser("prolong", parents=[common], help="full Tanaka prolongation")
     p.add_argument("m")
@@ -429,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "total degree below the cut (default: no cap; GLAP_STEP_LIMIT, "
         "default 64, bounds the steps)",
     )
-    p.set_defaults(func=cmd_prolong)
+    p.set_defaults(func=lambda args: cmd_prolong(args))
 
     a = sub.add_parser(
         "analyze", parents=[common],
@@ -438,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "certify both with check, which refuses that file by next_layer_dim)",
     )
     a.add_argument("path", help="prolongation JSON file")
-    a.set_defaults(func=cmd_analyze)
+    a.set_defaults(func=lambda args: cmd_analyze(args))
 
     o = sub.add_parser("oracle", parents=[common], help="root-system oracle")
     o.add_argument("--family", choices=[s.oracle for s in FAMILIES.values() if s.oracle])
@@ -447,12 +458,12 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--series", choices=("A", "B", "C", "D", "F", "G"))
     o.add_argument("--rank", type=int)
     o.add_argument("--crossed", help="comma-separated node numbers, e.g. 1,3")
-    o.set_defaults(func=cmd_oracle)
+    o.set_defaults(func=lambda args: cmd_oracle(args))
 
     v = sub.add_parser(
         "verify-table", parents=[common], help="verify the classification end to end"
     )
-    v.set_defaults(func=cmd_verify_table)
+    v.set_defaults(func=lambda args: cmd_verify_table(args))
     return parser
 
 

@@ -16,6 +16,7 @@ q = <b, a_i^vee> = sum_j b_j A_ji.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import BadParameters, UnsupportedType
@@ -86,7 +87,15 @@ def _pairing(beta, i, A) -> int:
     return sum(b * A[j][i] for j, b in enumerate(beta))
 
 
-def positive_roots(series: str, rank: int) -> list[tuple[int, ...]]:
+@functools.cache
+def positive_roots(series: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The positive roots as coefficient tuples over the simple roots,
+    sorted by height and then lexicographically.
+
+    Computed once per (series, rank) in a process and shared by every
+    caller, so the result is a tuple of tuples that no caller can change.
+    A refused series or rank raises on every call: no exception is cached.
+    """
     A = cartan_matrix(series, rank)
     n = rank
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -118,7 +127,7 @@ def positive_roots(series: str, rank: int) -> list[tuple[int, ...]]:
                         roots.add(t)
                         new.append(t)
         frontier = new
-    return sorted(roots, key=lambda t: (sum(t), t))
+    return tuple(sorted(roots, key=lambda t: (sum(t), t)))
 
 
 @dataclass

@@ -4,6 +4,7 @@ Each command runs in-process through cli.main so coverage tooling and
 monkeypatching work; the console script is the same entry point.
 """
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -385,6 +386,23 @@ def test_check_refuses_a_complete_file_with_a_layer_past_its_top(tmp_path, capsy
     assert code == 1 and "next_layer_dim=" in out and out.rstrip().endswith("FAIL")
 
 
+@pytest.mark.parametrize("complete", ["true", "no", 1, None],
+                         ids=["string-true", "string-no", "one", "null"])
+def test_check_refuses_a_complete_flag_that_is_not_a_boolean(tmp_path, capsys, complete):
+    """Any file with a 'complete' key is read as a prolongation, so check
+    and analyze both exit 2 on a flag that is not a JSON boolean, rather
+    than check certifying the file as a plain algebra."""
+    _, cut = _hh12_files(tmp_path, capsys, "--max-degree", "0")
+    doc = json.loads(open(cut).read())
+    doc["complete"] = complete
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("check", "analyze"):
+        code, out = run(capsys, command, str(bad))
+        assert code == 2, command
+        assert json.loads(out) == {"error": "'complete' must be true or false"}
+
+
 def _bi3_plants(tmp_path, capsys):
     """(m file, g file) of bi(3) with each of the 7 bracket terms of m
     tripled in turn, written to the same m file."""
@@ -544,6 +562,53 @@ def test_internal_error_exits_3_with_a_json_body(capsys, monkeypatch):
     assert code == 3
     assert json.loads(out) == {"error": "internal error: RuntimeError: boom"}
     assert "Traceback" not in out
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    run(capsys, "oracle", "--family", "G", "--summary")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(3):
+        assert run(capsys, "oracle", "--family", "G", "--summary")[0] == 0
+    with pytest.raises(SystemExit):
+        cli.main(["build", "--family", "nope"])
+    assert built == []
+
+
+def test_the_shared_parser_carries_nothing_between_calls(tmp_path, capsys):
+    prefix = str(tmp_path / "hc11")
+    code, out = run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1",
+                    "--out", prefix)
+    assert code == 0 and json.loads(out)["params"] == {"p": 1, "q": 1}
+    code, out = run(capsys, "build", "--family", "bi", "--l", "2")
+    doc = json.loads(out)
+    assert code == 0 and doc["params"] == {"l": 2} and "written" not in doc
+    m, g = prefix + ".m.json", prefix + ".g.json"
+    code, out = run(capsys, "prolong", m, g, "--max-degree", "0", "--summary")
+    assert code == 0 and out.rstrip().endswith("complete=False")
+    code, out = run(capsys, "prolong", m, g)
+    assert code == 0 and json.loads(out)["complete"] is True
+
+
+def test_a_handler_patched_after_the_parser_is_built_is_the_one_run(capsys, monkeypatch):
+    """The handlers are looked up when a subcommand runs, so the shared
+    parser cannot keep calling a handler that was replaced after it was
+    built."""
+    assert run(capsys, "oracle", "--family", "G", "--summary")[0] == 0
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_oracle", broken)
+    code, out = run(capsys, "oracle", "--family", "G")
+    assert code == 3
+    assert json.loads(out) == {"error": "internal error: RuntimeError: boom"}
 
 
 def test_verify_table_fails_an_uncertified_siii_split(capsys, monkeypatch):

@@ -3,8 +3,12 @@ check, so its own numbers are pinned against classical values here."""
 
 import pytest
 
+from glap import roots
+from glap.analysis import _table_rows
 from glap.errors import BadParameters, UnsupportedType
+from glap.families import oracle_instances
 from glap.roots import (
+    MAX_RANK,
     cartan_matrix,
     graded_dims,
     positive_roots,
@@ -127,3 +131,41 @@ def test_table_expectation_validation():
         table_expectation("G", l=2)
     with pytest.raises(BadParameters):
         table_expectation("ZZ")
+
+
+def _accepted():
+    """Every (series, rank) that ``cartan_matrix`` accepts."""
+    out = []
+    for series in "ABCDFG":
+        for rank in range(1, MAX_RANK + 1):
+            try:
+                cartan_matrix(series, rank)
+            except (BadParameters, UnsupportedType):
+                continue
+            out.append((series, rank))
+    return out
+
+
+def test_memoised_roots_match_the_uncached_closure():
+    accepted = _accepted()
+    assert len(accepted) == 8 + 7 + 7 + 6 + 1 + 1
+    for series, rank in accepted:
+        got = positive_roots(series, rank)
+        assert got == tuple(positive_roots.__wrapped__(series, rank))
+        assert isinstance(got, tuple) and all(isinstance(b, tuple) for b in got)
+        assert positive_roots(series, rank) is got
+
+
+@pytest.mark.parametrize("series,rank", [("A", 0), ("A", MAX_RANK + 1), ("B", 1), ("D", 2)])
+def test_a_refused_rank_raises_on_every_call(series, rank):
+    for _ in range(2):
+        with pytest.raises(BadParameters):
+            positive_roots(series, rank)
+
+
+def test_table_rows_match_rows_built_without_the_memo(monkeypatch):
+    rows = _table_rows()
+    monkeypatch.setattr(roots, "positive_roots", positive_roots.__wrapped__)
+    assert rows == tuple(
+        (lab, table_expectation(key, **params)) for lab, key, params in oracle_instances()
+    )
