@@ -143,7 +143,7 @@ class GradedAlgebra:
             for k, c in cell.items():
                 if type(c) is not Fraction:
                     c = Fraction(c)
-                if c == 0:
+                if not c:
                     continue
                 if not 0 <= int(k) < n:
                     raise DimensionMismatch(f"bracket ({i},{j}) hits index {k}")
@@ -226,25 +226,25 @@ class GradedAlgebra:
             raise ParseError("'brackets' must be a list of [i, j, terms] rows")
         brackets = {}
         parsed: dict[str, Fraction] = {}  # each rational string of this document, once
+        # a place in the document is formatted only for an error there
         for idx, row in enumerate(d["brackets"]):
-            where = f"brackets[{idx}]"
             if not (isinstance(row, list) and len(row) == 3):
-                raise ParseError(f"{where}: expected [i, j, terms]")
+                raise ParseError(f"brackets[{idx}]: expected [i, j, terms]")
             i, j, terms = row
             if not (_is_json_int(i) and _is_json_int(j) and i < j):
-                raise ParseError(f"{where}: indices must be integers with i < j")
+                raise ParseError(f"brackets[{idx}]: indices must be integers with i < j")
             if (i, j) in brackets:
-                raise ParseError(f"{where}: a second row for the pair ({i}, {j})")
+                raise ParseError(f"brackets[{idx}]: a second row for the pair ({i}, {j})")
             if not isinstance(terms, list):
-                raise ParseError(f"{where}: terms must be a list of [k, rational]")
+                raise ParseError(f"brackets[{idx}]: terms must be a list of [k, rational]")
             cell = {}
             for t, term in enumerate(terms):
                 if not (isinstance(term, list) and len(term) == 2 and _is_json_int(term[0])):
-                    raise ParseError(f"{where} term {t}: expected [k, rational]")
+                    raise ParseError(f"brackets[{idx}] term {t}: expected [k, rational]")
                 k, c = term
                 if k in cell:
-                    raise ParseError(f"{where} term {t}: a second term for index {k}")
-                cell[k] = _parse_once(parsed, c, f"{where} term {t}")
+                    raise ParseError(f"brackets[{idx}] term {t}: a second term for index {k}")
+                cell[k] = _parse_once(parsed, c, "brackets[{}] term {}", idx, t)
             brackets[(i, j)] = cell
         try:
             return cls(d["name"], labels, degrees, brackets)
@@ -255,14 +255,22 @@ class GradedAlgebra:
         return dumps(self.to_json_dict())
 
 
-def _parse_once(parsed: dict[str, Fraction], s, where: str) -> Fraction:
-    """``parse_rational(s, where)``, a string looked up in ``parsed``
-    first and added to it; only strings are kept, since ``True == 1``."""
-    if type(s) is not str:
-        return parse_rational(s, where)
-    x = parsed.get(s)
-    if x is None:
-        x = parsed[s] = parse_rational(s, where)
+def _parse_once(parsed: dict[str, Fraction], s, place: str, *args) -> Fraction:
+    """``parse_rational(s, place.format(*args))``, a string looked up in
+    ``parsed`` first and added to it; only strings are kept, since ``True
+    == 1``.  The place is formatted only when s is not a rational: its
+    error is then raised again, the same but for the place."""
+    if type(s) is str:
+        x = parsed.get(s)
+        if x is not None:
+            return x
+    try:
+        x = parse_rational(s)
+    except ParseError:
+        parse_rational(s, place.format(*args))
+        raise
+    if type(s) is str:
+        parsed[s] = x
     return x
 
 
@@ -306,16 +314,19 @@ def _scaled_adjacency(A: GradedAlgebra) -> tuple[int, list[dict[int, dict[int, i
 def _adjacency(n: int, brackets) -> tuple[int, list[dict[int, dict[int, int]]]]:
     """``_scaled_adjacency`` of the brackets ``{(i, j): {k: Fraction}}``
     (i < j, no zero coefficient) of an algebra of dimension n.  Equal cells
-    share their two rows: rows are read-only, and most of them repeat."""
-    L = lcm(*(c.denominator for cell in brackets.values() for c in cell.values()))
+    share their two rows: rows are read-only, and most of them repeat.
+    Each coefficient is read once, as its (numerator, denominator)."""
+    distinct: dict[tuple, int] = {}  # ((k, numerator, denominator), ...) -> its index
+    index = [distinct.setdefault(tuple((k, *c.as_integer_ratio()) for k, c in cell.items()),
+                                 len(distinct)) for cell in brackets.values()]
+    L = lcm(*{q for key in distinct for _, _, q in key})
+    rows: list[tuple[dict[int, int], dict[int, int]]] = []
+    for key in distinct:
+        row = {k: p * (L // q) for k, p, q in key}
+        rows.append((row, {k: -x for k, x in row.items()}))
     ad: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-    memo: dict[tuple, tuple[dict[int, int], dict[int, int]]] = {}
-    for (i, j), cell in brackets.items():
-        key = tuple((k, c.numerator, c.denominator) for k, c in cell.items())
-        if key not in memo:
-            row = {k: c.numerator * (L // c.denominator) for k, c in cell.items()}
-            memo[key] = row, {k: -x for k, x in row.items()}
-        ad[i][j], ad[j][i] = memo[key]
+    for (i, j), r in zip(brackets, index):
+        ad[i][j], ad[j][i] = rows[r]
     return L, ad
 
 
@@ -700,7 +711,7 @@ class SymBilinearForm:
         parsed: dict[str, Fraction] = {}
         mat = Mat(
             [
-                [_parse_once(parsed, x, f"matrix[{i}][{j}]") for j, x in enumerate(row)]
+                [_parse_once(parsed, x, "matrix[{}][{}]", i, j) for j, x in enumerate(row)]
                 for i, row in enumerate(rows)
             ]
         )

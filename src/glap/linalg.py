@@ -190,17 +190,21 @@ class Echelon:
     ``piv`` maps each lead column c to its pivot row, which is primitive,
     positive at c, has c as its smallest column and holds no other lead
     column; ``holders`` maps a column to the leads whose rows hold it.
-    ``add`` keeps both true after every row, and only ``add`` writes them.
-    So ``piv`` is always the RREF of the rows added so far with primitive
-    rows positive at their leads, which is unique: it does not depend on
-    row order, and ``kernel_space``, ``span_basis`` and ``solve_square``
-    read it as it is.  ``extend`` adds many rows.
+    ``known_zero`` holds the leads c whose pivot row is the unit row
+    {c: 1}: every solution of the rows is 0 there.  Such a row holds no
+    other column, so no later ``add`` changes it, and the set only grows.
+    ``add`` keeps all three true after every row, and only ``add`` writes
+    them.  So ``piv`` is always the RREF of the rows added so far with
+    primitive rows positive at their leads, which is unique: it does not
+    depend on row order, and ``kernel_space``, ``span_basis`` and
+    ``solve_square`` read it as it is.  ``extend`` adds many rows.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.piv: dict[int, dict] = {}  # lead column -> primitive reduced row
         self.holders: dict[int, set[int]] = {}  # column -> leads whose rows hold it
+        self.known_zero: set[int] = set()  # leads whose pivot row is {c: 1}
 
     @property
     def rank(self) -> int:
@@ -220,7 +224,14 @@ class Echelon:
         Leads never move: a row that holds c has its lead below c, where
         the remainder is zero, so its lead entry is only scaled by a
         positive factor.  So the rank and the set of leads are those of
-        plain echelon form, and ``piv`` is the unique primitive RREF."""
+        plain echelon form, and ``piv`` is the unique primitive RREF.
+
+        A row whose columns are all in ``known_zero`` is a combination of
+        unit pivot rows, so it reduces to 0: it is refused before any
+        elimination, and nothing changes."""
+        known_zero = self.known_zero
+        if known_zero.issuperset(row):
+            return False
         piv = self.piv
         leads = piv.keys() & row.keys()
         r = row
@@ -238,6 +249,8 @@ class Echelon:
             new = dict(old)
             _eliminate(new, r, c)
             new = piv[h] = _primitive(new)
+            if len(new) == 1:
+                known_zero.add(h)
             for col in r:
                 if col == c:
                     continue
@@ -247,6 +260,8 @@ class Echelon:
                 elif col in old:
                     holders[col].discard(h)
         piv[c] = r
+        if len(r) == 1:
+            known_zero.add(c)
         for col in r:
             if col != c:
                 holders.setdefault(col, set()).add(c)

@@ -210,7 +210,21 @@ def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
 
     The -[D(x), y] terms of a pair depend on y alone but for x's column,
     and the -[x, D(y)] terms on x alone but for y's: each list is built
-    once per y in a source block, and once per x."""
+    once per y in a source block, and once per x.
+
+    Source degrees run from -1 down, so the rows of the g_{-1} x g_{-1}
+    pairs come first.  Every run ends by proving a layer empty: its rows
+    have full rank, and ``Echelon.extend`` pulls no row past full rank.
+    The row of a pair (x, y) with x in degree p has the term D([x, y]) on
+    block p - 1 = deg [x, y]: it ties D on [g_p, g_{-1}] to D on g_p and
+    g_{-1}, and a map of degree >= 0 is fixed by its values on g_{-1},
+    which generates m.  So the rows that tie each block to the ones above
+    it come in the order in which g_{-1} generates m.  On the final layer
+    of every ``verify-table`` row and of hh(1,3) and hc(3,1), full rank
+    then comes inside the first window of ``extend``.  From -2 up, the
+    g_{-2} x g_{-1} rows fill that window on hh(1,2), ho, hh(1,3) and
+    hc(3,1), and two or three windows are pulled (ho: 1,344 rows instead
+    of 448).  The kernel is the same in any row order (``linalg``)."""
     by_deg = A.by_degree()
     ad = _scaled_adjacency(A)[1]
     blocks = layout.blocks
@@ -219,7 +233,7 @@ def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
     # -[x, D(y)]: D(y) runs over the degree shift-1 basis, column jj of block -1
     off_y, rows_y, _ = blocks.get(-1, (0, 0, 0))
     dy = list(enumerate(by_deg.get(shift - 1, []))) if -1 in blocks else []
-    for p in sorted(d for d in by_deg if d < 0):
+    for p in sorted((d for d in by_deg if d < 0), reverse=True):
         tgt = by_deg.get(p - 1 + shift)
         if not tgt:
             continue
@@ -329,7 +343,17 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     and then only that element's action on m is read.  Each term of a
     forced bracket is a product of a constant of w's row and one of v's,
     so its coordinates are exactly scale[w] * scale[v] times the rational
-    ones."""
+    ones.
+
+    Most pairs have no forced bracket, and they are skipped before any
+    cell is read.  For each element x, dom(x) is the set of the elements
+    that ad x moves, and img(x) the set of the targets of ad x on the
+    reads z.  A term read at z is a constant of ad v at (z, y) times one
+    of ad w at (y, t), or the same with w and v swapped; the first is
+    nonzero only if y lies in img(v) and in dom(w), the second only if y
+    lies in img(w) and in dom(v).  So when img(v) & dom(w) and img(w) &
+    dom(v) are both empty, every term of (w, v) is 0 and the pair has no
+    cell, as it would have had after reading them all."""
     shift, layout, space = layer.shift, layer.layout, layer.space
     by_deg = A.by_degree()
     n = A.n
@@ -357,12 +381,21 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     ad = [*ad, *actions]
     scale = [L] * n + [D] * t
     by_deg2 = {**by_deg, shift: list(range(n, n + t))}
+    # dom[x]: the elements ad x moves; img[x]: where ad x sends the reads
+    dom: dict[int, int] = {}
+    img: dict[int, int] = {}
+    for d in range(shift + 1):
+        for x in by_deg2.get(d, []):
+            adx = ad[x]
+            dom[x] = _bits(adx)
+            img[x] = _bits(k for z in reads if (cell := adx.get(z)) for k in cell)
     for a in range(0, shift // 2 + 1):
         b = shift - a
         for w in by_deg2.get(a, []):
             adw = ad[w]
+            dom_w, img_w = dom[w], img[w]
             for v in by_deg2.get(b, []):
-                if a == b and w >= v:
+                if a == b and w >= v or not (img[v] & dom_w or img_w & dom[v]):
                     continue
                 adv = ad[v]
                 coords: dict[int, int] = {}
@@ -396,6 +429,14 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     B = GradedAlgebra(name, labels, degrees, cells)  # checks the new cells
     B.brackets = {**A.brackets, **B.brackets}
     return B
+
+
+def _bits(indices) -> int:
+    """The bitmask with bit i set for each i in ``indices``."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def _free_reads(layer: Layer, by_deg: dict[int, list[int]]) -> dict[int, list[tuple[int, int]]]:

@@ -412,7 +412,8 @@ def test_extend_matches_sequential_add_in_any_row_order(system, data):
 def _check_reduced(ech):
     """Every pivot row is primitive, positive at its lead, which is its
     smallest column, and holds no other lead; ``holders`` names, for each
-    column, exactly the leads whose rows hold it."""
+    column, exactly the leads whose rows hold it; ``known_zero`` names
+    exactly the leads whose row is the unit row."""
     holders = {}
     for c, row in ech.piv.items():
         assert min(row) == c and row[c] > 0
@@ -422,12 +423,14 @@ def _check_reduced(ech):
             if col != c:
                 holders.setdefault(col, set()).add(c)
     assert {col: h for col, h in ech.holders.items() if h} == holders
+    assert ech.known_zero == {c for c, row in ech.piv.items() if row == {c: 1}}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(integer_systems(), tall_systems()))
 @example((2, [{0: 1, 1: 1}, {1: 1}]))  # installed as it is, then column 1 cleared
 @example((3, [{0: 2, 2: 4}, {1: 3, 2: -3}, {2: 5}, {0: 1, 1: 1, 2: 1}]))  # two holders
+@example((3, [{0: 3}, {0: 1, 1: 2}, {0: 5, 1: -1}, {1: 1, 2: 1}]))  # refused over known zeros
 def test_reduced_pivots_match_the_reference_after_every_add(system):
     """Row by row, ``add`` agrees with the plain echelon reference, its
     pivots are the reference's RREF, and no row handed in changes."""
@@ -439,6 +442,22 @@ def test_reduced_pivots_match_the_reference_after_every_add(system):
         assert ech.piv == _reference_rref(ref)
         _check_reduced(ech)
         assert rows == before
+
+
+def test_a_row_over_known_zero_columns_changes_nothing():
+    """Unit pivot rows, installed as such or reduced to one, make their
+    leads known zeros; a row over those columns only is refused, and
+    ``piv`` and ``holders`` stay as they were."""
+    ech = Echelon(4)
+    for row in ({0: 2, 1: 2}, {1: 3}, {2: 1, 3: 1}):
+        assert ech.add(row)
+    assert ech.known_zero == {0, 1}
+    piv = {c: dict(row) for c, row in ech.piv.items()}
+    holders = {c: set(h) for c, h in ech.holders.items()}
+    row = {0: 7, 1: -4}
+    assert ech.add(row) is False
+    assert (ech.piv, ech.holders, ech.known_zero, row) == (piv, holders, {0, 1}, {0: 7, 1: -4})
+    _check_reduced(ech)
 
 
 def _rows_then_raise(rows):

@@ -277,9 +277,10 @@ def _reference_derivation_rows(A, layout, shift, minus1_only=False):
     """The derivation rows built from Fraction constants and bracket_pair
     copies, as the step engine did before it read the scaled adjacency;
     kept as the reference for the integer rows.  With ``minus1_only``,
-    only the rows of the pairs (x, y) with y in g_{-1}."""
+    only the rows of the pairs (x, y) with y in g_{-1}.  Source degrees
+    run from -1 down, as in ``_derivation_rows``."""
     by_deg = A.by_degree()
-    neg = sorted(d for d in by_deg if d < 0)
+    neg = sorted((d for d in by_deg if d < 0), reverse=True)
     local = {d: {g: t for t, g in enumerate(by_deg[d])} for d in by_deg}
     rows = []
     for p in neg:
@@ -549,8 +550,8 @@ def test_every_layer_is_the_all_pairs_kernel(monkeypatch):
 
 def _per_pair_derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
     """The derivation rows as the step engine built them when it read the
-    cells of every pair (x, y) afresh: the list, order and entry order that
-    ``_derivation_rows`` must keep."""
+    cells of every pair (x, y) afresh, source degrees from -1 down: the
+    list, order and entry order that ``_derivation_rows`` must keep."""
     by_deg = A.by_degree()
     ad = _scaled_adjacency(A)[1]
     blocks = layout.blocks
@@ -559,7 +560,7 @@ def _per_pair_derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
     # -[x, D(y)]: D(y) runs over the degree shift-1 basis, column jj of block -1
     off_y, rows_y, _ = blocks.get(-1, (0, 0, 0))
     dy = list(enumerate(by_deg.get(shift - 1, []))) if -1 in blocks else []
-    for p in sorted(d for d in by_deg if d < 0):
+    for p in sorted((d for d in by_deg if d < 0), reverse=True):
         tgt = by_deg.get(p - 1 + shift)
         if not tgt:
             continue
@@ -709,6 +710,96 @@ def test_the_final_certificate_reads_the_written_brackets(get_prolongation, monk
     fam = build("hh", p=1, q=2)
     with pytest.raises(GlapError, match="failed certification"):
         full_prolongation(fam.m, fam.g)
+
+
+def _unfiltered_forced_cells(A, layer):
+    """The forced brackets of ``_extend`` over A and ``layer``, read over
+    every pair of nonnegative layers that sum to the layer's degree with
+    no pair skipped: the reference for the pairs ``_extend`` skips."""
+    shift, layout, space = layer.shift, layer.layout, layer.space
+    by_deg = A.by_degree()
+    n, t = A.n, len(space)
+    actions = []
+    for vec in space.basis:
+        action = {}
+        for p, blk in layout.columns(vec).items():
+            src, tgt = by_deg[p], by_deg[p + shift]
+            for c_loc, col in blk.items():
+                action[src[c_loc]] = {tgt[r]: v for r, v in col.items()}
+        actions.append(action)
+    reads = prolongation._free_reads(layer, by_deg)
+    L, ad = _scaled_adjacency(A)
+    ad = [*ad, *actions]
+    scale = [L] * n + [space.denominator] * t
+    by_deg2 = {**by_deg, shift: list(range(n, n + t))}
+    cells = {}
+    for a in range(shift // 2 + 1):
+        for w in by_deg2.get(a, []):
+            for v in by_deg2.get(shift - a, []):
+                if 2 * a == shift and w >= v:
+                    continue
+                coords = {}
+                for z, targets in reads.items():
+                    acc = {}
+                    for x, y, sign in ((w, v, 1), (v, w, -1)):
+                        for mgl, c in ad[y].get(z, {}).items():
+                            for tg, d in ad[x].get(mgl, {}).items():
+                                acc[tg] = acc.get(tg, 0) + sign * c * d
+                    for tg, s in targets:
+                        if acc.get(tg):
+                            coords[s] = acc[tg]
+                if coords:
+                    den = scale[w] * scale[v]
+                    cells[(w, v)] = {n + i: Fraction(c, den) for i, c in coords.items()}
+    return cells
+
+
+def test_extend_skips_only_pairs_without_a_forced_bracket(monkeypatch):
+    """On the 14 rows, both ladder rungs and the rebased inputs at seeds 0
+    and 7, every ``_extend`` writes the forced brackets of the loop that
+    reads every pair: the same cells, in the same order.  The loop it
+    runs reads the free reads once per pair it does not skip, and on
+    hh(1,3) it skips some."""
+    extend, free_reads = prolongation._extend, prolongation._free_reads
+    seen = []
+
+    class CountedReads(dict):
+        pairs = 0  # pairs whose cells were read
+
+        def items(self):
+            self.pairs += 1
+            return super().items()
+
+    def counted(layer, by_deg):
+        reads = CountedReads(free_reads(layer, by_deg))
+        seen.append(reads)
+        return reads
+
+    def recorded(A, layer, name):
+        B = extend(A, layer, name)
+        seen[-1] = (m.name, A, layer, B, seen[-1].pairs)
+        return B
+
+    monkeypatch.setattr(prolongation, "_free_reads", counted)
+    monkeypatch.setattr(prolongation, "_extend", recorded)
+    for m, g in _engine_inputs():
+        full_prolongation(m, g)
+    monkeypatch.undo()
+    assert len(seen) == 132
+    skipped = {}
+    for label_, A, layer, B, pairs in seen:
+        shift = layer.shift
+        want = _unfiltered_forced_cells(A, layer)
+        forced = set(_forced_keys(B, shift))
+        assert [(key, cell) for key, cell in B.brackets.items() if key in forced] == list(
+            want.items()), (label_, shift)
+        dims = A.dims_by_degree() | {shift: len(layer)}
+        every = sum(dims.get(a, 0) * dims.get(shift - a, 0) for a in range(shift // 2 + 1))
+        if shift % 2 == 0:  # a pair (w, v) of one degree is read once, with w < v
+            every -= dims.get(shift // 2, 0) * (dims.get(shift // 2, 0) + 1) // 2
+        assert len(want) <= pairs <= every
+        skipped[label_] = skipped.get(label_, 0) + every - pairs
+    assert skipped["hh(p=1,q=3).m"] > 0
 
 
 def _prolong_with_a_wrong_forced_coordinate(max_degree=None):

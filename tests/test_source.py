@@ -20,10 +20,11 @@ and ``_adj`` is built by ``gla._scaled_adjacency`` from the brackets as
 written.  No other code of ``src/glap`` sets or deletes an attribute of
 either name, so every adjacency is that of its algebra's brackets.
 
-The pivot rows ``piv`` of a ``linalg.Echelon`` and its index ``holders``
-(column -> the leads whose rows hold it) have one owner too: only
+The pivot rows ``piv`` of a ``linalg.Echelon``, its index ``holders``
+(column -> the leads whose rows hold it) and its set ``known_zero`` (the
+leads whose row is the unit row) have one owner too: only
 ``Echelon.__init__`` and ``Echelon.add`` store to or delete an entry of
-either, or the attribute itself, so every ``piv`` is the reduced row
+any of them, or the attribute itself, so every ``piv`` is the reduced row
 echelon form that ``add`` keeps.  A write is seen through subscripts,
 through a mutating method, and through a local name bound to the
 attribute.
@@ -169,7 +170,7 @@ def test_the_adjacency_rule_catches_what_it_claims(tmp_path):
     ]
 
 
-ENGINE = {"piv", "holders"}
+ENGINE = {"piv", "holders", "known_zero"}
 ENGINE_OWNERS = {("linalg.py", func, attr) for func in ("__init__", "add") for attr in ENGINE}
 MUTATORS = {"add", "clear", "discard", "pop", "popitem", "remove", "setdefault", "update"}
 

@@ -13,7 +13,12 @@ interpreter, so every run pays the import and every per-process set-up:
 Run from the root of a source checkout; the package is imported from
 ``src/``.  The commands alternate within each run, so a drift of the
 machine spreads over all three.  It prints each command's median and
-quartiles over ``--runs`` in seconds, and exits 1 if any command fails.
+quartiles over ``--runs`` in seconds, as measured and at reference speed,
+and exits 1 if any command fails.  The second scales each run by the
+benchmark's host-speed reference (``bench/hostspeed.py``): a reference
+sample is timed in this process right before and right after the run,
+and the run's seconds are scaled by ``REF_SECONDS`` over their mean.  On
+a shared host whose speed drifts, compare those.
 The environment is handed on as it is: under ``PYTHONDONTWRITEBYTECODE=1``
 every run byte-compiles the package again, which is most of the import.
 Stdlib only; not part of the tests.
@@ -28,6 +33,9 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from hostspeed import at_reference_speed, reference_seconds  # noqa: E402
 
 
 def _glap(argv, cwd) -> tuple[float, subprocess.CompletedProcess]:
@@ -67,17 +75,23 @@ def main(argv=None) -> int:
             "oracle": ["oracle", "--family", "HH", "--p", "1", "--q", "2"],
         }
         times = {name: [] for name in commands}
+        scaled = {name: [] for name in commands}
         failed = set()
         for _ in range(args.runs):
             for name, cmd in commands.items():
+                before = reference_seconds()
                 seconds, proc = _glap(cmd, tmp)
+                ref = (before + reference_seconds()) / 2
                 times[name].append(seconds)
+                scaled[name].append(at_reference_speed(seconds, ref))
                 if proc.returncode:
                     failed.add(name)
                     print(f"{name} exited {proc.returncode}: {proc.stderr.strip()}")
     for name, xs in times.items():
         q1, med, q3 = _quartiles(xs)
-        print(f"{name}: median {med:.3f} s [{q1:.3f}, {q3:.3f}] over {len(xs)} runs")
+        r1, rmed, r3 = _quartiles(scaled[name])
+        print(f"{name}: median {med:.3f} s [{q1:.3f}, {q3:.3f}], at reference speed "
+              f"{rmed:.3f} s [{r1:.3f}, {r3:.3f}] over {len(xs)} runs")
     return 1 if failed else 0
 
 
