@@ -35,9 +35,10 @@ restriction: below degree -1 by phi([e, y]) = [phi(e), y] and generation,
 in degree >= 0 by [phi(u), e] = [u, phi(e)] and transitivity.  So the
 centroid is the subspace of that commutant whose elements extend, found
 by solving for one coefficient per commutant basis element.  Where E is
-missing or a rank shows condition 2 or 3 failing, the centroid comes from
-the dense system over all n*n entries instead, refused above dimension
-40.  Either way the result is certified against the definition.
+missing or a rank shows condition 2 or 3 failing, the centroid is instead
+the commutant of the n adjoint maps ad e (``commutant``), over all n*n
+entries, refused above dimension 40.  Either way the result is certified
+against the definition.
 
 The identity needs no solve.  ``commutant`` certifies that it lies in
 the commutant K, and it lies in every centroid.  So when the conditions
@@ -219,8 +220,8 @@ def _has_characteristic(A: GradedAlgebra) -> bool:
 
 
 def centroid(A: GradedAlgebra) -> Subspace:
-    """Canonical basis of {phi : phi o ad x = ad x o phi for all x}: the
-    kernel basis of ``_dense_system``, unknown phi[r][c] at column c*n + r.
+    """Canonical basis of {phi : phi o ad x = ad x o phi for all x}, the
+    commutant of the adjoint maps, unknown phi[r][c] at column c*n + r.
 
     If A contains its characteristic element E, has its negative part
     generated by g_{-1}, and is transitive (``_determined_by_minus1``), a
@@ -228,10 +229,10 @@ def centroid(A: GradedAlgebra) -> Subspace:
     the commutant of the g_0-action (module docstring).  The centroid is
     then the span of the identity and of the extensions of the rest of the
     commutant (``_extensions``) on which the residuals of the centroid
-    equations cancel.  Otherwise the dense system is solved, refused above
-    dimension 40.  Either way each basis map that is not scalar is
-    certified against the definition over every ordered pair
-    (``_verify_centroid``).
+    equations cancel.  Otherwise it is ``commutant`` of the adjoint maps
+    ad e of every basis element, refused above dimension 40.  Either way
+    each basis map that is not scalar is certified against the definition
+    over every ordered pair (``_verify_centroid``).
     """
     K = commutant(degree_zero_action(A), len(A.by_degree().get(-1, [])))
     return _centroid(A, K)
@@ -244,7 +245,13 @@ def _centroid(A: GradedAlgebra, K: Subspace) -> Subspace:
     scaling keeps its solutions."""
     n = A.n
     if not _determined_by_minus1(A):
-        C = Echelon(n * n).extend(_dense_system(A)).kernel_space("the centroid")
+        if n > 40:
+            raise GlapError("dense centroid solve refused for dim > 40")
+        ad = _scaled_adjacency(A)[1]
+        C = commutant(
+            [{c * n + k: x for c, cell in ad[e].items() for k, x in cell.items()} for e in range(n)],
+            n,
+        )
     else:
         span = [{c * n + c: 1 for c in range(n)}]
         n1 = len(A.by_degree()[-1])
@@ -335,32 +342,6 @@ def _extensions(A: GradedAlgebra, K: list[dict[int, int]]):
     return maps
 
 
-def _dense_system(A: GradedAlgebra):
-    """The centroid rows phi([e, a_j]) - [e, phi(a_j)] = 0, one per
-    coordinate, over every entry of phi, unknown phi[r][c] at column
-    c*n + r, with integer entries read from the scaled adjacency of A.
-    Refused above dimension 40."""
-    n = A.n
-    if n > 40:
-        raise GlapError("dense centroid solve refused for dim > 40")
-    ad = _scaled_adjacency(A)[1]
-    for e in range(n):
-        ade = ad[e]
-        for j in range(n):
-            comp: dict[int, dict[int, int]] = {}
-            for m, c in ade.get(j, {}).items():
-                for k in range(n):
-                    comp.setdefault(k, {})[m * n + k] = c
-            for r, cell in ade.items():
-                for k, c in cell.items():
-                    row = comp.setdefault(k, {})
-                    row[j * n + r] = row.get(j * n + r, 0) - c
-            for row in comp.values():
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    yield row
-
-
 def _residual(phi: dict[int, int], n: int, ad) -> dict[tuple[int, int, int], int]:
     """The nonzero entries (i, j, k) of phi([a_i, a_j]) - [phi(a_i), a_j]
     over every ordered pair, i == j included, for the flat integer map phi
@@ -439,7 +420,9 @@ def _simple_from_centroid(C: list[dict[int, int]], n: int) -> bool:
 def commutant(maps: list[dict[int, int]], n: int) -> Subspace:
     """Canonical basis of {phi : phi M = M phi for every M in maps}, the
     flat integer maps of an n-dimensional module, unknown phi[r][c] at
-    column c*n + r.
+    column c*n + r: the commutant of the g_0-action on g_{-1}
+    (``degree_zero_action``), and the centroid of an algebra that is not
+    ``_determined_by_minus1``, over the scaled adjoint maps of all of it.
 
     The identity always commutes, so the rank is at most n*n - 1, and the
     rows left once it gets there cannot change the solutions.  The identity
@@ -454,20 +437,27 @@ def commutant(maps: list[dict[int, int]], n: int) -> Subspace:
 
 
 def _commutant_rows(maps: list[dict[int, int]], n: int):
-    """Yield the rows (phi M - M phi)[i][j] = 0 for each M in maps; a map
-    scaled by a nonzero integer has the same ones."""
+    """Yield the rows (phi M - M phi)[i][j] = 0 for each M in maps, column
+    j by column j, reading only the nonzero entries of M; a map scaled by a
+    nonzero integer has the same ones.  The two terms meet only at phi[i][j]
+    of row i, where they may cancel."""
     for M in maps:
-        left: list[dict[int, int]] = [{} for _ in range(n)]  # left[i] = {r: M[i][r]}
-        right: list[dict[int, int]] = [{} for _ in range(n)]  # right[j] = {r: M[r][j]}
-        for k, x in M.items():
-            j, i = divmod(k, n)
-            left[i][j] = right[j][i] = x
-        for i in range(n):
-            for j in range(n):
-                row = {r * n + i: x for r, x in right[j].items()}
-                for r, x in left[i].items():
-                    row[j * n + r] = row.get(j * n + r, 0) - x
-                row = {c: v for c, v in row.items() if v}
+        cols = _columns(M, n)  # cols[j] = {r: M[r][j]}
+        nonzero = [(r, col) for r, col in enumerate(cols) if col]
+        for j, colj in enumerate(cols):
+            # (phi M)[i][j] holds M[r][j] phi[i][r], for every row i
+            comp = {i: {r * n + i: x for r, x in colj.items()} for i in range(n)} if colj else {}
+            for r, col in nonzero:  # (M phi)[i][j] holds M[i][r] phi[r][j]
+                jr = j * n + r
+                for i, x in col.items():
+                    row = comp.get(i)
+                    if row is None:
+                        comp[i] = {jr: -x}
+                    else:
+                        row[jr] = row.get(jr, 0) - x
+            for i, row in comp.items():
+                if row.get(j * n + i) == 0:
+                    del row[j * n + i]
                 if row:
                     yield row
 
@@ -657,10 +647,14 @@ def degree_zero_action(A: GradedAlgebra) -> list[dict[int, int]]:
     minus1 = by_deg.get(-1, [])
     pos = {g: r for r, g in enumerate(minus1)}
     n = len(minus1)
-    return [
-        {c * n + pos[k]: x for c, e in enumerate(minus1) for k, x in ad[u].get(e, {}).items()}
-        for u in by_deg.get(0, [])
-    ]
+    try:
+        return [
+            {c * n + pos[k]: x for c, e in enumerate(minus1) for k, x in ad[u].get(e, {}).items()}
+            for u in by_deg.get(0, [])
+        ]
+    except KeyError:  # a term of [u, e] outside g_{-1}: name the bracket
+        require_graded(A)
+        raise
 
 
 @functools.cache

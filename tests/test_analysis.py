@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from glap import cli
 from glap.analysis import (
     _centroid,
-    _dense_system,
     ModuleClassification,
     _determined_by_minus1,
     _extensions,
@@ -44,6 +43,7 @@ from glap.errors import (
     GlapError,
     NotIsotropic,
     NotSemisimple,
+    ParseError,
 )
 from glap.families import FAMILIES, CartanTag, build, label, oracle_instances
 from glap.gla import GradedAlgebra, SymBilinearForm, _scaled_adjacency
@@ -432,10 +432,11 @@ def test_commutant_stopped_at_the_rank_bound_matches_the_full_solve(
 
 @st.composite
 def _small_modules(draw):
-    """(n, Mats): one to three small integer n x n matrices, n <= 4, some
+    """(n, Mats): one to three small integer n x n matrices, n <= 5, some
     of them built to commute with an involution or a rotation so that
-    every module class shows up."""
-    n = draw(st.integers(1, 4))
+    every module class shows up, and some with whole rows or columns of
+    zeros, which ``commutant``'s row generator skips."""
+    n = draw(st.integers(1, 5))
     entries = st.integers(-2, 2)
     mats = draw(st.lists(
         st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n),
@@ -454,6 +455,14 @@ def _small_modules(draw):
         k = draw(st.integers(0, n))
         mats = [[[x if (r < k) == (c < k) else 0 for c, x in enumerate(row)]
                  for r, row in enumerate(M)] for M in mats]
+    if draw(st.booleans()):
+        # each map loses some whole rows and some whole columns
+        lines = st.sets(st.integers(0, n - 1))
+        mats = [
+            [[0 if r in rows or c in cols else x for c, x in enumerate(row)]
+             for r, row in enumerate(M)]
+            for M, rows, cols in ((M, draw(lines), draw(lines)) for M in mats)
+        ]
     return n, [Mat(M) for M in mats]
 
 
@@ -717,7 +726,8 @@ def _centroid_case(get_prolongation, get_rebased, case):
         # graded and transitive: a complex simple algebra, commutant dim 4
         return _complexify(get_prolongation("hc", p=1, q=1).algebra), 2, True
     if case == "hc11+sl2":
-        # sl2 in degree 0 kills g_{-1}: not transitive, so the dense solve
+        # sl2 in degree 0 kills g_{-1}: not transitive, so the commutant
+        # of the adjoint maps
         return _direct_sum(get_prolongation("hc", p=1, q=1).algebra, _sl2()), 2, False
     if case == "h3+rotation":
         # transitive and generated by g_{-1}, but with no characteristic
@@ -751,6 +761,32 @@ def test_centroid_matches_the_full_solve(get_prolongation, get_rebased, case):
     got = centroid(A)
     assert (got.basis, got.denominator, got.free) == (want.basis, want.denominator, want.free)
     assert dim is None or len(got) == dim
+
+
+def _dense_system(A: GradedAlgebra):
+    """The centroid rows phi([e, a_j]) - [e, phi(a_j)] = 0, one per
+    coordinate, over every entry of phi, unknown phi[r][c] at column
+    c*n + r, with integer entries read from the scaled adjacency of A.
+    Refused above dimension 40."""
+    n = A.n
+    if n > 40:
+        raise GlapError("dense centroid solve refused for dim > 40")
+    ad = _scaled_adjacency(A)[1]
+    for e in range(n):
+        ade = ad[e]
+        for j in range(n):
+            comp: dict[int, dict[int, int]] = {}
+            for m, c in ade.get(j, {}).items():
+                for k in range(n):
+                    comp.setdefault(k, {})[m * n + k] = c
+            for r, cell in ade.items():
+                for k, c in cell.items():
+                    row = comp.setdefault(k, {})
+                    row[j * n + r] = row.get(j * n + r, 0) - c
+            for row in comp.values():
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    yield row
 
 
 def _reference_centroid(A, K):
@@ -864,6 +900,17 @@ def test_dense_solve_refuses_large_algebras(get_prolongation):
     assert len(centroid(A)) == 1
     with pytest.raises(GlapError, match="dim > 40"):
         centroid(_direct_sum(A, _sl2()))
+
+
+def test_a_degree_zero_map_leaving_g_minus1_is_a_parse_error():
+    # [x, u] = z: u in degree 0 sends x in g_{-1} to degree -2
+    A = GradedAlgebra(
+        "x+y+z+u", ["x", "y", "z", "u"], [-1, -1, -2, 0],
+        {(0, 1): {2: F(1)}, (0, 3): {2: F(1)}},
+    )
+    for fn in (degree_zero_action, centroid):
+        with pytest.raises(ParseError, match=r"bracket \[0, 3\] has a term in degree -2"):
+            fn(A)
 
 
 def _rejects(fn, *args):

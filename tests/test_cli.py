@@ -750,6 +750,27 @@ def test_analyze_warns_on_a_truncated_prolongation(tmp_path, capsys):
     assert len(doc["warnings"]) == 1 and "truncated at degree 0" in doc["warnings"][0]
 
 
+def test_analyze_refuses_a_large_centroid_fallback(tmp_path, capsys, get_prolongation):
+    # ho + sl2, sl2 (e, h, f) in degree 0: semisimple, but sl2 kills g_{-1},
+    # so the centroid is the commutant of all 55 adjoint maps, refused
+    # a copy: the lists of the dict are those of the shared prolongation
+    doc = copy.deepcopy(get_prolongation("ho").to_json_dict())
+    n = len(doc["labels"])
+    assert n == 52
+    doc["labels"] += ["e", "h", "f"]
+    doc["degrees"] += [0, 0, 0]
+    doc["brackets"] += [
+        [n, n + 1, [[n, "-2"]]], [n, n + 2, [[n + 1, "1"]]], [n + 1, n + 2, [[n + 2, "-2"]]],
+    ]
+    path = tmp_path / "ho+sl2.prol.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "dim > 40" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 _ODD_VALUES = (5, -1, "x", "1/0", None, [], {}, True, 1.5, [[0, 1]], {"a": 1})
 
 
