@@ -569,7 +569,8 @@ def isotropic_split_check(G: Mat, V1, V2) -> dict:
 
     Every pairing is read off one Gram product P = V G V^T of the stacked
     rows V = [V1; V2]: its two diagonal blocks must vanish and its
-    off-diagonal block V1 G V2^T must be nonsingular."""
+    off-diagonal block V1 G V2^T must have full ``Mat.rank`` k = dim V1,
+    else DegeneratePairing is raised.  Returns ``{"dims": (k, dim V2)}``."""
     n = G.n
     k = len(V1)
     if k + len(V2) != n:
@@ -592,10 +593,9 @@ def isotropic_split_check(G: Mat, V1, V2) -> dict:
             f"summands of dimension {k} and {len(V2)} cannot pair "
             "nondegenerately"
         )
-    det = Mat([row[k:] for row in P[:k]]).det()
-    if det == 0:
+    if Mat([row[k:] for row in P[:k]]).rank() < k:
         raise DegeneratePairing("cross pairing between the summands is singular")
-    return {"dims": (k, len(V2)), "cross_pairing_det": det}
+    return {"dims": (k, len(V2))}
 
 
 # ---------------------------------------------------------------------------

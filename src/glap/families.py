@@ -50,7 +50,6 @@ from .gla import GradedAlgebra, SymBilinearForm, check_fundamental, check_gla
 from .linalg import Echelon, Mat, int_row
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class _DegreeSpace:
@@ -552,79 +551,25 @@ def build_octonionic(o_tag: str, name: str):
     return m, g, None, None
 
 
-def _symplectic_pairing() -> dict[tuple[int, int], Fraction]:
-    """Invariant skew pairing on the four-dimensional irreducible sl2-space.
-
-    Solved from invariance under the lowering, raising and weight operators
-    on the cubic monomial basis; the kernel is one-dimensional and gets
-    normalized on the outermost pair.
-    """
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    pidx = {pr: k for k, pr in enumerate(pairs)}
-
-    def w(a, b):
-        # signed unknown index for omega(u_a, u_b)
-        if a == b:
-            return None
-        if a < b:
-            return pidx[(a, b)], ONE
-        return pidx[(b, a)], -ONE
-
-    ops = []
-    low = Mat.zeros(4, 4)
-    for k in range(3):
-        low[k + 1, k] = Fraction(3 - k)
-    ops.append(low)
-    high = Mat.zeros(4, 4)
-    for k in range(1, 4):
-        high[k - 1, k] = Fraction(k)
-    ops.append(high)
-    ops.append(Mat.diag([Fraction(3 - 2 * k) for k in range(4)]))
-
-    rows = []
-    for M in ops:
-        for a, b in pairs:
-            row: dict[int, Fraction] = {}
-            for k in range(4):
-                if M[k, a]:
-                    hit = w(k, b)
-                    if hit:
-                        col, s = hit
-                        row[col] = row.get(col, ZERO) + s * M[k, a]
-                if M[k, b]:
-                    hit = w(a, k)
-                    if hit:
-                        col, s = hit
-                        row[col] = row.get(col, ZERO) + s * M[k, b]
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                rows.append(row)
-    kernel = Echelon(len(pairs)).extend(map(int_row, rows)).kernel_space().basis
-    require(len(kernel) == 1, "invariant pairing should be unique up to scale")
-    vec = kernel[0]
-    scale = vec.get(pidx[(0, 3)])
-    require(scale, "invariant pairing vanishes on the outermost pair")
-    return {pr: Fraction(vec.get(k, 0), scale) for k, pr in enumerate(pairs)}
-
-
 def build_g2_example(name: str):
     """Rank-two exceptional model of kind five.
 
     Degree -1 pairs a lowering operator T with the top cubic monomial u0;
     T walks the monomials down, and complementary monomials close into the
-    one-dimensional bottom layer through the invariant skew pairing.
+    one-dimensional bottom layer through the invariant skew pairing omega,
+    [u0, u3] = Z and [u1, u2] = -1/3 Z.  ``_certify`` fixes the second
+    constant given the first: the Jacobiator of (T, u0, u2) is
+    (3 omega(u1, u2) + omega(u0, u3)) Z.  ``_require_signature`` certifies
+    the Gram matrix, and the derivation check the Cartan tag.
     """
-    omega = _symplectic_pairing()
-    require(omega[(1, 2)] == Fraction(-1, 3),
-            f"omega(u1, u2) = {omega[(1, 2)]}, expected -1/3")
     labels = ["T", "u0", "u1", "u2", "u3", "Z"]
     degrees = [-1, -1, -2, -3, -4, -5]
     brackets = {
         (0, 1): {2: Fraction(3)},  # [T, u0] = 3 u1
         (0, 2): {3: Fraction(2)},
         (0, 3): {4: Fraction(1)},
-        (1, 4): {5: omega[(0, 3)]},
-        (2, 3): {5: omega[(1, 2)]},
+        (1, 4): {5: Fraction(1)},  # [u0, u3] = Z
+        (2, 3): {5: Fraction(-1, 3)},  # [u1, u2] = -1/3 Z
     }
     m = GradedAlgebra(f"{name}.m", labels, degrees, brackets)
     _certify(m)
@@ -676,9 +621,11 @@ def build_counterexample(name: str):
     The adjoint copy s(.) is abelian and placed two degrees below its home,
     making the negative part fundamental of kind three.  g pairs the genuine
     degree -1 part with the shifted one through the Killing form, a neutral
-    pairing of two isotropic planes.  The prolongation of this m retains the
-    shifted copy as a nilpotent ideal, so it cannot be semisimple, while the
-    positive part of sl(3, R) survives in degree one.
+    pairing of two isotropic planes, g(x, s(y)) = B(x, y) = 6 tr(xy),
+    certified by ``_require_signature`` and by the ``verify-table`` row.
+    The prolongation of this m retains the shifted copy as a nilpotent
+    ideal, so it cannot be semisimple, while the positive part of sl(3, R)
+    survives in degree one.
     """
     L = _sl3()
     x_part = [2, 4]  # E21, E31
@@ -701,16 +648,9 @@ def build_counterexample(name: str):
     _require_fundamental(m, 3)
     _require_dims(m, {-1: 4, -2: 4, -3: 2})
 
-    from .analysis import killing_form  # here, since analysis imports this module
-
-    L2, blocks = killing_form(L)
-    by_deg = L.by_degree()
-    G = Mat.zeros(4, 4)
-    for a, xi in enumerate(x_part):
-        for b, orig in enumerate(s_order[:2]):
-            # B(x, s) for x of degree -1 and s of degree 1: entry (s, x) of C_1
-            row = blocks[1][by_deg[1].index(orig)]
-            G[a, 2 + b] = G[2 + b, a] = Fraction(row.get(by_deg[-1].index(xi), 0), L2)
+    # B(x, s(y)) = 6 tr(xy), the Killing form of sl(3), pairs E21 with E12
+    # and E31 with E13
+    G = Mat([[0, 0, 6, 0], [0, 0, 0, 6], [6, 0, 0, 0], [0, 6, 0, 0]])
     g = SymBilinearForm.for_algebra(m, G)
     _require_signature(g, (2, 2))
     return m, g, None, None

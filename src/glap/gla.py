@@ -204,8 +204,8 @@ class GradedAlgebra:
             rows.append([i, j, [[k, format_rational(c)] for k, c in sorted(cell.items())]])
         return {
             "name": self.name,
-            "labels": self.labels,
-            "degrees": self.degrees,
+            "labels": list(self.labels),
+            "degrees": list(self.degrees),
             "brackets": rows,
         }
 
@@ -655,7 +655,8 @@ class SymBilinearForm:
     """A nondegenerate symmetric form on the degree -1 piece of an algebra.
 
     ``indices`` lists the algebra's basis indices of degree -1 in order;
-    ``matrix`` is the Gram matrix in that basis.
+    ``matrix`` is the Gram matrix in that basis; DegenerateForm is raised
+    unless its ``Mat.rank`` is full.
     """
 
     def __init__(self, algebra_name: str, indices, matrix: Mat):
@@ -667,7 +668,7 @@ class SymBilinearForm:
             )
         if not matrix.is_symmetric():
             raise NotSymmetric("Gram matrix must be symmetric")
-        if matrix.det() == 0:
+        if matrix.rank() < matrix.n:
             raise DegenerateForm("Gram matrix is singular")
         self.matrix = matrix
 
@@ -689,7 +690,7 @@ class SymBilinearForm:
     def to_json_dict(self) -> dict:
         return {
             "algebra": self.algebra_name,
-            "degree_minus1_indices": self.indices,
+            "degree_minus1_indices": list(self.indices),
             "matrix": [[format_rational(x) for x in row] for row in self.matrix.a],
         }
 

@@ -5,9 +5,10 @@ and ``fractions.Fraction`` appears only at the boundary.  The engine is a
 sparse integer Gauss-Jordan elimination (``Echelon``).  Rows are dicts
 mapping column index to a nonzero int; a rational row is scaled once, by
 ``int_row``, where it is built.  Elimination is fraction-free.  Kernels,
-spans, ranks and square solves all go through it.  A small dense ``Mat``
-of Fractions holds what is read at the boundary: Gram matrices and other
-forms, their signatures and determinants.
+spans, ranks and square solves all go through it; there is no
+determinant, and a square matrix is nonsingular when its rank is full.
+A small dense ``Mat`` of Fractions holds what is read at the boundary:
+Gram matrices and other forms, and their signatures.
 
 The pivot rows are kept in reduced row echelon form at every step: the
 row at lead column c is primitive, positive at c, has c as its smallest
@@ -47,7 +48,8 @@ def _q(x) -> Fraction:
 
 class Mat:
     """Dense matrix of Fractions, for the forms read at the boundary: Gram
-    matrices, their signatures and determinants."""
+    matrices and their signatures; its ``rank`` goes through ``Echelon``,
+    and it has no determinant."""
 
     __slots__ = ("m", "n", "a")
 
@@ -63,22 +65,6 @@ class Mat:
     def zeros(cls, m, n):
         z = Fraction(0)
         return cls([[z] * n for _ in range(m)])
-
-    @classmethod
-    def diag(cls, entries):
-        entries = list(entries)
-        M = cls.zeros(len(entries), len(entries))
-        for i, x in enumerate(entries):
-            M.a[i][i] = _q(x)
-        return M
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.a[i][j]
-
-    def __setitem__(self, ij, v):
-        i, j = ij
-        self.a[i][j] = _q(v)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.a == other.a
@@ -103,37 +89,6 @@ class Mat:
     def rank(self) -> int:
         return sparse_rank((dict(enumerate(r)) for r in self.a), self.n)
 
-    def det(self) -> Fraction:
-        """Determinant via fraction-free Bareiss elimination."""
-        if self.m != self.n:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.n
-        if n == 0:
-            return Fraction(1)
-        # clear denominators row by row, tracking the scale factor
-        scale = Fraction(1)
-        a = []
-        for row in self.a:
-            den = lcm(*(x.denominator for x in row))
-            scale *= den
-            a.append([int(x * den) for x in row])
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for r in range(k + 1, n):
-                    if a[r][k] != 0:
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return Fraction(sign * a[n - 1][n - 1], 1) / scale
 
 # ---------------------------------------------------------------------------
 # sparse integer Gauss-Jordan engine

@@ -7,6 +7,12 @@ from glap.families import build
 from glap.prolongation import full_prolongation
 
 
+def diag(entries):
+    """The square ``Mat`` with ``entries`` on its diagonal, 0 elsewhere."""
+    entries = list(entries)
+    return Mat([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
+
+
 def _key(tag, params):
     return (tag, tuple(sorted(params.items())))
 
@@ -52,8 +58,8 @@ def _rebased(tag, **params):
     fam = build(tag, **params)
     m, g = fam.m, fam.g
     n = m.n
-    P = Mat.diag([1] * n)  # row i: the new basis vector f_i in the old basis
-    Q = Mat.diag([1] * n)  # P^-1, through the inverse of each operation
+    P = diag([1] * n)  # row i: the new basis vector f_i in the old basis
+    Q = diag([1] * n)  # P^-1, through the inverse of each operation
     for ix in m.by_degree().values():
         for t, s in zip(range(len(ix) - 1), (1, -1)):
             a, b = ix[t], ix[t + 1]
@@ -110,5 +116,5 @@ def h3():
 
 @pytest.fixture
 def h3_euclidean(h3):
-    g = SymBilinearForm("h3", [0, 1], Mat.diag([1, 1]))
+    g = SymBilinearForm("h3", [0, 1], diag([1, 1]))
     return h3, g

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from glap import families
+from glap.analysis import killing_form
 from glap.cli import DEFAULT_ROWS
 from glap.composition import algebra_by_tag
 from glap.errors import BadParameters, GlapError, require
@@ -172,6 +173,39 @@ def test_octonionic_bracket_values(get_family):
         assert cell == {7 + t: 2}
 
 
+def test_a_planted_g2_constant_is_one_jacobi_violation():
+    """[u1, u2] = -1/2 Z in place of -1/3 Z: the Jacobiator of (T, u0, u2)
+    is (3 omega(u1, u2) + omega(u0, u3)) Z = -1/2 Z, and it is the only
+    one that breaks."""
+    m = build("g2").m
+    bad = GradedAlgebra(m.name, m.labels, m.degrees, {**m.brackets, (2, 3): {5: Fraction(-1, 2)}})
+    assert check_gla(bad)["violations"] == [
+        {"type": "jacobi", "triple": [0, 1, 3], "residual": {5: "-1/2"}}
+    ]
+    with pytest.raises(GlapError, match="Jacobi certificate: 1 violations$"):
+        families._certify(bad)
+
+
+def test_the_counterexample_form_is_the_killing_form_of_sl3(get_family):
+    """g(x, s(y)) = B(x, y), read from the C_1 block of the Killing form of
+    sl(3): x runs over the degree -1 part E21, E31 and y over its dual
+    E12, E13, shifted down as s(E12), s(E13)."""
+    fam = get_family("counterexample")
+    assert [fam.m.labels[i] for i in fam.g.indices] == ["E21", "E31", "s(E12)", "s(E13)"]
+    L = families._sl3()
+    L2, blocks = killing_form(L)
+    by_deg = L.by_degree()
+    x_part = [L.labels.index(x) for x in ("E21", "E31")]
+    y_part = [L.labels.index(y) for y in ("E12", "E13")]
+    want = [[Fraction(0)] * 4 for _ in range(4)]
+    for a, x in enumerate(x_part):
+        for b, y in enumerate(y_part):
+            # B(x, y) for x of degree -1 and y of degree 1: entry (y, x) of C_1
+            row = blocks[1][by_deg[1].index(y)]
+            want[a][2 + b] = want[2 + b][a] = Fraction(row.get(by_deg[-1].index(x), 0), L2)
+    assert fam.g.matrix == Mat(want)
+
+
 def _corrupt(assemble):
     """_assemble with 1 added to one structure constant of the ambient
     algebra: the grading stays intact, the Jacobi identity breaks."""
@@ -308,7 +342,7 @@ def _reference_check_covariance(A, G, eta_by_index):
         M = Mat.zeros(n, n)
         for c, j in enumerate(src):
             for k, x in A.bracket_pair(idx, j).items():
-                M[pos[k], c] = x
+                M.a[pos[k]][c] = x
         MtG, GM = Mat([list(col) for col in zip(*M.a)]) * G, G * M
         lhs = [[x + y for x, y in zip(r, s)] for r, s in zip(MtG.a, GM.a)]
         require(lhs == [[eta * x for x in row] for row in G.a],
@@ -350,10 +384,10 @@ def _perturb_gram_pair(G, eta_by_index):
     """Add 1 to the first zero entry G[r, c], r <= c, and to its mirror: a
     coupling the form does not have.  (Changing a nonzero entry can rescale
     a pairing the action still respects, as on bi(2).)"""
-    r, c = next((r, c) for r in range(G.n) for c in range(r, G.n) if not G[r, c])
+    r, c = next((r, c) for r in range(G.n) for c in range(r, G.n) if not G.a[r][c])
     G = Mat([row[:] for row in G.a])
-    G[r, c] += 1
-    G[c, r] = G[r, c]
+    G.a[r][c] += 1
+    G.a[c][r] = G.a[r][c]
     return G, eta_by_index
 
 
@@ -391,10 +425,10 @@ def perturbed(A, G, eta_by_index):
         (idx, eta), *rest = eta_by_index
         eta_by_index = [(idx, eta + Fraction(1, 3))] + rest
     else:
-        r, c = next((r, c) for r in range(G.n) for c in range(r, G.n) if not G[r, c])
+        r, c = next((r, c) for r in range(G.n) for c in range(r, G.n) if not G.a[r][c])
         G = Mat([row[:] for row in G.a])
-        G[r, c] += 1
-        G[c, r] = G[r, c]
+        G.a[r][c] += 1
+        G.a[c][r] = G.a[r][c]
     return check(A, G, eta_by_index)
 
 

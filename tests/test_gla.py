@@ -38,6 +38,7 @@ from glap.families import FAMILIES, build, label
 from glap.linalg import Mat
 from glap.prolongation import full_prolongation
 
+from conftest import diag
 from test_prolongation import _bench_rebase
 
 F = Fraction
@@ -228,6 +229,9 @@ def test_form_requires_symmetry_and_nondegeneracy():
         SymBilinearForm("a", [0, 1], Mat([[0, 1], [2, 0]]))
     with pytest.raises(DegenerateForm):
         SymBilinearForm("a", [0, 1], Mat([[1, 0], [0, 0]]))
+    # no zero entry, rank 2: the third row is the sum of the first two
+    with pytest.raises(DegenerateForm):
+        SymBilinearForm("a", [0, 1, 2], Mat([[1, 2, 3], [2, F(1, 2), F(5, 2)], [3, F(5, 2), F(11, 2)]]))
 
 
 def test_form_round_trip(get_family):
@@ -235,6 +239,18 @@ def test_form_round_trip(get_family):
     again = deserialize_form(g.serialize())
     assert again.to_json_dict() == g.to_json_dict()
     assert again.signature() == g.signature()
+
+
+def test_json_dicts_are_copies():
+    """Editing what ``to_json_dict`` returns leaves the algebra and the
+    form as they were."""
+    fam = build("hc", p=1, q=1)
+    before = (fam.m.serialize(), fam.g.serialize())
+    d = fam.m.to_json_dict()
+    d["labels"].append("w")
+    d["degrees"][0] = 7
+    fam.g.to_json_dict()["degree_minus1_indices"].append(99)
+    assert (fam.m.serialize(), fam.g.serialize()) == before
 
 
 _JSON_VALUES = st.recursive(
@@ -297,7 +313,7 @@ def test_each_document_parses_a_rational_string_once(monkeypatch):
     calls.clear()
     g = deserialize_form(json.dumps(
         {"algebra": "a", "degree_minus1_indices": [0, 1], "matrix": [["1/2", "0"], ["0", "1/2"]]}))
-    assert g.matrix == Mat.diag([F(1, 2), F(1, 2)]) and calls == ["1/2", "0"]
+    assert g.matrix == diag([F(1, 2), F(1, 2)]) and calls == ["1/2", "0"]
 
 
 def test_a_repeated_bad_rational_is_reported_at_its_first_position():
@@ -311,9 +327,9 @@ def test_a_repeated_bad_rational_is_reported_at_its_first_position():
 
 
 def test_form_scaling():
-    g = SymBilinearForm("a", [0, 1], Mat.diag([1, 1]))
+    g = SymBilinearForm("a", [0, 1], diag([1, 1]))
     h = SymBilinearForm(g.algebra_name, g.indices, Mat([[F(-3) * x for x in row] for row in g.matrix.a]))
-    assert h.matrix == Mat.diag([-3, -3])
+    assert h.matrix == diag([-3, -3])
     assert h.signature() == (0, 2)
 
 
@@ -907,7 +923,7 @@ print(json.dumps(check_gla(deserialize(sys.stdin.read()))))
 
 
 def test_signature_of_a_degenerate_matrix_raises():
-    g = SymBilinearForm("a", [0, 1], Mat.diag([1, 1]))
+    g = SymBilinearForm("a", [0, 1], diag([1, 1]))
     g.matrix = Mat([[1, 0], [0, 0]])  # bypasses the check at construction
     with pytest.raises(GlapError, match="zero eigenvalues"):
         g.signature()

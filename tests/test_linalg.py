@@ -20,6 +20,8 @@ from glap.linalg import (
     sparse_rank,
 )
 
+from conftest import diag
+
 F = Fraction
 
 
@@ -31,7 +33,7 @@ def kernel_basis(M):
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(Mat.diag([1, 1])) == []
+    assert kernel_basis(diag([1, 1])) == []
 
 
 def test_kernel_of_zero_matrix():
@@ -118,7 +120,9 @@ def test_solve_square_solves_invertible_systems(n, data):
     rows = [
         {c: int(x) for c, x in enumerate(prow + brow) if x} for prow, brow in zip(P.a, B.a)
     ]
-    if P.det() == 0:
+    # rank P^T P = rank P over Q, and the signature's zero count is the
+    # corank of a symmetric matrix: a dense oracle apart from Echelon
+    if signature_of_symmetric(Mat([list(col) for col in zip(*P.a)]) * P)[2]:
         with pytest.raises(GlapError):
             solve_square(rows, n)
         return
@@ -139,7 +143,7 @@ def symmetric_matrices(draw, max_dim=5):
 
 
 def test_signature_examples():
-    assert signature_of_symmetric(Mat.diag([1, -1])) == (1, 1, 0)
+    assert signature_of_symmetric(diag([1, -1])) == (1, 1, 0)
     S11 = Mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     assert signature_of_symmetric(S11) == (2, 1, 0)
 
@@ -166,13 +170,13 @@ def test_signature_negation_swaps_inertia(S):
 
 def _random_unimodular(rng, n):
     # product of random shears; determinant stays 1
-    P = Mat.diag([1] * n)
+    P = diag([1] * n)
     for _ in range(2 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
-        E = Mat.diag([1] * n)
+        E = diag([1] * n)
         E.a[i][j] = F(rng.randint(-3, 3))
         P = P * E
     return P
@@ -188,19 +192,6 @@ def test_signature_congruence_invariance_twenty_trials():
         P = _random_unimodular(rng, 4)
         congruent = Mat([list(col) for col in zip(*P.a)]) * S * P
         assert signature_of_symmetric(congruent) == base
-
-
-def test_determinant_and_inverse_round_trip():
-    M = Mat([[2, 1, 0], [1, -1, 3], [0, 5, 1]])
-    assert M.det() == F(-33)
-
-    def minor(i, j):
-        return Mat([[x for c, x in enumerate(row) if c != j] for r, row in enumerate(M.a) if r != i])
-
-    # the inverse by cofactors, each a 2 x 2 determinant
-    inverse = Mat([[(-1) ** (i + j) * minor(j, i).det() / M.det() for j in range(3)]
-                   for i in range(3)])
-    assert M * inverse == Mat.diag([1, 1, 1])
 
 
 def test_sparse_kernel_matches_dense():
@@ -483,11 +474,10 @@ def test_extend_with_no_columns():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: Mat([[1, 2]]).det(),
-        lambda: Mat.diag([1, 1]) * Mat.zeros(3, 2),
+        lambda: diag([1, 1]) * Mat.zeros(3, 2),
         lambda: Mat([[1, 2], [3]]),
     ],
-    ids=["det", "product", "ragged"],
+    ids=["product", "ragged"],
 )
 def test_shape_and_argument_checks_raise_value_error(call):
     with pytest.raises(ValueError):

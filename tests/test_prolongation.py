@@ -36,6 +36,8 @@ from glap.prolongation import (
     transitivity_check,
 )
 
+from conftest import diag
+
 F = Fraction
 
 
@@ -79,7 +81,7 @@ def test_heisenberg_euclidean_g0(h3_euclidean):
     assert layer.eta(hats[0]) == 0
     # the kernel of eta is the rotation algebra so(2)
     R = layer.layout.unflatten(-1, hats[0])
-    assert Mat([list(col) for col in zip(*R.a)]) == R * Mat.diag([-1, -1])
+    assert Mat([list(col) for col in zip(*R.a)]) == R * diag([-1, -1])
 
 
 def test_characteristic_derivation_normalization(h3_euclidean):
@@ -88,8 +90,8 @@ def test_characteristic_derivation_normalization(h3_euclidean):
     E = layer.E
     assert scaling_split(layer)[0] is E
     assert layer.eta(E) == -2
-    assert layer.layout.unflatten(-1, E) == Mat.diag([-1, -1])
-    assert layer.layout.unflatten(-2, E) == Mat.diag([-2])
+    assert layer.layout.unflatten(-1, E) == diag([-1, -1])
+    assert layer.layout.unflatten(-2, E) == diag([-2])
     # E lies in the span: it is rebuilt from its coordinates
     coords = layer.space.coords(E, "E")
     vectors = layer.space.vectors
@@ -126,7 +128,7 @@ def test_conformal_g0_is_scale_invariant(get_family, tag, params, lam):
 
 def test_conformal_g0_requires_fundamental_input():
     A = GradedAlgebra("ab", ["x", "z"], [-1, -2], {})
-    g = SymBilinearForm("ab", [0], Mat.diag([1]))
+    g = SymBilinearForm("ab", [0], diag([1]))
     with pytest.raises(NotFundamental):
         conformal_g0(A, g)
 

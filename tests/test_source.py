@@ -2,7 +2,9 @@
 
 Every certificate must hold under ``python -O``, so ``src/glap`` may not
 rest on ``assert``; the runtime is stdlib-only, so every import is
-relative or names a standard-library module; and no dead code is kept, so
+relative or names a standard-library module; no import sits inside a
+function or class body, so the module graph is the one the top-level
+imports show, with no cycle hidden in a function; and no dead code is kept, so
 every module-level function and class of ``src/glap``, and every method
 of its classes but the dunder methods, is referenced in ``src/glap``
 outside its own definition, or is on the short ``PUBLIC_API`` list of
@@ -42,12 +44,20 @@ PUBLIC_API = {"is_simple", "classify_module"}
 
 def _violations(path: pathlib.Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    nested = {
+        sub
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for sub in ast.walk(node)
+    }
     out = []
     for node in ast.walk(tree):
         where = f"{path.name}:{getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.Assert):
             out.append(f"{where}: assert statement")
             continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node in nested:
+            out.append(f"{where}: import inside a function or class body")
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
@@ -281,11 +291,22 @@ def test_the_rules_catch_what_they_claim(tmp_path):
         "from .gla import GradedAlgebra\n"
         "def f(x):\n"
         "    assert x\n"
+        "    from .analysis import killing_form\n"
+        "    def g():\n"
+        "        import os\n"
+        "class C:\n"
+        "    import numpy\n"
+        "if x:\n"
+        "    import math\n"
     )
-    assert _violations(bad) == [
+    assert sorted(_violations(bad), key=lambda v: int(v.split(":")[1])) == [
         "bad.py:2: import of non-stdlib module 'numpy'",
         "bad.py:3: import of non-stdlib module 'sympy'",
         "bad.py:7: assert statement",
+        "bad.py:8: import inside a function or class body",
+        "bad.py:10: import inside a function or class body",
+        "bad.py:12: import inside a function or class body",
+        "bad.py:12: import of non-stdlib module 'numpy'",
     ]
 
 
