@@ -79,7 +79,7 @@ def cmd_build(args) -> int:
     if fam.ambient is not None:
         out["ambient_dim"] = fam.ambient.n
     if fam.cartan is not None:
-        out["split_cartan_dim"] = fam.cartan.dim
+        out["split_cartan_dim"] = fam.cartan
     if args.out:
         written = []
         for suffix, text in (
@@ -114,10 +114,9 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     doc = _load_json(_read(args.path))
-    next_layer = None
+    next_layer = top = None
     if "complete" not in doc:
         A = GradedAlgebra.from_json_dict(doc)
-        res = check_gla(A)
     else:
         # a prolongation file, read as ``glap analyze`` reads it: a
         # 'complete' that is not a JSON boolean is bad input
@@ -127,7 +126,6 @@ def cmd_check(args) -> int:
             # a complete prolongation has no layer past its top degree nu;
             # the step solve reads a subset of the conditions, so an empty
             # layer proves it
-            res = check_gla(A)
             next_layer = len(_solve(A, prol.nu + 1))
         else:
             # cut at degree nu: certified on the triples whose brackets the
@@ -138,7 +136,9 @@ def cmd_check(args) -> int:
                     "a prolongation marked incomplete must be transitive: "
                     "an element of degree >= 0 kills g_-1"
                 )
-            res = check_gla(A, top=prol.nu - 1)
+            top = prol.nu - 1
+    # the report lists the first 20 violations; its count is exact
+    res = check_gla(A, max_violations=20, top=top)
     if not res["grading_ok"] or min(A.degrees, default=0) >= 0:
         # fundamentality is only meaningful once the grading itself holds,
         # and on a negative part
@@ -152,7 +152,7 @@ def cmd_check(args) -> int:
         "grading_ok": res["grading_ok"],
         "jacobi_ok": res["jacobi_ok"],
         "violation_count": res["violation_count"],
-        "violations": res["violations"][:20],
+        "violations": res["violations"],
         "fundamental": fundamental,
         "kind": kind,
         "pass": ok,
@@ -437,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="stop after this degree; the result is certified only on the "
         "Jacobi triples its brackets fix, those with a degree -1 element and "
-        "total degree below the cut (default: no cap; GLAP_STEP_LIMIT, "
-        "default 64, bounds the steps)",
+        "total degree below the cut (default: no cap; a run still growing "
+        "after 64 steps exits 1)",
     )
     p.set_defaults(func=lambda args: cmd_prolong(args))
 

@@ -26,8 +26,10 @@ Every builder takes the instance name and the family's parameters and
 hands back (m, g, ambient, cartan): the fundamental algebra m, a
 representative g of the conformal class, a zero-argument callable that
 builds the rest of the certified ambient graded algebra where the matrix
-picture exists (None where it does not), and a verified diagonal Cartan
-tag (None where absent), which ``build`` holds to the split-rank bound.
+picture exists (None where it does not), and the Cartan tag: the
+dimension, an int, of a verified abelian, diagonalizable subspace marking
+the split rank (None where absent), which ``build`` holds to the
+split-rank bound.
 
 ``FAMILIES`` at the end of the module is the one registry of families: tag,
 root-oracle key, parameters, supported range, ``verify-table`` rows and
@@ -262,13 +264,6 @@ def _split_unit(alg: CompositionAlgebra):
     return next((t for t in range(1, alg.dim) if table[t][t] == (0, 1)), None)
 
 
-@dataclass
-class CartanTag:
-    """A verified abelian, diagonalizable subspace marking the split rank."""
-
-    dim: int
-
-
 def _certify(A: GradedAlgebra):
     """Raise GlapError unless A passes ``check_gla`` (grading and Jacobi)."""
     _require_certified(A, check_gla(A)["violation_count"])
@@ -483,7 +478,7 @@ def build_hk(k_tag: str, name: str, p: int, q: int):
         require(len(elems) == expected_rank,
                 f"{len(elems)} tagged diagonal elements, expected {expected_rank}")
         _certify_cartan(spaces, elems)
-        cartan = CartanTag(dim=len(elems))
+        cartan = len(elems)
     return m, g, ambient, cartan
 
 
@@ -517,7 +512,7 @@ def build_bi(name: str, l: int):
 
     elems = [{(i, i, 0): 1, (sigma[i], sigma[i], 0): -1} for i in range(l)]
     _certify_cartan(spaces, elems)
-    return m, g, ambient, CartanTag(dim=l)
+    return m, g, ambient, l
 
 
 def build_octonionic(o_tag: str, name: str):
@@ -587,7 +582,7 @@ def build_g2_example(name: str):
         for (i, j), cell in m.brackets.items():
             for k in cell:
                 require(diag[k] == diag[i] + diag[j], "diagonal map is not a derivation")
-    return m, g, None, CartanTag(dim=2)
+    return m, g, None, 2
 
 
 def _sl3():
@@ -669,7 +664,7 @@ class Family:
     m: GradedAlgebra
     g: SymBilinearForm
     make_ambient: Callable[[], GradedAlgebra] | None = None
-    cartan: CartanTag | None = None
+    cartan: int | None = None
 
     @cached_property
     def ambient(self) -> GradedAlgebra | None:
@@ -782,7 +777,7 @@ def build(tag: str, **params) -> Family:
         # a maximal R-diagonalizable subalgebra through E has dimension at
         # most min(r, s) + 1
         bound = min(g.signature()) + 1
-        require(cartan.dim <= bound,
-                f"{name}: split Cartan tag of dimension {cartan.dim} exceeds "
+        require(cartan <= bound,
+                f"{name}: split Cartan tag of dimension {cartan} exceeds "
                 f"the rank bound min(r, s) + 1 = {bound}")
     return Family(tag, values, m, g, ambient, cartan)

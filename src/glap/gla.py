@@ -656,12 +656,14 @@ class SymBilinearForm:
 
     ``indices`` lists the algebra's basis indices of degree -1 in order;
     ``matrix`` is the Gram matrix in that basis; DegenerateForm is raised
-    unless its ``Mat.rank`` is full.
+    unless its ``Mat.rank`` is full.  The form keeps its own copy, so no
+    later edit of the caller's matrix undoes that check.
     """
 
     def __init__(self, algebra_name: str, indices, matrix: Mat):
         self.algebra_name = algebra_name
         self.indices = list(indices)
+        matrix = Mat(matrix.a)
         if matrix.m != matrix.n or matrix.m != len(self.indices):
             raise DimensionMismatch(
                 f"{matrix.m}x{matrix.n} Gram matrix for {len(self.indices)} indices"

@@ -33,9 +33,16 @@ every free column lies in the g_{-1} block, or is the eta column at
 degree 0: the blocks are laid out by source degree with g_{-1} last and
 eta after it, a free column is the last nonzero entry of some member, and
 a derivation of the fundamental m that kills g_{-1} is 0.  So [w, v] is
-evaluated only at the z in g_{-1} that own a free column; its eta
-coordinate is 0, and at degree 0 its eta, sum_t c_t eta(v_t), must be 0.
-A free column anywhere else raises GlapError.
+evaluated only at the z in g_{-1} that own a free column.  A free column
+anywhere else raises GlapError.
+
+At degree 0 the eta column is the last column, and it is free: a pivot
+there would be the row eta = 0, yet E lies in the span with eta(E) = -2.
+So it is the last free column, and the last basis vector is the only one
+with a nonzero eta (1); every other v_t is 0 there.  A forced bracket
+never sets that last coordinate, so its eta is 0 with nothing to check,
+and the canonical basis less its last vector spans ker eta
+(``scaling_split``).
 
 The rows of ``_solve`` come only from the pairs (x, y) with y in g_{-1}
 (``_derivation_rows``).  Lemma: let
@@ -91,12 +98,12 @@ coordinate is divided by that scale as a Fraction.
 The recursion stops at the first empty layer; for the inputs this package
 builds that always happens (the negative part is fundamental and the
 derivation algebra of a conformal class is finite), but a runaway input is
-cut off after GLAP_STEP_LIMIT steps (default 64).
+cut off after ``step_limit()`` = 64 steps with StepLimitExceeded; a caller
+bounds a run lower with ``max_degree``.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -331,10 +338,12 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     """A extended by the basis of ``layer``: the action brackets
     [u, x] = u(x), and every bracket between nonnegative layers summing to
     the layer's degree, forced by ([w, v])(z) = [w, [v, z]] - [v, [w, z]]
-    and read at the layer's free columns only (module docstring), with eta
-    0 at degree 0.  That the forced map is the member of the layer so read
-    is left to the certificates of ``full_prolongation``.  Only the new
-    cells are checked as cells of an algebra: A's were when A was built.
+    and read at the layer's free columns only (module docstring); at
+    degree 0 the eta column is the last free column, which no read sets,
+    so every forced bracket has eta 0.  That the forced map is the member
+    of the layer so read is left to the certificates of
+    ``full_prolongation``.  Only the new cells are checked as cells of an
+    algebra: A's were when A was built.
 
     The forced brackets are read from two scaled adjacencies: A's own
     (scale L, built by the ``_solve`` of the layer), and the rows of the
@@ -374,8 +383,6 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
                 cells[(src[c_loc], n + i)] = {tgt[r]: Fraction(-v, D) for r, v in col.items()}
         actions.append(action)
     reads = _free_reads(layer, by_deg)
-    eta = layout.total
-    etas = {s: x for s, u in enumerate(space.basis) if (x := u.get(eta))}
 
     L, ad = _scaled_adjacency(A)
     ad = [*ad, *actions]
@@ -420,10 +427,6 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
                             coords[s] = x
                 if not coords:
                     continue
-                if etas and sum(c * etas.get(s, 0) for s, c in coords.items()):
-                    raise GlapError(
-                        f"forced bracket of degrees ({a},{b}) has a nonzero eta in {space.name}"
-                    )
                 den = scale[w] * scale[v]
                 cells[(w, v)] = {n + i: Fraction(c, den) for i, c in coords.items()}
     B = GradedAlgebra(name, labels, degrees, cells)  # checks the new cells
@@ -480,22 +483,13 @@ def scaling_split(layer: Layer) -> tuple[dict[int, Fraction], list[dict[int, Fra
 
     Returns (E, basis of the eta-kernel) as sparse vectors in the degree 0
     layer's layout, eta column included.  E is the grading element that
-    ``conformal_g0`` certified in the span with eta(E) = -2, so eta does
-    not vanish there and the kernel has codimension 1.
+    ``conformal_g0`` certified in the span with eta(E) = -2, so the eta
+    column is the last free column (module docstring): the last basis
+    vector is the only one with eta != 0, and the others are a basis of
+    the kernel, of codimension 1.
     """
     space = layer.space
-    eta_col = layer.layout.total
-    etas = {t: e for t, u in enumerate(space.basis) if (e := u.get(eta_col))}
-    kernel = Echelon(len(space)).extend([etas]).kernel_space()
-    scale = space.denominator * kernel.denominator
-    hats = []
-    for combo in kernel.basis:
-        hat: dict[int, int] = {}
-        for t, c in combo.items():
-            for i, x in space.basis[t].items():
-                hat[i] = hat.get(i, 0) + c * x
-        hats.append({i: Fraction(x, scale) for i, x in hat.items() if x})
-    return layer.E, hats
+    return layer.E, [space.vector(t) for t in range(len(space) - 1)]
 
 
 def assemble_degree0(m: GradedAlgebra, layer: Layer) -> GradedAlgebra:
@@ -575,14 +569,10 @@ def deserialize_prolongation(text: str) -> ProlongationResult:
 
 
 def step_limit() -> int:
-    raw = os.environ.get("GLAP_STEP_LIMIT", "64")
-    try:
-        lim = int(raw)
-    except ValueError:
-        raise GlapError(f"GLAP_STEP_LIMIT={raw!r} is not an integer") from None
-    if lim < 1:
-        raise GlapError(f"GLAP_STEP_LIMIT={lim} must be at least 1")
-    return lim
+    """The most steps ``full_prolongation`` takes before it raises
+    StepLimitExceeded: a run on the inputs this package builds ends long
+    before, and ``max_degree`` bounds a run lower."""
+    return 64
 
 
 def full_prolongation(

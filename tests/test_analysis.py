@@ -45,7 +45,7 @@ from glap.errors import (
     NotSemisimple,
     ParseError,
 )
-from glap.families import FAMILIES, CartanTag, build, label, oracle_instances
+from glap.families import FAMILIES, build, label, oracle_instances
 from glap.gla import GradedAlgebra, SymBilinearForm, _scaled_adjacency
 from glap.linalg import Echelon, Mat, int_row, signature_of_symmetric, span_basis
 from glap.prolongation import full_prolongation
@@ -534,7 +534,7 @@ def test_isotropic_check_rejects_wrong_dimensions():
 def test_rank_bound_for_split_families(get_family, tag, params, bound_ok):
     fam = get_family(tag, **params)
     r, s = fam.g.signature()
-    assert (fam.cartan.dim <= min(r, s) + 1) is bound_ok
+    assert (fam.cartan <= min(r, s) + 1) is bound_ok
 
 
 def test_rank_bound_can_fail(monkeypatch):
@@ -542,7 +542,7 @@ def test_rank_bound_can_fail(monkeypatch):
 
     def oversized(name, **params):
         m, g, ambient, _ = spec.builder(name, **params)
-        return m, g, ambient, CartanTag(dim=5)
+        return m, g, ambient, 5
 
     monkeypatch.setitem(FAMILIES, "hc-split", dataclasses.replace(spec, builder=oversized))
     with pytest.raises(GlapError, match="exceeds the rank bound min"):

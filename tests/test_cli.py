@@ -273,13 +273,18 @@ def test_python_dash_m_glap_runs_the_command_line(argv, code):
         assert "rank <= 8" in json.loads(proc.stdout)["error"]
 
 
-def test_prolong_honors_step_limit_env(tmp_path, capsys, monkeypatch):
-    prefix = str(tmp_path / "f")
-    run(capsys, "build", "--family", "hc", "--p", "1", "--q", "1", "--out", prefix)
-    monkeypatch.setenv("GLAP_STEP_LIMIT", "1")
-    code, out = run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json")
+def test_prolong_stops_a_runaway_input_at_the_step_cap(tmp_path, capsys):
+    """R^2 with g = I prolongs without end; the fixed cap of 64 steps
+    turns that into exit 1."""
+    m = tmp_path / "r2.m.json"
+    g = tmp_path / "r2.g.json"
+    m.write_text(json.dumps({"name": "R2", "labels": ["x", "y"], "degrees": [-1, -1],
+                             "brackets": []}))
+    g.write_text(json.dumps({"algebra": "R2", "degree_minus1_indices": [0, 1],
+                             "matrix": [["1", "0"], ["0", "1"]]}))
+    code, out = run(capsys, "prolong", str(m), str(g))
     assert code == 1
-    assert "error" in json.loads(out)
+    assert json.loads(out)["error"] == "no termination within 64 prolongation steps"
 
 
 def test_prolong_with_explicit_cut_reports_incomplete(tmp_path, capsys):
@@ -363,7 +368,11 @@ def test_check_reads_complete_files_and_plain_algebras_as_before(tmp_path, capsy
     claimed = tmp_path / "claimed.json"
     claimed.write_text(json.dumps(doc))
     code, out = run(capsys, "check", str(claimed))
-    assert code == 1 and json.loads(out)["violation_count"] == 132
+    report = json.loads(out)
+    assert code == 1 and report["violation_count"] == 132
+    # the first 20 of them, as the full report lists them
+    rep = check_gla(deserialize(claimed.read_text()))
+    assert report["violations"] == json.loads(json.dumps(rep["violations"][:20]))
 
 
 def test_check_refuses_a_complete_file_with_a_layer_past_its_top(tmp_path, capsys):
@@ -450,7 +459,7 @@ def test_prolong_max_degree_help_names_the_real_default(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "default 64, or" not in text
     assert "default: no cap" in text
-    assert "GLAP_STEP_LIMIT" in text
+    assert "after 64 steps exits 1" in text
 
 
 def test_mismatched_form_is_an_input_error(tmp_path, capsys):

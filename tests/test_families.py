@@ -119,7 +119,7 @@ def test_prolongation_recovers_ambient_dims(get_family, get_prolongation):
 def test_split_cartan_tags(get_family, tag, params, cartan_dim):
     fam = get_family(tag, **params)
     assert fam.cartan is not None
-    assert fam.cartan.dim == cartan_dim
+    assert fam.cartan == cartan_dim
 
 
 def test_non_split_families_carry_no_cartan_tag(get_family):

@@ -234,6 +234,16 @@ def test_form_requires_symmetry_and_nondegeneracy():
         SymBilinearForm("a", [0, 1, 2], Mat([[1, 2, 3], [2, F(1, 2), F(5, 2)], [3, F(5, 2), F(11, 2)]]))
 
 
+def test_form_keeps_its_own_gram_matrix():
+    """An edit of the caller's matrix after construction leaves the form,
+    and so the nondegeneracy certified at construction, as it was."""
+    G = Mat([[1, 0], [0, 1]])
+    g = SymBilinearForm("a", [0, 1], G)
+    G.a[1][1] = F(0)
+    assert g.matrix == diag([1, 1])
+    assert deserialize_form(g.serialize()).matrix == g.matrix
+
+
 def test_form_round_trip(get_family):
     g = get_family("bi", l=2).g
     again = deserialize_form(g.serialize())

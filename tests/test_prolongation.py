@@ -12,7 +12,7 @@ from glap import gla, prolongation
 from glap.analysis import analyze
 from glap.cli import DEFAULT_ROWS
 from glap.errors import GlapError, NotFundamental, StepLimitExceeded
-from glap.families import build, label
+from glap.families import FAMILIES, build, label
 from glap.gla import (
     GradedAlgebra,
     SymBilinearForm,
@@ -154,6 +154,54 @@ def test_lemma_31_split_on_families(get_family):
                 assert sum(c * etas[t] for t, c in coords.items()) == 0
 
 
+def _solved_eta_kernel(layer):
+    """ker eta solved from the eta entries of the basis, as ``scaling_split``
+    did before it read the kernel off the basis: the reference it must
+    equal, vector for vector."""
+    space = layer.space
+    eta_col = layer.layout.total
+    etas = {t: e for t, u in enumerate(space.basis) if (e := u.get(eta_col))}
+    kernel = Echelon(len(space)).extend([etas]).kernel_space()
+    scale = space.denominator * kernel.denominator
+    hats = []
+    for combo in kernel.basis:
+        hat: dict[int, int] = {}
+        for t, c in combo.items():
+            for i, x in space.basis[t].items():
+                hat[i] = hat.get(i, 0) + c * x
+        hats.append({i: F(x, scale) for i, x in hat.items() if x})
+    return hats
+
+
+def test_eta_is_the_last_free_column(get_family):
+    """On every registry instance and the rebased inputs at seeds 0 and 7,
+    the eta column is the last free column of the degree 0 layer, so only
+    the last basis vector carries eta, and ``scaling_split`` equals the
+    solved kernel."""
+    inputs = []
+    for spec in FAMILIES.values():
+        for params in spec.instances:
+            fam = get_family(spec.tag, **params)
+            inputs.append((label(spec.tag, params), fam.m, fam.g))
+    rebase = _bench_rebase()
+    for seed in (0, 7):
+        for tag, params in _REBASED:
+            fam, name = get_family(tag, **params), label(tag, params)
+            m, g = rebase.rebase(fam.m, fam.g, rebase.instance_rng(seed, name))
+            inputs.append((f"{name} rebased {seed}", m, g))
+    assert len(inputs) == 93
+    for name, m, g in inputs:
+        layer = conformal_g0(m, g)
+        space, eta_col = layer.space, layer.layout.total
+        last = len(space) - 1
+        assert space.free[-1] == eta_col, name
+        assert [t for t, u in enumerate(space.basis) if u.get(eta_col)] == [last], name
+        assert layer.eta(space.vector(last)) == 1, name
+        E, hats = scaling_split(layer)
+        assert E is layer.E
+        assert hats == _solved_eta_kernel(layer), name
+
+
 @pytest.mark.parametrize(
     "tag,params", [("hh", {"p": 1, "q": 2}), ("ho", {}), ("hc-split", {"p": 2, "q": 1})]
 )
@@ -244,19 +292,14 @@ def test_max_degree_cut_is_marked_incomplete(get_family):
     assert max(partial.algebra.degrees) == 1
 
 
-def test_env_step_limit(monkeypatch, get_family):
-    fam = get_family("hc", p=1, q=1)
-    monkeypatch.setenv("GLAP_STEP_LIMIT", "1")
-    with pytest.raises(StepLimitExceeded):
-        full_prolongation(fam.m, fam.g)
-    monkeypatch.setenv("GLAP_STEP_LIMIT", "abc")
-    with pytest.raises(GlapError):
-        step_limit()
-    monkeypatch.setenv("GLAP_STEP_LIMIT", "0")
-    with pytest.raises(GlapError):
-        step_limit()
-    monkeypatch.delenv("GLAP_STEP_LIMIT")
+def test_step_cap_stops_a_runaway_prolongation():
+    """R^2 with g = I: co(2) prolongs without end (the conformal maps of
+    the plane), so the run hits the fixed cap of 64 steps."""
+    m = GradedAlgebra("R2", ["x", "y"], [-1, -1], {})
+    g = SymBilinearForm("R2", [0, 1], diag([1, 1]))
     assert step_limit() == 64
+    with pytest.raises(StepLimitExceeded, match="no termination within 64 prolongation steps"):
+        full_prolongation(m, g)
 
 
 def test_prolong_step_rejects_wrong_top_degree(get_prolongation):

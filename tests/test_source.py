@@ -30,6 +30,11 @@ any of them, or the attribute itself, so every ``piv`` is the reduced row
 echelon form that ``add`` keeps.  A write is seen through subscripts,
 through a mutating method, and through a local name bound to the
 attribute.
+
+A run depends on its arguments and its input files only: nothing in
+``src/glap`` reads the process environment (``os.environ``,
+``os.getenv`` and their bytes forms), so no setting outside the command
+line can change a result.
 """
 
 import ast
@@ -372,4 +377,47 @@ def test_the_usage_rule_catches_what_it_claims(tmp_path):
         "pkg.py:23: Kept.test_only_method is never used",
         "gone is public but not defined",
         "run is public but untested",
+    ]
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(path: pathlib.Path) -> list[tuple[str, int, str]]:
+    """(file, line, name) for every attribute named in ``ENVIRONMENT`` and
+    every such name imported from ``os``, by line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            out.append((path.name, node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out += [(path.name, node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT]
+    return sorted(out)
+
+
+def test_the_package_reads_no_environment():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [r for path in files for r in _environment_reads(path)] == []
+
+
+def test_the_environment_rule_catches_what_it_claims(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import os\n"
+        "from os import environ, getenv as ge, sep\n"
+        "from os.path import join\n"
+        "limit = os.environ.get('X', '1')\n"
+        "def f():\n"
+        "    return os.getenv('Y'), environ['Z'], ge('W'), os.path.join(sep, 'a')\n"
+        "key = os.environb[b'V']\n"
+    )
+    # the bare names are caught where they are imported
+    assert _environment_reads(bad) == [
+        ("bad.py", 2, "environ"),
+        ("bad.py", 2, "getenv"),
+        ("bad.py", 4, "environ"),
+        ("bad.py", 6, "getenv"),
+        ("bad.py", 7, "environb"),
     ]

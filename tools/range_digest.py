@@ -1,8 +1,8 @@
 """One digest of glap's outputs over the whole supported range.
 
 For every instance of the family registry (``families.FAMILIES``, 69 of
-them) it hashes what ``build`` hands out (m, g, the ambient and the size of
-the Cartan tag), the serialized prolongation and the analysis report.  For
+them) it hashes what ``build`` hands out (m, g, the ambient and the Cartan
+tag, an int), the serialized prolongation and the analysis report.  For
 the benchmark's rebased inputs at seeds 0 and 7 (``bench/rebase.py``, read
 and left as it is) it hashes the prolongation and the report.  The SHA-256
 over all of them is compared with ``EXPECTED``: a change that should leave
@@ -64,7 +64,7 @@ def digests():
             fam = build(spec.tag, **params)
             built = time.perf_counter() - t0
             ambient = fam.ambient.serialize() if fam.ambient is not None else "none"
-            cartan = str(fam.cartan.dim) if fam.cartan is not None else "none"
+            cartan = str(fam.cartan) if fam.cartan is not None else "none"
             texts = [fam.m.serialize(), fam.g.serialize(), ambient, cartan]
             out, prolonged, analyzed = _outputs(fam.m, fam.g)
             yield label(spec.tag, params), texts + out, (built, prolonged, analyzed)
