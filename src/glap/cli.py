@@ -7,6 +7,13 @@ Output is JSON on stdout; --summary switches to a one-line digest.
 Exit codes: 0 success, 1 a check or verification failed, 2 bad input,
 3 an internal error.
 
+The handlers print what the package computes: ``oracle --family`` the
+oracle's ``roots.TableRow``, ``analyze`` the ``AnalysisReport``.  Each
+``verify-table`` row holds one ``expected`` record, the facts of its
+oracle row or, for the counterexample that no oracle row covers,
+``COUNTEREXAMPLE``; one ``computed`` record, keys of the analysis report;
+and ``checks``, which compare the two key by key.
+
 ``main`` may be called any number of times in one process.  The parser is
 built once per process and reused: argparse keeps no state between
 ``parse_args`` calls, so each call gets a fresh namespace, and each
@@ -15,6 +22,7 @@ replaced after the first call is the one that runs.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -49,10 +57,28 @@ DEFAULT_ROWS = tuple(
 )
 # every family parameter, each an integer option of build and oracle
 PARAMS = tuple(dict.fromkeys(name for spec in FAMILIES.values() for name in spec.params))
+# what verify-table expects of the counterexample, which no oracle row
+# covers: a nonzero degree 1 layer, so neither semisimple nor simple
+COUNTEREXAMPLE = {
+    "kind": 3, "signature": [2, 2], "g1_nonzero": True, "semisimple": False, "simple": False,
+}
+# the keys of the analysis report that verify-table prints as computed
+COMPUTED = (
+    "kind", "signature", "dims", "total_dim", "semisimple", "simple", "module_class",
+    "matched_table_row",
+)
 
 
 def _emit(obj):
     print(json.dumps(obj, indent=2))
+
+
+def _output(args, out, line: str) -> None:
+    """Print ``line`` under --summary, else ``out`` as JSON."""
+    if args.summary:
+        print(line)
+    else:
+        _emit(out)
 
 
 def _read(path: str) -> str:
@@ -80,35 +106,20 @@ def cmd_build(args) -> int:
         out["ambient_dim"] = fam.ambient.n
     if fam.cartan is not None:
         out["split_cartan_dim"] = fam.cartan
+    parts = {"m": fam.m, "g": fam.g, "ambient": fam.ambient}
+    parts = {key: obj for key, obj in parts.items() if obj is not None}
     if args.out:
-        written = []
-        for suffix, text in (
-            (".m.json", fam.m.serialize()),
-            (".g.json", fam.g.serialize()),
-        ):
-            path = args.out + suffix
+        out["written"] = []
+        for key, obj in parts.items():
+            path = f"{args.out}.{key}.json"
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            written.append(path)
-        if fam.ambient is not None:
-            path = args.out + ".ambient.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(fam.ambient.serialize())
-            written.append(path)
-        out["written"] = written
+                fh.write(obj.serialize())
+            out["written"].append(path)
     else:
-        out["m"] = fam.m.to_json_dict()
-        out["g"] = fam.g.to_json_dict()
-        if fam.ambient is not None:
-            out["ambient"] = fam.ambient.to_json_dict()
-    if args.summary:
-        tail = f"wrote {len(out['written'])} files" if args.out else "stdout"
-        print(
-            f"{label(fam.tag, fam.params)}: m dims {out['m_dims']} "
-            f"signature {tuple(fam.g.signature())}, {tail}"
-        )
-    else:
-        _emit(out)
+        out.update((key, obj.to_json_dict()) for key, obj in parts.items())
+    tail = f"wrote {len(parts)} files" if args.out else "stdout"
+    _output(args, out, f"{label(fam.tag, fam.params)}: m dims {out['m_dims']} "
+                       f"signature {tuple(fam.g.signature())}, {tail}")
     return 0
 
 
@@ -162,13 +173,8 @@ def cmd_check(args) -> int:
         # marked complete: the dimension of the layer past the top, 0 if so
         out["next_layer_dim"] = next_layer
         tail = f" next_layer_dim={next_layer}"
-    if args.summary:
-        print(
-            f"{A.name}: grading={res['grading_ok']} jacobi={res['jacobi_ok']} "
-            f"fundamental={fundamental} kind={kind}{tail} -> {'ok' if ok else 'FAIL'}"
-        )
-    else:
-        _emit(out)
+    _output(args, out, f"{A.name}: grading={res['grading_ok']} jacobi={res['jacobi_ok']} "
+                       f"fundamental={fundamental} kind={kind}{tail} -> {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -196,10 +202,7 @@ def cmd_derivations(args) -> int:
         "ker_eta_dim": len(hats),
         "derivations": ders,
     }
-    if args.summary:
-        print(f"{m.name}: g0 dim={len(layer)}, ker(eta) dim={len(hats)}, eta(E)=-2")
-    else:
-        _emit(out)
+    _output(args, out, f"{m.name}: g0 dim={len(layer)}, ker(eta) dim={len(hats)}, eta(E)=-2")
     return 0
 
 
@@ -222,46 +225,23 @@ def cmd_prolong(args) -> int:
         }
     else:
         out = prol.to_json_dict()
-    if args.summary:
-        print(
-            f"{prol.algebra.name}: dims {dims} total={prol.total_dim()} "
-            f"complete={prol.complete}"
-        )
-    else:
-        _emit(out)
+    _output(args, out, f"{prol.algebra.name}: dims {dims} total={prol.total_dim()} "
+                       f"complete={prol.complete}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    prol = deserialize_prolongation(_read(args.path))
-    rep = analyze(prol)
-    if args.summary:
-        print(
-            f"{rep.name}: total={rep.total_dim} kind={rep.mu} "
-            f"sig={tuple(rep.signature)} class={rep.module_class} "
-            f"semisimple={rep.semisimple} simple={rep.simple}"
-        )
-    else:
-        _emit(rep.to_json_dict())
+    rep = analyze(deserialize_prolongation(_read(args.path)))
+    _output(args, rep.to_json_dict(),
+            f"{rep.name}: total={rep.total_dim} kind={rep.mu} sig={tuple(rep.signature)} "
+            f"class={rep.module_class} semisimple={rep.semisimple} simple={rep.simple}")
     return 0
 
 
 def cmd_oracle(args) -> int:
     if args.family:
         row = table_expectation(args.family, **_collect_params(args))
-        out = {
-            "family": row.family,
-            "params": row.params,
-            "series": row.series,
-            "rank": row.rank,
-            "crossed": list(row.crossed),
-            "kind": row.kind,
-            "signature": list(row.signature),
-            "module_class": row.module_class,
-            "total_dim": row.total_dim,
-            "dims": _str_keys(row.dims),
-            "satake_label": row.satake_label,
-        }
+        out = dataclasses.asdict(row)
         line = (
             f"{row.family}{row.params}: {row.series}{row.rank} nodes "
             f"{list(row.crossed)} kind={row.kind} sig={row.signature} "
@@ -289,26 +269,17 @@ def cmd_oracle(args) -> int:
             f"{gd.series}{gd.rank} nodes {list(gd.crossed)}: "
             f"dims {out['dims']} total={gd.total_dim()}"
         )
-    if args.summary:
-        print(line)
-    else:
-        _emit(out)
+    _output(args, out, line)
     return 0
 
 
-def _verify_family_row(key, kp, prol, rep) -> tuple[dict, dict]:
-    row = table_expectation(key, **kp)
-    checks = {
-        "kind": prol.mu == row.kind,
-        "signature": tuple(rep.signature) == tuple(row.signature),
-        "prolong_dims_match_oracle": prol.dims_by_degree() == row.dims,
-        "semisimple": rep.semisimple is True,
-        "simple": rep.simple is True,
-        # an SIII verdict counts only with its split certified
-        "module_class": rep.module_class == row.module_class
-        and not any(w.startswith(SPLIT_NOT_CERTIFIED) for w in rep.warnings),
-    }
-    expected = {
+def _expected(key, params) -> dict:
+    """What verify-table expects of a row whose ``Family.oracle_key`` is
+    (key, params): the facts of its oracle row, or ``COUNTEREXAMPLE``."""
+    if key is None:
+        return COUNTEREXAMPLE
+    row = table_expectation(key, **params)
+    return {
         "kind": row.kind,
         "signature": list(row.signature),
         "dims": _str_keys(row.dims),
@@ -317,26 +288,6 @@ def _verify_family_row(key, kp, prol, rep) -> tuple[dict, dict]:
         "module_class": row.module_class,
         "satake_label": row.satake_label,
     }
-    return checks, expected
-
-
-def _verify_counterexample_row(prol, rep) -> tuple[dict, dict]:
-    dims = prol.dims_by_degree()
-    checks = {
-        "kind": prol.mu == 3,
-        "signature": tuple(rep.signature) == (2, 2),
-        "g1_nonzero": dims.get(1, 0) > 0,
-        "semisimple": rep.semisimple is False,
-        "simple": rep.simple is False,
-    }
-    expected = {
-        "kind": 3,
-        "signature": [2, 2],
-        "g1_nonzero": True,
-        "semisimple": False,
-        "simple": False,
-    }
-    return checks, expected
 
 
 def cmd_verify_table(args) -> int:
@@ -345,14 +296,20 @@ def cmd_verify_table(args) -> int:
     for tag, params in DEFAULT_ROWS:
         start = time.perf_counter()
         fam = build(tag, **params)
-        prol = full_prolongation(fam.m, fam.g)
-        rep = analyze(prol)
+        rep = analyze(full_prolongation(fam.m, fam.g))
         seconds = time.perf_counter() - start
-        key, kp = fam.oracle_key()
-        if key is None:
-            checks, expected = _verify_counterexample_row(prol, rep)
-        else:
-            checks, expected = _verify_family_row(key, kp, prol, rep)
+        expected = _expected(*fam.oracle_key())
+        report = rep.to_json_dict()
+        computed = {key: report[key] for key in COMPUTED}
+        have = {**computed, "g1_nonzero": computed["dims"].get("1", 0) > 0}
+        # an SIII verdict counts only with its split certified
+        split_ok = not any(w.startswith(SPLIT_NOT_CERTIFIED) for w in rep.warnings)
+        checks = {
+            ("prolong_dims_match_oracle" if key == "dims" else key):
+                have[key] == want and (key != "module_class" or split_ok)
+            for key, want in expected.items()
+            if key != "satake_label"
+        }
         row_pass = all(checks.values())
         row_label = label(tag, fam.params)
         if not row_pass:
@@ -364,16 +321,7 @@ def cmd_verify_table(args) -> int:
                 "pass": row_pass,
                 "checks": checks,
                 "expected": expected,
-                "computed": {
-                    "kind": prol.mu,
-                    "signature": list(rep.signature),
-                    "dims": _str_keys(prol.dims_by_degree()),
-                    "total_dim": rep.total_dim,
-                    "semisimple": rep.semisimple,
-                    "simple": rep.simple,
-                    "module_class": rep.module_class,
-                    "matched_table_row": rep.matched_table_row,
-                },
+                "computed": computed,
             }
         )
         if args.summary:
@@ -387,12 +335,9 @@ def cmd_verify_table(args) -> int:
                 f"({seconds:.2f} s)",
                 flush=True,
             )
-    all_pass = not failing
-    if args.summary:
-        print(f"verify-table: {len(rows_out) - len(failing)}/{len(rows_out)} rows pass")
-    else:
-        _emit({"pass": all_pass, "failing": failing, "rows": rows_out})
-    return 0 if all_pass else 1
+    _output(args, {"pass": not failing, "failing": failing, "rows": rows_out},
+            f"verify-table: {len(rows_out) - len(failing)}/{len(rows_out)} rows pass")
+    return 1 if failing else 0
 
 
 @functools.cache
@@ -445,8 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser(
         "analyze", parents=[common],
         help="structure report (trusts the Jacobi identity and the complete flag, so a "
-        "file cut to degrees <= 0 and marked complete gets exit 0 and no warning: "
-        "certify both with check, which refuses that file by next_layer_dim)",
+        "file cut to degrees <= 0 and marked complete, with step_dims to match, gets exit "
+        "0 and no warning: certify both with check, which refuses that file by "
+        "next_layer_dim)",
     )
     a.add_argument("path", help="prolongation JSON file")
     a.set_defaults(func=lambda args: cmd_analyze(args))

@@ -104,6 +104,7 @@ bounds a run lower with ``max_degree``.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,19 +220,18 @@ def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
     and the -[x, D(y)] terms on x alone but for y's: each list is built
     once per y in a source block, and once per x.
 
-    Source degrees run from -1 down, so the rows of the g_{-1} x g_{-1}
-    pairs come first.  Every run ends by proving a layer empty: its rows
-    have full rank, and ``Echelon.extend`` pulls no row past full rank.
-    The row of a pair (x, y) with x in degree p has the term D([x, y]) on
-    block p - 1 = deg [x, y]: it ties D on [g_p, g_{-1}] to D on g_p and
-    g_{-1}, and a map of degree >= 0 is fixed by its values on g_{-1},
-    which generates m.  So the rows that tie each block to the ones above
-    it come in the order in which g_{-1} generates m.  On the final layer
-    of every ``verify-table`` row and of hh(1,3) and hc(3,1), full rank
-    then comes inside the first window of ``extend``.  From -2 up, the
-    g_{-2} x g_{-1} rows fill that window on hh(1,2), ho, hh(1,3) and
-    hc(3,1), and two or three windows are pulled (ho: 1,344 rows instead
-    of 448).  The kernel is the same in any row order (``linalg``)."""
+    Source degrees run up from -mu, the order of the layout's blocks, so
+    the rows of the g_{-1} x g_{-1} pairs come last.  The order is chosen by
+    measurement: on the free 2-step algebra with g = I in a random basis
+    of g_{-2} (``tools/generic_reach.py``, 2 vCPUs, Python 3.11), the rows
+    from -1 down took 0.9 s at 6 generators and 11.6-13.0 s at 7, this
+    order 0.2 s and 3.45 s.
+    This order pulls more rows into ``Echelon.extend`` on the final layer
+    (1,440 against 744 at 6 generators; ho: 1,344 against 448), yet its
+    largest pivot entry stays shorter (477 bits against 595), and exact
+    elimination pays for the length of its integers.  So a count of rows
+    pulled cannot guard the order.  The kernel is the same in any row
+    order (``linalg``)."""
     by_deg = A.by_degree()
     ad = _scaled_adjacency(A)[1]
     blocks = layout.blocks
@@ -240,7 +240,7 @@ def _derivation_rows(A: GradedAlgebra, layout: _Layout, shift: int):
     # -[x, D(y)]: D(y) runs over the degree shift-1 basis, column jj of block -1
     off_y, rows_y, _ = blocks.get(-1, (0, 0, 0))
     dy = list(enumerate(by_deg.get(shift - 1, []))) if -1 in blocks else []
-    for p in sorted((d for d in by_deg if d < 0), reverse=True):
+    for p in sorted(d for d in by_deg if d < 0):
         tgt = by_deg.get(p - 1 + shift)
         if not tgt:
             continue
@@ -542,13 +542,6 @@ class ProlongationResult:
         for key in ("step_dims", "form", "complete"):
             if key not in d:
                 raise ParseError(f"missing key {key!r} in prolongation object")
-        steps = d["step_dims"]
-        try:
-            if not all(_is_json_int(v) and k.lstrip("-").isdigit() for k, v in steps.items()):
-                raise ValueError("expected integer strings mapped to integers")
-            step_dims = {int(k): v for k, v in steps.items()}
-        except (ValueError, AttributeError) as e:
-            raise ParseError(f"bad step_dims: {e}") from e
         if not isinstance(d["complete"], bool):
             raise ParseError("'complete' must be true or false")
         form = SymBilinearForm.from_json_dict(d["form"])
@@ -559,13 +552,30 @@ class ProlongationResult:
             raise ParseError("the prolongation has an empty basis")
         if -1 not in algebra.by_degree() or not _reached_by_minus1(algebra, lambda d: d < -1):
             raise ParseError("the negative part is not generated by its degree -1 part")
-        mu = -min(degs)
-        nu = max(degs)
-        return cls(algebra, form, step_dims, mu, nu, d["complete"])
+        # the file's step_dims must be those its layers and its flag imply
+        step_dims = _step_dims(algebra, d["complete"])
+        want = {str(k): v for k, v in step_dims.items()}
+        steps = d["step_dims"]
+        if not (isinstance(steps, dict) and steps == want
+                and all(_is_json_int(v) for v in steps.values())):
+            raise ParseError(f"step_dims must be {json.dumps(want)}: the dimensions of the layers "
+                             "past degree 0, and the empty one that ends a complete run")
+        return cls(algebra, form, step_dims, -min(degs), max(degs), d["complete"])
 
 
 def deserialize_prolongation(text: str) -> ProlongationResult:
     return ProlongationResult.from_json_dict(_load_json(text))
+
+
+def _step_dims(A: GradedAlgebra, complete: bool) -> dict[int, int]:
+    """dim g_k for 1 <= k <= nu, the top degree of A, each solved by one
+    step; and nu + 1: 0, the empty layer that ended a complete run."""
+    dims = A.dims_by_degree()
+    nu = max(A.degrees)
+    out = {k: dims.get(k, 0) for k in range(1, nu + 1)}
+    if complete:
+        out[nu + 1] = 0
+    return out
 
 
 def step_limit() -> int:
@@ -594,7 +604,6 @@ def full_prolongation(
     A = assemble_degree0(m, conformal_g0(m, g))
     mu = -min(m.degrees)
     limit = step_limit()
-    step_dims: dict[int, int] = {}
     complete = False
     k = 0
     while True:
@@ -605,12 +614,10 @@ def full_prolongation(
                 f"no termination within {limit} prolongation steps"
             )
         A2 = prolong_step(A, k)
-        grew = A2.n - A.n
-        step_dims[k + 1] = grew
-        A = A2
-        if grew == 0:
+        if A2.n == A.n:
             complete = True
             break
+        A = A2
         k += 1
     nu = max(A.degrees)
     if not _same_negative(A, m):
@@ -620,7 +627,7 @@ def full_prolongation(
         raise GlapError(f"assembled prolongation failed certification: {count} violations")
     if not transitivity_check(A):
         raise GlapError("assembled prolongation is not transitive")
-    return ProlongationResult(A, g, step_dims, mu, nu, complete)
+    return ProlongationResult(A, g, _step_dims(A, complete), mu, nu, complete)
 
 
 def _same_negative(A: GradedAlgebra, m: GradedAlgebra) -> bool:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glap import analysis, cli
+from glap import analysis, cli, families
 from glap.errors import NotIsotropic
 from glap.gla import check_gla, deserialize
 
@@ -97,6 +97,74 @@ def test_derivations_output_is_unchanged(tmp_path, capsys, get_rebased, case, di
     code, out = run(capsys, "derivations", prefix + ".m.json", prefix + ".g.json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the outputs, recorded while verify-table checked each row in two
+# hand-written functions and oracle and build listed their keys by hand
+_VERIFY_TABLE_DIGEST = "313cdbcad302dafd95d0857cf50ad163fff42def387b8a415c21760cb5a51e69"
+_ORACLE_DIGESTS = {
+    "HC(p=1,q=1)": "a462eedc9a169440945c07396e79cab41a10e8a5d4450f6c50895e85595ec60e",
+    "HC(p=2,q=1)": "5f68b59e44a48e13b4d2f50637e89e22f77749ff628c63bc7ed36ed4e891db87",
+    "HC'(p=1,q=1)": "7f74f4c9964d3b04cce44c2c8f0b46103179389b285cac5aa86793cae100edc3",
+    "HC'(p=2,q=1)": "b76d57f68660fa112a73d4d90f088dd148fc6d85a9240e19cf796420e1302dbe",
+    "HH(p=1,q=1)": "f27ba087444579a248545ae21bc426404e76fd4597dd53b325b7f71d05b98679",
+    "HH(p=1,q=2)": "d5a3fd89a7dc837f31be23b0b46540ce9b66caa9b76584636578eb3cfc222499",
+    "HH'(p=1,q=1)": "15c3557443c69e6e39ec78e8575c473bf91611964f071eb2256fba8654511213",
+    "HH'(p=1,q=2)": "094d02e3bb3d3d8ced24be3aa41df81a767734cb61e9cdb0919c77be708b5b38",
+    "BI(l=2)": "b61acd256a5f5ec249a6a5993771a978d20e84421c729102df938b1ccda80800",
+    "BI(l=3)": "0ced3ee2e389f4263a5bf9efc4089d557ef9dda65e0e5f675c123933f305eb84",
+    "HO": "d03a24d949bcae34b83ffee41887851f28b457adec75e450e72b73005e04f07c",
+    "HO'": "f92f4afa8de79ebe734a41553e95895597827b50cf5f3c93120367a8d193c5bd",
+    "G": "4a9cfe848241216744e11368c742f8f2b40d1bdec3d6d468b46251eaf38e4caf",
+}
+# (inline, --out) per family: the --out digest hashes the JSON, its path
+# prefix written as PREFIX, then the files it wrote in name order
+_BUILD_DIGESTS = {
+    "hc-split(p=1,q=1)": (
+        "e346da446dcc9fdfe0ca18e26c4f2dfd91e7cde8a138efa75f5b1f84fdfb3731",
+        "531ebecff85a795a531864131ddb58100b90acfdfa2cde09c99da9b5131993a0",
+    ),
+    "counterexample": (
+        "776ab808d9b12c50a22dbc887fbe40e00b1c896355359eefceb31ccd148af767",
+        "d9b614df3e21391c5689e5dac06202da32ccf75ed263c77d87a542427b61e62d",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _options(params: dict) -> list[str]:
+    return [arg for k, v in params.items() for arg in (f"--{k}", str(v))]
+
+
+def test_verify_table_output_is_unchanged(capsys):
+    code, out = run(capsys, "verify-table")
+    assert code == 0 and _sha256(out) == _VERIFY_TABLE_DIGEST
+
+
+def test_oracle_output_is_unchanged_at_every_verify_table_row(capsys):
+    seen = {}
+    for tag, params in cli.DEFAULT_ROWS:
+        key, kp = families.build(tag, **params).oracle_key()
+        if key is not None:
+            code, out = run(capsys, "oracle", "--family", key, *_options(kp))
+            assert code == 0
+            seen[families.label(key, kp)] = _sha256(out)
+    assert seen == _ORACLE_DIGESTS
+
+
+@pytest.mark.parametrize("row", sorted(_BUILD_DIGESTS))
+def test_build_output_is_unchanged(tmp_path, capsys, row):
+    tag, params = next((t, p) for t, p in cli.DEFAULT_ROWS if families.label(t, p) == row)
+    code, inline = run(capsys, "build", "--family", tag, *_options(params))
+    assert code == 0
+    prefix = str(tmp_path / "f")
+    code, out = run(capsys, "build", "--family", tag, *_options(params), "--out", prefix)
+    assert code == 0
+    files = "".join(path.read_text() for path in sorted(tmp_path.iterdir()))
+    assert (_sha256(inline), _sha256(out.replace(prefix, "PREFIX") + files)) == _BUILD_DIGESTS[row]
 
 
 def test_build_without_out_prints_the_algebra(capsys):
@@ -365,6 +433,9 @@ def test_check_reads_complete_files_and_plain_algebras_as_before(tmp_path, capsy
     _, cut = _hh12_files(tmp_path, capsys, "--max-degree", "1")
     doc = json.loads(open(cut).read())
     doc["complete"] = True
+    # with the step_dims of that claim: the layer past the top is empty
+    assert doc["step_dims"] == {"1": 8}
+    doc["step_dims"]["2"] = 0
     claimed = tmp_path / "claimed.json"
     claimed.write_text(json.dumps(doc))
     code, out = run(capsys, "check", str(claimed))
@@ -383,8 +454,9 @@ def test_check_refuses_a_complete_file_with_a_layer_past_its_top(tmp_path, capsy
     # sweep, but the degree 1 layer is not empty
     _, cut = _hh12_files(tmp_path, capsys, "--max-degree", "0")
     doc = json.loads(open(cut).read())
-    assert max(doc["degrees"]) == 0
+    assert max(doc["degrees"]) == 0 and doc["step_dims"] == {}
     doc["complete"] = True
+    doc["step_dims"] = {"1": 0}
     claimed = tmp_path / "claimed.json"
     claimed.write_text(json.dumps(doc))
     code, out = run(capsys, "check", str(claimed))
@@ -393,6 +465,51 @@ def test_check_refuses_a_complete_file_with_a_layer_past_its_top(tmp_path, capsy
     assert report["jacobi_ok"] and report["next_layer_dim"] > 0
     code, out = run(capsys, "check", str(claimed), "--summary")
     assert code == 1 and "next_layer_dim=" in out and out.rstrip().endswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(step_dims={"1": 99, "7": 0}),
+        # False == 0 in Python, but not in JSON
+        lambda doc: doc["step_dims"].update({"3": False}),
+        lambda doc: doc.update(step_dims={"01": 4, "2": 3, "3": 0}),
+        # re-marked complete without the empty layer that claim implies
+        lambda doc: doc.update(step_dims={"1": 4, "2": 3}),
+    ],
+    ids=["contradicts-the-layers", "a-boolean", "padded-degree", "re-marked-complete"],
+)
+def test_check_and_analyze_refuse_step_dims_that_the_layers_contradict(tmp_path, capsys,
+                                                                        mutate):
+    prefix = str(tmp_path / "hh11")
+    run(capsys, "build", "--family", "hh", "--p", "1", "--q", "1", "--out", prefix)
+    path = prefix + ".prol.json"
+    run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json", "--out", path)
+    doc = json.loads(open(path).read())
+    assert doc["step_dims"] == {"1": 4, "2": 3, "3": 0} and doc["complete"] is True
+    for command in ("check", "analyze"):
+        assert run(capsys, command, path)[0] == 0, command
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("check", "analyze"):
+        code, out = run(capsys, command, str(bad))
+        assert code == 2, command
+        assert json.loads(out)["error"].startswith('step_dims must be {"1": 4, "2": 3, "3": 0}')
+
+
+def test_a_cut_file_re_marked_complete_must_carry_the_step_dims_of_that_claim(
+    tmp_path, capsys
+):
+    _, cut = _hh12_files(tmp_path, capsys, "--max-degree", "1")
+    doc = json.loads(open(cut).read())
+    doc["complete"] = True
+    claimed = tmp_path / "claimed.json"
+    claimed.write_text(json.dumps(doc))
+    for command in ("check", "analyze"):
+        code, out = run(capsys, command, str(claimed))
+        assert code == 2, command
+        assert json.loads(out)["error"].startswith('step_dims must be {"1": 8, "2": 0}')
 
 
 @pytest.mark.parametrize("complete", ["true", "no", 1, None],
