@@ -43,6 +43,7 @@ from .gla import (
 )
 from .prolongation import (
     ProlongationResult,
+    _certify_maximal,
     _solve,
     conformal_g0,
     deserialize_prolongation,
@@ -136,8 +137,10 @@ def cmd_check(args) -> int:
         if prol.complete:
             # a complete prolongation has no layer past its top degree nu;
             # the step solve reads a subset of the conditions, so an empty
-            # layer proves it
-            next_layer = len(_solve(A, prol.nu + 1))
+            # layer proves it once its rank is certified
+            layer = _solve(A, prol.nu + 1)
+            _certify_maximal(layer)
+            next_layer = len(layer)
         else:
             # cut at degree nu: certified on the triples whose brackets the
             # cut kept, as ``glap prolong --max-degree`` wrote it; they

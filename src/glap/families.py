@@ -432,8 +432,8 @@ def build_hk(k_tag: str, name: str, p: int, q: int):
     n = 2 * p + q
     if p < 1 or q < 0 or n < 3:
         raise BadParameters(f"need p >= 1, q >= 0 and 2p+q >= 3, got p={p}, q={q}")
-    if n > MAX_N:
-        raise BadParameters(f"2p+q <= {MAX_N} supported, got {n}")
+    if n > BUILD_MAX_N:
+        raise BadParameters(f"2p+q <= {BUILD_MAX_N} supported, got {n}")
     alg = algebra_by_tag(k_tag)
     d = alg.dim
     # involution: the first p indices pair with the last p, the middle q stay put
@@ -486,8 +486,8 @@ def build_bi(name: str, l: int):
     """Odd orthogonal realization with the five-block, kind-three grading."""
     if l < 2:
         raise BadParameters(f"l >= 2 required, got {l}")
-    if l > MAX_L:
-        raise BadParameters(f"l <= {MAX_L} supported, got {l}")
+    if l > BUILD_MAX_L:
+        raise BadParameters(f"l <= {BUILD_MAX_L} supported, got {l}")
     alg = real_algebra()
     n = 2 * l + 1
     sigma = [n - 1 - i for i in range(n)]
@@ -700,8 +700,12 @@ class FamilySpec:
     builder: Callable
 
 
-MAX_N = 8  # the largest matrix size 2p+q of the hc and hh families
-MAX_L = 6  # the largest rank l of bi
+MAX_N = 8  # the largest matrix size 2p+q of the hc and hh families in the table
+MAX_L = 6  # the largest rank l of bi in the table
+# what the builders accept: the top of the scale ladder past the table
+# (C24 at hh(1,22)), a bound that refuses a huge parameter at once
+BUILD_MAX_N = 24
+BUILD_MAX_L = 12
 
 _PQ = {"p": None, "q": 0}
 _PQ_RANGE = tuple(

@@ -8,10 +8,13 @@ stored sparsely as ``{(i, j): {k: c}}`` for i < j, meaning
 
 Brackets with i > j follow by antisymmetry and [e_i, e_i] = 0.  Nothing in
 this module assumes the Jacobi identity; ``check_gla`` verifies it (and the
-additivity of degrees) for every triple.  The prolongation and the
-algebras built directly from representation data are certified by it; the
-matrix ambients of ``families`` by re-deriving every bracket from their
-matrices instead.
+additivity of degrees) for every triple.  The algebras built directly from
+representation data and the files ``glap check`` reads are certified by
+it; the matrix ambients of ``families`` by re-deriving every bracket from
+their matrices instead; and the prolongation by the certificates of
+``prolongation`` and Tanaka's theorem, whose one sweep is the part of the
+reduced one with two elements of the negative part (``_jacobi_residuals``
+with ``below``).
 
 The Jacobi sweep runs in integers and still certifies every triple.  With
 every structure constant scaled by L, the lcm of their denominators, each
@@ -30,9 +33,9 @@ zero without being evaluated.  On a graded algebra that is transitive and
 whose negative part g_{-1} generates, the triples that hold a degree -1
 element already decide every other (``check_gla``), so only those are
 swept unless one of them fails; a pair whose degrees leave no third index
-above it is skipped before any cell is read.  A prolongation cut at some
-degree is swept on the triples of that set whose brackets the cut kept
-(``check_gla``'s ``top``).
+above it is skipped before any cell is read.  A prolongation file cut at
+some degree is swept on the triples of that set whose brackets the cut
+kept (``check_gla``'s ``top``).
 
 The JSON layout round-trips losslessly because rationals are serialized as
 "p/q" strings (just "p" when q = 1).  Every file glap writes goes through
@@ -431,14 +434,20 @@ def _report(A: GradedAlgebra, grading: list, residuals, max_violations: int) -> 
     }
 
 
-def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | None = None):
+def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | None = None,
+                      below: int | None = None):
     """Yield (i, j, k, r) for each triple i < j < k with a nonzero
     residual, in lexicographic order; r packs L**2 times its coefficients
     into one integer, slot t holding the t-th (``_decode`` reads it back).
     ``reduced`` (for a graded A) visits only the triples of ``check_gla``'s
     theorem, those that hold a degree -1 element and whose total degree is
     a degree of A; with ``top`` as well, only those of total degree at most
-    ``top``.
+    ``top``; with ``below`` as well, only those with j < ``below``, so i
+    and j lie in the first ``below`` basis elements.  Every term of such a
+    triple reads a row of i, of j or of an element of [e_i, e_j]; when the
+    first ``below`` elements span a subalgebra (the negative part of a
+    prolongation), only their rows are packed, and the slot width is
+    theirs.
 
     Each cell ad[m][k] = {t: x} is packed once per sweep as P[m][k] = sum
     x * 2**(W t), with W = ``_slot_width(ad)``.  A residual is the sum of
@@ -451,13 +460,14 @@ def _jacobi_residuals(A: GradedAlgebra, ad, reduced: bool = False, top: int | No
     it lists.  A pair whose degrees allow no third index above j is
     skipped before any cell is read."""
     n = A.n
+    hi = n if below is None else below
     degs = A.degrees
     present = A.by_degree()
-    P = _packed(ad, _slot_width(ad))
+    P = _packed(ad[:hi], _slot_width(ad[:hi]))
     thirds: dict = {}  # (deg i, deg j) -> (degrees allowed for k, ascending such k)
-    for i in range(n):
+    for i in range(hi):
         adi, Pi = ad[i], P[i]
-        for j in range(i + 1, n):
+        for j in range(i + 1, hi):
             if reduced:
                 key = degs[i], degs[j]
                 if key not in thirds:

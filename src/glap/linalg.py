@@ -152,7 +152,9 @@ class Echelon:
     them.  So ``piv`` is always the RREF of the rows added so far with
     primitive rows positive at their leads, which is unique: it does not
     depend on row order, and ``kernel_space``, ``span_basis`` and
-    ``solve_square`` read it as it is.  ``extend`` adds many rows.
+    ``solve_square`` read it as it is.  ``extend`` adds many rows, and
+    keeps in ``raised`` the input rows that raised the rank, in order: a
+    witness of the rank that ``certify_rank`` checks without this class.
     """
 
     def __init__(self, ncols: int):
@@ -160,6 +162,7 @@ class Echelon:
         self.piv: dict[int, dict] = {}  # lead column -> primitive reduced row
         self.holders: dict[int, set[int]] = {}  # column -> leads whose rows hold it
         self.known_zero: set[int] = set()  # leads whose pivot row is {c: 1}
+        self.raised: list[dict] = []  # the rows of ``extend`` that raised the rank
 
     @property
     def rank(self) -> int:
@@ -228,15 +231,20 @@ class Echelon:
         row meets few pivots and installs a sparse one, where a dense early
         pivot fills in every row after it.  So each window of ``_WINDOW *
         ncols`` rows goes in sorted by length, which keeps fewer rows alive
-        than one full sort.  At full rank no further row is pulled."""
+        than one full sort.  At full rank no further row is pulled.  A row
+        that raised the rank is kept in ``raised``; ``add`` never changes
+        an input row, so each is kept as it came in."""
         it = iter(rows)
+        raised = self.raised
         while self.rank < self.ncols:
             window = sorted(islice(it, _WINDOW * self.ncols), key=len)
             if not window:
                 break
             for row in window:
-                if self.add(row) and self.rank == self.ncols:
-                    break
+                if self.add(row):
+                    raised.append(row)
+                    if self.rank == self.ncols:
+                        break
         return self
 
     def free_columns(self) -> list[int]:
@@ -354,6 +362,58 @@ def solve_square(rows, n: int) -> tuple[int, dict[int, dict[int, int]]]:
 
 def sparse_rank(rows, ncols: int) -> int:
     return Echelon(ncols).extend(map(int_row, rows)).rank
+
+
+# ---------------------------------------------------------------------------
+# rank certificates modulo a prime
+# ---------------------------------------------------------------------------
+
+# primes below 2**31, tried in turn by ``certify_rank``
+PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def rank_mod(rows, p: int) -> int:
+    """The rank modulo the prime p of the integer rows (sparse dicts col ->
+    int), by plain Gaussian elimination over GF(p): a row is reduced by the
+    pivot row at its smallest column while there is one, and otherwise
+    installed there, scaled to 1 at that column.  It shares no code with
+    ``Echelon``, whose verdicts it certifies.
+
+    The rank modulo p is at most the rank over Q: a minor that vanishes
+    over Q vanishes modulo p.  It is less exactly when p divides every
+    nonzero minor of the largest size."""
+    piv: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {c: v for c, x in row.items() if (v := x % p)}
+        while r:
+            c = min(r)
+            q = piv.get(c)
+            if q is None:
+                inv = pow(r[c], -1, p)
+                piv[c] = {k: v * inv % p for k, v in r.items()}
+                break
+            f = r[c]
+            for k, v in q.items():
+                # nonzero when k is not in r: f and v are units mod p
+                w = (r.get(k, 0) - f * v) % p
+                if w:
+                    r[k] = w
+                else:
+                    del r[k]
+    return len(piv)
+
+
+def certify_rank(rows, rank: int, what: str) -> None:
+    """Raise GlapError unless the integer rows have rank exactly ``rank``
+    modulo one of ``PRIMES``, tried in turn.  Then their rank over Q is at
+    least ``rank`` (``rank_mod``); so is that of any system that holds
+    them, whose kernel therefore has dimension at most ncols - ``rank``."""
+    rows = list(rows)
+    for p in PRIMES:
+        if rank_mod(rows, p) == rank:
+            return
+    raise GlapError(f"{what}: its {len(rows)} witness rows do not have rank {rank} "
+                    f"modulo any of {', '.join(map(str, PRIMES))}")
 
 
 # ---------------------------------------------------------------------------

@@ -58,25 +58,83 @@ generation).  Otherwise it holds an element u of an earlier layer, and it
 vanishes because u acts on m by derivations: by induction on the layers,
 each is the exact kernel of all the conditions.  So the one outside
 hypothesis is that J vanishes on the triples of m that hold a g_{-1}
-element, and the final certificate of every run sweeps those triples,
-both the full sweep and the ``top`` = K - 1 sweep of a run cut at K >= 0.
-A run that returns a result therefore has the layers of the engine that
-reads every pair, and a run on an m that is not Lie fails certification.
-The rows read are a subset of all of them, so an empty layer is empty
-without any hypothesis.
+element, which certificate (b) below sweeps: a run on an m that is not
+Lie fails certification.  The rows read are a subset of all of them, so
+an empty layer is empty without any hypothesis.
 
-Nothing in a step checks that the forced map is the member of the layer
-so read.  The certificates of ``full_prolongation`` decide it, on the
-adjacency of the returned algebra, which like every adjacency is built
-from the brackets as written.  The Jacobi residual J(z, w, v) with z in
-g_{-1} is 0 exactly when [w, v] acts on z as the forced map.  A complete
-run passes ``gla.check_gla``, whose reduced sweep holds every such triple
-and, by its theorem, decides all the others; with the whole identity, ad
-is a homomorphism, so each written bracket acts on m as the forced map.  A run cut at degree K
-passes ``gla.check_gla`` with ``top`` K - 1, every triple with an element
-of g_{-1} whose other two degrees add up to at most K: each forced bracket
-then acts on g_{-1} as it should, and through the triples (z, u, y) on
-every bracket of g_{-1} elements, so on all of m, which g_{-1} generates.
+Nothing in a step checks that a layer is the whole kernel, or that the
+forced map is the member of the layer so read.  The certificates decide
+both, (e) where a layer is solved and the others on the adjacency of the
+returned algebra A, which like every adjacency is built from the
+brackets as written.  Each costs little next to a sweep of the Jacobi
+identity over A, which ``full_prolongation`` does not run.
+
+(a) The grading holds, the negative part is m, A is transitive, and m is
+    fundamental (``conformal_g0``).
+(b) The m-pair sweep: J vanishes on every triple that holds a g_{-1}
+    element and whose two lowest-indexed elements lie in m
+    (``gla._jacobi_residuals`` with ``below``).  These are m's own
+    triples and the triples (x, y, u) with u in a layer, and J(x, y, u)
+    = 0 is the condition of the pair (x, y) on u, read from A.
+(c) Each g_0 element acts on g_{-1} conformally: M^T G + G M = eta G for
+    its matrix M and one eta.
+(d) At the free reads of each layer, the written actions of its elements
+    form the identity; at degree 0 the last element has eta 1 and the
+    others eta 0.  The read of an element is its last nonzero entry in
+    the layout's order, the (z in g_{-1}, target) of its free column
+    (``_free_reads``) for a canonical basis vector, or eta.  So a member
+    of the layer is fixed by its entries at the reads and its eta.
+(e) Maximality: the rows that raised ``Echelon``'s rank while it solved a
+    layer (its ``witness``) have rank columns - dim g_k modulo a prime
+    (``linalg.certify_rank``).  ``prolong_step`` and ``conformal_g0``
+    check it where the layer is solved, the empty layer that ends a
+    complete run included, and so does ``glap check`` past the top.
+(f) The read-check: for every pair (w, v) of nonnegative elements with
+    deg w + deg v = k, the written [w, v] has at each free read of g_k
+    the entry of [w, [v, z]] - [v, [w, z]] there, computed from A, and no
+    other coordinate; a pair that the masks of ``_forced`` skip has no
+    cell.
+
+Theorem (Tanaka, J. Math. Kyoto Univ. 10, 1970; Yamaguchi, Adv. Stud. Pure
+Math. 22, 1993, section 2).  If (a)-(f) hold on a complete run, J = 0 on
+A.  On a run cut at K they give J = 0 on every triple that holds a g_{-1}
+element and has total degree at most K - 1, the brackets the cut kept:
+what ``gla.check_gla`` with ``top`` K - 1 sweeps.
+
+Proof.  Let K_k be the degree-k maps D : m -> A (D x in degree deg x + k,
+0 where A has none) with D[x, y] = [D x, y] + [x, D y] for all x, y in m,
+read in A, and at degree 0 conformal on g_{-1}.
+1. Each written layer spans K_k.  By (b) each of its elements satisfies
+   the rows of its system, so by the lemma (the earlier layers act by
+   derivations, by induction) all the conditions, and by (c) at degree 0
+   it lies in K_k.  The rows read the cells of m and of the actions of
+   earlier layers, which every later extension keeps, so the system is
+   A's; it holds the witness, so by (e) its kernel, which holds K_k, has
+   dimension at most dim g_k.  By (d) the dim g_k written elements are
+   independent.
+2. Suppose J(y, w', v') = 0 for y in m and all nonnegative w', v' with
+   deg w' + deg v' < s.  For nonnegative w, v with deg w + deg v = s, the
+   map F(x) = [w, [v, x]] - [v, [w, x]] lies in K_s: expand F[x, y] by
+   the derivation property of w and v (step 1); each term [w, [p, y]]
+   with p = [v, x] nonnegative is [[w, p], y] + [p, [w, y]] by the
+   hypothesis, and the cross terms cancel.  At degree 0, F is the
+   commutator of two conformal maps on g_{-1}, conformal with eta 0.
+3. For 0 <= s <= nu, F = sum c_t u_t over the layer's elements
+   (step 1); by (d) c_t is the entry of F at the free read of t, and at
+   degree 0 the eta element's c_t is eta(F) = 0.  By (f) the written
+   [w, v] has the same coordinates, so it acts on m as F: J(y, w, v) = 0
+   for y in m.  Past the top nu of a complete run F = 0, and so is the
+   written [w, v] by the grading: K_{nu+1} = 0 by (e) on the empty layer,
+   and for s > nu + 1, F maps g_{-1} to g_{s-1} = 0, so F = 0 on m,
+   which g_{-1} generates.  So the hypothesis of step 2 holds for s + 1;
+   by induction on s, J(y, w, v) = 0 for y in m and every nonnegative
+   pair (of total degree at most K, cut at K).
+4. With (b), J vanishes on every triple that holds a g_{-1} element (of
+   total degree at most K - 1, cut at K), and on a complete run
+   ``gla.check_gla``'s theorem gives J = 0 from (a).  QED
+
+So a complete run is the Tanaka prolongation of (m, g), with each layer
+the exact kernel and the Jacobi identity certified.
 
 The hot loops run in Python ints on the scaled adjacency of each algebra
 (``gla._scaled_adjacency``: every structure constant times L, the lcm of
@@ -109,22 +167,24 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from .errors import GlapError, NotFundamental, ParseError, StepLimitExceeded
 from .gla import (
     GradedAlgebra,
     SymBilinearForm,
     _is_json_int,
+    _jacobi_residuals,
     _load_json,
+    _misgraded,
     _reached_by_minus1,
     _scaled_adjacency,
     check_fundamental,
-    check_gla,
     dumps,
     require_graded,
     transitivity_check,
 )
-from .linalg import ZERO, Echelon, Mat, Subspace, int_row
+from .linalg import ZERO, Echelon, Mat, Subspace, certify_rank, int_row
 
 
 class _Layout:
@@ -187,12 +247,15 @@ class Layer:
     source degree p, of shape dim(p + shift) x dim(p).  At degree 0 the
     column past the last block holds eta, and ``E`` is the grading element
     as a vector of the same layout, certified to lie in the span.
+    ``witness`` holds the rows that raised the rank of the solve, in
+    order; ``_certify_maximal`` checks them.
     """
 
     shift: int
     layout: _Layout
     space: Subspace
     E: dict[int, Fraction] | None = None
+    witness: tuple | list = ()
 
     def __len__(self):
         return len(self.space)
@@ -319,7 +382,8 @@ def _solve(A: GradedAlgebra, shift: int, g: SymBilinearForm | None = None) -> La
         rows = chain(rows, _conformal_rows(g, layout))
         ech = Echelon(layout.total + 1)
         name = "the conformal derivation algebra"
-    layer = Layer(shift, layout, ech.extend(rows).kernel_space(name))
+    space = ech.extend(rows).kernel_space(name)
+    E = None
     if g is not None:
         # E is p * id on degree p with eta = -2; failing to rebuild it
         # from its coordinates means something above is broken
@@ -329,9 +393,17 @@ def _solve(A: GradedAlgebra, shift: int, g: SymBilinearForm | None = None) -> La
             for c in range(len(by_deg[p]))
         }
         E[layout.total] = Fraction(-2)
-        layer.space.coords(E, "the grading element E")
-        layer.E = E
-    return layer
+        space.coords(E, "the grading element E")
+    return Layer(shift, layout, space, E, ech.raised)
+
+
+def _certify_maximal(layer: Layer) -> None:
+    """Certificate (e) of the module docstring: raise GlapError unless the
+    witness rows of ``layer`` have rank columns - dim, so that the kernel
+    of its system is no larger than the layer.  The columns are the
+    layout's, and eta's when the system is conformal (it has E)."""
+    columns = layer.layout.total + (layer.E is not None)
+    certify_rank(layer.witness, columns - len(layer), f"{layer.space.name} is not certified maximal")
 
 
 def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
@@ -340,29 +412,20 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
     the layer's degree, forced by ([w, v])(z) = [w, [v, z]] - [v, [w, z]]
     and read at the layer's free columns only (module docstring); at
     degree 0 the eta column is the last free column, which no read sets,
-    so every forced bracket has eta 0.  That the forced map is the member
-    of the layer so read is left to the certificates of
-    ``full_prolongation``.  Only the new cells are checked as cells of an
-    algebra: A's were when A was built.
+    so every forced bracket has eta 0.  That the layer is the whole
+    kernel, and the forced map the member of it so read, is left to the
+    certificates of the module docstring, on the brackets written here.
+    Only the new cells are checked as cells of an algebra: A's were when A
+    was built.
 
-    The forced brackets are read from two scaled adjacencies: A's own
-    (scale L, built by the ``_solve`` of the layer), and the rows of the
-    new elements acting on m, from the layer's integer basis (scale D, its
-    denominator).  A pair holds a new element only at degrees (0, shift),
-    and then only that element's action on m is read.  Each term of a
-    forced bracket is a product of a constant of w's row and one of v's,
-    so its coordinates are exactly scale[w] * scale[v] times the rational
-    ones.
-
-    Most pairs have no forced bracket, and they are skipped before any
-    cell is read.  For each element x, dom(x) is the set of the elements
-    that ad x moves, and img(x) the set of the targets of ad x on the
-    reads z.  A term read at z is a constant of ad v at (z, y) times one
-    of ad w at (y, t), or the same with w and v swapped; the first is
-    nonzero only if y lies in img(v) and in dom(w), the second only if y
-    lies in img(w) and in dom(v).  So when img(v) & dom(w) and img(w) &
-    dom(v) are both empty, every term of (w, v) is 0 and the pair has no
-    cell, as it would have had after reading them all."""
+    The forced brackets (``_forced``) are read from two scaled
+    adjacencies: A's own (scale L, built by the ``_solve`` of the layer),
+    and the rows of the new elements acting on m, from the layer's integer
+    basis (scale D, its denominator).  A pair holds a new element only at
+    degrees (0, shift), and then only that element's action on m is read.
+    Each term of a forced bracket is a product of a constant of w's row
+    and one of v's, so its coordinates are exactly scale[w] * scale[v]
+    times the rational ones."""
     shift, layout, space = layer.shift, layer.layout, layer.space
     by_deg = A.by_degree()
     n = A.n
@@ -383,25 +446,47 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
                 cells[(src[c_loc], n + i)] = {tgt[r]: Fraction(-v, D) for r, v in col.items()}
         actions.append(action)
     reads = _free_reads(layer, by_deg)
-
     L, ad = _scaled_adjacency(A)
-    ad = [*ad, *actions]
     scale = [L] * n + [D] * t
     by_deg2 = {**by_deg, shift: list(range(n, n + t))}
+    for w, v, coords in _forced([*ad, *actions], by_deg2, shift, reads):
+        den = scale[w] * scale[v]
+        cells[(w, v)] = {n + i: Fraction(c, den) for i, c in coords.items()}
+    B = GradedAlgebra(name, labels, degrees, cells)  # checks the new cells
+    B.brackets = {**A.brackets, **B.brackets}
+    return B
+
+
+def _forced(ad, by_deg: dict[int, list[int]], shift: int, reads):
+    """Yield (w, v, coords) for each pair of basis elements of degrees
+    0 <= a <= b with a + b = ``shift`` (w < v when a = b) whose forced
+    bracket ([w, v])(z) = [w, [v, z]] - [v, [w, z]] is nonzero at a free
+    read: coords maps t to the entry at the read of free column t, a sum
+    of products of two entries of the adjacency rows ``ad``.
+
+    Most pairs have no forced bracket, and they are skipped before any
+    cell is read.  For each element x, dom(x) is the set of the elements
+    that ad x moves, and img(x) the set of the targets of ad x on the
+    reads z.  A term read at z is a constant of ad v at (z, y) times one
+    of ad w at (y, t), or the same with w and v swapped; the first is
+    nonzero only if y lies in img(v) and in dom(w), the second only if y
+    lies in img(w) and in dom(v).  So when img(v) & dom(w) and img(w) &
+    dom(v) are both empty, every term of (w, v) is 0 and the pair has no
+    cell, as it would have had after reading them all."""
     # dom[x]: the elements ad x moves; img[x]: where ad x sends the reads
     dom: dict[int, int] = {}
     img: dict[int, int] = {}
     for d in range(shift + 1):
-        for x in by_deg2.get(d, []):
+        for x in by_deg.get(d, []):
             adx = ad[x]
             dom[x] = _bits(adx)
             img[x] = _bits(k for z in reads if (cell := adx.get(z)) for k in cell)
     for a in range(0, shift // 2 + 1):
         b = shift - a
-        for w in by_deg2.get(a, []):
+        for w in by_deg.get(a, []):
             adw = ad[w]
             dom_w, img_w = dom[w], img[w]
-            for v in by_deg2.get(b, []):
+            for v in by_deg.get(b, []):
                 if a == b and w >= v or not (img[v] & dom_w or img_w & dom[v]):
                     continue
                 adv = ad[v]
@@ -422,16 +507,12 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
                             if row:
                                 for tg, d in row.items():
                                     acc[tg] = acc.get(tg, 0) - c * d
-                    for tg, s in targets:
-                        if x := acc.get(tg):
-                            coords[s] = x
-                if not coords:
-                    continue
-                den = scale[w] * scale[v]
-                cells[(w, v)] = {n + i: Fraction(c, den) for i, c in coords.items()}
-    B = GradedAlgebra(name, labels, degrees, cells)  # checks the new cells
-    B.brackets = {**A.brackets, **B.brackets}
-    return B
+                    if acc:
+                        for tg, s in targets:
+                            if x := acc.get(tg):
+                                coords[s] = x
+                if coords:
+                    yield w, v, coords
 
 
 def _bits(indices) -> int:
@@ -468,14 +549,16 @@ def conformal_g0(m: GradedAlgebra, g: SymBilinearForm) -> Layer:
     """The conformal derivation algebra of (m, g) as the degree 0 layer:
     all grading-preserving derivations of m that are conformal with
     respect to g on the degree -1 part, in canonical basis, with their
-    eta column and the certified grading element E."""
+    eta column and the certified grading element E, certified maximal."""
     ok, _ = check_fundamental(m)
     if not ok:
         raise NotFundamental(
             f"{m.name}: the degree -1 part does not generate the algebra"
         )
     g.require_on(m)
-    return _solve(m, 0, g)
+    layer = _solve(m, 0, g)
+    _certify_maximal(layer)
+    return layer
 
 
 def scaling_split(layer: Layer) -> tuple[dict[int, Fraction], list[dict[int, Fraction]]]:
@@ -501,11 +584,13 @@ def assemble_degree0(m: GradedAlgebra, layer: Layer) -> GradedAlgebra:
 
 def prolong_step(A: GradedAlgebra, k: int) -> GradedAlgebra:
     """Extend a partial prolongation (degrees -mu..k) by its degree k+1
-    layer; returns A unchanged when the layer is empty."""
+    layer, certified maximal; returns A unchanged when the layer is
+    empty."""
     by_deg = A.by_degree()
     if max(by_deg) != k:
         raise GlapError(f"expected top degree {k}, found {max(by_deg)}")
     layer = _solve(A, k + 1)
+    _certify_maximal(layer)
     if not len(layer):
         return A
     return _extend(A, layer, A.name)
@@ -590,16 +675,15 @@ def full_prolongation(
 ) -> ProlongationResult:
     """Iterate prolongation steps until a layer is empty.
 
-    The certificates read the adjacency of the returned algebra, built from
-    its brackets as written by the last step solve, or by the certificates
-    themselves in a run cut at max_degree.  A natural stop certifies the
-    result (the grading and Jacobi check of ``gla.check_gla``, whose sweep
-    is cut down to the triples that decide the rest; transitivity;
-    untouched negative part).  Stopping at max_degree instead yields a
-    partial algebra with complete=False, certified on the triples of
-    ``gla.check_gla`` below the cut (its ``top``), which hold every forced
-    bracket on g_{-1}, and on transitivity, which makes that action decide
-    the bracket.
+    Each layer is certified maximal where it is solved, and the returned
+    algebra by the certificates (a)-(d) and (f) of the module docstring
+    (``_certify``), which read its adjacency, built from its brackets as
+    written by the last step solve, or by the certificates themselves in
+    a run cut at max_degree.  By the theorem there, a natural stop yields
+    a graded Lie algebra; stopping at max_degree yields a partial algebra
+    with complete=False, on which J vanishes on the triples that
+    ``gla.check_gla`` with ``top`` = max_degree - 1 sweeps: the triples
+    with a g_{-1} element whose brackets the cut kept.
     """
     A = assemble_degree0(m, conformal_g0(m, g))
     mu = -min(m.degrees)
@@ -620,14 +704,102 @@ def full_prolongation(
         A = A2
         k += 1
     nu = max(A.degrees)
+    _certify(A, m, g)
+    return ProlongationResult(A, g, _step_dims(A, complete), mu, nu, complete)
+
+
+def _certify(A: GradedAlgebra, m: GradedAlgebra, g: SymBilinearForm) -> None:
+    """The certificates (a)-(d) and (f) of the module docstring on the
+    prolongation A of (m, g); GlapError at the first that fails.
+
+    The free reads of each layer are read off its written elements: the
+    free column of a canonical basis vector is its last nonzero entry
+    (``linalg``), and in the layout's order that is eta at degree 0 when
+    eta is not 0, and otherwise the largest target of the action on the
+    last z in g_{-1} that the element moves.  Then (d) holds exactly when
+    each element is 1 at its own read and 0 at the others'."""
+    fail = "assembled prolongation failed certification"
     if not _same_negative(A, m):
         raise GlapError("prolongation modified the negative part")
-    count = check_gla(A, top=None if complete else nu - 1)["violation_count"]
+    bad = len(_misgraded(A))
+    if bad:
+        raise GlapError(f"{fail}: {bad} bracket terms break the grading")
+    L, ad = _scaled_adjacency(A)
+    count = sum(1 for _ in _jacobi_residuals(A, ad, reduced=True, below=m.n))
     if count:
-        raise GlapError(f"assembled prolongation failed certification: {count} violations")
+        raise GlapError(f"{fail}: {count} violations")
     if not transitivity_check(A):
         raise GlapError("assembled prolongation is not transitive")
-    return ProlongationResult(A, g, _step_dims(A, complete), mu, nu, complete)
+    by_deg = A.by_degree()
+    minus1 = by_deg[-1][::-1]
+    etas = _conformal_factors(A, g)
+    for k in range(max(A.degrees) + 1):
+        elems = by_deg[k]
+        reads: dict[int, list[tuple[int, int]]] = {}
+        for s, u in enumerate(elems):
+            if k == 0 and etas[s]:
+                continue
+            adu = ad[u]
+            z = next(z for z in minus1 if z in adu)  # A is transitive
+            reads.setdefault(z, []).append((max(adu[z]), s))
+        for i, u in enumerate(elems):
+            adu = ad[u]
+            for z, targets in reads.items():
+                cell = adu.get(z, {})
+                for tg, s in targets:
+                    if cell.get(tg, 0) != (L if s == i else 0):
+                        raise GlapError(f"{fail}: {A.labels[u]} is not the canonical basis "
+                                        f"vector of degree {k} at its free reads")
+            if k == 0 and etas[i] != int(i == len(elems) - 1):
+                raise GlapError(f"{fail}: {A.labels[u]} has eta {etas[i]}, not that of the "
+                                "canonical basis vector")
+        local = {u: s for s, u in enumerate(elems)}
+        forced = 0
+        for w, v, coords in _forced(ad, by_deg, k, reads):
+            forced += 1
+            cell = ad[w].get(v, {})
+            if len(cell) != len(coords) or any(
+                    coords.get(local[u]) != L * x for u, x in cell.items()):
+                raise GlapError(f"{fail}: [{A.labels[w]}, {A.labels[v]}] does not act on g_-1 "
+                                "as the commutator of its two elements")
+        written = sum(1 for a in range(k // 2 + 1) for w in by_deg.get(a, [])
+                      for v in ad[w] if v > w and A.degrees[v] == k - a)
+        if forced != written:
+            raise GlapError(f"{fail}: {written - forced} brackets of degree {k} where none "
+                            "is forced")
+
+
+def _conformal_factors(A: GradedAlgebra, g: SymBilinearForm) -> list[Fraction]:
+    """Certificate (c) of the module docstring: eta for each degree 0
+    element of A, whose action M on g_{-1} has M^T G + G M = eta G;
+    GlapError when one has none.  Read in ints from the scaled adjacency:
+    S = M^T G + G M with the entries of M times L and G scaled to an
+    integer matrix, and S = eta L G entry for entry."""
+    L, ad = _scaled_adjacency(A)
+    by_deg = A.by_degree()
+    minus1 = by_deg[-1]
+    pos = {z: c for c, z in enumerate(minus1)}
+    den = lcm(*(x.denominator for row in g.matrix.a for x in row))
+    G = [{b: int(x * den) for b, x in enumerate(row) if x} for row in g.matrix.a]
+    support = [(a, b, x) for a, row in enumerate(G) for b, x in row.items()]
+    a0, b0, x0 = support[0]
+    etas = []
+    for u in by_deg.get(0, []):
+        adu = ad[u]
+        S: dict[tuple[int, int], int] = {}
+        for c, z in enumerate(minus1):
+            for tg, x in adu.get(z, {}).items():
+                for b, y in G[pos[tg]].items():
+                    # (M^T G)[c][b] and, G being symmetric, (G M)[b][c]
+                    S[c, b] = S.get((c, b), 0) + x * y
+                    S[b, c] = S.get((b, c), 0) + x * y
+        s0 = S.get((a0, b0), 0)
+        if any(S.get((a, b), 0) * x0 != s0 * x for a, b, x in support) or any(
+                (b not in G[a]) and y for (a, b), y in S.items()):
+            raise GlapError(f"assembled prolongation failed certification: {A.labels[u]} "
+                            "does not act conformally on g_-1")
+        etas.append(Fraction(s0, L * x0))
+    return etas
 
 
 def _same_negative(A: GradedAlgebra, m: GradedAlgebra) -> bool:

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 from .errors import BadParameters, UnsupportedType
 
-# the largest rank the classification table reaches (C8, at 2p+q = 8); the
-# positive-root closure grows steeply with the rank, so larger ones are
-# refused before any root is generated
-MAX_RANK = 8
+# the largest rank the builders reach (C24, at 2p+q = 24, the top of the
+# scale ladder; the classification table stops at C8); the positive-root
+# closure grows steeply with the rank, so larger ones are refused before
+# any root is generated
+MAX_RANK = 24
 
 
 def cartan_matrix(series: str, rank: int) -> list[list[int]]:

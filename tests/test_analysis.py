@@ -692,18 +692,33 @@ def test_the_table_is_the_registry_range():
 @pytest.mark.parametrize(
     "tag,params",
     [
-        ("hc", {"p": 1, "q": 7}),
-        ("hc", {"p": 4, "q": 1}),
+        ("hc", {"p": 1, "q": 23}),
+        ("hc", {"p": 13, "q": 0}),
         ("hc", {"p": 1, "q": 0}),
         ("bi", {"l": 1}),
-        ("bi", {"l": 7}),
+        ("bi", {"l": 13}),
     ],
 )
 def test_builders_refuse_what_the_table_lacks(tag, params):
+    """Past the top of the scale ladder (2p+q = 24, l = 12), and below the
+    smallest instance, the builders refuse; the table lacks all of it."""
     with pytest.raises(BadParameters):
         build(tag, **params)
     labels = [lab for lab, _ in _table_rows()]
     assert label(FAMILIES[tag].oracle, params) not in labels
+
+
+@pytest.mark.parametrize("tag,params", [("hc", {"p": 1, "q": 7}), ("hh", {"p": 1, "q": 7}),
+                                        ("bi", {"l": 7}), ("bi", {"l": 12})])
+def test_the_table_stops_below_the_builders_bound(tag, params):
+    """The builders reach past the table, which stays at 2p+q <= 8 and
+    l <= 6; the oracle predicts the dims of such an instance all the
+    same."""
+    fam = build(tag, **params)
+    labels = [lab for lab, _ in _table_rows()]
+    assert label(FAMILIES[tag].oracle, params) not in labels
+    row = table_expectation(FAMILIES[tag].oracle, **params)
+    assert {d: n for d, n in row.dims.items() if d < 0} == fam.m.dims_by_degree()
 
 
 def _centroid_case(get_prolongation, get_rebased, case):

@@ -20,9 +20,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glap import analysis, cli, families
+from glap import analysis, cli, families, prolongation
 from glap.errors import NotIsotropic
 from glap.gla import check_gla, deserialize
+from test_prolongation import SpuriousPivot
 
 
 def run(capsys, *argv):
@@ -300,9 +301,13 @@ def test_oracle_family_param_validation(capsys):
 
 
 def test_oracle_refuses_a_rank_above_the_table(capsys):
-    code, out = run(capsys, "oracle", "--series", "A", "--rank", "9", "--crossed", "1")
+    """The oracle stops where the builders do, at rank 24 (C24 at
+    2p+q = 24), past the table's rank 8."""
+    code, out = run(capsys, "oracle", "--series", "A", "--rank", "25", "--crossed", "1")
     assert code == 2
-    assert "rank <= 8" in json.loads(out)["error"]
+    assert "rank <= 24" in json.loads(out)["error"]
+    code, out = run(capsys, "oracle", "--series", "A", "--rank", "9", "--crossed", "1")
+    assert code == 0 and json.loads(out)["dims"] == {"-1": 9, "0": 81, "1": 9}
 
 
 def _limit_memory():
@@ -322,7 +327,7 @@ def test_oracle_refuses_a_huge_rank_before_generating_roots():
         env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
     )
     assert proc.returncode == 2, proc.stderr
-    assert "rank <= 8" in json.loads(proc.stdout)["error"]
+    assert "rank <= 24" in json.loads(proc.stdout)["error"]
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -338,7 +343,7 @@ def test_python_dash_m_glap_runs_the_command_line(argv, code):
     if code == 0:
         assert proc.stdout.startswith("HC{'p': 1, 'q': 1}: A2")
     else:
-        assert "rank <= 8" in json.loads(proc.stdout)["error"]
+        assert "rank <= 24" in json.loads(proc.stdout)["error"]
 
 
 def test_prolong_stops_a_runaway_input_at_the_step_cap(tmp_path, capsys):
@@ -465,6 +470,18 @@ def test_check_refuses_a_complete_file_with_a_layer_past_its_top(tmp_path, capsy
     assert report["jacobi_ok"] and report["next_layer_dim"] > 0
     code, out = run(capsys, "check", str(claimed), "--summary")
     assert code == 1 and "next_layer_dim=" in out and out.rstrip().endswith("FAIL")
+
+
+def test_check_certifies_the_empty_layer_past_the_top(tmp_path, capsys, monkeypatch):
+    """``next_layer_dim: 0`` is a rank certificate: an Echelon that
+    installs one spurious pivot at the solve past the top still finds the
+    layer empty, but its witness is one row short, so ``check`` exits 2
+    with the certificate's message, not 0, and not 3."""
+    _, path = _hh12_files(tmp_path, capsys)
+    monkeypatch.setattr(prolongation, "Echelon", SpuriousPivot)
+    code, out = run(capsys, "check", path)
+    assert code == 2
+    assert "the degree 3 layer is not certified maximal" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize(

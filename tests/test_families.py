@@ -133,10 +133,10 @@ def test_non_split_families_carry_no_cartan_tag(get_family):
     [
         ("hc", {"p": 1, "q": 0}, "2p+q >= 3"),
         ("hc", {"p": 0, "q": 3}, "p >= 1"),
-        ("hc", {"p": 3, "q": 3}, "2p+q <= 8"),
+        ("hc", {"p": 3, "q": 19}, "2p+q <= 24"),
         ("hc", {}, "requires --p"),
         ("bi", {"l": 1}, "l >= 2"),
-        ("bi", {"l": 7}, "l <= 6"),
+        ("bi", {"l": 13}, "l <= 12"),
         ("bi", {}, "requires --l"),
         ("g2", {"p": 1}, "takes no parameters"),
         ("ho", {"q": 2}, "takes no parameters"),

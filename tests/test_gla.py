@@ -595,6 +595,28 @@ def test_the_reduced_sweep_is_the_full_one_on_degree_minus1_triples(A, top):
         r for r in full if degs[r[0]] + degs[r[1]] + degs[r[2]] <= top]
 
 
+def test_the_m_pair_sweep_is_the_reduced_one_on_pairs_of_m(get_prolongation):
+    """On the prolongation of hh(1,2) with one coefficient of an action of
+    g_1 on g_-1 changed, ``_jacobi_residuals`` with ``below`` = dim m
+    yields the residuals of the reduced sweep whose two lowest-indexed
+    elements lie in m: the same triples, and the same coefficients once
+    each is decoded at its own slot width."""
+    A0 = get_prolongation("hh", p=1, q=2).algebra
+    by_deg = A0.by_degree()
+    below = sum(len(by_deg[d]) for d in by_deg if d < 0)
+    key = (by_deg[-1][0], by_deg[1][0])
+    cell = dict(A0.brackets[key])
+    cell[min(cell)] += 1
+    A = GradedAlgebra(A0.name, A0.labels, A0.degrees, {**A0.brackets, key: cell})
+    ad = _scaled_adjacency(A)[1]
+    W, Wm = gla._slot_width(ad), gla._slot_width(ad[:below])
+    want = [(i, j, k, gla._decode(r, W)) for i, j, k, r in _jacobi_residuals(A, ad, reduced=True)
+            if j < below]
+    got = [(i, j, k, gla._decode(r, Wm))
+           for i, j, k, r in _jacobi_residuals(A, ad, reduced=True, below=below)]
+    assert got == want and len(got) > 0
+
+
 # -- the residual kernel against the dict sweep it replaced ----------------
 
 

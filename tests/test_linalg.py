@@ -10,10 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from glap.errors import GlapError, NotSymmetric
 from glap.linalg import (
     _WINDOW,
+    PRIMES,
     Echelon,
     Mat,
     _primitive,
+    certify_rank,
     int_row,
+    rank_mod,
     signature_of_symmetric,
     solve_square,
     span_basis,
@@ -463,6 +466,39 @@ def test_extend_stops_pulling_at_full_rank():
     assert ech.rank == n and ech.kernel_space().free == []
     halves = [{c: F(1, 2)} for c in range(n)] + [{0: F(1)}] * (_WINDOW * n - n)
     assert sparse_rank(_rows_then_raise(halves), n) == n
+
+
+def test_extend_keeps_the_rows_that_raised_the_rank():
+    """``raised`` holds the input rows that raised the rank, as they came
+    in and in the order ``extend`` added them: sorted by length within a
+    window, and none past full rank."""
+    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1, 2: 1}, {0: 1, 2: -1}, {2: 3}]
+    ech = Echelon(3).extend(rows)
+    assert ech.rank == 3 == len(ech.raised)
+    assert all(got is want for got, want in zip(ech.raised, [rows[4], rows[0], rows[2]]))
+    assert rows == [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1, 2: 1}, {0: 1, 2: -1}, {2: 3}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_rank_mod_is_the_rank_of_small_matrices(m, n, data):
+    """With entries in [-9, 9] every minor is below the first prime in
+    size, so the rank modulo it is the rank over Q."""
+    rows = [{c: x for c in range(n) if (x := data.draw(st.integers(-9, 9)))} for _ in range(m)]
+    assert rank_mod(rows, PRIMES[0]) == sparse_rank(rows, n)
+
+
+def test_certify_rank_tries_the_next_prime_and_then_fails():
+    p, q, r = PRIMES
+    assert rank_mod([{0: p, 1: 2 * p}], p) == 0
+    certify_rank([{0: p, 1: 2 * p}], 1, "one row")  # rank 1 modulo q
+    with pytest.raises(GlapError, match="not certified: its 1 witness rows do not have rank 1"):
+        certify_rank([{0: p * q * r}], 1, "not certified")
+    with pytest.raises(GlapError, match="do not have rank 2"):
+        certify_rank([{0: 1, 1: 1}, {0: 2, 1: 2}], 2, "dependent rows")
+    with pytest.raises(GlapError, match="do not have rank 1"):
+        certify_rank([{0: 1}, {1: 1}], 1, "a rank above the claim")
+    certify_rank([], 0, "no rows")
 
 
 def test_extend_with_no_columns():

@@ -916,6 +916,183 @@ def test_a_wrong_forced_coordinate_is_rejected_without_asserts():
     assert proc.returncode == 0, (proc.stdout, proc.stderr)
 
 
+# the families on which the emptied degree 1 layer used to pass
+EMPTIED = {"hh12": ("hh", {"p": 1, "q": 2}), "bi3": ("bi", {"l": 3}), "hc11": ("hc", {"p": 1, "q": 1})}
+
+
+def _prolong_with_an_emptied_layer(key):
+    """full_prolongation of an ``EMPTIED`` family after ``_solve`` has
+    returned its degree 1 layer with no basis vector and no witness."""
+    solve = prolongation._solve
+
+    def emptied(A, shift, g=None):
+        layer = solve(A, shift, g)
+        if shift == 1:
+            return Layer(1, layer.layout, Subspace([], 1, [], layer.space.name))
+        return layer
+
+    tag, params = EMPTIED[key]
+    fam = build(tag, **params)
+    prolongation._solve = emptied
+    try:
+        return full_prolongation(fam.m, fam.g)
+    finally:
+        prolongation._solve = solve
+
+
+@pytest.mark.parametrize("key", sorted(EMPTIED))
+def test_an_emptied_layer_is_not_certified_maximal(key):
+    with pytest.raises(GlapError, match="the degree 1 layer is not certified maximal"):
+        _prolong_with_an_emptied_layer(key)
+
+
+def test_an_emptied_layer_is_rejected_without_asserts():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are still on')\n"
+        "from glap.errors import GlapError\n"
+        "from test_prolongation import EMPTIED, _prolong_with_an_emptied_layer\n"
+        "for key in sorted(EMPTIED):\n"
+        "    try:\n"
+        "        _prolong_with_an_emptied_layer(key)\n"
+        "    except GlapError as e:\n"
+        "        if 'not certified maximal' not in str(e):\n"
+        "            sys.exit(str(e))\n"
+        "    else:\n"
+        "        sys.exit(key + ': the emptied layer was accepted')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+
+
+class SpuriousPivot(Echelon):
+    """An Echelon that installs one pivot no input row gives: the unit row
+    at its last column, before the rows of ``extend``.  It reaches its rank
+    with one witness row fewer than the rank."""
+
+    def extend(self, rows):
+        self.add({self.ncols - 1: 1})
+        return super().extend(rows)
+
+
+class LostRow(Echelon):
+    """An Echelon that loses one row once ``extend`` is done: the pivot row
+    of its largest lead and the last row of its witness, as if that row
+    had never come in.  Its kernel gains the unit vector at that lead."""
+
+    def extend(self, rows):
+        super().extend(rows)
+        del self.piv[max(self.piv)]
+        self.raised.pop()
+        return self
+
+
+def _prolong_with_a_planted_echelon(planted, shift, max_degree=None):
+    """full_prolongation of hh(1,2), cut at ``max_degree``, with the layer
+    of degree ``shift`` solved by the Echelon class ``planted``."""
+    solve = prolongation._solve
+
+    def planted_solve(A, k, g=None):
+        prolongation.Echelon = planted if k == shift else Echelon
+        try:
+            return solve(A, k, g)
+        finally:
+            prolongation.Echelon = Echelon
+
+    fam = build("hh", p=1, q=2)
+    prolongation._solve = planted_solve
+    try:
+        return full_prolongation(fam.m, fam.g, max_degree)
+    finally:
+        prolongation._solve = solve
+
+
+@pytest.mark.parametrize("shift", [1, 2, 3])
+def test_a_spurious_pivot_is_not_certified_maximal(shift):
+    """At degree 3 the system has full rank: the spurious pivot leaves the
+    layer empty, as it should be, yet its witness is one row short."""
+    with pytest.raises(GlapError, match=f"the degree {shift} layer is not certified maximal"):
+        _prolong_with_a_planted_echelon(SpuriousPivot, shift)
+
+
+def test_a_lost_row_fails_the_m_pair_sweep():
+    """The lost row leaves a witness of the right rank for the larger
+    kernel, whose extra vector is no derivation of m: the m-pair sweep
+    sees it.  The run is cut at degree 1, since the layers past a layer
+    that is no derivation algebra need not end."""
+    with pytest.raises(GlapError, match="failed certification: [0-9]+ violations"):
+        _prolong_with_a_planted_echelon(LostRow, 1, max_degree=1)
+
+
+def test_a_changed_action_cell_fails_certification(monkeypatch):
+    """One coefficient of an action [x, u], x in g_-1 and u in g_1, changed
+    as ``_extend`` returns it, before anything reads it: u is then no
+    derivation of m, which the m-pair sweep sees."""
+    extend = prolongation._extend
+
+    def changed(A, layer, name):
+        B = extend(A, layer, name)
+        if layer.shift == 1:
+            x, u = B.by_degree()[-1][0], A.n
+            cell = dict(B.brackets[(x, u)])
+            cell[min(cell)] += 1
+            B.brackets[(x, u)] = cell
+        return B
+
+    monkeypatch.setattr(prolongation, "_extend", changed)
+    fam = build("hh", p=1, q=2)
+    with pytest.raises(GlapError, match="failed certification: [0-9]+ violations"):
+        full_prolongation(fam.m, fam.g)
+
+
+@pytest.mark.parametrize("max_degree", [None, 0])
+def test_a_g0_action_that_is_not_conformal_fails_certification(monkeypatch, max_degree):
+    """On the abelian R^3 every linear map is a derivation, so an action of
+    co(3) with one more coefficient, off the free reads, is still one, and
+    only the conformal certificate (c) tells it from the layer."""
+    extend = prolongation._extend
+
+    def changed(A, layer, name):
+        B = extend(A, layer, name)
+        if layer.shift == 0:
+            cell = dict(B.brackets.get((0, 3), {}))
+            cell[1] = cell.get(1, 0) + 1
+            B.brackets[(0, 3)] = cell
+        return B
+
+    m = GradedAlgebra("R3", ["x0", "x1", "x2"], [-1, -1, -1], {})
+    g = SymBilinearForm.for_algebra(m, diag([1, 1, 1]))
+    prol = full_prolongation(m, g)
+    assert prol.dims_by_degree() == {-1: 3, 0: 4, 1: 3}
+    monkeypatch.setattr(prolongation, "_extend", changed)
+    with pytest.raises(GlapError, match="does not act conformally on g_-1"):
+        full_prolongation(m, g, max_degree)
+
+
+def test_full_prolongation_sweeps_only_the_m_pairs(monkeypatch):
+    """The one Jacobi sweep of ``full_prolongation`` is the m-pair sweep:
+    no triple with two elements outside m, and no call of check_gla."""
+    sweeps = []
+    residuals = gla._jacobi_residuals
+
+    def recorded(A, ad, **kwargs):
+        sweeps.append(kwargs)
+        return residuals(A, ad, **kwargs)
+
+    monkeypatch.setattr(prolongation, "_jacobi_residuals", recorded)
+    fam = build("hh", p=1, q=2)
+    assert full_prolongation(fam.m, fam.g).complete
+    assert sweeps == [{"reduced": True, "below": fam.m.n}]
+    assert not hasattr(prolongation, "check_gla")
+
+
 @pytest.mark.parametrize("tag,params", [
     ("hc", {"p": 1, "q": 1}), ("hh", {"p": 1, "q": 2}), ("bi", {"l": 3}), ("g2", {}), ("ho", {})])
 def test_truncated_runs_pass_their_sweep(get_family, get_prolongation, tag, params):
