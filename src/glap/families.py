@@ -14,13 +14,15 @@ there is one arithmetic over K.
 K is required to be associative, which makes these commutators a Lie
 bracket; an assembled algebra is certified by re-deriving every returned
 bracket from the same integer products (``_certify_matrices``), without a
-triple sweep.  A builder assembles and certifies only the brackets of m
-and [g_0, g_{-1}] (``_read_by_build``), which is all that m, g, the
-covariance check and the Cartan tag read; on its first read
-(``Family.ambient``) the ambient adds every other pair, each assembled
-and certified once.  The two octonionic models and the exceptional rank-two model are assembled
-directly from representation data, and a semidirect-product example with
-a non-semisimple prolongation rounds out the list.
+triple sweep.  A builder assembles and certifies only the spaces of
+negative degree and the brackets of m (``_read_by_build``), and certifies
+g, the weight matrix and the Cartan tag; on its first read
+(``Family.ambient``) the ambient adds every other space and pair, each
+assembled and certified once, and then certifies g's conformal
+covariance.  The two octonionic models and the exceptional rank-two
+model are assembled directly from representation data, and a
+semidirect-product example with a non-semisimple prolongation rounds out
+the list.
 
 Every builder takes the instance name and the family's parameters and
 hands back (m, g, ambient, cartan): the fundamental algebra m, a
@@ -37,7 +39,7 @@ builder.  The command line, the expected classification table and the tests
 read it, so a new family is one registry record and its builder.
 
 Conformal covariance of g under the degree-zero action is certified in
-Python ints on the brackets [g_0, g_{-1}].
+Python ints on the ambient's brackets [g_0, g_{-1}], when it is first read.
 """
 
 from collections.abc import Callable
@@ -180,9 +182,9 @@ def _matrix_basis(spaces) -> tuple[list, list[tuple[int, int, dict]]]:
 
 
 def _read_by_build(di: int, dj: int) -> bool:
-    """Whether ``build`` reads the brackets of degrees (di, dj): those of m,
-    and [g_0, g_{-1}] for the covariance check."""
-    return max(di, dj) < 0 or {di, dj} == {0, -1}
+    """Whether ``build`` reads the brackets of degrees (di, dj): those of m.
+    The ambient's first read multiplies out every other pair."""
+    return max(di, dj) < 0
 
 
 def _assemble(name, spaces, low: GradedAlgebra | None = None) -> GradedAlgebra:
@@ -230,31 +232,35 @@ def _assemble(name, spaces, low: GradedAlgebra | None = None) -> GradedAlgebra:
     return GradedAlgebra(name, labels, degs, brackets)
 
 
-def _matrix_algebra(name, spaces, expected: int):
-    """(low, ambient): the spaces of degree <= 0 with the brackets that
-    ``build`` reads (``_read_by_build``), assembled and certified now, and
-    a zero-argument callable that extends it to the ambient, every space
-    and every bracket.  The ambient's dimension, the sum of the space
-    dimensions, must be ``expected``.
+def _matrix_algebra(name, spaces, expected: int) -> GradedAlgebra:
+    """The spaces of negative degree, which span m, with their brackets,
+    the ones ``build`` reads (``_read_by_build``), assembled and certified.
+    The ambient's dimension, the sum of the space dimensions, must be
+    ``expected``.
 
-    ``_certify_matrices`` proves each bracket of low equal to its matrix
-    commutator, so m, all of whose brackets low holds, is a graded Lie
-    algebra word for word: e_k -> X_k is injective and bracket-preserving
-    into gl(n, K).  ``_assemble`` orders the basis by degree, so low's
-    indices and labels are the ambient's first ones, and the ambient keeps
-    its certified brackets: only the other pairs are assembled and
-    certified, once, so every pair of the ambient is certified."""
+    ``_certify_matrices`` proves each bracket of m equal to its matrix
+    commutator, so m is a graded Lie algebra word for word: e_k -> X_k is
+    injective and bracket-preserving into gl(n, K).  ``_assemble`` orders
+    the basis by degree, so m's indices and labels are the ambient's first
+    ones, and ``_certified_extension`` keeps its certified brackets."""
     dim = sum(sp.dim() for sp in spaces.values())
     require(dim == expected, f"{name} has dimension {dim}, expected {expected}")
-    low = {delta: sp for delta, sp in spaces.items() if delta <= 0}
+    low = {delta: sp for delta, sp in spaces.items() if delta < 0}
     A = _assemble(name, low)
     _certify_matrices(A, low)
-    return A, partial(_certified_extension, name, spaces, A)
+    return A
 
 
-def _certified_extension(name, spaces, low: GradedAlgebra) -> GradedAlgebra:
+def _certified_extension(name, spaces, low: GradedAlgebra, G: Mat,
+                         eta_scale: int) -> GradedAlgebra:
+    """The ambient: ``low`` (``_matrix_algebra``) extended by every other
+    space and pair, each assembled and certified once, so every pair of
+    the ambient is certified; then g's conformal covariance, with Gram
+    matrix G and eta = eta_scale Re X[0][0] (``_conformal_factors``), is
+    certified on its brackets [g_0, g_{-1}]."""
     A = _assemble(name, spaces, low)
     _certify_matrices(A, spaces, low)
+    _check_covariance(A, G, _conformal_factors(A, spaces[0], eta_scale))
     return A
 
 
@@ -444,7 +450,7 @@ def build_hk(k_tag: str, name: str, p: int, q: int):
     weights = [1] + [0] * (n - 2) + [-1]
     spaces = _realize(alg, n, sigma, weights, trace_zero=(d == 2))
 
-    low, ambient = _matrix_algebra(name, spaces, n * n - 1 if d == 2 else n * (2 * n + 1))
+    low = _matrix_algebra(name, spaces, n * n - 1 if d == 2 else n * (2 * n + 1))
     m = low.negative_part(f"{name}.m")
     _require_fundamental(m, 2)
     _require_dims(m, {-1: d * (n - 2), -2: d - 1})
@@ -452,7 +458,7 @@ def build_hk(k_tag: str, name: str, p: int, q: int):
     # g pairs first-column blocks through the middle part of the form
     G = _gram(spaces[-1], [((i, 0), (sigma[i], 0)) for i in range(1, n - 1)], 1)
     g = SymBilinearForm.for_algebra(m, G)
-    _check_covariance(low, G, _conformal_factors(low, spaces[0], -2))
+    ambient = partial(_certified_extension, name, spaces, low, g.matrix, -2)
     # the weight matrix itself must be a degree-zero solution
     spaces[0].coords({(i, i, 0): w for i, w in enumerate(weights)})
 
@@ -494,7 +500,7 @@ def build_bi(name: str, l: int):
     weights = [2] + [1] * (l - 1) + [0] + [-1] * (l - 1) + [-2]
     spaces = _realize(alg, n, sigma, weights, trace_zero=False)
 
-    low, ambient = _matrix_algebra(name, spaces, l * (2 * l + 1))
+    low = _matrix_algebra(name, spaces, l * (2 * l + 1))
     m = low.negative_part(f"{name}.m")
     _require_fundamental(m, 3)
     _require_dims(m, {
@@ -507,7 +513,7 @@ def build_bi(name: str, l: int):
     pairs = [((l, j), (j, 0)) for j in range(1, l)]
     G = _gram(spaces[-1], pairs + [(y, x) for x, y in pairs], -2)
     g = SymBilinearForm.for_algebra(m, G)
-    _check_covariance(low, G, _conformal_factors(low, spaces[0], -1))
+    ambient = partial(_certified_extension, name, spaces, low, g.matrix, -1)
     spaces[0].coords({(i, i, 0): w for i, w in enumerate(weights)})
 
     elems = [{(i, i, 0): 1, (sigma[i], sigma[i], 0): -1} for i in range(l)]
@@ -655,9 +661,10 @@ def build_counterexample(name: str):
 class Family:
     """One built family instance, ready for prolongation and reporting.
 
-    m, g and the Cartan tag are built and certified by ``build``; the
-    ambient is assembled and certified on its first read and then kept,
-    since prolongation and analysis read only m and g."""
+    m, g, the weight matrix and the Cartan tag are built and certified by
+    ``build``; the ambient is assembled and certified on its first read,
+    with every bracket outside m and g's conformal covariance, and then
+    kept, since prolongation and analysis read only m and g."""
 
     tag: str
     params: dict
@@ -688,9 +695,10 @@ class FamilySpec:
     classification does not cover it), its parameters with their defaults
     (None: required), every supported parameter set, the ``verify-table``
     rows, and ``builder(name, **params) -> (m, g, ambient, cartan)``.  The
-    builder certifies m, g and the Cartan tag before it returns; ambient is
-    None or a zero-argument callable that assembles and certifies the
-    ambient, which ``Family.ambient`` calls on first read."""
+    builder certifies m, g, the weight matrix and the Cartan tag before it
+    returns; ambient is None or a zero-argument callable, which
+    ``Family.ambient`` calls on first read, that assembles and certifies
+    every other bracket of the ambient and g's conformal covariance."""
 
     tag: str
     oracle: str | None

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from glap import families
+from glap import cli, families
 from glap.analysis import killing_form
 from glap.cli import DEFAULT_ROWS
 from glap.composition import algebra_by_tag
@@ -288,18 +289,29 @@ def _permute_the_degrees(A):
 @pytest.mark.parametrize("tag,params", [("hc", {"p": 1, "q": 1}), ("bi", {"l": 2})],
                          ids=["hc-p1-q1", "bi-l2"])
 def test_the_re_derivation_rejects_each_corruption(monkeypatch, tag, params, corrupt, violations):
-    """The ambient's certificate re-derives every bracket from the basis
-    matrices, so each kind of damage to the returned algebra fails it."""
+    """The certificate re-derives every bracket from the basis matrices, so
+    each kind of damage to the returned algebra fails it.  The damage goes
+    into what ``build`` assembles, m; but no unbracketed pair of hc(1,1)'s
+    m (dims {-2: 1, -1: 2}) has degrees that sum to a degree of m, so an
+    extra bracket goes into the ambient's first read there."""
     assemble = families._assemble
+    on_ambient = corrupt is _bracket_a_commuting_pair and tag == "hc"
 
-    def corrupted(name, spaces):
-        A = assemble(name, spaces)
-        corrupt(A)
+    def corrupted(name, spaces, *rest):
+        A = assemble(name, spaces, *rest)
+        if bool(rest) == on_ambient:
+            corrupt(A)
         return A
 
     monkeypatch.setattr(families, "_assemble", corrupted)
-    with pytest.raises(GlapError, match=f"Jacobi certificate: {violations} violations$"):
-        build(tag, **params)
+    fails = pytest.raises(GlapError, match=f"Jacobi certificate: {violations} violations$")
+    if on_ambient:
+        fam = build(tag, **params)
+        with fails:
+            fam.ambient
+    else:
+        with fails:
+            build(tag, **params)
 
 
 def test_the_re_derivation_rejects_a_dropped_bracket_without_asserts():
@@ -357,7 +369,7 @@ MATRIX_ROWS = [(tag, params) for tag, params in DEFAULT_ROWS if params]
 @pytest.fixture(scope="module")
 def covariance_inputs():
     """(label, ambient, G, eta_by_index) handed to the covariance check by
-    every matrix-family row of verify-table."""
+    the first ambient read of every matrix-family row of verify-table."""
     seen = []
     check = families._check_covariance
 
@@ -369,7 +381,9 @@ def covariance_inputs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(families, "_check_covariance", capture)
         for tag, params in MATRIX_ROWS:
-            build(tag, **params)
+            fam = build(tag, **params)
+            assert not seen
+            assert fam.ambient is fam.ambient
             assert len(seen) == 1
             out.append((f"{tag}{params}", *seen.pop()))
     return out
@@ -434,8 +448,9 @@ def perturbed(A, G, eta_by_index):
 
 families._check_covariance = perturbed
 for tag, params in [("hh", {{"p": 1, "q": 1}}), ("bi", {{"l": 3}})]:
+    fam = families.build(tag, **params)
     try:
-        families.build(tag, **params)
+        fam.ambient
     except GlapError as e:
         print(e)
         if "conformal factor mismatch" not in str(e):
@@ -551,11 +566,11 @@ def _record_matrix_calls(monkeypatch):
 
 @pytest.mark.parametrize("tag,params", MATRIX_ROWS,
                          ids=[families.label(tag, params) for tag, params in MATRIX_ROWS])
-def test_build_assembles_no_positive_degree(monkeypatch, tag, params):
+def test_build_assembles_negative_degrees_only(monkeypatch, tag, params):
     calls = _record_matrix_calls(monkeypatch)
     build(tag, **params)
     assert [fn for fn, _ in calls] == ["_assemble", "_certify_matrices"]
-    assert all(max(degrees) == 0 for _, degrees in calls)
+    assert all(max(degrees) < 0 for _, degrees in calls)
 
 
 @pytest.mark.parametrize("tag,params", ASSEMBLY_ROWS,
@@ -594,8 +609,8 @@ def test_the_ambient_is_assembled_and_certified_on_first_read(monkeypatch, tag, 
     spaces, got = seen.pop()
     assert got is A
     assert A.serialize() == _reference_assemble(A.name, spaces).serialize()
-    # m + g_0 is the ambient's first indices, with the brackets build reads
-    low = families._assemble(A.name, {d: sp for d, sp in spaces.items() if d <= 0})
+    # m is the ambient's first indices, with the brackets build reads
+    low = families._assemble(A.name, {d: sp for d, sp in spaces.items() if d < 0})
     assert low.labels == A.labels[:low.n] and low.degrees == A.degrees[:low.n]
     degs = A.degrees
     read = {(i, j) for i in range(A.n) for j in range(i + 1, A.n)
@@ -638,6 +653,60 @@ def test_a_corrupted_degree_zero_bracket_fails_when_the_ambient_is_read(monkeypa
     fam = build("hh", p=1, q=2)
     with pytest.raises(GlapError, match="Jacobi certificate: 1 violations$"):
         fam.ambient
+
+
+@pytest.mark.parametrize("tag,params,in_build,in_all", [
+    ("hh", {"p": 1, "q": 3}, 210, 2970),
+    ("hc", {"p": 3, "q": 1}, 110, 2256),
+], ids=["hh(p=1,q=3)", "hc(p=3,q=1)"])
+def test_build_multiplies_out_the_pairs_of_m_only(monkeypatch, tag, params, in_build, in_all):
+    """``build`` multiplies out each pair of m twice, to assemble and to
+    certify it; the first ambient read does the same for every other pair,
+    so each pair of the ambient is multiplied out exactly twice."""
+    calls = []
+    commutator = families._commutator
+
+    def count(X, Y, table):
+        calls.append(1)
+        return commutator(X, Y, table)
+
+    monkeypatch.setattr(families, "_commutator", count)
+    fam = build(tag, **params)
+    dim_m = fam.m.n
+    assert len(calls) == 2 * (dim_m * (dim_m - 1) // 2) == in_build
+    n = fam.ambient.n
+    assert len(calls) == 2 * (n * (n - 1) // 2) == in_all
+
+
+def _fail_the_covariance(monkeypatch):
+    calls = []
+
+    def fail(A, G, eta_by_index):
+        calls.append(A)
+        raise GlapError(f"conformal factor mismatch at {A.labels[eta_by_index[0][0]]}")
+
+    monkeypatch.setattr(families, "_check_covariance", fail)
+    return calls
+
+
+def test_a_failed_covariance_fails_the_ambient_read_not_the_build(monkeypatch):
+    calls = _fail_the_covariance(monkeypatch)
+    fam = build("hh", p=1, q=1)
+    assert not calls
+    for k in (1, 2):  # a failed read keeps nothing
+        with pytest.raises(GlapError, match="conformal factor mismatch"):
+            fam.ambient
+        assert len(calls) == k
+
+
+def test_glap_build_exits_2_on_a_failed_covariance(monkeypatch, capsys):
+    """``glap build`` reads the ambient, whose first read fails."""
+    calls = _fail_the_covariance(monkeypatch)
+    code = cli.main(["build", "--family", "hh", "--p", "1", "--q", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and max(calls[0].degrees) > 0
+    assert "conformal factor mismatch" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.out + captured.err
 
 
 def _planted(table, s, t, factor):

@@ -3,8 +3,9 @@
 For every instance of the family registry (``families.FAMILIES``, 69 of
 them) it hashes what ``build`` hands out (m, g, the ambient and the Cartan
 tag, an int), the serialized prolongation and the analysis report.  For
-the benchmark's rebased inputs at seeds 0 and 7 (``bench/rebase.py``, read
-and left as it is) it hashes the prolongation and the report.  The SHA-256
+the benchmark's rebased inputs at seeds 0 and 7 (the instances of
+``bench/harness.py``, moved by ``bench/rebase.py``, both read and left as
+they are) it hashes the prolongation and the report.  The SHA-256
 over all of them is compared with ``EXPECTED``: a change that should leave
 every output byte-identical must leave it equal.
 
@@ -29,17 +30,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 from glap.analysis import analyze  # noqa: E402
-from glap.cli import DEFAULT_ROWS  # noqa: E402
 from glap.families import FAMILIES, build, label  # noqa: E402
 from glap.prolongation import full_prolongation  # noqa: E402
+from harness import REBASED_INSTANCES  # noqa: E402
 from rebase import instance_rng, rebase  # noqa: E402
 
 EXPECTED = "7f3ee9536db3c0b28def466f1aa30a723e6840f7c12821b0407c2e5eaf1e8746"
 
-# the instances the benchmark's rebased workload moves to a new basis
-REBASED = [(tag, params) for tag, params in DEFAULT_ROWS
-           if tag in ("hc", "hc-split", "hh", "hh-split")]
-REBASED += [("bi", {"l": 3}), ("bi", {"l": 4}), ("g2", {}), ("counterexample", {})]
 SEEDS = (0, 7)
 
 
@@ -69,7 +66,7 @@ def digests():
             out, prolonged, analyzed = _outputs(fam.m, fam.g)
             yield label(spec.tag, params), texts + out, (built, prolonged, analyzed)
     for seed in SEEDS:
-        for tag, params in REBASED:
+        for tag, params in REBASED_INSTANCES:
             t0 = time.perf_counter()
             fam = build(tag, **params)
             name = label(tag, params)

@@ -16,10 +16,12 @@ after the rungs.
     python3 tools/scale_rungs.py [--out PATH]
 
 Run from a source checkout; it times the package under its own ``src``.
-The rungs are hh(1,14) (C16, dim 528) and hh(1,18) (C20, dim 820); one
-rung alone, written ``TAG:k=v,...``, is timed in this process and
-printed by ``--measure hh:p=1,q=22``.  It exits 1 when a rung's dims do not match the oracle or its process
-fails, and 0 otherwise.  It is stdlib only and not part of the tests.
+The rungs are hh(1,14) (C16, dim 528), hh(1,18) (C20, dim 820), hc(1,10)
+and hc(1,14) (2p+q = 12 and 16, dims 143 and 255) and bi(8) and bi(12)
+(dims 136 and 300); one rung alone, written ``TAG:k=v,...``, is timed in
+this process and printed by ``--measure hh:p=1,q=22``.  It exits 1 when a
+rung's dims do not match the oracle or its process fails, and 0
+otherwise.  It is stdlib only and not part of the tests.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from glap.families import FAMILIES, build, label  # noqa: E402
 from glap.prolongation import full_prolongation  # noqa: E402
 from glap.roots import table_expectation  # noqa: E402
 
-RUNGS = ("hh:p=1,q=14", "hh:p=1,q=18")
+RUNGS = ("hh:p=1,q=14", "hh:p=1,q=18", "hc:p=1,q=10", "hc:p=1,q=14", "bi:l=8", "bi:l=12")
 STAGES = ("build", "prolong", "analyze")
 
 
