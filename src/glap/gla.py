@@ -120,12 +120,12 @@ def parse_rational(s: str | int, where: str = "") -> Fraction:
 
 
 class GradedAlgebra:
-    """A graded algebra.  Its scaled adjacency ``_adj`` is built from
-    ``brackets`` on first read by ``_scaled_adjacency``, the only code that
-    sets it, and kept; ``_pivots`` keeps the rank verdicts that
-    ``_minus1_pivots`` reads from it.  So the brackets are read-only once
-    built, and an extension shares A's cells, checked once, when A was
-    built."""
+    """A graded algebra.  Its scaled adjacency ``_adj`` is that of
+    ``brackets``, built on first read by ``_scaled_adjacency`` (grown from
+    that of ``_parent`` for an ``_extension``), the only code that sets it,
+    and kept; ``_pivots`` keeps the rank verdicts that ``_minus1_pivots``
+    reads from it.  So the brackets are read-only once built, and an
+    extension shares A's cells, checked once, when A was built."""
 
     def __init__(self, name, labels, degrees, brackets):
         """brackets: {(i, j): {k: Fraction}} with i < j; zero coefficients
@@ -155,6 +155,7 @@ class GradedAlgebra:
                 self.brackets[(i, j)] = clean
         self._by_degree: dict[int, list[int]] | None = None
         self._adj: tuple[int, list[dict[int, dict[int, int]]]] | None = None
+        self._parent: GradedAlgebra | None = None
         self._pivots: dict[int, list[tuple[int, int]] | None] = {}
 
     @property
@@ -303,14 +304,23 @@ def _load_json(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _extension(A: GradedAlgebra, name: str, labels, degrees, cells) -> GradedAlgebra:
+    """A extended by the new ``cells``, checked; it shares A's and grows A's adjacency."""
+    B = GradedAlgebra(name, labels, degrees, cells)
+    B.brackets = {**A.brackets, **B.brackets}
+    B._parent = A
+    return B
+
+
 def _scaled_adjacency(A: GradedAlgebra) -> tuple[int, list[dict[int, dict[int, int]]]]:
     """(L, ad) with ad[i][j] = {k: L*c} for [e_i, e_j] = sum c e_k, both
     orientations, where L is the lcm of every bracket denominator, so all
     entries are Python ints.  A pair with zero bracket has no key.  Built
-    from ``A.brackets`` on first read and kept on A; callers must not
-    modify it."""
+    on first read and kept on A, for an ``_extension`` grown from its
+    parent's (``_grown``); callers must not modify it."""
     if A._adj is None:
-        A._adj = _adjacency(A.n, A.brackets)
+        parent, A._parent = A._parent, None
+        A._adj = _adjacency(A.n, A.brackets) if parent is None else _grown(A, parent)
     return A._adj
 
 
@@ -331,6 +341,29 @@ def _adjacency(n: int, brackets) -> tuple[int, list[dict[int, dict[int, int]]]]:
     for (i, j), r in zip(brackets, index):
         ad[i][j], ad[j][i] = rows[r]
     return L, ad
+
+
+def _grown(B: GradedAlgebra, A: GradedAlgebra) -> tuple[int, list[dict[int, dict[int, int]]]]:
+    """``_adjacency(B.n, B.brackets)`` of an ``_extension`` B of A, grown
+    from A's: a cell that B shares with A by identity keeps A's rows,
+    rescaled only when the lcm L grows, and only B's other cells are
+    converted.  A cell of A that B replaced or dropped may have set A's L,
+    so B is then read whole."""
+    old = A.brackets
+    new = {key: cell for key, cell in B.brackets.items() if old.get(key) is not cell}
+    if len(B.brackets) - len(new) != len(old):
+        return _adjacency(B.n, B.brackets)
+    (L0, ad0), (L1, ad1) = _scaled_adjacency(A), _adjacency(B.n, new)
+    L = lcm(L0, L1)
+
+    def scaled(ad, f):  # ad times f, its shared rows still shared
+        rows: dict[int, dict[int, int]] = {}  # id of a row -> the row times f
+        return ad if f == 1 else [
+            {j: rows.get(id(r)) or rows.setdefault(id(r), {k: f * x for k, x in r.items()})
+             for j, r in adi.items()} for adi in ad]
+
+    ad0, ad1 = scaled(ad0, L // L0), scaled(ad1, L // L1)
+    return L, [{**r0, **r1} for r0, r1 in zip(ad0, ad1)] + ad1[len(ad0):]
 
 
 def check_gla(A: GradedAlgebra, max_violations: int = 100, top: int | None = None) -> dict:

@@ -92,8 +92,8 @@ identity over A, which ``full_prolongation`` does not run.
 (f) The read-check: for every pair (w, v) of nonnegative elements with
     deg w + deg v = k, the written [w, v] has at each free read of g_k
     the entry of [w, [v, z]] - [v, [w, z]] there, computed from A, and no
-    other coordinate; a pair that the masks of ``_forced`` skip has no
-    cell.
+    other coordinate; a pair whose forced map is 0 at every free read has
+    no cell.
 
 Theorem (Tanaka, J. Math. Kyoto Univ. 10, 1970; Yamaguchi, Adv. Stud. Pure
 Math. 22, 1993, section 2).  If (a)-(f) hold on a complete run, J = 0 on
@@ -138,20 +138,20 @@ the exact kernel and the Jacobi identity certified.
 
 The hot loops run in Python ints on the scaled adjacency of each algebra
 (``gla._scaled_adjacency``: every structure constant times L, the lcm of
-their denominators), built from its brackets on first read and kept: the
-step solve over A builds A's, and ``_extend`` reads it.  Fractions appear
-only where a result leaves the solver.  This is exact at every degree, 0
-included.  Each entry of a derivation row is one signed constant, so the
-row is L times the rational row and, being homogeneous, has the same
-kernel; the -[D(x), y] and -[x, D(y)] terms of a row are read from term
-lists built once per y and once per x (``_derivation_rows``), not once
-per pair.  A conformal row is scaled to integers where it is built.  The
-layer's basis is kept as integer vectors over one denominator D
-(``linalg.Subspace``), and ``_extend`` reads the new elements' action on
-m from it.  A forced bracket is a sum of products of two constants, one
-from the row of each element of the pair, so its entries, and with them
-its coordinates, are L**2, L D or D**2 times the rational ones; each
-coordinate is divided by that scale as a Fraction.
+their denominators), built on first read and kept, an extension's grown
+from its parent's and equal to that of its brackets: the step solve over A
+builds A's, and ``_extend`` reads it.  Fractions appear only where a result
+leaves the solver.  This is exact at every degree, 0 included.  Each entry
+of a derivation row is one signed constant, so the row is L times the
+rational row and, being homogeneous, has the same kernel; the -[D(x), y]
+and -[x, D(y)] terms of a row are read from term lists built once per y and
+once per x (``_derivation_rows``), not once per pair.  A conformal row is
+scaled to integers where it is built.  The layer's basis is kept as integer
+vectors over one denominator D (``linalg.Subspace``), and ``_extend`` reads
+the new elements' action on m from it.  A forced bracket is a sum of
+products of two constants, one from the row of each element of the pair, so
+its entries, and with them its coordinates, are L**2, L D or D**2 times the
+rational ones; each coordinate is divided by that scale as a Fraction.
 
 The recursion stops at the first empty layer; for the inputs this package
 builds that always happens (the negative part is fundamental and the
@@ -173,6 +173,7 @@ from .errors import GlapError, NotFundamental, ParseError, StepLimitExceeded
 from .gla import (
     GradedAlgebra,
     SymBilinearForm,
+    _extension,
     _is_json_int,
     _jacobi_residuals,
     _load_json,
@@ -407,32 +408,23 @@ def _certify_maximal(layer: Layer) -> None:
 
 
 def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
-    """A extended by the basis of ``layer``: the action brackets
-    [u, x] = u(x), and every bracket between nonnegative layers summing to
-    the layer's degree, forced by ([w, v])(z) = [w, [v, z]] - [v, [w, z]]
-    and read at the layer's free columns only (module docstring); at
-    degree 0 the eta column is the last free column, which no read sets,
-    so every forced bracket has eta 0.  That the layer is the whole
-    kernel, and the forced map the member of it so read, is left to the
-    certificates of the module docstring, on the brackets written here.
-    Only the new cells are checked as cells of an algebra: A's were when A
-    was built.
+    """A extended by the basis of ``layer`` (``gla._extension``, so its
+    adjacency grows from A's): the action brackets [u, x] = u(x), and every
+    bracket between nonnegative layers summing to the layer's degree,
+    forced by ([w, v])(z) = [w, [v, z]] - [v, [w, z]] and read at the
+    layer's free columns only; at degree 0 no read sets the eta column, so
+    every forced bracket has eta 0 (module docstring).  That the layer is
+    the whole kernel, and the forced map the member of it so read, is left
+    to the certificates, on the brackets written here.
 
-    The forced brackets (``_forced``) are read from two scaled
-    adjacencies: A's own (scale L, built by the ``_solve`` of the layer),
-    and the rows of the new elements acting on m, from the layer's integer
-    basis (scale D, its denominator).  A pair holds a new element only at
-    degrees (0, shift), and then only that element's action on m is read.
-    Each term of a forced bracket is a product of a constant of w's row
-    and one of v's, so its coordinates are exactly scale[w] * scale[v]
-    times the rational ones."""
+    ``_forced`` reads two scaled adjacencies: A's (scale L, built by the
+    ``_solve`` of the layer), and the new elements' action on m, from the
+    layer's integer basis (scale D, its denominator).  Each term of a
+    forced bracket is a product of a constant of w's row and one of v's,
+    so its coordinates are scale[w] * scale[v] times the rational ones."""
     shift, layout, space = layer.shift, layer.layout, layer.space
-    by_deg = A.by_degree()
-    n = A.n
-    t = len(space)
-    D = space.denominator
-    prefix = "d" if shift == 0 else "p"
-    labels = list(A.labels) + [f"{prefix}{shift}_{i}" for i in range(t)]
+    by_deg, n, t, D = A.by_degree(), A.n, len(space), space.denominator
+    labels = list(A.labels) + [f"{'p' if shift else 'd'}{shift}_{i}" for i in range(t)]
     degrees = list(A.degrees) + [shift] * t
     cells: dict[tuple[int, int], dict[int, Fraction]] = {}  # the new brackets
     actions: list[dict[int, dict[int, int]]] = []  # D u_i(x) for x in m
@@ -445,82 +437,68 @@ def _extend(A: GradedAlgebra, layer: Layer, name: str) -> GradedAlgebra:
                 # [x, u] = -u(x)
                 cells[(src[c_loc], n + i)] = {tgt[r]: Fraction(-v, D) for r, v in col.items()}
         actions.append(action)
-    reads = _free_reads(layer, by_deg)
     L, ad = _scaled_adjacency(A)
     scale = [L] * n + [D] * t
     by_deg2 = {**by_deg, shift: list(range(n, n + t))}
-    for w, v, coords in _forced([*ad, *actions], by_deg2, shift, reads):
+    for w, v, coords in _forced([*ad, *actions], by_deg2, shift, _free_reads(layer, by_deg)):
         den = scale[w] * scale[v]
         cells[(w, v)] = {n + i: Fraction(c, den) for i, c in coords.items()}
-    B = GradedAlgebra(name, labels, degrees, cells)  # checks the new cells
-    B.brackets = {**A.brackets, **B.brackets}
-    return B
+    return _extension(A, name, labels, degrees, cells)
 
 
 def _forced(ad, by_deg: dict[int, list[int]], shift: int, reads):
     """Yield (w, v, coords) for each pair of basis elements of degrees
     0 <= a <= b with a + b = ``shift`` (w < v when a = b) whose forced
     bracket ([w, v])(z) = [w, [v, z]] - [v, [w, z]] is nonzero at a free
-    read: coords maps t to the entry at the read of free column t, a sum
-    of products of two entries of the adjacency rows ``ad``.
+    read, in the order of a, w, v: coords maps t to the entry at the read
+    (z, target) of free column t, in the order of ``reads``.
 
-    Most pairs have no forced bracket, and they are skipped before any
-    cell is read.  For each element x, dom(x) is the set of the elements
-    that ad x moves, and img(x) the set of the targets of ad x on the
-    reads z.  A term read at z is a constant of ad v at (z, y) times one
-    of ad w at (y, t), or the same with w and v swapped; the first is
-    nonzero only if y lies in img(v) and in dom(w), the second only if y
-    lies in img(w) and in dom(v).  So when img(v) & dom(w) and img(w) &
-    dom(v) are both empty, every term of (w, v) is 0 and the pair has no
-    cell, as it would have had after reading them all."""
-    # dom[x]: the elements ad x moves; img[x]: where ad x sends the reads
-    dom: dict[int, int] = {}
-    img: dict[int, int] = {}
-    for d in range(shift + 1):
-        for x in by_deg.get(d, []):
-            adx = ad[x]
-            dom[x] = _bits(adx)
-            img[x] = _bits(k for z in reads if (cell := adx.get(z)) for k in cell)
-    for a in range(0, shift // 2 + 1):
-        b = shift - a
-        for w in by_deg.get(a, []):
-            adw = ad[w]
-            dom_w, img_w = dom[w], img[w]
-            for v in by_deg.get(b, []):
-                if a == b and w >= v or not (img[v] & dom_w or img_w & dom[v]):
-                    continue
-                adv = ad[v]
-                coords: dict[int, int] = {}
-                for z, targets in reads.items():
-                    acc: dict[int, int] = {}
-                    cell = adv.get(z)
-                    if cell:
-                        for mgl, c in cell.items():
-                            row = adw.get(mgl)
-                            if row:
-                                for tg, d in row.items():
-                                    acc[tg] = acc.get(tg, 0) + c * d
-                    cell = adw.get(z)
-                    if cell:
-                        for mgl, c in cell.items():
-                            row = adv.get(mgl)
-                            if row:
-                                for tg, d in row.items():
-                                    acc[tg] = acc.get(tg, 0) - c * d
-                    if acc:
-                        for tg, s in targets:
-                            if x := acc.get(tg):
-                                coords[s] = x
-                if coords:
-                    yield w, v, coords
-
-
-def _bits(indices) -> int:
-    """The bitmask with bit i set for each i in ``indices``."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
+    That entry is the sum over m of P(w, v) - P(v, w), P(x, y) = ad y[z][m]
+    * ad x[m][target], and the work is the number of nonzero products: per
+    z the y are indexed by the m with ad y[z][m] != 0, and per (m, target)
+    the x with ad x[m][target] != 0.  The algebra is graded (m is certified
+    so, an extension is by construction, and ``_certify`` checks it first),
+    so m has degree deg y - 1 and x degree shift - deg y.  Each product goes
+    to the pair of x and y, signed by their orientation; a pair whose sums
+    all cancel has no cell."""
+    elems = [x for d in range(shift + 1) for x in by_deg.get(d, ())]
+    deg = [d for d in range(shift + 1) for _ in by_deg.get(d, ())]
+    R = len(elems)  # a pair is keyed rank w * R + rank v, by its ranks in elems
+    # partners[z][m]: (rank y, rank y * R, c) for each y with c = ad y[z][m] != 0
+    partners: dict[int, dict[int, list]] = {z: {} for z in reads}
+    reach: dict[int, set[int]] = {}  # deg x -> the m at which ad x is read
+    for ry, y in enumerate(elems):
+        for z, by_m in partners.items():
+            if cell := ad[y].get(z):
+                reach.setdefault(shift - deg[ry], set()).update(cell)
+                for m, c in cell.items():
+                    by_m.setdefault(m, []).append((ry, ry * R, c))
+    targets = {tg for read in reads.values() for tg, _ in read}
+    # acting[m, target]: (rank x, rank x * R, d) for each x with d = ad x[m][target] != 0
+    acting: dict[tuple[int, int], list] = {}
+    for rx, x in enumerate(elems):
+        adx = ad[x]
+        for m in adx.keys() & reach.get(deg[rx], ()):
+            for tg, d in adx[m].items():
+                if tg in targets:
+                    acting.setdefault((m, tg), []).append((rx, rx * R, d))
+    cells: dict[int, dict[int, int]] = {}
+    for z, read in reads.items():
+        for tg, t in read:
+            acc: dict[int, int] = {}
+            for m, ys in partners[z].items():
+                xs = acting.get((m, tg))
+                for ry, ryR, c in ys if xs else ():
+                    for rx, rxR, d in xs:
+                        if rx < ry:  # x is w
+                            acc[rxR + ry] = acc.get(rxR + ry, 0) + c * d
+                        elif rx > ry:  # x = y is no pair
+                            acc[ryR + rx] = acc.get(ryR + rx, 0) - c * d
+            for k, s in acc.items():
+                if s:
+                    cells.setdefault(k, {})[t] = s
+    for k in sorted(cells):
+        yield elems[k // R], elems[k % R], cells[k]
 
 
 def _free_reads(layer: Layer, by_deg: dict[int, list[int]]) -> dict[int, list[tuple[int, int]]]:
@@ -719,7 +697,8 @@ def _certify(A: GradedAlgebra, m: GradedAlgebra, g: SymBilinearForm) -> None:
     last z in g_{-1} that the element moves.  Then (d) holds exactly when
     each element is 1 at its own read and 0 at the others'."""
     fail = "assembled prolongation failed certification"
-    if not _same_negative(A, m):
+    neg = A.negative_part()
+    if (neg.labels, neg.degrees, neg.brackets) != (m.labels, m.degrees, m.brackets):
         raise GlapError("prolongation modified the negative part")
     bad = len(_misgraded(A))
     if bad:
@@ -800,12 +779,3 @@ def _conformal_factors(A: GradedAlgebra, g: SymBilinearForm) -> list[Fraction]:
                             "does not act conformally on g_-1")
         etas.append(Fraction(s0, L * x0))
     return etas
-
-
-def _same_negative(A: GradedAlgebra, m: GradedAlgebra) -> bool:
-    neg = A.negative_part()
-    return (
-        neg.labels == m.labels
-        and neg.degrees == m.degrees
-        and neg.brackets == m.brackets
-    )

@@ -712,6 +712,80 @@ def test_every_solve_reads_the_adjacency_of_the_brackets_as_written(monkeypatch)
     assert len(seen) == 172
 
 
+def _snapshot(adjacency):
+    """A copy of a scaled adjacency (L, ad) that shares no dict with it."""
+    L, ad = adjacency
+    return L, [{j: dict(row) for j, row in adi.items()} for adi in ad]
+
+
+def test_each_extension_grows_the_adjacency_of_its_brackets(monkeypatch):
+    """On the 14 rows, both ladder rungs and the rebased inputs at seeds 0
+    and 7, the adjacency of each algebra ``_extend`` returns is grown from
+    its parent's on first read, converting only the cells the parent does
+    not hold; it equals the adjacency built from its brackets, also where L
+    grows (1 -> 2 at degree 0, 2 -> 6 at degree 1), and the parent's is
+    left as it was, the same object with the same entries."""
+    extend, grown, adjacency = prolongation._extend, gla._grown, gla._adjacency
+    seen, converted = [], []
+
+    def recorded(A, layer, name):
+        B = extend(A, layer, name)
+        assert B._parent is A and B._adj is None
+        seen.append((A, A._adj, _snapshot(A._adj), B, layer.shift))
+        return B
+
+    def counted(n, brackets):
+        converted.append(len(brackets))
+        return adjacency(n, brackets)
+
+    def growing(B, A):
+        converted.clear()
+        out = grown(B, A)
+        assert converted == [len(B.brackets) - len(A.brackets)]
+        return out
+
+    monkeypatch.setattr(prolongation, "_extend", recorded)
+    monkeypatch.setattr(gla, "_adjacency", counted)
+    monkeypatch.setattr(gla, "_grown", growing)
+    for m, g in _engine_inputs():
+        full_prolongation(m, g)
+    monkeypatch.undo()
+    assert len(seen) == 132
+    steps = set()
+    for A, adj, before, B, shift in seen:
+        assert B._parent is None and B._adj == _adjacency(B.n, B.brackets), (B.name, shift)
+        assert A._adj is adj and _snapshot(adj) == before, (A.name, shift)
+        steps.add((adj[0], B._adj[0], shift))
+    assert {(1, 2, 0), (2, 6, 1)} <= steps
+
+
+def _small_extension():
+    """A = span(x, y, z) with [x, y] = z/2, so L = 2, its adjacency built;
+    and B, A extended by u of degree 0 with [x, u] = x, not yet read."""
+    A = GradedAlgebra("A", ["x", "y", "z"], [-1, -1, -2], {(0, 1): {2: F(1, 2)}})
+    assert _scaled_adjacency(A)[0] == 2
+    B = gla._extension(A, "B", ["x", "y", "z", "u"], [-1, -1, -2, 0], {(0, 3): {0: F(1)}})
+    return A, B
+
+
+@pytest.mark.parametrize("change", ["replaced", "dropped", "none"])
+def test_a_parent_cell_changed_before_the_first_read_is_read_as_written(change):
+    """A cell of the parent replaced or dropped in the extension before
+    its first read is read as the extension writes it: the parent's cell
+    set L = 2, and without it L = 1.  The parent's adjacency is kept."""
+    A, B = _small_extension()
+    before = _snapshot(A._adj)
+    if change == "replaced":
+        B.brackets[(0, 1)] = {2: F(1)}
+    elif change == "dropped":
+        del B.brackets[(0, 1)]
+    L, ad = _scaled_adjacency(B)
+    assert (L, ad) == _adjacency(B.n, B.brackets)
+    assert L == (2 if change == "none" else 1)
+    assert ad[0].get(1) == {"replaced": {2: 1}, "dropped": None, "none": {2: 1}}[change]
+    assert _snapshot(A._adj) == before
+
+
 def test_every_free_column_lies_in_the_degree_minus_1_block(monkeypatch):
     """The fact the forced brackets rest on: on the 14 rows, both ladder
     rungs and the rebased inputs at seeds 0 and 7, every free column of
@@ -774,30 +848,15 @@ def test_the_final_certificate_reads_the_written_brackets(get_prolongation, monk
         full_prolongation(fam.m, fam.g)
 
 
-def _unfiltered_forced_cells(A, layer):
-    """The forced brackets of ``_extend`` over A and ``layer``, read over
-    every pair of nonnegative layers that sum to the layer's degree with
-    no pair skipped: the reference for the pairs ``_extend`` skips."""
-    shift, layout, space = layer.shift, layer.layout, layer.space
-    by_deg = A.by_degree()
-    n, t = A.n, len(space)
-    actions = []
-    for vec in space.basis:
-        action = {}
-        for p, blk in layout.columns(vec).items():
-            src, tgt = by_deg[p], by_deg[p + shift]
-            for c_loc, col in blk.items():
-                action[src[c_loc]] = {tgt[r]: v for r, v in col.items()}
-        actions.append(action)
-    reads = prolongation._free_reads(layer, by_deg)
-    L, ad = _scaled_adjacency(A)
-    ad = [*ad, *actions]
-    scale = [L] * n + [space.denominator] * t
-    by_deg2 = {**by_deg, shift: list(range(n, n + t))}
-    cells = {}
+def _every_pair_forced(ad, by_deg, shift, reads):
+    """``_forced`` read over every pair of nonnegative layers that sum to
+    ``shift``, w before v, and every term of every pair at every read, as
+    a dict (w, v) -> coords in the order of the pairs: the reference for
+    the nonzero products that ``_forced`` visits."""
+    out = {}
     for a in range(shift // 2 + 1):
-        for w in by_deg2.get(a, []):
-            for v in by_deg2.get(shift - a, []):
+        for w in by_deg.get(a, []):
+            for v in by_deg.get(shift - a, []):
                 if 2 * a == shift and w >= v:
                     continue
                 coords = {}
@@ -811,45 +870,55 @@ def _unfiltered_forced_cells(A, layer):
                         if acc.get(tg):
                             coords[s] = acc[tg]
                 if coords:
-                    den = scale[w] * scale[v]
-                    cells[(w, v)] = {n + i: Fraction(c, den) for i, c in coords.items()}
-    return cells
+                    out[(w, v)] = coords
+    return out
 
 
-def test_extend_skips_only_pairs_without_a_forced_bracket(monkeypatch):
+def _unfiltered_forced_cells(A, layer):
+    """The forced brackets of ``_extend`` over A and ``layer``, read over
+    every pair of nonnegative layers that sum to the layer's degree
+    (``_every_pair_forced``): the reference for the cells ``_extend``
+    writes."""
+    shift, layout, space = layer.shift, layer.layout, layer.space
+    by_deg = A.by_degree()
+    n, t = A.n, len(space)
+    actions = []
+    for vec in space.basis:
+        action = {}
+        for p, blk in layout.columns(vec).items():
+            src, tgt = by_deg[p], by_deg[p + shift]
+            for c_loc, col in blk.items():
+                action[src[c_loc]] = {tgt[r]: v for r, v in col.items()}
+        actions.append(action)
+    reads = prolongation._free_reads(layer, by_deg)
+    L, ad = _scaled_adjacency(A)
+    scale = [L] * n + [space.denominator] * t
+    by_deg2 = {**by_deg, shift: list(range(n, n + t))}
+    forced = _every_pair_forced([*ad, *actions], by_deg2, shift, reads)
+    return {(w, v): {n + i: Fraction(c, scale[w] * scale[v]) for i, c in coords.items()}
+            for (w, v), coords in forced.items()}
+
+
+def test_extend_writes_the_forced_cells_of_every_pair(monkeypatch):
     """On the 14 rows, both ladder rungs and the rebased inputs at seeds 0
     and 7, every ``_extend`` writes the forced brackets of the loop that
-    reads every pair: the same cells, in the same order.  The loop it
-    runs reads the free reads once per pair it does not skip, and on
-    hh(1,3) it skips some."""
-    extend, free_reads = prolongation._extend, prolongation._free_reads
+    reads every pair: the same cells, in the same order.  Many pairs have
+    no forced bracket, on hh(1,3) too, and no cell is written for them."""
+    extend = prolongation._extend
     seen = []
-
-    class CountedReads(dict):
-        pairs = 0  # pairs whose cells were read
-
-        def items(self):
-            self.pairs += 1
-            return super().items()
-
-    def counted(layer, by_deg):
-        reads = CountedReads(free_reads(layer, by_deg))
-        seen.append(reads)
-        return reads
 
     def recorded(A, layer, name):
         B = extend(A, layer, name)
-        seen[-1] = (m.name, A, layer, B, seen[-1].pairs)
+        seen.append((m.name, A, layer, B))
         return B
 
-    monkeypatch.setattr(prolongation, "_free_reads", counted)
     monkeypatch.setattr(prolongation, "_extend", recorded)
     for m, g in _engine_inputs():
         full_prolongation(m, g)
     monkeypatch.undo()
     assert len(seen) == 132
-    skipped = {}
-    for label_, A, layer, B, pairs in seen:
+    without = {}
+    for label_, A, layer, B in seen:
         shift = layer.shift
         want = _unfiltered_forced_cells(A, layer)
         forced = set(_forced_keys(B, shift))
@@ -859,9 +928,31 @@ def test_extend_skips_only_pairs_without_a_forced_bracket(monkeypatch):
         every = sum(dims.get(a, 0) * dims.get(shift - a, 0) for a in range(shift // 2 + 1))
         if shift % 2 == 0:  # a pair (w, v) of one degree is read once, with w < v
             every -= dims.get(shift // 2, 0) * (dims.get(shift // 2, 0) + 1) // 2
-        assert len(want) <= pairs <= every
-        skipped[label_] = skipped.get(label_, 0) + every - pairs
-    assert skipped["hh(p=1,q=3).m"] > 0
+        without[label_] = without.get(label_, 0) + every - len(want)
+    assert without["hh(p=1,q=3).m"] > 0
+
+
+def test_every_forced_read_matches_the_loop_over_every_pair(monkeypatch):
+    """Every call of ``_forced`` in ``full_prolongation``, from ``_extend``
+    and from the read-check (f) of ``_certify``, on the 14 rows and both
+    ladder rungs, yields what the loop over every pair finds: the same
+    pairs in the same order, and the same coordinates in the order of the
+    reads."""
+    forced = prolongation._forced
+    calls = {"_extend": 0, "_certify": 0}
+
+    def checked(ad, by_deg, shift, reads):
+        got = list(forced(ad, by_deg, shift, reads))
+        want = _every_pair_forced(ad, by_deg, shift, reads)
+        assert [((w, v), list(coords.items())) for w, v, coords in got] == [
+            (key, list(coords.items())) for key, coords in want.items()]
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return got
+
+    monkeypatch.setattr(prolongation, "_forced", checked)
+    for m, g in _engine_inputs()[:16]:
+        full_prolongation(m, g)
+    assert calls["_extend"] == calls["_certify"] > 0  # one per layer of a complete run
 
 
 def _prolong_with_a_wrong_forced_coordinate(max_degree=None):

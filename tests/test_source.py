@@ -16,11 +16,14 @@ cannot tell whose attribute ``x.rank`` is.  So a method shares its fate
 with every other name it matches, and stays alive while any of them is
 referenced in ``src/glap``.
 
-An algebra's scaled adjacency ``_adj`` and the rank verdicts ``_pivots``
-read from it have one owner: they are set in ``GradedAlgebra.__init__``,
-and ``_adj`` is built by ``gla._scaled_adjacency`` from the brackets as
-written.  No other code of ``src/glap`` sets or deletes an attribute of
-either name, so every adjacency is that of its algebra's brackets.
+An algebra's scaled adjacency ``_adj``, the rank verdicts ``_pivots``
+read from it, and the link ``_parent`` to the algebra it extends have one
+owner: they are set in ``GradedAlgebra.__init__``; ``_parent`` is set by
+``gla._extension`` and dropped by ``gla._scaled_adjacency``, which builds
+``_adj`` from the brackets as written, or grows it from the parent's to
+the same result.  No other code of ``src/glap`` sets or deletes an
+attribute of any of these names, so every adjacency is that of its
+algebra's brackets.
 
 The pivot rows ``piv`` of a ``linalg.Echelon``, its index ``holders``
 (column -> the leads whose rows hold it) and its set ``known_zero`` (the
@@ -139,9 +142,10 @@ def _unreferenced(
     ]
 
 
-OWNED = {"_adj", "_pivots"}
+OWNED = {"_adj", "_pivots", "_parent"}
 OWNERS = {("gla.py", "__init__", "_adj"), ("gla.py", "__init__", "_pivots"),
-          ("gla.py", "_scaled_adjacency", "_adj")}
+          ("gla.py", "__init__", "_parent"), ("gla.py", "_extension", "_parent"),
+          ("gla.py", "_scaled_adjacency", "_adj"), ("gla.py", "_scaled_adjacency", "_parent")}
 
 
 def _owned_writes(path: pathlib.Path) -> list[tuple[str, int, str, str]]:
@@ -176,12 +180,14 @@ def test_the_adjacency_rule_catches_what_it_claims(tmp_path):
         "    def drop():\n"
         "        del B._pivots\n"
         "    A._pivots[0] = None\n"
+        "    B._parent = A._parent\n"
         "    return B._adj\n"
     )
     assert _owned_writes(bad) == [
         ("bad.py", 1, "<module>", "_adj"),
         ("bad.py", 3, "extend", "_adj"),
         ("bad.py", 5, "drop", "_pivots"),
+        ("bad.py", 7, "extend", "_parent"),
     ]
 
 

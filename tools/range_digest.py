@@ -16,8 +16,9 @@ each followed by the seconds that instance spent in ``build`` (for a
 rebased instance: ``build`` and the change of basis), ``full_prolongation``
 and ``analyze``; then the total digest, and last the seconds of each stage
 summed over all instances and of the whole run.  It exits 0 when the total
-matches and 1 when it does not.  It takes about 4.9 s on 2 vCPUs (Python
-3.11) and is not part of the tests.
+matches and 1 when it does not.  It takes about 5 s on 2 vCPUs (Python
+3.11), of which about 2.2 s is ``full_prolongation``, and is not part of
+the tests.
 """
 
 import hashlib

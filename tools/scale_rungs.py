@@ -7,11 +7,14 @@ seconds of the three stages, the peak resident set size of that process,
 the dimension, and whether the graded dimensions match
 ``roots.table_expectation`` of its own oracle key and parameters.  The
 record goes to a JSON file, by default ``BENCH_range.json`` at the root of
-the checkout, with the machine, the Python version, the commit (``git
-describe --always --dirty``: "-dirty" when the tree has uncommitted
-changes; null outside a git checkout) and host-speed reference
+the checkout, with the machine, the Python version, host-speed reference
 samples of ``bench/hostspeed.py`` (read, never changed) taken before and
-after the rungs.
+after the rungs, and what was timed: ``commit``, the commit checked out
+(``git rev-parse HEAD``; null outside a git checkout), which for a record
+taken before its change is committed is the parent; and ``src_sha256``,
+the SHA-256 of the package source itself, recomputable in any copy as
+
+    LC_ALL=C sha256sum src/glap/*.py | sha256sum
 
     python3 tools/scale_rungs.py [--out PATH]
 
@@ -99,12 +102,29 @@ def reference_sample() -> float:
 
 
 def commit() -> str | None:
+    """The commit checked out at ROOT, or None outside a git checkout."""
     try:
-        done = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                              cwd=ROOT, capture_output=True, text=True)
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                              text=True)
     except OSError:
         return None
-    return done.stdout.strip() or None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def source_sha256() -> str:
+    """The SHA-256 of the ``sha256sum`` listing of ``src/glap/*.py``, files
+    in byte order, paths relative to ROOT: ``LC_ALL=C sha256sum
+    src/glap/*.py | sha256sum`` prints the same digest."""
+    # not a top-level import: hashlib maps OpenSSL, about 3.6 MB of resident
+    # memory that the peak RSS of every ``--measure`` process would count
+    import hashlib
+
+    src = os.path.join(ROOT, "src", "glap")
+    listing = ""
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name), "rb") as fh:
+            listing += f"{hashlib.sha256(fh.read()).hexdigest()}  src/glap/{name}\n"
+    return hashlib.sha256(listing.encode()).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -126,6 +146,7 @@ def main(argv=None) -> int:
                     "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "commit": commit(),
+        "src_sha256": source_sha256(),
         "hostspeed": {"reference_seconds": [before, reference_sample()],
                       "REF_SECONDS": hostspeed.REF_SECONDS},
         "rungs": rungs,
