@@ -34,11 +34,12 @@ from .families import FAMILIES, build, label
 from .gla import (
     GradedAlgebra,
     _load_json,
-    _reached_by_minus1,
     check_gla,
+    conformal_factors,
     deserialize,
     deserialize_form,
     format_rational,
+    minus1_generates,
     transitivity_check,
 )
 from .prolongation import (
@@ -50,7 +51,7 @@ from .prolongation import (
     full_prolongation,
     scaling_split,
 )
-from .roots import graded_dims, table_expectation
+from .roots import SERIES, graded_dims, table_expectation
 
 # the verify-table rows, family by family in registry order
 DEFAULT_ROWS = tuple(
@@ -126,7 +127,7 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     doc = _load_json(_read(args.path))
-    next_layer = top = None
+    next_layer = top = conformal = None
     if "complete" not in doc:
         A = GradedAlgebra.from_json_dict(doc)
     else:
@@ -134,6 +135,8 @@ def cmd_check(args) -> int:
         # 'complete' that is not a JSON boolean is bad input
         prol = ProlongationResult.from_json_dict(doc)
         A = prol.algebra
+        # every degree 0 element must scale the file's form on g_-1
+        conformal = None not in conformal_factors(A, prol.form.matrix)
         if prol.complete:
             # a complete prolongation has no layer past its top degree nu;
             # the step solve reads a subset of the conditions, so an empty
@@ -158,9 +161,10 @@ def cmd_check(args) -> int:
         # and on a negative part
         fundamental, kind = False, None
     else:
-        fundamental = -1 in A.by_degree() and _reached_by_minus1(A, lambda d: d < -1)
+        fundamental = minus1_generates(A)
         kind = -min(A.degrees)
-    ok = res["grading_ok"] and res["jacobi_ok"] and fundamental and not next_layer
+    ok = (res["grading_ok"] and res["jacobi_ok"] and fundamental and not next_layer
+          and conformal is not False)
     out = {
         "name": A.name,
         "grading_ok": res["grading_ok"],
@@ -172,10 +176,13 @@ def cmd_check(args) -> int:
         "pass": ok,
     }
     tail = ""
+    if conformal is not None:
+        out["conformal"] = conformal
+        tail = f" conformal={conformal}"
     if next_layer is not None:
         # marked complete: the dimension of the layer past the top, 0 if so
         out["next_layer_dim"] = next_layer
-        tail = f" next_layer_dim={next_layer}"
+        tail += f" next_layer_dim={next_layer}"
     _output(args, out, f"{A.name}: grading={res['grading_ok']} jacobi={res['jacobi_ok']} "
                        f"fundamental={fundamental} kind={kind}{tail} -> {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -392,10 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser(
         "analyze", parents=[common],
-        help="structure report (trusts the Jacobi identity and the complete flag, so a "
-        "file cut to degrees <= 0 and marked complete, with step_dims to match, gets exit "
-        "0 and no warning: certify both with check, which refuses that file by "
-        "next_layer_dim)",
+        help="structure report (trusts the Jacobi identity, the complete flag and the "
+        "conformality of g_0, so a file cut to degrees <= 0 and marked complete, with "
+        "step_dims to match, gets exit 0 and no warning, as does a file whose form g_0 "
+        "does not scale: certify all three with check, which refuses those files by "
+        "next_layer_dim and conformal)",
     )
     a.add_argument("path", help="prolongation JSON file")
     a.set_defaults(func=lambda args: cmd_analyze(args))
@@ -404,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--family", choices=[s.oracle for s in FAMILIES.values() if s.oracle])
     for name in PARAMS:
         o.add_argument(f"--{name}", type=int)
-    o.add_argument("--series", choices=("A", "B", "C", "D", "F", "G"))
+    o.add_argument("--series", choices=SERIES)
     o.add_argument("--rank", type=int)
     o.add_argument("--crossed", help="comma-separated node numbers, e.g. 1,3")
     o.set_defaults(func=lambda args: cmd_oracle(args))

@@ -38,8 +38,11 @@ root-oracle key, parameters, supported range, ``verify-table`` rows and
 builder.  The command line, the expected classification table and the tests
 read it, so a new family is one registry record and its builder.
 
-Conformal covariance of g under the degree-zero action is certified in
-Python ints on the ambient's brackets [g_0, g_{-1}], when it is first read.
+Conformal covariance of g under the degree-zero action is certified when
+the ambient is first read: the factor eta of each degree-zero element,
+predicted from its matrix (``_conformal_factors``), must be the one that
+``gla.conformal_factors`` reads in Python ints off the ambient's brackets
+[g_0, g_{-1}], the same certificate that ``prolongation`` runs as (c).
 """
 
 from collections.abc import Callable
@@ -50,7 +53,7 @@ from math import lcm
 
 from .composition import CompositionAlgebra, algebra_by_tag, norm_form, real_algebra
 from .errors import BadParameters, GlapError, require
-from .gla import GradedAlgebra, SymBilinearForm, check_fundamental, check_gla
+from .gla import GradedAlgebra, SymBilinearForm, check_fundamental, check_gla, conformal_factors
 from .linalg import Echelon, Mat, int_row
 
 ZERO = Fraction(0)
@@ -339,53 +342,13 @@ def _require_signature(g: SymBilinearForm, want: tuple[int, int]):
 
 
 def _check_covariance(A: GradedAlgebra, G: Mat, eta_by_index):
-    """Require the degree-zero action to scale g by the predicted factor.
-
-    For each (idx, eta) with M = ad(e_idx) restricted to degree -1, the
-    identity  M^T G + G M = eta G  is certified entry by entry, in integers.
-    The columns of each M are read from the brackets of A and scaled by L,
-    the lcm of their denominators, and G is scaled by D, the lcm of its
-    denominators.  Each entry
-
-        (M^T G + G M)[r][c] = sum_k M[k][r] G[k][c] + G[r][k] M[k][c]
-
-    is a sum of products of one constant and one entry of G, so the integer
-    lhs is exactly L*D times the rational one.  With eta = a/b, the integer
-    residual  b*lhs - a*L*(D*G)  is exactly L*D*b times the rational
-    residual  lhs - eta*G,  and so is zero exactly when it is.  The
-    comparison runs over every entry: the zero entries are the ones missing
-    from both sparse sides.
-    """
-    src = A.by_degree().get(-1, [])
-    pos = {g: r for r, g in enumerate(src)}
-    D = lcm(*(x.denominator for row in G.a for x in row))
-    rows = [
-        {c: x.numerator * (D // x.denominator) for c, x in enumerate(row) if x}
-        for row in G.a
-    ]
-    cols: list[dict[int, int]] = [{} for _ in rows]
-    entries = {}
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            cols[c][r] = x
-            entries[r, c] = x
+    """Require the degree-zero action to scale g by the predicted factor:
+    for each (idx, eta), eta must be the factor by which e_idx scales the
+    form of Gram matrix G on degree -1, as ``gla.conformal_factors``
+    certifies it in integers."""
+    got = dict(zip(A.by_degree()[0], conformal_factors(A, G)))
     for idx, eta in eta_by_index:
-        M = [A.bracket_pair(idx, j) for j in src]
-        L = lcm(*(x.denominator for col in M for x in col.values()))
-        lhs: dict[tuple[int, int], int] = {}
-        get = lhs.get
-        for c, col in enumerate(M):
-            # column c of M, scaled: m = L * M[pos[k]][c]
-            for k, y in col.items():
-                m = y.numerator * (L // y.denominator)
-                for t, x in rows[pos[k]].items():  # (M^T G)[c][t]
-                    lhs[c, t] = get((c, t), 0) + m * x
-                for t, x in cols[pos[k]].items():  # (G M)[t][c]
-                    lhs[t, c] = get((t, c), 0) + x * m
-        a, b = eta.numerator, eta.denominator
-        got = {rc: b * v for rc, v in lhs.items() if v}
-        want = {rc: a * L * x for rc, x in entries.items()} if a else {}
-        require(got == want, f"conformal factor mismatch at {A.labels[idx]}")
+        require(got.get(idx) == eta, f"conformal factor mismatch at {A.labels[idx]}")
 
 
 def _certify_cartan(spaces, elems):

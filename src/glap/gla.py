@@ -37,6 +37,12 @@ above it is skipped before any cell is read.  A prolongation file cut at
 some degree is swept on the triples of that set whose brackets the cut
 kept (``check_gla``'s ``top``).
 
+Conformality has one certificate, ``conformal_factors``: for each degree 0
+element, the factor eta by which it scales a form on g_{-1}, read in
+integers off the scaled adjacency, or None.  ``families`` compares it
+with the factors each ambient predicts, ``prolongation`` requires it as
+its certificate (c), and ``glap check`` runs it on a prolongation file.
+
 The JSON layout round-trips losslessly because rationals are serialized as
 "p/q" strings (just "p" when q = 1).  Every file glap writes goes through
 one writer, ``dumps``, which writes the bytes of ``json.dumps(obj,
@@ -628,13 +634,57 @@ def check_fundamental(A: GradedAlgebra) -> tuple[bool, int]:
             f"degrees {sorted(set(bad))} present; expected all negative"
         )
     require_graded(A)
-    return _reached_by_minus1(A, lambda d: d < -1), -min(A.by_degree())
+    return minus1_generates(A), -min(A.by_degree())
+
+
+def minus1_generates(A: GradedAlgebra) -> bool:
+    """Whether A has a degree -1 part and it generates the negative part:
+    g_d = [g_{-1}, g_{d+1}] for every d < -1."""
+    return -1 in A.by_degree() and _reached_by_minus1(A, lambda d: d < -1)
 
 
 def transitivity_check(A: GradedAlgebra) -> bool:
     """Whether A is transitive: no nonzero element of a degree >= 0 kills
     all of g_{-1} (so a nonnegative degree without g_{-1} fails)."""
     return _reached_by_minus1(A, lambda d: d >= 0)
+
+
+def conformal_factors(A: GradedAlgebra, G: Mat) -> list[Fraction | None]:
+    """For each degree 0 element u of the graded algebra A, in
+    ``by_degree()[0]`` order, the eta with M^T G + G M = eta G, M the
+    action of u on g_{-1} and G a nonzero symmetric Gram matrix in the
+    basis ``by_degree()[-1]``; None when u has no such eta.
+
+    Certified in ints on the scaled adjacency: the entries of M are L
+    times the rational ones, and G is scaled by the lcm of its
+    denominators to an integer matrix, so S = M^T G + G M is the rational
+    one times both scales.  S = s G for one rational s exactly when S
+    and G are proportional entry for entry against one entry x0 of G's
+    support, and then eta = s0 / (L x0) with s0 the entry of S there.
+    """
+    L, ad = _scaled_adjacency(A)
+    by_deg = A.by_degree()
+    minus1 = by_deg.get(-1, [])
+    pos = {z: c for c, z in enumerate(minus1)}
+    den = lcm(*(x.denominator for row in G.a for x in row))
+    rows = [{b: int(x * den) for b, x in enumerate(row) if x} for row in G.a]
+    support = [(a, b, x) for a, row in enumerate(rows) for b, x in row.items()]
+    a0, b0, x0 = support[0]
+    etas: list[Fraction | None] = []
+    for u in by_deg.get(0, []):
+        adu = ad[u]
+        S: dict[tuple[int, int], int] = {}
+        for c, z in enumerate(minus1):
+            for tg, x in adu.get(z, {}).items():
+                for b, y in rows[pos[tg]].items():
+                    # (M^T G)[c][b] and, G being symmetric, (G M)[b][c]
+                    S[c, b] = S.get((c, b), 0) + x * y
+                    S[b, c] = S.get((b, c), 0) + x * y
+        s0 = S.get((a0, b0), 0)
+        conformal = all(S.get((a, b), 0) * x0 == s0 * x for a, b, x in support) and not any(
+            y and b not in rows[a] for (a, b), y in S.items())
+        etas.append(Fraction(s0, L * x0) if conformal else None)
+    return etas
 
 
 def _reached_by_minus1(A: GradedAlgebra, which) -> bool:

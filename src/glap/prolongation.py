@@ -77,7 +77,10 @@ identity over A, which ``full_prolongation`` does not run.
     triples and the triples (x, y, u) with u in a layer, and J(x, y, u)
     = 0 is the condition of the pair (x, y) on u, read from A.
 (c) Each g_0 element acts on g_{-1} conformally: M^T G + G M = eta G for
-    its matrix M and one eta.
+    its matrix M and one eta (``gla.conformal_factors``, the one
+    covariance certificate: ``families`` holds each ambient to its
+    predicted factors by it, and ``glap check`` runs it on a
+    prolongation file).
 (d) At the free reads of each layer, the written actions of its elements
     form the identity; at degree 0 the last element has eta 1 and the
     others eta 0.  The read of an element is its last nonzero entry in
@@ -167,7 +170,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from .errors import GlapError, NotFundamental, ParseError, StepLimitExceeded
 from .gla import (
@@ -178,10 +180,11 @@ from .gla import (
     _jacobi_residuals,
     _load_json,
     _misgraded,
-    _reached_by_minus1,
     _scaled_adjacency,
     check_fundamental,
+    conformal_factors,
     dumps,
+    minus1_generates,
     require_graded,
     transitivity_check,
 )
@@ -613,7 +616,7 @@ class ProlongationResult:
         degs = algebra.degrees
         if not degs:
             raise ParseError("the prolongation has an empty basis")
-        if -1 not in algebra.by_degree() or not _reached_by_minus1(algebra, lambda d: d < -1):
+        if not minus1_generates(algebra):
             raise ParseError("the negative part is not generated by its degree -1 part")
         # the file's step_dims must be those its layers and its flag imply
         step_dims = _step_dims(algebra, d["complete"])
@@ -711,7 +714,10 @@ def _certify(A: GradedAlgebra, m: GradedAlgebra, g: SymBilinearForm) -> None:
         raise GlapError("assembled prolongation is not transitive")
     by_deg = A.by_degree()
     minus1 = by_deg[-1][::-1]
-    etas = _conformal_factors(A, g)
+    etas = conformal_factors(A, g.matrix)
+    for u, eta in zip(by_deg[0], etas):
+        if eta is None:
+            raise GlapError(f"{fail}: {A.labels[u]} does not act conformally on g_-1")
     for k in range(max(A.degrees) + 1):
         elems = by_deg[k]
         reads: dict[int, list[tuple[int, int]]] = {}
@@ -747,35 +753,3 @@ def _certify(A: GradedAlgebra, m: GradedAlgebra, g: SymBilinearForm) -> None:
             raise GlapError(f"{fail}: {written - forced} brackets of degree {k} where none "
                             "is forced")
 
-
-def _conformal_factors(A: GradedAlgebra, g: SymBilinearForm) -> list[Fraction]:
-    """Certificate (c) of the module docstring: eta for each degree 0
-    element of A, whose action M on g_{-1} has M^T G + G M = eta G;
-    GlapError when one has none.  Read in ints from the scaled adjacency:
-    S = M^T G + G M with the entries of M times L and G scaled to an
-    integer matrix, and S = eta L G entry for entry."""
-    L, ad = _scaled_adjacency(A)
-    by_deg = A.by_degree()
-    minus1 = by_deg[-1]
-    pos = {z: c for c, z in enumerate(minus1)}
-    den = lcm(*(x.denominator for row in g.matrix.a for x in row))
-    G = [{b: int(x * den) for b, x in enumerate(row) if x} for row in g.matrix.a]
-    support = [(a, b, x) for a, row in enumerate(G) for b, x in row.items()]
-    a0, b0, x0 = support[0]
-    etas = []
-    for u in by_deg.get(0, []):
-        adu = ad[u]
-        S: dict[tuple[int, int], int] = {}
-        for c, z in enumerate(minus1):
-            for tg, x in adu.get(z, {}).items():
-                for b, y in G[pos[tg]].items():
-                    # (M^T G)[c][b] and, G being symmetric, (G M)[b][c]
-                    S[c, b] = S.get((c, b), 0) + x * y
-                    S[b, c] = S.get((b, c), 0) + x * y
-        s0 = S.get((a0, b0), 0)
-        if any(S.get((a, b), 0) * x0 != s0 * x for a, b, x in support) or any(
-                (b not in G[a]) and y for (a, b), y in S.items()):
-            raise GlapError(f"assembled prolongation failed certification: {A.labels[u]} "
-                            "does not act conformally on g_-1")
-        etas.append(Fraction(s0, L * x0))
-    return etas

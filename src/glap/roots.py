@@ -27,6 +27,9 @@ from .errors import BadParameters, UnsupportedType
 # any root is generated
 MAX_RANK = 24
 
+# the root series, each with its least rank; F and G exist in that rank only
+SERIES = {"A": 1, "B": 2, "C": 2, "D": 3, "F": 4, "G": 2}
+
 
 def cartan_matrix(series: str, rank: int) -> list[list[int]]:
     """Cartan matrix A with A[i][j] = <a_i, a_j^vee>, Bourbaki numbering."""
@@ -35,22 +38,13 @@ def cartan_matrix(series: str, rank: int) -> list[list[int]]:
     if rank > MAX_RANK:
         raise BadParameters(f"rank <= {MAX_RANK} supported, got {rank}")
     series = series.upper()
-    if series == "A":
-        pass
-    elif series == "B" or series == "C":
-        if rank < 2:
-            raise BadParameters(f"{series}-series needs rank >= 2")
-    elif series == "D":
-        if rank < 3:
-            raise BadParameters("D-series needs rank >= 3")
-    elif series == "F":
-        if rank != 4:
-            raise UnsupportedType("F-series only exists in rank 4")
-    elif series == "G":
-        if rank != 2:
-            raise UnsupportedType("G-series only exists in rank 2")
-    else:
+    if series not in SERIES:
         raise UnsupportedType(f"unknown series {series!r}")
+    least = SERIES[series]
+    if series in ("F", "G") and rank != least:
+        raise UnsupportedType(f"{series}-series only exists in rank {least}")
+    if rank < least:
+        raise BadParameters(f"{series}-series needs rank >= {least}")
 
     n = rank
     A = [[0] * n for _ in range(n)]

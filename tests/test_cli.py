@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glap import analysis, cli, families, prolongation
+from glap import analysis, cli, families, prolongation, roots
 from glap.errors import NotIsotropic
 from glap.gla import check_gla, deserialize
 from test_prolongation import SpuriousPivot
@@ -279,6 +279,10 @@ def test_oracle_by_series(capsys):
     doc = json.loads(out)
     assert doc["dims"]["0"] == 22
     assert doc["total_dim"] == 52
+    # the series the option accepts are the ones the oracle knows
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    series = next(a for a in sub.choices["oracle"]._actions if a.dest == "series")
+    assert series.choices is roots.SERIES
 
 
 def test_oracle_requires_arguments(capsys):
@@ -470,6 +474,45 @@ def test_check_refuses_a_complete_file_with_a_layer_past_its_top(tmp_path, capsy
     assert report["jacobi_ok"] and report["next_layer_dim"] > 0
     code, out = run(capsys, "check", str(claimed), "--summary")
     assert code == 1 and "next_layer_dim=" in out and out.rstrip().endswith("FAIL")
+
+
+def test_check_certifies_that_g0_acts_conformally(tmp_path, capsys):
+    """g_0 of hh(1,1) scales its form, the identity on g_-1, and not
+    diag(1, 1, 1, -1): with that form in place of its own, the complete
+    file and the file cut at degree 0 pass the grading, Jacobi and
+    fundamental checks and the empty layer past the top, yet fail (exit 1,
+    under python -O too) on ``conformal``."""
+    prefix = str(tmp_path / "hh11")
+    run(capsys, "build", "--family", "hh", "--p", "1", "--q", "1", "--out", prefix)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for cut in ([], ["--max-degree", "0"]):
+        path = str(tmp_path / "prol.json")
+        run(capsys, "prolong", prefix + ".m.json", prefix + ".g.json", "--out", path, *cut)
+        code, out = run(capsys, "check", path)
+        report = json.loads(out)
+        assert code == 0 and report["pass"] and report["conformal"] is True
+        doc = json.loads(open(path).read())
+        assert doc["form"]["matrix"] == [[str(int(i == j)) for j in range(4)] for i in range(4)]
+        doc["form"]["matrix"][3][3] = "-1"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run(capsys, "check", str(bad))
+        report = json.loads(out)
+        assert code == 1 and not report["pass"] and report["conformal"] is False
+        assert report["grading_ok"] and report["jacobi_ok"] and report["fundamental"]
+        assert report.get("next_layer_dim", 0) == 0
+        code, out = run(capsys, "check", str(bad), "--summary")
+        assert code == 1 and " conformal=False" in out and out.rstrip().endswith("FAIL")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "glap.cli", "check", str(bad)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout) == report
+    # a plain algebra file has no conformal key
+    code, out = run(capsys, "check", prefix + ".m.json")
+    assert code == 0 and "conformal" not in json.loads(out)
 
 
 def test_check_certifies_the_empty_layer_past_the_top(tmp_path, capsys, monkeypatch):

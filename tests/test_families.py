@@ -13,7 +13,7 @@ from glap.cli import DEFAULT_ROWS
 from glap.composition import algebra_by_tag
 from glap.errors import BadParameters, GlapError, require
 from glap.families import FAMILIES, build
-from glap.gla import GradedAlgebra, check_fundamental, check_gla
+from glap.gla import GradedAlgebra, check_fundamental, check_gla, conformal_factors
 from glap.linalg import Mat
 from test_composition import add, mul
 
@@ -420,6 +420,23 @@ def test_perturbed_covariance_input_is_rejected(covariance_inputs, perturb):
         for check in (families._check_covariance, _reference_check_covariance):
             with pytest.raises(GlapError, match="conformal factor mismatch"):
                 check(A, G2, etas2)
+
+
+# the verify-table rows and the two rungs of the benchmark's ladder
+PROLONGED_ROWS = list(DEFAULT_ROWS) + [("hh", {"p": 1, "q": 3}), ("hc", {"p": 3, "q": 1})]
+
+
+@pytest.mark.parametrize("tag,params", PROLONGED_ROWS)
+def test_prolongation_factors_pass_the_dense_reference(get_prolongation, tag, params):
+    """Certificate (c) of a prolongation: the factors that
+    ``conformal_factors`` reads off degree 0 pass the dense reference, and
+    only the last element of the canonical basis has eta, 1."""
+    prol = get_prolongation(tag, **params)
+    A, G = prol.algebra, prol.form.matrix
+    idx0 = A.by_degree()[0]
+    etas = conformal_factors(A, G)
+    assert etas == [0] * (len(idx0) - 1) + [1]
+    _reference_check_covariance(A, G, zip(idx0, etas))
 
 
 @pytest.mark.parametrize("perturbation", ["eta", "gram"])

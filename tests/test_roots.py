@@ -140,7 +140,7 @@ def _accepted():
     top = max(row.rank for _, row in _table_rows())
     assert top == 8 < MAX_RANK
     out = []
-    for series in "ABCDFG":
+    for series in roots.SERIES:
         for rank in range(1, top + 1):
             try:
                 cartan_matrix(series, rank)
